@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .block import SboBasis
-from .errors import DimensionCap, InsufficientNodes
+from .errors import DimensionCap, InsufficientNodes, MomentError
 from .measures import Measure, truncated_support
 from .polynomials import Polynomial, sign_changes_in
 from .standard import MONIC, build_standard
@@ -268,17 +268,36 @@ class ZeroReport:
     satisfies_theorem: bool
 
 
+def _scan_interval(sbo: SboBasis):
+    """Hull of both measures' truncated supports, clipped to the first domain.
+
+    The zeros of P_{i;n} spread over the wider of the two weights, so a scan
+    that stopped where the first weight fades would miss zeros whenever the
+    second weight is the wider one.  A tabulated second measure has no
+    pointwise weight and contributes nothing.
+    """
+    lo, hi = truncated_support(sbo.measure1)
+    try:
+        lo2, hi2 = truncated_support(sbo.measure2)
+    except MomentError:
+        return lo, hi
+    a, b = sbo.measure1.domain
+    return max(min(lo, lo2), float(a)), min(max(hi, hi2), float(b))
+
+
 def zero_report(sbo: SboBasis, n: int, resolution: int = 4096) -> ZeroReport:
     """Sign changes of P_{i;n} inside the first measure's support.
 
     The count is a certified lower bound on distinct odd-order zeros; the
     theorem guarantees at least i of them, and exactly n when i = n - 1 or
-    i = n (all zeros real and simple then).
+    i = n (all zeros real and simple then).  The scan covers the hull of
+    both measures' truncated supports, clipped to the first measure's domain,
+    with ``resolution`` grid cells.
     """
     if not sbo.i <= n < sbo.size:
         raise ValueError(f"degree {n} outside basis range")
     poly = sbo.monic_poly(n).to_float()
-    lo, hi = truncated_support(sbo.measure1)
+    lo, hi = _scan_interval(sbo)
     if n == 0:
         return ZeroReport(sbo.i, n, 0, (), (lo, hi), True)
     report = sign_changes_in(poly, lo, hi, resolution=resolution)

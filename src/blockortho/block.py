@@ -14,21 +14,17 @@ the gamma matrix gamma[j][k] = (Q_j, Q_k)_2 unless ``check=False``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
-import numpy as np
-
-from . import gso, linalg
+from . import gso, linalg, scalars
 from .errors import (
     ConditioningError,
     DependentConstraints,
     MeasureMismatch,
-    NotRepresentable,
     NotSymmetric,
     OracleMismatch,
 )
+from .gso import ORACLE_RTOL
 from .measures import (
     GramMatrix,
     Measure,
@@ -36,19 +32,18 @@ from .measures import (
     inner_product_mu,
     moments,
 )
-from .polynomials import Polynomial, monomial
-from .scalars import EXACT, FLOAT, sqrt_exact
-from .standard import (
+from .polynomials import Polynomial, combine, monomial
+from .scalars import EXACT, FLOAT
+from .standard import (  # the normalization names are re-exported here
     DET_NORMALIZED,
     FLOAT_SIZE_LIMIT,
     MONIC,
     ORTHONORMAL,
     StandardBasis,
     build_standard,
+    normalization_factors,
     parity_split_build,
 )
-
-ORACLE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -141,33 +136,56 @@ def gamma_matrix(q_basis: StandardBasis, measure2, i: int, backend=None) -> Gram
     return GramMatrix(tuple(map(tuple, entries)), f"Q_{i}..Q_{n - 1}")
 
 
-def _scales(normalization, sbo_core, backend):
-    """Normalization factors K_{i;n} applied to the monic polynomials."""
-    i, size = sbo_core["i"], sbo_core["size"]
-    ks = sbo_core["q_leading"]
-    dets = sbo_core["gamma_dets"]
-    one = Fraction(1) if backend == EXACT else 1.0
-    out = []
-    for n in range(i, size):
-        s = n - i
-        if normalization == MONIC:
-            out.append(one)
-        elif normalization == DET_NORMALIZED:
-            out.append(ks[n] * dets[s])
-        elif normalization == ORTHONORMAL:
-            ratio = dets[s] / dets[s + 1]
-            if backend == EXACT:
-                root = sqrt_exact(ratio)
-                if root is None:
-                    raise NotRepresentable(
-                        f"orthonormal scale at degree {n} is not rational"
-                    )
-                out.append(ks[n] * root)
-            else:
-                out.append(ks[n] * math.sqrt(ratio))
-        else:
-            raise ValueError(f"unknown normalization {normalization!r}")
-    return tuple(out)
+def _scale(normalization, q_basis, i, gamma_dets):
+    """Normalization factors K_{i;n} applied to the monic polynomials.
+
+    The gamma matrix is taken over Q's with leading coefficients k_n, so the
+    ``det`` and ``orthonormal`` factors of its determinants carry k_n.
+    """
+    factors = normalization_factors(normalization, gamma_dets, q_basis.backend)
+    if normalization == MONIC:
+        return tuple(factors)
+    return tuple(q_basis.leading[i + s] * f for s, f in enumerate(factors))
+
+
+def _second_stage(kernel, measure1, measure2, i, n_polys, q_basis, normalization, check):
+    """Orthogonalize Q_i..Q_{N-1} under the second measure with ``kernel``."""
+    backend = q_basis.backend
+    mu2 = moments(measure2, max(2 * (n_polys - 1), 0), backend=backend)
+    gamma = gamma_matrix(q_basis, mu2, i)
+    block = n_polys - i
+    q_polys = q_basis.polys[i:n_polys]
+    # second-stage leading factors k_n make the output monic: A_{i;n,n} = 1/k_n
+    result = kernel(gamma, list(q_basis.leading[i:n_polys]))
+    p_in_q = [[scalars.zero(backend)] * n_polys for _ in range(n_polys)]
+    q_in_p = [[scalars.zero(backend)] * n_polys for _ in range(n_polys)]
+    for row in range(block):
+        for col in range(row, block):
+            p_in_q[i + row][i + col] = result.coeffs[row][col]
+            q_in_p[i + row][i + col] = result.inverse_coeffs[row][col]
+    basis = SboBasis(
+        i=i,
+        size=n_polys,
+        measure1=measure1,
+        measure2=measure2,
+        q_basis=q_basis,
+        mu2=mu2,
+        gamma=gamma,
+        gamma_dets=result.gram_dets,
+        monic_polys=tuple(combine(result.vector(s), q_polys) for s in range(block)),
+        monic_norms=result.norms,
+        p_in_q=tuple(map(tuple, p_in_q)),
+        q_in_p=tuple(map(tuple, q_in_p)),
+        scale=_scale(normalization, q_basis, i, result.gram_dets),
+        normalization=normalization,
+        backend=backend,
+    )
+    if check and block:
+        gso.check_against_oracle(
+            gamma, result, q_polys, "second-stage determinant oracle disagrees"
+        )
+        _check_leading_identities(basis)
+    return basis
 
 
 def build_sbo(
@@ -195,85 +213,15 @@ def build_sbo(
     q_basis = build_standard(
         measure1, max(n_polys, 1), backend=backend, leading=q_leading, check=check
     )
-    mu2 = moments(measure2, max(2 * (n_polys - 1), 0), backend=backend)
-    gamma = gamma_matrix(q_basis, mu2, i)
-    block = n_polys - i
-    ks = q_basis.leading
-    # second-stage leading factors k_n make the output monic: A_{i;n,n} = 1/k_n
-    factors = [ks[n] for n in range(i, n_polys)]
-    result = gso.gram_schmidt(gamma, factors)
-
-    zero = Fraction(0) if backend == EXACT else 0.0
-    p_in_q = [[zero] * n_polys for _ in range(n_polys)]
-    q_in_p = [[zero] * n_polys for _ in range(n_polys)]
-    polys = []
-    for col in range(block):
-        n = i + col
-        acc = Polynomial(())
-        for row in range(col + 1):
-            coef = result.coeffs[row][col]
-            p_in_q[i + row][n] = coef
-            if coef != 0:
-                acc = acc + q_basis.polys[i + row].scale(coef)
-        polys.append(acc)
-        for row in range(col + 1):
-            q_in_p[i + row][n] = result.inverse_coeffs[row][col]
-
-    core = {
-        "i": i,
-        "size": n_polys,
-        "q_leading": ks,
-        "gamma_dets": result.gram_dets if block else (Fraction(1),),
-    }
-    basis = SboBasis(
-        i=i,
-        size=n_polys,
-        measure1=measure1,
-        measure2=measure2,
-        q_basis=q_basis,
-        mu2=mu2,
-        gamma=gamma,
-        gamma_dets=core["gamma_dets"],
-        monic_polys=tuple(polys),
-        monic_norms=result.norms,
-        p_in_q=tuple(map(tuple, p_in_q)),
-        q_in_p=tuple(map(tuple, q_in_p)),
-        scale=_scales(normalization, core, backend),
-        normalization=normalization,
-        backend=backend,
+    return _second_stage(
+        gso.gram_schmidt, measure1, measure2, i, n_polys, q_basis, normalization, check
     )
-    if check and block:
-        _check_sbo_oracle(basis)
-        _check_leading_identities(basis)
-    return basis
 
 
 def _close(a, b, backend, scale=1):
     if backend == EXACT:
         return a == b
     return abs(a - b) <= ORACLE_RTOL * max(abs(scale), 1e-300)
-
-
-def _check_sbo_oracle(basis: SboBasis):
-    for n in basis.degrees():
-        oracle = sbo_determinant_oracle(basis.q_basis, basis.mu2, basis.i, n)
-        stored = basis.monic_poly(n)
-        if basis.backend == EXACT:
-            ok = (
-                oracle.poly == stored
-                and oracle.gram_det == basis.Z(n)
-                and oracle.norm == basis.monic_norm(n)
-            )
-        else:
-            lead = max(abs(c) for c in stored.coeffs)
-            ok = all(
-                abs(a - b) <= ORACLE_RTOL * lead
-                for a, b in zip(oracle.poly.coeffs, stored.coeffs)
-            ) and _close(oracle.norm, basis.monic_norm(n), FLOAT, oracle.norm)
-        if not ok:
-            raise OracleMismatch(
-                f"second-stage determinant oracle disagrees at degree {n}"
-            )
 
 
 def _check_leading_identities(basis: SboBasis):
@@ -321,48 +269,26 @@ def sbo_determinant_oracle(
     if not q_basis.size > n >= i >= 0:
         raise ValueError(f"need i <= n < N, got i={i}, n={n}, N={q_basis.size}")
     gamma = gamma_matrix(q_basis, measure2, i)
-    g = gamma.rows()
-    block = n - i
-    z_prev = linalg.det([row[:block] for row in g[:block]])
-    z_here = linalg.det([row[: block + 1] for row in g[: block + 1]])
+    s = n - i
     k_n = q_basis.leading[n]
-    rows = list(range(block))
-    acc = Polynomial(())
-    a_col = []
-    for k in range(block + 1):
-        cols = [c for c in range(block + 1) if c != k]
-        minor = linalg.det_submatrix(g, rows, cols)
-        coef = (-1) ** (block + k) * minor / z_prev / k_n
-        a_col.append(coef)
-        if coef != 0:
-            acc = acc + q_basis.polys[i + k].scale(coef)
-    b_col = []
-    for m in range(i, n + 1):
-        mb = m - i
-        z_m = linalg.det([row[: mb + 1] for row in g[: mb + 1]])
-        bordered = [row[: mb + 1] for row in g[:mb]]
-        bordered.append(list(g[block][: mb + 1]))
-        b_col.append(q_basis.leading[m] * linalg.det(bordered) / z_m)
+    a_col = gso.determinant_oracle_vector(gamma, s, k_n)
     return SboOracleResult(
-        poly=acc,
-        gram_det=z_here,
-        norm=z_here / z_prev / k_n**2,
-        a_column=tuple(a_col),
-        b_column=tuple(b_col),
+        poly=combine(a_col, q_basis.polys[i:]),
+        gram_det=linalg.det([row[: s + 1] for row in gamma.rows()[: s + 1]]),
+        norm=gso.oracle_norm(gamma, s, k_n),
+        a_column=a_col,
+        b_column=tuple(
+            gso.oracle_connection_b(gamma, m, s, q_basis.leading[i + m])
+            for m in range(s + 1)
+        ),
     )
 
 
 def normalize_sbo(basis: SboBasis, normalization: str) -> SboBasis:
     """The same basis with a different normalization of each polynomial."""
-    core = {
-        "i": basis.i,
-        "size": basis.size,
-        "q_leading": basis.q_basis.leading,
-        "gamma_dets": basis.gamma_dets,
-    }
     return replace(
         basis,
-        scale=_scales(normalization, core, basis.backend),
+        scale=_scale(normalization, basis.q_basis, basis.i, basis.gamma_dets),
         normalization=normalization,
     )
 
@@ -385,80 +311,9 @@ def sbo_parity_build(
     if not 0 <= i <= n_polys:
         raise ValueError(f"need 0 <= i <= N, got i={i}, N={n_polys}")
     q_basis = parity_split_build(measure1, max(n_polys, 1), backend=backend)
-    mu2 = moments(measure2, max(2 * (n_polys - 1), 0), backend=backend)
-    gamma = gamma_matrix(q_basis, mu2, i)
-
-    degrees = list(range(i, n_polys))
-    evens = [d for d in degrees if d % 2 == 0]
-    odds = [d for d in degrees if d % 2 == 1]
-    one = Fraction(1) if backend == EXACT else 1.0
-    zero = Fraction(0) if backend == EXACT else 0.0
-
-    def sector(sector_degrees):
-        g = [
-            [inner_product_mu(mu2, q_basis.polys[a], q_basis.polys[b]) for b in sector_degrees]
-            for a in sector_degrees
-        ]
-        return gso.gram_schmidt(g, [one] * len(sector_degrees))
-
-    res_e = sector(evens)
-    res_o = sector(odds)
-
-    p_in_q = [[zero] * n_polys for _ in range(n_polys)]
-    polys_by_degree = {}
-    norms_by_degree = {}
-    for sector_degrees, res in ((evens, res_e), (odds, res_o)):
-        for col, deg in enumerate(sector_degrees):
-            acc = Polynomial(())
-            for row in range(col + 1):
-                coef = res.coeffs[row][col]
-                p_in_q[sector_degrees[row]][deg] = coef
-                if coef != 0:
-                    acc = acc + q_basis.polys[sector_degrees[row]].scale(coef)
-            polys_by_degree[deg] = acc
-            norms_by_degree[deg] = res.norms[col]
-
-    # full gamma determinants factor into the parity blocks (checkerboard)
-    dets = [one]
-    for size in range(1, len(degrees) + 1):
-        window = degrees[:size]
-        n_even = sum(1 for d in window if d % 2 == 0)
-        n_odd = size - n_even
-        dets.append(res_e.gram_dets[n_even] * res_o.gram_dets[n_odd])
-
-    block = len(degrees)
-    monic_block = [
-        [p_in_q[degrees[r]][degrees[c]] for c in range(block)] for r in range(block)
-    ]
-    if backend == EXACT:
-        inv_block = linalg.invert_upper_triangular(monic_block) if block else []
-    else:
-        inv_block = (
-            np.linalg.inv(np.array(monic_block, dtype=float)).tolist() if block else []
-        )
-    q_in_p = [[zero] * n_polys for _ in range(n_polys)]
-    for r in range(block):
-        for c in range(block):
-            q_in_p[degrees[r]][degrees[c]] = inv_block[r][c]
-
-    basis = SboBasis(
-        i=i,
-        size=n_polys,
-        measure1=measure1,
-        measure2=measure2,
-        q_basis=q_basis,
-        mu2=mu2,
-        gamma=gamma,
-        gamma_dets=tuple(dets),
-        monic_polys=tuple(polys_by_degree[d] for d in degrees),
-        monic_norms=tuple(norms_by_degree[d] for d in degrees),
-        p_in_q=tuple(map(tuple, p_in_q)),
-        q_in_p=tuple(map(tuple, q_in_p)),
-        scale=tuple(one for _ in degrees),
-        normalization=MONIC,
-        backend=backend,
+    return _second_stage(
+        gso.parity_gram_schmidt, measure1, measure2, i, n_polys, q_basis, MONIC, False
     )
-    return basis
 
 
 def monomial_connection(basis: SboBasis):
@@ -469,7 +324,7 @@ def monomial_connection(basis: SboBasis):
     looked up.
     """
     n_size = basis.size
-    zero = Fraction(0) if basis.backend == EXACT else 0.0
+    zero = scalars.zero(basis.backend)
     a_q = basis.q_basis.q_in_x
     out = [[zero] * n_size for _ in range(n_size)]
     for n in basis.degrees():
@@ -499,7 +354,7 @@ def cross_i_connection(basis_i: SboBasis, basis_j: SboBasis):
     ):
         raise MeasureMismatch("bases were built from different measure pairs")
     n_size = basis_i.size
-    zero = Fraction(0) if basis_i.backend == EXACT else 0.0
+    zero = scalars.zero(basis_i.backend)
     out = [[zero] * n_size for _ in range(n_size)]
     for n in basis_j.degrees():
         for ell in basis_i.degrees():
@@ -539,7 +394,7 @@ def expand_x_times_p(basis: SboBasis, n: int) -> XExpansion:
     if not basis.i <= n <= basis.size - 2:
         raise ValueError(f"need i <= n <= N-2, got n={n}")
     q = basis.q_basis
-    zero = Fraction(0) if basis.backend == EXACT else 0.0
+    zero = scalars.zero(basis.backend)
     beta = {m: zero for m in range(basis.i - 1, n + 2)}
     for m in range(basis.i, n + 1):
         a_coef = basis.p_in_q[m][n]
@@ -632,27 +487,13 @@ def build_general_bo(
             completion.append(degree)
         degree += 1
 
-    one = Fraction(1) if backend == EXACT else 1.0
+    one = scalars.one(backend)
     res1 = gso.gram_schmidt(gram_of(basis), [one] * n_dim)
-    first = []
-    for col in range(n1, n_dim):
-        acc = Polynomial(())
-        for row in range(col + 1):
-            coef = res1.coeffs[row][col]
-            if coef != 0:
-                acc = acc + basis[row].scale(coef)
-        first.append(acc)
+    first = [combine(res1.vector(col), basis) for col in range(n1, n_dim)]
 
     gram2 = [[inner_product_mu(mu2, p, q) for q in first] for p in first]
     res2 = gso.gram_schmidt(gram2, [one] * len(first))
-    second = []
-    for col in range(len(first)):
-        acc = Polynomial(())
-        for row in range(col + 1):
-            coef = res2.coeffs[row][col]
-            if coef != 0:
-                acc = acc + first[row].scale(coef)
-        second.append(acc)
+    second = [combine(res2.vector(col), first) for col in range(len(first))]
     return GeneralBoBasis(
         subspace=subspace,
         completion_degrees=tuple(completion),

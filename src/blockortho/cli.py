@@ -21,7 +21,7 @@ from fractions import Fraction
 from . import verification
 from .analysis import zero_report
 from .block import build_sbo
-from .errors import BlockOrthoError
+from .errors import BlockOrthoError, NonPositiveParameter
 from .measures import (
     Measure,
     load_moments_csv,
@@ -43,10 +43,7 @@ def parse_measure(spec: str) -> Measure:
     if parts[0] == "gamma" and len(parts) == 3:
         return Measure.gamma_weight(parts[1], parts[2])
     if parts[0] == "file" and len(parts) >= 2:
-        path = spec.split(":", 1)[1]
-        if path.endswith(".json"):
-            return load_moments_json(path)
-        return load_moments_csv(path)
+        return _load_moments_file(spec.split(":", 1)[1])
     raise argparse.ArgumentTypeError(f"cannot parse measure spec {spec!r}")
 
 
@@ -78,6 +75,20 @@ class SystemExit2(SystemExit):
     def __init__(self, message):
         print(json.dumps({"error": message}, sort_keys=True), file=sys.stderr)
         super().__init__(2)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Argument errors are usage errors: JSON on stderr, exit code 2."""
+
+    def error(self, message):
+        raise SystemExit2(f"{self.prog}: {message}")
+
+
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _emit(args, payload):
@@ -213,22 +224,8 @@ def cmd_three_subspace(args):
         "particular": [p.to_json() for p in solution.particular],
         "kernel": [p.to_json() for p in solution.kernel],
     }
-    payload = _jsonable_polys(payload)
-    _emit(args, payload)
+    _emit(args, _jsonable(payload))
     return 0
-
-
-def _jsonable_polys(payload):
-    def fix(node):
-        if isinstance(node, dict):
-            return {k: fix(v) for k, v in node.items()}
-        if isinstance(node, list):
-            return [fix(v) for v in node]
-        if isinstance(node, Fraction):
-            return scalar_to_json(node)
-        return node
-
-    return fix(payload)
 
 
 def cmd_moments(args):
@@ -256,14 +253,15 @@ def _add_measure_flags(parser, need_pair=True):
     parser.add_argument("--measure1", help="first measure spec, e.g. gaussian:1")
     parser.add_argument("--measure2", help="second measure spec, e.g. gaussian:2")
     parser.add_argument("--moments-file", help="CSV (n,mu_n) or JSON moment table for the first measure")
-    parser.add_argument("--float", action="store_true", help="use the float backend")
-    parser.add_argument("--exact", action="store_true", help="use the exact backend (default)")
+    backend = parser.add_mutually_exclusive_group()
+    backend.add_argument("--float", action="store_true", help="use the float backend")
+    backend.add_argument("--exact", action="store_true", help="use the exact backend (default)")
     parser.add_argument("--out", help="write output to a file instead of stdout")
     parser.add_argument("--csv", action="store_true", help="flatten the JSON payload to CSV")
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="blockortho",
         description="Block orthogonal polynomial bases from pairs of positive measures",
     )
@@ -271,27 +269,27 @@ def build_parser():
 
     p_table = sub.add_parser("table", help="emit polynomial tables with norms and determinants")
     _add_measure_flags(p_table)
-    p_table.add_argument("--N", type=int, required=True)
+    p_table.add_argument("--N", type=_positive_int, required=True)
     p_table.add_argument("--i", type=int, default=None)
     p_table.add_argument("--normalization", choices=["monic", "orthonormal", "det"], default=MONIC)
     p_table.set_defaults(func=cmd_table)
 
     p_verify = sub.add_parser("verify", help="run the cross-validation suites")
     _add_measure_flags(p_verify)
-    p_verify.add_argument("--N", type=int, default=8)
+    p_verify.add_argument("--N", type=_positive_int, default=8)
     p_verify.add_argument("--i-max", type=int, default=4)
     p_verify.add_argument("--checks", help="comma-separated subset of checks")
     p_verify.set_defaults(func=cmd_verify)
 
     p_roots = sub.add_parser("roots", help="sign-change reports for built bases")
     _add_measure_flags(p_roots)
-    p_roots.add_argument("--N", type=int, required=True)
+    p_roots.add_argument("--N", type=_positive_int, required=True)
     p_roots.add_argument("--i", type=int, default=None)
     p_roots.set_defaults(func=cmd_roots)
 
     p_proj = sub.add_parser("projector", help="projector matrices in monomial coordinates")
     _add_measure_flags(p_proj)
-    p_proj.add_argument("--N", type=int, required=True)
+    p_proj.add_argument("--N", type=_positive_int, required=True)
     p_proj.add_argument("--i", type=int, required=True)
     p_proj.add_argument("--route", choices=["q", "second"], default="q")
     p_proj.set_defaults(func=cmd_projector)
@@ -318,9 +316,8 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except SystemExit2:
         return 2
@@ -331,7 +328,8 @@ def main(argv=None) -> int:
             ),
             file=sys.stderr,
         )
-        return 1
+        # a non-positive weight parameter is a bad argument, not a failed check
+        return 2 if isinstance(exc, NonPositiveParameter) else 1
     except (ValueError, OSError, argparse.ArgumentTypeError) as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)
         return 2

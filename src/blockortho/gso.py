@@ -12,24 +12,32 @@ the squared norms h_n and the leading Gram determinants.
 In the exact backend the loop is classical Gram-Schmidt; with float entries
 the same loop re-reads the updated residual at every step, i.e. it is the
 modified variant, which is what an ill-conditioned Hankel matrix needs.
+
+Both stages of the block construction run through this module: the
+kernels :func:`gram_schmidt` and :func:`parity_gram_schmidt` build the
+vectors, and :func:`check_against_oracle` recomputes them from bordered
+determinants.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
-from .errors import BadFactor, NotCheckerboard, NotPositiveDefinite
+from .errors import BadFactor, NotCheckerboard, NotPositiveDefinite, OracleMismatch
 from .measures import GramMatrix
-from .scalars import EXACT, FLOAT
+from .polynomials import combine
+from .scalars import EXACT, one, zero
 
 # float pivots at or below this times the magnitude of the leading block that
 # produced them mean the matrix is numerically indefinite; stopping beats
 # returning garbage (Hankel blocks are graded, so the scale must follow the
 # block, not the whole matrix)
 PIVOT_FLOOR = 1e-13
+
+# relative agreement a float build must reach with its determinant oracle
+ORACLE_RTOL = 1e-9
 
 
 def _entries(gram):
@@ -79,17 +87,15 @@ def gram_schmidt(gram, leading_factors) -> OrthogonalizationResult:
     for f in leading_factors:
         if f == 0 or (isinstance(f, float) and not math.isfinite(f)):
             raise BadFactor("leading factors must be nonzero and finite")
-    zero = Fraction(0) if kind == EXACT else 0.0
-
-    a = [[zero] * n_dim for _ in range(n_dim)]
-    b = [[zero] * n_dim for _ in range(n_dim)]
+    a = [[zero(kind)] * n_dim for _ in range(n_dim)]
+    b = [[zero(kind)] * n_dim for _ in range(n_dim)]
     norms = []
-    block_max = zero
+    block_max = zero(kind)
     for col in range(n_dim):
         row_max = max(abs(g[col][k]) for k in range(col + 1))
         block_max = max(block_max, row_max)
-        v = [zero] * n_dim
-        v[col] = zero + 1 if kind == EXACT else 1.0
+        v = [zero(kind)] * n_dim
+        v[col] = one(kind)
         # one exact pass; with floats a second sweep re-removes the rounding
         # residue left by the first (the usual twice-is-enough refinement)
         for _ in range(1 if kind == EXACT else 2):
@@ -128,6 +134,45 @@ def gram_schmidt(gram, leading_factors) -> OrthogonalizationResult:
     )
 
 
+def parity_gram_schmidt(gram, leading_factors) -> OrthogonalizationResult:
+    """:func:`gram_schmidt` for a checkerboard Gram matrix, one parity at a time.
+
+    When g[j][k] vanishes for every odd j + k, the even- and odd-indexed
+    vectors never mix: each sector is orthogonalized on its own and the two
+    results are interleaved.  The leading Gram determinants are products of
+    the sector determinants.  Same signature and result as the full kernel.
+    """
+    g = _entries(gram)
+    n_dim = len(g)
+    if len(leading_factors) != n_dim:
+        raise BadFactor(f"need {n_dim} leading factors, got {len(leading_factors)}")
+    if any(g[j][k] != 0 for j in range(n_dim) for k in range(n_dim) if (j + k) % 2):
+        raise NotCheckerboard("parity split needs g[j][k] = 0 for odd j + k")
+    kind = linalg.matrix_kind(g)
+    a = [[zero(kind)] * n_dim for _ in range(n_dim)]
+    b = [[zero(kind)] * n_dim for _ in range(n_dim)]
+    norms = [zero(kind)] * n_dim
+    sector_dets = []
+    for idx in (range(0, n_dim, 2), range(1, n_dim, 2)):
+        res = gram_schmidt(
+            [[g[j][k] for k in idx] for j in idx], [leading_factors[j] for j in idx]
+        )
+        for c, col in enumerate(idx):
+            norms[col] = res.norms[c]
+            for r, row in enumerate(idx):
+                a[row][col] = res.coeffs[r][c]
+                b[row][col] = res.inverse_coeffs[r][c]
+        sector_dets.append(res.gram_dets)
+    even, odd = sector_dets
+    return OrthogonalizationResult(
+        tuple(map(tuple, a)),
+        tuple(map(tuple, b)),
+        tuple(norms),
+        tuple(leading_factors),
+        tuple(even[(k + 1) // 2] * odd[k // 2] for k in range(n_dim + 1)),
+    )
+
+
 def determinant_oracle_vector(gram, n, leading_factor):
     """Coefficients of E_n on e_0..e_n from the bordered-determinant formula.
 
@@ -160,20 +205,62 @@ def oracle_norm(gram, n, leading_factor):
     return z_here / z_prev / leading_factor**2
 
 
+def oracle_connection_b(gram, m, n, leading_factor):
+    """b_{m,n} = b_{m,m} * (bordered determinant with last row g[n]) / Z_{m+1}."""
+    g = _entries(gram)
+    bordered = [row[: m + 1] for row in g[:m]]
+    bordered.append(list(g[n][: m + 1]))
+    z_m = linalg.det([row[: m + 1] for row in g[: m + 1]])
+    return leading_factor * linalg.det(bordered) / z_m
+
+
 def connection_b(gram, result: OrthogonalizationResult, m, n):
-    """b_{m,n} from the bordered determinant with last row (g[n][k]).
+    """b_{m,n} of ``result`` from its bordered determinant.
 
     Must reproduce the inverse of the a-matrix; this closed form is the
     cross-check for the inductive loop.
     """
+    if not (0 <= m <= n < result.size):
+        raise IndexError(f"require 0 <= m <= n < {result.size}")
+    return oracle_connection_b(gram, m, n, result.factors[m])
+
+
+def check_against_oracle(gram, result: OrthogonalizationResult, basis, stage):
+    """Recompute every vector of ``result`` from bordered determinants.
+
+    ``basis`` lists the polynomials the Gram matrix is taken over; both
+    routes are combined over it and compared as monomial coefficients.
+    Exact results must agree exactly, norms and leading Gram determinants
+    included.  Float coefficients must agree within ORACLE_RTOL times the
+    largest oracle coefficient, float norms within ORACLE_RTOL of the oracle
+    norm.  The oracle reads the Gram matrix and the prescribed leading
+    factors only, never the coefficients it checks.  A disagreement raises
+    OracleMismatch naming ``stage`` and the degree of the basis vector.
+    """
     g = _entries(gram)
-    size = result.size
-    if not (0 <= m <= n < size):
-        raise IndexError(f"require 0 <= m <= n < {size}")
-    z_m = result.gram_dets[m + 1]
-    bordered = [row[: m + 1] for row in g[:m]]
-    bordered.append(list(g[n][: m + 1]))
-    return result.factors[m] * linalg.det(bordered) / z_m
+    exact = linalg.matrix_kind(g) == EXACT
+    z_prev = linalg.det([])  # the empty leading minor, 1
+    for n in range(result.size):
+        factor = result.factors[n]
+        z_here = linalg.det([row[: n + 1] for row in g[: n + 1]])
+        oracle = combine(determinant_oracle_vector(g, n, factor), basis)
+        stored = combine(result.vector(n), basis)
+        h_oracle = z_here / z_prev / factor**2
+        if exact:
+            ok = (
+                oracle == stored
+                and h_oracle == result.norms[n]
+                and z_here == result.gram_dets[n + 1]
+            )
+        else:
+            scale = max(abs(c) for c in oracle.coeffs)
+            ok = all(
+                abs(a - b) <= ORACLE_RTOL * scale
+                for a, b in zip(oracle.coeffs, stored.coeffs)
+            ) and abs(h_oracle - result.norms[n]) <= ORACLE_RTOL * abs(h_oracle)
+        if not ok:
+            raise OracleMismatch(f"{stage} at degree {basis[n].degree}")
+        z_prev = z_here
 
 
 def _checkerboard_blocks(matrix):

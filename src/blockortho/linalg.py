@@ -14,7 +14,7 @@ from math import lcm
 
 import numpy as np
 
-from .scalars import EXACT, FLOAT, kind_of
+from .scalars import EXACT, FLOAT, kind_of, one, zero
 
 
 def matrix_kind(matrix):
@@ -89,25 +89,12 @@ def mat_mul(a, b):
     ]
 
 
+def transpose(rows):
+    return [list(col) for col in zip(*rows)]
+
+
 def identity(n, kind=EXACT):
-    one = Fraction(1) if kind == EXACT else 1.0
-    zero = Fraction(0) if kind == EXACT else 0.0
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
-def invert_upper_triangular(matrix):
-    """Exact inverse of an upper-triangular matrix with nonzero diagonal."""
-    n = len(matrix)
-    inv = identity(n)
-    for col in range(n):
-        x = [Fraction(0)] * n
-        x[col] = Fraction(1)
-        for i in range(col, -1, -1):
-            s = x[i] - sum(matrix[i][j] * inv[j][col] for j in range(i + 1, col + 1))
-            inv[i][col] = s / matrix[i][i]
-        for i in range(col + 1, n):
-            inv[i][col] = Fraction(0)
-    return inv
+    return [[one(kind) if i == j else zero(kind) for j in range(n)] for i in range(n)]
 
 
 def rref(matrix):

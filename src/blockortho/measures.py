@@ -42,6 +42,7 @@ from .scalars import (
     scalar_from_json,
     scalar_to_json,
     to_fraction,
+    zero,
 )
 
 INF = math.inf
@@ -281,7 +282,7 @@ def hankel_matrix(moms: MomentSequence, n: int) -> GramMatrix:
 def inner_product_mu(moms: MomentSequence, p: Polynomial, q: Polynomial):
     """Inner product from a moment table (in units of c_0)."""
     if p.is_zero or q.is_zero:
-        return Fraction(0) if moms.exact else 0.0
+        return zero(EXACT if moms.exact else FLOAT)
     if p.degree + q.degree > moms.max_order:
         raise InsufficientMoments(
             f"inner product needs moments to order {p.degree + q.degree}"

@@ -14,11 +14,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import linalg
+from . import gso, linalg
 from .errors import DependentBasis, NonPositiveParameter
 from .measures import Measure, inner_product_mu, moments
-from .polynomials import Polynomial, monomial
-from .scalars import EXACT, FLOAT, to_fraction
+from .polynomials import Polynomial, combine, monomial
+from .scalars import EXACT, FLOAT, one, to_fraction
 
 UNIQUE = "unique"
 NO_SOLUTION = "no_solution"
@@ -158,10 +158,7 @@ def solve_third_subspace(problem: ThreeSubspaceProblem, backend: str = EXACT) ->
 
 
 def _combine(basis, coefficients, extra_index):
-    acc = Polynomial(())
-    for c, p in zip(coefficients, basis):
-        if c != 0:
-            acc = acc + p.scale(c)
+    acc = combine(coefficients, basis)
     if extra_index is not None:
         acc = acc + basis[extra_index]
     return acc
@@ -228,30 +225,18 @@ def common_orthogonal_complement(
 
     # orthogonal basis of the subspace under measure a, for projecting
     sub_gram = [[inner_product_mu(mu_a, p, q) for q in subspace] for p in subspace]
-    one = Fraction(1) if backend == EXACT else 1.0
-    from . import gso
-
-    sub_res = gso.gram_schmidt(sub_gram, [one] * n1)
-    sub_ortho = []
-    for col in range(n1):
-        acc = Polynomial(())
-        for row in range(col + 1):
-            c = sub_res.coeffs[row][col]
-            if c != 0:
-                acc = acc + subspace[row].scale(c)
-        sub_ortho.append(acc)
+    sub_res = gso.gram_schmidt(sub_gram, [one(backend)] * n1)
+    sub_ortho = [combine(sub_res.vector(col), subspace) for col in range(n1)]
 
     def project_onto_subspace(p):
-        acc = Polynomial(())
-        for e, h in zip(sub_ortho, sub_res.norms):
-            c = inner_product_mu(mu_a, e, p) / h
-            if c != 0:
-                acc = acc + e.scale(c)
-        return acc
+        return combine(
+            [inner_product_mu(mu_a, e, p) / h for e, h in zip(sub_ortho, sub_res.norms)],
+            sub_ortho,
+        )
 
     carried = [project_onto_subspace(eps) for eps in bo_b.first_stage]
     coeff_rows = [[u.coeff(k) for k in range(n_dim)] for u in carried]
-    by_column = _transpose(coeff_rows)
+    by_column = linalg.transpose(coeff_rows)
     if backend == EXACT:
         rank = linalg.rank_exact(coeff_rows)
         kernel = linalg.nullspace_exact(by_column)
@@ -261,15 +246,5 @@ def common_orthogonal_complement(
         kernel = [list(map(float, v)) for v in vt[rank:]]
     if rank > min(n1, n_dim - n1):
         raise DependentBasis("projection rank exceeds its structural bound")
-    basis = []
-    for vec in kernel:
-        acc = Polynomial(())
-        for c, eps in zip(vec, bo_b.first_stage):
-            if c != 0:
-                acc = acc + eps.scale(c)
-        basis.append(acc)
-    return n_dim - n1 - rank, tuple(basis), rank
-
-
-def _transpose(rows):
-    return [list(col) for col in zip(*rows)] if rows else []
+    basis = tuple(combine(vec, bo_b.first_stage) for vec in kernel)
+    return n_dim - n1 - rank, basis, rank

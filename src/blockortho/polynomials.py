@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import DegreeError, KindMismatch
-from .scalars import EXACT, FLOAT, kind_of, scalar_from_json, scalar_to_json
+from .scalars import EXACT, FLOAT, kind_of, one, scalar_from_json, scalar_to_json, zero
 
 PARITY_EVEN = "even"
 PARITY_ODD = "odd"
@@ -57,10 +57,9 @@ class Polynomial:
         return len(self.coeffs) - 1
 
     def coeff(self, k):
-        zero = Fraction(0) if self.kind == EXACT else 0.0
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
-        return zero
+        return zero(self.kind)
 
     def _check_kind(self, other):
         if not self.is_zero and not other.is_zero and self.kind != other.kind:
@@ -125,9 +124,7 @@ class Polynomial:
     def monic(self):
         if self.is_zero:
             raise DegreeError("the zero polynomial has no monic form")
-        lead = self.coeffs[-1]
-        one = Fraction(1) if self.kind == EXACT else 1.0
-        return self.scale(one / lead)
+        return self.scale(one(self.kind) / self.coeffs[-1])
 
     def to_float(self):
         return Polynomial(tuple(float(c) for c in self.coeffs))
@@ -153,8 +150,16 @@ class Polynomial:
 
 def monomial(k, coeff=Fraction(1)):
     """coeff * x^k."""
-    zero = Fraction(0) if kind_of(coeff) == EXACT else 0.0
-    return Polynomial((zero,) * k + (coeff,))
+    return Polynomial((zero(kind_of(coeff)),) * k + (coeff,))
+
+
+def combine(coefficients, polys):
+    """sum_k coefficients[k] * polys[k], skipping zero coefficients."""
+    acc = Polynomial(())
+    for c, p in zip(coefficients, polys):
+        if c != 0:
+            acc = acc + p.scale(c)
+    return acc
 
 
 ONE = Polynomial((Fraction(1),))

@@ -10,12 +10,10 @@ subspaces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-
-from . import linalg
+from . import linalg, scalars
 from .block import SboBasis, build_sbo
 from .measures import Measure, inner_product_mu, moments
-from .polynomials import Polynomial
+from .polynomials import Polynomial, monomial
 from .scalars import EXACT
 from .standard import StandardBasis
 
@@ -47,10 +45,6 @@ class ProjectorMatrix:
         return linalg.mat_mul([list(r) for r in self.entries], [list(r) for r in other.entries])
 
 
-def _zero(backend):
-    return Fraction(0) if backend == EXACT else 0.0
-
-
 def projectors_from_q(q_basis: StandardBasis, i: int):
     """Projector pair built from the first measure's orthogonal basis.
 
@@ -60,11 +54,11 @@ def projectors_from_q(q_basis: StandardBasis, i: int):
     n_size = q_basis.size
     if not 0 <= i <= n_size:
         raise ValueError(f"constraint index {i} outside 0..{n_size}")
-    zero = _zero(q_basis.backend)
+    zero = scalars.zero(q_basis.backend)
     mu1 = q_basis.moment_seq
     entries = [[zero] * n_size for _ in range(n_size)]
     for col in range(n_size):
-        x_k = Polynomial((zero,) * col + (zero + 1 if q_basis.backend == EXACT else 1.0,))
+        x_k = monomial(col, scalars.one(q_basis.backend))
         coeffs = [zero] * n_size
         for n in range(i):
             overlap = inner_product_mu(mu1, q_basis.polys[n], x_k) / q_basis.norms[n]
@@ -104,7 +98,7 @@ def projectors_from_second(
         sbo0 = build_sbo(measure1, measure2, 0, n_size, backend=backend)
     elif sbo0.i != 0:
         raise ValueError("need the i = 0 basis for the second-route projector")
-    zero = _zero(backend)
+    zero = scalars.zero(backend)
     mu2 = sbo0.mu2
     # kernel[j][k] = sum_{n<i} q_in_p[j][n] p_in_q[n][k]
     kernel = [
@@ -116,7 +110,7 @@ def projectors_from_second(
     ]
     entries = [[zero] * n_size for _ in range(n_size)]
     for col in range(n_size):
-        x_k = Polynomial((zero,) * col + (zero + 1 if backend == EXACT else 1.0,))
+        x_k = monomial(col, scalars.one(backend))
         overlaps = [
             inner_product_mu(mu2, sbo0.monic_poly(k), x_k) / sbo0.monic_norm(k)
             for k in range(n_size)
@@ -150,11 +144,11 @@ def inner0(p: Polynomial, q: Polynomial, sbo: SboBasis, measure_one: Measure = N
     q1, q2 = onto.apply(q), complement.apply(q)
     measure_one = measure_one or sbo.measure1
     if p1.is_zero or q1.is_zero:
-        part1 = _zero(sbo.backend)
+        part1 = scalars.zero(sbo.backend)
     else:
         mu_one = moments(
             measure_one, p1.degree + q1.degree, backend=sbo.backend
         )
         part1 = inner_product_mu(mu_one, p1, q1)
-    part2 = inner_product_mu(sbo.mu2, p2, q2) if not (p2.is_zero or q2.is_zero) else _zero(sbo.backend)
+    part2 = inner_product_mu(sbo.mu2, p2, q2) if not (p2.is_zero or q2.is_zero) else scalars.zero(sbo.backend)
     return part1 + part2

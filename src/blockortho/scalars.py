@@ -27,6 +27,16 @@ def kind_of(value):
     raise TypeError(f"unsupported scalar type {type(value).__name__}")
 
 
+def zero(kind):
+    """Additive identity of a backend (EXACT or FLOAT)."""
+    return Fraction(0) if kind == EXACT else 0.0
+
+
+def one(kind):
+    """Multiplicative identity of a backend (EXACT or FLOAT)."""
+    return Fraction(1) if kind == EXACT else 1.0
+
+
 def common_kind(values, default=EXACT):
     """Kind shared by all ``values``; raises KindMismatch when they disagree."""
     kinds = {kind_of(v) for v in values}
@@ -103,7 +113,7 @@ def double_factorial(n: int) -> int:
 
 def pochhammer(z, n: int):
     """Rising factorial (z)_n = z (z+1) ... (z+n-1)."""
-    out = 1.0 if isinstance(z, float) else Fraction(1)
+    out = one(kind_of(z))
     for k in range(n):
         out = out * (z + k)
     return out

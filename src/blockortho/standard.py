@@ -21,25 +21,17 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-import numpy as np
-
-from . import gso, linalg
-from .errors import (
-    ConditioningError,
-    NotRepresentable,
-    NotSymmetric,
-    OracleMismatch,
-)
+from . import gso
+from .errors import ConditioningError, NotRepresentable, NotSymmetric
 from .measures import Measure, MomentSequence, hankel_matrix, moments
-from .polynomials import Polynomial
-from .scalars import EXACT, FLOAT, sqrt_exact
+from .polynomials import Polynomial, monomial
+from .scalars import EXACT, FLOAT, one, sqrt_exact, zero
 
 MONIC = "monic"
 ORTHONORMAL = "orthonormal"
 DET_NORMALIZED = "det"
 
 FLOAT_SIZE_LIMIT = 20
-ORACLE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -73,11 +65,11 @@ class StandardBasis:
 
     def subleading(self, n):
         """Coefficient of x^(n-1) in the monic version of Q_n."""
-        return self.polys[n].monic().coeff(n - 1) if n >= 1 else _zero(self.backend)
+        return self.polys[n].monic().coeff(n - 1) if n >= 1 else zero(self.backend)
 
     def subsubleading(self, n):
         """Coefficient of x^(n-2) in the monic version of Q_n."""
-        return self.polys[n].monic().coeff(n - 2) if n >= 2 else _zero(self.backend)
+        return self.polys[n].monic().coeff(n - 2) if n >= 2 else zero(self.backend)
 
     def inner(self, p, q):
         from .measures import inner_product_mu
@@ -85,37 +77,71 @@ class StandardBasis:
         return inner_product_mu(self.moment_seq, p, q)
 
 
-def _zero(backend):
-    return Fraction(0) if backend == EXACT else 0.0
+def normalization_factors(normalization, dets, backend):
+    """Leading coefficients of the requested normalization.
+
+    ``dets`` are the leading Gram determinants of the vectors (``dets[0]`` is
+    1, one entry more than vectors), taken over a basis whose vectors have
+    leading coefficient one.  ``det`` gives the vector of index s the
+    leading coefficient dets[s], ``orthonormal`` sqrt(dets[s] / dets[s+1]).
+    """
+    out = []
+    for s in range(len(dets) - 1):
+        if normalization == MONIC:
+            out.append(one(backend))
+        elif normalization == DET_NORMALIZED:
+            out.append(dets[s])
+        elif normalization == ORTHONORMAL:
+            ratio = dets[s] / dets[s + 1]
+            root = sqrt_exact(ratio) if backend == EXACT else math.sqrt(ratio)
+            if root is None:
+                raise NotRepresentable(f"orthonormal needs sqrt({ratio}); not rational")
+            out.append(root)
+        else:
+            raise ValueError(f"unknown normalization {normalization!r}")
+    return out
 
 
-def _one(backend):
-    return Fraction(1) if backend == EXACT else 1.0
+def _hankel(measure, n_polys, backend):
+    if backend == FLOAT and n_polys > FLOAT_SIZE_LIMIT:
+        raise ConditioningError(
+            f"float Hankel pipeline refused beyond size {FLOAT_SIZE_LIMIT}"
+        )
+    seq = moments(measure, max(2 * n_polys - 2, 0), backend=backend)
+    if backend == EXACT and not seq.exact:
+        raise NotRepresentable("exact backend requires rational moments")
+    return seq, hankel_matrix(seq, n_polys)
 
 
-def _leading_factors(normalization, dets, n_size, backend, leading):
-    """Leading coefficients k_n for the requested normalization."""
-    if leading is not None:
-        return list(leading)
-    if normalization == MONIC:
-        return [_one(backend)] * n_size
-    if normalization == DET_NORMALIZED:
-        return [dets[n] for n in range(n_size)]
-    if normalization == ORTHONORMAL:
-        ks = []
-        for n in range(n_size):
-            ratio = dets[n] / dets[n + 1]
-            if backend == EXACT:
-                root = sqrt_exact(ratio)
-                if root is None:
-                    raise NotRepresentable(
-                        f"orthonormal needs sqrt({ratio}); not rational"
-                    )
-                ks.append(root)
-            else:
-                ks.append(math.sqrt(ratio))
-        return ks
-    raise ValueError(f"unknown normalization {normalization!r}")
+def _assemble(measure, seq, result, normalization, backend, leading=None):
+    """The basis from a monic orthogonalization of the Hankel matrix."""
+    if leading is None:
+        ks = normalization_factors(normalization, result.gram_dets, backend)
+    else:
+        ks = list(leading)
+    n = result.size
+    q_in_x = tuple(
+        tuple(result.coeffs[m][d] * ks[d] for d in range(n)) for m in range(n)
+    )
+    basis = StandardBasis(
+        measure=measure,
+        moment_seq=seq,
+        polys=tuple(
+            Polynomial(tuple(q_in_x[m][d] for m in range(d + 1))) for d in range(n)
+        ),
+        leading=tuple(ks),
+        norms=tuple(ks[d] ** 2 * result.norms[d] for d in range(n)),
+        q_in_x=q_in_x,
+        x_in_q=tuple(
+            tuple(result.inverse_coeffs[m][d] / ks[m] for d in range(n))
+            for m in range(n)
+        ),
+        gram_dets=result.gram_dets,
+        recurrence=(),
+        normalization=normalization if leading is None else "custom",
+        backend=backend,
+    )
+    return replace(basis, recurrence=_recurrence_from(basis))
 
 
 def build_standard(
@@ -129,57 +155,14 @@ def build_standard(
     """Construct Q_0..Q_{N-1} with cross-checked determinant formulas."""
     if n_polys < 1:
         raise ValueError("need at least one polynomial")
-    if backend == FLOAT and n_polys > FLOAT_SIZE_LIMIT:
-        raise ConditioningError(
-            f"float Hankel pipeline refused beyond size {FLOAT_SIZE_LIMIT}"
-        )
-    seq = moments(measure, max(2 * n_polys - 2, 0), backend=backend)
-    if backend == EXACT and not seq.exact:
-        raise NotRepresentable("exact backend requires rational moments")
-    gram = hankel_matrix(seq, n_polys)
-    dets = gso.gram_determinants(gram)
-    ks = _leading_factors(normalization, dets, n_polys, backend, leading)
-    factors = [_one(backend) / k for k in ks]
-    result = gso.gram_schmidt(gram, factors)
-
-    polys = tuple(
-        Polynomial(tuple(result.coeffs[m][n] for m in range(n + 1)))
-        for n in range(n_polys)
-    )
+    seq, gram = _hankel(measure, n_polys, backend)
+    result = gso.gram_schmidt(gram, [one(backend)] * n_polys)
     if check:
-        _check_against_oracle(gram, result, backend)
-    basis = StandardBasis(
-        measure=measure,
-        moment_seq=seq,
-        polys=polys,
-        leading=tuple(ks),
-        norms=result.norms,
-        q_in_x=result.coeffs,
-        x_in_q=result.inverse_coeffs,
-        gram_dets=dets,
-        recurrence=(),
-        normalization=normalization if leading is None else "custom",
-        backend=backend,
-    )
-    return replace(basis, recurrence=_recurrence_from(basis))
-
-
-def _check_against_oracle(gram, result, backend):
-    for n in range(result.size):
-        oracle = gso.determinant_oracle_vector(gram, n, result.factors[n])
-        column = [result.coeffs[m][n] for m in range(n + 1)]
-        h_oracle = gso.oracle_norm(gram, n, result.factors[n])
-        if backend == EXACT:
-            ok = list(oracle) == column and h_oracle == result.norms[n]
-        else:
-            scale = max(abs(x) for x in oracle) or 1.0
-            ok = all(
-                abs(a - b) <= ORACLE_RTOL * scale for a, b in zip(oracle, column)
-            ) and abs(h_oracle - result.norms[n]) <= ORACLE_RTOL * abs(h_oracle)
-        if not ok:
-            raise OracleMismatch(
-                f"inductive and determinant routes disagree at degree {n}"
-            )
+        monomials = [monomial(k, one(backend)) for k in range(n_polys)]
+        gso.check_against_oracle(
+            gram, result, monomials, "inductive and determinant routes disagree"
+        )
+    return _assemble(measure, seq, result, normalization, backend, leading)
 
 
 def _recurrence_from(basis: StandardBasis):
@@ -193,7 +176,7 @@ def _recurrence_from(basis: StandardBasis):
         a_n = basis.leading[n + 1] / basis.leading[n]
         b_n = a_n * (basis.subleading(n + 1) - basis.subleading(n))
         if n == 0:
-            c_n = _zero(basis.backend)
+            c_n = zero(basis.backend)
         else:
             a_prev = basis.leading[n] / basis.leading[n - 1]
             c_n = (a_n / a_prev) * (basis.norms[n] / basis.norms[n - 1])
@@ -213,11 +196,10 @@ def build_by_recurrence(measure: Measure, n_polys: int, backend: str = EXACT):
     independent arithmetic path that must land on identical polynomials.
     """
     base = build_standard(measure, n_polys, MONIC, backend=backend)
-    one = _one(backend)
-    polys = [Polynomial((one,))]
+    polys = [Polynomial((one(backend),))]
     if n_polys == 1:
         return polys
-    x = Polynomial((_zero(backend), one))
+    x = monomial(1, one(backend))
     for n in range(n_polys - 1):
         a_n, b_n, c_n = base.recurrence[n]
         term = (a_n * x + Polynomial((b_n,))) * polys[n]
@@ -242,63 +224,9 @@ def parity_split_build(
     """
     if not measure.symmetric:
         raise NotSymmetric("parity split requires a symmetric measure")
-    if backend == FLOAT and n_polys > FLOAT_SIZE_LIMIT:
-        raise ConditioningError(
-            f"float Hankel pipeline refused beyond size {FLOAT_SIZE_LIMIT}"
-        )
-    seq = moments(measure, max(2 * n_polys - 2, 0), backend=backend)
-    evens = list(range(0, n_polys, 2))
-    odds = list(range(1, n_polys, 2))
-    gram_e = [[seq[a + b] for b in evens] for a in evens]
-    gram_o = [[seq[a + b] for b in odds] for a in odds]
-    res_e = gso.gram_schmidt(gram_e, [_one(backend)] * len(evens))
-    res_o = gso.gram_schmidt(gram_o, [_one(backend)] * len(odds))
-
-    zero = _zero(backend)
-    n = n_polys
-    q_in_x = [[zero] * n for _ in range(n)]
-    norms_hat = [zero] * n
-    for block, degrees, res in (("e", evens, res_e), ("o", odds, res_o)):
-        for col, deg in enumerate(degrees):
-            for row in range(col + 1):
-                q_in_x[degrees[row]][deg] = res.coeffs[row][col]
-            norms_hat[deg] = res.norms[col]
-
-    dets = [Fraction(1) if backend == EXACT else 1.0]
-    for size in range(1, n + 1):
-        n_even = (size + 1) // 2
-        n_odd = size // 2
-        dets.append(res_e.gram_dets[n_even] * res_o.gram_dets[n_odd])
-
-    ks = _leading_factors(normalization, dets, n, backend, None)
-    for deg in range(n):
-        for row in range(n):
-            q_in_x[row][deg] = q_in_x[row][deg] * ks[deg]
-    polys = tuple(
-        Polynomial(tuple(q_in_x[m][d] for m in range(d + 1))) for d in range(n)
-    )
-    norms = tuple(ks[d] ** 2 * norms_hat[d] for d in range(n))
-    scaled = [[q_in_x[m][d] for d in range(n)] for m in range(n)]
-    if backend == EXACT:
-        inv = linalg.invert_upper_triangular(scaled)
-    else:
-        inv = np.linalg.inv(np.array(scaled, dtype=float)).tolist()
-    x_in_q = tuple(tuple(inv[m][d] for d in range(n)) for m in range(n))
-
-    basis = StandardBasis(
-        measure=measure,
-        moment_seq=seq,
-        polys=polys,
-        leading=tuple(ks),
-        norms=norms,
-        q_in_x=tuple(map(tuple, q_in_x)),
-        x_in_q=x_in_q,
-        gram_dets=tuple(dets),
-        recurrence=(),
-        normalization=normalization,
-        backend=backend,
-    )
-    return replace(basis, recurrence=_recurrence_from(basis))
+    seq, gram = _hankel(measure, n_polys, backend)
+    result = gso.parity_gram_schmidt(gram, [one(backend)] * n_polys)
+    return _assemble(measure, seq, result, normalization, backend)
 
 
 def classical_leading_factors(family: str, n_polys: int):

@@ -20,9 +20,9 @@ from .block import (
 )
 from .errors import BlockOrthoError, ConditioningError
 from .measures import Measure, inner_product_mu, moments
-from .polynomials import Polynomial, monomial
+from .polynomials import combine, monomial
 from .projectors import inner0, projectors_from_q, projectors_from_second
-from .scalars import EXACT, FLOAT
+from .scalars import EXACT, FLOAT, zero
 from .standard import build_by_recurrence, build_standard
 
 FLOAT_RTOL = 1e-10
@@ -42,7 +42,7 @@ def _is_zero(value, backend, scale=1):
 
 def check_orthogonality(measure1, measure2, n_size, i_max, backend=EXACT):
     """Constraint and mutual orthogonality of every built block basis."""
-    worst = 0 if backend == EXACT else 0.0
+    worst = zero(backend)
     mu1 = moments(measure1, 2 * (n_size - 1), backend=backend)
     for i in range(min(i_max, n_size) + 1):
         basis = build_sbo(measure1, measure2, i, n_size, backend=backend)
@@ -55,7 +55,7 @@ def check_orthogonality(measure1, measure2, n_size, i_max, backend=EXACT):
                     return _entry("orthogonality", False, i=i, n=n, residual=float(val))
             for m in basis.degrees():
                 val = inner_product_mu(basis.mu2, basis.monic_poly(m), p)
-                expect = basis.monic_norm(n) if m == n else (Fraction(0) if backend == EXACT else 0.0)
+                expect = basis.monic_norm(n) if m == n else zero(backend)
                 if not _is_zero(val - expect, backend, scale):
                     return _entry("orthogonality", False, i=i, n=n, m=m, residual=float(val - expect))
                 if backend == FLOAT:
@@ -69,7 +69,7 @@ def check_oracle_equivalence(measure1, measure2, n_size, backend=EXACT, seed=202
     for trial in range(samples):
         size = rng.randint(2, 7)
         raw = [[Fraction(rng.randint(-4, 4)) for _ in range(size)] for _ in range(size)]
-        gram = linalg.mat_mul(_transpose(raw), raw)
+        gram = linalg.mat_mul(linalg.transpose(raw), raw)
         for d in range(size):
             gram[d][d] += 1
         factors = [Fraction(rng.choice([1, 1, 2, -1, 3])) for _ in range(size)]
@@ -95,10 +95,6 @@ def check_oracle_equivalence(measure1, measure2, n_size, backend=EXACT, seed=202
             if backend == EXACT and oracle.poly != basis.monic_poly(n):
                 return _entry("oracle_equivalence", False, i=i, n=n, which="sbo")
     return _entry("oracle_equivalence", True, samples=samples)
-
-
-def _transpose(rows):
-    return [list(col) for col in zip(*rows)]
 
 
 def _polys_match(p, q, backend):
@@ -223,12 +219,10 @@ def check_recurrence(measure1, measure2, n_size, backend=EXACT):
             return _entry("recurrence", False, which="cross_diag", n=n)
     if n_size >= 6:
         expansion = expand_x_times_p(s2, 4)
-        rebuilt = Polynomial(())
-        if s2.i > 0 and expansion.constraint_coeff != 0:
-            rebuilt = rebuilt + s2.q_basis.polys[s2.i - 1].scale(expansion.constraint_coeff)
-        for m, coef in expansion.eta.items():
-            if coef != 0:
-                rebuilt = rebuilt + s2.monic_poly(m).scale(coef)
+        rebuilt = combine(
+            [expansion.constraint_coeff, *expansion.eta.values()],
+            [s2.q_basis.polys[s2.i - 1], *map(s2.monic_poly, expansion.eta)],
+        )
         x = monomial(1) if backend == EXACT else monomial(1).to_float()
         if backend == EXACT and rebuilt != x * s2.monic_poly(4):
             return _entry("recurrence", False, which="x_expansion")
@@ -269,24 +263,26 @@ def check_inner0(measure1, measure2, n_size, backend=EXACT):
     for m in basis.degrees():
         for n in basis.degrees():
             val = inner0(basis.monic_poly(m), basis.monic_poly(n), basis)
-            expect = basis.monic_norm(m) if m == n else (Fraction(0) if backend == EXACT else 0.0)
+            expect = basis.monic_norm(m) if m == n else zero(backend)
             if not _is_zero(val - expect, backend, max(map(abs, basis.monic_norms))):
                 return _entry("inner0", False, m=m, n=n)
     return _entry("inner0", True)
 
 
-ALL_CHECKS = (
-    "orthogonality",
-    "oracle_equivalence",
-    "boundary_identities",
-    "parity",
-    "projectors",
-    "recurrence",
-    "inner0",
-    "lemma_checkerboard",
-    "integral_representations",
-    "zeros",
-)
+# suite name -> call; the size caps keep every suite at desk scale
+_SUITES = {
+    "orthogonality": lambda m1, m2, n, i_max, b: check_orthogonality(m1, m2, n, i_max, b),
+    "oracle_equivalence": lambda m1, m2, n, i_max, b: check_oracle_equivalence(m1, m2, min(n, 6), b),
+    "boundary_identities": lambda m1, m2, n, i_max, b: check_boundary_identities(m1, m2, n, b),
+    "parity": lambda m1, m2, n, i_max, b: check_parity(m1, m2, min(n, 7), b),
+    "projectors": lambda m1, m2, n, i_max, b: check_projectors(m1, m2, min(n, 8), b),
+    "recurrence": lambda m1, m2, n, i_max, b: check_recurrence(m1, m2, max(n, 7), b),
+    "inner0": lambda m1, m2, n, i_max, b: check_inner0(m1, m2, min(n, 6), b),
+    "lemma_checkerboard": lambda m1, m2, n, i_max, b: check_lemma_checkerboard(),
+    "integral_representations": lambda m1, m2, n, i_max, b: check_integrals(m1, m2, b),
+    "zeros": lambda m1, m2, n, i_max, b: check_zeros(m1, m2, min(n, 8), b),
+}
+ALL_CHECKS = tuple(_SUITES)
 
 
 def run_checks(measure1: Measure, measure2: Measure, n_size=8, i_max=4, backend=EXACT, names=None):
@@ -294,29 +290,10 @@ def run_checks(measure1: Measure, measure2: Measure, n_size=8, i_max=4, backend=
     names = list(names or ALL_CHECKS)
     reports = []
     for name in names:
+        if name not in _SUITES:
+            raise ValueError(f"unknown check {name!r}")
         try:
-            if name == "orthogonality":
-                reports.append(check_orthogonality(measure1, measure2, n_size, i_max, backend))
-            elif name == "oracle_equivalence":
-                reports.append(check_oracle_equivalence(measure1, measure2, min(n_size, 6), backend))
-            elif name == "boundary_identities":
-                reports.append(check_boundary_identities(measure1, measure2, n_size, backend))
-            elif name == "parity":
-                reports.append(check_parity(measure1, measure2, min(n_size, 7), backend))
-            elif name == "projectors":
-                reports.append(check_projectors(measure1, measure2, min(n_size, 8), backend))
-            elif name == "recurrence":
-                reports.append(check_recurrence(measure1, measure2, max(n_size, 7), backend))
-            elif name == "inner0":
-                reports.append(check_inner0(measure1, measure2, min(n_size, 6), backend))
-            elif name == "lemma_checkerboard":
-                reports.append(check_lemma_checkerboard())
-            elif name == "integral_representations":
-                reports.append(check_integrals(measure1, measure2, backend))
-            elif name == "zeros":
-                reports.append(check_zeros(measure1, measure2, min(n_size, 8), backend))
-            else:
-                raise ValueError(f"unknown check {name!r}")
+            reports.append(_SUITES[name](measure1, measure2, n_size, i_max, backend))
         except ConditioningError as exc:
             reports.append(_entry(name, True, skipped=str(exc)))
         except BlockOrthoError as exc:

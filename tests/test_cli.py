@@ -156,3 +156,34 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["P_0_1"] == {"coeffs": ["0", "1"]}
+
+
+def test_zero_scan_covers_the_wider_second_measure(capsys):
+    # the 11th zero of P_{10;11} sits near 24.9, beyond where gamma:3:1 fades
+    code, out, _ = run(
+        capsys, "roots", "--measure1", "gamma:3:1", "--measure2", "gamma:1:1",
+        "--N", "12", "--i", "10",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["roots_10_11"]["count"] == 11
+    assert payload["passed"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--pair", "hermite", "--N", "0"],
+        ["roots", "--pair", "hermite", "--N", "-3"],
+        ["verify", "--pair", "hermite", "--N", "0"],
+        ["projector", "--pair", "hermite", "--N", "0", "--i", "0"],
+        ["table", "--measure1", "gaussian:0", "--measure2", "gaussian:1", "--N", "3"],
+        ["roots", "--measure1", "gamma:1:1", "--measure2", "gamma:-2:1", "--N", "3"],
+        ["table", "--pair", "hermite", "--N", "3", "--exact", "--float"],
+    ],
+)
+def test_bad_arguments_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "error" in json.loads(err)

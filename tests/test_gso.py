@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -17,6 +18,8 @@ from blockortho import (
     gram_determinants,
     gram_schmidt,
 )
+from blockortho import OracleMismatch, monomial
+from blockortho.gso import check_against_oracle, parity_gram_schmidt
 from blockortho.linalg import mat_mul
 
 
@@ -193,3 +196,50 @@ def test_checkerboard_random_with_free_last_row():
         direct = float(np.linalg.det(np.array(m)))
         assert abs(det - even * odd) <= 1e-10 * max(1.0, abs(det))
         assert abs(det - direct) <= 1e-10 * max(1.0, abs(det))
+
+
+def _checkerboard(gram):
+    return [[x if (j + k) % 2 == 0 else 0 * x for k, x in enumerate(row)] for j, row in enumerate(gram)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_parity_kernel_matches_full_kernel(seed):
+    rng = random.Random(seed)
+    size = rng.randint(1, 7)
+    gram = _checkerboard(_random_pd(rng, size))
+    factors = [Fraction(rng.choice([1, 2, -1, 3])) for _ in range(size)]
+    assert parity_gram_schmidt(gram, factors) == gram_schmidt(gram, factors)
+
+
+def test_parity_kernel_rejects_mixed_parity():
+    with pytest.raises(NotCheckerboard):
+        parity_gram_schmidt([[Fraction(2), Fraction(1)], [Fraction(1), Fraction(2)]], [1, 1])
+
+
+def _corrupted(result, **changes):
+    return dataclasses.replace(result, **changes)
+
+
+@pytest.mark.parametrize("kind", ["exact", "float"])
+def test_oracle_check_catches_corruption(kind):
+    rng = random.Random(7)
+    gram = _random_pd(rng, 4, kind)
+    one = Fraction(1) if kind == "exact" else 1.0
+    basis = [monomial(k, one) for k in range(4)]
+    result = gram_schmidt(gram, [one] * 4)
+    check_against_oracle(gram, result, basis, "stage x disagrees")
+    coeffs = [list(row) for row in result.coeffs]
+    coeffs[1][2] += one / 1000
+    norms = list(result.norms)
+    norms[3] *= 1 + one / 1000
+    corruptions = [
+        (_corrupted(result, coeffs=tuple(map(tuple, coeffs))), "degree 2"),
+        (_corrupted(result, norms=tuple(norms)), "degree 3"),
+    ]
+    if kind == "exact":
+        dets = list(result.gram_dets)
+        dets[2] += 1
+        corruptions.append((_corrupted(result, gram_dets=tuple(dets)), "degree 1"))
+    for bad, where in corruptions:
+        with pytest.raises(OracleMismatch, match=f"stage x disagrees at {where}"):
+            check_against_oracle(gram, bad, basis, "stage x disagrees")
