@@ -148,7 +148,7 @@ def _scale(normalization, q_basis, i, gamma_dets):
     return tuple(q_basis.leading[i + s] * f for s, f in enumerate(factors))
 
 
-def _second_stage(kernel, measure1, measure2, i, n_polys, q_basis, normalization, check):
+def _second_stage(kernel, q_basis, measure2, i, n_polys, normalization, check):
     """Orthogonalize Q_i..Q_{N-1} under the second measure with ``kernel``."""
     backend = q_basis.backend
     mu2 = moments(measure2, max(2 * (n_polys - 1), 0), backend=backend)
@@ -166,7 +166,7 @@ def _second_stage(kernel, measure1, measure2, i, n_polys, q_basis, normalization
     basis = SboBasis(
         i=i,
         size=n_polys,
-        measure1=measure1,
+        measure1=q_basis.measure,
         measure2=measure2,
         q_basis=q_basis,
         mu2=mu2,
@@ -214,7 +214,7 @@ def build_sbo(
         measure1, max(n_polys, 1), backend=backend, leading=q_leading, check=check
     )
     return _second_stage(
-        gso.gram_schmidt, measure1, measure2, i, n_polys, q_basis, normalization, check
+        gso.gram_schmidt, q_basis, measure2, i, n_polys, normalization, check
     )
 
 
@@ -312,7 +312,7 @@ def sbo_parity_build(
         raise ValueError(f"need 0 <= i <= N, got i={i}, N={n_polys}")
     q_basis = parity_split_build(measure1, max(n_polys, 1), backend=backend)
     return _second_stage(
-        gso.parity_gram_schmidt, measure1, measure2, i, n_polys, q_basis, MONIC, False
+        gso.parity_gram_schmidt, q_basis, measure2, i, n_polys, MONIC, False
     )
 
 

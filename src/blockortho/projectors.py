@@ -10,6 +10,7 @@ subspaces.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
 from . import linalg, scalars
 from .block import SboBasis, build_sbo
 from .measures import Measure, inner_product_mu, moments

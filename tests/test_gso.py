@@ -216,10 +216,6 @@ def test_parity_kernel_rejects_mixed_parity():
         parity_gram_schmidt([[Fraction(2), Fraction(1)], [Fraction(1), Fraction(2)]], [1, 1])
 
 
-def _corrupted(result, **changes):
-    return dataclasses.replace(result, **changes)
-
-
 @pytest.mark.parametrize("kind", ["exact", "float"])
 def test_oracle_check_catches_corruption(kind):
     rng = random.Random(7)
@@ -233,13 +229,13 @@ def test_oracle_check_catches_corruption(kind):
     norms = list(result.norms)
     norms[3] *= 1 + one / 1000
     corruptions = [
-        (_corrupted(result, coeffs=tuple(map(tuple, coeffs))), "degree 2"),
-        (_corrupted(result, norms=tuple(norms)), "degree 3"),
+        (dataclasses.replace(result, coeffs=tuple(map(tuple, coeffs))), "degree 2"),
+        (dataclasses.replace(result, norms=tuple(norms)), "degree 3"),
     ]
     if kind == "exact":
         dets = list(result.gram_dets)
         dets[2] += 1
-        corruptions.append((_corrupted(result, gram_dets=tuple(dets)), "degree 1"))
+        corruptions.append((dataclasses.replace(result, gram_dets=tuple(dets)), "degree 1"))
     for bad, where in corruptions:
         with pytest.raises(OracleMismatch, match=f"stage x disagrees at {where}"):
             check_against_oracle(gram, bad, basis, "stage x disagrees")
