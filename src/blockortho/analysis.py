@@ -42,10 +42,6 @@ class QuadratureGrid:
             if any(w <= 0 for w in weights):
                 raise InsufficientNodes("quadrature weights must be positive")
 
-    @property
-    def dimensions(self):
-        return len(self.axes)
-
     def points(self):
         """Iterate (point_tuple, weight) over the tensor grid."""
         node_lists = [axis[0] for axis in self.axes]

@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 
 from . import gso, linalg, scalars
 from .errors import (
-    ConditioningError,
     DependentConstraints,
     MeasureMismatch,
     NotSymmetric,
@@ -29,14 +28,14 @@ from .measures import (
     GramMatrix,
     Measure,
     MomentSequence,
+    hankel_matrix,
     inner_product_mu,
     moments,
 )
 from .polynomials import Polynomial, combine, monomial
-from .scalars import EXACT, FLOAT
+from .scalars import EXACT
 from .standard import (  # the normalization names are re-exported here
     DET_NORMALIZED,
-    FLOAT_SIZE_LIMIT,
     MONIC,
     ORTHONORMAL,
     StandardBasis,
@@ -114,25 +113,24 @@ class SboBasis:
         return self.monic_poly(n).coeff(n - 2)
 
 
-def gamma_matrix(q_basis: StandardBasis, measure2, i: int, backend=None) -> GramMatrix:
-    """Gram matrix of Q_i..Q_{N-1} under the second measure."""
+def gamma_matrix(q_basis: StandardBasis, measure2, i: int) -> GramMatrix:
+    """Gram matrix of Q_i..Q_{N-1} under the second measure.
+
+    The congruence A^T H_2 A, with A the columns i.. of ``q_in_x`` and H_2
+    the second measure's Hankel matrix; the lower triangle mirrors the upper
+    one, so float entries stay exactly symmetric.
+    """
     n = q_basis.size
     if not 0 <= i <= n:
         raise ValueError(f"constraint index {i} outside 0..{n}")
-    backend = backend or q_basis.backend
     if isinstance(measure2, MomentSequence):
         mu2 = measure2
     else:
-        mu2 = moments(measure2, max(2 * (n - 1), 0), backend=backend)
-    entries = []
-    for j in range(i, n):
-        row = []
-        for k in range(i, n):
-            if k < j:
-                row.append(entries[k - i][j - i])
-            else:
-                row.append(inner_product_mu(mu2, q_basis.polys[j], q_basis.polys[k]))
-        entries.append(row)
+        mu2 = moments(measure2, max(2 * (n - 1), 0), backend=q_basis.backend)
+    a = [row[i:] for row in q_basis.q_in_x]
+    h2 = hankel_matrix(mu2, n).rows()
+    full = linalg.mat_mul(linalg.mat_mul(linalg.transpose(a), h2), a)
+    entries = [[full[min(j, k)][max(j, k)] for k in range(n - i)] for j in range(n - i)]
     return GramMatrix(tuple(map(tuple, entries)), f"Q_{i}..Q_{n - 1}")
 
 
@@ -206,10 +204,6 @@ def build_sbo(
     """
     if not 0 <= i <= n_polys:
         raise ValueError(f"need 0 <= i <= N, got i={i}, N={n_polys}")
-    if backend == FLOAT and n_polys > FLOAT_SIZE_LIMIT:
-        raise ConditioningError(
-            f"float pipeline refused beyond size {FLOAT_SIZE_LIMIT}"
-        )
     q_basis = build_standard(
         measure1, max(n_polys, 1), backend=backend, leading=q_leading, check=check
     )

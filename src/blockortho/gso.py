@@ -9,9 +9,9 @@ factors b_{n,n}.  The output describes the unique orthogonal vectors
 through the triangular connection matrices a (E over e) and b (e over E),
 the squared norms h_n and the leading Gram determinants.
 
-In the exact backend the loop is classical Gram-Schmidt; with float entries
-the same loop re-reads the updated residual at every step, i.e. it is the
-modified variant, which is what an ill-conditioned Hankel matrix needs.
+Gram-Schmidt over a Gram matrix is its LDL^T factorization: the pivots
+are the ratios of consecutive leading Gram determinants, so one pass gives
+the vectors, their norms and the determinants, in either backend.
 
 Both stages of the block construction run through this module: the
 kernels :func:`gram_schmidt` and :func:`parity_gram_schmidt` build the
@@ -78,7 +78,12 @@ def gram_determinants(gram):
 
 
 def gram_schmidt(gram, leading_factors) -> OrthogonalizationResult:
-    """Orthogonalize against a Gram matrix with prescribed leading factors."""
+    """Orthogonalize against a Gram matrix with prescribed leading factors.
+
+    One LDL^T pass g = B^T D B (B unit upper triangular) in the scalars of
+    the matrix: h_n = D_n / f_n^2, b = diag(f) B, a = B^{-1} diag(1/f), and
+    the leading Gram determinants are the prefix products of D.
+    """
     g = _entries(gram)
     n_dim = len(g)
     if len(leading_factors) != n_dim:
@@ -87,33 +92,19 @@ def gram_schmidt(gram, leading_factors) -> OrthogonalizationResult:
     for f in leading_factors:
         if f == 0 or (isinstance(f, float) and not math.isfinite(f)):
             raise BadFactor("leading factors must be nonzero and finite")
-    a = [[zero(kind)] * n_dim for _ in range(n_dim)]
-    b = [[zero(kind)] * n_dim for _ in range(n_dim)]
+    unit = [[zero(kind)] * n_dim for _ in range(n_dim)]  # B
+    scaled = [[zero(kind)] * n_dim for _ in range(n_dim)]  # D B
     norms = []
+    dets = [one(EXACT)]
     block_max = zero(kind)
     for col in range(n_dim):
-        row_max = max(abs(g[col][k]) for k in range(col + 1))
-        block_max = max(block_max, row_max)
-        v = [zero(kind)] * n_dim
-        v[col] = one(kind)
-        # one exact pass; with floats a second sweep re-removes the rounding
-        # residue left by the first (the usual twice-is-enough refinement)
-        for _ in range(1 if kind == EXACT else 2):
-            for m in range(col):
-                # (E_m, v) against the current residual (modified G-S in float)
-                overlap = sum(
-                    a[j][m] * sum(g[j][k] * v[k] for k in range(col + 1))
-                    for j in range(m + 1)
-                )
-                coef = overlap / norms[m]
-                for j in range(m + 1):
-                    v[j] -= coef * a[j][m]
-                b[m][col] += coef
-        factor = leading_factors[col]
-        v = [x / factor for x in v]
-        h = sum(
-            v[j] * g[j][k] * v[k] for j in range(col + 1) for k in range(col + 1)
-        )
+        block_max = max(block_max, max(abs(g[col][k]) for k in range(col + 1)))
+        scaled[col][col:] = [
+            g[col][j] - sum(unit[m][col] * scaled[m][j] for m in range(col))
+            for j in range(col, n_dim)
+        ]
+        pivot = scaled[col][col]
+        h = pivot / leading_factors[col] ** 2
         if kind == EXACT:
             if h <= 0:
                 raise NotPositiveDefinite(f"pivot h_{col} = {h} is not positive")
@@ -121,16 +112,23 @@ def gram_schmidt(gram, leading_factors) -> OrthogonalizationResult:
             raise NotPositiveDefinite(
                 f"float pivot h_{col} = {h} below conditioning floor"
             )
-        for j in range(col + 1):
-            a[j][col] = v[j]
-        b[col][col] = factor if kind == EXACT else float(factor)
+        unit[col][col:] = [x / pivot for x in scaled[col][col:]]
         norms.append(h)
+        dets.append(dets[-1] * pivot)
+    # a = B^{-1} by back-substitution, column n scaled by 1/f_n
+    a = [[zero(kind)] * n_dim for _ in range(n_dim)]
+    for n in range(n_dim):
+        a[n][n] = one(kind)
+        for m in range(n - 1, -1, -1):
+            a[m][n] = -sum(unit[m][j] * a[j][n] for j in range(m + 1, n + 1))
+        for m in range(n + 1):
+            a[m][n] /= leading_factors[n]
     return OrthogonalizationResult(
         tuple(map(tuple, a)),
-        tuple(map(tuple, b)),
+        tuple(tuple(f * x for x in r) for f, r in zip(leading_factors, unit)),
         tuple(norms),
         tuple(leading_factors),
-        gram_determinants(g),
+        tuple(dets),
     )
 
 

@@ -40,7 +40,6 @@ from .scalars import (
     kind_of,
     pochhammer,
     scalar_from_json,
-    scalar_to_json,
     to_fraction,
     zero,
 )
@@ -114,6 +113,9 @@ class Measure:
     @classmethod
     def from_moments(cls, mu, c0=1, symmetric=None, domain=(-INF, INF), label="tabulated"):
         mu = tuple(mu)
+        for n, m in enumerate(mu):
+            if isinstance(m, float) and not math.isfinite(m):
+                raise MomentError(f"moment of order {n} is {m}; moments must be finite")
         if not mu or mu[0] != 1:
             raise MomentError("a moment table must start with mu_0 = 1")
         if symmetric is None:
@@ -358,16 +360,6 @@ def load_moments_json(path, symmetric=None, domain=(-INF, INF)) -> Measure:
     mu = [scalar_from_json(v) for v in data["mu"]]
     c0 = scalar_from_json(data.get("c0", 1))
     return Measure.from_moments(mu, c0=c0, symmetric=symmetric, domain=domain, label=f"file:{path}")
-
-
-def save_moments_json(path, moms: MomentSequence):
-    payload = {
-        "c0": scalar_to_json(moms.c0) if not isinstance(moms.c0, float) else moms.c0,
-        "mu": [scalar_to_json(m) for m in moms.mu],
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
 
 
 def _parse_entry(text):

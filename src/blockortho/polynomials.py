@@ -166,11 +166,6 @@ ONE = Polynomial((Fraction(1),))
 X = monomial(1)
 
 
-def from_coeffs(values):
-    """Polynomial from a loose coefficient list ('p/q' strings allowed)."""
-    return Polynomial(tuple(scalar_from_json(v) for v in values))
-
-
 @dataclass(frozen=True)
 class SignChangeReport:
     count: int

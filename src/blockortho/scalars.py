@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import KindMismatch
-
 EXACT = "exact"
 FLOAT = "float"
 
@@ -35,26 +33,6 @@ def zero(kind):
 def one(kind):
     """Multiplicative identity of a backend (EXACT or FLOAT)."""
     return Fraction(1) if kind == EXACT else 1.0
-
-
-def common_kind(values, default=EXACT):
-    """Kind shared by all ``values``; raises KindMismatch when they disagree."""
-    kinds = {kind_of(v) for v in values}
-    if not kinds:
-        return default
-    if len(kinds) > 1:
-        raise KindMismatch(f"mixed scalar kinds {sorted(kinds)}")
-    return kinds.pop()
-
-
-def coerce(value, kind):
-    if kind == EXACT:
-        if isinstance(value, Fraction):
-            return value
-        if isinstance(value, int):
-            return Fraction(value)
-        raise KindMismatch(f"cannot use {value!r} as an exact scalar")
-    return float(value)
 
 
 def to_fraction(value) -> Fraction:

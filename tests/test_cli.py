@@ -173,6 +173,46 @@ def test_zero_scan_covers_the_wider_second_measure(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["verify", "--pair", "hermite", "--N", "1"],
+        ["verify", "--pair", "laguerre", "--N", "1"],
+        ["verify", "--pair", "hermite", "--N", "2"],
+    ],
+)
+def test_verify_at_small_n_reports_every_suite(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    reports = json.loads(out)["reports"]
+    assert len({r["check"] for r in reports}) == 10
+    inner0 = next(r for r in reports if r["check"] == "inner0")
+    assert "skipped" in inner0
+
+
+@pytest.mark.parametrize(
+    "rows", ["0,1\n1,0\n2,nan\n", "0,1.0\n1,0.0\n2,nan\n"], ids=["mixed", "float"]
+)
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["table", "--measure2", "gaussian:1", "--N", "2", "--i", "0"],
+        ["table", "--measure2", "gaussian:1", "--N", "2", "--i", "0", "--float"],
+        ["moments", "--max-order", "2"],
+    ],
+    ids=["table", "table-float", "moments"],
+)
+def test_non_finite_moment_row_is_rejected(tmp_path, capsys, rows, command):
+    table = tmp_path / "nan.csv"
+    table.write_text(rows)
+    code, out, err = run(capsys, *command, "--moments-file", str(table))
+    assert code == 1
+    assert out == ""
+    error = json.loads(err)
+    assert error["kind"] == "MomentError"
+    assert "order 2" in error["error"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["table", "--pair", "hermite", "--N", "0"],
         ["roots", "--pair", "hermite", "--N", "-3"],
         ["verify", "--pair", "hermite", "--N", "0"],

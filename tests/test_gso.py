@@ -128,6 +128,22 @@ def test_norm_determinant_relation():
         assert res.norms[n] * factors[n] ** 2 * res.gram_dets[n] == res.gram_dets[n + 1]
 
 
+def test_kernel_determinants_match_leading_minors():
+    # the kernels take Z_k as pivot products; gram_determinants runs Bareiss per minor
+    rng = random.Random(15)
+    for _ in range(30):
+        size = rng.randint(1, 7)
+        gram = _random_pd(rng, size)
+        factors = [Fraction(rng.choice([1, -1, 2, 3]), rng.choice([1, 2])) for _ in range(size)]
+        assert gram_schmidt(gram, factors).gram_dets == gram_determinants(gram)
+        raw = [[Fraction(rng.randint(-4, 4) * ((j + k + 1) % 2)) for k in range(size)]
+               for j in range(size)]
+        board = mat_mul([list(c) for c in zip(*raw)], raw)
+        for d in range(size):
+            board[d][d] += 1
+        assert parity_gram_schmidt(board, factors).gram_dets == gram_determinants(board)
+
+
 @given(st.integers(1, 5), st.sampled_from([2, 3, -2, 5]))
 @settings(max_examples=40, deadline=None)
 def test_rescaling_one_factor(seed, lam):
