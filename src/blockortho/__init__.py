@@ -11,7 +11,6 @@ from .analysis import (
     QuadratureGrid,
     ZeroReport,
     gauss_rule,
-    make_grid,
     verify_p_integral,
     verify_z_integral,
     zero_report,

@@ -19,10 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .block import SboBasis
 from .errors import DimensionCap, InsufficientNodes, MomentError
-from .measures import Measure, truncated_support
-from .polynomials import Polynomial, sign_changes_in
+from .measures import Measure, moments, truncated_support
+from .polynomials import sign_changes_in
 from .standard import MONIC, build_standard
 
 Z_DIMENSION_CAP = 3
@@ -63,8 +64,6 @@ def gauss_rule(measure: Measure, n_nodes: int):
     """
     if n_nodes < 1:
         raise InsufficientNodes("need at least one node")
-    from .measures import moments
-
     backend = "exact" if moments(measure, 0).exact else "float"
     basis = build_standard(measure, n_nodes + 1, MONIC, backend=backend, check=False)
     diag = []
@@ -87,11 +86,6 @@ def gauss_rule(measure: Measure, n_nodes: int):
         raise InsufficientNodes("quadrature weights failed normalization")
     weights = weights / total
     return tuple(float(x) for x in nodes), tuple(float(w) for w in weights)
-
-
-def make_grid(measures, nodes_per_axis):
-    axes = tuple(gauss_rule(m, nodes_per_axis) for m in measures)
-    return QuadratureGrid(axes, f"gauss:{nodes_per_axis}")
 
 
 def verify_z_integral(
@@ -117,8 +111,6 @@ def verify_z_integral(
     grid = QuadratureGrid((rule,) * dim, f"gauss:{nodes}^{dim}")
     if monomial_mode:
         polys = [np.array([0.0] * k + [1.0]) for k in range(i, n + 1)]
-        from . import linalg
-
         rhs = float(
             linalg.det([[float(sbo.mu2[j + k]) for k in range(i, n + 1)] for j in range(i, n + 1)])
         )
@@ -127,8 +119,6 @@ def verify_z_integral(
         if i == sbo.i:
             rhs = float(sbo.Z(n))
         else:
-            from . import linalg
-
             g = sbo.gamma.rows()
             lo = i - sbo.i
             hi = n - sbo.i + 1
@@ -247,8 +237,6 @@ def _p_integral_symmetrized(sbo: SboBasis, n: int, nodes: int):
         ys = np.array(point)
         v = _vandermonde(ys)
         acc += weight * v * v * _roots_to_coeffs(ys)
-    from . import linalg
-
     hankel = [[float(sbo.mu2[j + k]) for k in range(n)] for j in range(n)]
     denominator = math.factorial(n) * float(linalg.det(hankel))
     return [float(c) for c in acc / denominator]

@@ -146,15 +146,17 @@ def _scale(normalization, q_basis, i, gamma_dets):
     return tuple(q_basis.leading[i + s] * f for s, f in enumerate(factors))
 
 
-def _second_stage(kernel, q_basis, measure2, i, n_polys, normalization, check):
+def _second_stage(kernel, q_basis, measure2, i, normalization, check):
     """Orthogonalize Q_i..Q_{N-1} under the second measure with ``kernel``."""
     backend = q_basis.backend
-    mu2 = moments(measure2, max(2 * (n_polys - 1), 0), backend=backend)
+    n_polys = q_basis.size
+    mu2 = moments(measure2, 2 * n_polys - 2, backend=backend)
     gamma = gamma_matrix(q_basis, mu2, i)
     block = n_polys - i
-    q_polys = q_basis.polys[i:n_polys]
+    q_cols = [row[i:] for row in q_basis.q_in_x]
     # second-stage leading factors k_n make the output monic: A_{i;n,n} = 1/k_n
-    result = kernel(gamma, list(q_basis.leading[i:n_polys]))
+    result = kernel(gamma, list(q_basis.leading[i:]))
+    monic = linalg.mat_mul(q_cols, result.coeffs)
     p_in_q = [[scalars.zero(backend)] * n_polys for _ in range(n_polys)]
     q_in_p = [[scalars.zero(backend)] * n_polys for _ in range(n_polys)]
     for row in range(block):
@@ -170,7 +172,7 @@ def _second_stage(kernel, q_basis, measure2, i, n_polys, normalization, check):
         mu2=mu2,
         gamma=gamma,
         gamma_dets=result.gram_dets,
-        monic_polys=tuple(combine(result.vector(s), q_polys) for s in range(block)),
+        monic_polys=tuple(Polynomial(col) for col in zip(*monic)),
         monic_norms=result.norms,
         p_in_q=tuple(map(tuple, p_in_q)),
         q_in_p=tuple(map(tuple, q_in_p)),
@@ -180,7 +182,7 @@ def _second_stage(kernel, q_basis, measure2, i, n_polys, normalization, check):
     )
     if check and block:
         gso.check_against_oracle(
-            gamma, result, q_polys, "second-stage determinant oracle disagrees"
+            gamma, result, q_cols, "second-stage determinant oracle disagrees"
         )
         _check_leading_identities(basis)
     return basis
@@ -205,11 +207,9 @@ def build_sbo(
     if not 0 <= i <= n_polys:
         raise ValueError(f"need 0 <= i <= N, got i={i}, N={n_polys}")
     q_basis = build_standard(
-        measure1, max(n_polys, 1), backend=backend, leading=q_leading, check=check
+        measure1, n_polys, backend=backend, leading=q_leading, check=check
     )
-    return _second_stage(
-        gso.gram_schmidt, q_basis, measure2, i, n_polys, normalization, check
-    )
+    return _second_stage(gso.gram_schmidt, q_basis, measure2, i, normalization, check)
 
 
 def _close(a, b, backend, scale=1):
@@ -304,10 +304,8 @@ def sbo_parity_build(
         raise NotSymmetric("parity build needs both measures symmetric")
     if not 0 <= i <= n_polys:
         raise ValueError(f"need 0 <= i <= N, got i={i}, N={n_polys}")
-    q_basis = parity_split_build(measure1, max(n_polys, 1), backend=backend)
-    return _second_stage(
-        gso.parity_gram_schmidt, q_basis, measure2, i, n_polys, MONIC, False
-    )
+    q_basis = parity_split_build(measure1, n_polys, backend=backend)
+    return _second_stage(gso.parity_gram_schmidt, q_basis, measure2, i, MONIC, False)
 
 
 def monomial_connection(basis: SboBasis):
@@ -317,17 +315,12 @@ def monomial_connection(basis: SboBasis):
     No closed form is known for these coefficients; they are computed, not
     looked up.
     """
-    n_size = basis.size
     zero = scalars.zero(basis.backend)
-    a_q = basis.q_basis.q_in_x
-    out = [[zero] * n_size for _ in range(n_size)]
-    for n in basis.degrees():
-        for ell in range(n + 1):
-            acc = zero
-            for m in range(max(basis.i, ell), n + 1):
-                acc += a_q[ell][m] * basis.connection_a(m, n)
-            out[ell][n] = acc
-    return tuple(map(tuple, out))
+    scaled = [
+        [basis.connection_a(m, n) if n >= basis.i else zero for n in range(basis.size)]
+        for m in range(basis.size)
+    ]
+    return tuple(map(tuple, linalg.mat_mul(basis.q_basis.q_in_x, scaled)))
 
 
 def cross_i_connection(basis_i: SboBasis, basis_j: SboBasis):
@@ -347,18 +340,7 @@ def cross_i_connection(basis_i: SboBasis, basis_j: SboBasis):
         or basis_i.q_basis.leading != basis_j.q_basis.leading
     ):
         raise MeasureMismatch("bases were built from different measure pairs")
-    n_size = basis_i.size
-    zero = scalars.zero(basis_i.backend)
-    out = [[zero] * n_size for _ in range(n_size)]
-    for n in basis_j.degrees():
-        for ell in basis_i.degrees():
-            if ell > n:
-                break
-            acc = zero
-            for m in range(max(basis_j.i, ell), n + 1):
-                acc += basis_i.q_in_p[ell][m] * basis_j.p_in_q[m][n]
-            out[ell][n] = acc
-    return tuple(map(tuple, out))
+    return tuple(map(tuple, linalg.mat_mul(basis_i.q_in_p, basis_j.p_in_q)))
 
 
 @dataclass(frozen=True)
@@ -400,12 +382,12 @@ def expand_x_times_p(basis: SboBasis, n: int) -> XExpansion:
         if m - 1 >= basis.i - 1 and m >= 1:
             beta[m - 1] += a_coef * c_m / a_m
     constraint = beta.pop(basis.i - 1, zero) if basis.i > 0 else zero
-    eta = {}
-    for ell in range(basis.i, n + 2):
-        acc = zero
-        for m in range(ell, n + 2):
-            acc += beta[m] * basis.q_in_p[ell][m]
-        eta[ell] = acc
+    degrees = range(basis.i, n + 2)
+    folded = linalg.mat_mul(
+        [[basis.q_in_p[ell][m] for m in degrees] for ell in degrees],
+        [[beta[m]] for m in degrees],
+    )
+    eta = {ell: row[0] for ell, row in zip(degrees, folded)}
     low = tuple(
         m
         for m in sorted(set(list(eta) + ([basis.i - 1] if basis.i > 0 else [])))

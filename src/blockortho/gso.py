@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from . import linalg
 from .errors import BadFactor, NotCheckerboard, NotPositiveDefinite, OracleMismatch
 from .measures import GramMatrix
-from .polynomials import combine
 from .scalars import EXACT, one, zero
 
 # float pivots at or below this times the magnitude of the leading block that
@@ -226,38 +225,43 @@ def connection_b(gram, result: OrthogonalizationResult, m, n):
 def check_against_oracle(gram, result: OrthogonalizationResult, basis, stage):
     """Recompute every vector of ``result`` from bordered determinants.
 
-    ``basis`` lists the polynomials the Gram matrix is taken over; both
-    routes are combined over it and compared as monomial coefficients.
-    Exact results must agree exactly, norms and leading Gram determinants
-    included.  Float coefficients must agree within ORACLE_RTOL times the
-    largest oracle coefficient, float norms within ORACLE_RTOL of the oracle
-    norm.  The oracle reads the Gram matrix and the prescribed leading
-    factors only, never the coefficients it checks.  A disagreement raises
-    OracleMismatch naming ``stage`` and the degree of the basis vector.
+    ``basis`` is the monomial coefficient matrix of the vectors the Gram
+    matrix is taken over (column k holds e_k).  Exact results must agree
+    exactly, norms and leading Gram determinants included; the connection
+    columns are compared directly, which is the same test as comparing
+    monomial coefficients because the basis columns are independent.  Float
+    results are compared as monomial coefficients: within ORACLE_RTOL times
+    the largest oracle coefficient, and norms within ORACLE_RTOL of the
+    oracle norm.  The oracle reads the Gram matrix and the prescribed
+    leading factors only, never the coefficients it checks.  A disagreement
+    raises OracleMismatch naming ``stage`` and the degree of the basis
+    vector.
     """
     g = _entries(gram)
-    exact = linalg.matrix_kind(g) == EXACT
+    kind = linalg.matrix_kind(g)
     z_prev = linalg.det([])  # the empty leading minor, 1
     for n in range(result.size):
         factor = result.factors[n]
         z_here = linalg.det([row[: n + 1] for row in g[: n + 1]])
-        oracle = combine(determinant_oracle_vector(g, n, factor), basis)
-        stored = combine(result.vector(n), basis)
+        oracle = determinant_oracle_vector(g, n, factor)
+        oracle += (zero(kind),) * (result.size - n - 1)
+        stored = result.vector(n)
         h_oracle = z_here / z_prev / factor**2
-        if exact:
+        if kind == EXACT:
             ok = (
                 oracle == stored
                 and h_oracle == result.norms[n]
                 and z_here == result.gram_dets[n + 1]
             )
         else:
-            scale = max(abs(c) for c in oracle.coeffs)
+            pairs = linalg.mat_mul(basis, list(zip(oracle, stored)))
+            scale = max(abs(o) for o, _ in pairs)
             ok = all(
-                abs(a - b) <= ORACLE_RTOL * scale
-                for a, b in zip(oracle.coeffs, stored.coeffs)
+                abs(o - s) <= ORACLE_RTOL * scale for o, s in pairs
             ) and abs(h_oracle - result.norms[n]) <= ORACLE_RTOL * abs(h_oracle)
         if not ok:
-            raise OracleMismatch(f"{stage} at degree {basis[n].degree}")
+            degree = max(k for k, row in enumerate(basis) if row[n] != 0)
+            raise OracleMismatch(f"{stage} at degree {degree}")
         z_prev = z_here
 
 

@@ -82,11 +82,26 @@ def leading_minors(matrix):
 
 
 def mat_mul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
-        for i in range(rows)
-    ]
+    """The product a b, every entry summed over ascending inner index.
+
+    Zero entries of either factor are skipped, so a triangular factor costs
+    only its nonzero part.  Each sum starts from the backend zero of ``a``,
+    so an entry without a nonzero term is ``Fraction(0)`` or ``0.0``, and a
+    float entry equals the full ascending sum bit for bit (adding a zero to
+    a sum begun at +0.0 never changes it).
+    """
+    cols = len(b[0]) if b else 0
+    start = zero(matrix_kind(a))
+    b_nonzero = [[(j, y) for j, y in enumerate(row) if y != 0] for row in b]
+    out = []
+    for row in a:
+        acc = [start] * cols
+        for x, b_row in zip(row, b_nonzero):
+            if x != 0:
+                for j, y in b_row:
+                    acc[j] += x * y
+        out.append(acc)
+    return out
 
 
 def transpose(rows):

@@ -18,7 +18,7 @@ from . import gso, linalg
 from .errors import DependentBasis, NonPositiveParameter
 from .measures import Measure, inner_product_mu, moments
 from .polynomials import Polynomial, combine, monomial
-from .scalars import EXACT, FLOAT, one, to_fraction
+from .scalars import EXACT, one, to_fraction
 
 UNIQUE = "unique"
 NO_SOLUTION = "no_solution"

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import DegreeError, KindMismatch
-from .scalars import EXACT, FLOAT, kind_of, one, scalar_from_json, scalar_to_json, zero
+from .scalars import EXACT, kind_of, one, scalar_from_json, scalar_to_json, zero
 
 PARITY_EVEN = "even"
 PARITY_ODD = "odd"

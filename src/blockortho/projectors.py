@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 from . import linalg, scalars
 from .block import SboBasis, build_sbo
-from .measures import Measure, inner_product_mu, moments
-from .polynomials import Polynomial, monomial
+from .measures import Measure, hankel_matrix, inner_product_mu, moments
+from .polynomials import Polynomial
 from .scalars import EXACT
 from .standard import StandardBasis
 
@@ -35,41 +35,42 @@ class ProjectorMatrix:
         """Apply to a polynomial of degree < size."""
         if p.degree >= self.size:
             raise ValueError("polynomial does not fit the projector's space")
-        col = [p.coeff(k) for k in range(self.size)]
-        out = [
-            sum(self.entries[r][c] * col[c] for c in range(self.size))
-            for r in range(self.size)
-        ]
-        return Polynomial(tuple(out))
+        out = linalg.mat_mul(self.entries, [[p.coeff(k)] for k in range(self.size)])
+        return Polynomial(tuple(row[0] for row in out))
 
     def compose(self, other: "ProjectorMatrix"):
-        return linalg.mat_mul([list(r) for r in self.entries], [list(r) for r in other.entries])
+        return linalg.mat_mul(self.entries, other.entries)
 
 
 def projectors_from_q(q_basis: StandardBasis, i: int):
     """Projector pair built from the first measure's orthogonal basis.
 
     The constraint projector maps p to sum_{n<i} Q_n (Q_n, p) / h_n; the
-    complement projector is its difference from the identity.
+    complement projector is its difference from the identity.  As matrices
+    that is Q (D^-1 (Q^T H_1)) over the first i columns of Q, with the
+    division by the norms straight after the inner products.
     """
     n_size = q_basis.size
     if not 0 <= i <= n_size:
         raise ValueError(f"constraint index {i} outside 0..{n_size}")
     zero = scalars.zero(q_basis.backend)
-    mu1 = q_basis.moment_seq
-    entries = [[zero] * n_size for _ in range(n_size)]
-    for col in range(n_size):
-        x_k = monomial(col, scalars.one(q_basis.backend))
-        coeffs = [zero] * n_size
-        for n in range(i):
-            overlap = inner_product_mu(mu1, q_basis.polys[n], x_k) / q_basis.norms[n]
-            for m in range(n + 1):
-                coeffs[m] += q_basis.q_in_x[m][n] * overlap
-        for row in range(n_size):
-            entries[row][col] = coeffs[row]
+    q_head = [row[:i] for row in q_basis.q_in_x]
+    weights = _scaled_overlaps(q_head, q_basis.norms, q_basis.moment_seq)
+    # Q_n with n >= i lies in the complement
+    weights += [[zero] * n_size for _ in range(n_size - i)]
+    entries = linalg.mat_mul(q_basis.q_in_x, weights)
     onto = ProjectorMatrix(tuple(map(tuple, entries)), ONTO_CONSTRAINT)
-    complement = _complement_of(onto, q_basis.backend)
-    return onto, complement
+    return onto, _complement_of(onto, q_basis.backend)
+
+
+def _scaled_overlaps(columns, norms, moment_seq):
+    """D^-1 (B^T H): row n holds (b_n, x^k) / h_n for the columns b_n of B.
+
+    The division by the norms comes straight after the inner products.
+    """
+    hankel = hankel_matrix(moment_seq, len(columns)).rows()
+    overlaps = linalg.mat_mul(linalg.transpose(columns), hankel)
+    return [[x / h for x in row] for row, h in zip(overlaps, norms)]
 
 
 def _complement_of(onto: ProjectorMatrix, backend):
@@ -87,45 +88,22 @@ def projectors_from_second(
     i: int,
     n_size: int,
     backend: str = EXACT,
-    sbo0: SboBasis = None,
 ):
     """Projector pair expressed through the second measure's basis.
 
-    Expands the constraint projector over the i=0 block basis with the
-    triangular-connection kernel; must coincide with
-    :func:`projectors_from_q` exactly in the rational backend.
+    Expands the constraint projector over the i=0 block basis P with the
+    triangular-connection kernel K = q_in_p[:, :i] p_in_q[:i, :], as
+    P (K (D^-1 (P^T H_2))) with the division by the norms straight after
+    the inner products; must coincide with :func:`projectors_from_q`
+    exactly in the rational backend.
     """
-    if sbo0 is None:
-        sbo0 = build_sbo(measure1, measure2, 0, n_size, backend=backend)
-    elif sbo0.i != 0:
-        raise ValueError("need the i = 0 basis for the second-route projector")
+    sbo0 = build_sbo(measure1, measure2, 0, n_size, backend=backend)
     zero = scalars.zero(backend)
-    mu2 = sbo0.mu2
-    # kernel[j][k] = sum_{n<i} q_in_p[j][n] p_in_q[n][k]
-    kernel = [
-        [
-            sum(sbo0.q_in_p[j][n] * sbo0.p_in_q[n][k] for n in range(i))
-            for k in range(n_size)
-        ]
-        for j in range(n_size)
-    ]
-    entries = [[zero] * n_size for _ in range(n_size)]
-    for col in range(n_size):
-        x_k = monomial(col, scalars.one(backend))
-        overlaps = [
-            inner_product_mu(mu2, sbo0.monic_poly(k), x_k) / sbo0.monic_norm(k)
-            for k in range(n_size)
-        ]
-        coeffs = [zero] * n_size
-        for j in range(n_size):
-            weight = sum(kernel[j][k] * overlaps[k] for k in range(n_size))
-            if weight == 0:
-                continue
-            pj = sbo0.monic_poly(j)
-            for m in range(pj.degree + 1):
-                coeffs[m] += pj.coeff(m) * weight
-        for row in range(n_size):
-            entries[row][col] = coeffs[row]
+    p_monic = linalg.mat_mul(sbo0.q_basis.q_in_x, sbo0.p_in_q)
+    head = list(sbo0.p_in_q[:i]) + [[zero] * n_size for _ in range(n_size - i)]
+    kernel = linalg.mat_mul(sbo0.q_in_p, head)
+    weights = _scaled_overlaps(p_monic, sbo0.monic_norms, sbo0.mu2)
+    entries = linalg.mat_mul(p_monic, linalg.mat_mul(kernel, weights))
     onto = ProjectorMatrix(tuple(map(tuple, entries)), ONTO_CONSTRAINT)
     return onto, _complement_of(onto, backend)
 

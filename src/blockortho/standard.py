@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from . import gso
+from . import gso, linalg
 from .errors import ConditioningError, NotRepresentable, NotSymmetric
 from .measures import Measure, MomentSequence, hankel_matrix, moments
 from .polynomials import Polynomial, monomial
@@ -63,18 +63,20 @@ class StandardBasis:
         """Degree-indexed Gram determinant (Z(-1) = 1)."""
         return self.gram_dets[n + 1]
 
+    def _monic_coeff(self, m, n):
+        """Coefficient of x^m in the monic version of Q_n (zero for m < 0)."""
+        if m < 0:
+            return zero(self.backend)
+        # times 1/k_n, as Polynomial.monic scales, so floats round alike
+        return self.q_in_x[m][n] * (one(self.backend) / self.leading[n])
+
     def subleading(self, n):
         """Coefficient of x^(n-1) in the monic version of Q_n."""
-        return self.polys[n].monic().coeff(n - 1) if n >= 1 else zero(self.backend)
+        return self._monic_coeff(n - 1, n)
 
     def subsubleading(self, n):
         """Coefficient of x^(n-2) in the monic version of Q_n."""
-        return self.polys[n].monic().coeff(n - 2) if n >= 2 else zero(self.backend)
-
-    def inner(self, p, q):
-        from .measures import inner_product_mu
-
-        return inner_product_mu(self.moment_seq, p, q)
+        return self._monic_coeff(n - 2, n)
 
 
 def normalization_factors(normalization, dets, backend):
@@ -103,11 +105,13 @@ def normalization_factors(normalization, dets, backend):
 
 
 def _hankel(measure, n_polys, backend):
+    if n_polys < 1:
+        raise ValueError("need at least one polynomial")
     if backend == FLOAT and n_polys > FLOAT_SIZE_LIMIT:
         raise ConditioningError(
             f"float Hankel pipeline refused beyond size {FLOAT_SIZE_LIMIT}"
         )
-    seq = moments(measure, max(2 * n_polys - 2, 0), backend=backend)
+    seq = moments(measure, 2 * n_polys - 2, backend=backend)
     if backend == EXACT and not seq.exact:
         raise NotRepresentable("exact backend requires rational moments")
     return seq, hankel_matrix(seq, n_polys)
@@ -153,14 +157,14 @@ def build_standard(
     check: bool = True,
 ) -> StandardBasis:
     """Construct Q_0..Q_{N-1} with cross-checked determinant formulas."""
-    if n_polys < 1:
-        raise ValueError("need at least one polynomial")
     seq, gram = _hankel(measure, n_polys, backend)
     result = gso.gram_schmidt(gram, [one(backend)] * n_polys)
     if check:
-        monomials = [monomial(k, one(backend)) for k in range(n_polys)]
         gso.check_against_oracle(
-            gram, result, monomials, "inductive and determinant routes disagree"
+            gram,
+            result,
+            linalg.identity(n_polys, backend),
+            "inductive and determinant routes disagree",
         )
     return _assemble(measure, seq, result, normalization, backend, leading)
 

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockortho import (
     BlockOrthoError,
@@ -20,12 +22,14 @@ from blockortho import (
     monomial,
     monomial_connection,
     normalize_sbo,
+    parity_split_build,
     sbo_determinant_oracle,
     sbo_parity_build,
 )
 from blockortho.block import ORTHONORMAL, DET_NORMALIZED
 from blockortho.gso import ORACLE_RTOL
 from blockortho.measures import moments
+from blockortho.polynomials import combine
 
 P24 = Polynomial((Fraction(1, 8), 0, Fraction(-7, 4), 0, 1))
 P12 = Polynomial((Fraction(1, 2), Fraction(-5, 2), 1))
@@ -84,6 +88,21 @@ def test_empty_cases(hermite_pair):
     full = build_sbo(*hermite_pair, 5, 5)
     assert full.monic_polys == ()
     assert list(full.degrees()) == []
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda m1, m2: build_standard(m1, 0),
+        lambda m1, m2: parity_split_build(m1, 0),
+        lambda m1, m2: build_sbo(m1, m2, 0, 0),
+        lambda m1, m2: sbo_parity_build(m1, m2, 0, 0),
+    ],
+    ids=["build_standard", "parity_split_build", "build_sbo", "sbo_parity_build"],
+)
+def test_every_builder_rejects_an_empty_size(build, hermite_pair):
+    with pytest.raises(ValueError, match="at least one polynomial"):
+        build(*hermite_pair)
 
 
 def test_zero_index_reduces_to_second_measure(hermite_pair, laguerre_pair):
@@ -360,6 +379,37 @@ def test_general_bo_dependent_subspace(hermite_pair):
 def test_float_guard(hermite_pair):
     with pytest.raises(ConditioningError):
         build_sbo(*hermite_pair, 2, 21, backend="float")
+
+
+# the parameter sets of the benchmark's measure decks
+ALPHAS = ("1/2", "2/3", "1", "3/2", "2", "5/2", "3")
+ZS = ("1/2", "1", "3/2", "2", "3")
+
+
+@st.composite
+def measure_pairs(draw):
+    a, b = draw(st.permutations(ALPHAS))[:2]
+    if draw(st.booleans()):
+        return Measure.gaussian(a), Measure.gaussian(b)
+    z = draw(st.sampled_from(ZS))
+    return Measure.gamma_weight(a, z), Measure.gamma_weight(b, z)
+
+
+@given(measure_pairs(), st.integers(1, 7), st.data())
+@settings(max_examples=200, deadline=None)
+def test_exact_build_matches_oracle_parity_and_cross_connection(pair, n_size, data):
+    i = data.draw(st.integers(0, n_size), label="i")
+    basis = build_sbo(*pair, i, n_size)
+    for n in basis.degrees():
+        oracle = sbo_determinant_oracle(basis.q_basis, pair[1], i, n)
+        assert basis.monic_poly(n) == oracle.poly
+    if pair[0].symmetric:
+        parity = sbo_parity_build(*pair, i, n_size)
+        assert parity.monic_polys == basis.monic_polys
+    b0 = build_sbo(*pair, 0, n_size)
+    conn = cross_i_connection(b0, basis)
+    for n in basis.degrees():
+        assert combine([row[n] for row in conn], b0.monic_polys) == basis.monic_poly(n)
 
 
 def test_preconditions(hermite_pair):

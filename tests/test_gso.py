@@ -18,9 +18,9 @@ from blockortho import (
     gram_determinants,
     gram_schmidt,
 )
-from blockortho import OracleMismatch, monomial
+from blockortho import OracleMismatch
 from blockortho.gso import check_against_oracle, parity_gram_schmidt
-from blockortho.linalg import mat_mul
+from blockortho.linalg import identity, mat_mul
 
 
 def _random_pd(rng, size, kind="exact"):
@@ -237,7 +237,7 @@ def test_oracle_check_catches_corruption(kind):
     rng = random.Random(7)
     gram = _random_pd(rng, 4, kind)
     one = Fraction(1) if kind == "exact" else 1.0
-    basis = [monomial(k, one) for k in range(4)]
+    basis = identity(4, kind)  # monomial coefficient matrix of x^0..x^3
     result = gram_schmidt(gram, [one] * 4)
     check_against_oracle(gram, result, basis, "stage x disagrees")
     coeffs = [list(row) for row in result.coeffs]
