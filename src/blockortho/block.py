@@ -243,11 +243,26 @@ def _check_leading_identities(basis: SboBasis):
 
 @dataclass(frozen=True)
 class SboOracleResult:
+    """Monic P_{i;n} and its data from the bordered determinants of ``gamma``.
+
+    ``leading`` holds the first-stage leading coefficients k_i..k_n.
+    """
+
     poly: Polynomial
     gram_det: object
     norm: object
     a_column: tuple
-    b_column: tuple
+    gamma: GramMatrix
+    leading: tuple
+
+    @property
+    def b_column(self):
+        """Monic connection column b_{m,n}, m = i..n, computed when read."""
+        s = len(self.a_column) - 1
+        return tuple(
+            gso.oracle_connection_b(self.gamma, m, s, k_m)
+            for m, k_m in enumerate(self.leading)
+        )
 
 
 def sbo_determinant_oracle(
@@ -258,23 +273,19 @@ def sbo_determinant_oracle(
     Expands the determinant with gamma rows i..n-1 and last row (Q_k) along
     that last row, divides by the previous gamma determinant, and scales by
     1/k_n.  Returns the polynomial together with the degree-n determinant,
-    the monic norm, and the monic connection columns.
+    the monic norm and the monic connection columns.
     """
     if not q_basis.size > n >= i >= 0:
         raise ValueError(f"need i <= n < N, got i={i}, n={n}, N={q_basis.size}")
     gamma = gamma_matrix(q_basis, measure2, i)
-    s = n - i
-    k_n = q_basis.leading[n]
-    a_col = gso.determinant_oracle_vector(gamma, s, k_n)
+    a_col, norm, gram_det = gso.bordered_oracle(gamma, n - i, q_basis.leading[n])
     return SboOracleResult(
         poly=combine(a_col, q_basis.polys[i:]),
-        gram_det=linalg.det([row[: s + 1] for row in gamma.rows()[: s + 1]]),
-        norm=gso.oracle_norm(gamma, s, k_n),
+        gram_det=gram_det,
+        norm=norm,
         a_column=a_col,
-        b_column=tuple(
-            gso.oracle_connection_b(gamma, m, s, q_basis.leading[i + m])
-            for m in range(s + 1)
-        ),
+        gamma=gamma,
+        leading=tuple(q_basis.leading[i : n + 1]),
     )
 
 

@@ -16,7 +16,7 @@ the vectors, their norms and the determinants, in either backend.
 Both stages of the block construction run through this module: the
 kernels :func:`gram_schmidt` and :func:`parity_gram_schmidt` build the
 vectors, and :func:`check_against_oracle` recomputes them from bordered
-determinants.
+determinants, one :func:`linalg.bordered_minors` elimination per degree.
 """
 
 from __future__ import annotations
@@ -170,36 +170,37 @@ def parity_gram_schmidt(gram, leading_factors) -> OrthogonalizationResult:
     )
 
 
-def determinant_oracle_vector(gram, n, leading_factor):
-    """Coefficients of E_n on e_0..e_n from the bordered-determinant formula.
+def bordered_oracle(gram, n, leading_factor):
+    """E_n, h_n and Z_{n+1} from the bordered determinants of ``gram``.
 
     The determinant with Gram rows 0..n-1 and the symbolic basis row is
-    expanded along its last row; dividing by Z_{n-1} and by the leading
-    factor gives the same column that gram_schmidt produces.
+    expanded along its last row; dividing its cofactors by Z_n and by the
+    leading factor gives the column of E_n on e_0..e_n that gram_schmidt
+    produces, and h_n = b_{n,n}^{-2} Z_{n+1} / Z_n.  All of it comes from one
+    :func:`linalg.bordered_minors` call on the leading (n+1) x (n+1) block;
+    nothing here reads a factorization.  Returns (column, h_n, Z_{n+1}).
     """
     g = _entries(gram)
     if not 0 <= n < len(g):
         raise IndexError(f"column {n} outside matrix of size {len(g)}")
     if leading_factor == 0:
         raise BadFactor("leading factor must be nonzero")
-    z_prev = linalg.det([row[:n] for row in g[:n]])
+    cofactors, z_here = linalg.bordered_minors([row[: n + 1] for row in g[: n + 1]])
+    z_prev = cofactors[n]
     if z_prev == 0:
         raise NotPositiveDefinite(f"leading minor of size {n} vanishes")
-    rows = list(range(n))
-    coeffs = []
-    for k in range(n + 1):
-        cols = [c for c in range(n + 1) if c != k]
-        minor = linalg.det_submatrix(g, rows, cols)
-        coeffs.append((-1) ** (n + k) * minor / z_prev / leading_factor)
-    return tuple(coeffs)
+    column = tuple(c / z_prev / leading_factor for c in cofactors)
+    return column, z_here / z_prev / leading_factor**2, z_here
+
+
+def determinant_oracle_vector(gram, n, leading_factor):
+    """Coefficients of E_n on e_0..e_n from the bordered-determinant formula."""
+    return bordered_oracle(gram, n, leading_factor)[0]
 
 
 def oracle_norm(gram, n, leading_factor):
     """h_n = b_{n,n}^{-2} Z_{n+1}/Z_n in size-indexed determinants."""
-    g = _entries(gram)
-    z_prev = linalg.det([row[:n] for row in g[:n]])
-    z_here = linalg.det([row[: n + 1] for row in g[: n + 1]])
-    return z_here / z_prev / leading_factor**2
+    return bordered_oracle(gram, n, leading_factor)[1]
 
 
 def oracle_connection_b(gram, m, n, leading_factor):
@@ -239,14 +240,10 @@ def check_against_oracle(gram, result: OrthogonalizationResult, basis, stage):
     """
     g = _entries(gram)
     kind = linalg.matrix_kind(g)
-    z_prev = linalg.det([])  # the empty leading minor, 1
     for n in range(result.size):
-        factor = result.factors[n]
-        z_here = linalg.det([row[: n + 1] for row in g[: n + 1]])
-        oracle = determinant_oracle_vector(g, n, factor)
+        oracle, h_oracle, z_here = bordered_oracle(g, n, result.factors[n])
         oracle += (zero(kind),) * (result.size - n - 1)
         stored = result.vector(n)
-        h_oracle = z_here / z_prev / factor**2
         if kind == EXACT:
             ok = (
                 oracle == stored
@@ -262,7 +259,6 @@ def check_against_oracle(gram, result: OrthogonalizationResult, basis, stage):
         if not ok:
             degree = max(k for k, row in enumerate(basis) if row[n] != 0)
             raise OracleMismatch(f"{stage} at degree {degree}")
-        z_prev = z_here
 
 
 def _checkerboard_blocks(matrix):

@@ -1,8 +1,9 @@
 """Small dense linear algebra over exact rationals and floats.
 
-Matrices are lists (or tuples) of rows.  The exact determinant uses
+Matrices are lists (or tuples) of rows.  Exact determinants use
 fraction-free Bareiss elimination after clearing row denominators, so
-intermediate swell stays bounded; the float determinant delegates to numpy.
+intermediate swell stays bounded, and one such pass gives all the bordered
+minors of a Gram block; float determinants delegate to numpy.
 Rank decisions in the exact backend are genuinely discrete; the float path
 reports the singular-value gap it used.
 """
@@ -10,7 +11,7 @@ reports the singular-value gap it used.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, nan
 
 import numpy as np
 
@@ -26,6 +27,21 @@ def matrix_kind(matrix):
 
         raise KindMismatch("matrix mixes exact and float entries")
     return kinds.pop()
+
+
+def _lift(rows):
+    """Integer rows and the product of their scales.
+
+    Each row is multiplied by the lcm of its denominators, entry by entry as
+    ``numerator * (lcm // denominator)``, so no Fraction arithmetic is done.
+    """
+    int_rows = []
+    scale = 1
+    for row in rows:
+        den = lcm(*(x.denominator for x in row))
+        scale *= den
+        int_rows.append([x.numerator * (den // x.denominator) for x in row])
+    return int_rows, scale
 
 
 def _det_bareiss_int(rows):
@@ -51,6 +67,47 @@ def _det_bareiss_int(rows):
     return sign * m[n - 1][n - 1]
 
 
+def _cofactors_int(top):
+    """Signed maximal minors c_k = (-1)^(n+k) det(top without column k).
+
+    ``top`` is an n x (n+1) integer matrix.  One Bareiss pass (row swaps
+    among these n rows) makes it upper triangular; c_n is the leading minor
+    and the others follow from U c = 0 by fraction-free back substitution,
+    whose divisions are exact because the c_k are integers.  A singular
+    leading block (c_n = 0) has no such pass; its minors are taken one by
+    one.
+    """
+    n = len(top)
+    m = [list(r) for r in top]
+    sign = 1
+    prev = 1
+    for k in range(n):
+        swap = next((r for r in range(k, n) if m[r][k]), None)
+        if swap is None:
+            return [
+                (-1) ** (n + j) * _det_bareiss_int([row[:j] + row[j + 1 :] for row in top])
+                for j in range(n + 1)
+            ]
+        if swap != k:
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pivot_row = m[k]
+        pivot = pivot_row[k]
+        for row in m[k + 1 :]:
+            x = row[k]
+            for j in range(k + 1, n + 1):
+                row[j] = (row[j] * pivot - x * pivot_row[j]) // prev
+            row[k] = 0
+        prev = pivot
+    c = [0] * n + [sign * prev]
+    for k in range(n - 1, -1, -1):
+        row = m[k]
+        c[k], rest = divmod(-sum(row[j] * c[j] for j in range(k + 1, n + 1)), row[k])
+        if rest:
+            raise ArithmeticError(f"inexact back substitution at column {k}")
+    return c
+
+
 def det(matrix):
     """Determinant; exact for rational entries, numpy LU for floats.
 
@@ -61,18 +118,41 @@ def det(matrix):
         return Fraction(1)
     if matrix_kind(matrix) == FLOAT:
         return float(np.linalg.det(np.array(matrix, dtype=float)))
-    scale = Fraction(1)
-    int_rows = []
-    for row in matrix:
-        row = [Fraction(x) for x in row]
-        den = lcm(*(x.denominator for x in row)) if row else 1
-        scale *= den
-        int_rows.append([int(x * den) for x in row])
-    return Fraction(_det_bareiss_int(int_rows), 1) / scale
+    int_rows, scale = _lift(matrix)
+    return Fraction(_det_bareiss_int(int_rows), scale)
 
 
-def det_submatrix(matrix, rows, cols):
-    return det([[matrix[r][c] for c in cols] for r in rows])
+def bordered_minors(block):
+    """Signed cofactors of the last row of a square block, and its determinant.
+
+    For an (n+1) x (n+1) ``block`` returns ``(c, det(block))`` with
+    c_k = (-1)^(n+k) det(first n rows without column k), so c_n is the
+    leading minor Z_n, det(block) = Z_{n+1} = sum_k block[n][k] c_k, and c
+    spans the null space of the first n rows whenever Z_n != 0.
+
+    Exact blocks are lifted to integers once and reduced by one Bareiss pass
+    (:func:`_cofactors_int`).  Float blocks take the same numpy determinants
+    as the minor-by-minor route, in its order: det(block), Z_n and, unless
+    Z_n = 0, the other minors in one stacked call.  When Z_n = 0 those come
+    back as NaN; every caller stops at a vanishing Z_n.
+    """
+    n = len(block) - 1
+    if matrix_kind(block) == FLOAT:
+        a = np.array(block, dtype=float)
+        whole = float(np.linalg.det(a))
+        if n == 0:
+            return (1.0,), whole
+        z_n = float(np.linalg.det(a[:n, :n]))
+        if z_n == 0:
+            return (nan,) * n + (z_n,), whole
+        minors = np.linalg.det(np.stack([np.delete(a[:n], k, axis=1) for k in range(n)]))
+        cofactors = tuple((-1) ** (n + k) * float(x) for k, x in enumerate(minors))
+        return cofactors + (z_n,), whole
+    top, top_scale = _lift(block[:n])
+    (last,), last_scale = _lift(block[n:])
+    c = _cofactors_int(top)
+    whole = Fraction(sum(x * y for x, y in zip(last, c)), top_scale * last_scale)
+    return tuple(Fraction(x, top_scale) for x in c), whole
 
 
 def leading_minors(matrix):

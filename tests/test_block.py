@@ -26,7 +26,7 @@ from blockortho import (
     sbo_determinant_oracle,
     sbo_parity_build,
 )
-from blockortho.block import ORTHONORMAL, DET_NORMALIZED
+from blockortho.block import DET_NORMALIZED, MONIC, ORTHONORMAL
 from blockortho.gso import ORACLE_RTOL
 from blockortho.measures import moments
 from blockortho.polynomials import combine
@@ -410,6 +410,19 @@ def test_exact_build_matches_oracle_parity_and_cross_connection(pair, n_size, da
     conn = cross_i_connection(b0, basis)
     for n in basis.degrees():
         assert combine([row[n] for row in conn], b0.monic_polys) == basis.monic_poly(n)
+
+
+@given(measure_pairs(), st.integers(1, 7), st.data())
+@settings(max_examples=100, deadline=None)
+def test_normalize_sbo_round_trips_through_det(pair, n_size, data):
+    i = data.draw(st.integers(0, n_size), label="i")
+    basis = build_sbo(*pair, i, n_size)
+    det_basis = normalize_sbo(basis, DET_NORMALIZED)
+    back = normalize_sbo(det_basis, MONIC)
+    for n in basis.degrees():
+        assert det_basis.poly(n).coeff(n) == basis.Z(n - 1)
+        assert back.poly(n) == basis.poly(n)
+        assert back.norm(n) == basis.norm(n)
 
 
 def test_preconditions(hermite_pair):

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from blockortho.cli import main
 
@@ -227,3 +231,53 @@ def test_bad_arguments_are_usage_errors(capsys, argv):
     assert code == 2
     assert out == ""
     assert "error" in json.loads(err)
+
+
+GOOD_SPECS = ("gaussian:1", "gaussian:2", "gamma:1:1", "gamma:2:1", "gamma:1/2:3/2")
+BAD_SPECS = ("gaussian:0", "gamma:1:-2", "beta:1")
+VALUES = ("0", "1", "2", "3", "-1", "1/2")
+BUILD_COMMANDS = ("table", "verify", "roots", "projector")
+
+
+@st.composite
+def argvs(draw):
+    """Mostly well-formed argvs of every command, some with a stray option."""
+    command = draw(st.sampled_from(BUILD_COMMANDS + ("three-subspace", "moments")))
+    # about half of each choice is well formed, so most argvs get past parsing
+    spec = st.one_of(st.sampled_from(GOOD_SPECS), st.sampled_from(GOOD_SPECS + BAD_SPECS))
+    values = st.sampled_from(VALUES)
+    if command in BUILD_COMMANDS:
+        if draw(st.booleans()):
+            options = [["--pair", draw(st.sampled_from(("hermite", "laguerre")))]]
+        else:
+            options = [["--measure1", draw(spec)], ["--measure2", draw(spec)]]
+        options.append(["--N", str(draw(st.one_of(st.integers(1, 5), st.integers(-2, 0))))])
+        if command == "projector" or draw(st.booleans()):
+            options.append(["--i", str(draw(st.integers(-1, 6)))])
+        options += draw(st.sampled_from(([], [["--float"]], [["--exact"]], [["--float"], ["--exact"]])))
+    elif command == "three-subspace":
+        options = [["--z23", draw(values)], ["--z13", draw(values)]]
+        options.append(draw(st.sampled_from((["--z12", draw(values)], ["--symmetric12"]))))
+    else:
+        options = [["--measure", draw(spec)], ["--max-order", str(draw(st.integers(-1, 5)))]]
+        options += draw(st.sampled_from(([], [["--float"]])))
+    stray = draw(st.sampled_from((None,) * 5 + (["--N", "2"], ["--exact"], ["--z", "0"], ["--i"])))
+    if stray:
+        options.append(stray)
+    return [command, *(token for group in draw(st.permutations(options)) for token in group)]
+
+
+@given(argvs())
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_argv_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    event(f"{argv[0]} exit {code}")
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 1 and not err.getvalue():
+        # a check that ran and failed: its report is on stdout
+        assert json.loads(out.getvalue())["passed"] is False
+    elif code:
+        assert isinstance(json.loads(err.getvalue()), dict)
