@@ -11,6 +11,7 @@ reports the singular-value gap it used.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import lcm, nan
 
 import numpy as np
@@ -18,8 +19,20 @@ import numpy as np
 from .scalars import EXACT, FLOAT, kind_of, one, zero
 
 
+_KIND_OF_TYPE = {Fraction: EXACT, int: EXACT, float: FLOAT}
+
+
 def matrix_kind(matrix):
-    kinds = {kind_of(x) for row in matrix for x in row}
+    """EXACT or FLOAT for a matrix of one scalar kind; EXACT when empty.
+
+    Entries are classified by their set of types, so a matrix costs one pass
+    of ``type`` calls.  Any other type (bool, numpy scalars, subclasses)
+    sends the matrix through ``kind_of`` entry by entry, which accepts or
+    rejects it as it does a single scalar.
+    """
+    kinds = {_KIND_OF_TYPE.get(t) for t in set(map(type, chain.from_iterable(matrix)))}
+    if None in kinds:
+        kinds = {kind_of(x) for row in matrix for x in row}
     if not kinds:
         return EXACT
     if len(kinds) > 1:

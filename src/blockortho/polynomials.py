@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import linalg
 from .errors import DegreeError, KindMismatch
 from .scalars import EXACT, kind_of, one, scalar_from_json, scalar_to_json, zero
@@ -179,49 +181,65 @@ def sign_changes_in(p: Polynomial, lo, hi, resolution: int = 2048):
     Every change is refined by bisection to a bracket of width <= 1e-12
     (exact brackets stay rational).  The count is a certified lower bound on
     the number of distinct odd-order real zeros in the interval.
+
+    One array kernel serves both scalar kinds: float polynomials run on
+    float64 arrays, exact ones on object arrays of Fractions.  ``np.polyval``
+    is the same Horner recurrence as ``Polynomial.__call__``, operation for
+    operation, so every float value equals ``p(t)`` bit for bit.  The grid
+    is evaluated in one pass and all brackets are bisected together.
     """
     if p.is_zero:
         raise DegreeError("sign changes of the zero polynomial are undefined")
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
-    exact = p.kind == EXACT
-    if exact:
+    if p.kind == EXACT:
         lo, hi = Fraction(lo), Fraction(hi)
         width_goal = Fraction(1, 10**12)
+        dtype = object
     else:
         lo, hi = float(lo), float(hi)
         width_goal = 1e-12
+        dtype = np.float64
+    coeffs = np.array(p.coeffs[::-1], dtype=dtype)
     step = (hi - lo) / resolution
-    nodes = []
-    for k in range(resolution + 1):
-        t = lo + step * k
-        if p(t) == 0:
-            # nudge grid nodes off exact roots so sign changes stay visible
-            t = t + step / 7 if k < resolution else t - step / 7
-        nodes.append(t)
-    values = [p(t) for t in nodes]
-    brackets = []
-    for k in range(resolution):
-        a, b = nodes[k], nodes[k + 1]
-        fa, fb = values[k], values[k + 1]
-        if fa == 0 or fb == 0 or (fa > 0) == (fb > 0):
-            continue
-        while b - a > width_goal:
-            mid = (a + b) / 2
-            fm = p(mid)
-            if fm == 0:
-                half = (b - a) / 4
-                a, b = mid - half, mid + half
-                fa, fb = p(a), p(b)
-                if fa == 0 or fb == 0 or (fa > 0) == (fb > 0):
-                    break
-                continue
-            if (fm > 0) == (fa > 0):
-                a, fa = mid, fm
-            else:
-                b, fb = mid, fm
-        brackets.append((a, b))
-    return SignChangeReport(len(brackets), tuple(brackets), tuple(nodes))
+    # overflow gives inf and inf - inf gives nan, silently, as in Python floats
+    with np.errstate(all="ignore"):
+        nodes = lo + step * np.arange(resolution + 1, dtype=dtype)
+        values = np.polyval(coeffs, nodes)
+        # nudge grid nodes off exact roots so sign changes stay visible
+        hit = np.flatnonzero(values == 0)
+        if hit.size:
+            nodes[hit] += np.where(hit < resolution, step / 7, -step / 7)
+            values[hit] = np.polyval(coeffs, nodes[hit])
+        left, right = values[:-1], values[1:]
+        cells = np.flatnonzero((left != 0) & (right != 0) & ((left > 0) != (right > 0)))
+        a, b, fa = nodes[cells], nodes[cells + 1], left[cells]
+        active = np.flatnonzero(b - a > width_goal)
+        while active.size:
+            a_k, b_k, fa_k = a[active], b[active], fa[active]
+            mid = (a_k + b_k) / 2
+            fm = np.polyval(coeffs, mid)
+            # mid replaces the end whose sign it shares
+            moves_a = (fm > 0) == (fa_k > 0)
+            new_a = np.where(moves_a, mid, a_k)
+            new_b = np.where(moves_a, b_k, mid)
+            new_fa = np.where(moves_a, fm, fa_k)
+            stuck = np.zeros(active.size, dtype=bool)
+            root = fm == 0
+            if root.any():
+                # a midpoint on a root: recentre a half-width bracket on it,
+                # and stop there unless its ends still differ in sign
+                half = (b_k[root] - a_k[root]) / 4
+                new_a[root] = mid[root] - half
+                new_b[root] = mid[root] + half
+                f_lo = np.polyval(coeffs, new_a[root])
+                f_hi = np.polyval(coeffs, new_b[root])
+                new_fa[root] = f_lo
+                stuck[root] = (f_lo == 0) | (f_hi == 0) | ((f_lo > 0) == (f_hi > 0))
+            a[active], b[active], fa[active] = new_a, new_b, new_fa
+            active = active[~stuck & (new_b - new_a > width_goal)]
+    brackets = tuple(zip(a.tolist(), b.tolist()))
+    return SignChangeReport(len(brackets), brackets, tuple(nodes.tolist()))
 
 
 def alternant_det(points, polys):

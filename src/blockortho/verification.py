@@ -227,6 +227,16 @@ def check_recurrence(measure1, measure2, n_size, backend=EXACT):
         if backend == EXACT and rebuilt != x * s2.monic_poly(4):
             return _entry("recurrence", False, which="x_expansion")
         if not expansion.low_order_nonzero:
+            order = 2 * n_size
+            if moments(measure1, order, backend).mu == moments(measure2, order, backend).mu:
+                # one measure: P_{i;n} are its own orthogonal polynomials,
+                # whose three-term recurrence leaves nothing to witness
+                return _entry(
+                    "recurrence",
+                    True,
+                    skipped="the obstruction needs distinct measures; "
+                    f"both have equal moments through order {order}",
+                )
             return _entry("recurrence", False, which="obstruction_missing")
     return _entry("recurrence", True)
 

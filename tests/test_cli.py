@@ -65,6 +65,27 @@ def test_verify_passes(capsys):
     }
 
 
+@pytest.mark.parametrize("backend", ["--exact", "--float"])
+def test_verify_recurrence_skips_equal_measures(capsys, backend):
+    # one measure has no obstruction to a three-term recurrence to witness
+    code, out, err = run(
+        capsys, "verify", "--measure1", "gaussian:1", "--measure2", "gaussian:1",
+        "--N", "8", "--checks", "recurrence", backend,
+    )
+    assert (code, err) == (0, "")
+    (report,) = json.loads(out)["reports"]
+    assert report["passed"] is True
+    assert "distinct measures" in report["skipped"]
+
+
+def test_verify_recurrence_still_witnesses_distinct_measures(capsys):
+    code, out, _ = run(
+        capsys, "verify", "--pair", "hermite", "--N", "8", "--checks", "recurrence",
+    )
+    assert code == 0
+    assert json.loads(out)["reports"] == [{"check": "recurrence", "passed": True}]
+
+
 def test_verify_corrupted_moment_table(tmp_path, capsys):
     # a moment table that is not positive definite cannot define a measure
     bad = tmp_path / "bad.csv"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockortho import NotPositiveDefinite, determinant_oracle_vector, linalg
+from blockortho import KindMismatch, NotPositiveDefinite, determinant_oracle_vector, linalg
 
 
 def per_minor(block):
@@ -85,3 +85,25 @@ def test_float_bordered_minors_are_bit_identical_to_per_minor_numpy(block):
     for k in range(n):
         minor = np.array([row[:k] + row[k + 1 :] for row in block[:n]])
         assert cofactors[k] == (-1) ** (n + k) * float(np.linalg.det(minor))
+
+
+def test_matrix_kind_rejects_mixed_entries():
+    assert linalg.matrix_kind([[Fraction(1), 2], [3, Fraction(1, 2)]]) == "exact"
+    assert linalg.matrix_kind([[1.0, np.float64(2.0)]]) == "float"
+    with pytest.raises(KindMismatch):
+        linalg.matrix_kind([[Fraction(1), 0.5]])
+    with pytest.raises(KindMismatch):
+        linalg.matrix_kind([[1.0], [np.float64(2.0)], [3]])
+
+
+@pytest.mark.parametrize("bad", [True, "1", None, 1j])
+def test_matrix_kind_rejects_bool_and_unsupported_scalars(bad):
+    with pytest.raises(TypeError):
+        linalg.matrix_kind([[Fraction(1), bad]])
+    with pytest.raises(TypeError):
+        linalg.matrix_kind([[bad]])
+
+
+def test_matrix_kind_of_an_empty_matrix_is_exact():
+    assert linalg.matrix_kind([]) == "exact"
+    assert linalg.matrix_kind([[], []]) == "exact"
