@@ -5,7 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockortho import DegreeError, KindMismatch, Polynomial, alternant_det, monomial
+from blockortho import (
+    DegreeError,
+    KindMismatch,
+    Measure,
+    Polynomial,
+    alternant_det,
+    build_sbo,
+    monomial,
+)
+from blockortho.analysis import _scan_interval
 from blockortho.polynomials import sign_changes_in
 
 X = monomial(1)
@@ -271,9 +280,6 @@ def test_sign_changes_midpoint_on_a_root(to_kind, roots, expect_width):
 
 @pytest.mark.parametrize("pair", ["hermite", "laguerre"])
 def test_sign_changes_match_on_float_bases(pair):
-    from blockortho import Measure, build_sbo
-    from blockortho.analysis import _scan_interval
-
     if pair == "hermite":
         m1, m2 = Measure.gaussian(1), Measure.gaussian(2)
     else:
