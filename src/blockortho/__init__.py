@@ -20,6 +20,7 @@ from .block import (
     SboBasis,
     build_general_bo,
     build_sbo,
+    build_sbos,
     cross_i_connection,
     expand_x_times_p,
     gamma_matrix,

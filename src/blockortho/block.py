@@ -1,10 +1,11 @@
 """Block orthogonal polynomial bases for a pair of measures.
 
-``build_sbo`` runs the two-step construction: first the standard orthogonal
-polynomials Q_n of the first measure, then a second orthogonalization of
-{Q_i, ..., Q_{N-1}} under the second measure.  The resulting P_{i;n} have
-exact degree n, are orthogonal to every polynomial of degree < i under the
-first measure, and are mutually orthogonal under the second.
+``build_sbos`` runs the two-step construction for a set of indices i, and
+``build_sbo`` for one: first the standard orthogonal polynomials Q_n of the
+first measure, then a second orthogonalization of {Q_i, ..., Q_{N-1}} under
+the second measure.  The resulting P_{i;n} have exact degree n, are
+orthogonal to every polynomial of degree < i under the first measure, and are
+mutually orthogonal under the second.
 
 Internally the basis always stores the monic data (polynomials, norms,
 connection matrices); normalization modes are exact rescalings of that core.
@@ -15,6 +16,7 @@ the gamma matrix gamma[j][k] = (Q_j, Q_k)_2 unless ``check=False``.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 from . import gso, linalg, scalars
 from .errors import (
@@ -146,46 +148,81 @@ def _scale(normalization, q_basis, i, gamma_dets):
     return tuple(q_basis.leading[i + s] * f for s, f in enumerate(factors))
 
 
-def _second_stage(kernel, q_basis, measure2, i, normalization, check):
-    """Orthogonalize Q_i..Q_{N-1} under the second measure with ``kernel``."""
+def _sbo_bases(kernel, first_stage, measure2, i_values, n_polys, normalization, check):
+    """Q_0..Q_{N-1} from ``first_stage()``, then Q_i..Q_{N-1} orthogonalized
+    under the second measure with ``kernel`` for every i in ``i_values``, all
+    from one gamma matrix over Q_lo..Q_{N-1}, lo = min(i_values): gamma_i is
+    its trailing block from row i - lo on.
+    """
+    # checked before the first stage, so a bad i is reported even where Q fails
+    for i in i_values:
+        if not 0 <= i <= n_polys:
+            raise ValueError(f"need 0 <= i <= N, got i={i}, N={n_polys}")
+    q_basis = first_stage()
     backend = q_basis.backend
-    n_polys = q_basis.size
     mu2 = moments(measure2, 2 * n_polys - 2, backend=backend)
-    gamma = gamma_matrix(q_basis, mu2, i)
-    block = n_polys - i
-    q_cols = [row[i:] for row in q_basis.q_in_x]
-    # second-stage leading factors k_n make the output monic: A_{i;n,n} = 1/k_n
-    result = kernel(gamma, list(q_basis.leading[i:]))
-    monic = linalg.mat_mul(q_cols, result.coeffs)
-    p_in_q = [[scalars.zero(backend)] * n_polys for _ in range(n_polys)]
-    q_in_p = [[scalars.zero(backend)] * n_polys for _ in range(n_polys)]
-    for row in range(block):
-        for col in range(row, block):
-            p_in_q[i + row][i + col] = result.coeffs[row][col]
-            q_in_p[i + row][i + col] = result.inverse_coeffs[row][col]
-    basis = SboBasis(
-        i=i,
-        size=n_polys,
-        measure1=q_basis.measure,
-        measure2=measure2,
-        q_basis=q_basis,
-        mu2=mu2,
-        gamma=gamma,
-        gamma_dets=result.gram_dets,
-        monic_polys=tuple(Polynomial(col) for col in zip(*monic)),
-        monic_norms=result.norms,
-        p_in_q=tuple(map(tuple, p_in_q)),
-        q_in_p=tuple(map(tuple, q_in_p)),
-        scale=_scale(normalization, q_basis, i, result.gram_dets),
-        normalization=normalization,
-        backend=backend,
-    )
-    if check and block:
-        gso.check_against_oracle(
-            gamma, result, q_cols, "second-stage determinant oracle disagrees"
+    lo = min(i_values, default=n_polys)
+    gamma_lo = gamma_matrix(q_basis, mu2, lo).entries
+    bases = {}
+    for i in i_values:
+        rows = tuple(row[i - lo :] for row in gamma_lo[i - lo :])
+        gamma = GramMatrix(rows, f"Q_{i}..Q_{n_polys - 1}")
+        block = n_polys - i
+        q_cols = [row[i:] for row in q_basis.q_in_x]
+        # second-stage leading factors k_n make the output monic: A_{i;n,n} = 1/k_n
+        result = kernel(gamma, list(q_basis.leading[i:]))
+        monic = linalg.mat_mul(q_cols, result.coeffs)
+        p_in_q = [[scalars.zero(backend)] * n_polys for _ in range(n_polys)]
+        q_in_p = [[scalars.zero(backend)] * n_polys for _ in range(n_polys)]
+        for row in range(block):
+            for col in range(row, block):
+                p_in_q[i + row][i + col] = result.coeffs[row][col]
+                q_in_p[i + row][i + col] = result.inverse_coeffs[row][col]
+        bases[i] = SboBasis(
+            i=i,
+            size=n_polys,
+            measure1=q_basis.measure,
+            measure2=measure2,
+            q_basis=q_basis,
+            mu2=mu2,
+            gamma=gamma,
+            gamma_dets=result.gram_dets,
+            monic_polys=tuple(Polynomial(col) for col in zip(*monic)),
+            monic_norms=result.norms,
+            p_in_q=tuple(map(tuple, p_in_q)),
+            q_in_p=tuple(map(tuple, q_in_p)),
+            scale=_scale(normalization, q_basis, i, result.gram_dets),
+            normalization=normalization,
+            backend=backend,
         )
-        _check_leading_identities(basis)
-    return basis
+        if check and block:
+            gso.check_against_oracle(
+                gamma, result, q_cols, "second-stage determinant oracle disagrees"
+            )
+            _check_leading_identities(bases[i])
+    return bases
+
+
+def build_sbos(
+    measure1: Measure,
+    measure2: Measure,
+    i_values,
+    n_polys: int,
+    normalization: str = MONIC,
+    backend: str = EXACT,
+    q_leading=None,
+    check: bool = True,
+) -> dict:
+    """Two-step construction of ``{i: SboBasis}`` for every i in ``i_values``.
+
+    ``q_leading`` optionally sets the leading coefficients of the first-stage
+    polynomials; the monic P_{i;n} do not depend on that choice, which the
+    oracle checks confirm on every build.
+    """
+    first_stage = partial(
+        build_standard, measure1, n_polys, backend=backend, leading=q_leading, check=check
+    )
+    return _sbo_bases(gso.gram_schmidt, first_stage, measure2, i_values, n_polys, normalization, check)
 
 
 def build_sbo(
@@ -198,18 +235,8 @@ def build_sbo(
     q_leading=None,
     check: bool = True,
 ) -> SboBasis:
-    """Two-step construction of the block orthogonal basis.
-
-    ``q_leading`` optionally sets the leading coefficients of the first-stage
-    polynomials; the monic P_{i;n} do not depend on that choice, which the
-    oracle checks confirm on every build.
-    """
-    if not 0 <= i <= n_polys:
-        raise ValueError(f"need 0 <= i <= N, got i={i}, N={n_polys}")
-    q_basis = build_standard(
-        measure1, n_polys, backend=backend, leading=q_leading, check=check
-    )
-    return _second_stage(gso.gram_schmidt, q_basis, measure2, i, normalization, check)
+    """The block orthogonal basis for one constraint index i; see :func:`build_sbos`."""
+    return build_sbos(measure1, measure2, [i], n_polys, normalization, backend, q_leading, check)[i]
 
 
 def _close(a, b, backend, scale=1):
@@ -313,10 +340,8 @@ def sbo_parity_build(
     """
     if not (measure1.symmetric and measure2.symmetric):
         raise NotSymmetric("parity build needs both measures symmetric")
-    if not 0 <= i <= n_polys:
-        raise ValueError(f"need 0 <= i <= N, got i={i}, N={n_polys}")
-    q_basis = parity_split_build(measure1, n_polys, backend=backend)
-    return _second_stage(gso.parity_gram_schmidt, q_basis, measure2, i, MONIC, False)
+    first_stage = partial(parity_split_build, measure1, n_polys, backend=backend)
+    return _sbo_bases(gso.parity_gram_schmidt, first_stage, measure2, [i], n_polys, MONIC, False)[i]
 
 
 def monomial_connection(basis: SboBasis):

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from . import verification
 from .analysis import zero_report
-from .block import build_sbo
+from .block import build_sbo, build_sbos
 from .errors import BlockOrthoError, NonPositiveParameter
 from .measures import (
     Measure,
@@ -91,6 +91,13 @@ def _positive_int(text):
     return value
 
 
+def _nonnegative_int(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _emit(args, payload):
     text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
     if getattr(args, "csv", False):
@@ -125,8 +132,8 @@ def cmd_table(args):
         "normalization": args.normalization,
         "measures": [measure_to_json(m1), measure_to_json(m2)],
     }
-    for i in i_values:
-        basis = build_sbo(m1, m2, i, args.N, normalization=args.normalization, backend=backend)
+    bases = build_sbos(m1, m2, i_values, args.N, normalization=args.normalization, backend=backend)
+    for i, basis in bases.items():
         for n in basis.degrees():
             key = f"P_{i}_{n}"
             payload[key] = {
@@ -172,8 +179,7 @@ def cmd_roots(args):
     i_values = [args.i] if args.i is not None else list(range(args.N))
     payload = {"N": args.N}
     ok = True
-    for i in i_values:
-        basis = build_sbo(m1, m2, i, args.N, backend=backend)
+    for i, basis in build_sbos(m1, m2, i_values, args.N, backend=backend).items():
         for n in basis.degrees():
             report = zero_report(basis, n)
             ok = ok and report.satisfies_theorem
@@ -193,7 +199,7 @@ def cmd_projector(args):
     if args.route == "q":
         onto, comp = projectors_from_q(build_standard(m1, args.N, backend=backend), args.i)
     else:
-        onto, comp = projectors_from_second(m1, m2, args.i, args.N, backend=backend)
+        onto, comp = projectors_from_second(build_sbo(m1, m2, 0, args.N, backend=backend), args.i)
     payload = {
         "i": args.i,
         "N": args.N,
@@ -277,7 +283,7 @@ def build_parser():
     p_verify = sub.add_parser("verify", help="run the cross-validation suites")
     _add_measure_flags(p_verify)
     p_verify.add_argument("--N", type=_positive_int, default=8)
-    p_verify.add_argument("--i-max", type=int, default=4)
+    p_verify.add_argument("--i-max", type=_nonnegative_int, default=4)
     p_verify.add_argument("--checks", help="comma-separated subset of checks")
     p_verify.set_defaults(func=cmd_verify)
 

@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg, scalars
-from .block import SboBasis, build_sbo
+from .block import SboBasis
 from .measures import Measure, hankel_matrix, inner_product_mu, moments
 from .polynomials import Polynomial
-from .scalars import EXACT
 from .standard import StandardBasis
 
 ONTO_CONSTRAINT = "constraint"
@@ -82,30 +81,28 @@ def _complement_of(onto: ProjectorMatrix, backend):
     return ProjectorMatrix(entries, ONTO_COMPLEMENT)
 
 
-def projectors_from_second(
-    measure1: Measure,
-    measure2: Measure,
-    i: int,
-    n_size: int,
-    backend: str = EXACT,
-):
+def projectors_from_second(sbo0: SboBasis, i: int):
     """Projector pair expressed through the second measure's basis.
 
-    Expands the constraint projector over the i=0 block basis P with the
-    triangular-connection kernel K = q_in_p[:, :i] p_in_q[:i, :], as
+    Expands the constraint projector over the i=0 block basis P, ``sbo0``,
+    with the triangular-connection kernel K = q_in_p[:, :i] p_in_q[:i, :], as
     P (K (D^-1 (P^T H_2))) with the division by the norms straight after
     the inner products; must coincide with :func:`projectors_from_q`
     exactly in the rational backend.
     """
-    sbo0 = build_sbo(measure1, measure2, 0, n_size, backend=backend)
-    zero = scalars.zero(backend)
+    n_size = sbo0.size
+    if sbo0.i != 0:
+        raise ValueError(f"need the i = 0 basis, got one with i = {sbo0.i}")
+    if not 0 <= i <= n_size:
+        raise ValueError(f"constraint index {i} outside 0..{n_size}")
+    zero = scalars.zero(sbo0.backend)
     p_monic = linalg.mat_mul(sbo0.q_basis.q_in_x, sbo0.p_in_q)
     head = list(sbo0.p_in_q[:i]) + [[zero] * n_size for _ in range(n_size - i)]
     kernel = linalg.mat_mul(sbo0.q_in_p, head)
     weights = _scaled_overlaps(p_monic, sbo0.monic_norms, sbo0.mu2)
     entries = linalg.mat_mul(p_monic, linalg.mat_mul(kernel, weights))
     onto = ProjectorMatrix(tuple(map(tuple, entries)), ONTO_CONSTRAINT)
-    return onto, _complement_of(onto, backend)
+    return onto, _complement_of(onto, sbo0.backend)
 
 
 def inner0(p: Polynomial, q: Polynomial, sbo: SboBasis, measure_one: Measure = None):

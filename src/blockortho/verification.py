@@ -13,6 +13,7 @@ from fractions import Fraction
 from . import analysis, gso, linalg
 from .block import (
     build_sbo,
+    build_sbos,
     cross_i_connection,
     expand_x_times_p,
     sbo_determinant_oracle,
@@ -42,10 +43,12 @@ def _is_zero(value, backend, scale=1):
 
 def check_orthogonality(measure1, measure2, n_size, i_max, backend=EXACT):
     """Constraint and mutual orthogonality of every built block basis."""
+    if i_max < 0:
+        raise ValueError(f"i_max must be non-negative, got {i_max}")
     worst = zero(backend)
     mu1 = moments(measure1, 2 * (n_size - 1), backend=backend)
-    for i in range(min(i_max, n_size) + 1):
-        basis = build_sbo(measure1, measure2, i, n_size, backend=backend)
+    bases = build_sbos(measure1, measure2, range(min(i_max, n_size) + 1), n_size, backend=backend)
+    for i, basis in bases.items():
         scale = max((abs(x) for x in basis.monic_norms), default=1)
         for n in basis.degrees():
             p = basis.monic_poly(n)
@@ -88,8 +91,8 @@ def check_oracle_equivalence(measure1, measure2, n_size, backend=EXACT, seed=202
                 b_oracle = gso.connection_b(gram, result, m, n)
                 if not _is_zero(b_oracle - result.inverse_coeffs[m][n], backend, scale):
                     return _entry("oracle_equivalence", False, trial=trial, n=n, m=m, which="b")
-    for i in range(min(2, n_size) + 1):
-        basis = build_sbo(measure1, measure2, i, n_size, backend=backend)
+    bases = build_sbos(measure1, measure2, range(min(2, n_size) + 1), n_size, backend=backend)
+    for i, basis in bases.items():
         for n in basis.degrees():
             oracle = sbo_determinant_oracle(basis.q_basis, basis.mu2, i, n)
             if backend == EXACT and oracle.poly != basis.monic_poly(n):
@@ -108,12 +111,9 @@ def _polys_match(p, q, backend):
 
 def check_boundary_identities(measure1, measure2, n_size, backend=EXACT):
     """Edge-of-sector identities; the parity-driven ones need symmetry."""
-    q1 = build_standard(measure1, n_size, backend=backend)
+    bases = build_sbos(measure1, measure2, range(n_size + 1), n_size, backend=backend)
+    q1 = bases[0].q_basis
     q2 = build_standard(measure2, n_size, backend=backend)
-    bases = {
-        i: build_sbo(measure1, measure2, i, n_size, backend=backend)
-        for i in range(n_size + 1)
-    }
     for n in range(n_size):
         if not _polys_match(bases[n].monic_poly(n), q1.polys[n].monic(), backend):
             return _entry("boundary_identities", False, which="diagonal", n=n)
@@ -139,8 +139,8 @@ def check_parity(measure1, measure2, n_size, backend=EXACT):
     """Parity build equivalence and checkerboard factorization."""
     if not (measure1.symmetric and measure2.symmetric):
         return _entry("parity", True, skipped="measure pair is not symmetric")
-    for i in range(min(3, n_size) + 1):
-        direct = build_sbo(measure1, measure2, i, n_size, backend=backend)
+    bases = build_sbos(measure1, measure2, range(min(3, n_size) + 1), n_size, backend=backend)
+    for i, direct in bases.items():
         split = sbo_parity_build(measure1, measure2, i, n_size, backend=backend)
         for n in direct.degrees():
             p = direct.monic_poly(n)
@@ -159,9 +159,9 @@ def check_parity(measure1, measure2, n_size, backend=EXACT):
 
 
 def check_projectors(measure1, measure2, n_size, backend=EXACT):
-    q_basis = build_standard(measure1, n_size, backend=backend)
+    sbo0 = build_sbo(measure1, measure2, 0, n_size, backend=backend)
     for i in range(min(3, n_size) + 1):
-        onto, comp = projectors_from_q(q_basis, i)
+        onto, comp = projectors_from_q(sbo0.q_basis, i)
         scale = max((abs(x) for row in onto.entries for x in row), default=1)
         prod = onto.compose(onto)
         for r in range(n_size):
@@ -171,7 +171,7 @@ def check_projectors(measure1, measure2, n_size, backend=EXACT):
                 target = (1 if r == c else 0) - onto.entries[r][c]
                 if not _is_zero(comp.entries[r][c] - target, backend, scale):
                     return _entry("projectors", False, i=i, which="complement")
-        onto2, _ = projectors_from_second(measure1, measure2, i, n_size, backend=backend)
+        onto2, _ = projectors_from_second(sbo0, i)
         for r in range(n_size):
             for c in range(n_size):
                 if not _is_zero(onto.entries[r][c] - onto2.entries[r][c], backend, scale):
@@ -182,10 +182,11 @@ def check_projectors(measure1, measure2, n_size, backend=EXACT):
 def check_integrals(measure1, measure2, backend=EXACT):
     pairs = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]
     worst = 0.0
+    # P_{i;n} and its determinant do not depend on N, so one N = 4 build serves every pair
+    bases = build_sbos(measure1, measure2, range(3), 4, backend=backend)
     for i, n in pairs:
-        basis = build_sbo(measure1, measure2, i, n + 1, backend=backend)
-        rz = analysis.verify_z_integral(basis, i, n)
-        rp = analysis.verify_p_integral(basis, i, n)
+        rz = analysis.verify_z_integral(bases[i], i, n)
+        rp = analysis.verify_p_integral(bases[i], i, n)
         worst = max(worst, rz["rel_err"], rp["rel_err"])
         if rz["rel_err"] > FLOAT_RTOL or rp["rel_err"] > FLOAT_RTOL:
             return _entry("integral_representations", False, i=i, n=n, rel_err=worst)
@@ -194,8 +195,7 @@ def check_integrals(measure1, measure2, backend=EXACT):
 
 def check_zeros(measure1, measure2, n_size, backend=EXACT):
     observed = []
-    for i in range(n_size):
-        basis = build_sbo(measure1, measure2, i, n_size, backend=backend)
+    for i, basis in build_sbos(measure1, measure2, range(n_size), n_size, backend=backend).items():
         for n in basis.degrees():
             report = analysis.zero_report(basis, n)
             observed.append((i, n, report.count))
@@ -211,8 +211,8 @@ def check_recurrence(measure1, measure2, n_size, backend=EXACT):
         for n in range(n_size):
             if backend == EXACT and replay[n] != base.polys[n]:
                 return _entry("recurrence", False, which="rebuild", n=n)
-    s0 = build_sbo(measure1, measure2, 0, n_size, backend=backend)
-    s2 = build_sbo(measure1, measure2, 2, n_size, backend=backend)
+    bases = build_sbos(measure1, measure2, [0, 2], n_size, backend=backend)
+    s0, s2 = bases[0], bases[2]
     cross = cross_i_connection(s0, s2)
     for n in s2.degrees():
         if not _is_zero(cross[n][n] - 1, backend):

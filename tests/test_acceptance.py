@@ -280,6 +280,7 @@ def test_criterion_9_projector_suite():
     ok = True
     for pair in PAIRS.values():
         q = build_standard(pair[0], 10)
+        sbo0 = build_sbo(*pair, 0, 10)
         for i in (0, 1, 2, 3, 4):
             onto, comp = projectors_from_q(q, i)
             ok &= onto.compose(onto) == [list(r) for r in onto.entries]
@@ -289,7 +290,7 @@ def test_criterion_9_projector_suite():
                 for r in range(10)
                 for c in range(10)
             )
-            onto2, _ = projectors_from_second(*pair, i, 10)
+            onto2, _ = projectors_from_second(sbo0, i)
             ok &= onto.entries == onto2.entries
     _report(9, "projector suite", ok)
 

@@ -428,6 +428,10 @@ def test_normalize_sbo_round_trips_through_det(pair, n_size, data):
 def test_preconditions(hermite_pair):
     with pytest.raises(ValueError):
         build_sbo(*hermite_pair, 6, 5)
+    # the index is checked before a first stage that would be refused
+    for build in (build_sbo, sbo_parity_build):
+        with pytest.raises(ValueError, match="need 0 <= i <= N"):
+            build(*hermite_pair, 30, 25, backend="float")
     q = build_standard(hermite_pair[0], 4)
     with pytest.raises(ValueError):
         sbo_determinant_oracle(q, hermite_pair[1], 3, 2)

@@ -245,6 +245,9 @@ def test_non_finite_moment_row_is_rejected(tmp_path, capsys, rows, command):
         ["table", "--measure1", "gaussian:0", "--measure2", "gaussian:1", "--N", "3"],
         ["roots", "--measure1", "gamma:1:1", "--measure2", "gamma:-2:1", "--N", "3"],
         ["table", "--pair", "hermite", "--N", "3", "--exact", "--float"],
+        ["projector", "--pair", "hermite", "--N", "3", "--i", "-1", "--route", "second"],
+        ["projector", "--pair", "hermite", "--N", "3", "--i", "7", "--route", "second"],
+        ["verify", "--pair", "hermite", "--N", "4", "--i-max", "-3", "--checks", "orthogonality"],
     ],
 )
 def test_bad_arguments_are_usage_errors(capsys, argv):

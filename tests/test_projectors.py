@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from blockortho import (
     Measure,
     Polynomial,
@@ -53,9 +55,10 @@ def test_idempotence_and_complement(hermite_pair, laguerre_pair):
 def test_route_equivalence(hermite_pair, laguerre_pair):
     for pair in (hermite_pair, laguerre_pair):
         q = build_standard(pair[0], 8)
+        sbo0 = build_sbo(*pair, 0, 8)
         for i in (0, 1, 2, 4):
             onto_q, _ = projectors_from_q(q, i)
-            onto_2, comp_2 = projectors_from_second(*pair, i, 8)
+            onto_2, comp_2 = projectors_from_second(sbo0, i)
             assert onto_q.entries == onto_2.entries
             assert comp_2.entries == tuple(
                 tuple(identity(8)[r][c] - onto_q.entries[r][c] for c in range(8))
@@ -66,15 +69,24 @@ def test_route_equivalence(hermite_pair, laguerre_pair):
 def test_route_equivalence_single_constraint_row(laguerre_pair):
     # one constraint: the kernel collapses to a single outer product
     onto_q, _ = projectors_from_q(build_standard(laguerre_pair[0], 5), 1)
-    onto_2, _ = projectors_from_second(*laguerre_pair, 1, 5)
+    onto_2, _ = projectors_from_second(build_sbo(*laguerre_pair, 0, 5), 1)
     assert onto_q.entries == onto_2.entries
 
 
 def test_route_equivalence_same_measure_collapses():
     m = Measure.gamma_weight(1, 2)
     onto_q, _ = projectors_from_q(build_standard(m, 6), 2)
-    onto_2, _ = projectors_from_second(m, m, 2, 6)
+    onto_2, _ = projectors_from_second(build_sbo(m, m, 0, 6), 2)
     assert onto_q.entries == onto_2.entries
+
+
+def test_second_route_rejects_bad_indices(hermite_pair):
+    sbo0 = build_sbo(*hermite_pair, 0, 3)
+    for i in (-1, 4, 7):
+        with pytest.raises(ValueError, match=f"constraint index {i} outside 0..3"):
+            projectors_from_second(sbo0, i)
+    with pytest.raises(ValueError, match="i = 0 basis"):
+        projectors_from_second(build_sbo(*hermite_pair, 1, 3), 1)
 
 
 def test_split_parts_are_orthogonal(hermite_pair):
@@ -144,7 +156,7 @@ def test_inner0_multiplication_asymmetry(hermite_pair):
 def test_float_route_equivalence(hermite_pair):
     q = build_standard(hermite_pair[0], 6, backend="float")
     onto_q, _ = projectors_from_q(q, 2)
-    onto_2, _ = projectors_from_second(*hermite_pair, 2, 6, backend="float")
+    onto_2, _ = projectors_from_second(build_sbo(*hermite_pair, 0, 6, backend="float"), 2)
     for r in range(6):
         for c in range(6):
             assert abs(onto_q.entries[r][c] - onto_2.entries[r][c]) <= 1e-10

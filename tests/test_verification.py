@@ -1,7 +1,7 @@
 import pytest
 
 from blockortho import Measure
-from blockortho.verification import ALL_CHECKS, run_checks
+from blockortho.verification import ALL_CHECKS, check_orthogonality, run_checks
 
 
 def test_full_suite_passes_on_builtin_pair():
@@ -32,3 +32,9 @@ def test_conditioning_guard_reports_skip():
     )
     assert reports[0]["passed"]
     assert "skipped" in reports[0]
+
+
+def test_negative_i_max_is_refused():
+    # an empty range of constraint indices would pass without checking any basis
+    with pytest.raises(ValueError, match="i_max"):
+        check_orthogonality(Measure.gaussian(1), Measure.gaussian(2), 4, -3)
