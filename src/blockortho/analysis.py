@@ -22,9 +22,9 @@ import numpy as np
 from . import linalg
 from .block import SboBasis
 from .errors import DimensionCap, InsufficientNodes, MomentError
-from .measures import Measure, moments, truncated_support
+from .measures import Measure, truncated_support
 from .polynomials import sign_changes_in
-from .standard import MONIC, build_standard
+from .standard import monic_recurrence
 
 Z_DIMENSION_CAP = 3
 P_CONSTRAINT_CAP = 2
@@ -58,19 +58,17 @@ class QuadratureGrid:
 def gauss_rule(measure: Measure, n_nodes: int):
     """Gauss nodes and weights for a measure, normalized to unit total mass.
 
-    Built from the measure's own three-term recurrence through the Jacobi
-    matrix eigenproblem; exact for polynomials of degree <= 2 n_nodes - 1 up
-    to rounding.
+    Built from the measure's own three-term recurrence
+    (:func:`standard.monic_recurrence`) through the Jacobi matrix
+    eigenproblem; exact for polynomials of degree <= 2 n_nodes - 1 up to
+    rounding.
     """
     if n_nodes < 1:
         raise InsufficientNodes("need at least one node")
-    backend = "exact" if moments(measure, 0).exact else "float"
-    basis = build_standard(measure, n_nodes + 1, MONIC, backend=backend, check=False)
     diag = []
     off = []
-    for m in range(n_nodes):
-        _, b_m, c_m = basis.recurrence[m]
-        diag.append(-float(b_m))
+    for m, (b_m, c_m) in enumerate(monic_recurrence(measure, n_nodes)):
+        diag.append(-float(-b_m))  # a zero b_m enters the diagonal as -0.0
         if m >= 1:
             off.append(math.sqrt(float(c_m)))
     jacobi = np.diag(diag)

@@ -15,15 +15,20 @@ the gamma matrix gamma[j][k] = (Q_j, Q_k)_2 unless ``check=False``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import partial
 
+import numpy as np
+
 from . import gso, linalg, scalars
 from .errors import (
+    ConditioningError,
     DependentConstraints,
     MeasureMismatch,
     NotSymmetric,
     OracleMismatch,
+    stage,
 )
 from .gso import ORACLE_RTOL
 from .measures import (
@@ -35,16 +40,30 @@ from .measures import (
     moments,
 )
 from .polynomials import Polynomial, combine, monomial
-from .scalars import EXACT
+from .scalars import EXACT, FLOAT
 from .standard import (  # the normalization names are re-exported here
     DET_NORMALIZED,
     MONIC,
     ORTHONORMAL,
     StandardBasis,
     build_standard,
+    has_closed_recurrence,
+    monic_recurrence,
     normalization_factors,
     parity_split_build,
 )
+
+SECOND_STAGE = "second_stage"
+
+# A checked float second stage is refused when the 2-norm condition number
+# of its diagonally scaled gamma matrix times the unit roundoff exceeds this.
+# Measured over every benchmark-deck pair at N 4-20 and every i
+# (BENCH_float_error.json): below it every build passes its oracle and agrees
+# with the exact backend within 3.4e-10; the first build that disagrees with
+# exact by more than ORACLE_RTOL is at 2.7e-9, the first oracle mismatch at
+# 3.3e-9.
+GAMMA_CONDITION_LIMIT = 1e-9
+UNIT_ROUNDOFF = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -118,22 +137,93 @@ class SboBasis:
 def gamma_matrix(q_basis: StandardBasis, measure2, i: int) -> GramMatrix:
     """Gram matrix of Q_i..Q_{N-1} under the second measure.
 
-    The congruence A^T H_2 A, with A the columns i.. of ``q_in_x`` and H_2
-    the second measure's Hankel matrix; the lower triangle mirrors the upper
-    one, so float entries stay exactly symmetric.
+    ``measure2`` is a measure or its moment sequence.  Float bases with a
+    second measure of closed-form recurrence integrate by its N-node Gauss
+    rule, which takes gamma[j][k] = e_0^T Q_j(J) Q_k(J) e_0 h_0 with J the
+    Jacobi matrix of that recurrence (Golub-Welsch) and needs no nodes: in
+    the monic form of J, the column T_j = Q_j(J) e_0 holds the coefficients
+    of Q_j on the second measure's monic orthogonal polynomials R_m, run by
+    the recurrence of Q, and gamma = T^T diag(h) T with the norms h_m of the
+    R_m.  No Hankel matrix is formed, every step is rational, and the sums
+    run over ascending m, so each trailing block is bit-identical to its own
+    assembly.  Otherwise gamma is the congruence A^T H_2 A, with A the
+    columns i.. of ``q_in_x`` and H_2 the second measure's Hankel matrix.
+    The lower triangle mirrors the upper one, so float entries stay exactly
+    symmetric.
     """
     n = q_basis.size
     if not 0 <= i <= n:
         raise ValueError(f"constraint index {i} outside 0..{n}")
-    if isinstance(measure2, MomentSequence):
-        mu2 = measure2
+    mu2 = measure2 if isinstance(measure2, MomentSequence) else None
+    measure2 = mu2.measure if mu2 is not None else measure2
+    if q_basis.backend == FLOAT and measure2 is not None and has_closed_recurrence(measure2):
+        rec2 = monic_recurrence(measure2, n)
+        t = _connection_to_second(q_basis, rec2)
+        h = np.cumprod([1.0] + [float(c_m) for _, c_m in rec2[1:]])
+        full = np.zeros((n - i, n - i))
+        for t_m, h_m in zip(t[:, i:], h):
+            full += np.outer(h_m * t_m, t_m)
+        full = full.tolist()
     else:
-        mu2 = moments(measure2, max(2 * (n - 1), 0), backend=q_basis.backend)
-    a = [row[i:] for row in q_basis.q_in_x]
-    h2 = hankel_matrix(mu2, n).rows()
-    full = linalg.mat_mul(linalg.mat_mul(linalg.transpose(a), h2), a)
+        if mu2 is None:
+            mu2 = moments(measure2, max(2 * (n - 1), 0), backend=q_basis.backend)
+        a = [row[i:] for row in q_basis.q_in_x]
+        h2 = hankel_matrix(mu2, n).rows()
+        full = linalg.mat_mul(linalg.mat_mul(linalg.transpose(a), h2), a)
     entries = [[full[min(j, k)][max(j, k)] for k in range(n - i)] for j in range(n - i)]
     return GramMatrix(tuple(map(tuple, entries)), f"Q_{i}..Q_{n - 1}")
+
+
+def _connection_to_second(q_basis: StandardBasis, rec2):
+    """T[m][j]: coefficient of R_m in Q_j, R the monic orthogonal polynomials
+    of the recurrence ``rec2``.
+
+    x R_m = R_{m+1} + b_m R_m + c_m R_{m-1}, so multiplying a column by x is
+    t_{m-1} + b_m t_m + c_{m+1} t_{m+1}; Q's own recurrence
+    Q_{n+1} = (A_n x + B_n) Q_n - C_n Q_{n-1} then builds column n + 1.
+    """
+    n = q_basis.size
+    b = np.array([float(b_m) for b_m, _ in rec2])
+    c = np.array([float(c_m) for _, c_m in rec2])
+    t = np.zeros((n, n))
+    t[0, 0] = float(q_basis.leading[0])
+    for k, (a_k, b_k, c_k) in enumerate(q_basis.recurrence):
+        x_t = b * t[:, k]
+        x_t[1:] += t[:-1, k]
+        x_t[:-1] += c[1:] * t[1:, k]
+        t[:, k + 1] = float(a_k) * x_t + float(b_k) * t[:, k]
+        if k:
+            t[:, k + 1] -= float(c_k) * t[:, k - 1]
+    return t
+
+
+def gamma_condition(gamma: GramMatrix) -> float:
+    """2-norm condition number of the diagonally scaled gamma matrix times
+    the unit roundoff: the relative accuracy to expect from a float second
+    stage.  Infinite when the scaled matrix is not numerically positive
+    definite or not finite."""
+    g = np.array(gamma.entries, dtype=float)
+    diag = np.diag(g)
+    if not (np.all(np.isfinite(g)) and np.all(diag > 0)):
+        return math.inf
+    d = 1.0 / np.sqrt(diag)
+    eigenvalues = np.linalg.eigvalsh(g * d[:, None] * d[None, :])
+    if not eigenvalues[0] > 0:
+        return math.inf
+    return float(eigenvalues[-1] / eigenvalues[0]) * UNIT_ROUNDOFF
+
+
+def _gate(gamma, i):
+    """Refuse a float second stage whose scaled gamma is too ill-conditioned."""
+    condition = gamma_condition(gamma)
+    if not condition <= GAMMA_CONDITION_LIMIT:
+        raise ConditioningError(
+            f"float second stage refused at i={i}: condition of the scaled gamma "
+            f"matrix times unit roundoff is {condition:.3g} > {GAMMA_CONDITION_LIMIT:g}",
+            stage=SECOND_STAGE,
+            condition=condition,
+            limit=GAMMA_CONDITION_LIMIT,
+        )
 
 
 def _scale(normalization, q_basis, i, gamma_dets):
@@ -170,7 +260,16 @@ def _sbo_bases(kernel, first_stage, measure2, i_values, n_polys, normalization, 
         block = n_polys - i
         q_cols = [row[i:] for row in q_basis.q_in_x]
         # second-stage leading factors k_n make the output monic: A_{i;n,n} = 1/k_n
-        result = kernel(gamma, list(q_basis.leading[i:]))
+        leading = list(q_basis.leading[i:])
+        with stage(SECOND_STAGE, first_degree=i):
+            if backend == FLOAT:
+                result = _float_second_stage(kernel, gamma, leading, q_cols, i, check)
+            else:
+                result = kernel(gamma, leading)
+                if check and block:
+                    gso.check_against_oracle(
+                        gamma, result, q_cols, "second-stage determinant oracle disagrees"
+                    )
         monic = linalg.mat_mul(q_cols, result.coeffs)
         p_in_q = [[scalars.zero(backend)] * n_polys for _ in range(n_polys)]
         q_in_p = [[scalars.zero(backend)] * n_polys for _ in range(n_polys)]
@@ -196,11 +295,62 @@ def _sbo_bases(kernel, first_stage, measure2, i_values, n_polys, normalization, 
             backend=backend,
         )
         if check and block:
-            gso.check_against_oracle(
-                gamma, result, q_cols, "second-stage determinant oracle disagrees"
-            )
             _check_leading_identities(bases[i])
     return bases
+
+
+def _float_second_stage(kernel, gamma, leading, q_cols, i, check):
+    """A float second stage, run on the diagonally scaled gamma matrix.
+
+    With s_j the power of two nearest sqrt(gamma[j][j]), the matrix
+    G[j][k] = gamma[j][k] / (s_j s_k) is the Gram matrix of Q_j / s_j and
+    has its diagonal in [1/2, 2).  The gate, the kernel (with unit leading
+    factors) and the determinant oracle all see G, whose minors no longer
+    span the grading of gamma; the result is then carried back to Q and the
+    leading factors k.  Powers of two scale without rounding, so the kernel
+    rounds exactly as it would on gamma itself.  A diagonal entry that is
+    not positive is left unscaled.
+    """
+    block = len(leading)
+    s = [
+        math.ldexp(1.0, math.frexp(x)[1] // 2) if x > 0 and math.isfinite(x) else 1.0
+        for x in (gamma.entries[j][j] for j in range(block))
+    ]
+    unit = GramMatrix(
+        tuple(
+            tuple(x / (s_j * s_k) for x, s_k in zip(row, s))
+            for row, s_j in zip(gamma.entries, s)
+        )
+    )
+    if check and block:
+        _gate(unit, i)
+    result = kernel(unit, [1.0] * block)
+    if check and block:
+        scaled_cols = [[x / s_k for x, s_k in zip(row, s)] for row in q_cols]
+        gso.check_against_oracle(
+            unit, result, scaled_cols, "second-stage determinant oracle disagrees"
+        )
+    # the unit-leading E~_n over Q_m / s_m is (k_n / s_n) E_n, and
+    # Q_n = s_n sum_m E~_m b~_{m,n} = sum_m E_m (s_n k_m / s_m) b~_{m,n}
+    ratio = [s_n / k_n for s_n, k_n in zip(s, leading)]
+    dets = list(result.gram_dets[:1])
+    grading = 1.0
+    for det, s_j in zip(result.gram_dets[1:], s):
+        grading *= s_j * s_j
+        dets.append(det * grading)
+    return gso.OrthogonalizationResult(
+        tuple(
+            tuple(a * r_n / s_m for a, r_n in zip(row, ratio))
+            for row, s_m in zip(result.coeffs, s)
+        ),
+        tuple(
+            tuple(b * s_n * k_m / s_m for b, s_n in zip(row, s))
+            for row, s_m, k_m in zip(result.inverse_coeffs, s, leading)
+        ),
+        tuple(h * r * r for h, r in zip(result.norms, ratio)),
+        tuple(leading),
+        tuple(dets),
+    )
 
 
 def build_sbos(
@@ -264,7 +414,9 @@ def _check_leading_identities(basis: SboBasis):
         ok_s = n < 2 or _close(s_expect, basis.subsubleading(n), basis.backend, s_expect)
         if not (ok_r and ok_s):
             raise OracleMismatch(
-                f"subleading-coefficient identities fail at degree {n}"
+                f"subleading-coefficient identities fail at degree {n}",
+                stage=SECOND_STAGE,
+                degree=n,
             )
 
 
@@ -293,18 +445,21 @@ class SboOracleResult:
 
 
 def sbo_determinant_oracle(
-    q_basis: StandardBasis, measure2, i: int, n: int
+    q_basis: StandardBasis, measure2, i: int, n: int, gamma: GramMatrix = None
 ) -> SboOracleResult:
     """Monic P_{i;n} and its data straight from the bordered determinants.
 
     Expands the determinant with gamma rows i..n-1 and last row (Q_k) along
     that last row, divides by the previous gamma determinant, and scales by
     1/k_n.  Returns the polynomial together with the degree-n determinant,
-    the monic norm and the monic connection columns.
+    the monic norm and the monic connection columns.  ``gamma`` is gamma_i
+    when the caller holds it (a basis stores its own); otherwise it is
+    assembled from ``measure2``.
     """
     if not q_basis.size > n >= i >= 0:
         raise ValueError(f"need i <= n < N, got i={i}, n={n}, N={q_basis.size}")
-    gamma = gamma_matrix(q_basis, measure2, i)
+    if gamma is None:
+        gamma = gamma_matrix(q_basis, measure2, i)
     a_col, norm, gram_det = gso.bordered_oracle(gamma, n - i, q_basis.leading[n])
     return SboOracleResult(
         poly=combine(a_col, q_basis.polys[i:]),

@@ -1,4 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+The errors a build can raise part-way carry where it stopped: ``stage``
+names the construction stage (``"first_stage"``, ``"second_stage"`` or
+``"moments"``) and ``degree`` the polynomial degree that failed; the
+conditioning gate's refusal carries the measured ``condition`` and the
+``limit`` it exceeded.  Each is None where it does not apply.
+"""
+
+from contextlib import contextmanager
 
 
 class BlockOrthoError(Exception):
@@ -24,6 +33,11 @@ class DegreeError(BlockOrthoError):
 class NotPositiveDefinite(BlockOrthoError):
     """A Gram matrix failed positive definiteness (nonpositive or negligible pivot)."""
 
+    def __init__(self, message, stage=None, degree=None):
+        super().__init__(message)
+        self.stage = stage
+        self.degree = degree
+
 
 class BadFactor(BlockOrthoError):
     """A leading factor for orthogonalization is zero or not finite."""
@@ -43,6 +57,12 @@ class NotRepresentable(BlockOrthoError):
 
 class ConditioningError(BlockOrthoError):
     """A float pipeline was refused because conditioning would destroy accuracy."""
+
+    def __init__(self, message, stage=None, condition=None, limit=None):
+        super().__init__(message)
+        self.stage = stage
+        self.condition = condition
+        self.limit = limit
 
 
 class DependentConstraints(BlockOrthoError):
@@ -71,3 +91,29 @@ class InsufficientNodes(BlockOrthoError):
 
 class OracleMismatch(BlockOrthoError):
     """Cross-validation between a construction and its determinant oracle failed."""
+
+    def __init__(self, message, stage=None, degree=None):
+        super().__init__(message)
+        self.stage = stage
+        self.degree = degree
+
+
+@contextmanager
+def stage(name, first_degree=0):
+    """Name the stage of the NotPositiveDefinite and OracleMismatch raised inside.
+
+    The orthogonalization kernels and the determinant oracle report the
+    failing column of their Gram matrix; ``first_degree`` is the degree of
+    column 0, so a kernel's column becomes the polynomial degree.  Oracle
+    checks already report degrees.
+    """
+    try:
+        yield
+    except NotPositiveDefinite as exc:
+        exc.stage = name
+        if exc.degree is not None:
+            exc.degree += first_degree
+        raise
+    except OracleMismatch as exc:
+        exc.stage = name
+        raise

@@ -16,7 +16,8 @@ the vectors, their norms and the determinants, in either backend.
 Both stages of the block construction run through this module: the
 kernels :func:`gram_schmidt` and :func:`parity_gram_schmidt` build the
 vectors, and :func:`check_against_oracle` recomputes them from bordered
-determinants, one :func:`linalg.bordered_minors` elimination per degree.
+determinants, one :func:`linalg.bordered_minors` elimination per degree
+(float: one LU solve for the adjugate column per degree).
 """
 
 from __future__ import annotations
@@ -24,10 +25,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import linalg
 from .errors import BadFactor, NotCheckerboard, NotPositiveDefinite, OracleMismatch
 from .measures import GramMatrix
-from .scalars import EXACT, one, zero
+from .scalars import EXACT, FLOAT, one, zero
 
 # float pivots at or below this times the magnitude of the leading block that
 # produced them mean the matrix is numerically indefinite; stopping beats
@@ -106,10 +109,10 @@ def gram_schmidt(gram, leading_factors) -> OrthogonalizationResult:
         h = pivot / leading_factors[col] ** 2
         if kind == EXACT:
             if h <= 0:
-                raise NotPositiveDefinite(f"pivot h_{col} = {h} is not positive")
+                raise NotPositiveDefinite(f"pivot h_{col} = {h} is not positive", degree=col)
         elif h <= PIVOT_FLOOR * float(block_max):
             raise NotPositiveDefinite(
-                f"float pivot h_{col} = {h} below conditioning floor"
+                f"float pivot h_{col} = {h} below conditioning floor", degree=col
             )
         unit[col][col:] = [x / pivot for x in scaled[col][col:]]
         norms.append(h)
@@ -151,9 +154,13 @@ def parity_gram_schmidt(gram, leading_factors) -> OrthogonalizationResult:
     norms = [zero(kind)] * n_dim
     sector_dets = []
     for idx in (range(0, n_dim, 2), range(1, n_dim, 2)):
-        res = gram_schmidt(
-            [[g[j][k] for k in idx] for j in idx], [leading_factors[j] for j in idx]
-        )
+        try:
+            res = gram_schmidt(
+                [[g[j][k] for k in idx] for j in idx], [leading_factors[j] for j in idx]
+            )
+        except NotPositiveDefinite as exc:
+            exc.degree = idx[exc.degree]
+            raise
         for c, col in enumerate(idx):
             norms[col] = res.norms[c]
             for r, row in enumerate(idx):
@@ -176,19 +183,37 @@ def bordered_oracle(gram, n, leading_factor):
     The determinant with Gram rows 0..n-1 and the symbolic basis row is
     expanded along its last row; dividing its cofactors by Z_n and by the
     leading factor gives the column of E_n on e_0..e_n that gram_schmidt
-    produces, and h_n = b_{n,n}^{-2} Z_{n+1} / Z_n.  All of it comes from one
-    :func:`linalg.bordered_minors` call on the leading (n+1) x (n+1) block;
-    nothing here reads a factorization.  Returns (column, h_n, Z_{n+1}).
+    produces, and h_n = b_{n,n}^{-2} Z_{n+1} / Z_n.  Exact blocks take all
+    of it from one :func:`linalg.bordered_minors` call on the leading
+    (n+1) x (n+1) block B.  Float blocks take the cofactors as det(B) times
+    the last column x of B^-1 (the adjugate), from one LU solve: the column
+    is x / x_n and h_n = 1 / x_n, with errors that follow the condition of B,
+    where determinants of the bordered minors one by one drift with the
+    condition of each minor.  Nothing here reads the kernel's factorization.
+    Returns (column, h_n, Z_{n+1}).
     """
     g = _entries(gram)
     if not 0 <= n < len(g):
         raise IndexError(f"column {n} outside matrix of size {len(g)}")
     if leading_factor == 0:
         raise BadFactor("leading factor must be nonzero")
-    cofactors, z_here = linalg.bordered_minors([row[: n + 1] for row in g[: n + 1]])
+    block = [row[: n + 1] for row in g[: n + 1]]
+    if linalg.matrix_kind(block) == FLOAT:
+        b = np.array(block, dtype=float)
+        try:
+            x = np.linalg.solve(b, np.eye(n + 1)[:, n])
+        except np.linalg.LinAlgError:
+            raise NotPositiveDefinite(
+                f"leading minor of size {n + 1} vanishes", degree=n
+            ) from None
+        if x[n] == 0:
+            raise NotPositiveDefinite(f"leading minor of size {n} vanishes", degree=n)
+        column = tuple(float(v / x[n]) / leading_factor for v in x)
+        return column, float(1.0 / x[n]) / leading_factor**2, float(np.linalg.det(b))
+    cofactors, z_here = linalg.bordered_minors(block)
     z_prev = cofactors[n]
     if z_prev == 0:
-        raise NotPositiveDefinite(f"leading minor of size {n} vanishes")
+        raise NotPositiveDefinite(f"leading minor of size {n} vanishes", degree=n)
     column = tuple(c / z_prev / leading_factor for c in cofactors)
     return column, z_here / z_prev / leading_factor**2, z_here
 
@@ -258,7 +283,7 @@ def check_against_oracle(gram, result: OrthogonalizationResult, basis, stage):
             ) and abs(h_oracle - result.norms[n]) <= ORACLE_RTOL * abs(h_oracle)
         if not ok:
             degree = max(k for k, row in enumerate(basis) if row[n] != 0)
-            raise OracleMismatch(f"{stage} at degree {degree}")
+            raise OracleMismatch(f"{stage} at degree {degree}", degree=degree)
 
 
 def _checkerboard_blocks(matrix):

@@ -38,7 +38,6 @@ from .scalars import (
     FLOAT,
     double_factorial,
     kind_of,
-    pochhammer,
     scalar_from_json,
     to_fraction,
     zero,
@@ -148,11 +147,16 @@ class Measure:
 
 @dataclass(frozen=True)
 class MomentSequence:
+    """Normalized moments mu_0..mu_max_order; ``measure`` is the measure they
+    came from, when they came from one (a float gamma matrix integrates by
+    that measure's Gauss rule instead of the moments)."""
+
     mu: tuple
     max_order: int
     exact: bool
     c0: object = 1
     c0_symbol: Optional[str] = None
+    measure: Optional["Measure"] = field(default=None, compare=False, repr=False)
 
     def __getitem__(self, n):
         if n > self.max_order:
@@ -168,6 +172,7 @@ class MomentSequence:
             False,
             float(self.c0),
             self.c0_symbol,
+            self.measure,
         )
 
 
@@ -178,7 +183,9 @@ def _check_hankel_positivity(mu):
     for size, minor in enumerate(linalg.leading_minors(matrix)):
         if size and minor <= 0:
             raise NotPositiveDefinite(
-                f"Hankel minor of size {size} is {minor}; not a positive measure"
+                f"Hankel minor of size {size} is {minor}; not a positive measure",
+                stage="moments",
+                degree=size - 1,
             )
 
 
@@ -212,22 +219,29 @@ def moments(measure: Measure, max_order: int, backend=EXACT) -> MomentSequence:
             True,
             math.sqrt(math.pi / float(w.alpha)),
             f"sqrt(pi/{w.alpha})",
+            measure,
         )
     elif isinstance(w, GammaFamilyWeight):
-        mu = tuple(pochhammer(w.z, n) / w.alpha**n for n in range(max_order + 1))
+        # mu_n = (z)_n / alpha^n as a running product
+        mu = [Fraction(1)]
+        for n in range(1, max_order + 1):
+            mu.append(mu[-1] * (w.z + n - 1) / w.alpha)
         seq = MomentSequence(
             tuple(mu),
             max_order,
             True,
             math.gamma(float(w.z)) / float(w.alpha) ** float(w.z),
             f"Gamma({w.z})/{w.alpha}^{w.z}",
+            measure,
         )
     elif isinstance(w, TabulatedWeight):
         if max_order >= len(w.mu):
             raise InsufficientMoments(
                 f"table supplies orders <= {len(w.mu) - 1}, {max_order} requested"
             )
-        seq = MomentSequence(tuple(w.mu[: max_order + 1]), max_order, w.exact, w.c0)
+        seq = MomentSequence(
+            tuple(w.mu[: max_order + 1]), max_order, w.exact, w.c0, measure=measure
+        )
     elif isinstance(w, NumericWeight):
         x, wq = _gauss_legendre(w.interval, w.nodes)
         vals = np.array([w.evaluator(t) for t in x], dtype=float)
@@ -235,7 +249,7 @@ def moments(measure: Measure, max_order: int, backend=EXACT) -> MomentSequence:
         if not all(math.isfinite(c) for c in raw) or raw[0] <= 0:
             raise MomentError("numeric weight produced non-finite or nonpositive mass")
         seq = MomentSequence(
-            tuple(c / raw[0] for c in raw), max_order, False, raw[0]
+            tuple(c / raw[0] for c in raw), max_order, False, raw[0], measure=measure
         )
     else:
         raise TypeError(f"unknown weight {type(w).__name__}")

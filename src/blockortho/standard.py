@@ -1,9 +1,13 @@
 """Standard orthogonal polynomials of a single measure.
 
-The construction is Gram-Schmidt on the monomial Hankel matrix; every build
-is cross-checked against the closed bordered-determinant formulas for the
-coefficients and norms, so a silent disagreement between the inductive and
-the determinant route cannot survive construction.
+Exact builds, and float builds of measures without a closed-form
+recurrence, run Gram-Schmidt on the monomial Hankel matrix, cross-checked
+against the closed bordered-determinant formulas for the coefficients and
+norms, so a silent disagreement between the inductive and the determinant
+route cannot survive construction.  Float builds of the gaussian and gamma
+families never form a Hankel matrix: they run the three-term recurrence of
+:func:`monic_recurrence`, whose closed forms are checked against the
+closed-form moments through the Gauss rule they define.
 
 Normalization modes:
 
@@ -21,9 +25,19 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
+import numpy as np
+
 from . import gso, linalg
-from .errors import ConditioningError, NotRepresentable, NotSymmetric
-from .measures import Measure, MomentSequence, hankel_matrix, moments
+from .errors import ConditioningError, NotRepresentable, NotSymmetric, OracleMismatch, stage
+from .gso import ORACLE_RTOL, OrthogonalizationResult
+from .measures import (
+    GammaFamilyWeight,
+    GaussianWeight,
+    Measure,
+    MomentSequence,
+    hankel_matrix,
+    moments,
+)
 from .polynomials import Polynomial, monomial
 from .scalars import EXACT, FLOAT, one, sqrt_exact, zero
 
@@ -31,7 +45,11 @@ MONIC = "monic"
 ORTHONORMAL = "orthonormal"
 DET_NORMALIZED = "det"
 
+# float builds are refused beyond this size: the conditioning gate of the
+# second stage is measured only up to it
 FLOAT_SIZE_LIMIT = 20
+
+FIRST_STAGE = "first_stage"
 
 
 @dataclass(frozen=True)
@@ -104,21 +122,28 @@ def normalization_factors(normalization, dets, backend):
     return out
 
 
-def _hankel(measure, n_polys, backend):
+def _check_size(n_polys, backend):
     if n_polys < 1:
         raise ValueError("need at least one polynomial")
     if backend == FLOAT and n_polys > FLOAT_SIZE_LIMIT:
         raise ConditioningError(
-            f"float Hankel pipeline refused beyond size {FLOAT_SIZE_LIMIT}"
+            f"float Hankel pipeline refused beyond size {FLOAT_SIZE_LIMIT}",
+            stage=FIRST_STAGE,
         )
+
+
+def _hankel(measure, n_polys, backend):
+    _check_size(n_polys, backend)
     seq = moments(measure, 2 * n_polys - 2, backend=backend)
     if backend == EXACT and not seq.exact:
         raise NotRepresentable("exact backend requires rational moments")
     return seq, hankel_matrix(seq, n_polys)
 
 
-def _assemble(measure, seq, result, normalization, backend, leading=None):
-    """The basis from a monic orthogonalization of the Hankel matrix."""
+def _assemble(measure, seq, result, normalization, backend, leading=None, rec=None):
+    """The basis from a monic orthogonalization (of the Hankel matrix, or
+    of the monic recurrence ``rec``, which then gives the basis' recurrence
+    directly instead of through its coefficients)."""
     if leading is None:
         ks = normalization_factors(normalization, result.gram_dets, backend)
     else:
@@ -145,7 +170,14 @@ def _assemble(measure, seq, result, normalization, backend, leading=None):
         normalization=normalization if leading is None else "custom",
         backend=backend,
     )
-    return replace(basis, recurrence=_recurrence_from(basis))
+    if rec is None:
+        return replace(basis, recurrence=_recurrence_from(basis))
+    # Q_m = k_m q_m: A_m = k_{m+1}/k_m, B_m = -A_m b_m, C_m = k_{m+1} c_m / k_{m-1}
+    scaled = []
+    for m, (b_m, c_m) in enumerate(rec[: n - 1]):
+        a_m = ks[m + 1] / ks[m]
+        scaled.append((a_m, -a_m * float(b_m), ks[m + 1] * float(c_m) / ks[m - 1] if m else 0.0))
+    return replace(basis, recurrence=tuple(scaled))
 
 
 def build_standard(
@@ -156,17 +188,129 @@ def build_standard(
     leading=None,
     check: bool = True,
 ) -> StandardBasis:
-    """Construct Q_0..Q_{N-1} with cross-checked determinant formulas."""
+    """Construct Q_0..Q_{N-1}, cross-checked unless ``check=False``.
+
+    Float builds of the gaussian and gamma families run the closed-form
+    recurrence; every other build orthogonalizes the Hankel matrix and checks
+    the result against the bordered determinants.
+    """
+    if backend == FLOAT and has_closed_recurrence(measure):
+        _check_size(n_polys, backend)
+        seq = moments(measure, 2 * n_polys - 1, backend=FLOAT)
+        rec = monic_recurrence(measure, n_polys)
+        if check:
+            with stage(FIRST_STAGE):
+                _check_rule_moments(rec, seq)
+        result = _recurrence_result(rec)
+        return _assemble(measure, seq, result, normalization, backend, leading, rec)
     seq, gram = _hankel(measure, n_polys, backend)
-    result = gso.gram_schmidt(gram, [one(backend)] * n_polys)
-    if check:
-        gso.check_against_oracle(
-            gram,
-            result,
-            linalg.identity(n_polys, backend),
-            "inductive and determinant routes disagree",
-        )
+    with stage(FIRST_STAGE):
+        result = gso.gram_schmidt(gram, [one(backend)] * n_polys)
+        if check:
+            gso.check_against_oracle(
+                gram,
+                result,
+                linalg.identity(n_polys, backend),
+                "inductive and determinant routes disagree",
+            )
     return _assemble(measure, seq, result, normalization, backend, leading)
+
+
+def has_closed_recurrence(measure: Measure) -> bool:
+    """Whether :func:`monic_recurrence` has closed forms for the measure."""
+    return isinstance(measure.weight, (GaussianWeight, GammaFamilyWeight))
+
+
+def monic_recurrence(measure: Measure, count: int):
+    """(b_n, c_n), n = 0..count-1, with q_{n+1} = (x - b_n) q_n - c_n q_{n-1}.
+
+    The one source of recurrence coefficients (c_0 = 0).  The gaussian
+    family has b_n = 0, c_n = n / (2 alpha) and the gamma family
+    b_n = (2n + z) / alpha, c_n = n (n + z - 1) / alpha^2, as Fractions.
+    Any other measure takes the recurrence of its unchecked Hankel build,
+    exact when its moments are rational and float otherwise.
+    """
+    w = measure.weight
+    if isinstance(w, GaussianWeight):
+        return tuple((Fraction(0), n / (2 * w.alpha)) for n in range(count))
+    if isinstance(w, GammaFamilyWeight):
+        return tuple(
+            ((2 * n + w.z) / w.alpha, n * (n + w.z - 1) / w.alpha**2) for n in range(count)
+        )
+    backend = EXACT if moments(measure, 0).exact else FLOAT
+    basis = build_standard(measure, count + 1, MONIC, backend=backend, check=False)
+    return tuple((-b_n, c_n) for _, b_n, c_n in basis.recurrence)
+
+
+def _recurrence_result(rec):
+    """Monic orthogonalization data of q_0..q_{N-1} from N recurrence terms.
+
+    The coefficient matrix runs the recurrence column by column, its inverse
+    the dual recurrence x q_m = q_{m+1} + b_m q_m + c_m q_{m-1}; the norms
+    h_n = c_1 ... c_n (in units of mu_0) and the Hankel determinants are
+    prefix products.
+    """
+    n = len(rec)
+    b = np.array([float(b_n) for b_n, _ in rec])
+    c = np.array([float(c_n) for _, c_n in rec])
+    q = np.zeros((n, n))
+    x_in_q = np.zeros((n, n))
+    q[0, 0] = x_in_q[0, 0] = 1.0
+    for k in range(n - 1):
+        q[1:, k + 1] = q[:-1, k]
+        q[:, k + 1] -= b[k] * q[:, k]
+        x_in_q[1:, k + 1] = x_in_q[:-1, k]
+        x_in_q[:, k + 1] += b * x_in_q[:, k]
+        x_in_q[:-1, k + 1] += c[1:] * x_in_q[1:, k]
+        if k:
+            q[:, k + 1] -= c[k] * q[:, k - 1]
+    norms = [1.0]
+    for c_n in c[1:].tolist():
+        norms.append(norms[-1] * c_n)
+    dets = [1.0]
+    for h in norms:
+        dets.append(dets[-1] * h)
+    return OrthogonalizationResult(
+        tuple(map(tuple, q.tolist())),
+        tuple(map(tuple, x_in_q.tolist())),
+        tuple(norms),
+        (1.0,) * n,
+        tuple(dets),
+    )
+
+
+def _check_rule_moments(rec, seq):
+    """The Gauss rule of ``rec`` must reproduce mu_0..mu_{2N-1} of ``seq``.
+
+    The N-node rule integrates x^k to e_0^T J^k e_0, J the N x N Jacobi
+    matrix of the recurrence (Golub-Welsch), and is exact to degree 2N - 1,
+    so a moment it misses by more than ORACLE_RTOL times e_0^T |J|^k e_0
+    convicts the recurrence; the closed-form moments never pass through it.
+    J is taken in its monic form (ones below the diagonal, b_n on it, c_n
+    above), so the powers stay rational, and for nonnegative b_n every term
+    is nonnegative.
+    """
+    b = np.array([float(b_n) for b_n, _ in rec])
+    c = np.array([float(c_n) for _, c_n in rec])
+    v = np.zeros(len(rec))
+    v[0] = 1.0
+    size = np.abs(v)
+    for k, mu_k in enumerate(seq.mu[: 2 * len(rec)]):
+        if not abs(v[0] - mu_k) <= ORACLE_RTOL * size[0]:
+            degree = (k + 1) // 2
+            raise OracleMismatch(
+                f"recurrence and closed-form moments disagree at degree {degree}",
+                degree=degree,
+            )
+        v, size = _jacobi_times(b, c, v), _jacobi_times(np.abs(b), c, size)
+
+
+def _jacobi_times(b, c, v):
+    """J^T v for the monic Jacobi matrix J of the recurrence (b, c)."""
+    out = b * v
+    out[1:] += c[1:] * v[:-1]
+    out[:-1] += v[1:]
+    return out
 
 
 def _recurrence_from(basis: StandardBasis):

@@ -22,6 +22,7 @@ from blockortho import (
     truncated_support,
 )
 from blockortho.linalg import leading_minors
+from blockortho.scalars import pochhammer
 
 
 def test_gaussian_moments():
@@ -33,6 +34,13 @@ def test_gaussian_moments():
 def test_gamma_moments_are_factorials():
     seq = moments(Measure.gamma_weight(1, 1), 3)
     assert seq.mu == (1, 1, 2, 6)
+
+
+@pytest.mark.parametrize("alpha, z", [(1, 1), (Fraction(2, 3), Fraction(1, 2)), (Fraction(5, 2), 3)])
+def test_gamma_moments_equal_the_pochhammer_form(alpha, z):
+    # the moments are a running product; pochhammer is the closed form
+    seq = moments(Measure.gamma_weight(alpha, z), 40)
+    assert seq.mu == tuple(pochhammer(Fraction(z), n) / Fraction(alpha) ** n for n in range(41))
 
 
 def test_zeroth_moment_is_one():

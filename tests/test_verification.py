@@ -1,6 +1,7 @@
 import pytest
 
-from blockortho import Measure
+from blockortho import Measure, block
+from blockortho.cli import main
 from blockortho.verification import ALL_CHECKS, check_orthogonality, run_checks
 
 
@@ -38,3 +39,14 @@ def test_negative_i_max_is_refused():
     # an empty range of constraint indices would pass without checking any basis
     with pytest.raises(ValueError, match="i_max"):
         check_orthogonality(Measure.gaussian(1), Measure.gaussian(2), 4, -3)
+
+
+def test_oracle_equivalence_reads_the_stored_gamma(monkeypatch, capsys):
+    # one shared build assembles gamma once; the oracle reads it from the bases
+    original = block.gamma_matrix
+    calls = []
+    monkeypatch.setattr(block, "gamma_matrix", lambda *a: calls.append(a) or original(*a))
+    argv = ["verify", "--pair", "laguerre", "--N", "8", "--checks", "oracle_equivalence"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
