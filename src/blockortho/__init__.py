@@ -14,6 +14,7 @@ from .analysis import (
     verify_p_integral,
     verify_z_integral,
     zero_report,
+    zero_reports,
 )
 from .block import (
     GeneralBoBasis,
@@ -81,6 +82,7 @@ from .polynomials import (
     Polynomial,
     alternant_det,
     monomial,
+    sign_changes_batch,
     sign_changes_in,
 )
 from .projectors import (

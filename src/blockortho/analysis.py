@@ -23,7 +23,7 @@ from . import linalg
 from .block import SboBasis
 from .errors import DimensionCap, InsufficientNodes, MomentError
 from .measures import Measure, truncated_support
-from .polynomials import sign_changes_in
+from .polynomials import sign_changes_batch
 from .standard import monic_recurrence
 
 Z_DIMENSION_CAP = 3
@@ -278,11 +278,37 @@ def zero_report(sbo: SboBasis, n: int, resolution: int = 4096) -> ZeroReport:
     """
     if not sbo.i <= n < sbo.size:
         raise ValueError(f"degree {n} outside basis range")
-    poly = sbo.monic_poly(n).to_float()
-    lo, hi = _scan_interval(sbo)
-    if n == 0:
-        return ZeroReport(sbo.i, n, 0, (), (lo, hi), True)
-    report = sign_changes_in(poly, lo, hi, resolution=resolution)
-    need_all = sbo.i in (n - 1, n)
-    ok = report.count >= sbo.i and (not need_all or report.count == n)
-    return ZeroReport(sbo.i, n, report.count, report.brackets, (lo, hi), ok)
+    return _zero_scan([(sbo, n)], resolution)[0]
+
+
+def zero_reports(bases, resolution: int = 4096) -> list:
+    """``zero_report`` for every degree of every basis, in order.
+
+    The bases must share their measure pair, as the bases of one
+    ``build_sbos`` call do, so one scan interval serves them all and every
+    polynomial is scanned by one ``sign_changes_batch`` call.
+    """
+    return _zero_scan([(sbo, n) for sbo in bases for n in sbo.degrees()], resolution)
+
+
+def _zero_scan(items, resolution):
+    if not items:
+        return []
+    pair = (items[0][0].measure1, items[0][0].measure2)
+    if any((sbo.measure1, sbo.measure2) != pair for sbo, _ in items):
+        raise ValueError("a joint zero scan needs bases of one measure pair")
+    lo, hi = _scan_interval(items[0][0])
+    # degree 0 is a nonzero constant: nothing to scan
+    scans = iter(sign_changes_batch(
+        [sbo.monic_poly(n).to_float() for sbo, n in items if n], lo, hi, resolution
+    ))
+    reports = []
+    for sbo, n in items:
+        count, brackets = 0, ()
+        if n:
+            scan = next(scans)
+            count, brackets = scan.count, scan.brackets
+        need_all = sbo.i in (n - 1, n)
+        ok = count >= sbo.i and (not need_all or count == n)
+        reports.append(ZeroReport(sbo.i, n, count, brackets, (lo, hi), ok))
+    return reports

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
 from fractions import Fraction
 
 from . import verification
-from .analysis import zero_report
+from .analysis import zero_reports
 from .block import build_sbo, build_sbos
 from .errors import BlockOrthoError, NonPositiveParameter
 from .measures import (
@@ -179,15 +180,14 @@ def cmd_roots(args):
     i_values = [args.i] if args.i is not None else list(range(args.N))
     payload = {"N": args.N}
     ok = True
-    for i, basis in build_sbos(m1, m2, i_values, args.N, backend=backend).items():
-        for n in basis.degrees():
-            report = zero_report(basis, n)
-            ok = ok and report.satisfies_theorem
-            payload[f"roots_{i}_{n}"] = {
-                "count": report.count,
-                "satisfies_theorem": report.satisfies_theorem,
-                "brackets": [[float(a), float(b)] for a, b in report.brackets],
-            }
+    bases = build_sbos(m1, m2, i_values, args.N, backend=backend)
+    for report in zero_reports(bases.values()):
+        ok = ok and report.satisfies_theorem
+        payload[f"roots_{report.i}_{report.n}"] = {
+            "count": report.count,
+            "satisfies_theorem": report.satisfies_theorem,
+            "brackets": [[float(a), float(b)] for a, b in report.brackets],
+        }
     payload["passed"] = ok
     _emit(args, payload)
     return 0 if ok else 1
@@ -266,6 +266,8 @@ def _add_measure_flags(parser, need_pair=True):
     parser.add_argument("--csv", action="store_true", help="flatten the JSON payload to CSV")
 
 
+# built on the first ``main`` call, not at import; parsing leaves the parser unchanged
+@functools.cache
 def build_parser():
     parser = _Parser(
         prog="blockortho",

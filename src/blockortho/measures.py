@@ -111,7 +111,9 @@ class Measure:
 
     @classmethod
     def from_moments(cls, mu, c0=1, symmetric=None, domain=(-INF, INF), label="tabulated"):
-        mu = tuple(mu)
+        # plain ints are exact scalars; as Fractions they divide exactly
+        mu = tuple(Fraction(m) if isinstance(m, int) and not isinstance(m, bool) else m
+                   for m in mu)
         for n, m in enumerate(mu):
             if isinstance(m, float) and not math.isfinite(m):
                 raise MomentError(f"moment of order {n} is {m}; moments must be finite")

@@ -7,7 +7,7 @@ values are immutable, so instances are safe to share between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -172,7 +172,12 @@ X = monomial(1)
 class SignChangeReport:
     count: int
     brackets: tuple
-    grid: tuple
+    nodes: np.ndarray = field(repr=False, compare=False)
+
+    @property
+    def grid(self):
+        """The scanned nodes, each nudged off an exact root, as scalars."""
+        return tuple(self.nodes.tolist())
 
 
 def sign_changes_in(p: Polynomial, lo, hi, resolution: int = 2048):
@@ -180,19 +185,33 @@ def sign_changes_in(p: Polynomial, lo, hi, resolution: int = 2048):
 
     Every change is refined by bisection to a bracket of width <= 1e-12
     (exact brackets stay rational).  The count is a certified lower bound on
-    the number of distinct odd-order real zeros in the interval.
+    the number of distinct odd-order real zeros in the interval.  This is
+    ``sign_changes_batch`` for one polynomial.
+    """
+    return sign_changes_batch([p], lo, hi, resolution)[0]
+
+
+def sign_changes_batch(polys, lo, hi, resolution: int = 2048):
+    """``sign_changes_in`` for polynomials of one kind sharing an interval.
 
     One array kernel serves both scalar kinds: float polynomials run on
-    float64 arrays, exact ones on object arrays of Fractions.  ``np.polyval``
-    is the same Horner recurrence as ``Polynomial.__call__``, operation for
-    operation, so every float value equals ``p(t)`` bit for bit.  The grid
-    is evaluated in one pass and all brackets are bisected together.
+    float64 arrays, exact ones on object arrays of Fractions.  Each
+    polynomial's grid is evaluated in one ``np.polyval`` pass (the same
+    Horner recurrence as ``Polynomial.__call__``, operation for operation,
+    so every float value equals ``p(t)`` bit for bit).  Then one bisection
+    loop refines the brackets of every polynomial together.
     """
-    if p.is_zero:
+    polys = list(polys)
+    if any(p.is_zero for p in polys):
         raise DegreeError("sign changes of the zero polynomial are undefined")
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
-    if p.kind == EXACT:
+    if not polys:
+        return []
+    kinds = {p.kind for p in polys}
+    if len(kinds) > 1:
+        raise KindMismatch("a batch scan needs polynomials of one kind")
+    if kinds.pop() == EXACT:
         lo, hi = Fraction(lo), Fraction(hi)
         width_goal = Fraction(1, 10**12)
         dtype = object
@@ -200,46 +219,88 @@ def sign_changes_in(p: Polynomial, lo, hi, resolution: int = 2048):
         lo, hi = float(lo), float(hi)
         width_goal = 1e-12
         dtype = np.float64
-    coeffs = np.array(p.coeffs[::-1], dtype=dtype)
+    degree = max(p.degree for p in polys)
+    # row k: descending coefficients of polys[k], zero-padded to the largest degree
+    matrix = np.zeros((len(polys), degree + 1), dtype=dtype)
+    for row, p in zip(matrix, polys):
+        row[degree - p.degree:] = p.coeffs[::-1]
     step = (hi - lo) / resolution
+    grid, cells_a, cells_b, cells_fa, owners = [], [], [], [], []
     # overflow gives inf and inf - inf gives nan, silently, as in Python floats
     with np.errstate(all="ignore"):
-        nodes = lo + step * np.arange(resolution + 1, dtype=dtype)
-        values = np.polyval(coeffs, nodes)
-        # nudge grid nodes off exact roots so sign changes stay visible
-        hit = np.flatnonzero(values == 0)
-        if hit.size:
-            nodes[hit] += np.where(hit < resolution, step / 7, -step / 7)
-            values[hit] = np.polyval(coeffs, nodes[hit])
-        left, right = values[:-1], values[1:]
-        cells = np.flatnonzero((left != 0) & (right != 0) & ((left > 0) != (right > 0)))
-        a, b, fa = nodes[cells], nodes[cells + 1], left[cells]
-        active = np.flatnonzero(b - a > width_goal)
-        while active.size:
-            a_k, b_k, fa_k = a[active], b[active], fa[active]
-            mid = (a_k + b_k) / 2
-            fm = np.polyval(coeffs, mid)
-            # mid replaces the end whose sign it shares
-            moves_a = (fm > 0) == (fa_k > 0)
-            new_a = np.where(moves_a, mid, a_k)
-            new_b = np.where(moves_a, b_k, mid)
-            new_fa = np.where(moves_a, fm, fa_k)
-            stuck = np.zeros(active.size, dtype=bool)
-            root = fm == 0
-            if root.any():
-                # a midpoint on a root: recentre a half-width bracket on it,
-                # and stop there unless its ends still differ in sign
-                half = (b_k[root] - a_k[root]) / 4
-                new_a[root] = mid[root] - half
-                new_b[root] = mid[root] + half
-                f_lo = np.polyval(coeffs, new_a[root])
-                f_hi = np.polyval(coeffs, new_b[root])
-                new_fa[root] = f_lo
-                stuck[root] = (f_lo == 0) | (f_hi == 0) | ((f_lo > 0) == (f_hi > 0))
-            a[active], b[active], fa[active] = new_a, new_b, new_fa
-            active = active[~stuck & (new_b - new_a > width_goal)]
-    brackets = tuple(zip(a.tolist(), b.tolist()))
-    return SignChangeReport(len(brackets), brackets, tuple(nodes.tolist()))
+        base = lo + step * np.arange(resolution + 1, dtype=dtype)
+        for k, p in enumerate(polys):
+            coeffs = matrix[k, degree - p.degree:]
+            nodes = base
+            values = np.polyval(coeffs, nodes)
+            # nudge grid nodes off exact roots so sign changes stay visible
+            hit = np.flatnonzero(values == 0)
+            if hit.size:
+                nodes = base.copy()
+                nodes[hit] += np.where(hit < resolution, step / 7, -step / 7)
+                values[hit] = np.polyval(coeffs, nodes[hit])
+            left, right = values[:-1], values[1:]
+            cells = np.flatnonzero((left != 0) & (right != 0) & ((left > 0) != (right > 0)))
+            grid.append(nodes)
+            cells_a.append(nodes[cells])
+            cells_b.append(nodes[cells + 1])
+            cells_fa.append(left[cells])
+            owners.append(np.full(cells.size, k))
+        a, b = _bisect(matrix, np.concatenate(owners), np.concatenate(cells_a),
+                       np.concatenate(cells_b), np.concatenate(cells_fa), width_goal)
+    a, b = a.tolist(), b.tolist()
+    reports, start = [], 0
+    for nodes, cell in zip(grid, cells_a):
+        stop = start + cell.size
+        brackets = tuple(zip(a[start:stop], b[start:stop]))
+        reports.append(SignChangeReport(len(brackets), brackets, nodes))
+        start = stop
+    return reports
+
+
+def _horner(rows, x):
+    """``np.polyval`` per entry: rows[:, k] holds the descending coefficients
+    for x[k].  Leading zero padding keeps the value 0 until the first real
+    coefficient, so for finite x the result equals ``np.polyval`` bit for bit."""
+    acc = np.zeros_like(x)
+    for column in rows:
+        acc = acc * x + column
+    return acc
+
+
+def _bisect(matrix, owner, a, b, fa, width_goal):
+    """Bisect every bracket [a, b] of its owner's row of ``matrix`` at once.
+
+    An index array of live brackets shrinks each round; ``fa`` is the value
+    at ``a``.  Returns the final (a, b).
+    """
+    columns = matrix.T
+    active = np.flatnonzero(b - a > width_goal)
+    while active.size:
+        a_k, b_k, fa_k = a[active], b[active], fa[active]
+        rows = columns[:, owner[active]]
+        mid = (a_k + b_k) / 2
+        fm = _horner(rows, mid)
+        # mid replaces the end whose sign it shares
+        moves_a = (fm > 0) == (fa_k > 0)
+        new_a = np.where(moves_a, mid, a_k)
+        new_b = np.where(moves_a, b_k, mid)
+        new_fa = np.where(moves_a, fm, fa_k)
+        stuck = np.zeros(active.size, dtype=bool)
+        root = fm == 0
+        if root.any():
+            # a midpoint on a root: recentre a half-width bracket on it,
+            # and stop there unless its ends still differ in sign
+            half = (b_k[root] - a_k[root]) / 4
+            new_a[root] = mid[root] - half
+            new_b[root] = mid[root] + half
+            f_lo = _horner(rows[:, root], new_a[root])
+            f_hi = _horner(rows[:, root], new_b[root])
+            new_fa[root] = f_lo
+            stuck[root] = (f_lo == 0) | (f_hi == 0) | ((f_lo > 0) == (f_hi > 0))
+        a[active], b[active], fa[active] = new_a, new_b, new_fa
+        active = active[~stuck & (new_b - new_a > width_goal)]
+    return a, b
 
 
 def alternant_det(points, polys):

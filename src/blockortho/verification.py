@@ -195,12 +195,11 @@ def check_integrals(measure1, measure2, backend=EXACT):
 
 def check_zeros(measure1, measure2, n_size, backend=EXACT):
     observed = []
-    for i, basis in build_sbos(measure1, measure2, range(n_size), n_size, backend=backend).items():
-        for n in basis.degrees():
-            report = analysis.zero_report(basis, n)
-            observed.append((i, n, report.count))
-            if not report.satisfies_theorem:
-                return _entry("zeros", False, i=i, n=n, count=report.count)
+    bases = build_sbos(measure1, measure2, range(n_size), n_size, backend=backend)
+    for report in analysis.zero_reports(bases.values()):
+        observed.append((report.i, report.n, report.count))
+        if not report.satisfies_theorem:
+            return _entry("zeros", False, i=report.i, n=report.n, count=report.count)
     return _entry("zeros", True, counts=observed)
 
 

@@ -8,10 +8,12 @@ from blockortho import (
     InsufficientNodes,
     Measure,
     build_sbo,
+    build_sbos,
     gauss_rule,
     verify_p_integral,
     verify_z_integral,
     zero_report,
+    zero_reports,
 )
 from blockortho.measures import moments
 
@@ -147,3 +149,15 @@ def test_zero_theorem_never_violated(hermite_pair, laguerre_pair):
             basis = build_sbo(*pair, i, 7)
             for n in basis.degrees():
                 assert zero_report(basis, n).satisfies_theorem
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_zero_reports_cover_every_degree_of_a_shared_build(hermite_pair, laguerre_pair, backend):
+    bases = build_sbos(*laguerre_pair, range(6), 6, backend=backend)
+    reports = zero_reports(bases.values())
+    assert [(r.i, r.n) for r in reports] == [(i, n) for i in range(6) for n in range(i, 6)]
+    assert reports == [zero_report(b, n) for b in bases.values() for n in b.degrees()]
+    assert all(r.satisfies_theorem for r in reports)
+    assert zero_reports([]) == []
+    with pytest.raises(ValueError):
+        zero_reports([bases[2], build_sbo(*hermite_pair, 2, 6)])

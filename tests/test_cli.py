@@ -1,11 +1,15 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from blockortho import cli
 from blockortho.cli import main
 
 
@@ -305,3 +309,59 @@ def test_fuzzed_argv_exits_cleanly(argv):
         assert json.loads(out.getvalue())["passed"] is False
     elif code:
         assert isinstance(json.loads(err.getvalue()), dict)
+
+
+MIXED_ARGVS = (
+    ["table", "--pair", "hermite", "--N", "3", "--i", "1"],
+    ["table", "--pair", "hermite", "--N", "0"],
+    ["table", "--pair", "hermite", "--N", "3", "--i", "1", "--csv"],
+    ["roots", "--pair", "laguerre", "--N", "4", "--float"],
+    ["roots", "--pair", "hermite"],
+    ["table", "--pair", "laguerre", "--N", "3", "--out", "{out}"],
+    ["verify", "--pair", "hermite", "--N", "2", "--checks", "zeros"],
+    ["table", "--pair", "hermite", "--N", "3", "--exact", "--float"],
+    ["projector", "--pair", "hermite", "--N", "3", "--i", "1", "--route", "second"],
+    ["frobnicate"],
+    [],
+    ["three-subspace", "--z12", "1", "--z23", "2", "--z13", "3"],
+    ["three-subspace", "--z23", "2", "--z13", "3"],
+    ["moments", "--measure", "gamma:1:1", "--max-order", "3", "--csv"],
+    ["moments", "--measure", "nope:1", "--max-order", "2"],
+    ["verify", "--pair", "nope"],
+    ["table", "--pair", "hermite", "--N", "3", "--i", "1"],
+    ["roots", "--pair", "laguerre", "--N", "4", "--float", "--csv", "--out", "{out}"],
+)
+
+
+def _run_mixed(out_dir):
+    out_dir.mkdir()
+    results = []
+    for k, argv in enumerate(MIXED_ARGVS):
+        target = out_dir / f"{k}.out"
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([token.format(out=target) for token in argv])
+        written = target.read_text() if target.exists() else None
+        results.append((code, out.getvalue(), err.getvalue(), written))
+    return results
+
+
+def test_cached_parser_matches_a_fresh_parser(tmp_path, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        fresh = _run_mixed(tmp_path / "fresh")
+    cli.build_parser.cache_clear()
+    cached = _run_mixed(tmp_path / "cached")
+    assert cached == fresh
+    assert {code for code, *_ in cached} == {0, 2}
+    assert sum(written is not None for *_, written in cached) == 2
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, len(MIXED_ARGVS) - 1)
+
+
+def test_parser_is_not_built_at_import():
+    probe = "import blockortho.cli as c; print(c.build_parser.cache_info().currsize)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "0"

@@ -7,12 +7,15 @@ from scipy.integrate import quad
 
 from blockortho import (
     InsufficientMoments,
+    KindMismatch,
     Measure,
     MomentError,
     NonPositiveParameter,
     NotPositiveDefinite,
     NotSymmetric,
     Polynomial,
+    build_standard,
+    gauss_rule,
     hankel_matrix,
     inner_product,
     load_moments_csv,
@@ -175,3 +178,20 @@ def test_truncated_support():
     assert Measure.gaussian(1).weight_value(hi) < 1e-17
     lo, hi = truncated_support(Measure.gamma_weight(1, 1))
     assert lo == 0.0 and hi > 40
+
+
+def test_integer_moment_entries_are_exact():
+    # plain ints enter as Fractions, so int pivots never divide to floats
+    written = Measure.from_moments([1, 0, Fraction(1, 3), 0, Fraction(1, 5)])
+    fractions = Measure.from_moments([Fraction(1), Fraction(0), Fraction(1, 3), Fraction(0),
+                                      Fraction(1, 5)])
+    assert all(type(m) is Fraction for m in written.weight.mu)
+    got, want = build_standard(written, 3), build_standard(fractions, 3)
+    assert got.polys == want.polys and got.norms == want.norms
+    assert gauss_rule(written, 2) == gauss_rule(fractions, 2)
+
+
+@pytest.mark.parametrize("table", [[1, 0, 0.5, 0, 0.75], [1.0, 0, 0.5, 0, 0.75]])
+def test_tables_mixing_ints_and_floats_are_refused(table):
+    with pytest.raises(KindMismatch):
+        build_standard(Measure.from_moments(table), 3)

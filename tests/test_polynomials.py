@@ -14,8 +14,10 @@ from blockortho import (
     build_sbo,
     monomial,
 )
+from blockortho import polynomials
 from blockortho.analysis import _scan_interval
-from blockortho.polynomials import sign_changes_in
+from blockortho.cli import main
+from blockortho.polynomials import sign_changes_batch, sign_changes_in
 
 X = monomial(1)
 ONE = monomial(0)
@@ -290,3 +292,96 @@ def test_sign_changes_match_on_float_bases(pair):
         for n in basis.degrees():
             if n:
                 assert_matches_reference(basis.monic_poly(n).to_float(), lo, hi, 4096)
+
+
+def assert_batch_matches_reference(polys, lo, hi, resolution):
+    reports = sign_changes_batch(polys, lo, hi, resolution)
+    assert len(reports) == len(polys)
+    for p, report in zip(polys, reports):
+        count, brackets, grid = reference_sign_changes(p, lo, hi, resolution)
+        assert report.count == count
+        for got, want in ((report.brackets, brackets), (report.grid, grid)):
+            assert got == want
+            assert [repr(x) for x in flatten(got)] == [repr(x) for x in flatten(want)]
+
+
+@st.composite
+def batch_cases(draw):
+    """(polys, lo, hi, resolution): 1-12 polynomials of mixed degrees and one
+    kind, with roots on grid nodes and on the midpoints of the first bisection
+    rounds, so one round can hold both root branches and ordinary brackets."""
+    resolution = draw(st.integers(2, 48))
+    lo = Fraction(draw(st.integers(-16, 8)), draw(st.sampled_from([1, 2, 3, 4])))
+    width = Fraction(draw(st.integers(1, 32)), draw(st.sampled_from([1, 2, 3, 4])))
+    step = width / resolution
+    on_grid = st.integers(0, resolution).map(lambda k: lo + step * k)
+    # lo + step * (k + j / 2**m), j odd: the midpoint of bisection round m in cell k
+    on_midpoint = st.builds(
+        lambda k, m, j: lo + step * (k + Fraction(2 * j + 1, 2**m)),
+        st.integers(0, resolution - 1), st.integers(1, 5), st.integers(0, 15),
+    ).filter(lambda r: r < lo + width)
+    root = st.one_of(on_grid, on_midpoint, st.builds(Fraction, st.integers(-60, 60),
+                                                      st.integers(1, 9)))
+    polys = []
+    for _ in range(draw(st.integers(1, 12))):
+        if draw(st.booleans()):
+            p = Polynomial((Fraction(draw(st.sampled_from([1, -1, 2, -3]))),))
+            for r in draw(st.lists(root, max_size=7)):
+                p = p * Polynomial((-r, Fraction(1)))
+        else:
+            coeffs = draw(st.lists(st.integers(-9, 9), min_size=1, max_size=9))
+            p = Polynomial(tuple(Fraction(c, draw(st.integers(1, 4))) for c in coeffs))
+        polys.append(p if not p.is_zero else Polynomial((Fraction(-1),)))
+    if draw(st.booleans()):
+        return [p.to_float() for p in polys], float(lo), float(lo + width), resolution
+    return polys, lo, lo + width, resolution
+
+
+@given(batch_cases())
+@settings(max_examples=200, deadline=None)
+def test_batched_sign_changes_match_the_pointwise_scan(case):
+    assert_batch_matches_reference(*case)
+
+
+def test_batched_sign_changes_on_float_bases():
+    # every degree of every i in one batch, as analysis.zero_reports scans them
+    m1, m2 = Measure.gamma_weight(1, 1), Measure.gamma_weight(2, 1)
+    polys, interval = [], None
+    for i in (2, 5, 8):
+        basis = build_sbo(m1, m2, i, 10, backend="float", check=False)
+        interval = _scan_interval(basis)
+        polys += [basis.monic_poly(n).to_float() for n in basis.degrees() if n]
+    assert_batch_matches_reference(polys, *interval, 4096)
+
+
+def test_batched_sign_changes_refuse_mixed_kinds_and_zero():
+    p = Polynomial((Fraction(-1), Fraction(1)))
+    with pytest.raises(KindMismatch):
+        sign_changes_batch([p, p.to_float()], -2, 2)
+    with pytest.raises(DegreeError):
+        sign_changes_batch([p, Polynomial(())], -2, 2)
+    assert sign_changes_batch([], -2, 2) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["roots", "--pair", "hermite", "--N", "8"],
+        ["roots", "--pair", "laguerre", "--N", "8", "--float"],
+        ["verify", "--pair", "hermite", "--N", "8", "--checks", "zeros"],
+        ["verify", "--pair", "laguerre", "--N", "8", "--checks", "zeros", "--float"],
+    ],
+)
+def test_one_bisection_loop_per_op(monkeypatch, capsys, argv):
+    calls = []
+    bisect = polynomials._bisect
+
+    def counted(matrix, *args):
+        calls.append(len(matrix))
+        return bisect(matrix, *args)
+
+    monkeypatch.setattr(polynomials, "_bisect", counted)
+    assert main(argv) == 0
+    capsys.readouterr()
+    # all 36 P_{i;n} with 0 <= i <= n < 8, less the constant P_{0;0}
+    assert calls == [35]
