@@ -281,14 +281,14 @@ def zero_report(sbo: SboBasis, n: int, resolution: int = 4096) -> ZeroReport:
     return _zero_scan([(sbo, n)], resolution)[0]
 
 
-def zero_reports(bases, resolution: int = 4096) -> list:
+def zero_reports(bases) -> list:
     """``zero_report`` for every degree of every basis, in order.
 
     The bases must share their measure pair, as the bases of one
     ``build_sbos`` call do, so one scan interval serves them all and every
     polynomial is scanned by one ``sign_changes_batch`` call.
     """
-    return _zero_scan([(sbo, n) for sbo in bases for n in sbo.degrees()], resolution)
+    return _zero_scan([(sbo, n) for sbo in bases for n in sbo.degrees()], 4096)
 
 
 def _zero_scan(items, resolution):

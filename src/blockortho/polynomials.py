@@ -179,6 +179,11 @@ class SignChangeReport:
         """The scanned nodes, each nudged off an exact root, as scalars."""
         return tuple(self.nodes.tolist())
 
+    def __eq__(self, other):
+        if not isinstance(other, SignChangeReport):
+            return NotImplemented
+        return (self.count, self.brackets, self.grid) == (other.count, other.brackets, other.grid)
+
 
 def sign_changes_in(p: Polynomial, lo, hi, resolution: int = 2048):
     """Count sign changes of p on [lo, hi] over a deterministic grid.
@@ -229,6 +234,8 @@ def sign_changes_batch(polys, lo, hi, resolution: int = 2048):
     # overflow gives inf and inf - inf gives nan, silently, as in Python floats
     with np.errstate(all="ignore"):
         base = lo + step * np.arange(resolution + 1, dtype=dtype)
+        # reports of one batch share this array, so none may change it
+        base.flags.writeable = False
         for k, p in enumerate(polys):
             coeffs = matrix[k, degree - p.degree:]
             nodes = base
@@ -238,6 +245,7 @@ def sign_changes_batch(polys, lo, hi, resolution: int = 2048):
             if hit.size:
                 nodes = base.copy()
                 nodes[hit] += np.where(hit < resolution, step / 7, -step / 7)
+                nodes.flags.writeable = False
                 values[hit] = np.polyval(coeffs, nodes[hit])
             left, right = values[:-1], values[1:]
             cells = np.flatnonzero((left != 0) & (right != 0) & ((left > 0) != (right > 0)))

@@ -363,6 +363,22 @@ def test_batched_sign_changes_refuse_mixed_kinds_and_zero():
     assert sign_changes_batch([], -2, 2) == []
 
 
+def test_batched_reports_are_immutable_and_compare_their_grids():
+    # x (root on a node, so nudged) and x^2 + 1 (no root hit, shared nodes)
+    polys = [Polynomial((Fraction(0), Fraction(1))), Polynomial((1, 0, 1))]
+    for batch in (polys, [p.to_float() for p in polys]):
+        reports = sign_changes_batch(batch, -1, 1, 4)
+        for report in reports:
+            with pytest.raises(ValueError):
+                report.nodes[0] = 5
+        nudged, plain = reports
+        assert nudged.grid != plain.grid
+        assert nudged == sign_changes_in(batch[0], -1, 1, 4)
+        assert hash(nudged) == hash(sign_changes_in(batch[0], -1, 1, 4))
+        # same count and brackets, another grid: not equal
+        assert plain != sign_changes_in(batch[1], -1, 1, 8)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
