@@ -29,6 +29,8 @@ from .standard import monic_recurrence
 Z_DIMENSION_CAP = 3
 P_CONSTRAINT_CAP = 2
 REPORT_RTOL = 1e-10
+# grid cells of every zero scan
+SCAN_CELLS = 4096
 
 
 @dataclass(frozen=True)
@@ -267,18 +269,18 @@ def _scan_interval(sbo: SboBasis):
     return max(min(lo, lo2), float(a)), min(max(hi, hi2), float(b))
 
 
-def zero_report(sbo: SboBasis, n: int, resolution: int = 4096) -> ZeroReport:
+def zero_report(sbo: SboBasis, n: int) -> ZeroReport:
     """Sign changes of P_{i;n} inside the first measure's support.
 
     The count is a certified lower bound on distinct odd-order zeros; the
     theorem guarantees at least i of them, and exactly n when i = n - 1 or
     i = n (all zeros real and simple then).  The scan covers the hull of
     both measures' truncated supports, clipped to the first measure's domain,
-    with ``resolution`` grid cells.
+    with ``SCAN_CELLS`` grid cells.
     """
     if not sbo.i <= n < sbo.size:
         raise ValueError(f"degree {n} outside basis range")
-    return _zero_scan([(sbo, n)], resolution)[0]
+    return _zero_scan([(sbo, n)])[0]
 
 
 def zero_reports(bases) -> list:
@@ -288,10 +290,10 @@ def zero_reports(bases) -> list:
     ``build_sbos`` call do, so one scan interval serves them all and every
     polynomial is scanned by one ``sign_changes_batch`` call.
     """
-    return _zero_scan([(sbo, n) for sbo in bases for n in sbo.degrees()], 4096)
+    return _zero_scan([(sbo, n) for sbo in bases for n in sbo.degrees()])
 
 
-def _zero_scan(items, resolution):
+def _zero_scan(items):
     if not items:
         return []
     pair = (items[0][0].measure1, items[0][0].measure2)
@@ -300,7 +302,7 @@ def _zero_scan(items, resolution):
     lo, hi = _scan_interval(items[0][0])
     # degree 0 is a nonzero constant: nothing to scan
     scans = iter(sign_changes_batch(
-        [sbo.monic_poly(n).to_float() for sbo, n in items if n], lo, hi, resolution
+        [sbo.monic_poly(n).to_float() for sbo, n in items if n], lo, hi, SCAN_CELLS
     ))
     reports = []
     for sbo, n in items:

@@ -31,15 +31,8 @@ from .errors import (
     stage,
 )
 from .gso import ORACLE_RTOL
-from .measures import (
-    GramMatrix,
-    Measure,
-    MomentSequence,
-    hankel_matrix,
-    inner_product_mu,
-    moments,
-)
-from .polynomials import Polynomial, combine, monomial
+from .measures import GramMatrix, Measure, MomentSequence, gram_of, moments
+from .polynomials import Polynomial, columns_of, combine, from_columns, monomial
 from .scalars import EXACT, FLOAT
 from .standard import (  # the normalization names are re-exported here
     DET_NORMALIZED,
@@ -146,10 +139,10 @@ def gamma_matrix(q_basis: StandardBasis, measure2, i: int) -> GramMatrix:
     the recurrence of Q, and gamma = T^T diag(h) T with the norms h_m of the
     R_m.  No Hankel matrix is formed, every step is rational, and the sums
     run over ascending m, so each trailing block is bit-identical to its own
-    assembly.  Otherwise gamma is the congruence A^T H_2 A, with A the
-    columns i.. of ``q_in_x`` and H_2 the second measure's Hankel matrix.
-    The lower triangle mirrors the upper one, so float entries stay exactly
-    symmetric.
+    assembly.  Otherwise gamma is the congruence A^T H_2 A (``gram_of``),
+    with A the columns i.. of ``q_in_x`` and H_2 the second measure's Hankel
+    matrix.  The lower triangle mirrors the upper one, so float entries stay
+    exactly symmetric.
     """
     n = q_basis.size
     if not 0 <= i <= n:
@@ -167,9 +160,7 @@ def gamma_matrix(q_basis: StandardBasis, measure2, i: int) -> GramMatrix:
     else:
         if mu2 is None:
             mu2 = moments(measure2, max(2 * (n - 1), 0), backend=q_basis.backend)
-        a = [row[i:] for row in q_basis.q_in_x]
-        h2 = hankel_matrix(mu2, n).rows()
-        full = linalg.mat_mul(linalg.mat_mul(linalg.transpose(a), h2), a)
+        full = gram_of(mu2, [row[i:] for row in q_basis.q_in_x])
     entries = [[full[min(j, k)][max(j, k)] for k in range(n - i)] for j in range(n - i)]
     return GramMatrix(tuple(map(tuple, entries)), f"Q_{i}..Q_{n - 1}")
 
@@ -270,7 +261,6 @@ def _sbo_bases(kernel, first_stage, measure2, i_values, n_polys, normalization, 
                     gso.check_against_oracle(
                         gamma, result, q_cols, "second-stage determinant oracle disagrees"
                     )
-        monic = linalg.mat_mul(q_cols, result.coeffs)
         p_in_q = [[scalars.zero(backend)] * n_polys for _ in range(n_polys)]
         q_in_p = [[scalars.zero(backend)] * n_polys for _ in range(n_polys)]
         for row in range(block):
@@ -286,7 +276,7 @@ def _sbo_bases(kernel, first_stage, measure2, i_values, n_polys, normalization, 
             mu2=mu2,
             gamma=gamma,
             gamma_dets=result.gram_dets,
-            monic_polys=tuple(Polynomial(col) for col in zip(*monic)),
+            monic_polys=from_columns(linalg.mat_mul(q_cols, result.coeffs)),
             monic_norms=result.norms,
             p_in_q=tuple(map(tuple, p_in_q)),
             q_in_p=tuple(map(tuple, q_in_p)),
@@ -630,16 +620,13 @@ def build_general_bo(
     mu1 = moments(measure1, 2 * (n_dim - 1), backend=backend)
     mu2 = moments(measure2, 2 * (n_dim - 1), backend=backend)
 
-    def gram_of(polys):
-        return [[inner_product_mu(mu1, p, q) for q in polys] for p in polys]
-
     def independent(polys):
-        gram = gram_of(polys)
+        gram = gram_of(mu1, columns_of(polys, n_dim))
         if backend == EXACT:
             return linalg.det(gram) != 0
         return linalg.rank_float(gram)[0] == len(polys)
 
-    if not independent(list(subspace)):
+    if not independent(subspace):
         raise DependentConstraints("constraint polynomials are linearly dependent")
 
     basis = list(subspace)
@@ -655,18 +642,16 @@ def build_general_bo(
         degree += 1
 
     one = scalars.one(backend)
-    res1 = gso.gram_schmidt(gram_of(basis), [one] * n_dim)
-    first = [combine(res1.vector(col), basis) for col in range(n1, n_dim)]
-
-    gram2 = [[inner_product_mu(mu2, p, q) for q in first] for p in first]
-    res2 = gso.gram_schmidt(gram2, [one] * len(first))
-    second = [combine(res2.vector(col), first) for col in range(len(first))]
+    basis_cols = columns_of(basis, n_dim)
+    res1 = gso.gram_schmidt(gram_of(mu1, basis_cols), [one] * n_dim)
+    first = linalg.mat_mul(basis_cols, [row[n1:] for row in res1.coeffs])
+    res2 = gso.gram_schmidt(gram_of(mu2, first), [one] * (n_dim - n1))
     return GeneralBoBasis(
         subspace=subspace,
         completion_degrees=tuple(completion),
-        first_stage=tuple(first),
+        first_stage=from_columns(first),
         first_norms=res1.norms[n1:],
-        second_stage=tuple(second),
+        second_stage=from_columns(linalg.mat_mul(first, res2.coeffs)),
         second_norms=res2.norms,
         backend=backend,
     )

@@ -16,6 +16,7 @@ import csv
 import functools
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -330,12 +331,14 @@ def main(argv=None) -> int:
     except SystemExit2:
         return 2
     except BlockOrthoError as exc:
-        print(
-            json.dumps(
-                {"error": str(exc), "kind": type(exc).__name__}, sort_keys=True
-            ),
-            file=sys.stderr,
-        )
+        line = {"error": str(exc), "kind": type(exc).__name__}
+        for key in ("stage", "degree", "condition", "limit"):
+            value = getattr(exc, key, None)
+            if value is not None:
+                # strict JSON has no Infinity: a refused non-finite condition prints as "inf"
+                finite = not isinstance(value, float) or math.isfinite(value)
+                line[key] = value if finite else str(value)
+        print(json.dumps(line, sort_keys=True), file=sys.stderr)
         # a non-positive weight parameter is a bad argument, not a failed check
         return 2 if isinstance(exc, NonPositiveParameter) else 1
     except (ValueError, OSError, argparse.ArgumentTypeError) as exc:

@@ -229,12 +229,14 @@ def oracle_norm(gram, n, leading_factor):
 
 
 def oracle_connection_b(gram, m, n, leading_factor):
-    """b_{m,n} = b_{m,m} * (bordered determinant with last row g[n]) / Z_{m+1}."""
+    """b_{m,n} = b_{m,m} * (bordered determinant with last row g[n]) / Z_{m+1}.
+
+    That determinant is g[n] . c with c the last-row cofactors of the leading
+    (m+1) x (m+1) block; one :func:`linalg.bordered_minors` call gives c and Z_{m+1}.
+    """
     g = _entries(gram)
-    bordered = [row[: m + 1] for row in g[:m]]
-    bordered.append(list(g[n][: m + 1]))
-    z_m = linalg.det([row[: m + 1] for row in g[: m + 1]])
-    return leading_factor * linalg.det(bordered) / z_m
+    cofactors, z_next = linalg.bordered_minors([row[: m + 1] for row in g[: m + 1]])
+    return leading_factor * sum(x * c for x, c in zip(g[n], cofactors)) / z_next
 
 
 def connection_b(gram, result: OrthogonalizationResult, m, n):

@@ -297,8 +297,19 @@ def hankel_matrix(moms: MomentSequence, n: int) -> GramMatrix:
     return GramMatrix(tuple(map(tuple, entries)), "monomial")
 
 
+def gram_of(moms: MomentSequence, left, right=None):
+    """The Gram congruence (left^T H) right: entry [j][k] is the inner product
+    of columns j of ``left`` and k of ``right`` (default ``left``), monomial
+    coefficient matrices with as many rows as the Hankel matrix H of ``moms``."""
+    if right is None:
+        right = left
+    h = hankel_matrix(moms, len(left)).rows()
+    return linalg.mat_mul(linalg.mat_mul(linalg.transpose(left), h), right)
+
+
 def inner_product_mu(moms: MomentSequence, p: Polynomial, q: Polynomial):
-    """Inner product from a moment table (in units of c_0)."""
+    """Inner product from a moment table (in units of c_0); the checks' route,
+    summed pair by pair independently of ``gram_of``."""
     if p.is_zero or q.is_zero:
         return zero(EXACT if moms.exact else FLOAT)
     if p.degree + q.degree > moms.max_order:

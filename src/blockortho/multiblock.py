@@ -15,9 +15,10 @@ from fractions import Fraction
 import numpy as np
 
 from . import gso, linalg
+from .block import build_general_bo
 from .errors import DependentBasis, NonPositiveParameter
-from .measures import Measure, inner_product_mu, moments
-from .polynomials import Polynomial, combine, monomial
+from .measures import Measure, gram_of, moments
+from .polynomials import Polynomial, columns_of, from_columns, monomial
 from .scalars import EXACT, one, to_fraction
 
 UNIQUE = "unique"
@@ -88,21 +89,14 @@ def solve_third_subspace(problem: ThreeSubspaceProblem, backend: str = EXACT) ->
     """
     n1, n2, n = problem.n1, problem.n2, problem.size
     order = 2 * (n - 1)
-    mu13 = moments(problem.inner_13, order, backend=backend)
-    mu23 = moments(problem.inner_23, order, backend=backend)
-    basis = problem.basis
+    columns = columns_of(problem.basis, n)
     n_c = n1 + n2
-
-    def metric_row(j, mu):
-        return [inner_product_mu(mu, basis[j], basis[m]) for m in range(n_c)]
-
-    stacked = [metric_row(j, mu13) for j in range(n1)]
-    stacked += [metric_row(n1 + j, mu23) for j in range(n2)]
-    rhs_columns = []
-    for extra in range(n_c, n):
-        col = [inner_product_mu(mu13, basis[j], basis[extra]) for j in range(n1)]
-        col += [inner_product_mu(mu23, basis[n1 + j], basis[extra]) for j in range(n2)]
-        rhs_columns.append(col)
+    # the first block's rows are taken under (1,3), the second block's under (2,3)
+    block1, block2 = [row[:n1] for row in columns], [row[n1:n_c] for row in columns]
+    metric = gram_of(moments(problem.inner_13, order, backend=backend), block1, columns)
+    metric += gram_of(moments(problem.inner_23, order, backend=backend), block2, columns)
+    stacked = [row[:n_c] for row in metric]
+    rhs_columns = [[row[extra] for row in metric] for extra in range(n_c, n)]
 
     if backend == EXACT:
         rank = linalg.rank_exact(stacked)
@@ -139,9 +133,9 @@ def solve_third_subspace(problem: ThreeSubspaceProblem, backend: str = EXACT) ->
             )
             sol = [float(x) for x in sol]
         solutions.append(sol)
-    particular = tuple(
-        _combine(basis, sol, n_c + k) for k, sol in enumerate(solutions)
-    )
+    # particular k is basis[n_c + k] plus the solved combination of the blocks
+    unit = linalg.identity(n - n_c, backend)
+    particular = from_columns(linalg.mat_mul(columns, linalg.transpose(solutions) + unit))
     if rank == n_c:
         return ThirdSubspaceSolution(
             UNIQUE, 0, particular, particular, (), rank, aug_ranks, gap
@@ -151,17 +145,11 @@ def solve_third_subspace(problem: ThreeSubspaceProblem, backend: str = EXACT) ->
     else:
         _, _, vt = np.linalg.svd(np.array(stacked, dtype=float))
         kernel_vectors = [list(map(float, v)) for v in vt[rank:]]
-    kernel = tuple(_combine(basis, vec, None) for vec in kernel_vectors)
+    block_columns = [row[:n_c] for row in columns]
+    kernel = from_columns(linalg.mat_mul(block_columns, linalg.transpose(kernel_vectors)))
     return ThirdSubspaceSolution(
         FAMILY, n_c - rank, (), particular, kernel, rank, aug_ranks, gap
     )
-
-
-def _combine(basis, coefficients, extra_index):
-    acc = combine(coefficients, basis)
-    if extra_index is not None:
-        acc = acc + basis[extra_index]
-    return acc
 
 
 def appendix_b_problem(z12, z23, z13, symmetric12: bool = False):
@@ -216,27 +204,21 @@ def common_orthogonal_complement(
     projected with the first measure; the intersection has dimension
     N - N1 - rank.
     """
-    from .block import build_general_bo
-
     subspace = tuple(subspace_polys)
     n1 = len(subspace)
     bo_b = build_general_bo(measure_b, measure_b, subspace, n_dim, backend=backend)
     mu_a = moments(measure_a, 2 * (n_dim - 1), backend=backend)
 
-    # orthogonal basis of the subspace under measure a, for projecting
-    sub_gram = [[inner_product_mu(mu_a, p, q) for q in subspace] for p in subspace]
-    sub_res = gso.gram_schmidt(sub_gram, [one(backend)] * n1)
-    sub_ortho = [combine(sub_res.vector(col), subspace) for col in range(n1)]
-
-    def project_onto_subspace(p):
-        return combine(
-            [inner_product_mu(mu_a, e, p) / h for e, h in zip(sub_ortho, sub_res.norms)],
-            sub_ortho,
-        )
-
-    carried = [project_onto_subspace(eps) for eps in bo_b.first_stage]
-    coeff_rows = [[u.coeff(k) for k in range(n_dim)] for u in carried]
-    by_column = linalg.transpose(coeff_rows)
+    # orthogonal basis E of the subspace under measure a, for projecting
+    sub_cols = columns_of(subspace, n_dim)
+    sub_res = gso.gram_schmidt(gram_of(mu_a, sub_cols), [one(backend)] * n1)
+    ortho = linalg.mat_mul(sub_cols, sub_res.coeffs)
+    # column j: the projection sum_e e (e, eps_j)_a / h_e of first-stage vector j
+    first = columns_of(bo_b.first_stage, n_dim)
+    overlaps = gram_of(mu_a, ortho, first)
+    weights = [[x / h for x in row] for row, h in zip(overlaps, sub_res.norms)]
+    by_column = linalg.mat_mul(ortho, weights)
+    coeff_rows = linalg.transpose(by_column)
     if backend == EXACT:
         rank = linalg.rank_exact(coeff_rows)
         kernel = linalg.nullspace_exact(by_column)
@@ -246,5 +228,5 @@ def common_orthogonal_complement(
         kernel = [list(map(float, v)) for v in vt[rank:]]
     if rank > min(n1, n_dim - n1):
         raise DependentBasis("projection rank exceeds its structural bound")
-    basis = tuple(combine(vec, bo_b.first_stage) for vec in kernel)
+    basis = from_columns(linalg.mat_mul(first, linalg.transpose(kernel)))
     return n_dim - n1 - rank, basis, rank

@@ -155,13 +155,26 @@ def monomial(k, coeff=Fraction(1)):
     return Polynomial((zero(kind_of(coeff)),) * k + (coeff,))
 
 
+def columns_of(polys, size):
+    """The size x len(polys) coefficient matrix whose column k holds the
+    ascending coefficients of polys[k], each of degree below ``size``."""
+    return [[p.coeff(k) for p in polys] for k in range(size)]
+
+
+def from_columns(matrix):
+    """The polynomials whose ascending coefficients are the columns of ``matrix``."""
+    return tuple(Polynomial(col) for col in zip(*matrix))
+
+
 def combine(coefficients, polys):
-    """sum_k coefficients[k] * polys[k], skipping zero coefficients."""
-    acc = Polynomial(())
-    for c, p in zip(coefficients, polys):
-        if c != 0:
-            acc = acc + p.scale(c)
-    return acc
+    """sum_k coefficients[k] * polys[k]: ``from_columns`` of the one-column
+    product of the nonzero polys' ``columns_of`` with their coefficients."""
+    pairs = [(c, p) for c, p in zip(coefficients, polys) if not p.is_zero]
+    if not pairs:
+        return Polynomial(())
+    size = max(p.degree for _, p in pairs) + 1
+    columns = columns_of([p for _, p in pairs], size)
+    return from_columns(linalg.mat_mul(columns, [[c] for c, _ in pairs]))[0]
 
 
 ONE = Polynomial((Fraction(1),))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from . import linalg, scalars
 from .block import SboBasis
 from .measures import Measure, hankel_matrix, inner_product_mu, moments
-from .polynomials import Polynomial
+from .polynomials import Polynomial, columns_of, from_columns
 from .standard import StandardBasis
 
 ONTO_CONSTRAINT = "constraint"
@@ -34,8 +34,7 @@ class ProjectorMatrix:
         """Apply to a polynomial of degree < size."""
         if p.degree >= self.size:
             raise ValueError("polynomial does not fit the projector's space")
-        out = linalg.mat_mul(self.entries, [[p.coeff(k)] for k in range(self.size)])
-        return Polynomial(tuple(row[0] for row in out))
+        return from_columns(linalg.mat_mul(self.entries, columns_of([p], self.size)))[0]
 
     def compose(self, other: "ProjectorMatrix"):
         return linalg.mat_mul(self.entries, other.entries)

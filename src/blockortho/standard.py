@@ -38,7 +38,7 @@ from .measures import (
     hankel_matrix,
     moments,
 )
-from .polynomials import Polynomial, monomial
+from .polynomials import Polynomial, from_columns, monomial
 from .scalars import EXACT, FLOAT, one, sqrt_exact, zero
 
 MONIC = "monic"
@@ -155,9 +155,7 @@ def _assemble(measure, seq, result, normalization, backend, leading=None, rec=No
     basis = StandardBasis(
         measure=measure,
         moment_seq=seq,
-        polys=tuple(
-            Polynomial(tuple(q_in_x[m][d] for m in range(d + 1))) for d in range(n)
-        ),
+        polys=from_columns(q_in_x),
         leading=tuple(ks),
         norms=tuple(ks[d] ** 2 * result.norms[d] for d in range(n)),
         q_in_x=q_in_x,

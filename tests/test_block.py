@@ -469,6 +469,27 @@ def test_float_general_bo(hermite_pair):
     assert evens[1].coeffs == (-0.25, 0.0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "pair, subspace, n_dim",
+    [
+        ((Measure.gaussian(1), Measure.gaussian(2)), [monomial(1)], 5),
+        ((Measure.gamma_weight(1, 1), Measure.gamma_weight(2, 1)), [monomial(0), monomial(1)], 5),
+        ((Measure.gamma_weight(1, Fraction(3, 2)), Measure.gaussian(2)), [Polynomial((1, 0, 1))], 4),
+    ],
+    ids=["hermite", "laguerre", "gamma-gaussian"],
+)
+def test_float_general_bo_agrees_with_exact(pair, subspace, n_dim):
+    exact = build_general_bo(*pair, subspace, n_dim)
+    fl = build_general_bo(*pair, [p.to_float() for p in subspace], n_dim, backend="float")
+    assert fl.completion_degrees == exact.completion_degrees
+    for a, b in zip(exact.first_stage + exact.second_stage, fl.first_stage + fl.second_stage):
+        coeffs = [float(c) for c in a.coeffs]
+        assert b.degree == a.degree
+        assert max(abs(x - y) for x, y in zip(b.coeffs, coeffs)) <= 1e-10 * max(map(abs, coeffs))
+    for a, b in zip(exact.first_norms + exact.second_norms, fl.first_norms + fl.second_norms):
+        assert abs(b - float(a)) <= 1e-10 * abs(float(a))
+
+
 def test_float_backend_matches_exact(hermite_pair, laguerre_pair):
     # every float build that returns agrees with the exact one; refusals are fine
     for pair in (hermite_pair, laguerre_pair):

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from blockortho import cli
+from blockortho import block, cli
 from blockortho.cli import main
 
 
@@ -112,6 +113,45 @@ def test_verify_float_conditioning_guard_skips(capsys):
     entry = payload["reports"][0]
     assert entry["passed"] is True
     assert "skipped" in entry and "20" in entry["skipped"]
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise AssertionError(f"{constant} is not strict JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_error_line_carries_the_gate_measurement(capsys):
+    code, out, err = run(capsys, "table", "--float", "--pair", "laguerre", "--N", "12", "--i", "0")
+    assert (code, out) == (1, "")
+    error = _strict_json(err)
+    assert set(error) == {"error", "kind", "stage", "condition", "limit"}
+    assert (error["kind"], error["stage"], error["limit"]) == (
+        "ConditioningError", "second_stage", 1e-9,
+    )
+    assert error["condition"] > error["limit"]
+    assert f"{error['condition']:.3g}" in error["error"]
+
+
+def test_error_line_prints_an_infinite_condition_as_a_string(capsys, monkeypatch):
+    monkeypatch.setattr(block, "gamma_condition", lambda gamma: math.inf)
+    code, out, err = run(capsys, "table", "--float", "--pair", "hermite", "--N", "4", "--i", "0")
+    assert (code, out) == (1, "")
+    assert "Infinity" not in err
+    assert _strict_json(err)["condition"] == "inf"
+
+
+def test_error_line_names_the_moments_stage(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("0,1\n1,2\n2,1\n")
+    code, out, err = run(
+        capsys, "table", "--moments-file", str(bad), "--measure2", "gaussian:1", "--N", "2",
+    )
+    assert (code, out) == (1, "")
+    error = _strict_json(err)
+    assert (error["kind"], error["stage"], error["degree"]) == ("NotPositiveDefinite", "moments", 1)
+    assert "condition" not in error and "limit" not in error
 
 
 def test_three_subspace_classifications(capsys):

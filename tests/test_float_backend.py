@@ -58,7 +58,7 @@ def test_gauss_rule_of_a_closed_form_family_builds_no_basis(monkeypatch):
 def test_float_build_forms_no_hankel_matrix(monkeypatch):
     calls = []
     original = measures.hankel_matrix
-    for module in (standard, block):
+    for module in (standard, measures):
         monkeypatch.setattr(module, "hankel_matrix", lambda *a: calls.append(a) or original(*a))
     basis = build_sbo(*LAGUERRE, 9, 12, backend="float")
     assert calls == []

@@ -18,7 +18,7 @@ from blockortho import (
     gram_determinants,
     gram_schmidt,
 )
-from blockortho import OracleMismatch
+from blockortho import OracleMismatch, linalg
 from blockortho.gso import check_against_oracle, parity_gram_schmidt
 from blockortho.linalg import identity, mat_mul
 
@@ -107,6 +107,29 @@ def test_oracle_equivalence_random_float():
             scale = max(abs(x) for x in oracle) or 1.0
             for a, b in zip(oracle, (res.coeffs[m][n] for m in range(n + 1))):
                 assert abs(a - b) <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("kind", ["exact", "float"])
+def test_connection_b_is_one_cofactor_elimination(monkeypatch, kind):
+    rng = random.Random(15)
+    gram = _random_pd(rng, 5, kind=kind)
+    factors = [Fraction(2), Fraction(-1), Fraction(1), Fraction(3), Fraction(1, 2)]
+    if kind == "float":
+        factors = [float(f) for f in factors]
+    res = gram_schmidt(gram, factors)
+    sizes = []
+    original = linalg.bordered_minors
+    monkeypatch.setattr(linalg, "bordered_minors", lambda b: sizes.append(len(b)) or original(b))
+    monkeypatch.setattr(linalg, "det", lambda m: pytest.fail("connection_b took a determinant"))
+    for n in range(5):
+        for m in range(n + 1):
+            expect = res.inverse_coeffs[m][n]
+            got = connection_b(gram, res, m, n)
+            if kind == "exact":
+                assert got == expect
+            else:
+                assert abs(got - expect) <= 1e-9 * max(abs(expect), 1.0)
+    assert sizes == [m + 1 for n in range(5) for m in range(n + 1)]
 
 
 def test_connection_matrices_are_mutually_inverse():

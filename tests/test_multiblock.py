@@ -15,6 +15,7 @@ from blockortho import (
     monomial,
     solve_third_subspace,
 )
+from blockortho.linalg import rank_float
 from blockortho.measures import moments
 from blockortho.multiblock import FAMILY, NO_SOLUTION, UNIQUE
 
@@ -151,6 +152,67 @@ def test_float_backend_classification():
     solution = solve_third_subspace(fl, backend="float")
     assert solution.classification == NO_SOLUTION
     assert solution.svd_gap is not None
+
+
+def _float_problem(problem):
+    return ThreeSubspaceProblem(
+        problem.n1,
+        problem.n2,
+        tuple(p.to_float() for p in problem.basis),
+        inner_13=problem.inner_13,
+        inner_23=problem.inner_23,
+    )
+
+
+@pytest.mark.parametrize(
+    "z12, z23, z13, symmetric12",
+    [(1, 2, 3, False), (None, 3, 4, True), (1, 2, 4, False)],
+    ids=["unique", "family", "no_solution"],
+)
+def test_float_third_subspace_agrees_with_exact(z12, z23, z13, symmetric12):
+    problem = appendix_b_problem(z12, z23, z13, symmetric12=symmetric12)
+    exact = solve_third_subspace(problem)
+    fl_problem = _float_problem(problem)
+    fl = solve_third_subspace(fl_problem, backend="float")
+    shape = ("classification", "free_parameters", "rank", "augmented_ranks")
+    assert [getattr(fl, k) for k in shape] == [getattr(exact, k) for k in shape]
+    assert (len(fl.particular), len(fl.kernel)) == (len(exact.particular), len(exact.kernel))
+    for a, b in zip(fl.basis, exact.basis):
+        coeffs = [float(c) for c in b.coeffs]
+        assert a.degree == b.degree
+        assert max(abs(x - y) for x, y in zip(a.coeffs, coeffs)) <= 1e-10 * max(map(abs, coeffs))
+    # lstsq and rref may pick different particular solutions: check the constraints
+    order = 2 * (problem.size - 1)
+    n1, n2 = problem.n1, problem.n2
+    blocks = [
+        (moments(problem.inner_13, order, "float"), fl_problem.basis[:n1]),
+        (moments(problem.inner_23, order, "float"), fl_problem.basis[n1 : n1 + n2]),
+    ]
+    for eps in fl.particular + fl.kernel:
+        for mu, constraints in blocks:
+            scale = max(map(abs, eps.coeffs)) * max(map(abs, mu.mu))
+            for p in constraints:
+                assert abs(inner_product_mu(mu, p, eps)) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize(
+    "subspace, measure_a, measure_b, n_dim",
+    [
+        ([monomial(0)], Measure.gaussian(1), Measure.gaussian(1), 3),
+        ([monomial(0)], Measure.gaussian(1), Measure.gaussian(2), 3),
+        ([monomial(0), monomial(1)], Measure.gamma_weight(1, 1), Measure.gamma_weight(1, 3), 3),
+        ([monomial(1)], Measure.gamma_weight(1, 1), Measure.gamma_weight(2, 1), 4),
+    ],
+    ids=["same", "symmetric", "generic", "laguerre"],
+)
+def test_float_common_complement_agrees_with_exact(subspace, measure_a, measure_b, n_dim):
+    dim, basis, rank = common_orthogonal_complement(subspace, measure_a, measure_b, n_dim)
+    fl_subspace = [p.to_float() for p in subspace]
+    fl = common_orthogonal_complement(fl_subspace, measure_a, measure_b, n_dim, backend="float")
+    assert (fl[0], len(fl[1]), fl[2]) == (dim, len(basis), rank)
+    # the float kernel is orthonormal and the exact one reduced: compare what they span
+    rows = [[float(p.coeff(k)) for k in range(n_dim)] for p in basis + fl[1]]
+    assert rank_float(rows, 1e-10)[0] == dim
 
 
 def test_common_complement_same_measure():

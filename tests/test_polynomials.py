@@ -66,6 +66,42 @@ def test_json_roundtrip():
     assert p.to_json()["coeffs"] == ["1/8", "0", "-7/4", "0", "1"]
 
 
+def reference_combine(coefficients, polys):
+    """sum_k coefficients[k] * polys[k], accumulated polynomial by polynomial."""
+    acc = Polynomial(())
+    for c, p in zip(coefficients, polys):
+        if c != 0:
+            acc = acc + p.scale(c)
+    return acc
+
+
+@st.composite
+def combine_cases(draw):
+    """(coefficients, polys) of one kind, with zero polynomials, zero
+    coefficients and more polynomials than coefficients."""
+    entry = st.integers(-6, 6).map(Fraction) | st.fractions(max_denominator=7, min_value=-3, max_value=3)
+    polys = draw(st.lists(st.lists(entry, max_size=6).map(tuple).map(Polynomial), max_size=6))
+    coefficients = draw(st.lists(entry, max_size=len(polys)))
+    if draw(st.booleans()):
+        polys = [p.to_float() for p in polys]
+        coefficients = [float(c) for c in coefficients]
+    return coefficients, polys
+
+
+@given(combine_cases())
+@settings(max_examples=200, deadline=None)
+def test_combine_is_the_one_column_product(case):
+    coefficients, polys = case
+    got = polynomials.combine(coefficients, polys)
+    expect = reference_combine(coefficients, polys)
+    # float sums run in the same order, so they agree bit for bit
+    assert (got, got.kind) == (expect, expect.kind)
+    assert [repr(c) for c in got.coeffs] == [repr(c) for c in expect.coeffs]
+    # one spare zero row, so a batch of zero polynomials keeps its columns
+    size = max((p.degree for p in polys), default=-1) + 2
+    assert polynomials.from_columns(polynomials.columns_of(polys, size)) == tuple(polys)
+
+
 def test_sign_changes_simple_roots():
     p = Polynomial((Fraction(-1, 4), 0, 1))
     report = sign_changes_in(p, -1, 1)

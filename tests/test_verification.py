@@ -1,6 +1,9 @@
+import dataclasses
+import json
+
 import pytest
 
-from blockortho import Measure, block
+from blockortho import Measure, Polynomial, block, verification
 from blockortho.cli import main
 from blockortho.verification import ALL_CHECKS, check_orthogonality, run_checks
 
@@ -50,3 +53,43 @@ def test_oracle_equivalence_reads_the_stored_gamma(monkeypatch, capsys):
     assert main(argv) == 0
     capsys.readouterr()
     assert len(calls) == 1
+
+
+def _nudged(poly):
+    """poly with its constant term moved by 1e-6 of its largest coefficient."""
+    coeffs = list(poly.coeffs)
+    coeffs[0] += 1e-6 * max(map(abs, coeffs))
+    return Polynomial(tuple(coeffs))
+
+
+def _float_verify(capsys, pair, check):
+    argv = ["verify", "--float", "--pair", pair, "--N", "6", "--checks", check]
+    code = main(argv)
+    return code, json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("pair", ["hermite", "laguerre"])
+def test_float_oracle_equivalence_compares_the_sbo_oracle(monkeypatch, capsys, pair):
+    assert _float_verify(capsys, pair, "oracle_equivalence")[1]["passed"] is True
+    original = verification.sbo_determinant_oracle
+
+    def nudged(*args, **kwargs):
+        result = original(*args, **kwargs)
+        return dataclasses.replace(result, poly=_nudged(result.poly))
+
+    monkeypatch.setattr(verification, "sbo_determinant_oracle", nudged)
+    code, payload = _float_verify(capsys, pair, "oracle_equivalence")
+    assert (code, payload["passed"]) == (1, False)
+    assert payload["reports"][0]["which"] == "sbo"
+
+
+@pytest.mark.parametrize("pair", ["hermite", "laguerre"])
+def test_float_recurrence_compares_the_replay(monkeypatch, capsys, pair):
+    assert _float_verify(capsys, pair, "recurrence")[1]["passed"] is True
+    original = verification.build_by_recurrence
+    monkeypatch.setattr(
+        verification, "build_by_recurrence", lambda *a, **k: [_nudged(p) for p in original(*a, **k)]
+    )
+    code, payload = _float_verify(capsys, pair, "recurrence")
+    assert (code, payload["passed"]) == (1, False)
+    assert payload["reports"][0]["which"] == "rebuild"
