@@ -9,15 +9,19 @@ mutually orthogonal under the second.
 
 Internally the basis always stores the monic data (polynomials, norms,
 connection matrices); normalization modes are exact rescalings of that core.
-Every build is cross-checked against the bordered-determinant formulas over
-the gamma matrix gamma[j][k] = (Q_j, Q_k)_2 unless ``check=False``.
+The gamma matrix gamma[j][k] = (Q_j, Q_k)_2 of a gaussian or gamma second
+measure comes from that measure's recurrence in both backends
+(:func:`gamma_matrix`).  Every build is cross-checked against the
+bordered-determinant formulas over gamma unless ``check=False``, and exact
+builds also check gamma itself against the second measure's moments.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import partial, reduce
+from operator import add
 
 import numpy as np
 
@@ -33,7 +37,7 @@ from .errors import (
 from .gso import ORACLE_RTOL
 from .measures import GramMatrix, Measure, MomentSequence, gram_of, moments
 from .polynomials import Polynomial, columns_of, combine, from_columns, monomial
-from .scalars import EXACT, FLOAT
+from .scalars import EXACT, FLOAT, as_kind, one, zero
 from .standard import (  # the normalization names are re-exported here
     DET_NORMALIZED,
     MONIC,
@@ -130,33 +134,28 @@ class SboBasis:
 def gamma_matrix(q_basis: StandardBasis, measure2, i: int) -> GramMatrix:
     """Gram matrix of Q_i..Q_{N-1} under the second measure.
 
-    ``measure2`` is a measure or its moment sequence.  Float bases with a
-    second measure of closed-form recurrence integrate by its N-node Gauss
-    rule, which takes gamma[j][k] = e_0^T Q_j(J) Q_k(J) e_0 h_0 with J the
+    ``measure2`` is a measure or its moment sequence.  A second measure of
+    closed-form recurrence integrates by its N-node Gauss rule, in either
+    backend, which takes gamma[j][k] = e_0^T Q_j(J) Q_k(J) e_0 h_0 with J the
     Jacobi matrix of that recurrence (Golub-Welsch) and needs no nodes: in
     the monic form of J, the column T_j = Q_j(J) e_0 holds the coefficients
     of Q_j on the second measure's monic orthogonal polynomials R_m, run by
     the recurrence of Q, and gamma = T^T diag(h) T with the norms h_m of the
-    R_m.  No Hankel matrix is formed, every step is rational, and the sums
-    run over ascending m, so each trailing block is bit-identical to its own
-    assembly.  Otherwise gamma is the congruence A^T H_2 A (``gram_of``),
-    with A the columns i.. of ``q_in_x`` and H_2 the second measure's Hankel
-    matrix.  The lower triangle mirrors the upper one, so float entries stay
-    exactly symmetric.
+    R_m.  The rule is exact for the degrees of gamma, so exact entries are
+    the inner products themselves.  No Hankel matrix is formed, every step
+    is rational, and the sums run over ascending m, so each trailing block
+    is bit-identical to its own assembly.  Otherwise gamma is the congruence
+    A^T H_2 A (``gram_of``), with A the columns i.. of ``q_in_x`` and H_2 the
+    second measure's Hankel matrix.  The lower triangle mirrors the upper
+    one, so float entries stay exactly symmetric.
     """
     n = q_basis.size
     if not 0 <= i <= n:
         raise ValueError(f"constraint index {i} outside 0..{n}")
     mu2 = measure2 if isinstance(measure2, MomentSequence) else None
     measure2 = mu2.measure if mu2 is not None else measure2
-    if q_basis.backend == FLOAT and measure2 is not None and has_closed_recurrence(measure2):
-        rec2 = monic_recurrence(measure2, n)
-        t = _connection_to_second(q_basis, rec2)
-        h = np.cumprod([1.0] + [float(c_m) for _, c_m in rec2[1:]])
-        full = np.zeros((n - i, n - i))
-        for t_m, h_m in zip(t[:, i:], h):
-            full += np.outer(h_m * t_m, t_m)
-        full = full.tolist()
+    if measure2 is not None and has_closed_recurrence(measure2):
+        full = _gram_by_connection(q_basis, monic_recurrence(measure2, n), i)
     else:
         if mu2 is None:
             mu2 = moments(measure2, max(2 * (n - 1), 0), backend=q_basis.backend)
@@ -165,27 +164,88 @@ def gamma_matrix(q_basis: StandardBasis, measure2, i: int) -> GramMatrix:
     return GramMatrix(tuple(map(tuple, entries)), f"Q_{i}..Q_{n - 1}")
 
 
+def _gram_by_connection(q_basis: StandardBasis, rec2, i):
+    """The upper triangle of T^T diag(h) T over the columns i.. of T, entry
+    [j][k] summed over the support m <= j in ascending order as
+    sum_m (h_m T[m][j]) T[m][k], zero terms skipped."""
+    n = q_basis.size
+    kind = q_basis.backend
+    t = _connection_to_second(q_basis, rec2)
+    h = [one(kind)]
+    for _, c_m in rec2[1:]:
+        h.append(h[-1] * as_kind(c_m, kind))
+    full = [[zero(kind)] * (n - i) for _ in range(n - i)]
+    for j in range(i, n):
+        scaled = [(m, h[m] * t[m][j]) for m in range(j + 1) if t[m][j]]
+        for k in range(j, n):
+            terms = [x * t[m][k] for m, x in scaled if t[m][k]]
+            if terms:
+                full[j - i][k - i] = reduce(add, terms)
+    return full
+
+
 def _connection_to_second(q_basis: StandardBasis, rec2):
     """T[m][j]: coefficient of R_m in Q_j, R the monic orthogonal polynomials
-    of the recurrence ``rec2``.
+    of the recurrence ``rec2``, in the scalars of the basis.
 
     x R_m = R_{m+1} + b_m R_m + c_m R_{m-1}, so multiplying a column by x is
-    t_{m-1} + b_m t_m + c_{m+1} t_{m+1}; Q's own recurrence
+    b_m t_m + t_{m-1} + c_{m+1} t_{m+1}; Q's own recurrence
     Q_{n+1} = (A_n x + B_n) Q_n - C_n Q_{n-1} then builds column n + 1.
+    T is upper triangular; only its support is touched and zero terms are
+    skipped, so a float entry equals the full sum in the same order.
     """
     n = q_basis.size
-    b = np.array([float(b_m) for b_m, _ in rec2])
-    c = np.array([float(c_m) for _, c_m in rec2])
-    t = np.zeros((n, n))
-    t[0, 0] = float(q_basis.leading[0])
-    for k, (a_k, b_k, c_k) in enumerate(q_basis.recurrence):
-        x_t = b * t[:, k]
-        x_t[1:] += t[:-1, k]
-        x_t[:-1] += c[1:] * t[1:, k]
-        t[:, k + 1] = float(a_k) * x_t + float(b_k) * t[:, k]
-        if k:
-            t[:, k + 1] -= float(c_k) * t[:, k - 1]
+    kind = q_basis.backend
+    b = [as_kind(b_m, kind) for b_m, _ in rec2]
+    c = [as_kind(c_m, kind) for _, c_m in rec2]
+    t = [[zero(kind)] * n for _ in range(n)]
+    t[0][0] = as_kind(q_basis.leading[0], kind)
+    for k, coeffs in enumerate(q_basis.recurrence):
+        a_k, b_k, c_k = (as_kind(x, kind) for x in coeffs)
+        for m in range(k + 2):
+            x_terms = []
+            if b[m] and m <= k and t[m][k]:
+                x_terms.append(b[m] * t[m][k])
+            if m and t[m - 1][k]:
+                x_terms.append(t[m - 1][k])
+            if m < k and t[m + 1][k]:
+                x_terms.append(c[m + 1] * t[m + 1][k])
+            x_t = reduce(add, x_terms) if x_terms else None
+            terms = [] if x_t is None else [x_t if a_k == 1 else a_k * x_t]
+            if b_k and m <= k and t[m][k]:
+                terms.append(b_k * t[m][k])
+            if c_k and m < k and t[m][k - 1]:
+                terms.append(-(c_k * t[m][k - 1]))
+            if terms:
+                t[m][k + 1] = reduce(add, terms)
     return t
+
+
+def _check_gamma(gamma, mu2, q_cols, first_degree):
+    """Exact gamma against the second measure's moments in O(N^2).
+
+    gamma is the congruence A^T H_2 A of the coefficient columns A, so its
+    row sums are A^T (H_2 (A u)), u all ones: three matrix-vector products,
+    run over integers with A and the moments each lifted by the lcm of its
+    denominators.  The check reads neither T nor the Gauss rule, and a
+    wrong entry of T moves the row sums of every row it enters.
+    """
+    size = len(q_cols)
+    mu, mu_scale = linalg.lift(mu2.mu[: 2 * size - 1])
+    flat, a_scale = linalg.lift([x for row in q_cols for x in row])
+    width = len(gamma)
+    a = [flat[r * width : (r + 1) * width] for r in range(size)]
+    sums = [sum(row) for row in a]
+    h_sums = [sum(mu[r + c] * s_c for c, s_c in enumerate(sums) if s_c) for r in range(size)]
+    for j, row in enumerate(gamma):
+        expect = sum(a_r[j] * w_r for a_r, w_r in zip(a, h_sums) if a_r[j])
+        ints, scale = linalg.lift(row)
+        if sum(ints) * a_scale**2 * mu_scale != expect * scale:
+            degree = first_degree + j
+            raise OracleMismatch(
+                f"gamma matrix and second-measure moments disagree at degree {degree}",
+                degree=degree,
+            )
 
 
 def gamma_condition(gamma: GramMatrix) -> float:
@@ -244,6 +304,9 @@ def _sbo_bases(kernel, first_stage, measure2, i_values, n_polys, normalization, 
     mu2 = moments(measure2, 2 * n_polys - 2, backend=backend)
     lo = min(i_values, default=n_polys)
     gamma_lo = gamma_matrix(q_basis, mu2, lo).entries
+    if check and backend == EXACT:
+        with stage(SECOND_STAGE):
+            _check_gamma(gamma_lo, mu2, [row[lo:] for row in q_basis.q_in_x], lo)
     bases = {}
     for i in i_values:
         rows = tuple(row[i - lo :] for row in gamma_lo[i - lo :])

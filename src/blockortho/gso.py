@@ -13,7 +13,8 @@ Gram-Schmidt over a Gram matrix is its LDL^T factorization: the pivots
 are the ratios of consecutive leading Gram determinants, so one pass gives
 the vectors, their norms and the determinants, in either backend.
 
-Both stages of the block construction run through this module: the
+The second stage of the block construction, and the Hankel first stage
+of measures without a closed-form recurrence, run through this module: the
 kernels :func:`gram_schmidt` and :func:`parity_gram_schmidt` build the
 vectors, and :func:`check_against_oracle` recomputes them from bordered
 determinants, one :func:`linalg.bordered_minors` elimination per degree

@@ -42,6 +42,17 @@ def matrix_kind(matrix):
     return kinds.pop()
 
 
+def lift(values):
+    """Integers ``ints`` and a positive integer ``scale`` with
+    values[k] = ints[k] / scale, for rational ``values``.
+
+    ``scale`` is the lcm of the denominators, and each entry is taken as
+    ``numerator * (scale // denominator)``, so no Fraction arithmetic is done.
+    """
+    scale = lcm(*(x.denominator for x in values))
+    return [x.numerator * (scale // x.denominator) for x in values], scale
+
+
 def _lift(rows):
     """Integer rows and the product of their scales.
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DegreeError, KindMismatch
-from .scalars import EXACT, kind_of, one, scalar_from_json, scalar_to_json, zero
+from .scalars import EXACT, FLOAT, kind_of, one, scalar_from_json, scalar_to_json, zero
 
 PARITY_EVEN = "even"
 PARITY_ODD = "odd"
@@ -157,8 +157,13 @@ def monomial(k, coeff=Fraction(1)):
 
 def columns_of(polys, size):
     """The size x len(polys) coefficient matrix whose column k holds the
-    ascending coefficients of polys[k], each of degree below ``size``."""
-    return [[p.coeff(k) for p in polys] for k in range(size)]
+    ascending coefficients of polys[k], each of degree below ``size``.
+
+    Missing coefficients are the zero of the batch's kind (float when any
+    polynomial is float), so a zero polynomial in a float batch gives a
+    float column."""
+    pad = zero(FLOAT if any(p.kind == FLOAT for p in polys) else EXACT)
+    return [[p.coeffs[k] if k < len(p.coeffs) else pad for p in polys] for k in range(size)]
 
 
 def from_columns(matrix):

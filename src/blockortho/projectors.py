@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import linalg, scalars
 from .block import SboBasis
-from .measures import Measure, hankel_matrix, inner_product_mu, moments
+from .measures import Measure, gram_of, inner_product_mu, moments
 from .polynomials import Polynomial, columns_of, from_columns
 from .standard import StandardBasis
 
@@ -64,10 +64,12 @@ def projectors_from_q(q_basis: StandardBasis, i: int):
 def _scaled_overlaps(columns, norms, moment_seq):
     """D^-1 (B^T H): row n holds (b_n, x^k) / h_n for the columns b_n of B.
 
-    The division by the norms comes straight after the inner products.
+    B^T H is the Gram congruence of B against the monomials; the division
+    by the norms comes straight after the inner products.
     """
-    hankel = hankel_matrix(moment_seq, len(columns)).rows()
-    overlaps = linalg.mat_mul(linalg.transpose(columns), hankel)
+    size = len(columns)
+    kind = scalars.EXACT if moment_seq.exact else scalars.FLOAT
+    overlaps = gram_of(moment_seq, columns, linalg.identity(size, kind))
     return [[x / h for x in row] for row, h in zip(overlaps, norms)]
 
 
@@ -111,10 +113,17 @@ def inner0(p: Polynomial, q: Polynomial, sbo: SboBasis, measure_one: Measure = N
     There is deliberately no single-integral path; the value is defined by
     splitting both arguments with the projectors.
     """
+    return inner0_with(projectors_from_q(sbo.q_basis, sbo.i), p, q, sbo, measure_one)
+
+
+def inner0_with(pair, p: Polynomial, q: Polynomial, sbo: SboBasis, measure_one: Measure = None):
+    """:func:`inner0` with the projector pair ``projectors_from_q(sbo.q_basis,
+    sbo.i)`` the caller already holds, so a run over many arguments builds
+    it once."""
     n_size = sbo.size
     if p.degree >= n_size or q.degree >= n_size:
         raise ValueError("arguments do not fit the basis' space")
-    onto, complement = projectors_from_q(sbo.q_basis, sbo.i)
+    onto, complement = pair
     p1, p2 = onto.apply(p), complement.apply(p)
     q1, q2 = onto.apply(q), complement.apply(q)
     measure_one = measure_one or sbo.measure1

@@ -35,6 +35,11 @@ def one(kind):
     return Fraction(1) if kind == EXACT else 1.0
 
 
+def as_kind(value, kind):
+    """A rational or float ``value`` as a scalar of backend ``kind``."""
+    return Fraction(value) if kind == EXACT else float(value)
+
+
 def to_fraction(value) -> Fraction:
     """Parse an exact scalar: int, Fraction or a 'p/q' / 'p' string."""
     if isinstance(value, Fraction):

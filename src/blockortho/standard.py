@@ -1,13 +1,19 @@
 """Standard orthogonal polynomials of a single measure.
 
-Exact builds, and float builds of measures without a closed-form
-recurrence, run Gram-Schmidt on the monomial Hankel matrix, cross-checked
-against the closed bordered-determinant formulas for the coefficients and
-norms, so a silent disagreement between the inductive and the determinant
-route cannot survive construction.  Float builds of the gaussian and gamma
-families never form a Hankel matrix: they run the three-term recurrence of
-:func:`monic_recurrence`, whose closed forms are checked against the
-closed-form moments through the Gauss rule they define.
+The gaussian and gamma families run the closed-form three-term recurrence
+of :func:`monic_recurrence` in both backends and never form a Hankel
+matrix: one routine over the scalar kind gives the coefficients, their
+inverse, the norms and the Hankel determinants.  The build is checked
+against the closed-form moments, which never pass through the recurrence:
+the N-node Gauss rule of the recurrence must reproduce mu_0..mu_{2N-1}
+(exactly, or within ORACLE_RTOL in float), and every exact coefficient
+column must meet three moment identities of its degree.  Tabulated and
+numeric measures run Gram-Schmidt on the monomial Hankel matrix
+(:func:`hankel_build`), cross-checked against the closed bordered-determinant
+formulas for the coefficients and norms, so a silent disagreement between
+the inductive and the determinant route cannot survive construction; the
+``oracle_equivalence`` verify suite runs that route on the closed-form
+families as well.
 
 Normalization modes:
 
@@ -24,8 +30,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-
-import numpy as np
+from functools import reduce
+from operator import add
 
 from . import gso, linalg
 from .errors import ConditioningError, NotRepresentable, NotSymmetric, OracleMismatch, stage
@@ -39,7 +45,7 @@ from .measures import (
     moments,
 )
 from .polynomials import Polynomial, from_columns, monomial
-from .scalars import EXACT, FLOAT, one, sqrt_exact, zero
+from .scalars import EXACT, FLOAT, as_kind, one, sqrt_exact, zero
 
 MONIC = "monic"
 ORTHONORMAL = "orthonormal"
@@ -149,8 +155,11 @@ def _assemble(measure, seq, result, normalization, backend, leading=None, rec=No
     else:
         ks = list(leading)
     n = result.size
+    # only the upper triangles carry entries, and a unit k leaves them as they are
+    nil = zero(backend)
     q_in_x = tuple(
-        tuple(result.coeffs[m][d] * ks[d] for d in range(n)) for m in range(n)
+        tuple(nil if m > d else x if ks[d] == 1 else x * ks[d] for d, x in enumerate(row))
+        for m, row in enumerate(result.coeffs)
     )
     basis = StandardBasis(
         measure=measure,
@@ -160,8 +169,8 @@ def _assemble(measure, seq, result, normalization, backend, leading=None, rec=No
         norms=tuple(ks[d] ** 2 * result.norms[d] for d in range(n)),
         q_in_x=q_in_x,
         x_in_q=tuple(
-            tuple(result.inverse_coeffs[m][d] / ks[m] for d in range(n))
-            for m in range(n)
+            tuple(nil if m > d else x if ks[m] == 1 else x / ks[m] for d, x in enumerate(row))
+            for m, row in enumerate(result.inverse_coeffs)
         ),
         gram_dets=result.gram_dets,
         recurrence=(),
@@ -174,7 +183,8 @@ def _assemble(measure, seq, result, normalization, backend, leading=None, rec=No
     scaled = []
     for m, (b_m, c_m) in enumerate(rec[: n - 1]):
         a_m = ks[m + 1] / ks[m]
-        scaled.append((a_m, -a_m * float(b_m), ks[m + 1] * float(c_m) / ks[m - 1] if m else 0.0))
+        c_m = ks[m + 1] * as_kind(c_m, backend) / ks[m - 1] if m else zero(backend)
+        scaled.append((a_m, -a_m * as_kind(b_m, backend), c_m))
     return replace(basis, recurrence=tuple(scaled))
 
 
@@ -188,19 +198,38 @@ def build_standard(
 ) -> StandardBasis:
     """Construct Q_0..Q_{N-1}, cross-checked unless ``check=False``.
 
-    Float builds of the gaussian and gamma families run the closed-form
-    recurrence; every other build orthogonalizes the Hankel matrix and checks
-    the result against the bordered determinants.
+    The gaussian and gamma families run the closed-form recurrence, checked
+    against the closed-form moments; every other measure takes
+    :func:`hankel_build`.
     """
-    if backend == FLOAT and has_closed_recurrence(measure):
-        _check_size(n_polys, backend)
-        seq = moments(measure, 2 * n_polys - 1, backend=FLOAT)
-        rec = monic_recurrence(measure, n_polys)
+    if not has_closed_recurrence(measure):
+        return hankel_build(measure, n_polys, normalization, backend, leading, check)
+    _check_size(n_polys, backend)
+    seq = moments(measure, 2 * n_polys - 1, backend=backend)
+    rec = monic_recurrence(measure, n_polys)
+    with stage(FIRST_STAGE):
         if check:
-            with stage(FIRST_STAGE):
-                _check_rule_moments(rec, seq)
-        result = _recurrence_result(rec)
-        return _assemble(measure, seq, result, normalization, backend, leading, rec)
+            _check_rule_moments(rec, seq)
+        result = _recurrence_result(rec, backend)
+        if check and backend == EXACT:
+            _check_coefficients(result, seq)
+    return _assemble(measure, seq, result, normalization, backend, leading, rec)
+
+
+def hankel_build(
+    measure: Measure,
+    n_polys: int,
+    normalization: str = MONIC,
+    backend: str = EXACT,
+    leading=None,
+    check: bool = True,
+) -> StandardBasis:
+    """Q_0..Q_{N-1} by Gram-Schmidt on the monomial Hankel matrix, checked
+    against the bordered determinants unless ``check=False``.
+
+    The route of measures without a closed-form recurrence, and the
+    independent first-stage oracle for those with one.
+    """
     seq, gram = _hankel(measure, n_polys, backend)
     with stage(FIRST_STAGE):
         result = gso.gram_schmidt(gram, [one(backend)] * n_polys)
@@ -240,39 +269,50 @@ def monic_recurrence(measure: Measure, count: int):
     return tuple((-b_n, c_n) for _, b_n, c_n in basis.recurrence)
 
 
-def _recurrence_result(rec):
-    """Monic orthogonalization data of q_0..q_{N-1} from N recurrence terms.
+def _recurrence_result(rec, backend):
+    """Monic orthogonalization data of q_0..q_{N-1} from N recurrence terms,
+    in the scalars of ``backend``.
 
-    The coefficient matrix runs the recurrence column by column, its inverse
-    the dual recurrence x q_m = q_{m+1} + b_m q_m + c_m q_{m-1}; the norms
-    h_n = c_1 ... c_n (in units of mu_0) and the Hankel determinants are
-    prefix products.
+    Column k + 1 of the coefficients is x q_k - b_k q_k - c_k q_{k-1}, and
+    column k + 1 of their inverse follows the dual recurrence
+    x q_m = q_{m+1} + b_m q_m + c_m q_{m-1}; the norms h_n = c_1 ... c_n (in
+    units of mu_0) and the Hankel determinants are prefix products.  Only
+    the triangular support is touched and zero terms are skipped, so a
+    float entry equals the full sum in the same order bit for bit.
     """
     n = len(rec)
-    b = np.array([float(b_n) for b_n, _ in rec])
-    c = np.array([float(c_n) for _, c_n in rec])
-    q = np.zeros((n, n))
-    x_in_q = np.zeros((n, n))
-    q[0, 0] = x_in_q[0, 0] = 1.0
+    b = [as_kind(b_n, backend) for b_n, _ in rec]
+    c = [as_kind(c_n, backend) for _, c_n in rec]
+    nil = zero(backend)
+    q = [[nil] * n for _ in range(n)]
+    x_in_q = [[nil] * n for _ in range(n)]
+    q[0][0] = x_in_q[0][0] = one(backend)
     for k in range(n - 1):
-        q[1:, k + 1] = q[:-1, k]
-        q[:, k + 1] -= b[k] * q[:, k]
-        x_in_q[1:, k + 1] = x_in_q[:-1, k]
-        x_in_q[:, k + 1] += b * x_in_q[:, k]
-        x_in_q[:-1, k + 1] += c[1:] * x_in_q[1:, k]
-        if k:
-            q[:, k + 1] -= c[k] * q[:, k - 1]
-    norms = [1.0]
-    for c_n in c[1:].tolist():
+        b_k, c_k = b[k], c[k]
+        for m in range(k + 2):
+            v = q[m - 1][k] if m else nil
+            if b_k and m <= k and q[m][k]:
+                v -= b_k * q[m][k]
+            if k and m < k and q[m][k - 1]:
+                v -= c_k * q[m][k - 1]
+            q[m][k + 1] = v
+            v = x_in_q[m - 1][k] if m else nil
+            if b[m] and m <= k and x_in_q[m][k]:
+                v += b[m] * x_in_q[m][k]
+            if m < k and x_in_q[m + 1][k]:
+                v += c[m + 1] * x_in_q[m + 1][k]
+            x_in_q[m][k + 1] = v
+    norms = [one(backend)]
+    for c_n in c[1:]:
         norms.append(norms[-1] * c_n)
-    dets = [1.0]
+    dets = [one(backend)]
     for h in norms:
         dets.append(dets[-1] * h)
     return OrthogonalizationResult(
-        tuple(map(tuple, q.tolist())),
-        tuple(map(tuple, x_in_q.tolist())),
+        tuple(map(tuple, q)),
+        tuple(map(tuple, x_in_q)),
         tuple(norms),
-        (1.0,) * n,
+        (one(backend),) * n,
         tuple(dets),
     )
 
@@ -282,33 +322,87 @@ def _check_rule_moments(rec, seq):
 
     The N-node rule integrates x^k to e_0^T J^k e_0, J the N x N Jacobi
     matrix of the recurrence (Golub-Welsch), and is exact to degree 2N - 1,
-    so a moment it misses by more than ORACLE_RTOL times e_0^T |J|^k e_0
-    convicts the recurrence; the closed-form moments never pass through it.
-    J is taken in its monic form (ones below the diagonal, b_n on it, c_n
-    above), so the powers stay rational, and for nonnegative b_n every term
-    is nonnegative.
+    so a moment it misses convicts the recurrence; the closed-form moments
+    never pass through it.  J is taken in its monic form (ones below the
+    diagonal, b_n on it, c_n above), so the powers stay rational, and for
+    nonnegative b_n every term is nonnegative.  Exact moments must be met
+    exactly, by the integer powers of D J with D the lcm of the
+    recurrence's denominators; float ones within ORACLE_RTOL times
+    e_0^T |J|^k e_0.  The vector J^k e_0 is kept only on its support 0..k
+    and on the entries that still reach e_0 by step 2N - 1.
     """
-    b = np.array([float(b_n) for b_n, _ in rec])
-    c = np.array([float(c_n) for _, c_n in rec])
-    v = np.zeros(len(rec))
-    v[0] = 1.0
-    size = np.abs(v)
-    for k, mu_k in enumerate(seq.mu[: 2 * len(rec)]):
-        if not abs(v[0] - mu_k) <= ORACLE_RTOL * size[0]:
+    exact = seq.exact
+    if exact:
+        lifted, scale = linalg.lift([x for term in rec for x in term])
+        b, c = lifted[0::2], lifted[1::2]
+    else:
+        b, c, scale = [float(b_n) for b_n, _ in rec], [float(c_n) for _, c_n in rec], 1
+    b_abs = [abs(b_m) for b_m in b]
+    nil = 0 if exact else 0.0
+    count = 2 * len(rec)
+    v, size, power = [1 if exact else 1.0], [1.0], 1
+    for k, mu_k in enumerate(seq.mu[:count]):
+        if exact:
+            ok = v[0] * mu_k.denominator == mu_k.numerator * power
+        else:
+            ok = abs(v[0] - mu_k) <= ORACLE_RTOL * size[0]
+        if not ok:
             degree = (k + 1) // 2
             raise OracleMismatch(
                 f"recurrence and closed-form moments disagree at degree {degree}",
                 degree=degree,
             )
-        v, size = _jacobi_times(b, c, v), _jacobi_times(np.abs(b), c, size)
+        top = min(k + 2, len(rec), count - 1 - k)
+        if not exact:
+            size = _jacobi_times(b_abs, c, 1, size, top, nil)
+        v = _jacobi_times(b, c, scale, v, top, nil)
+        power *= scale
 
 
-def _jacobi_times(b, c, v):
-    """J^T v for the monic Jacobi matrix J of the recurrence (b, c)."""
-    out = b * v
-    out[1:] += c[1:] * v[:-1]
-    out[:-1] += v[1:]
+def _jacobi_times(b, c, scale, v, top, nil):
+    """Entries 0..top-1 of (scale J)^T v for the monic Jacobi matrix J of
+    the recurrence (b, c) / scale, with v given on its support: entry m
+    sums b_m v_m, c_m v_{m-1} and scale v_{m+1} in that order, zero terms
+    skipped (``nil`` when none is left)."""
+    out = []
+    for m in range(top):
+        terms = []
+        if m < len(v) and b[m] and v[m]:
+            terms.append(b[m] * v[m])
+        if 0 < m <= len(v) and v[m - 1]:
+            terms.append(c[m] * v[m - 1])
+        if m + 1 < len(v) and v[m + 1]:
+            terms.append(v[m + 1] if scale == 1 else scale * v[m + 1])
+        out.append(reduce(add, terms) if terms else nil)
     return out
+
+
+def _check_coefficients(result, seq):
+    """Exact monic coefficients against the closed-form moments.
+
+    Column n of q holds q_n, so sum_m q[m][n] mu_{m+j} is (q_n, x^j): h_n
+    for j = n, and zero for j = 0 from n = 1 on and for j = 1 from n = 2 on.
+    A single wrong coefficient moves one of the three, also where the odd
+    moments vanish.  The sums run over integers, the column and the moments
+    each lifted by the lcm of its denominators.
+    """
+    q, norms = result.coeffs, result.norms
+    mu, mu_scale = linalg.lift(seq.mu)
+    for n in range(result.size):
+        ints, scale = linalg.lift([q[m][n] for m in range(n + 1)])
+        col = [(m, x) for m, x in enumerate(ints) if x]
+        h_n = norms[n]
+        ok = (
+            (n < 1 or sum(x * mu[m] for m, x in col) == 0)
+            and (n < 2 or sum(x * mu[m + 1] for m, x in col) == 0)
+            and sum(x * mu[m + n] for m, x in col) * h_n.denominator
+            == h_n.numerator * scale * mu_scale
+        )
+        if not ok:
+            raise OracleMismatch(
+                f"recurrence coefficients miss the closed-form moments at degree {n}",
+                degree=n,
+            )
 
 
 def _recurrence_from(basis: StandardBasis):
@@ -338,8 +432,9 @@ def recurrence_coeffs(basis: StandardBasis):
 def build_by_recurrence(measure: Measure, n_polys: int, backend: str = EXACT):
     """Monic polynomials replayed from the three-term recurrence.
 
-    The coefficients come from the Hankel construction; replaying them is an
-    independent arithmetic path that must land on identical polynomials.
+    The coefficients are the built basis' own; replaying them by polynomial
+    arithmetic is an independent path from the coefficient matrix the build
+    assembles, and must land on identical polynomials.
     """
     base = build_standard(measure, n_polys, MONIC, backend=backend)
     polys = [Polynomial((one(backend),))]

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from . import analysis, gso, linalg
+from . import analysis, gso
 from .block import (
     build_sbo,
     build_sbos,
@@ -22,9 +22,9 @@ from .block import (
 from .errors import BlockOrthoError, ConditioningError
 from .measures import Measure, inner_product_mu, moments
 from .polynomials import combine, monomial
-from .projectors import inner0, projectors_from_q, projectors_from_second
+from .projectors import inner0_with, projectors_from_q, projectors_from_second
 from .scalars import EXACT, FLOAT, zero
-from .standard import build_by_recurrence, build_standard
+from .standard import build_by_recurrence, build_standard, hankel_build
 
 FLOAT_RTOL = 1e-10
 
@@ -67,14 +67,19 @@ def check_orthogonality(measure1, measure2, n_size, i_max, backend=EXACT):
 
 
 def check_oracle_equivalence(measure1, measure2, n_size, backend=EXACT, seed=20240601, samples=50):
-    """Inductive vs determinant routes on random Gram matrices and the pair."""
+    """Inductive vs determinant routes on random Gram matrices and the pair:
+    the Hankel first stage of each measure with its bordered-determinant
+    oracle, and the second stage against the SBO determinant oracle."""
     rng = random.Random(seed)
     for trial in range(samples):
         size = rng.randint(2, 7)
-        raw = [[Fraction(rng.randint(-4, 4)) for _ in range(size)] for _ in range(size)]
-        gram = linalg.mat_mul(linalg.transpose(raw), raw)
-        for d in range(size):
-            gram[d][d] += 1
+        raw = [[rng.randint(-4, 4) for _ in range(size)] for _ in range(size)]
+        cols = list(zip(*raw))
+        # raw^T raw + I, summed over integers
+        gram = [
+            [Fraction(sum(a * b for a, b in zip(c_j, c_k)) + (j == k)) for k, c_k in enumerate(cols)]
+            for j, c_j in enumerate(cols)
+        ]
         factors = [Fraction(rng.choice([1, 1, 2, -1, 3])) for _ in range(size)]
         if backend == FLOAT:
             gram = [[float(x) for x in row] for row in gram]
@@ -92,6 +97,14 @@ def check_oracle_equivalence(measure1, measure2, n_size, backend=EXACT, seed=202
                 if not _is_zero(b_oracle - result.inverse_coeffs[m][n], backend, scale):
                     return _entry("oracle_equivalence", False, trial=trial, n=n, m=m, which="b")
     bases = build_sbos(measure1, measure2, range(min(2, n_size) + 1), n_size, backend=backend)
+    # the Hankel route and its bordered-determinant oracle, on each measure's
+    # first stage, must land on the polynomials of the recurrence route
+    second = build_standard(measure2, n_size, backend=backend, check=False)
+    for measure, direct in ((measure1, bases[0].q_basis), (measure2, second)):
+        hankel = hankel_build(measure, n_size, backend=backend)
+        for n in range(n_size):
+            if not _polys_match(hankel.polys[n], direct.polys[n], backend):
+                return _entry("oracle_equivalence", False, n=n, which="first_stage")
     for i, basis in bases.items():
         for n in basis.degrees():
             oracle = sbo_determinant_oracle(basis.q_basis, basis.mu2, i, n, gamma=basis.gamma)
@@ -272,9 +285,10 @@ def check_inner0(measure1, measure2, n_size, backend=EXACT):
     if n_size <= 2:
         return _entry("inner0", True, skipped=f"no degree n >= i = 2 below N = {n_size}")
     basis = build_sbo(measure1, measure2, 2, n_size, backend=backend)
+    pair = projectors_from_q(basis.q_basis, basis.i)
     for m in basis.degrees():
         for n in basis.degrees():
-            val = inner0(basis.monic_poly(m), basis.monic_poly(n), basis)
+            val = inner0_with(pair, basis.monic_poly(m), basis.monic_poly(n), basis)
             expect = basis.monic_norm(m) if m == n else zero(backend)
             if not _is_zero(val - expect, backend, max(map(abs, basis.monic_norms))):
                 return _entry("inner0", False, m=m, n=n)

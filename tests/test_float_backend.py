@@ -39,7 +39,7 @@ def _quarter(n, fraction):
     ids=["gaussian", "gamma"],
 )
 def test_closed_form_recurrence_equals_the_hankel_build(measure):
-    hankel = build_standard(measure, 9, check=False).recurrence
+    hankel = standard.hankel_build(measure, 9, check=False).recurrence
     assert standard.monic_recurrence(measure, 8) == tuple((-b, c) for _, b, c in hankel)
 
 

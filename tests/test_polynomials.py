@@ -14,7 +14,7 @@ from blockortho import (
     build_sbo,
     monomial,
 )
-from blockortho import polynomials
+from blockortho import linalg, polynomials
 from blockortho.analysis import _scan_interval
 from blockortho.cli import main
 from blockortho.polynomials import sign_changes_batch, sign_changes_in
@@ -437,3 +437,15 @@ def test_one_bisection_loop_per_op(monkeypatch, capsys, argv):
     capsys.readouterr()
     # all 36 P_{i;n} with 0 <= i <= n < 8, less the constant P_{0;0}
     assert calls == [35]
+
+
+def test_columns_of_a_float_batch_pads_with_float_zeros():
+    # the zero polynomial has no kind of its own; it takes the batch's
+    batch = [Polynomial(()), Polynomial((1.0,))]
+    columns = polynomials.columns_of(batch, 2)
+    assert columns == [[0.0, 1.0], [0.0, 0.0]]
+    assert all(type(x) is float for row in columns for x in row)
+    assert linalg.mat_mul([[2.0, 3.0]], columns) == [[0.0, 2.0]]
+    assert polynomials.from_columns(columns) == tuple(batch)
+    exact = polynomials.columns_of([Polynomial(()), Polynomial((Fraction(1),))], 1)
+    assert all(type(x) is Fraction for row in exact for x in row)

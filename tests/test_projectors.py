@@ -14,8 +14,9 @@ from blockortho import (
     projectors_from_q,
     projectors_from_second,
 )
-from blockortho.linalg import identity
-from blockortho.measures import moments
+from blockortho import projectors
+from blockortho.linalg import identity, mat_mul, transpose
+from blockortho.measures import hankel_matrix, moments
 
 
 def _random_poly(rng, max_degree):
@@ -160,3 +161,16 @@ def test_float_route_equivalence(hermite_pair):
     for r in range(6):
         for c in range(6):
             assert abs(onto_q.entries[r][c] - onto_2.entries[r][c]) <= 1e-10
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_scaled_overlaps_are_the_plain_product_bit_for_bit(laguerre_pair, backend):
+    # the reference: (B^T H) by one product with the Hankel matrix, then D^-1
+    q = build_standard(laguerre_pair[0], 7, backend=backend)
+    hankel = hankel_matrix(q.moment_seq, 7).rows()
+    for i in (0, 3, 7):
+        columns = [row[:i] for row in q.q_in_x]
+        plain = mat_mul(transpose(columns), hankel)
+        expect = [[x / h for x in row] for row, h in zip(plain, q.norms)]
+        got = projectors._scaled_overlaps(columns, q.norms, q.moment_seq)
+        assert [[repr(x) for x in row] for row in got] == [[repr(x) for x in row] for row in expect]

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from blockortho import Measure, Polynomial, block, verification
+from blockortho import Measure, Polynomial, block, projectors, verification
 from blockortho.cli import main
 from blockortho.verification import ALL_CHECKS, check_orthogonality, run_checks
 
@@ -93,3 +93,19 @@ def test_float_recurrence_compares_the_replay(monkeypatch, capsys, pair):
     code, payload = _float_verify(capsys, pair, "recurrence")
     assert (code, payload["passed"]) == (1, False)
     assert payload["reports"][0]["which"] == "rebuild"
+
+
+@pytest.mark.parametrize("pair", ["hermite", "laguerre"])
+def test_inner0_suite_builds_one_projector_pair(monkeypatch, capsys, pair):
+    original = projectors.projectors_from_q
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in (projectors, verification):
+        monkeypatch.setattr(module, "projectors_from_q", counting)
+    assert main(["verify", "--pair", pair, "--N", "6", "--checks", "inner0"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
