@@ -54,17 +54,13 @@ def lift(values):
 
 
 def _lift(rows):
-    """Integer rows and the product of their scales.
-
-    Each row is multiplied by the lcm of its denominators, entry by entry as
-    ``numerator * (lcm // denominator)``, so no Fraction arithmetic is done.
-    """
+    """Integer rows and the product of their scales, each row :func:`lift`-ed."""
     int_rows = []
     scale = 1
     for row in rows:
-        den = lcm(*(x.denominator for x in row))
+        ints, den = lift(row)
         scale *= den
-        int_rows.append([x.numerator * (den // x.denominator) for x in row])
+        int_rows.append(ints)
     return int_rows, scale
 
 

@@ -337,7 +337,7 @@ def _check_rule_moments(rec, seq):
         b, c = lifted[0::2], lifted[1::2]
     else:
         b, c, scale = [float(b_n) for b_n, _ in rec], [float(c_n) for _, c_n in rec], 1
-    b_abs = [abs(b_m) for b_m in b]
+        b_abs = [abs(b_m) for b_m in b]
     nil = 0 if exact else 0.0
     count = 2 * len(rec)
     v, size, power = [1 if exact else 1.0], [1.0], 1
