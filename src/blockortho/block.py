@@ -490,11 +490,7 @@ class SboOracleResult:
     @property
     def b_column(self):
         """Monic connection column b_{m,n}, m = i..n, computed when read."""
-        s = len(self.a_column) - 1
-        return tuple(
-            gso.oracle_connection_b(self.gamma, m, s, k_m)
-            for m, k_m in enumerate(self.leading)
-        )
+        return gso.oracle_connection_column(self.gamma, len(self.a_column) - 1, self.leading)
 
 
 def sbo_determinant_oracle(

@@ -17,14 +17,17 @@ The second stage of the block construction, and the Hankel first stage
 of measures without a closed-form recurrence, run through this module: the
 kernels :func:`gram_schmidt` and :func:`parity_gram_schmidt` build the
 vectors, and :func:`check_against_oracle` recomputes them from bordered
-determinants, one :func:`linalg.bordered_minors` elimination per degree
-(float: one LU solve for the adjugate column per degree).
+determinants: exact ones from one :class:`linalg.LiftedElimination` of the
+whole Gram matrix, compared in integers; float ones by one LU solve for the
+adjugate column per degree.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
@@ -54,7 +57,8 @@ class OrthogonalizationResult:
     """Connection data of one orthogonalization pass.
 
     ``coeffs[m][n]``         a_{m,n}: coefficient of e_m in E_n (upper triangular)
-    ``inverse_coeffs[m][n]`` b_{m,n}: coefficient of E_m in e_n
+    ``inverse_coeffs[m][n]`` b_{m,n}: coefficient of E_m in e_n (empty from
+                             the recurrence route, which does not form it)
     ``norms[n]``             h_n = (E_n, E_n)
     ``factors[n]``           the prescribed b_{n,n}
     ``gram_dets[k]``         determinant of the leading k x k block (index 0 is 1)
@@ -240,6 +244,27 @@ def oracle_connection_b(gram, m, n, leading_factor):
     return leading_factor * sum(x * c for x, c in zip(g[n], cofactors)) / z_next
 
 
+def oracle_connection_column(gram, n, leading_factors):
+    """b_{m,n}, m = 0..n, by :func:`oracle_connection_b`'s formula.
+
+    Exact matrices take every m from one :class:`linalg.LiftedElimination`
+    of the leading (n+1) x (n+1) block: in its lifted rows R (row r scaled by
+    d_r) b_{m,n} = f_m (R[n] . c) d_m / (d_n Z_{m+1}), with c and Z_{m+1} the
+    lifted cofactors and minor of degree m.  Float matrices take one
+    :func:`oracle_connection_b` per m.
+    """
+    g = _entries(gram)
+    block = [row[: n + 1] for row in g[: n + 1]]
+    if linalg.matrix_kind(block) == FLOAT:
+        return tuple(oracle_connection_b(block, m, n, f) for m, f in enumerate(leading_factors))
+    elim = linalg.LiftedElimination(block)
+    last, d = elim.rows[n], elim.scales
+    return tuple(
+        f * Fraction(sum(map(mul, last, elim.cofactors(m))) * d[m], d[n] * elim.minor(m + 1))
+        for m, f in enumerate(leading_factors)
+    )
+
+
 def connection_b(gram, result: OrthogonalizationResult, m, n):
     """b_{m,n} of ``result`` from its bordered determinant.
 
@@ -256,37 +281,99 @@ def check_against_oracle(gram, result: OrthogonalizationResult, basis, stage):
 
     ``basis`` is the monomial coefficient matrix of the vectors the Gram
     matrix is taken over (column k holds e_k).  Exact results must agree
-    exactly, norms and leading Gram determinants included; the connection
-    columns are compared directly, which is the same test as comparing
-    monomial coefficients because the basis columns are independent.  Float
-    results are compared as monomial coefficients: within ORACLE_RTOL times
-    the largest oracle coefficient, and norms within ORACLE_RTOL of the
-    oracle norm.  The oracle reads the Gram matrix and the prescribed
-    leading factors only, never the coefficients it checks.  A disagreement
-    raises OracleMismatch naming ``stage`` and the degree of the basis
-    vector.
+    exactly, column by column: the connection a, the norm h, the leading
+    Gram determinant Z and the inverse connection b
+    (:func:`_exact_mismatch`).  Comparing connection columns is the same test
+    as comparing monomial coefficients because the basis columns are
+    independent.  Float results are compared as monomial coefficients:
+    within ORACLE_RTOL times the largest oracle coefficient, and norms within
+    ORACLE_RTOL of the oracle norm.  The oracle reads the Gram matrix and the
+    prescribed leading factors only, never the coefficients it checks.  A
+    disagreement raises OracleMismatch naming ``stage`` and the degree of the
+    basis vector.
     """
     g = _entries(gram)
-    kind = linalg.matrix_kind(g)
-    for n in range(result.size):
-        oracle, h_oracle, z_here = bordered_oracle(g, n, result.factors[n])
-        oracle += (zero(kind),) * (result.size - n - 1)
-        stored = result.vector(n)
-        if kind == EXACT:
-            ok = (
-                oracle == stored
-                and h_oracle == result.norms[n]
-                and z_here == result.gram_dets[n + 1]
+    if linalg.matrix_kind(g) == EXACT:
+        bad = _exact_mismatch(g, result)
+    else:
+        bad = next((n for n in range(result.size) if not _float_agrees(g, result, basis, n)), None)
+    if bad is not None:
+        degree = max(k for k, row in enumerate(basis) if row[bad] != 0)
+        raise OracleMismatch(f"{stage} at degree {degree}", degree=degree)
+
+
+def _equals(value, num, den):
+    """Whether the rational (or float) ``value`` equals num / den, for
+    integers num and den != 0, by cross-multiplication."""
+    p, q = value.as_integer_ratio()
+    return p * den == num * q
+
+
+def _exact_mismatch(g, result):
+    """The first index n whose column of ``result`` leaves the bordered
+    determinants of the exact Gram matrix ``g``, or None.
+
+    One :class:`linalg.LiftedElimination` of ``g`` gives, for every n, the
+    lifted cofactors c of the leading (n+1)-column block and the lifted
+    minor z = Z_{n+1} d_0 ... d_n (d_r the scale of row r, R the lifted
+    rows).  With f_n = fp / fq the prescribed factor, the oracle values are
+
+        a_{m,n} = c_m fq / (c_n fp),      h_n = z fq^2 / (d_n c_n fp^2),
+        Z_{n+1} = z / (d_0 ... d_n),      b_{m,n} = f_m (R[n] . c^(m)) d_m / (d_n z_m)
+
+    (z_m the lifted Z_{m+1}), and each stored value p / q is compared with
+    its ratio num / den as p den == num q, without Fraction arithmetic.
+    Entries below the diagonal of a and b must vanish.
+    """
+    elim = linalg.LiftedElimination(g)
+    rows, d = elim.rows, elim.scales
+    size = result.size
+    cofactors, minors, ratios = [], [], []
+    for n in range(size):
+        f = result.factors[n]
+        if f == 0:
+            raise BadFactor("leading factor must be nonzero")
+        c = elim.cofactors(n)
+        if c[n] == 0:
+            raise NotPositiveDefinite(f"leading minor of size {n} vanishes", degree=n)
+        z = elim.minor(n + 1)
+        fp, fq = f.as_integer_ratio()
+        cofactors.append(c)
+        minors.append(z)
+        ratios.append((fp, fq))
+        a_den = c[n] * fp
+        ok = (
+            all(_equals(result.coeffs[m][n], c[m] * fq, a_den) for m in range(n + 1))
+            and _equals(result.norms[n], z * fq * fq, d[n] * a_den * fp)
+            and _equals(result.gram_dets[n + 1], z, elim.prefix[n + 1])
+            and all(
+                _equals(
+                    result.inverse_coeffs[m][n],
+                    mp * sum(map(mul, rows[n], cofactors[m])) * d[m],
+                    mq * d[n] * minors[m],
+                )
+                for m, (mp, mq) in enumerate(ratios)
             )
-        else:
-            pairs = linalg.mat_mul(basis, list(zip(oracle, stored)))
-            scale = max(abs(o) for o, _ in pairs)
-            ok = all(
-                abs(o - s) <= ORACLE_RTOL * scale for o, s in pairs
-            ) and abs(h_oracle - result.norms[n]) <= ORACLE_RTOL * abs(h_oracle)
+            and all(
+                result.coeffs[m][n] == 0 and result.inverse_coeffs[m][n] == 0
+                for m in range(n + 1, size)
+            )
+        )
         if not ok:
-            degree = max(k for k, row in enumerate(basis) if row[n] != 0)
-            raise OracleMismatch(f"{stage} at degree {degree}", degree=degree)
+            return n
+    return None
+
+
+def _float_agrees(g, result, basis, n):
+    """Whether float column n of ``result`` matches :func:`bordered_oracle`
+    as monomial coefficients, and its norm the oracle norm, to ORACLE_RTOL."""
+    oracle, h_oracle, _ = bordered_oracle(g, n, result.factors[n])
+    oracle += (0.0,) * (result.size - n - 1)
+    pairs = linalg.mat_mul(basis, list(zip(oracle, result.vector(n))))
+    scale = max(abs(o) for o, _ in pairs)
+    return all(abs(o - s) <= ORACLE_RTOL * scale for o, s in pairs) and abs(
+        h_oracle - result.norms[n]
+    ) <= ORACLE_RTOL * abs(h_oracle)
 
 
 def _checkerboard_blocks(matrix):

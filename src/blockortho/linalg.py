@@ -2,8 +2,9 @@
 
 Matrices are lists (or tuples) of rows.  Exact determinants use
 fraction-free Bareiss elimination after clearing row denominators, so
-intermediate swell stays bounded, and one such pass gives all the bordered
-minors of a Gram block; float determinants delegate to numpy.
+intermediate swell stays bounded, and one such pass over a Gram matrix
+gives the bordered minors of every leading block, each degree then taking
+only its back substitution; float determinants delegate to numpy.
 Rank decisions in the exact backend are genuinely discrete; the float path
 reports the singular-value gap it used.
 """
@@ -11,8 +12,9 @@ reports the singular-value gap it used.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
-from math import lcm, nan
+from itertools import accumulate, chain
+from math import lcm, nan, prod
+from operator import mul
 
 import numpy as np
 
@@ -53,79 +55,129 @@ def lift(values):
     return [x.numerator * (scale // x.denominator) for x in values], scale
 
 
-def _lift(rows):
-    """Integer rows and the product of their scales, each row :func:`lift`-ed."""
-    int_rows = []
-    scale = 1
-    for row in rows:
-        ints, den = lift(row)
-        scale *= den
-        int_rows.append(ints)
-    return int_rows, scale
+def _lift_rows(rows):
+    """Integer rows and their scales, each row :func:`lift`-ed."""
+    lifted = [lift(row) for row in rows]
+    return [ints for ints, _ in lifted], [scale for _, scale in lifted]
 
 
-def _det_bareiss_int(rows):
-    """Determinant of a square integer matrix by fraction-free elimination."""
-    n = len(rows)
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
+def _eliminate(m):
+    """Fraction-free (Bareiss) elimination of the integer rows ``m``, in place.
+
+    ``m`` has at least as many columns as rows.  Step k divides by the
+    previous pivot, which is exact, and swaps a lower row up only when the
+    pivot m[k][k] vanishes.  Until the first such step, row k holds, in each
+    column j >= k, the minor of the input on rows 0..k and columns
+    0..k-1, j, so the pivots are its leading minors (Bareiss's prefix
+    property).  Entries left of the diagonal are not cleared.  Returns
+    ``(sign, steps, first_zero)``: the sign of the row permutation, the
+    number of pivots found (fewer than the rows when a column has none) and
+    the step of the first vanishing pivot (None if none vanished).
+    """
+    n = len(m)
+    sign, prev, first_zero = 1, 1, None
+    for k in range(n):
+        if not m[k][k]:
+            if first_zero is None:
+                first_zero = k
+            swap = next((r for r in range(k + 1, n) if m[r][k]), None)
+            if swap is None:
+                return sign, k, first_zero
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pivot_row = m[k]
+        pivot = pivot_row[k]
+        tail = pivot_row[k + 1 :]
+        for row in m[k + 1 :]:
+            x = row[k]
+            if x:
+                row[k + 1 :] = [(a * pivot - x * b) // prev for a, b in zip(row[k + 1 :], tail)]
             else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+                row[k + 1 :] = [a * pivot // prev for a in row[k + 1 :]]
+        prev = pivot
+    return sign, n, first_zero
+
+
+def _back_substitute(m, n, lead):
+    """The integers c_0..c_n with c_n = ``lead`` and, for k < n,
+    sum_{j >= k} m[k][j] c_j = 0: the fraction-free back substitution of
+    the reduced rows 0..n-1 restricted to columns 0..n.  Each division is
+    exact because the c_k are minors; a remainder raises ArithmeticError.
+    """
+    c = [0] * n + [lead]
+    for k in range(n - 1, -1, -1):
+        row = m[k]
+        c[k], rest = divmod(-sum(map(mul, row[k + 1 : n + 1], c[k + 1 :])), row[k])
+        if rest:
+            raise ArithmeticError(f"inexact back substitution at column {k}")
+    return c
+
+
+def _det_int(rows):
+    """Determinant of a nonempty square integer matrix."""
+    m = [list(r) for r in rows]
+    sign, steps, _ = _eliminate(m)
+    return sign * m[-1][-1] if steps == len(m) else 0
 
 
 def _cofactors_int(top):
     """Signed maximal minors c_k = (-1)^(n+k) det(top without column k).
 
-    ``top`` is an n x (n+1) integer matrix.  One Bareiss pass (row swaps
+    ``top`` is an n x (n+1) integer matrix.  Its own elimination (row swaps
     among these n rows) makes it upper triangular; c_n is the leading minor
-    and the others follow from U c = 0 by fraction-free back substitution,
-    whose divisions are exact because the c_k are integers.  A singular
-    leading block (c_n = 0) has no such pass; its minors are taken one by
-    one.
+    and the others follow by :func:`_back_substitute`.  A column without a
+    pivot (a singular leading block with rank below n) leaves the minors to
+    be taken one by one.
     """
     n = len(top)
     m = [list(r) for r in top]
-    sign = 1
-    prev = 1
-    for k in range(n):
-        swap = next((r for r in range(k, n) if m[r][k]), None)
-        if swap is None:
-            return [
-                (-1) ** (n + j) * _det_bareiss_int([row[:j] + row[j + 1 :] for row in top])
-                for j in range(n + 1)
-            ]
-        if swap != k:
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        pivot_row = m[k]
-        pivot = pivot_row[k]
-        for row in m[k + 1 :]:
-            x = row[k]
-            for j in range(k + 1, n + 1):
-                row[j] = (row[j] * pivot - x * pivot_row[j]) // prev
-            row[k] = 0
-        prev = pivot
-    c = [0] * n + [sign * prev]
-    for k in range(n - 1, -1, -1):
-        row = m[k]
-        c[k], rest = divmod(-sum(row[j] * c[j] for j in range(k + 1, n + 1)), row[k])
-        if rest:
-            raise ArithmeticError(f"inexact back substitution at column {k}")
-    return c
+    sign, steps, _ = _eliminate(m)
+    if steps < n:
+        return [
+            (-1) ** (n + j) * _det_int([row[:j] + row[j + 1 :] for row in top])
+            for j in range(n + 1)
+        ]
+    return _back_substitute(m, n, sign * (m[n - 1][n - 1] if n else 1))
+
+
+class LiftedElimination:
+    """One fraction-free elimination of an exact square matrix, read degree
+    by degree.
+
+    The rows are lifted to integers once: ``rows[r]`` is row r times
+    ``scales[r]``, the lcm of its denominators, and ``prefix[k]`` is
+    scales[0] * ... * scales[k-1].  One :func:`_eliminate` pass reduces
+    them; by the prefix property its rows 0..n-1, restricted to columns
+    0..n, are the reduced n x (n+1) system of the leading block, so each
+    degree n costs only its O(n^2) back substitution.  From the first
+    vanishing pivot on (a singular leading block), a degree takes its own
+    elimination instead (:func:`_cofactors_int`).  Minors and cofactors are
+    those of the lifted rows: divided by ``prefix[k]`` (k the number of rows
+    they span) they are those of the matrix.
+    """
+
+    def __init__(self, matrix):
+        self.rows, self.scales = _lift_rows(matrix)
+        self.prefix = list(accumulate(self.scales, mul, initial=1))
+        self._reduced = [list(r) for r in self.rows]
+        first_zero = _eliminate(self._reduced)[2]
+        self._clean = len(self.rows) if first_zero is None else first_zero
+
+    def minor(self, k):
+        """Leading k x k minor of the lifted rows (1 for k = 0)."""
+        if k <= self._clean:
+            return self._reduced[k - 1][k - 1] if k else 1
+        if k == self._clean + 1:
+            return 0
+        return sum(map(mul, self.rows[k - 1], self.cofactors(k - 1)))
+
+    def cofactors(self, n):
+        """Signed cofactors c_k = (-1)^(n+k) det(lifted rows 0..n-1 without
+        column k) of the leading (n+1)-column block, k = 0..n; c_n is the
+        leading minor of size n."""
+        if n <= self._clean:
+            return _back_substitute(self._reduced, n, self.minor(n))
+        return _cofactors_int([row[: n + 1] for row in self.rows[:n]])
 
 
 def det(matrix):
@@ -138,8 +190,8 @@ def det(matrix):
         return Fraction(1)
     if matrix_kind(matrix) == FLOAT:
         return float(np.linalg.det(np.array(matrix, dtype=float)))
-    int_rows, scale = _lift(matrix)
-    return Fraction(_det_bareiss_int(int_rows), scale)
+    int_rows, scales = _lift_rows(matrix)
+    return Fraction(_det_int(int_rows), prod(scales))
 
 
 def bordered_minors(block):
@@ -150,11 +202,11 @@ def bordered_minors(block):
     leading minor Z_n, det(block) = Z_{n+1} = sum_k block[n][k] c_k, and c
     spans the null space of the first n rows whenever Z_n != 0.
 
-    Exact blocks are lifted to integers once and reduced by one Bareiss pass
-    (:func:`_cofactors_int`).  Float blocks take the same numpy determinants
-    as the minor-by-minor route, in its order: det(block), Z_n and, unless
-    Z_n = 0, the other minors in one stacked call.  When Z_n = 0 those come
-    back as NaN; every caller stops at a vanishing Z_n.
+    Exact blocks are read off one :class:`LiftedElimination`.  Float blocks
+    take the same numpy determinants as the minor-by-minor route, in its
+    order: det(block), Z_n and, unless Z_n = 0, the other minors in one
+    stacked call.  When Z_n = 0 those come back as NaN; every caller stops at
+    a vanishing Z_n.
     """
     n = len(block) - 1
     if matrix_kind(block) == FLOAT:
@@ -168,16 +220,22 @@ def bordered_minors(block):
         minors = np.linalg.det(np.stack([np.delete(a[:n], k, axis=1) for k in range(n)]))
         cofactors = tuple((-1) ** (n + k) * float(x) for k, x in enumerate(minors))
         return cofactors + (z_n,), whole
-    top, top_scale = _lift(block[:n])
-    (last,), last_scale = _lift(block[n:])
-    c = _cofactors_int(top)
-    whole = Fraction(sum(x * y for x, y in zip(last, c)), top_scale * last_scale)
-    return tuple(Fraction(x, top_scale) for x in c), whole
+    elim = LiftedElimination(block)
+    c = elim.cofactors(n)
+    whole = Fraction(elim.minor(n + 1), elim.prefix[n + 1])
+    return tuple(Fraction(x, elim.prefix[n]) for x in c), whole
 
 
 def leading_minors(matrix):
-    """Determinants of the leading k x k blocks, k = 0..n (index 0 is 1)."""
+    """Determinants of the leading k x k blocks, k = 0..n (index 0 is 1).
+
+    Exact matrices read all of them off one :class:`LiftedElimination`;
+    float ones take one numpy determinant per block.
+    """
     n = len(matrix)
+    if matrix_kind(matrix) == EXACT:
+        elim = LiftedElimination(matrix)
+        return [Fraction(elim.minor(k), elim.prefix[k]) for k in range(n + 1)]
     return [det([row[:k] for row in matrix[:k]]) for k in range(n + 1)]
 
 

@@ -20,6 +20,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Optional
 
 import numpy as np
@@ -309,13 +310,26 @@ def gram_of(moms: MomentSequence, left, right=None):
 
 def inner_product_mu(moms: MomentSequence, p: Polynomial, q: Polynomial):
     """Inner product from a moment table (in units of c_0); the checks' route,
-    summed pair by pair independently of ``gram_of``."""
+    summed pair by pair independently of ``gram_of``.
+
+    When the moments and both polynomials are exact, each of the three is
+    lifted to integers over the lcm of its denominators and the double sum
+    runs over those integers, with one division at the end; otherwise the
+    terms a_j b_k mu_{j+k} are summed in the scalars as given.
+    """
     if p.is_zero or q.is_zero:
         return zero(EXACT if moms.exact else FLOAT)
-    if p.degree + q.degree > moms.max_order:
-        raise InsufficientMoments(
-            f"inner product needs moments to order {p.degree + q.degree}"
+    order = p.degree + q.degree
+    if order > moms.max_order:
+        raise InsufficientMoments(f"inner product needs moments to order {order}")
+    if moms.exact and p.kind == EXACT and q.kind == EXACT:
+        p_int, p_scale = linalg.lift(p.coeffs)
+        q_int, q_scale = linalg.lift(q.coeffs)
+        mu_int, mu_scale = linalg.lift(moms.mu[: order + 1])
+        total = sum(
+            a * sum(map(mul, q_int, mu_int[j:])) for j, a in enumerate(p_int) if a
         )
+        return Fraction(total, p_scale * q_scale * mu_scale)
     total = None
     for j, a in enumerate(p.coeffs):
         for k, b in enumerate(q.coeffs):

@@ -2,8 +2,8 @@
 
 The gaussian and gamma families run the closed-form three-term recurrence
 of :func:`monic_recurrence` in both backends and never form a Hankel
-matrix: one routine over the scalar kind gives the coefficients, their
-inverse, the norms and the Hankel determinants.  The build is checked
+matrix: one routine over the scalar kind gives the coefficients, the norms
+and the Hankel determinants.  The build is checked
 against the closed-form moments, which never pass through the recurrence:
 the N-node Gauss rule of the recurrence must reproduce mu_0..mu_{2N-1}
 (exactly, or within ORACLE_RTOL in float), and every exact coefficient
@@ -62,8 +62,7 @@ FIRST_STAGE = "first_stage"
 class StandardBasis:
     """Orthogonal polynomials Q_0..Q_{N-1} of one measure.
 
-    ``q_in_x[m][n]`` is the coefficient of x^m in Q_n and ``x_in_q[m][n]``
-    the coefficient of Q_m in x^n.  ``gram_dets[k]`` is the k x k leading
+    ``q_in_x[m][n]`` is the coefficient of x^m in Q_n.  ``gram_dets[k]`` is the k x k leading
     Hankel determinant.  Norms are in units of the measure's zeroth moment.
     """
 
@@ -73,7 +72,6 @@ class StandardBasis:
     leading: tuple
     norms: tuple
     q_in_x: tuple
-    x_in_q: tuple
     gram_dets: tuple
     recurrence: tuple
     normalization: str
@@ -168,10 +166,6 @@ def _assemble(measure, seq, result, normalization, backend, leading=None, rec=No
         leading=tuple(ks),
         norms=tuple(ks[d] ** 2 * result.norms[d] for d in range(n)),
         q_in_x=q_in_x,
-        x_in_q=tuple(
-            tuple(nil if m > d else x if ks[m] == 1 else x / ks[m] for d, x in enumerate(row))
-            for m, row in enumerate(result.inverse_coeffs)
-        ),
         gram_dets=result.gram_dets,
         recurrence=(),
         normalization=normalization if leading is None else "custom",
@@ -273,20 +267,19 @@ def _recurrence_result(rec, backend):
     """Monic orthogonalization data of q_0..q_{N-1} from N recurrence terms,
     in the scalars of ``backend``.
 
-    Column k + 1 of the coefficients is x q_k - b_k q_k - c_k q_{k-1}, and
-    column k + 1 of their inverse follows the dual recurrence
-    x q_m = q_{m+1} + b_m q_m + c_m q_{m-1}; the norms h_n = c_1 ... c_n (in
-    units of mu_0) and the Hankel determinants are prefix products.  Only
-    the triangular support is touched and zero terms are skipped, so a
-    float entry equals the full sum in the same order bit for bit.
+    Column k + 1 of the coefficients is x q_k - b_k q_k - c_k q_{k-1}; the
+    norms h_n = c_1 ... c_n (in units of mu_0) and the Hankel determinants
+    are prefix products.  The inverse connection is not formed, so
+    ``inverse_coeffs`` is empty.  Only the triangular support is touched and
+    zero terms are skipped, so a float entry equals the full sum in the same
+    order bit for bit.
     """
     n = len(rec)
     b = [as_kind(b_n, backend) for b_n, _ in rec]
     c = [as_kind(c_n, backend) for _, c_n in rec]
     nil = zero(backend)
     q = [[nil] * n for _ in range(n)]
-    x_in_q = [[nil] * n for _ in range(n)]
-    q[0][0] = x_in_q[0][0] = one(backend)
+    q[0][0] = one(backend)
     for k in range(n - 1):
         b_k, c_k = b[k], c[k]
         for m in range(k + 2):
@@ -296,12 +289,6 @@ def _recurrence_result(rec, backend):
             if k and m < k and q[m][k - 1]:
                 v -= c_k * q[m][k - 1]
             q[m][k + 1] = v
-            v = x_in_q[m - 1][k] if m else nil
-            if b[m] and m <= k and x_in_q[m][k]:
-                v += b[m] * x_in_q[m][k]
-            if m < k and x_in_q[m + 1][k]:
-                v += c[m + 1] * x_in_q[m + 1][k]
-            x_in_q[m][k + 1] = v
     norms = [one(backend)]
     for c_n in c[1:]:
         norms.append(norms[-1] * c_n)
@@ -310,7 +297,7 @@ def _recurrence_result(rec, backend):
         dets.append(dets[-1] * h)
     return OrthogonalizationResult(
         tuple(map(tuple, q)),
-        tuple(map(tuple, x_in_q)),
+        (),
         tuple(norms),
         (one(backend),) * n,
         tuple(dets),

@@ -19,7 +19,8 @@ from .block import (
     sbo_determinant_oracle,
     sbo_parity_build,
 )
-from .errors import BlockOrthoError, ConditioningError
+from .errors import BlockOrthoError, ConditioningError, OracleMismatch
+from .linalg import identity
 from .measures import Measure, inner_product_mu, moments
 from .polynomials import combine, monomial
 from .projectors import inner0_with, projectors_from_q, projectors_from_second
@@ -85,6 +86,12 @@ def check_oracle_equivalence(measure1, measure2, n_size, backend=EXACT, seed=202
             gram = [[float(x) for x in row] for row in gram]
             factors = [float(f) for f in factors]
         result = gso.gram_schmidt(gram, factors)
+        if backend == EXACT:
+            try:
+                gso.check_against_oracle(gram, result, identity(size), "random Gram trial")
+            except OracleMismatch as exc:
+                return _entry("oracle_equivalence", False, trial=trial, n=exc.degree)
+            continue
         for n in range(size):
             oracle = gso.determinant_oracle_vector(gram, n, factors[n])
             column = [result.coeffs[m][n] for m in range(n + 1)]

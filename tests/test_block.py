@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 from fractions import Fraction
 
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 
 from blockortho import (
     BlockOrthoError,
+    OracleMismatch,
     ConditioningError,
     Measure,
     MeasureMismatch,
@@ -26,6 +29,7 @@ from blockortho import (
     sbo_determinant_oracle,
     sbo_parity_build,
 )
+from blockortho import gso
 from blockortho.block import DET_NORMALIZED, MONIC, ORTHONORMAL
 from blockortho.gso import ORACLE_RTOL
 from blockortho.measures import moments
@@ -505,3 +509,64 @@ def test_float_backend_matches_exact(hermite_pair, laguerre_pair):
                     scale = max(abs(c) for c in coeffs)
                     for a, b in zip(fl.monic_poly(n).coeffs, coeffs):
                         assert abs(a - b) <= ORACLE_RTOL * scale, (n_polys, i, n)
+
+
+def _nudged_kernel(field, index, nudge):
+    """gso.gram_schmidt with ``nudge`` added to one entry of one result field."""
+    original = gso.gram_schmidt
+
+    def kernel(gram, factors):
+        result = original(gram, factors)
+        values = [list(row) if isinstance(row, tuple) else row for row in getattr(result, field)]
+        if len(index) == 2:
+            values[index[0]][index[1]] += nudge
+            values = [tuple(row) for row in values]
+        else:
+            values[index[0]] += nudge
+        return dataclasses.replace(result, **{field: tuple(values)})
+
+    return kernel
+
+
+# (field, index, degree of the basis vector it belongs to at i = 2):
+# a_{1,3}, h_2, Z_3 (gram_dets[3]), b_{0,2} and b_{1,3}
+@pytest.mark.parametrize(
+    "field, index, degree",
+    [
+        ("coeffs", (1, 3), 5),
+        ("norms", (2,), 4),
+        ("gram_dets", (3,), 4),
+        ("inverse_coeffs", (0, 2), 4),
+        ("inverse_coeffs", (1, 3), 5),
+    ],
+)
+def test_a_nudged_second_stage_entry_is_caught_by_the_oracle(monkeypatch, hermite_pair, field, index, degree):
+    monkeypatch.setattr(gso, "gram_schmidt", _nudged_kernel(field, index, Fraction(1, 10**6)))
+    with pytest.raises(OracleMismatch) as info:
+        build_sbo(*hermite_pair, 2, 6)
+    assert (info.value.stage, info.value.degree) == ("second_stage", degree)
+
+
+def test_a_wrong_inverse_connection_does_not_reach_q_in_p(monkeypatch, hermite_pair):
+    monkeypatch.setattr(gso, "gram_schmidt", _nudged_kernel("inverse_coeffs", (1, 3), 1e-6))
+    # unchecked, the wrong b_{1,3} is the coefficient of P_{2;3} in Q_5
+    wrong = build_sbo(*hermite_pair, 2, 6, check=False)
+    monkeypatch.undo()
+    right = build_sbo(*hermite_pair, 2, 6)
+    assert wrong.q_in_p[3][5] == right.q_in_p[3][5] + 1e-6
+    monkeypatch.setattr(gso, "gram_schmidt", _nudged_kernel("inverse_coeffs", (1, 3), 1e-6))
+    with pytest.raises(OracleMismatch, match="second-stage determinant oracle disagrees at degree 5"):
+        build_sbo(*hermite_pair, 2, 6)
+
+
+@pytest.mark.parametrize("pair", ["hermite_pair", "laguerre_pair"])
+def test_the_sign_flipped_kernel_is_caught(monkeypatch, request, pair):
+    # the LDL^T update g - sum(...) turned into g + sum(...)
+    source = inspect.getsource(gso.gram_schmidt)
+    assert source.count("g[col][j] - sum(") == 1
+    namespace = dict(vars(gso))
+    exec(source.replace("g[col][j] - sum(", "g[col][j] + sum("), namespace)
+    monkeypatch.setattr(gso, "gram_schmidt", namespace["gram_schmidt"])
+    with pytest.raises(OracleMismatch) as info:
+        build_sbo(*request.getfixturevalue(pair), 2, 8)
+    assert info.value.stage == "second_stage"

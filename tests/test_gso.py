@@ -18,7 +18,7 @@ from blockortho import (
     gram_determinants,
     gram_schmidt,
 )
-from blockortho import OracleMismatch, linalg
+from blockortho import OracleMismatch, build_sbo, linalg, sbo_determinant_oracle
 from blockortho.gso import check_against_oracle, parity_gram_schmidt
 from blockortho.linalg import identity, mat_mul
 
@@ -152,7 +152,7 @@ def test_norm_determinant_relation():
 
 
 def test_kernel_determinants_match_leading_minors():
-    # the kernels take Z_k as pivot products; gram_determinants runs Bareiss per minor
+    # the kernels take Z_k as pivot products; gram_determinants reads one Bareiss pass
     rng = random.Random(15)
     for _ in range(30):
         size = rng.randint(1, 7)
@@ -275,6 +275,29 @@ def test_oracle_check_catches_corruption(kind):
         dets = list(result.gram_dets)
         dets[2] += 1
         corruptions.append((dataclasses.replace(result, gram_dets=tuple(dets)), "degree 1"))
+        inverse = [list(row) for row in result.inverse_coeffs]
+        inverse[0][2] += one / 1000
+        corruptions.append(
+            (dataclasses.replace(result, inverse_coeffs=tuple(map(tuple, inverse))), "degree 2")
+        )
     for bad, where in corruptions:
         with pytest.raises(OracleMismatch, match=f"stage x disagrees at {where}"):
             check_against_oracle(gram, bad, basis, "stage x disagrees")
+
+
+def test_exact_oracle_runs_one_elimination_per_matrix(monkeypatch, hermite_pair):
+    rng = random.Random(21)
+    gram = _random_pd(rng, 6)
+    factors = [Fraction(f) for f in (2, -1, 1, 3, Fraction(1, 2), 1)]
+    result = gram_schmidt(gram, factors)
+    sizes = []
+    original = linalg._eliminate
+    monkeypatch.setattr(linalg, "_eliminate", lambda m: sizes.append(len(m)) or original(m))
+    check_against_oracle(gram, result, identity(6), "stage x disagrees")
+    assert sizes == [6]
+    # every b_{m,n} of the column, from one elimination of the leading block
+    basis = build_sbo(*hermite_pair, 2, 8, check=False)
+    oracle = sbo_determinant_oracle(basis.q_basis, basis.mu2, 2, 6, gamma=basis.gamma)
+    sizes.clear()
+    assert oracle.b_column == tuple(basis.q_in_p[m][6] for m in range(2, 7))
+    assert sizes == [5]

@@ -44,6 +44,42 @@ def test_exact_bordered_minors_match_per_minor_route(block):
     assert all(isinstance(c, Fraction) for c in cofactors + (whole,))
 
 
+@st.composite
+def exact_matrices(draw):
+    """Square rational matrices of size 1..8: symmetric positive definite
+    ones (R^T R + I), or general ones, often with a zero leading pivot or a
+    singular leading block."""
+    size = draw(st.integers(1, 8))
+    entry = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 5))
+    raw = [[draw(entry) for _ in range(size)] for _ in range(size)]
+    if draw(st.booleans()):
+        return [
+            [sum(r[j] * r[k] for r in raw) + (j == k) for k in range(size)] for j in range(size)
+        ]
+    if draw(st.booleans()):
+        raw[0][0] = Fraction(0)
+    if size >= 2 and draw(st.booleans()):
+        k = draw(st.integers(2, size))  # row k-1 repeats row 0 on the leading k x k block
+        t = draw(entry)
+        raw[k - 1][:k] = [t * x for x in raw[0][:k]]
+    return raw
+
+
+@given(exact_matrices())
+@settings(max_examples=300, deadline=None)
+def test_one_elimination_gives_the_bordered_minors_of_every_leading_block(matrix):
+    elim = linalg.LiftedElimination(matrix)
+    for n in range(len(matrix)):
+        block = [row[: n + 1] for row in matrix[: n + 1]]
+        cofactors = tuple(Fraction(c, elim.prefix[n]) for c in elim.cofactors(n))
+        z_next = Fraction(elim.minor(n + 1), elim.prefix[n + 1])
+        assert (cofactors, z_next) == linalg.bordered_minors(block) == per_minor(block)
+    size = len(matrix)
+    assert linalg.leading_minors(matrix) == [
+        linalg.det([row[:k] for row in matrix[:k]]) for k in range(size + 1)
+    ]
+
+
 def test_exact_zero_leading_pivot_needs_a_row_swap():
     block = [[Fraction(x) for x in row] for row in ([0, 1, 2], [1, 0, 3], [4, 5, 6])]
     assert linalg.bordered_minors(block) == per_minor(block)

@@ -3,6 +3,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from blockortho import (
@@ -18,6 +20,7 @@ from blockortho import (
     gauss_rule,
     hankel_matrix,
     inner_product,
+    inner_product_mu,
     load_moments_csv,
     load_moments_json,
     moments,
@@ -109,6 +112,56 @@ def test_inner_product_symmetric_exact():
     p = Polynomial((1, Fraction(2, 3), 0, 1))
     q = Polynomial((Fraction(-1, 2), 1))
     assert inner_product(m, p, q) == inner_product(m, q, p)
+
+
+def fraction_inner_product(moms, p, q):
+    """The term-by-term double sum inner_product_mu ran before it lifted exact
+    data to integers, kept as its reference."""
+    if p.is_zero or q.is_zero:
+        return Fraction(0) if moms.exact else 0.0
+    total = None
+    for j, a in enumerate(p.coeffs):
+        for k, b in enumerate(q.coeffs):
+            term = a * b * moms[j + k]
+            total = term if total is None else total + term
+    return total
+
+
+MOMENT_TABLES = [
+    moments(Measure.gaussian(Fraction(3, 2)), 16),
+    moments(Measure.gamma_weight(Fraction(2, 3), Fraction(5, 2)), 16),
+    # nine point masses (i + 1) / 45 at x = i / 3: a tabulated rational table
+    moments(
+        Measure.from_moments(
+            [sum(Fraction(i + 1, 45) * Fraction(i, 3) ** k for i in range(9)) for k in range(17)]
+        ),
+        16,
+    ),
+]
+
+
+@st.composite
+def polynomial_pairs(draw):
+    """Two polynomials of degree <= 8: rational, integer or zero coefficients."""
+    integer = draw(st.booleans())
+    entry = st.integers(-9, 9) if integer else st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
+    return tuple(
+        Polynomial(tuple(draw(st.lists(entry, max_size=9)))) for _ in range(2)
+    )
+
+
+@given(st.sampled_from(MOMENT_TABLES), polynomial_pairs())
+@settings(max_examples=300, deadline=None)
+def test_lifted_inner_product_equals_the_fraction_double_sum(moms, pq):
+    p, q = pq
+    got = inner_product_mu(moms, p, q)
+    assert got == fraction_inner_product(moms, p, q)
+    assert type(got) is Fraction
+    # the float branch is the double sum itself, bit for bit
+    p_f, q_f, moms_f = p.to_float(), q.to_float(), moms.to_float()
+    expect = fraction_inner_product(moms_f, p_f, q_f)
+    assert inner_product_mu(moms_f, p_f, q_f) == expect
+    assert type(inner_product_mu(moms_f, p_f, q_f)) is type(expect)
 
 
 def test_symmetric_measure_kills_mixed_parity_products():

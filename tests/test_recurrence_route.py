@@ -33,7 +33,7 @@ PAIRS = {
         Measure.gamma_weight(3, Fraction(3, 2)),
     ),
 }
-FIELDS = ("polys", "leading", "norms", "q_in_x", "x_in_q", "gram_dets", "recurrence")
+FIELDS = ("polys", "leading", "norms", "q_in_x", "gram_dets", "recurrence")
 
 
 @pytest.mark.parametrize("normalization", [MONIC, DET_NORMALIZED])

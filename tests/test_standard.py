@@ -90,7 +90,6 @@ def test_parity_split_equals_direct():
         assert split.polys == direct.polys
         assert split.norms == direct.norms
         assert split.gram_dets == direct.gram_dets
-        assert split.x_in_q == direct.x_in_q
 
 
 def test_parity_split_examples():

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from blockortho import Measure, Polynomial, block, projectors, verification
+from blockortho import Measure, Polynomial, block, gso, projectors, verification
 from blockortho.cli import main
 from blockortho.verification import ALL_CHECKS, check_orthogonality, run_checks
 
@@ -36,6 +36,20 @@ def test_conditioning_guard_reports_skip():
     )
     assert reports[0]["passed"]
     assert "skipped" in reports[0]
+
+
+def test_exact_oracle_trial_failure_names_trial_and_degree(monkeypatch):
+    original = gso.gram_schmidt
+
+    def nudged(gram, factors):
+        result = original(gram, factors)
+        norms = list(result.norms)
+        norms[1] += 1
+        return dataclasses.replace(result, norms=tuple(norms))
+
+    monkeypatch.setattr(gso, "gram_schmidt", nudged)
+    report = verification.check_oracle_equivalence(Measure.gaussian(1), Measure.gaussian(2), 6)
+    assert report == {"check": "oracle_equivalence", "passed": False, "trial": 0, "n": 1}
 
 
 def test_negative_i_max_is_refused():
