@@ -7,9 +7,9 @@ as the median of 5 runs after one untimed warm-up build, in a fresh
 interpreter per (pair, N, side).  Each row records both times and their
 ratio, the cost of the checks.
 
-``targets`` reads the two scaling goals off the rows of this checkout: the
-laguerre build at N 48 with checks off within 0.2 s, and checks on within
-twice checks off at N 48 for both pairs.
+``targets`` reads the scaling goal off the rows of this checkout: checks on
+within twice checks off at N 48 for both pairs.  It is a ratio of two
+timings on one host, so it does not depend on the speed of the host.
 
 With ``--parent-src DIR`` (the ``src`` directory of another checkout) every
 row is also timed there, alternating which side runs first, and the rows
@@ -36,7 +36,6 @@ PAIRS = {"hermite": ("gaussian:1", "gaussian:2"), "laguerre": ("gamma:1:1", "gam
 SIZES = (16, 32, 48)
 RUNS = 5
 I = 2
-OFF_TARGET_S = 0.2  # laguerre, N 48, checks off
 RATIO_TARGET = 2.0  # checks on over checks off, N 48
 
 TIMING_DRIVER = """
@@ -107,9 +106,6 @@ def main():
         "python": platform.python_version(),
         "machine": f"{platform.machine()}, {os.cpu_count()} logical CPUs",
         "targets": {
-            f"laguerre_N{top}_off_s": mine[("laguerre", top)]["off_s"],
-            f"laguerre_N{top}_off_s_max": OFF_TARGET_S,
-            f"laguerre_N{top}_off_met": mine[("laguerre", top)]["off_s"] <= OFF_TARGET_S,
             f"ratio_N{top}": {pair: mine[(pair, top)]["ratio"] for pair in PAIRS},
             f"ratio_N{top}_max": RATIO_TARGET,
             f"ratio_N{top}_met": all(mine[(pair, top)]["ratio"] <= RATIO_TARGET for pair in PAIRS),

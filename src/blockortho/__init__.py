@@ -53,9 +53,6 @@ from .errors import (
 from .gso import (
     OrthogonalizationResult,
     checkerboard_det,
-    connection_b,
-    determinant_oracle_vector,
-    gram_determinants,
     gram_schmidt,
 )
 from .measures import (
@@ -63,7 +60,6 @@ from .measures import (
     Measure,
     MomentSequence,
     hankel_matrix,
-    inner_product,
     inner_product_mu,
     load_moments_csv,
     load_moments_json,
@@ -83,7 +79,6 @@ from .polynomials import (
     alternant_det,
     monomial,
     sign_changes_batch,
-    sign_changes_in,
 )
 from .projectors import (
     ProjectorMatrix,
@@ -98,9 +93,7 @@ from .standard import (
     StandardBasis,
     build_by_recurrence,
     build_standard,
-    classical_leading_factors,
     parity_split_build,
-    recurrence_coeffs,
 )
 
 hermite_pair = (Measure.gaussian(1), Measure.gaussian(2))

@@ -16,10 +16,18 @@ the vectors, their norms and the determinants, in either backend.
 The second stage of the block construction, and the Hankel first stage
 of measures without a closed-form recurrence, run through this module: the
 kernels :func:`gram_schmidt` and :func:`parity_gram_schmidt` build the
-vectors, and :func:`check_against_oracle` recomputes them from bordered
-determinants: exact ones from one :class:`linalg.LiftedElimination` of the
-whole Gram matrix, compared in integers; float ones by one LU solve for the
-adjugate column per degree.
+vectors.  The bordered-determinant oracle, which never reads the kernel's
+factorization, has one entry point per quantity:
+
+* :func:`bordered_oracle` gives the column of E_n, h_n and Z_{n+1};
+* :func:`oracle_connection_column` gives b_{m,n} for every m <= n;
+* :func:`check_against_oracle` checks a whole result: exact ones against
+  one :class:`linalg.LiftedElimination` of the Gram matrix, compared in
+  integers, float ones degree by degree against :func:`bordered_oracle`.
+
+Exact cofactors come from :mod:`linalg`'s fraction-free elimination.
+Float cofactors have one route, an LU solve for the last column of the
+inverse of a leading block (:func:`_inverse_last_column`).
 """
 
 from __future__ import annotations
@@ -77,11 +85,6 @@ class OrthogonalizationResult:
     def vector(self, n):
         """Coefficient column of E_n on the input basis."""
         return tuple(self.coeffs[m][n] for m in range(self.size))
-
-
-def gram_determinants(gram):
-    """Leading principal minors: Z[0] = 1, Z[k] = det of the k x k block."""
-    return tuple(linalg.leading_minors(_entries(gram)))
 
 
 def gram_schmidt(gram, leading_factors) -> OrthogonalizationResult:
@@ -182,6 +185,25 @@ def parity_gram_schmidt(gram, leading_factors) -> OrthogonalizationResult:
     )
 
 
+def _inverse_last_column(block):
+    """x = B^-1 e_n, the last column of B^-1, for a float (n+1) x (n+1) block B.
+
+    By Cramer's rule x holds the last-row cofactors of B divided by det(B),
+    so x_n = Z_n / Z_{n+1}; one LU solve gives all of them, with errors that
+    follow the condition of B rather than that of each bordered minor.  A
+    vanishing Z_{n+1} (a singular LU) or Z_n (x_n = 0) raises
+    NotPositiveDefinite at degree n.
+    """
+    n = len(block) - 1
+    try:
+        x = np.linalg.solve(np.array(block, dtype=float), np.eye(n + 1)[:, n])
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefinite(f"leading minor of size {n + 1} vanishes", degree=n) from None
+    if x[n] == 0:
+        raise NotPositiveDefinite(f"leading minor of size {n} vanishes", degree=n)
+    return x
+
+
 def bordered_oracle(gram, n, leading_factor):
     """E_n, h_n and Z_{n+1} from the bordered determinants of ``gram``.
 
@@ -190,11 +212,9 @@ def bordered_oracle(gram, n, leading_factor):
     leading factor gives the column of E_n on e_0..e_n that gram_schmidt
     produces, and h_n = b_{n,n}^{-2} Z_{n+1} / Z_n.  Exact blocks take all
     of it from one :func:`linalg.bordered_minors` call on the leading
-    (n+1) x (n+1) block B.  Float blocks take the cofactors as det(B) times
-    the last column x of B^-1 (the adjugate), from one LU solve: the column
-    is x / x_n and h_n = 1 / x_n, with errors that follow the condition of B,
-    where determinants of the bordered minors one by one drift with the
-    condition of each minor.  Nothing here reads the kernel's factorization.
+    (n+1) x (n+1) block B.  Float blocks take the cofactors over Z_{n+1} as
+    x = :func:`_inverse_last_column` of B: the column is x / x_n and
+    h_n = 1 / x_n.  Nothing here reads the kernel's factorization.
     Returns (column, h_n, Z_{n+1}).
     """
     g = _entries(gram)
@@ -204,17 +224,9 @@ def bordered_oracle(gram, n, leading_factor):
         raise BadFactor("leading factor must be nonzero")
     block = [row[: n + 1] for row in g[: n + 1]]
     if linalg.matrix_kind(block) == FLOAT:
-        b = np.array(block, dtype=float)
-        try:
-            x = np.linalg.solve(b, np.eye(n + 1)[:, n])
-        except np.linalg.LinAlgError:
-            raise NotPositiveDefinite(
-                f"leading minor of size {n + 1} vanishes", degree=n
-            ) from None
-        if x[n] == 0:
-            raise NotPositiveDefinite(f"leading minor of size {n} vanishes", degree=n)
+        x = _inverse_last_column(block)
         column = tuple(float(v / x[n]) / leading_factor for v in x)
-        return column, float(1.0 / x[n]) / leading_factor**2, float(np.linalg.det(b))
+        return column, float(1.0 / x[n]) / leading_factor**2, float(np.linalg.det(block))
     cofactors, z_here = linalg.bordered_minors(block)
     z_prev = cofactors[n]
     if z_prev == 0:
@@ -223,57 +235,33 @@ def bordered_oracle(gram, n, leading_factor):
     return column, z_here / z_prev / leading_factor**2, z_here
 
 
-def determinant_oracle_vector(gram, n, leading_factor):
-    """Coefficients of E_n on e_0..e_n from the bordered-determinant formula."""
-    return bordered_oracle(gram, n, leading_factor)[0]
-
-
-def oracle_norm(gram, n, leading_factor):
-    """h_n = b_{n,n}^{-2} Z_{n+1}/Z_n in size-indexed determinants."""
-    return bordered_oracle(gram, n, leading_factor)[1]
-
-
-def oracle_connection_b(gram, m, n, leading_factor):
-    """b_{m,n} = b_{m,m} * (bordered determinant with last row g[n]) / Z_{m+1}.
-
-    That determinant is g[n] . c with c the last-row cofactors of the leading
-    (m+1) x (m+1) block; one :func:`linalg.bordered_minors` call gives c and Z_{m+1}.
-    """
-    g = _entries(gram)
-    cofactors, z_next = linalg.bordered_minors([row[: m + 1] for row in g[: m + 1]])
-    return leading_factor * sum(x * c for x, c in zip(g[n], cofactors)) / z_next
-
-
 def oracle_connection_column(gram, n, leading_factors):
-    """b_{m,n}, m = 0..n, by :func:`oracle_connection_b`'s formula.
+    """b_{m,n}, m = 0..n: the coefficients of e_n on E_0..E_n.
 
-    Exact matrices take every m from one :class:`linalg.LiftedElimination`
-    of the leading (n+1) x (n+1) block: in its lifted rows R (row r scaled by
-    d_r) b_{m,n} = f_m (R[n] . c) d_m / (d_n Z_{m+1}), with c and Z_{m+1} the
-    lifted cofactors and minor of degree m.  Float matrices take one
-    :func:`oracle_connection_b` per m.
+    b_{m,n} = f_m (g[n] . c^(m)) / Z_{m+1}, the bordered determinant with
+    Gram rows 0..m-1 and last row g[n] over the leading minor, where c^(m)
+    are the last-row cofactors of the leading (m+1) x (m+1) block.  Exact
+    matrices take every m from one :class:`linalg.LiftedElimination` of the
+    leading (n+1) x (n+1) block: in its lifted rows R (row r scaled by d_r)
+    b_{m,n} = f_m (R[n] . c) d_m / (d_n Z_{m+1}), with c and Z_{m+1} the
+    lifted cofactors and minor of degree m.  Float matrices take
+    c^(m) / Z_{m+1} as :func:`_inverse_last_column` of each leading block,
+    one LU solve per m and no determinant.
     """
     g = _entries(gram)
     block = [row[: n + 1] for row in g[: n + 1]]
     if linalg.matrix_kind(block) == FLOAT:
-        return tuple(oracle_connection_b(block, m, n, f) for m, f in enumerate(leading_factors))
+        leading = ([row[: m + 1] for row in block[: m + 1]] for m in range(n + 1))
+        return tuple(
+            f * float(sum(map(mul, block[n], _inverse_last_column(b))))
+            for f, b in zip(leading_factors, leading)
+        )
     elim = linalg.LiftedElimination(block)
     last, d = elim.rows[n], elim.scales
     return tuple(
         f * Fraction(sum(map(mul, last, elim.cofactors(m))) * d[m], d[n] * elim.minor(m + 1))
         for m, f in enumerate(leading_factors)
     )
-
-
-def connection_b(gram, result: OrthogonalizationResult, m, n):
-    """b_{m,n} of ``result`` from its bordered determinant.
-
-    Must reproduce the inverse of the a-matrix; this closed form is the
-    cross-check for the inductive loop.
-    """
-    if not (0 <= m <= n < result.size):
-        raise IndexError(f"require 0 <= m <= n < {result.size}")
-    return oracle_connection_b(gram, m, n, result.factors[m])
 
 
 def check_against_oracle(gram, result: OrthogonalizationResult, basis, stage):

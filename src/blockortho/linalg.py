@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate, chain
-from math import lcm, nan, prod
+from math import lcm, prod
 from operator import mul
 
 import numpy as np
@@ -195,31 +195,17 @@ def det(matrix):
 
 
 def bordered_minors(block):
-    """Signed cofactors of the last row of a square block, and its determinant.
+    """Signed cofactors of the last row of a square exact block, and its
+    determinant.
 
     For an (n+1) x (n+1) ``block`` returns ``(c, det(block))`` with
     c_k = (-1)^(n+k) det(first n rows without column k), so c_n is the
     leading minor Z_n, det(block) = Z_{n+1} = sum_k block[n][k] c_k, and c
-    spans the null space of the first n rows whenever Z_n != 0.
-
-    Exact blocks are read off one :class:`LiftedElimination`.  Float blocks
-    take the same numpy determinants as the minor-by-minor route, in its
-    order: det(block), Z_n and, unless Z_n = 0, the other minors in one
-    stacked call.  When Z_n = 0 those come back as NaN; every caller stops at
-    a vanishing Z_n.
+    spans the null space of the first n rows whenever Z_n != 0.  Both are
+    read off one :class:`LiftedElimination`.  Float blocks take their
+    cofactors from an LU solve instead (``gso._inverse_last_column``).
     """
     n = len(block) - 1
-    if matrix_kind(block) == FLOAT:
-        a = np.array(block, dtype=float)
-        whole = float(np.linalg.det(a))
-        if n == 0:
-            return (1.0,), whole
-        z_n = float(np.linalg.det(a[:n, :n]))
-        if z_n == 0:
-            return (nan,) * n + (z_n,), whole
-        minors = np.linalg.det(np.stack([np.delete(a[:n], k, axis=1) for k in range(n)]))
-        cofactors = tuple((-1) ** (n + k) * float(x) for k, x in enumerate(minors))
-        return cofactors + (z_n,), whole
     elim = LiftedElimination(block)
     c = elim.cofactors(n)
     whole = Fraction(elim.minor(n + 1), elim.prefix[n + 1])

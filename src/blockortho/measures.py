@@ -338,16 +338,6 @@ def inner_product_mu(moms: MomentSequence, p: Polynomial, q: Polynomial):
     return total
 
 
-def inner_product(measure: Measure, p: Polynomial, q: Polynomial, backend=None):
-    """Inner product of two polynomials under a measure (in units of c_0)."""
-    if p.is_zero or q.is_zero:
-        return Fraction(0)
-    if backend is None:
-        backend = FLOAT if FLOAT in (p.kind, q.kind) else EXACT
-    moms = moments(measure, p.degree + q.degree, backend=backend)
-    return inner_product_mu(moms, p, q)
-
-
 def truncated_support(measure: Measure, floor=1e-18):
     """Finite interval outside which the weight drops below ``floor``.
 

@@ -203,19 +203,13 @@ class SignChangeReport:
         return (self.count, self.brackets, self.grid) == (other.count, other.brackets, other.grid)
 
 
-def sign_changes_in(p: Polynomial, lo, hi, resolution: int = 2048):
-    """Count sign changes of p on [lo, hi] over a deterministic grid.
+def sign_changes_batch(polys, lo, hi, resolution: int = 2048):
+    """Count the sign changes of each polynomial on [lo, hi] over a
+    deterministic grid, for polynomials of one kind sharing the interval.
 
     Every change is refined by bisection to a bracket of width <= 1e-12
-    (exact brackets stay rational).  The count is a certified lower bound on
-    the number of distinct odd-order real zeros in the interval.  This is
-    ``sign_changes_batch`` for one polynomial.
-    """
-    return sign_changes_batch([p], lo, hi, resolution)[0]
-
-
-def sign_changes_batch(polys, lo, hi, resolution: int = 2048):
-    """``sign_changes_in`` for polynomials of one kind sharing an interval.
+    (exact brackets stay rational).  Each count is a certified lower bound
+    on the number of distinct odd-order real zeros in the interval.
 
     One array kernel serves both scalar kinds: float polynomials run on
     float64 arrays, exact ones on object arrays of Fractions.  Each

@@ -411,11 +411,6 @@ def _recurrence_from(basis: StandardBasis):
     return tuple(coeffs)
 
 
-def recurrence_coeffs(basis: StandardBasis):
-    """Three-term recurrence coefficients of a built basis."""
-    return basis.recurrence
-
-
 def build_by_recurrence(measure: Measure, n_polys: int, backend: str = EXACT):
     """Monic polynomials replayed from the three-term recurrence.
 
@@ -455,17 +450,3 @@ def parity_split_build(
     seq, gram = _hankel(measure, n_polys, backend)
     result = gso.parity_gram_schmidt(gram, [one(backend)] * n_polys)
     return _assemble(measure, seq, result, normalization, backend)
-
-
-def classical_leading_factors(family: str, n_polys: int):
-    """Textbook leading coefficients for the classical families.
-
-    ``hermite``: k_n = 2^n.  ``laguerre``: k_n = (-1)^n / n!.  These are
-    conversion helpers only; they feed the ``leading`` argument of
-    :func:`build_standard`.
-    """
-    if family == "hermite":
-        return [Fraction(2) ** n for n in range(n_polys)]
-    if family == "laguerre":
-        return [Fraction((-1) ** n, math.factorial(n)) for n in range(n_polys)]
-    raise ValueError(f"unknown classical family {family!r}")

@@ -93,15 +93,15 @@ def check_oracle_equivalence(measure1, measure2, n_size, backend=EXACT, seed=202
                 return _entry("oracle_equivalence", False, trial=trial, n=exc.degree)
             continue
         for n in range(size):
-            oracle = gso.determinant_oracle_vector(gram, n, factors[n])
+            oracle = gso.bordered_oracle(gram, n, factors[n])[0]
             column = [result.coeffs[m][n] for m in range(n + 1)]
             scale = max(abs(x) for x in oracle) or 1
             for a, b in zip(oracle, column):
                 if not _is_zero(a - b, backend, scale):
                     return _entry("oracle_equivalence", False, trial=trial, n=n)
-            for m in range(n + 1):
-                b_oracle = gso.connection_b(gram, result, m, n)
-                if not _is_zero(b_oracle - result.inverse_coeffs[m][n], backend, scale):
+            b_oracle = gso.oracle_connection_column(gram, n, factors[: n + 1])
+            for m, b in enumerate(b_oracle):
+                if not _is_zero(b - result.inverse_coeffs[m][n], backend, scale):
                     return _entry("oracle_equivalence", False, trial=trial, n=n, m=m, which="b")
     bases = build_sbos(measure1, measure2, range(min(2, n_size) + 1), n_size, backend=backend)
     # the Hankel route and its bordered-determinant oracle, on each measure's

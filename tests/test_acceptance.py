@@ -19,9 +19,7 @@ from blockortho import (
     build_sbo,
     build_standard,
     checkerboard_det,
-    connection_b,
     cross_i_connection,
-    determinant_oracle_vector,
     expand_x_times_p,
     gram_schmidt,
     inner_product_mu,
@@ -32,7 +30,7 @@ from blockortho import (
     zero_report,
 )
 from blockortho.cli import main
-from blockortho.gso import oracle_norm
+from blockortho.gso import bordered_oracle, oracle_connection_column
 from blockortho.linalg import mat_mul
 from blockortho.measures import moments
 from blockortho.projectors import projectors_from_q, projectors_from_second
@@ -167,17 +165,17 @@ def test_criterion_5_oracle_equivalence():
         factors = [Fraction(rng.choice([1, 2, -1, 3])) for _ in range(size)]
         res = gram_schmidt(gram, factors)
         for n in range(size):
-            ok &= determinant_oracle_vector(gram, n, factors[n]) == tuple(
-                res.coeffs[m][n] for m in range(n + 1)
+            column, norm, _ = bordered_oracle(gram, n, factors[n])
+            ok &= column == tuple(res.coeffs[m][n] for m in range(n + 1))
+            ok &= norm == res.norms[n]
+            ok &= oracle_connection_column(gram, n, factors[: n + 1]) == tuple(
+                res.inverse_coeffs[m][n] for m in range(n + 1)
             )
-            ok &= oracle_norm(gram, n, factors[n]) == res.norms[n]
-            for m in range(n + 1):
-                ok &= connection_b(gram, res, m, n) == res.inverse_coeffs[m][n]
         gram_f = [[float(x) for x in row] for row in gram]
         factors_f = [float(f) for f in factors]
         res_f = gram_schmidt(gram_f, factors_f)
         for n in range(size):
-            oracle = determinant_oracle_vector(gram_f, n, factors_f[n])
+            oracle = bordered_oracle(gram_f, n, factors_f[n])[0]
             scale = max(abs(x) for x in oracle) or 1.0
             ok &= all(
                 abs(a - b) <= 1e-9 * scale

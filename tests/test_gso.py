@@ -13,13 +13,15 @@ from blockortho import (
     NotCheckerboard,
     NotPositiveDefinite,
     checkerboard_det,
-    connection_b,
-    determinant_oracle_vector,
-    gram_determinants,
     gram_schmidt,
 )
 from blockortho import OracleMismatch, build_sbo, linalg, sbo_determinant_oracle
-from blockortho.gso import check_against_oracle, parity_gram_schmidt
+from blockortho.gso import (
+    bordered_oracle,
+    check_against_oracle,
+    oracle_connection_column,
+    parity_gram_schmidt,
+)
 from blockortho.linalg import identity, mat_mul
 
 
@@ -58,26 +60,25 @@ def test_two_by_two_factorial_gram():
 
 
 def test_gram_determinant_examples():
-    assert gram_determinants([[Fraction(1), 1], [1, Fraction(2)]]) == (1, 1, 1)
+    assert linalg.leading_minors([[Fraction(1), 1], [1, Fraction(2)]]) == [1, 1, 1]
     ident = [[Fraction(int(j == k)) for k in range(3)] for j in range(3)]
-    assert gram_determinants(ident) == (1, 1, 1, 1)
-    assert gram_determinants([[Fraction(2)]]) == (1, 2)
+    assert linalg.leading_minors(ident) == [1, 1, 1, 1]
+    assert linalg.leading_minors([[Fraction(2)]]) == [1, 2]
 
 
 def test_oracle_base_cases():
     gram = [[Fraction(1), 1], [1, Fraction(2)]]
-    assert determinant_oracle_vector(gram, 0, Fraction(2)) == (Fraction(1, 2),)
-    assert determinant_oracle_vector(gram, 1, Fraction(1)) == (-1, 1)
+    assert bordered_oracle(gram, 0, Fraction(2))[0] == (Fraction(1, 2),)
+    assert bordered_oracle(gram, 1, Fraction(1))[0] == (-1, 1)
 
 
 def test_connection_b_examples():
     gram = [[Fraction(1), 1], [1, Fraction(2)]]
     res = gram_schmidt(gram, [Fraction(1), Fraction(1)])
-    assert connection_b(gram, res, 0, 1) == 1
-    assert connection_b(gram, res, 1, 1) == 1
+    assert oracle_connection_column(gram, 1, res.factors) == (1, 1)
     ident = [[Fraction(int(j == k)) for k in range(3)] for j in range(3)]
     res_i = gram_schmidt(ident, [Fraction(1)] * 3)
-    assert connection_b(ident, res_i, 0, 2) == 0
+    assert oracle_connection_column(ident, 2, res_i.factors)[0] == 0
 
 
 def test_oracle_equivalence_random_exact():
@@ -88,11 +89,12 @@ def test_oracle_equivalence_random_exact():
         factors = [Fraction(rng.choice([1, -1, 2, 3]), rng.choice([1, 2])) for _ in range(size)]
         res = gram_schmidt(gram, factors)
         for n in range(size):
-            assert determinant_oracle_vector(gram, n, factors[n]) == tuple(
+            assert bordered_oracle(gram, n, factors[n])[0] == tuple(
                 res.coeffs[m][n] for m in range(n + 1)
             )
-            for m in range(n + 1):
-                assert connection_b(gram, res, m, n) == res.inverse_coeffs[m][n]
+            assert oracle_connection_column(gram, n, factors[: n + 1]) == tuple(
+                res.inverse_coeffs[m][n] for m in range(n + 1)
+            )
 
 
 def test_oracle_equivalence_random_float():
@@ -103,33 +105,72 @@ def test_oracle_equivalence_random_float():
         factors = [float(rng.choice([1, -1, 2])) for _ in range(size)]
         res = gram_schmidt(gram, factors)
         for n in range(size):
-            oracle = determinant_oracle_vector(gram, n, factors[n])
+            oracle = bordered_oracle(gram, n, factors[n])[0]
             scale = max(abs(x) for x in oracle) or 1.0
             for a, b in zip(oracle, (res.coeffs[m][n] for m in range(n + 1))):
                 assert abs(a - b) <= 1e-9 * scale
 
 
-@pytest.mark.parametrize("kind", ["exact", "float"])
-def test_connection_b_is_one_cofactor_elimination(monkeypatch, kind):
-    rng = random.Random(15)
-    gram = _random_pd(rng, 5, kind=kind)
-    factors = [Fraction(2), Fraction(-1), Fraction(1), Fraction(3), Fraction(1, 2)]
-    if kind == "float":
-        factors = [float(f) for f in factors]
-    res = gram_schmidt(gram, factors)
+_FACTORS = [Fraction(2), Fraction(-1), Fraction(1), Fraction(3), Fraction(1, 2)]
+
+
+def test_exact_connection_column_is_one_elimination(monkeypatch):
+    gram = _random_pd(random.Random(15), 5)
+    res = gram_schmidt(gram, _FACTORS)
     sizes = []
-    original = linalg.bordered_minors
-    monkeypatch.setattr(linalg, "bordered_minors", lambda b: sizes.append(len(b)) or original(b))
-    monkeypatch.setattr(linalg, "det", lambda m: pytest.fail("connection_b took a determinant"))
+    original = linalg._eliminate
+    monkeypatch.setattr(linalg, "_eliminate", lambda m: sizes.append(len(m)) or original(m))
+    monkeypatch.setattr(linalg, "det", lambda m: pytest.fail("the oracle took a determinant"))
     for n in range(5):
+        got = oracle_connection_column(gram, n, _FACTORS[: n + 1])
+        assert got == tuple(res.inverse_coeffs[m][n] for m in range(n + 1))
+    assert sizes == [n + 1 for n in range(5)]
+
+
+def test_float_connection_column_takes_no_determinant(monkeypatch):
+    gram = _random_pd(random.Random(15), 5, kind="float")
+    factors = [float(f) for f in _FACTORS]
+    res = gram_schmidt(gram, factors)
+    def no_det(matrix):
+        pytest.fail("the float oracle took a determinant")
+
+    monkeypatch.setattr(np.linalg, "det", no_det)
+    monkeypatch.setattr(linalg, "det", no_det)
+    for n in range(5):
+        got = oracle_connection_column(gram, n, factors[: n + 1])
         for m in range(n + 1):
             expect = res.inverse_coeffs[m][n]
-            got = connection_b(gram, res, m, n)
-            if kind == "exact":
-                assert got == expect
-            else:
-                assert abs(got - expect) <= 1e-9 * max(abs(expect), 1.0)
-    assert sizes == [m + 1 for n in range(5) for m in range(n + 1)]
+            assert abs(got[m] - expect) <= 1e-9 * max(abs(expect), 1.0)
+
+
+def test_float_singular_leading_minor_is_refused_with_its_degree():
+    # Z_2 = det [[1, 2], [2, 4]] = 0: E_2 has no bordered form, nor has b_{1,n}
+    block = [[1.0, 2.0, 3.0], [2.0, 4.0, 5.0], [7.0, 8.0, 9.0]]
+    with pytest.raises(NotPositiveDefinite, match="size 2 vanishes") as exc:
+        bordered_oracle(block, 2, 1.0)
+    assert exc.value.degree == 2
+    with pytest.raises(NotPositiveDefinite, match="size 2 vanishes") as exc:
+        oracle_connection_column(block, 2, [1.0, 1.0, 1.0])
+    assert exc.value.degree == 1
+
+
+@given(st.integers(0, 2**32), st.integers(1, 7))
+@settings(max_examples=200, deadline=None)
+def test_float_connection_column_matches_kernel_and_exact_route(seed, size):
+    rng = random.Random(seed)
+    gram = _random_pd(rng, size)
+    factors = [rng.choice([Fraction(1), Fraction(-1), Fraction(2), Fraction(3), Fraction(1, 2)])
+               for _ in range(size)]
+    gram_f = [[float(x) for x in row] for row in gram]
+    factors_f = [float(f) for f in factors]
+    kernel = gram_schmidt(gram_f, factors_f)
+    for n in range(size):
+        got = oracle_connection_column(gram_f, n, factors_f[: n + 1])
+        exact = [float(b) for b in oracle_connection_column(gram, n, factors[: n + 1])]
+        scale = max(map(abs, exact))
+        for m, b in enumerate(got):
+            assert abs(b - kernel.inverse_coeffs[m][n]) <= 1e-12 * scale
+            assert abs(b - exact[m]) <= 1e-12 * scale
 
 
 def test_connection_matrices_are_mutually_inverse():
@@ -152,19 +193,21 @@ def test_norm_determinant_relation():
 
 
 def test_kernel_determinants_match_leading_minors():
-    # the kernels take Z_k as pivot products; gram_determinants reads one Bareiss pass
+    # the kernels take Z_k as pivot products; leading_minors reads one Bareiss pass
     rng = random.Random(15)
     for _ in range(30):
         size = rng.randint(1, 7)
         gram = _random_pd(rng, size)
         factors = [Fraction(rng.choice([1, -1, 2, 3]), rng.choice([1, 2])) for _ in range(size)]
-        assert gram_schmidt(gram, factors).gram_dets == gram_determinants(gram)
+        assert gram_schmidt(gram, factors).gram_dets == tuple(linalg.leading_minors(gram))
         raw = [[Fraction(rng.randint(-4, 4) * ((j + k + 1) % 2)) for k in range(size)]
                for j in range(size)]
         board = mat_mul([list(c) for c in zip(*raw)], raw)
         for d in range(size):
             board[d][d] += 1
-        assert parity_gram_schmidt(board, factors).gram_dets == gram_determinants(board)
+        assert parity_gram_schmidt(board, factors).gram_dets == tuple(
+            linalg.leading_minors(board)
+        )
 
 
 @given(st.integers(1, 5), st.sampled_from([2, 3, -2, 5]))

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockortho import KindMismatch, NotPositiveDefinite, determinant_oracle_vector, linalg
+from blockortho import KindMismatch, NotPositiveDefinite, linalg
+from blockortho.gso import bordered_oracle
 
 
 def per_minor(block):
@@ -92,35 +93,7 @@ def test_exact_singular_leading_block_gives_zero_and_is_refused():
     assert (cofactors, whole) == per_minor(block)
     assert cofactors[2] == 0 and cofactors != (0, 0, 0)
     with pytest.raises(NotPositiveDefinite, match="size 2 vanishes"):
-        determinant_oracle_vector(block, 2, Fraction(1))
-
-
-# singular draws (a zero row, say) make numpy's LU warn on both routes alike
-@pytest.mark.filterwarnings("ignore:divide by zero encountered in det:RuntimeWarning")
-@given(
-    st.integers(0, 8).flatmap(
-        lambda n: st.lists(
-            st.lists(st.floats(-1e3, 1e3), min_size=n + 1, max_size=n + 1),
-            min_size=n + 1,
-            max_size=n + 1,
-        )
-    )
-)
-@settings(max_examples=300, deadline=None)
-def test_float_bordered_minors_are_bit_identical_to_per_minor_numpy(block):
-    n = len(block) - 1
-    cofactors, whole = linalg.bordered_minors(block)
-    assert whole == float(np.linalg.det(np.array(block)))
-    if n == 0:
-        assert cofactors == (1.0,)
-        return
-    z_n = float(np.linalg.det(np.array([row[:n] for row in block[:n]])))
-    assert cofactors[n] == z_n
-    if z_n == 0:
-        return
-    for k in range(n):
-        minor = np.array([row[:k] + row[k + 1 :] for row in block[:n]])
-        assert cofactors[k] == (-1) ** (n + k) * float(np.linalg.det(minor))
+        bordered_oracle(block, 2, Fraction(1))
 
 
 def test_matrix_kind_rejects_mixed_entries():

@@ -17,10 +17,15 @@ from blockortho import (
 from blockortho import linalg, polynomials
 from blockortho.analysis import _scan_interval
 from blockortho.cli import main
-from blockortho.polynomials import sign_changes_batch, sign_changes_in
+from blockortho.polynomials import sign_changes_batch
 
 X = monomial(1)
 ONE = monomial(0)
+
+
+def scan_one(p, lo, hi, resolution=2048):
+    """The scan of one polynomial: a batch of one."""
+    return sign_changes_batch([p], lo, hi, resolution)[0]
 
 
 def test_ring_identity():
@@ -104,7 +109,7 @@ def test_combine_is_the_one_column_product(case):
 
 def test_sign_changes_simple_roots():
     p = Polynomial((Fraction(-1, 4), 0, 1))
-    report = sign_changes_in(p, -1, 1)
+    report = scan_one(p, -1, 1)
     assert report.count == 2
     roots = sorted((a + b) / 2 for a, b in report.brackets)
     assert abs(roots[0] + Fraction(1, 2)) < Fraction(1, 10**6)
@@ -112,13 +117,13 @@ def test_sign_changes_simple_roots():
 
 
 def test_sign_changes_even_order_root_not_counted():
-    assert sign_changes_in(Polynomial((0, 0, 1)), -1, 1).count == 0
+    assert scan_one(Polynomial((0, 0, 1)), -1, 1).count == 0
 
 
 def test_sign_changes_quartic():
     # roots at x^2 = (7 +- sqrt(41))/8, all four real
     p = Polynomial((Fraction(1, 8), 0, Fraction(-7, 4), 0, 1)).to_float()
-    assert sign_changes_in(p, -7.0, 7.0).count == 4
+    assert scan_one(p, -7.0, 7.0).count == 4
 
 
 @given(st.lists(st.integers(-5, 5), min_size=1, max_size=7))
@@ -127,7 +132,7 @@ def test_sign_changes_never_exceed_degree(coeffs):
     p = Polynomial(tuple(Fraction(c) for c in coeffs))
     if p.is_zero:
         return
-    assert sign_changes_in(p, -10, 10, resolution=256).count <= p.degree
+    assert scan_one(p, -10, 10, resolution=256).count <= p.degree
 
 
 def test_alternant_base_cases():
@@ -222,7 +227,7 @@ def reference_sign_changes(p, lo, hi, resolution=2048):
 
 
 def assert_matches_reference(p, lo, hi, resolution):
-    report = sign_changes_in(p, lo, hi, resolution=resolution)
+    report = scan_one(p, lo, hi, resolution=resolution)
     count, brackets, grid = reference_sign_changes(p, lo, hi, resolution)
     assert report.count == count
     # equality alone would let 0.0 == -0.0 and 1 == Fraction(1) pass; repr
@@ -409,10 +414,10 @@ def test_batched_reports_are_immutable_and_compare_their_grids():
                 report.nodes[0] = 5
         nudged, plain = reports
         assert nudged.grid != plain.grid
-        assert nudged == sign_changes_in(batch[0], -1, 1, 4)
-        assert hash(nudged) == hash(sign_changes_in(batch[0], -1, 1, 4))
+        assert nudged == scan_one(batch[0], -1, 1, 4)
+        assert hash(nudged) == hash(scan_one(batch[0], -1, 1, 4))
         # same count and brackets, another grid: not equal
-        assert plain != sign_changes_in(batch[1], -1, 1, 8)
+        assert plain != scan_one(batch[1], -1, 1, 8)
 
 
 @pytest.mark.parametrize(

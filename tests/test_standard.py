@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -10,11 +11,9 @@ from blockortho import (
     Polynomial,
     build_by_recurrence,
     build_standard,
-    classical_leading_factors,
     inner_product_mu,
     monomial,
     parity_split_build,
-    recurrence_coeffs,
 )
 from blockortho.standard import DET_NORMALIZED, MONIC, ORTHONORMAL
 
@@ -50,7 +49,7 @@ def test_orthogonality_exact():
 
 def test_recurrence_coefficients_gaussian():
     basis = build_standard(Measure.gaussian(1), 6)
-    for n, (a, b, c) in enumerate(recurrence_coeffs(basis)):
+    for n, (a, b, c) in enumerate(basis.recurrence):
         assert a == 1 and b == 0
         assert c == (Fraction(n, 2) if n else 0)
 
@@ -193,12 +192,11 @@ def test_float_orthogonality_quantized_moments():
 
 
 def test_classical_leading_factors():
-    hermite = build_standard(
-        Measure.gaussian(1), 5, leading=classical_leading_factors("hermite", 5)
-    )
+    # textbook leading coefficients: Hermite k_n = 2^n, Laguerre k_n = (-1)^n / n!
+    hermite = build_standard(Measure.gaussian(1), 5, leading=[Fraction(2) ** n for n in range(5)])
     assert hermite.polys[4] == Polynomial((12, 0, -48, 0, 16))
     laguerre = build_standard(
-        Measure.gamma_weight(1, 1), 3, leading=classical_leading_factors("laguerre", 3)
+        Measure.gamma_weight(1, 1), 3, leading=[Fraction((-1) ** n, factorial(n)) for n in range(3)]
     )
     assert laguerre.polys[2] == Polynomial((1, -2, Fraction(1, 2)))
 

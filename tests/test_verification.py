@@ -52,6 +52,29 @@ def test_exact_oracle_trial_failure_names_trial_and_degree(monkeypatch):
     assert report == {"check": "oracle_equivalence", "passed": False, "trial": 0, "n": 1}
 
 
+@pytest.mark.parametrize(
+    "field, expect",
+    [
+        ("coeffs", {"trial": 0, "n": 1}),
+        ("inverse_coeffs", {"trial": 0, "n": 1, "m": 0, "which": "b"}),
+    ],
+)
+def test_float_oracle_trial_catches_a_nudged_kernel(monkeypatch, field, expect):
+    original = gso.gram_schmidt
+
+    def nudged(gram, factors):
+        result = original(gram, factors)
+        rows = [list(row) for row in getattr(result, field)]
+        rows[0][1] += 1e-6
+        return dataclasses.replace(result, **{field: tuple(map(tuple, rows))})
+
+    pair = (Measure.gaussian(1), Measure.gaussian(2))
+    assert verification.check_oracle_equivalence(*pair, 6, backend="float")["passed"]
+    monkeypatch.setattr(gso, "gram_schmidt", nudged)
+    report = verification.check_oracle_equivalence(*pair, 6, backend="float")
+    assert report == {"check": "oracle_equivalence", "passed": False, **expect}
+
+
 def test_negative_i_max_is_refused():
     # an empty range of constraint indices would pass without checking any basis
     with pytest.raises(ValueError, match="i_max"):
