@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from functools import partial, reduce
-from operator import add
+from operator import add, mul
 
 import numpy as np
 
@@ -95,8 +96,11 @@ class SboBasis:
         return range(self.i, self.size)
 
     def poly(self, n) -> Polynomial:
-        """P_{i;n} in the basis' normalization."""
-        return self.monic_polys[n - self.i].scale(self.scale[n - self.i])
+        """P_{i;n} in the basis' normalization (the monic one itself when its
+        factor is one)."""
+        factor = self.scale[n - self.i]
+        monic = self.monic_polys[n - self.i]
+        return monic if factor == 1 else monic.scale(factor)
 
     def monic_poly(self, n) -> Polynomial:
         return self.monic_polys[n - self.i]
@@ -167,13 +171,26 @@ def gamma_matrix(q_basis: StandardBasis, measure2, i: int) -> GramMatrix:
 def _gram_by_connection(q_basis: StandardBasis, rec2, i):
     """The upper triangle of T^T diag(h) T over the columns i.. of T, entry
     [j][k] summed over the support m <= j in ascending order as
-    sum_m (h_m T[m][j]) T[m][k], zero terms skipped."""
+    sum_m (h_m T[m][j]) T[m][k], zero terms skipped.  Exact entries lift
+    each column of T and the vector h to integers once, so each entry is one
+    integer sum over m and one Fraction."""
     n = q_basis.size
     kind = q_basis.backend
     t = _connection_to_second(q_basis, rec2)
     h = [one(kind)]
     for _, c_m in rec2[1:]:
         h.append(h[-1] * as_kind(c_m, kind))
+    if kind == EXACT:
+        h_ints, h_scale = linalg.lift(h)
+        cols = [linalg.lift([t[m][j] for m in range(j + 1)]) for j in range(i, n)]
+        full = []
+        for j, (col_j, s_j) in enumerate(cols):
+            weighted = list(map(mul, h_ints, col_j))
+            full.append([zero(kind)] * j + [
+                Fraction(sum(map(mul, weighted, col_k)), h_scale * s_j * s_k)
+                for col_k, s_k in cols[j:]
+            ])
+        return full
     full = [[zero(kind)] * (n - i) for _ in range(n - i)]
     for j in range(i, n):
         scaled = [(m, h[m] * t[m][j]) for m in range(j + 1) if t[m][j]]

@@ -11,7 +11,11 @@ the squared norms h_n and the leading Gram determinants.
 
 Gram-Schmidt over a Gram matrix is its LDL^T factorization: the pivots
 are the ratios of consecutive leading Gram determinants, so one pass gives
-the vectors, their norms and the determinants, in either backend.
+the vectors, their norms and the determinants, in either backend.  Exact
+matrices run the pass in integers (:func:`_exact_ldl`): the upper triangle
+is lifted by one common scale, its rows are freed of their contents, it is
+eliminated fraction-free, and each output entry is formed as one Fraction.  Float matrices run a float loop
+(:func:`_float_ldl`).
 
 The second stage of the block construction, and the Hankel first stage
 of measures without a closed-form recurrence, run through this module: the
@@ -25,7 +29,9 @@ factorization, has one entry point per quantity:
   one :class:`linalg.LiftedElimination` of the Gram matrix, compared in
   integers, float ones degree by degree against :func:`bordered_oracle`.
 
-Exact cofactors come from :mod:`linalg`'s fraction-free elimination.
+Exact cofactors come from :mod:`linalg`'s fraction-free elimination, which
+lifts each full row by its own scale and eliminates all of every row; the
+kernel shares none of its code.
 Float cofactors have one route, an LU solve for the last column of the
 inverse of a leading block (:func:`_inverse_last_column`).
 """
@@ -92,7 +98,9 @@ def gram_schmidt(gram, leading_factors) -> OrthogonalizationResult:
 
     One LDL^T pass g = B^T D B (B unit upper triangular) in the scalars of
     the matrix: h_n = D_n / f_n^2, b = diag(f) B, a = B^{-1} diag(1/f), and
-    the leading Gram determinants are the prefix products of D.
+    the leading Gram determinants are the prefix products of D.  Exact
+    matrices run it in integers (:func:`_exact_ldl`), float ones as a
+    float loop (:func:`_float_ldl`).
     """
     g = _entries(gram)
     n_dim = len(g)
@@ -102,6 +110,90 @@ def gram_schmidt(gram, leading_factors) -> OrthogonalizationResult:
     for f in leading_factors:
         if f == 0 or (isinstance(f, float) and not math.isfinite(f)):
             raise BadFactor("leading factors must be nonzero and finite")
+    ldl = _exact_ldl if kind == EXACT else _float_ldl
+    a, b, norms, dets = ldl(g, leading_factors)
+    return OrthogonalizationResult(
+        tuple(map(tuple, a)), tuple(map(tuple, b)), tuple(norms), tuple(leading_factors),
+        tuple(dets),
+    )
+
+
+def _exact_ldl(g, leading_factors):
+    """The LDL^T pass over the exact matrix ``g`` as a symmetric
+    fraction-free elimination of its upper triangle.
+
+    The triangle is lifted to integers by one common scale L, so the lifted
+    matrix A stays symmetric, and row r of A is divided by its content
+    (the gcd of the row, read off the triangle) g_r; the lifted minors of a
+    Gram matrix share large per-row factors, so this keeps every integer
+    below far smaller.  The rows are eliminated in place without swaps.
+    Row k of S then holds, in each column j >= k, the minor of A on rows
+    0..k and columns 0..k-1, j over g_0 ... g_k; an entry below the diagonal
+    is never stored, as by the symmetry of A it is the entry S[k][i] of row
+    k times g_k / g_i.  The pivot S[k][k] is M_{k+1} = L^{k+1} Z_{k+1} /
+    (g_0 ... g_k).  With f_k = fp / fq,
+
+        h_k = M_{k+1} g_k / (L M_k f_k^2),   Z_k = M_k g_0 ... g_{k-1} / L^k,
+        b_{k,j} = f_k S[k][j] / S[k][k],      a_{m,n} = c_m / (M_n f_n),
+
+    c the integers of the fraction-free back substitution of rows 0..n-1
+    with c_n = M_n (the last-row cofactors of the leading (n+1)-column
+    block of the scaled rows).  Every division inside is exact, and each
+    output entry is one Fraction.  A pivot that is not positive raises
+    NotPositiveDefinite at its degree.  Returns (a, b, h, Z) as lists.
+    """
+    n_dim = len(g)
+    flat, scale = linalg.lift([x for k, row in enumerate(g) for x in row[k:]])
+    s, start = [], 0
+    for k in range(n_dim):
+        s.append([0] * k + flat[start : start + n_dim - k])
+        start += n_dim - k
+    content = [math.gcd(*(row[k] for row in s[:k]), *s[k][k:]) or 1 for k in range(n_dim)]
+    for k, (row, g_k) in enumerate(zip(s, content)):
+        if g_k > 1:
+            row[k:] = [y // g_k for y in row[k:]]
+    ratios = [f.as_integer_ratio() for f in leading_factors]
+    empty = Fraction(0)
+    norms, dets, b = [], [Fraction(1)], []
+    minors, spanned, power = [1], 1, 1  # M_0 .. M_k, g_0 ... g_k and L^k
+    for k, ((fp, fq), g_k) in enumerate(zip(ratios, content)):
+        top = s[k]
+        pivot, prev = top[k], minors[-1]
+        h = Fraction(pivot * g_k * fq * fq, scale * prev * fp * fp)
+        if pivot <= 0:
+            raise NotPositiveDefinite(f"pivot h_{k} = {h} is not positive", degree=k)
+        for i in range(k + 1, n_dim):
+            row, x = s[i], top[i] * g_k // content[i]
+            if x:
+                row[i:] = [(pivot * y - x * t) // prev for y, t in zip(row[i:], top[i:])]
+            else:
+                row[i:] = [pivot * y // prev for y in row[i:]]
+        norms.append(h)
+        minors.append(pivot)
+        spanned *= g_k
+        power *= scale
+        dets.append(Fraction(pivot * spanned, power))
+        b.append([empty] * k + [Fraction(fp * y, fq * pivot) for y in top[k:]])
+    a = [[empty] * n_dim for _ in range(n_dim)]
+    for n, (fp, fq) in enumerate(ratios):
+        c = [0] * n + [minors[n]]
+        for m in range(n - 1, -1, -1):
+            c[m] = -sum(map(mul, s[m][m + 1 : n + 1], c[m + 1 :])) // s[m][m]
+        den = minors[n] * fp
+        for m in range(n + 1):
+            a[m][n] = Fraction(c[m] * fq, den)
+    return a, b, norms, dets
+
+
+def _float_ldl(g, leading_factors):
+    """The LDL^T pass over the float matrix ``g``, column by column.
+
+    A pivot at or below PIVOT_FLOOR times the largest entry of its leading
+    block raises NotPositiveDefinite at its degree.  Returns (a, b, h, Z)
+    as lists.
+    """
+    kind = FLOAT
+    n_dim = len(g)
     unit = [[zero(kind)] * n_dim for _ in range(n_dim)]  # B
     scaled = [[zero(kind)] * n_dim for _ in range(n_dim)]  # D B
     norms = []
@@ -115,10 +207,7 @@ def gram_schmidt(gram, leading_factors) -> OrthogonalizationResult:
         ]
         pivot = scaled[col][col]
         h = pivot / leading_factors[col] ** 2
-        if kind == EXACT:
-            if h <= 0:
-                raise NotPositiveDefinite(f"pivot h_{col} = {h} is not positive", degree=col)
-        elif h <= PIVOT_FLOOR * float(block_max):
+        if h <= PIVOT_FLOOR * float(block_max):
             raise NotPositiveDefinite(
                 f"float pivot h_{col} = {h} below conditioning floor", degree=col
             )
@@ -133,13 +222,7 @@ def gram_schmidt(gram, leading_factors) -> OrthogonalizationResult:
             a[m][n] = -sum(unit[m][j] * a[j][n] for j in range(m + 1, n + 1))
         for m in range(n + 1):
             a[m][n] /= leading_factors[n]
-    return OrthogonalizationResult(
-        tuple(map(tuple, a)),
-        tuple(tuple(f * x for x in r) for f, r in zip(leading_factors, unit)),
-        tuple(norms),
-        tuple(leading_factors),
-        tuple(dets),
-    )
+    return a, [[f * x for x in r] for f, r in zip(leading_factors, unit)], norms, dets
 
 
 def parity_gram_schmidt(gram, leading_factors) -> OrthogonalizationResult:
@@ -242,9 +325,9 @@ def oracle_connection_column(gram, n, leading_factors):
     Gram rows 0..m-1 and last row g[n] over the leading minor, where c^(m)
     are the last-row cofactors of the leading (m+1) x (m+1) block.  Exact
     matrices take every m from one :class:`linalg.LiftedElimination` of the
-    leading (n+1) x (n+1) block: in its lifted rows R (row r scaled by d_r)
-    b_{m,n} = f_m (R[n] . c) d_m / (d_n Z_{m+1}), with c and Z_{m+1} the
-    lifted cofactors and minor of degree m.  Float matrices take
+    leading (n+1) x (n+1) block: in its lifted rows R (row r scaled by the
+    rational d_r) b_{m,n} = f_m (R[n] . c) d_m / (d_n Z_{m+1}), with c and
+    Z_{m+1} the lifted cofactors and minor of degree m.  Float matrices take
     c^(m) / Z_{m+1} as :func:`_inverse_last_column` of each leading block,
     one LU solve per m and no determinant.
     """
@@ -303,20 +386,21 @@ def _exact_mismatch(g, result):
 
     One :class:`linalg.LiftedElimination` of ``g`` gives, for every n, the
     lifted cofactors c of the leading (n+1)-column block and the lifted
-    minor z = Z_{n+1} d_0 ... d_n (d_r the scale of row r, R the lifted
-    rows).  With f_n = fp / fq the prescribed factor, the oracle values are
+    minor z = Z_{n+1} s_0 ... s_n (s_r = dp / dq the rational scale of row
+    r, R the lifted rows).  With f_n = fp / fq the prescribed factor, the
+    oracle values are
 
-        a_{m,n} = c_m fq / (c_n fp),      h_n = z fq^2 / (d_n c_n fp^2),
-        Z_{n+1} = z / (d_0 ... d_n),      b_{m,n} = f_m (R[n] . c^(m)) d_m / (d_n z_m)
+        a_{m,n} = c_m fq / (c_n fp),      h_n = z fq^2 / (s_n c_n fp^2),
+        Z_{n+1} = z / (s_0 ... s_n),      b_{m,n} = f_m (R[n] . c^(m)) s_m / (s_n z_m)
 
     (z_m the lifted Z_{m+1}), and each stored value p / q is compared with
-    its ratio num / den as p den == num q, without Fraction arithmetic.
-    Entries below the diagonal of a and b must vanish.
+    its ratio num / den of integers as p den == num q, without Fraction
+    arithmetic.  Entries below the diagonal of a and b must vanish.
     """
     elim = linalg.LiftedElimination(g)
-    rows, d = elim.rows, elim.scales
+    rows = elim.rows
     size = result.size
-    cofactors, minors, ratios = [], [], []
+    cofactors, b_ratios = [], []  # c^(m), and f_m s_m / z_m as (num, den)
     for n in range(size):
         f = result.factors[n]
         if f == 0:
@@ -326,21 +410,18 @@ def _exact_mismatch(g, result):
             raise NotPositiveDefinite(f"leading minor of size {n} vanishes", degree=n)
         z = elim.minor(n + 1)
         fp, fq = f.as_integer_ratio()
+        dp, dq = elim.scales[n].as_integer_ratio()
+        zp, zq = elim.prefix[n + 1].as_integer_ratio()
         cofactors.append(c)
-        minors.append(z)
-        ratios.append((fp, fq))
+        b_ratios.append((fp * dp, fq * dq * z))
         a_den = c[n] * fp
         ok = (
             all(_equals(result.coeffs[m][n], c[m] * fq, a_den) for m in range(n + 1))
-            and _equals(result.norms[n], z * fq * fq, d[n] * a_den * fp)
-            and _equals(result.gram_dets[n + 1], z, elim.prefix[n + 1])
+            and _equals(result.norms[n], z * fq * fq * dq, dp * a_den * fp)
+            and _equals(result.gram_dets[n + 1], z * zq, zp)
             and all(
-                _equals(
-                    result.inverse_coeffs[m][n],
-                    mp * sum(map(mul, rows[n], cofactors[m])) * d[m],
-                    mq * d[n] * minors[m],
-                )
-                for m, (mp, mq) in enumerate(ratios)
+                _equals(result.inverse_coeffs[m][n], bp * sum(map(mul, rows[n], c_m)) * dq, bq * dp)
+                for m, ((bp, bq), c_m) in enumerate(zip(b_ratios, cofactors))
             )
             and all(
                 result.coeffs[m][n] == 0 and result.inverse_coeffs[m][n] == 0

@@ -1,10 +1,11 @@
 """Small dense linear algebra over exact rationals and floats.
 
 Matrices are lists (or tuples) of rows.  Exact determinants use
-fraction-free Bareiss elimination after clearing row denominators, so
-intermediate swell stays bounded, and one such pass over a Gram matrix
-gives the bordered minors of every leading block, each degree then taking
-only its back substitution; float determinants delegate to numpy.
+fraction-free Bareiss elimination on primitive integer rows (denominators
+and row contents cleared), so intermediate swell stays bounded, and one
+such pass over a Gram matrix gives the bordered minors of every leading
+block, each degree then taking only its back substitution; float
+determinants delegate to numpy.
 Rank decisions in the exact backend are genuinely discrete; the float path
 reports the singular-value gap it used.
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate, chain
-from math import lcm, prod
+from math import gcd, lcm, prod
 from operator import mul
 
 import numpy as np
@@ -56,9 +57,18 @@ def lift(values):
 
 
 def _lift_rows(rows):
-    """Integer rows and their scales, each row :func:`lift`-ed."""
-    lifted = [lift(row) for row in rows]
-    return [ints for ints, _ in lifted], [scale for _, scale in lifted]
+    """Primitive integer rows and their scales: each row is :func:`lift`-ed
+    and divided by the gcd of its integers (its content), so row r times
+    ``scales[r]``, a positive Fraction, is ``ints[r]``.  Dividing out the
+    content keeps every minor of the integer rows smaller by the product of
+    the contents it spans."""
+    ints, scales = [], []
+    for row in rows:
+        lifted, scale = lift(row)
+        content = gcd(*lifted) or 1
+        ints.append([x // content for x in lifted] if content > 1 else lifted)
+        scales.append(Fraction(scale, content))
+    return ints, scales
 
 
 def _eliminate(m):
@@ -144,10 +154,11 @@ class LiftedElimination:
     """One fraction-free elimination of an exact square matrix, read degree
     by degree.
 
-    The rows are lifted to integers once: ``rows[r]`` is row r times
-    ``scales[r]``, the lcm of its denominators, and ``prefix[k]`` is
-    scales[0] * ... * scales[k-1].  One :func:`_eliminate` pass reduces
-    them; by the prefix property its rows 0..n-1, restricted to columns
+    The rows are lifted to primitive integer rows once (:func:`_lift_rows`):
+    ``rows[r]`` is row r times ``scales[r]``, the lcm of its denominators
+    over the content of its lifted integers, and ``prefix[k]`` is
+    scales[0] * ... * scales[k-1], both Fractions.  One :func:`_eliminate`
+    pass reduces them; by the prefix property its rows 0..n-1, restricted to columns
     0..n, are the reduced n x (n+1) system of the leading block, so each
     degree n costs only its O(n^2) back substitution.  From the first
     vanishing pivot on (a singular leading block), a degree takes its own
@@ -228,14 +239,21 @@ def leading_minors(matrix):
 def mat_mul(a, b):
     """The product a b, every entry summed over ascending inner index.
 
-    Zero entries of either factor are skipped, so a triangular factor costs
-    only its nonzero part.  Each sum starts from the backend zero of ``a``,
-    so an entry without a nonzero term is ``Fraction(0)`` or ``0.0``, and a
-    float entry equals the full ascending sum bit for bit (adding a zero to
-    a sum begun at +0.0 never changes it).
+    Exact factors lift each row of ``a`` and each column of ``b`` to
+    integers once (:func:`lift`) and take each entry as one integer dot
+    product over the index range where both have nonzero entries, divided
+    once by the two scales, so every entry is one ``Fraction``.  Otherwise
+    zero entries of either factor are skipped, so a triangular factor costs
+    only its nonzero part.  Each such sum starts from the backend zero of
+    ``a``, so an entry without a nonzero term is that zero, and a float
+    entry equals the full ascending sum bit for bit (adding a zero to a sum
+    begun at +0.0 never changes it).
     """
     cols = len(b[0]) if b else 0
-    start = zero(matrix_kind(a))
+    kind = matrix_kind(a)
+    if kind == EXACT and set(map(type, chain.from_iterable(b))) <= {Fraction, int}:
+        return _exact_mat_mul(a, b)
+    start = zero(kind)
     b_nonzero = [[(j, y) for j, y in enumerate(row) if y != 0] for row in b]
     out = []
     for row in a:
@@ -245,6 +263,33 @@ def mat_mul(a, b):
                 for j, y in b_row:
                     acc[j] += x * y
         out.append(acc)
+    return out
+
+
+def _lifted_span(values):
+    """(ints, scale, lo, hi): ``values`` :func:`lift`-ed, and the range
+    lo..hi-1 outside which every entry vanishes (lo = hi when all do)."""
+    ints, scale = lift(values)
+    nonzero = [k for k, x in enumerate(ints) if x]
+    return ints, scale, nonzero[0] if nonzero else 0, nonzero[-1] + 1 if nonzero else 0
+
+
+def _exact_mat_mul(a, b):
+    """The product of two exact matrices, one integer dot product and one
+    Fraction per entry."""
+    b_cols = [_lifted_span(col) for col in zip(*b)]
+    empty = Fraction(0)
+    out = []
+    for row in a:
+        x, x_scale, x_lo, x_hi = _lifted_span(row)
+        out_row = []
+        for y, y_scale, y_lo, y_hi in b_cols:
+            lo, hi = max(x_lo, y_lo), min(x_hi, y_hi)
+            if lo < hi:
+                out_row.append(Fraction(sum(map(mul, x[lo:hi], y[lo:hi])), x_scale * y_scale))
+            else:
+                out_row.append(empty)
+        out.append(out_row)
     return out
 
 

@@ -32,7 +32,7 @@ def _normalize(coeffs):
     if len(kinds) > 1:
         raise KindMismatch("polynomial mixes exact and float coefficients")
     if kinds.pop() == EXACT:
-        return tuple(Fraction(c) for c in coeffs)
+        return tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
     return tuple(float(c) for c in coeffs)
 
 

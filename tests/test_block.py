@@ -559,14 +559,29 @@ def test_a_wrong_inverse_connection_does_not_reach_q_in_p(monkeypatch, hermite_p
         build_sbo(*hermite_pair, 2, 6)
 
 
+def _sign_flipped(monkeypatch, name, update):
+    """Replace ``gso.<name>`` by its own source with the minus sign of
+    ``update`` turned into a plus."""
+    source = inspect.getsource(getattr(gso, name))
+    assert source.count(update) == 1
+    namespace = dict(vars(gso))
+    exec(source.replace(update, update.replace(" - ", " + ")), namespace)
+    monkeypatch.setattr(gso, name, namespace[name])
+
+
 @pytest.mark.parametrize("pair", ["hermite_pair", "laguerre_pair"])
 def test_the_sign_flipped_kernel_is_caught(monkeypatch, request, pair):
-    # the LDL^T update g - sum(...) turned into g + sum(...)
-    source = inspect.getsource(gso.gram_schmidt)
-    assert source.count("g[col][j] - sum(") == 1
-    namespace = dict(vars(gso))
-    exec(source.replace("g[col][j] - sum(", "g[col][j] + sum("), namespace)
-    monkeypatch.setattr(gso, "gram_schmidt", namespace["gram_schmidt"])
+    # the fraction-free update pivot * y - x * t turned into pivot * y + x * t
+    _sign_flipped(monkeypatch, "_exact_ldl", "pivot * y - x * t")
     with pytest.raises(OracleMismatch) as info:
         build_sbo(*request.getfixturevalue(pair), 2, 8)
+    assert info.value.stage == "second_stage"
+
+
+@pytest.mark.parametrize("pair", ["hermite_pair", "laguerre_pair"])
+def test_the_sign_flipped_float_kernel_is_caught(monkeypatch, request, pair):
+    # the float LDL^T update g - sum(...) turned into g + sum(...)
+    _sign_flipped(monkeypatch, "_float_ldl", "g[col][j] - sum(")
+    with pytest.raises(OracleMismatch) as info:
+        build_sbo(*request.getfixturevalue(pair), 2, 8, backend="float")
     assert info.value.stage == "second_stage"
