@@ -2,10 +2,13 @@
 
 For the built-in hermite (gaussian:1/gaussian:2) and laguerre
 (gamma:1:1/gamma:2:1) pairs at N 16, 32 and 48, it times the exact
-``build_sbo(m1, m2, i=2, N)`` with checks on and with ``check=False``, each
-as the median of 5 runs after one untimed warm-up build, in a fresh
-interpreter per (pair, N, side).  Each row records both times and their
-ratio, the cost of the checks.
+``build_sbo(m1, m2, i=2, N)`` with checks on and with ``check=False`` in a
+fresh interpreter per (pair, N, side).  After one untimed warm-up build of
+each, every one of 5 repetitions times one build with checks on and one
+with checks off, back to back, the first of the two alternating.  Each row
+records the median time of each side and, as the cost of the checks, the
+median of the 5 per-repetition ratios: a slow stretch of the host then
+slows both builds of a ratio alike.
 
 ``targets`` reads the scaling goal off the rows of this checkout: checks on
 within twice checks off at N 48 for both pairs.  It is a ratio of two
@@ -50,15 +53,17 @@ def measure(spec):
 
 spec1, spec2, n_size, i, runs = json.loads(sys.argv[1])
 m1, m2 = measure(spec1), measure(spec2)
-out = {}
-for key, check in (("on_s", True), ("off_s", False)):
+sides = (("on_s", True), ("off_s", False))
+for _, check in sides:
     build_sbo(m1, m2, i, n_size, check=check)
-    times = []
-    for _ in range(runs):
+times = {key: [] for key, _ in sides}
+for rep in range(runs):
+    for key, check in (sides if rep % 2 == 0 else sides[::-1]):
         t0 = time.perf_counter()
         build_sbo(m1, m2, i, n_size, check=check)
-        times.append(time.perf_counter() - t0)
-    out[key] = statistics.median(times)
+        times[key].append(time.perf_counter() - t0)
+out = {key: statistics.median(values) for key, values in times.items()}
+out["ratio"] = statistics.median(on / off for on, off in zip(times["on_s"], times["off_s"]))
 json.dump(out, sys.stdout)
 """
 
@@ -75,8 +80,8 @@ def _row(pair, n_size, side, times):
     row = {"pair": pair, "N": n_size}
     if side:
         row["side"] = side
-    row.update({key: round(value, 4) for key, value in times.items()})
-    row["ratio"] = round(times["on_s"] / times["off_s"], 2)
+    row.update({key: round(times[key], 4) for key in ("on_s", "off_s")})
+    row["ratio"] = round(times["ratio"], 2)
     return row
 
 
@@ -99,8 +104,10 @@ def main():
     report = {
         "description": (
             f"Exact build_sbo(i={I}) wall time in seconds with checks on (on_s) and off "
-            f"(off_s), median of {RUNS} runs after one warm-up, one fresh interpreter per "
-            "row; ratio = on_s / off_s. See scripts/exact_scaling.py."
+            f"(off_s), median of {RUNS} repetitions after one warm-up each, one fresh "
+            "interpreter per row; each repetition times one build of each side back to "
+            "back, and ratio is the median of the per-repetition on / off. "
+            "See scripts/exact_scaling.py."
         ),
         "command": "python scripts/exact_scaling.py" + (" --parent-src DIR" if args.parent_src else ""),
         "python": platform.python_version(),

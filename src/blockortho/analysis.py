@@ -5,7 +5,9 @@ integral representations.  This module evaluates those integrals by tensor
 Gauss quadrature (nodes derived from this package's own recurrence data, via
 the symmetric tridiagonal eigenproblem) and compares against the determinant
 values, giving a route into the results that never touches the
-orthogonalization code.
+orthogonalization code.  A grid is evaluated as arrays, one row per point
+(:meth:`QuadratureGrid.arrays`), and its terms are added one at a time in
+grid order, so each sum is the one a point-by-point loop would give.
 
 Dimension caps keep runtime at desk scale; exceeding them raises instead of
 silently truncating.
@@ -13,7 +15,6 @@ silently truncating.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -45,16 +46,22 @@ class QuadratureGrid:
             if any(w <= 0 for w in weights):
                 raise InsufficientNodes("quadrature weights must be positive")
 
-    def points(self):
-        """Iterate (point_tuple, weight) over the tensor grid."""
-        node_lists = [axis[0] for axis in self.axes]
-        weight_lists = [axis[1] for axis in self.axes]
-        for combo in itertools.product(*(range(len(n)) for n in node_lists)):
-            point = tuple(node_lists[d][k] for d, k in enumerate(combo))
-            weight = 1.0
-            for d, k in enumerate(combo):
-                weight *= weight_lists[d][k]
-            yield point, weight
+    def arrays(self):
+        """The grid as arrays, in ``itertools.product`` order of the axes.
+
+        Returns ``(index, points, weights)``: ``index[g, d]`` is the node
+        index of point g on axis d, ``points[g, d]`` that node and
+        ``weights[g]`` the product of the point's axis weights, multiplied
+        axis by axis from 1.0.
+        """
+        shape = tuple(len(nodes) for nodes, _ in self.axes)
+        index = np.indices(shape).reshape(len(shape), math.prod(shape)).T
+        points = np.empty(index.shape)
+        weights = np.ones(len(index))
+        for d, (nodes, axis_weights) in enumerate(self.axes):
+            points[:, d] = np.array(nodes)[index[:, d]]
+            weights *= np.array(axis_weights)[index[:, d]]
+        return index, points, weights
 
 
 def gauss_rule(measure: Measure, n_nodes: int):
@@ -123,14 +130,7 @@ def verify_z_integral(
             lo = i - sbo.i
             hi = n - sbo.i + 1
             rhs = float(linalg.det([[float(x) for x in row[lo:hi]] for row in g[lo:hi]]))
-    total = 0.0
-    for point, weight in grid.points():
-        matrix = np.array(
-            [[np.polyval(p[::-1], y) for p in polys] for y in point]
-        )
-        det = float(np.linalg.det(matrix))
-        total += weight * det * det
-    lhs = total / math.factorial(dim)
+    lhs = _squared_alternant_sum(grid, polys) / math.factorial(dim)
     rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
     return {
         "check": "z_integral",
@@ -167,15 +167,7 @@ def verify_p_integral(sbo: SboBasis, i: int, n: int, nodes: int = None):
     q_float = [
         np.array([float(c) for c in sbo.q_basis.polys[j].coeffs]) for j in range(n)
     ]
-    acc = np.zeros(n + 1)
-    for point, weight in grid.points():
-        ys = np.array(point)
-        factor = weight * _vandermonde(ys)
-        for j, y in enumerate(ys):
-            factor *= np.polyval(q_float[j][::-1], y)
-        if factor == 0.0:
-            continue
-        acc += factor * _roots_to_coeffs(ys)
+    acc = _alternant_root_sum(grid, q_float)
     k_prod = 1.0
     for j in range(n):
         k_prod *= float(sbo.q_basis.leading[j])
@@ -206,37 +198,83 @@ def verify_p_integral(sbo: SboBasis, i: int, n: int, nodes: int = None):
     return report
 
 
-def _vandermonde(ys):
-    out = 1.0
-    for j in range(len(ys)):
-        for k in range(j + 1, len(ys)):
-            out *= ys[k] - ys[j]
+def _squared_alternant_sum(grid: QuadratureGrid, polys) -> float:
+    """sum_g w_g det[p_c(y_{g,r})]_{r,c}^2 over the grid, one polynomial per
+    column and one axis per row.
+
+    Each polynomial is tabulated once on each distinct rule; the point
+    matrices are gathered from the tables and their determinants taken by
+    one batched call.
+    """
+    index, _, weights = grid.arrays()
+    # tables[axis][k, c] = polys[c](node k of the axis' rule)
+    tables = {
+        axis: np.array([np.polyval(p[::-1], np.array(axis[0])) for p in polys]).T
+        for axis in set(grid.axes)
+    }
+    matrices = np.stack(
+        [tables[axis][index[:, r]] for r, axis in enumerate(grid.axes)], axis=1
+    )
+    dets = np.linalg.det(matrices)
+    return float(_ordered_sum(weights * dets * dets))
+
+
+def _alternant_root_sum(grid: QuadratureGrid, polys):
+    """sum_g w_g V(y_g) prod_j p_j(y_{g,j}) times the ascending coefficients
+    of prod_j (x - y_{g,j}), ``polys[j]`` on axis j; a point whose factor is
+    exactly zero adds nothing."""
+    index, points, weights = grid.arrays()
+    factor = weights * _vandermonde(points)
+    for j, (p, (nodes, _)) in enumerate(zip(polys, grid.axes)):
+        factor *= np.polyval(p[::-1], np.array(nodes))[index[:, j]]
+    keep = factor != 0.0
+    return _ordered_sum(factor[keep, None] * _roots_to_coeffs(points[keep]))
+
+
+def _squared_vandermonde_root_sum(grid: QuadratureGrid):
+    """sum_g w_g V(y_g)^2 times the ascending coefficients of
+    prod_j (x - y_{g,j})."""
+    _, points, weights = grid.arrays()
+    v = _vandermonde(points)
+    return _ordered_sum((weights * v * v)[:, None] * _roots_to_coeffs(points))
+
+
+def _vandermonde(points):
+    """prod_{j<k} (y_k - y_j) of every row of ``points``, in the order
+    j = 0.., k = j+1.. of the factors."""
+    out = np.ones(len(points))
+    for j in range(points.shape[1]):
+        for k in range(j + 1, points.shape[1]):
+            out *= points[:, k] - points[:, j]
     return out
 
 
-def _roots_to_coeffs(ys):
-    """Ascending coefficients of prod_j (x - y_j)."""
-    coeffs = np.zeros(len(ys) + 1)
-    coeffs[0] = 1.0
-    deg = 0
-    for y in ys:
-        head = coeffs[: deg + 1].copy()
-        coeffs[1 : deg + 2] = head
-        coeffs[0] = 0.0
-        coeffs[: deg + 1] -= y * head
-        deg += 1
+def _roots_to_coeffs(points):
+    """Ascending coefficients of prod_j (x - y_j), one row per row of
+    ``points``, multiplied in by one root at a time."""
+    rows, dim = points.shape
+    coeffs = np.zeros((rows, dim + 1))
+    coeffs[:, 0] = 1.0
+    for deg in range(dim):
+        head = coeffs[:, : deg + 1].copy()
+        coeffs[:, 1 : deg + 2] = head
+        coeffs[:, 0] = 0.0
+        coeffs[:, : deg + 1] -= points[:, deg, None] * head
     return coeffs
+
+
+def _ordered_sum(terms):
+    """Sum of ``terms`` along the first axis, added one at a time in order
+    from +0.0.  ``np.sum`` adds pairwise, which reorders the additions."""
+    start = np.zeros((1,) + terms.shape[1:])
+    return np.add.accumulate(np.concatenate([start, terms]), axis=0)[-1]
 
 
 def _p_integral_symmetrized(sbo: SboBasis, n: int, nodes: int):
     """Single-measure form: squared Vandermonde over the second measure."""
     rule2 = gauss_rule(sbo.measure2, nodes)
     grid = QuadratureGrid((rule2,) * n, f"gauss2:{nodes}^{n}")
-    acc = np.zeros(n + 1)
-    for point, weight in grid.points():
-        ys = np.array(point)
-        v = _vandermonde(ys)
-        acc += weight * v * v * _roots_to_coeffs(ys)
+    acc = _squared_vandermonde_root_sum(grid)
     hankel = [[float(sbo.mu2[j + k]) for k in range(n)] for j in range(n)]
     denominator = math.factorial(n) * float(linalg.det(hankel))
     return [float(c) for c in acc / denominator]

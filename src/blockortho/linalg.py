@@ -195,10 +195,14 @@ def det(matrix):
     """Determinant; exact for rational entries, numpy LU for floats.
 
     The empty 0x0 matrix has determinant one (null-determinant convention).
+    A matrix of plain ``int`` entries is eliminated as it is, with no
+    lifting.
     """
     n = len(matrix)
     if n == 0:
         return Fraction(1)
+    if set(map(type, chain.from_iterable(matrix))) == {int}:
+        return Fraction(_det_int(matrix))
     if matrix_kind(matrix) == FLOAT:
         return float(np.linalg.det(np.array(matrix, dtype=float)))
     int_rows, scales = _lift_rows(matrix)

@@ -265,15 +265,15 @@ def check_lemma_checkerboard(seed=20240602, samples=100):
     rng = random.Random(seed)
     for trial in range(samples):
         size = rng.randint(1, 8)
-        m = [[Fraction(0)] * size for _ in range(size)]
+        m = [[0] * size for _ in range(size)]
         for j in range(size):
             for k in range(size):
                 if (j + k) % 2 == 0:
-                    m[j][k] = Fraction(rng.randint(-5, 5))
+                    m[j][k] = rng.randint(-5, 5)
         exempt = rng.random() < 0.5
         if exempt:
             for k in range(size):
-                m[size - 1][k] = Fraction(rng.randint(-5, 5))
+                m[size - 1][k] = rng.randint(-5, 5)
         det, even, odd = gso.checkerboard_det(m, last_row_exempt=exempt)
         if det != even * odd:
             return _entry("lemma_checkerboard", False, trial=trial, size=size)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from blockortho import (
     DimensionCap,
     InsufficientNodes,
     Measure,
+    Polynomial,
     build_sbo,
     build_sbos,
     gauss_rule,
@@ -113,6 +115,34 @@ def test_p_integral_caps(hermite_pair):
     basis0 = build_sbo(*hermite_pair, 0, 6)
     with pytest.raises(DimensionCap):
         verify_p_integral(basis0, 0, 4)
+
+
+# the (i, n) cases of the integral_representations suite
+INTEGRAL_CASES = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]
+
+
+@pytest.mark.parametrize("pair", ["hermite_pair", "laguerre_pair"])
+@pytest.mark.parametrize("i, n", INTEGRAL_CASES)
+def test_p_integral_fails_on_a_nudged_coefficient(request, pair, i, n):
+    basis = build_sbo(*request.getfixturevalue(pair), i, 4)
+    assert verify_p_integral(basis, i, n)["pass"]
+    polys = list(basis.monic_polys)
+    coeffs = list(polys[n - i].coeffs)
+    coeffs[0] += Fraction(1, 10**6)
+    polys[n - i] = Polynomial(tuple(coeffs))
+    nudged = dataclasses.replace(basis, monic_polys=tuple(polys))
+    assert verify_p_integral(nudged, i, n)["pass"] is False
+
+
+@pytest.mark.parametrize("pair", ["hermite_pair", "laguerre_pair"])
+@pytest.mark.parametrize("i, n", INTEGRAL_CASES)
+def test_z_integral_fails_on_a_nudged_determinant(request, pair, i, n):
+    basis = build_sbo(*request.getfixturevalue(pair), i, 4)
+    assert verify_z_integral(basis, i, n)["pass"]
+    dets = list(basis.gamma_dets)
+    dets[n - i + 1] *= 1 + Fraction(1, 10**6)
+    nudged = dataclasses.replace(basis, gamma_dets=tuple(dets))
+    assert verify_z_integral(nudged, i, n)["pass"] is False
 
 
 def test_zero_report_laguerre_quadratic(laguerre_pair):

@@ -116,3 +116,18 @@ def test_matrix_kind_rejects_bool_and_unsupported_scalars(bad):
 def test_matrix_kind_of_an_empty_matrix_is_exact():
     assert linalg.matrix_kind([]) == "exact"
     assert linalg.matrix_kind([[], []]) == "exact"
+
+
+def test_det_of_an_int_matrix_skips_the_lifting(monkeypatch):
+    matrices = [[[3]], [[2, -1], [4, 5]], [[0, 1, 2], [1, 0, 3], [4, -5, 6]], [[1, 2], [2, 4]]]
+    expected = [linalg.det([[Fraction(x) for x in row] for row in m]) for m in matrices]
+
+    def refuse(rows):
+        raise AssertionError("an int matrix was lifted")
+
+    monkeypatch.setattr(linalg, "_lift_rows", refuse)
+    for m, want in zip(matrices, expected):
+        got = linalg.det(m)
+        assert type(got) is Fraction and got == want
+    with pytest.raises(AssertionError):
+        linalg.det([[Fraction(1, 2), 1], [0, 1]])

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from blockortho import Measure, Polynomial, block, gso, projectors, verification
+from blockortho import Measure, Polynomial, analysis, block, gso, projectors, verification
 from blockortho.cli import main
 from blockortho.verification import ALL_CHECKS, check_orthogonality, run_checks
 
@@ -146,3 +146,37 @@ def test_inner0_suite_builds_one_projector_pair(monkeypatch, capsys, pair):
     assert main(["verify", "--pair", pair, "--N", "6", "--checks", "inner0"]) == 0
     capsys.readouterr()
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("pair", ["hermite", "laguerre"])
+def test_integral_suite_fails_on_a_perturbed_gauss_weight(monkeypatch, capsys, pair):
+    argv = ["verify", "--pair", pair, "--N", "6", "--checks", "integral_representations"]
+    assert main(argv) == 0
+    original = analysis.gauss_rule
+
+    def perturbed(measure, n_nodes):
+        nodes, weights = original(measure, n_nodes)
+        return nodes, (weights[0] * (1 + 1e-6),) + weights[1:]
+
+    capsys.readouterr()
+    monkeypatch.setattr(analysis, "gauss_rule", perturbed)
+    assert main(argv) == 1
+    report = json.loads(capsys.readouterr().out)["reports"][0]
+    assert report["check"] == "integral_representations" and report["passed"] is False
+
+
+def test_checkerboard_suite_fails_on_a_changed_even_block_entry(monkeypatch):
+    original = gso.checkerboard_det
+
+    def changed(matrix, last_row_exempt=False):
+        # the determinant of a matrix whose (0, 0) entry, in the even
+        # block, differs from the one the block determinants are taken of
+        _, even, odd = original(matrix, last_row_exempt)
+        m = [list(row) for row in matrix]
+        m[0][0] += 1
+        return original(m, last_row_exempt)[0], even, odd
+
+    assert verification.check_lemma_checkerboard()["passed"]
+    monkeypatch.setattr(gso, "checkerboard_det", changed)
+    report = verification.check_lemma_checkerboard()
+    assert report["passed"] is False and "trial" in report
