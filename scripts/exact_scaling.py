@@ -1,14 +1,20 @@
 """Exact-backend scaling table: writes BENCH_exact_scaling.json at the repository root.
 
 For the built-in hermite (gaussian:1/gaussian:2) and laguerre
-(gamma:1:1/gamma:2:1) pairs at N 16, 32 and 48, it times the exact
-``build_sbo(m1, m2, i=2, N)`` with checks on and with ``check=False`` in a
-fresh interpreter per (pair, N, side).  After one untimed warm-up build of
-each, every one of 5 repetitions times one build with checks on and one
-with checks off, back to back, the first of the two alternating.  Each row
-records the median time of each side and, as the cost of the checks, the
-median of the 5 per-repetition ratios: a slow stretch of the host then
-slows both builds of a ratio alike.
+(gamma:1:1/gamma:2:1) pairs at N 16, 32 and 48, it times, in a fresh
+interpreter per (pair, N, side), the exact ``build_sbo(m1, m2, i=2, N)``
+with checks on (``on_s``) and with ``check=False`` (``off_s``), and two of
+its layers: the gamma assembly ``gamma_matrix(q_basis, mu2, i)`` on the
+monic first stage (``gamma_s``) and the checked first stage
+``build_standard(m1, N)`` (``first_stage_s``).  After one untimed warm-up
+of each, every one of 5 repetitions times each of the four once, back to
+back, in an order that reverses from one repetition to the next.  Each row
+records the median time of each, and, as the cost of the checks, the
+median of the 5 per-repetition on / off ratios with their quartiles
+(``ratio_q1``, ``ratio_q3``): a slow stretch of the host then slows both
+builds of a ratio alike, and the quartiles show how far single
+repetitions still move.  Both builds pay for gamma and the first stage, so
+a faster layer lowers off_s as much as on_s and can raise the ratio.
 
 ``targets`` reads the scaling goal off the rows of this checkout: checks on
 within twice checks off at N 48 for both pairs.  It is a ratio of two
@@ -18,8 +24,8 @@ With ``--parent-src DIR`` (the ``src`` directory of another checkout) every
 row is also timed there, alternating which side runs first, and the rows
 carry a ``side`` of ``parent`` or ``change``.
 
-Run from the repository root (one process at a time, about a minute, or
-two with ``--parent-src``):
+Run from the repository root (one process at a time, about two minutes, or
+four with ``--parent-src``):
 
     python scripts/exact_scaling.py [--parent-src DIR]
 """
@@ -43,7 +49,8 @@ RATIO_TARGET = 2.0  # checks on over checks off, N 48
 
 TIMING_DRIVER = """
 import json, statistics, sys, time
-from blockortho import Measure, build_sbo
+from blockortho import Measure, build_sbo, build_standard, gamma_matrix
+from blockortho.measures import moments
 
 def measure(spec):
     parts = spec.split(":")
@@ -53,19 +60,31 @@ def measure(spec):
 
 spec1, spec2, n_size, i, runs = json.loads(sys.argv[1])
 m1, m2 = measure(spec1), measure(spec2)
-sides = (("on_s", True), ("off_s", False))
-for _, check in sides:
-    build_sbo(m1, m2, i, n_size, check=check)
-times = {key: [] for key, _ in sides}
+q_basis = build_standard(m1, n_size)
+mu2 = moments(m2, 2 * n_size - 2)
+tasks = (
+    ("on_s", lambda: build_sbo(m1, m2, i, n_size)),
+    ("off_s", lambda: build_sbo(m1, m2, i, n_size, check=False)),
+    ("gamma_s", lambda: gamma_matrix(q_basis, mu2, i)),
+    ("first_stage_s", lambda: build_standard(m1, n_size)),
+)
+for _, task in tasks:
+    task()
+times = {key: [] for key, _ in tasks}
 for rep in range(runs):
-    for key, check in (sides if rep % 2 == 0 else sides[::-1]):
+    for key, task in (tasks if rep % 2 == 0 else tasks[::-1]):
         t0 = time.perf_counter()
-        build_sbo(m1, m2, i, n_size, check=check)
+        task()
         times[key].append(time.perf_counter() - t0)
 out = {key: statistics.median(values) for key, values in times.items()}
-out["ratio"] = statistics.median(on / off for on, off in zip(times["on_s"], times["off_s"]))
+ratios = [on / off for on, off in zip(times["on_s"], times["off_s"])]
+out["ratio"] = statistics.median(ratios)
+out["ratio_q1"], _, out["ratio_q3"] = statistics.quantiles(ratios, n=4)
 json.dump(out, sys.stdout)
 """
+
+TIMES = ("on_s", "off_s", "gamma_s", "first_stage_s")
+RATIOS = ("ratio", "ratio_q1", "ratio_q3")
 
 
 def _time(src, spec1, spec2, n_size):
@@ -80,8 +99,8 @@ def _row(pair, n_size, side, times):
     row = {"pair": pair, "N": n_size}
     if side:
         row["side"] = side
-    row.update({key: round(times[key], 4) for key in ("on_s", "off_s")})
-    row["ratio"] = round(times["ratio"], 2)
+    row.update({key: round(times[key], 6) for key in TIMES})
+    row.update({key: round(times[key], 2) for key in RATIOS})
     return row
 
 
@@ -104,16 +123,21 @@ def main():
     report = {
         "description": (
             f"Exact build_sbo(i={I}) wall time in seconds with checks on (on_s) and off "
-            f"(off_s), median of {RUNS} repetitions after one warm-up each, one fresh "
-            "interpreter per row; each repetition times one build of each side back to "
-            "back, and ratio is the median of the per-repetition on / off. "
-            "See scripts/exact_scaling.py."
+            "(off_s), gamma_matrix on the monic first stage (gamma_s) and the checked "
+            f"build_standard (first_stage_s), median of {RUNS} repetitions after one "
+            "warm-up each, one fresh interpreter per row; each repetition times each of "
+            "the four once, back to back, and ratio is the median of the per-repetition "
+            "on / off, with its quartiles ratio_q1 and ratio_q3. Both builds pay for "
+            "gamma and the first stage. See scripts/exact_scaling.py."
         ),
         "command": "python scripts/exact_scaling.py" + (" --parent-src DIR" if args.parent_src else ""),
         "python": platform.python_version(),
         "machine": f"{platform.machine()}, {os.cpu_count()} logical CPUs",
         "targets": {
             f"ratio_N{top}": {pair: mine[(pair, top)]["ratio"] for pair in PAIRS},
+            f"ratio_N{top}_quartiles": {
+                pair: [mine[(pair, top)]["ratio_q1"], mine[(pair, top)]["ratio_q3"]] for pair in PAIRS
+            },
             f"ratio_N{top}_max": RATIO_TARGET,
             f"ratio_N{top}_met": all(mine[(pair, top)]["ratio"] <= RATIO_TARGET for pair in PAIRS),
         },

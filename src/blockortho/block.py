@@ -26,7 +26,7 @@ from operator import add, mul
 
 import numpy as np
 
-from . import gso, linalg, scalars
+from . import gso, linalg, scalars, standard
 from .errors import (
     ConditioningError,
     DependentConstraints,
@@ -124,10 +124,6 @@ class SboBasis:
         """A_{i;m,n} in the basis' normalization."""
         return self.scale[n - self.i] * self.p_in_q[m][n]
 
-    def connection_b(self, m, n):
-        """B_{i;m,n} in the basis' normalization."""
-        return self.q_in_p[m][n] / self.scale[m - self.i]
-
     def subleading(self, n):
         return self.monic_poly(n).coeff(n - 1)
 
@@ -146,9 +142,11 @@ def gamma_matrix(q_basis: StandardBasis, measure2, i: int) -> GramMatrix:
     of Q_j on the second measure's monic orthogonal polynomials R_m, run by
     the recurrence of Q, and gamma = T^T diag(h) T with the norms h_m of the
     R_m.  The rule is exact for the degrees of gamma, so exact entries are
-    the inner products themselves.  No Hankel matrix is formed, every step
-    is rational, and the sums run over ascending m, so each trailing block
-    is bit-identical to its own assembly.  Otherwise gamma is the congruence
+    the inner products themselves; exact T is run in integers and comes as
+    lifted columns, each entry of gamma one integer sum and one Fraction.
+    No Hankel matrix is formed, every step is rational, and float sums run
+    over ascending m, so each trailing block is bit-identical to its own
+    assembly.  Otherwise gamma is the congruence
     A^T H_2 A (``gram_of``), with A the columns i.. of ``q_in_x`` and H_2 the
     second measure's Hankel matrix.  The lower triangle mirrors the upper
     one, so float entries stay exactly symmetric.
@@ -170,10 +168,11 @@ def gamma_matrix(q_basis: StandardBasis, measure2, i: int) -> GramMatrix:
 
 def _gram_by_connection(q_basis: StandardBasis, rec2, i):
     """The upper triangle of T^T diag(h) T over the columns i.. of T, entry
-    [j][k] summed over the support m <= j in ascending order as
-    sum_m (h_m T[m][j]) T[m][k], zero terms skipped.  Exact entries lift
-    each column of T and the vector h to integers once, so each entry is one
-    integer sum over m and one Fraction."""
+    [j][k] summed over the support m <= j.  Exact columns of T come lifted
+    from :func:`_connection_to_second` and are taken as they are; with h
+    lifted once, each entry is one integer sum over m and one Fraction.
+    Float entries are summed in ascending m as sum_m (h_m T[m][j]) T[m][k],
+    zero terms skipped."""
     n = q_basis.size
     kind = q_basis.backend
     t = _connection_to_second(q_basis, rec2)
@@ -182,7 +181,7 @@ def _gram_by_connection(q_basis: StandardBasis, rec2, i):
         h.append(h[-1] * as_kind(c_m, kind))
     if kind == EXACT:
         h_ints, h_scale = linalg.lift(h)
-        cols = [linalg.lift([t[m][j] for m in range(j + 1)]) for j in range(i, n)]
+        cols = t[i:]
         full = []
         for j, (col_j, s_j) in enumerate(cols):
             weighted = list(map(mul, h_ints, col_j))
@@ -208,11 +207,17 @@ def _connection_to_second(q_basis: StandardBasis, rec2):
     x R_m = R_{m+1} + b_m R_m + c_m R_{m-1}, so multiplying a column by x is
     b_m t_m + t_{m-1} + c_{m+1} t_{m+1}; Q's own recurrence
     Q_{n+1} = (A_n x + B_n) Q_n - C_n Q_{n-1} then builds column n + 1.
-    T is upper triangular; only its support is touched and zero terms are
-    skipped, so a float entry equals the full sum in the same order.
+    T is upper triangular.  Exact bases run this in integers
+    (:func:`standard._recurrence_columns`) and return T as its lifted
+    columns: column j is ``(ints, den)`` with T[m][j] = ints[m] / den,
+    m = 0..j.  Float bases return the matrix T, with only its support
+    touched and zero terms skipped, so a float entry equals the full sum in
+    the same order.
     """
     n = q_basis.size
     kind = q_basis.backend
+    if kind == EXACT:
+        return standard._recurrence_columns(q_basis.recurrence, rec2, q_basis.leading[0])
     b = [as_kind(b_m, kind) for b_m, _ in rec2]
     c = [as_kind(c_m, kind) for _, c_m in rec2]
     t = [[zero(kind)] * n for _ in range(n)]

@@ -31,7 +31,9 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import reduce
-from operator import add
+from itertools import chain
+from math import gcd, lcm
+from operator import add, mul
 
 from . import gso, linalg
 from .errors import ConditioningError, NotRepresentable, NotSymmetric, OracleMismatch, stage
@@ -263,6 +265,54 @@ def monic_recurrence(measure: Measure, count: int):
     return tuple((-b_n, c_n) for _, b_n, c_n in basis.recurrence)
 
 
+def _recurrence_columns(steps, target, lead):
+    """Q_0..Q_K on the monic basis R of ``target``, run in integers.
+
+    Q_0 = ``lead`` and Q_{k+1} = (A_k x + B_k) Q_k - C_k Q_{k-1} for
+    ``steps[k]`` = (A_k, B_k, C_k), k = 0..K-1, with C_0 unused; R runs
+    x R_m = R_{m+1} + b_m R_m + c_m R_{m-1} for ``target[m]`` = (b_m, c_m),
+    m = 0..K-1 at least, and an empty target means R_m = x^m.  Every input
+    is rational (int or Fraction).  Column k comes back as
+    ``(ints, den)``, Q_k = sum_m ints[m] / den R_m over m = 0..k, exactly as
+    :func:`linalg.lift` gives that column.
+
+    The target is lifted once by a common L, so x Q_k over the scale d_k of
+    its column is the integer vector L u_{m-1} + b_m u_m + c_{m+1} u_{m+1}
+    over L d_k.  Column k + 1 is formed over
+    lcm(aq L d_k, bq d_k, cq d_{k-1}), aq, bq and cq the denominators of
+    A_k, B_k and C_k (a zero coefficient leaves its term out), and divided
+    by the gcd of its integers and that scale.  No Fraction arithmetic is
+    done.
+    """
+    if target:
+        lifted, big_l = linalg.lift([x for term in target for x in term])
+        b, c_next = lifted[0::2], lifted[3::2]
+    else:
+        big_l = 1
+    cols = [([lead.numerator], lead.denominator)]
+    for k, (a_k, b_k, c_k) in enumerate(steps):
+        u, d = cols[k]
+        x_u = [0, *u] if big_l == 1 else [0, *(big_l * y for y in u)]
+        if target:
+            x_u = list(map(add, x_u, chain(map(mul, b, u), (0,))))
+            x_u = list(map(add, x_u, chain(map(mul, c_next, u[1:]), (0, 0))))
+        a_scale = a_k.denominator * big_l * d
+        b_scale = b_k.denominator * d if b_k else 1
+        c_scale = c_k.denominator * cols[k - 1][1] if c_k and k else 1
+        scale = lcm(a_scale, b_scale, c_scale)
+        a_f = a_k.numerator * (scale // a_scale)
+        col = x_u if a_f == 1 else [a_f * y for y in x_u]
+        if b_k:
+            b_f = b_k.numerator * (scale // b_scale)
+            col[: k + 1] = [y + b_f * z for y, z in zip(col, u)]
+        if c_k and k:
+            c_f = c_k.numerator * (scale // c_scale)
+            col[:k] = [y - c_f * z for y, z in zip(col, cols[k - 1][0])]
+        g = gcd(scale, *col)
+        cols.append(([y // g for y in col], scale // g) if g > 1 else (col, scale))
+    return cols
+
+
 def _recurrence_result(rec, backend):
     """Monic orthogonalization data of q_0..q_{N-1} from N recurrence terms,
     in the scalars of ``backend``.
@@ -270,25 +320,34 @@ def _recurrence_result(rec, backend):
     Column k + 1 of the coefficients is x q_k - b_k q_k - c_k q_{k-1}; the
     norms h_n = c_1 ... c_n (in units of mu_0) and the Hankel determinants
     are prefix products.  The inverse connection is not formed, so
-    ``inverse_coeffs`` is empty.  Only the triangular support is touched and
-    zero terms are skipped, so a float entry equals the full sum in the same
-    order bit for bit.
+    ``inverse_coeffs`` is empty.  Exact columns run in integers
+    (:func:`_recurrence_columns` with steps (1, -b_k, c_k) over the
+    monomials), one Fraction per nonzero entry.  Float columns touch only
+    the triangular support and skip zero terms, so a float entry equals the
+    full sum in the same order bit for bit.
     """
     n = len(rec)
-    b = [as_kind(b_n, backend) for b_n, _ in rec]
     c = [as_kind(c_n, backend) for _, c_n in rec]
     nil = zero(backend)
     q = [[nil] * n for _ in range(n)]
-    q[0][0] = one(backend)
-    for k in range(n - 1):
-        b_k, c_k = b[k], c[k]
-        for m in range(k + 2):
-            v = q[m - 1][k] if m else nil
-            if b_k and m <= k and q[m][k]:
-                v -= b_k * q[m][k]
-            if k and m < k and q[m][k - 1]:
-                v -= c_k * q[m][k - 1]
-            q[m][k + 1] = v
+    if backend == EXACT:
+        steps = [(1, -as_kind(b_k, EXACT), c_k) for (b_k, _), c_k in zip(rec[: n - 1], c)]
+        for k, (ints, den) in enumerate(_recurrence_columns(steps, (), one(EXACT))):
+            for m, x in enumerate(ints):
+                if x:
+                    q[m][k] = Fraction(x, den)
+    else:
+        b = [as_kind(b_n, backend) for b_n, _ in rec]
+        q[0][0] = one(backend)
+        for k in range(n - 1):
+            b_k, c_k = b[k], c[k]
+            for m in range(k + 2):
+                v = q[m - 1][k] if m else nil
+                if b_k and m <= k and q[m][k]:
+                    v -= b_k * q[m][k]
+                if k and m < k and q[m][k - 1]:
+                    v -= c_k * q[m][k - 1]
+                q[m][k + 1] = v
     norms = [one(backend)]
     for c_n in c[1:]:
         norms.append(norms[-1] * c_n)

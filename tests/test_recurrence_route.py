@@ -107,9 +107,12 @@ def test_a_perturbed_connection_entry_is_caught_by_the_second_stage_oracle(monke
     original = block._connection_to_second
 
     def perturbed(q_basis, rec2):
-        t = original(q_basis, rec2)
-        t[entry[0]][entry[1]] += Fraction(1, 10**6)
-        return t
+        cols = original(q_basis, rec2)
+        # T[m][k] + 1/10^6 in the lifted column k: (10^6 ints[m] + den) / (10^6 den)
+        m, k = entry
+        ints, den = cols[k]
+        cols[k] = ([x * 10**6 + (den if r == m else 0) for r, x in enumerate(ints)], den * 10**6)
+        return cols
 
     monkeypatch.setattr(block, "_connection_to_second", perturbed)
     with pytest.raises(OracleMismatch, match="gamma matrix and second-measure moments") as info:
