@@ -37,6 +37,17 @@ CASES["table-laguerre-z3_2-N8-i3"] = [
 CASES["three-subspace-unique"] = ["three-subspace", "--z12", "1", "--z23", "2", "--z13", "3"]
 CASES["three-subspace-family"] = ["three-subspace", "--symmetric12", "--z23", "3", "--z13", "4"]
 CASES["moments-gamma-1-2"] = ["moments", "--measure", "gamma:1:2", "--max-order", "8"]
+# rational alpha and z with denominators other than one
+CASES["table-gamma-2_3-5_2-z3_2-N8-det"] = [
+    "table", "--measure1", "gamma:2/3:3/2", "--measure2", "gamma:5/2:3/2", "--N", "8",
+    "--normalization", "det",
+]
+CASES["table-gaussian-3_2-2_3-N8-det"] = [
+    "table", "--measure1", "gaussian:3/2", "--measure2", "gaussian:2/3", "--N", "8",
+    "--normalization", "det",
+]
+CASES["moments-gaussian-2_3"] = ["moments", "--measure", "gaussian:2/3", "--max-order", "12"]
+CASES["moments-gamma-3_2-5_2"] = ["moments", "--measure", "gamma:3/2:5/2", "--max-order", "12"]
 
 
 def _run(argv):
