@@ -329,6 +329,10 @@ def _sbo_bases(kernel, first_stage, measure2, i_values, n_polys, normalization, 
     if check and backend == EXACT:
         with stage(SECOND_STAGE):
             _check_gamma(gamma_lo, mu2, [row[lo:] for row in q_basis.q_in_x], lo)
+    # what every i shares is made once: Q's lifted rows and the identities' Q data
+    if backend == EXACT:
+        q_rows = [linalg._lifted_span(row) for row in q_basis.q_in_x]
+    lead = _leading_data(q_basis) if check else None
     bases = {}
     for i in i_values:
         rows = tuple(row[i - lo :] for row in gamma_lo[i - lo :])
@@ -346,6 +350,10 @@ def _sbo_bases(kernel, first_stage, measure2, i_values, n_polys, normalization, 
                     gso.check_against_oracle(
                         gamma, result, q_cols, "second-stage determinant oracle disagrees"
                     )
+        if backend == EXACT:
+            p_cols = linalg._lifted_mat_mul(q_rows, result.coeffs, i)
+        else:
+            p_cols = linalg.mat_mul(q_cols, result.coeffs)
         p_in_q = [[scalars.zero(backend)] * n_polys for _ in range(n_polys)]
         q_in_p = [[scalars.zero(backend)] * n_polys for _ in range(n_polys)]
         for row in range(block):
@@ -361,7 +369,7 @@ def _sbo_bases(kernel, first_stage, measure2, i_values, n_polys, normalization, 
             mu2=mu2,
             gamma=gamma,
             gamma_dets=result.gram_dets,
-            monic_polys=from_columns(linalg.mat_mul(q_cols, result.coeffs)),
+            monic_polys=from_columns(p_cols),
             monic_norms=result.norms,
             p_in_q=tuple(map(tuple, p_in_q)),
             q_in_p=tuple(map(tuple, q_in_p)),
@@ -370,7 +378,7 @@ def _sbo_bases(kernel, first_stage, measure2, i_values, n_polys, normalization, 
             backend=backend,
         )
         if check and block:
-            _check_leading_identities(bases[i])
+            _check_leading_identities(bases[i], lead)
     return bases
 
 
@@ -464,29 +472,86 @@ def build_sbo(
     return build_sbos(measure1, measure2, [i], n_polys, normalization, backend, q_leading, check)[i]
 
 
-def _close(a, b, backend, scale=1):
-    if backend == EXACT:
-        return a == b
+def _close(a, b, scale):
     return abs(a - b) <= ORACLE_RTOL * max(abs(scale), 1e-300)
 
 
-def _check_leading_identities(basis: SboBasis):
-    """Monic subleading coefficients recomputed from the connections."""
-    q = basis.q_basis
+def _leading_data(q_basis: StandardBasis):
+    """What the subleading identities of every i read from Q, made once per
+    build: for each n, the monic subleading and subsubleading coefficients
+    r_n and s_n of Q_n, and the ratios u_n = k_{n-1} / k_n and
+    v_n = k_{n-2} / k_n of its leading coefficients (zero where the index
+    falls below 0).  Exact values are each one Fraction of integers; float
+    ones are taken as ``StandardBasis.subleading`` and ``subsubleading``
+    take them, so they round alike."""
+    size, ks, kind = q_basis.size, q_basis.leading, q_basis.backend
+    nil = zero(kind)
+    if kind == EXACT:
+        def over_k(x, n):
+            k = ks[n]
+            return Fraction(x.numerator * k.denominator, x.denominator * k.numerator)
+
+        q = q_basis.q_in_x
+        r = [over_k(q[n - 1][n], n) if n else nil for n in range(size)]
+        s = [over_k(q[n - 2][n], n) if n > 1 else nil for n in range(size)]
+        u = [over_k(ks[n - 1], n) if n else nil for n in range(size)]
+        v = [over_k(ks[n - 2], n) if n > 1 else nil for n in range(size)]
+    else:
+        r = [q_basis.subleading(n) for n in range(size)]
+        s = [q_basis.subsubleading(n) for n in range(size)]
+        u = [ks[n - 1] / ks[n] if n else nil for n in range(size)]
+        v = [ks[n - 2] / ks[n] if n > 1 else nil for n in range(size)]
+    return r, s, u, v
+
+
+def _vanishes(terms):
+    """Whether the sum over ``terms`` of the product of each term's rationals
+    is zero, summed over integers with no Fraction made."""
+    num, den = 0, 1
+    for term in terms:
+        t_num, t_den = 1, 1
+        for x in term:
+            t_num *= x.numerator
+            t_den *= x.denominator
+        num = num * t_den + den * t_num
+        den *= t_den
+    return num == 0
+
+
+def _check_leading_identities(basis: SboBasis, lead):
+    """Monic subleading coefficients recomputed from the connections.
+
+    The monic P_{i;n} is sum_m a_{m,n} Q_m, so its coefficients of x^(n-1)
+    and x^(n-2) are r_n + rho u_n and s_n + rho u_n r_{n-1} + sigma v_n, with
+    rho = a_{n-1,n} / a_{n,n} and sigma = a_{n-2,n} / a_{n,n} (terms with
+    an index below i left out) and ``lead`` = (r, s, u, v), the per-build Q
+    data of :func:`_leading_data`.  Exact identities are checked multiplied
+    by a_{n,n}, as one integer sum each; float ones within ORACLE_RTOL.
+    """
+    r, s, u, v = lead
+    p = basis.p_in_q
     for n in basis.degrees():
-        r_expect = q.subleading(n)
-        s_expect = q.subsubleading(n)
-        a_nn = basis.p_in_q[n][n]
-        if n - 1 >= basis.i:
-            ratio = (q.leading[n - 1] / q.leading[n]) * (basis.p_in_q[n - 1][n] / a_nn)
-            r_expect = r_expect + ratio
-            s_expect = s_expect + ratio * q.subleading(n - 1)
-        if n - 2 >= basis.i:
-            s_expect = s_expect + (q.leading[n - 2] / q.leading[n]) * (
-                basis.p_in_q[n - 2][n] / a_nn
-            )
-        ok_r = _close(r_expect, basis.subleading(n), basis.backend, r_expect)
-        ok_s = n < 2 or _close(s_expect, basis.subsubleading(n), basis.backend, s_expect)
+        a_nn = p[n][n]
+        if basis.backend == EXACT:
+            r_terms = [(a_nn, basis.subleading(n)), (-1, a_nn, r[n])]
+            s_terms = [(a_nn, basis.subsubleading(n)), (-1, a_nn, s[n])]
+            if n - 1 >= basis.i:
+                r_terms.append((-1, p[n - 1][n], u[n]))
+                s_terms.append((-1, p[n - 1][n], u[n], r[n - 1]))
+            if n - 2 >= basis.i:
+                s_terms.append((-1, p[n - 2][n], v[n]))
+            ok_r = _vanishes(r_terms)
+            ok_s = n < 2 or _vanishes(s_terms)
+        else:
+            r_expect, s_expect = r[n], s[n]
+            if n - 1 >= basis.i:
+                ratio = u[n] * (p[n - 1][n] / a_nn)
+                r_expect = r_expect + ratio
+                s_expect = s_expect + ratio * r[n - 1]
+            if n - 2 >= basis.i:
+                s_expect = s_expect + v[n] * (p[n - 2][n] / a_nn)
+            ok_r = _close(r_expect, basis.subleading(n), r_expect)
+            ok_s = n < 2 or _close(s_expect, basis.subsubleading(n), s_expect)
         if not (ok_r and ok_s):
             raise OracleMismatch(
                 f"subleading-coefficient identities fail at degree {n}",

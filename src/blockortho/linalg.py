@@ -281,16 +281,26 @@ def _lifted_span(values):
 def _exact_mat_mul(a, b):
     """The product of two exact matrices, one integer dot product and one
     Fraction per entry."""
+    return _lifted_mat_mul(list(map(_lifted_span, a)), b)
+
+
+def _lifted_mat_mul(a_rows, b, skip=0):
+    """The product of the exact matrix whose rows are ``a_rows``, each given
+    as :func:`_lifted_span` gives it, from column ``skip`` on, and the exact
+    matrix ``b``: each column of ``b`` is lifted once, and each entry is one
+    integer dot product over the index range where both factors have
+    nonzero entries, divided once by the two scales.  A left factor shared
+    by several products is lifted once for all of them."""
     b_cols = [_lifted_span(col) for col in zip(*b)]
-    empty = Fraction(0)
+    empty = zero(EXACT)
     out = []
-    for row in a:
-        x, x_scale, x_lo, x_hi = _lifted_span(row)
+    for x, x_scale, x_lo, x_hi in a_rows:
         out_row = []
         for y, y_scale, y_lo, y_hi in b_cols:
-            lo, hi = max(x_lo, y_lo), min(x_hi, y_hi)
+            lo, hi = max(x_lo, y_lo + skip), min(x_hi, y_hi + skip)
             if lo < hi:
-                out_row.append(Fraction(sum(map(mul, x[lo:hi], y[lo:hi])), x_scale * y_scale))
+                dot = sum(map(mul, x[lo:hi], y[lo - skip : hi - skip]))
+                out_row.append(Fraction(dot, x_scale * y_scale))
             else:
                 out_row.append(empty)
         out.append(out_row)

@@ -37,7 +37,6 @@ from .polynomials import Polynomial
 from .scalars import (
     EXACT,
     FLOAT,
-    double_factorial,
     kind_of,
     scalar_from_json,
     to_fraction,
@@ -202,20 +201,25 @@ def _gauss_legendre(interval, nodes):
 def moments(measure: Measure, max_order: int, backend=EXACT) -> MomentSequence:
     """Normalized moments mu_0..mu_max_order of a measure.
 
-    Closed forms for the gaussian and gamma families (exact rationals);
-    declared-rule quadrature for numeric weights.
+    Closed forms for the gaussian and gamma families, each moment one
+    Fraction of running integer products of the parameters' numerators and
+    denominators; declared-rule quadrature for numeric weights.
     """
     if max_order < 0:
         raise ValueError("max_order must be nonnegative")
     w = measure.weight
     if isinstance(w, GaussianWeight):
-        mu = []
+        # mu_{2k} = (2k-1)!! aq^k / (2 ap)^k, with alpha = ap / aq
+        ap, aq = w.alpha.numerator, w.alpha.denominator
+        mu, num, den = [], 1, 1
         for n in range(max_order + 1):
             if n % 2:
-                mu.append(Fraction(0))
+                mu.append(zero(EXACT))
             else:
-                k = n // 2
-                mu.append(Fraction(double_factorial(2 * k - 1)) / (2 * w.alpha) ** k)
+                if n:
+                    num *= (n - 1) * aq
+                    den *= 2 * ap
+                mu.append(Fraction(num, den))
         seq = MomentSequence(
             tuple(mu),
             max_order,
@@ -225,10 +229,16 @@ def moments(measure: Measure, max_order: int, backend=EXACT) -> MomentSequence:
             measure,
         )
     elif isinstance(w, GammaFamilyWeight):
-        # mu_n = (z)_n / alpha^n as a running product
-        mu = [Fraction(1)]
-        for n in range(1, max_order + 1):
-            mu.append(mu[-1] * (w.z + n - 1) / w.alpha)
+        # mu_n = prod_{j<n} (zp + j zq) aq^n / (zq ap)^n, with alpha = ap / aq
+        # and z = zp / zq
+        ap, aq = w.alpha.numerator, w.alpha.denominator
+        zp, zq = w.z.numerator, w.z.denominator
+        mu, num, den = [], 1, 1
+        for n in range(max_order + 1):
+            if n:
+                num *= (zp + (n - 1) * zq) * aq
+                den *= zq * ap
+            mu.append(Fraction(num, den))
         seq = MomentSequence(
             tuple(mu),
             max_order,

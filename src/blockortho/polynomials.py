@@ -14,7 +14,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DegreeError, KindMismatch
-from .scalars import EXACT, FLOAT, kind_of, one, scalar_from_json, scalar_to_json, zero
+from .scalars import EXACT, FLOAT, kind_of, one, scalar_to_json, zero
 
 PARITY_EVEN = "even"
 PARITY_ODD = "odd"
@@ -23,11 +23,20 @@ PARITY_ZERO = "zero"
 
 
 def _normalize(coeffs):
-    coeffs = list(coeffs)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    if not coeffs:
-        return ()
+    """``coeffs`` as a tuple of one scalar kind without trailing zeros.
+
+    Coefficients are classified by their set of types, as
+    ``linalg.matrix_kind`` does: an all-Fraction or all-float tuple is
+    returned as it is; ints become Fractions; any other mix goes through
+    ``kind_of`` coefficient by coefficient."""
+    coeffs = tuple(coeffs)
+    end = len(coeffs)
+    while end and coeffs[end - 1] == 0:
+        end -= 1
+    coeffs = coeffs[:end]
+    types = set(map(type, coeffs))
+    if types == {Fraction} or types == {float} or not coeffs:
+        return coeffs
     kinds = {kind_of(c) for c in coeffs}
     if len(kinds) > 1:
         raise KindMismatch("polynomial mixes exact and float coefficients")
@@ -108,10 +117,6 @@ class Polynomial:
             acc = acc * x + c
         return acc
 
-    def reflect(self):
-        """p(-x)."""
-        return Polynomial(tuple(-c if k % 2 else c for k, c in enumerate(self.coeffs)))
-
     def parity(self):
         if self.is_zero:
             return PARITY_ZERO
@@ -133,10 +138,6 @@ class Polynomial:
 
     def to_json(self):
         return {"coeffs": [scalar_to_json(c) for c in self.coeffs]}
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(tuple(scalar_from_json(c) for c in data["coeffs"]))
 
     def __str__(self):
         if self.is_zero:

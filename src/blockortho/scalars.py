@@ -2,7 +2,8 @@
 
 Exact scalars are ``fractions.Fraction`` (plain ``int`` is accepted and
 coerced).  Float scalars are Python ``float``.  Mixing the two kinds inside
-one polynomial or matrix is an error everywhere in this package.
+one polynomial or matrix is an error everywhere in this package.  Fractions
+are immutable, so the exact identities are shared module constants.
 """
 
 from __future__ import annotations
@@ -12,6 +13,9 @@ from fractions import Fraction
 
 EXACT = "exact"
 FLOAT = "float"
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def kind_of(value):
@@ -27,17 +31,20 @@ def kind_of(value):
 
 def zero(kind):
     """Additive identity of a backend (EXACT or FLOAT)."""
-    return Fraction(0) if kind == EXACT else 0.0
+    return _ZERO if kind == EXACT else 0.0
 
 
 def one(kind):
     """Multiplicative identity of a backend (EXACT or FLOAT)."""
-    return Fraction(1) if kind == EXACT else 1.0
+    return _ONE if kind == EXACT else 1.0
 
 
 def as_kind(value, kind):
-    """A rational or float ``value`` as a scalar of backend ``kind``."""
-    return Fraction(value) if kind == EXACT else float(value)
+    """A rational or float ``value`` as a scalar of backend ``kind``; an
+    exact Fraction is returned as it is."""
+    if kind == EXACT:
+        return value if type(value) is Fraction else Fraction(value)
+    return float(value)
 
 
 def to_fraction(value) -> Fraction:
@@ -83,20 +90,3 @@ def sqrt_exact(value: Fraction):
         return Fraction(rn, rd)
     return None
 
-
-def double_factorial(n: int) -> int:
-    """(n)!! with the empty-product convention for n <= 0."""
-    out = 1
-    k = n
-    while k > 1:
-        out *= k
-        k -= 2
-    return out
-
-
-def pochhammer(z, n: int):
-    """Rising factorial (z)_n = z (z+1) ... (z+n-1)."""
-    out = one(kind_of(z))
-    for k in range(n):
-        out = out * (z + k)
-    return out

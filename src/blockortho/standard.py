@@ -146,27 +146,38 @@ def _hankel(measure, n_polys, backend):
     return seq, hankel_matrix(seq, n_polys)
 
 
-def _assemble(measure, seq, result, normalization, backend, leading=None, rec=None):
-    """The basis from a monic orthogonalization (of the Hankel matrix, or
-    of the monic recurrence ``rec``, which then gives the basis' recurrence
-    directly instead of through its coefficients)."""
+def _leading(normalization, dets, backend, leading):
+    """The leading coefficients k_n: ``leading`` when given, else the
+    factors of ``normalization`` over the monic Gram determinants ``dets``."""
     if leading is None:
-        ks = normalization_factors(normalization, result.gram_dets, backend)
-    else:
-        ks = list(leading)
+        return normalization_factors(normalization, dets, backend)
+    return list(leading)
+
+
+def _assemble(measure, seq, result, normalization, backend, leading=None, rec=None):
+    """The basis from an orthogonalization: of the Hankel matrix, whose monic
+    coefficients are scaled here by the leading coefficients k_n, or of the
+    monic recurrence ``rec`` (:func:`_recurrence_result`), whose
+    coefficients come scaled, with the k_n as ``result.factors``, and which
+    then gives the basis' recurrence directly instead of through its
+    coefficients."""
     n = result.size
-    # only the upper triangles carry entries, and a unit k leaves them as they are
-    nil = zero(backend)
-    q_in_x = tuple(
-        tuple(nil if m > d else x if ks[d] == 1 else x * ks[d] for d, x in enumerate(row))
-        for m, row in enumerate(result.coeffs)
-    )
+    if rec is None:
+        ks = _leading(normalization, result.gram_dets, backend, leading)
+        # only the upper triangles carry entries, and a unit k leaves them as they are
+        nil = zero(backend)
+        q_in_x = tuple(
+            tuple(nil if m > d else x if ks[d] == 1 else x * ks[d] for d, x in enumerate(row))
+            for m, row in enumerate(result.coeffs)
+        )
+    else:
+        ks, q_in_x = result.factors, result.coeffs
     basis = StandardBasis(
         measure=measure,
         moment_seq=seq,
         polys=from_columns(q_in_x),
         leading=tuple(ks),
-        norms=tuple(ks[d] ** 2 * result.norms[d] for d in range(n)),
+        norms=tuple(h if k == 1 else k**2 * h for k, h in zip(ks, result.norms)),
         q_in_x=q_in_x,
         gram_dets=result.gram_dets,
         recurrence=(),
@@ -175,13 +186,33 @@ def _assemble(measure, seq, result, normalization, backend, leading=None, rec=No
     )
     if rec is None:
         return replace(basis, recurrence=_recurrence_from(basis))
-    # Q_m = k_m q_m: A_m = k_{m+1}/k_m, B_m = -A_m b_m, C_m = k_{m+1} c_m / k_{m-1}
+    return replace(basis, recurrence=_scaled_recurrence(rec[: n - 1], ks, backend))
+
+
+def _scaled_recurrence(rec, ks, backend):
+    """(A_m, B_m, C_m) of Q_m = k_m q_m from the monic terms ``rec``:
+    A_m = k_{m+1} / k_m, B_m = -A_m b_m and C_m = k_{m+1} c_m / k_{m-1}
+    (C_0 = 0).  Exact terms are each one Fraction of integers; float ones
+    are taken in that order of operations."""
+    nil = zero(backend)
+    if backend == EXACT:
+        num = [k.numerator for k in ks]
+        den = [k.denominator for k in ks]
+        scaled = []
+        for m, (b_m, c_m) in enumerate(rec):
+            a_num, a_den = num[m + 1] * den[m], den[m + 1] * num[m]
+            c_m = nil if not m else Fraction(
+                num[m + 1] * c_m.numerator * den[m - 1], den[m + 1] * c_m.denominator * num[m - 1]
+            )
+            b_m = Fraction(-a_num * b_m.numerator, a_den * b_m.denominator)
+            scaled.append((Fraction(a_num, a_den), b_m, c_m))
+        return tuple(scaled)
     scaled = []
-    for m, (b_m, c_m) in enumerate(rec[: n - 1]):
+    for m, (b_m, c_m) in enumerate(rec):
         a_m = ks[m + 1] / ks[m]
-        c_m = ks[m + 1] * as_kind(c_m, backend) / ks[m - 1] if m else zero(backend)
+        c_m = ks[m + 1] * as_kind(c_m, backend) / ks[m - 1] if m else nil
         scaled.append((a_m, -a_m * as_kind(b_m, backend), c_m))
-    return replace(basis, recurrence=tuple(scaled))
+    return tuple(scaled)
 
 
 def build_standard(
@@ -206,7 +237,7 @@ def build_standard(
     with stage(FIRST_STAGE):
         if check:
             _check_rule_moments(rec, seq)
-        result = _recurrence_result(rec, backend)
+        result = _recurrence_result(rec, backend, normalization, leading)
         if check and backend == EXACT:
             _check_coefficients(result, seq)
     return _assemble(measure, seq, result, normalization, backend, leading, rec)
@@ -247,18 +278,27 @@ def has_closed_recurrence(measure: Measure) -> bool:
 def monic_recurrence(measure: Measure, count: int):
     """(b_n, c_n), n = 0..count-1, with q_{n+1} = (x - b_n) q_n - c_n q_{n-1}.
 
-    The one source of recurrence coefficients (c_0 = 0).  The gaussian
-    family has b_n = 0, c_n = n / (2 alpha) and the gamma family
-    b_n = (2n + z) / alpha, c_n = n (n + z - 1) / alpha^2, as Fractions.
-    Any other measure takes the recurrence of its unchecked Hankel build,
-    exact when its moments are rational and float otherwise.
+    The one source of recurrence coefficients (c_0 = 0).  With
+    alpha = ap / aq and z = zp / zq, the gaussian family has b_n = 0 and
+    c_n = n aq / (2 ap), and the gamma family
+    b_n = (2n zq + zp) aq / (zq ap) and
+    c_n = n (n zq + zp - zq) aq^2 / (zq ap^2), each one Fraction of
+    integers.  Any other measure takes the recurrence of its unchecked
+    Hankel build, exact when its moments are rational and float otherwise.
     """
     w = measure.weight
     if isinstance(w, GaussianWeight):
-        return tuple((Fraction(0), n / (2 * w.alpha)) for n in range(count))
+        ap, aq = w.alpha.numerator, w.alpha.denominator
+        return tuple((zero(EXACT), Fraction(n * aq, 2 * ap)) for n in range(count))
     if isinstance(w, GammaFamilyWeight):
+        ap, aq = w.alpha.numerator, w.alpha.denominator
+        zp, zq = w.z.numerator, w.z.denominator
         return tuple(
-            ((2 * n + w.z) / w.alpha, n * (n + w.z - 1) / w.alpha**2) for n in range(count)
+            (
+                Fraction((2 * n * zq + zp) * aq, zq * ap),
+                Fraction(n * (n * zq + zp - zq) * aq * aq, zq * ap * ap),
+            )
+            for n in range(count)
         )
     backend = EXACT if moments(measure, 0).exact else FLOAT
     basis = build_standard(measure, count + 1, MONIC, backend=backend, check=False)
@@ -313,29 +353,41 @@ def _recurrence_columns(steps, target, lead):
     return cols
 
 
-def _recurrence_result(rec, backend):
-    """Monic orthogonalization data of q_0..q_{N-1} from N recurrence terms,
-    in the scalars of ``backend``.
+def _recurrence_result(rec, backend, normalization=MONIC, leading=None):
+    """Orthogonalization data of Q_0..Q_{N-1} from N monic recurrence terms,
+    in the scalars of ``backend``, with Q_n = k_n q_n and the k_n given by
+    ``leading`` or else by ``normalization`` (all one by default).
 
-    Column k + 1 of the coefficients is x q_k - b_k q_k - c_k q_{k-1}; the
-    norms h_n = c_1 ... c_n (in units of mu_0) and the Hankel determinants
-    are prefix products.  The inverse connection is not formed, so
+    ``coeffs`` holds the coefficients of the Q_n and ``factors`` the k_n.
+    ``norms`` and ``gram_dets`` are those of the monic q_n: the norms
+    h_n = c_1 ... c_n (in units of mu_0) and their prefix products, the
+    Hankel determinants.  Column k + 1 of the monic coefficients is
+    x q_k - b_k q_k - c_k q_{k-1}.  The inverse connection is not formed, so
     ``inverse_coeffs`` is empty.  Exact columns run in integers
     (:func:`_recurrence_columns` with steps (1, -b_k, c_k) over the
-    monomials), one Fraction per nonzero entry.  Float columns touch only
-    the triangular support and skip zero terms, so a float entry equals the
-    full sum in the same order bit for bit.
+    monomials), and each nonzero coefficient of Q_n is one Fraction, k_n
+    folded into it.  Float columns touch only the triangular support and
+    skip zero terms, so a float entry equals the full sum in the same order
+    bit for bit, and are then multiplied by k_n where it is not one.
     """
     n = len(rec)
     c = [as_kind(c_n, backend) for _, c_n in rec]
+    norms = [one(backend)]
+    for c_n in c[1:]:
+        norms.append(norms[-1] * c_n)
+    dets = [one(backend)]
+    for h in norms:
+        dets.append(dets[-1] * h)
+    ks = _leading(normalization, dets, backend, leading)
     nil = zero(backend)
     q = [[nil] * n for _ in range(n)]
     if backend == EXACT:
         steps = [(1, -as_kind(b_k, EXACT), c_k) for (b_k, _), c_k in zip(rec[: n - 1], c)]
         for k, (ints, den) in enumerate(_recurrence_columns(steps, (), one(EXACT))):
+            k_num, k_den = ks[k].numerator, den * ks[k].denominator
             for m, x in enumerate(ints):
                 if x:
-                    q[m][k] = Fraction(x, den)
+                    q[m][k] = Fraction(x * k_num, k_den)
     else:
         b = [as_kind(b_n, backend) for b_n, _ in rec]
         q[0][0] = one(backend)
@@ -348,17 +400,15 @@ def _recurrence_result(rec, backend):
                 if k and m < k and q[m][k - 1]:
                     v -= c_k * q[m][k - 1]
                 q[m][k + 1] = v
-    norms = [one(backend)]
-    for c_n in c[1:]:
-        norms.append(norms[-1] * c_n)
-    dets = [one(backend)]
-    for h in norms:
-        dets.append(dets[-1] * h)
+        for d, k_d in enumerate(ks):
+            if k_d != 1:
+                for m in range(d + 1):
+                    q[m][d] = q[m][d] * k_d
     return OrthogonalizationResult(
         tuple(map(tuple, q)),
         (),
         tuple(norms),
-        (one(backend),) * n,
+        tuple(ks),
         tuple(dets),
     )
 
@@ -424,25 +474,26 @@ def _jacobi_times(b, c, scale, v, top, nil):
 
 
 def _check_coefficients(result, seq):
-    """Exact monic coefficients against the closed-form moments.
+    """Exact coefficients against the closed-form moments.
 
-    Column n of q holds q_n, so sum_m q[m][n] mu_{m+j} is (q_n, x^j): h_n
-    for j = n, and zero for j = 0 from n = 1 on and for j = 1 from n = 2 on.
-    A single wrong coefficient moves one of the three, also where the odd
-    moments vanish.  The sums run over integers, the column and the moments
-    each lifted by the lcm of its denominators.
+    Column n of the coefficients holds Q_n = k_n q_n (k_n in
+    ``result.factors``, h_n the monic norm), so sum_m Q[m][n] mu_{m+j} is
+    (Q_n, x^j): k_n h_n for j = n, and zero for j = 0 from n = 1 on and for
+    j = 1 from n = 2 on.  A single wrong coefficient moves one of the three,
+    also where the odd moments vanish.  The sums run over integers, the
+    column and the moments each lifted by the lcm of its denominators.
     """
-    q, norms = result.coeffs, result.norms
+    q, norms, ks = result.coeffs, result.norms, result.factors
     mu, mu_scale = linalg.lift(seq.mu)
     for n in range(result.size):
         ints, scale = linalg.lift([q[m][n] for m in range(n + 1)])
         col = [(m, x) for m, x in enumerate(ints) if x]
-        h_n = norms[n]
+        h_n, k_n = norms[n], ks[n]
         ok = (
             (n < 1 or sum(x * mu[m] for m, x in col) == 0)
             and (n < 2 or sum(x * mu[m + 1] for m, x in col) == 0)
-            and sum(x * mu[m + n] for m, x in col) * h_n.denominator
-            == h_n.numerator * scale * mu_scale
+            and sum(x * mu[m + n] for m, x in col) * h_n.denominator * k_n.denominator
+            == h_n.numerator * k_n.numerator * scale * mu_scale
         )
         if not ok:
             raise OracleMismatch(

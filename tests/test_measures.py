@@ -27,7 +27,15 @@ from blockortho import (
     truncated_support,
 )
 from blockortho.linalg import leading_minors
-from blockortho.scalars import pochhammer
+
+
+def pochhammer(z, n):
+    """Rising factorial (z)_n = z (z+1) ... (z+n-1), the reference for the
+    gamma moments' integer closed form."""
+    out = Fraction(1)
+    for k in range(n):
+        out = out * (z + k)
+    return out
 
 
 def test_gaussian_moments():
@@ -43,7 +51,7 @@ def test_gamma_moments_are_factorials():
 
 @pytest.mark.parametrize("alpha, z", [(1, 1), (Fraction(2, 3), Fraction(1, 2)), (Fraction(5, 2), 3)])
 def test_gamma_moments_equal_the_pochhammer_form(alpha, z):
-    # the moments are a running product; pochhammer is the closed form
+    # the moments are running integer products; pochhammer is the closed form
     seq = moments(Measure.gamma_weight(alpha, z), 40)
     assert seq.mu == tuple(pochhammer(Fraction(z), n) / Fraction(alpha) ** n for n in range(41))
 

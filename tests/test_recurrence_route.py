@@ -84,8 +84,8 @@ def test_coefficient_check_catches_any_one_perturbed_entry(monkeypatch, name):
     original = standard._recurrence_result
     for n in range(size):
         for m in range(n + 1):
-            def perturbed(rec, backend, m=m, n=n):
-                result = original(rec, backend)
+            def perturbed(*args, m=m, n=n):
+                result = original(*args)
                 q = [list(row) for row in result.coeffs]
                 q[m][n] += Fraction(1, 10**6)
                 return gso.OrthogonalizationResult(tuple(map(tuple, q)), *(
