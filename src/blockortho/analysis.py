@@ -18,9 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import linalg
+from ._numpy import np
 from .block import SboBasis
 from .errors import DimensionCap, InsufficientNodes, MomentError
 from .measures import Measure, truncated_support

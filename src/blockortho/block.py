@@ -24,9 +24,8 @@ from fractions import Fraction
 from functools import partial, reduce
 from operator import add, mul
 
-import numpy as np
-
 from . import gso, linalg, scalars, standard
+from ._numpy import np
 from .errors import (
     ConditioningError,
     DependentConstraints,

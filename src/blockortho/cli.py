@@ -33,7 +33,7 @@ from .measures import (
 )
 from .multiblock import FAMILY, NO_SOLUTION, UNIQUE, appendix_b_laguerre
 from .projectors import projectors_from_q, projectors_from_second
-from .scalars import EXACT, FLOAT, scalar_to_json
+from .scalars import EXACT, FLOAT, scalar_to_json, to_fraction
 from .standard import MONIC, build_standard
 
 
@@ -98,6 +98,14 @@ def _nonnegative_int(text):
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
     return value
+
+
+def _rational(text):
+    """A 'p/q' or 'p' argument; one with a zero denominator is a usage error."""
+    try:
+        return to_fraction(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _emit(args, payload):
@@ -245,7 +253,7 @@ def cmd_moments(args):
     backend = FLOAT if args.float else EXACT
     seq = moments(measure, args.max_order, backend=backend)
     payload = {
-        "c0": seq.c0 if isinstance(seq.c0, float) else scalar_to_json(seq.c0),
+        "c0": None if seq.c0 is None else scalar_to_json(seq.c0),
         "c0_symbol": seq.c0_symbol,
         "exact": seq.exact,
         "mu": [scalar_to_json(m) for m in seq.mu],
@@ -256,7 +264,7 @@ def cmd_moments(args):
 
 def _add_measure_flags(parser, need_pair=True):
     parser.add_argument("--pair", choices=["hermite", "laguerre"], help="built-in measure pair")
-    parser.add_argument("--z", type=Fraction, default=None, help="power parameter for the laguerre pair")
+    parser.add_argument("--z", type=_rational, default=None, help="power parameter for the laguerre pair")
     parser.add_argument("--measure1", help="first measure spec, e.g. gaussian:1")
     parser.add_argument("--measure2", help="second measure spec, e.g. gaussian:2")
     parser.add_argument("--moments-file", help="CSV (n,mu_n) or JSON moment table for the first measure")
@@ -304,9 +312,9 @@ def build_parser():
     p_proj.set_defaults(func=cmd_projector)
 
     p_three = sub.add_parser("three-subspace", help="two-constraint-block existence problem")
-    p_three.add_argument("--z12", type=Fraction, default=None)
-    p_three.add_argument("--z23", type=Fraction, required=True)
-    p_three.add_argument("--z13", type=Fraction, required=True)
+    p_three.add_argument("--z12", type=_rational, default=None)
+    p_three.add_argument("--z23", type=_rational, required=True)
+    p_three.add_argument("--z13", type=_rational, required=True)
     p_three.add_argument("--symmetric12", action="store_true",
                          help="first cross inner product symmetric about the origin")
     p_three.add_argument("--out", help="write output to a file instead of stdout")
@@ -343,6 +351,12 @@ def main(argv=None) -> int:
         return 2 if isinstance(exc, NonPositiveParameter) else 1
     except (ValueError, OSError, argparse.ArgumentTypeError) as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        # exact data too large or too small for the floats a command needs
+        # (a float build, a Gauss rule, a zero scan) are bad arguments for it
+        line = {"error": f"value outside the float range: {exc}", "kind": "OverflowError"}
+        print(json.dumps(line, sort_keys=True), file=sys.stderr)
         return 2
 
 

@@ -43,9 +43,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-import numpy as np
-
 from . import linalg
+from ._numpy import np
 from .errors import BadFactor, NotCheckerboard, NotPositiveDefinite, OracleMismatch
 from .measures import GramMatrix
 from .scalars import EXACT, FLOAT, one, zero

@@ -17,8 +17,7 @@ from itertools import accumulate, chain
 from math import gcd, lcm, prod
 from operator import mul
 
-import numpy as np
-
+from ._numpy import np
 from .scalars import EXACT, FLOAT, kind_of, one, zero
 
 

@@ -23,8 +23,6 @@ from fractions import Fraction
 from operator import mul
 from typing import Callable, Optional
 
-import numpy as np
-
 from .errors import (
     InsufficientMoments,
     MomentError,
@@ -33,6 +31,7 @@ from .errors import (
     NotSymmetric,
 )
 from . import linalg
+from ._numpy import np
 from .polynomials import Polynomial
 from .scalars import (
     EXACT,
@@ -151,7 +150,8 @@ class Measure:
 class MomentSequence:
     """Normalized moments mu_0..mu_max_order; ``measure`` is the measure they
     came from, when they came from one (a float gamma matrix integrates by
-    that measure's Gauss rule instead of the moments)."""
+    that measure's Gauss rule instead of the moments).  ``c0`` is the mass
+    c_0, None when a closed form lies outside the float range."""
 
     mu: tuple
     max_order: int
@@ -172,7 +172,7 @@ class MomentSequence:
             tuple(float(m) for m in self.mu),
             self.max_order,
             False,
-            float(self.c0),
+            None if self.c0 is None else float(self.c0),
             self.c0_symbol,
             self.measure,
         )
@@ -196,6 +196,29 @@ def _gauss_legendre(interval, nodes):
     a, b = interval
     mid, half = (a + b) / 2.0, (b - a) / 2.0
     return mid + half * x, half * w
+
+
+def _log(q: Fraction) -> float:
+    """Natural logarithm of a positive rational, whatever its size."""
+    return math.log(q.numerator) - math.log(q.denominator)
+
+
+def _float_c0(direct, log_c0):
+    """A closed-form c_0 as a float, or None when it lies outside the float range.
+
+    ``direct()`` is the formula in floats of the parameters.  For a large
+    power z or an extreme alpha those floats overflow or vanish although the
+    moments are exact, and then c_0 is ``exp(log_c0())``, whose logarithm
+    takes the integer numerator and denominator of alpha whole.
+    """
+    for formula in (direct, lambda: math.exp(log_c0())):
+        try:
+            value = formula()
+        except (OverflowError, ZeroDivisionError, ValueError):
+            continue
+        # c_0 > 0, so a zero is an underflow
+        return value or None
+    return None
 
 
 def moments(measure: Measure, max_order: int, backend=EXACT) -> MomentSequence:
@@ -224,7 +247,10 @@ def moments(measure: Measure, max_order: int, backend=EXACT) -> MomentSequence:
             tuple(mu),
             max_order,
             True,
-            math.sqrt(math.pi / float(w.alpha)),
+            _float_c0(
+                lambda: math.sqrt(math.pi / float(w.alpha)),
+                lambda: (math.log(math.pi) - _log(w.alpha)) / 2,
+            ),
             f"sqrt(pi/{w.alpha})",
             measure,
         )
@@ -243,7 +269,10 @@ def moments(measure: Measure, max_order: int, backend=EXACT) -> MomentSequence:
             tuple(mu),
             max_order,
             True,
-            math.gamma(float(w.z)) / float(w.alpha) ** float(w.z),
+            _float_c0(
+                lambda: math.gamma(float(w.z)) / float(w.alpha) ** float(w.z),
+                lambda: math.lgamma(float(w.z)) - float(w.z) * _log(w.alpha),
+            ),
             f"Gamma({w.z})/{w.alpha}^{w.z}",
             measure,
         )
@@ -405,5 +434,5 @@ def load_moments_json(path, symmetric=None, domain=(-INF, INF)) -> Measure:
 
 def _parse_entry(text):
     if "/" in text or text.lstrip("+-").isdigit():
-        return Fraction(text)
+        return to_fraction(text)
     return float(text)

@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import gso, linalg
+from ._numpy import np
 from .block import build_general_bo
 from .errors import DependentBasis, NonPositiveParameter
 from .measures import Measure, gram_of, moments

@@ -10,9 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from . import linalg
+from ._numpy import np
 from .errors import DegreeError, KindMismatch
 from .scalars import EXACT, FLOAT, kind_of, one, scalar_to_json, zero
 

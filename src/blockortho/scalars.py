@@ -48,13 +48,20 @@ def as_kind(value, kind):
 
 
 def to_fraction(value) -> Fraction:
-    """Parse an exact scalar: int, Fraction or a 'p/q' / 'p' string."""
+    """Parse an exact scalar: int, Fraction or a 'p/q' / 'p' string.
+
+    A string with a zero denominator is a ValueError, like any other string
+    that names no rational.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        try:
+            return Fraction(value.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"rational {value!r} has a zero denominator") from None
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
@@ -72,7 +79,7 @@ def scalar_to_json(value):
 def scalar_from_json(value):
     """Inverse of :func:`scalar_to_json`: strings are rationals, numbers floats."""
     if isinstance(value, str):
-        return Fraction(value)
+        return to_fraction(value)
     if isinstance(value, bool):
         raise TypeError("bool is not a scalar")
     if isinstance(value, int):

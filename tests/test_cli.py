@@ -301,9 +301,88 @@ def test_bad_arguments_are_usage_errors(capsys, argv):
     assert "error" in json.loads(err)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--measure1", "gaussian:1/0", "--measure2", "gaussian:1", "--N", "3"],
+        ["table", "--measure1", "gamma:1:1/0", "--measure2", "gaussian:1", "--N", "3"],
+        ["table", "--measure1", "gaussian:0/0", "--measure2", "gaussian:1", "--N", "3"],
+        ["table", "--pair", "laguerre", "--z", "1/0", "--N", "3"],
+        ["three-subspace", "--z12", "1", "--z23", "1/0", "--z13", "3"],
+    ],
+)
+def test_zero_denominator_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "zero denominator" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("name, text", [("zero.csv", "0,1\n1,0\n2,1/0\n"),
+                                        ("zero.json", '{"mu": ["1", "0", "1/0"]}')],
+                         ids=["csv", "json"])
+def test_zero_denominator_in_a_moment_file_is_a_usage_error(tmp_path, capsys, name, text):
+    table = tmp_path / name
+    table.write_text(text)
+    code, out, err = run(capsys, "moments", "--max-order", "2", "--moments-file", str(table))
+    assert (code, out) == (2, "")
+    assert "zero denominator" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--measure1", "gamma:1:200", "--measure2", "gamma:2:200", "--N", "3"],
+        ["table", "--pair", "laguerre", "--z", "200", "--N", "3"],
+        ["table", "--measure1", "gaussian:1e-400", "--measure2", "gaussian:1", "--N", "3"],
+        ["verify", "--measure1", "gamma:1:200", "--measure2", "gamma:2:200", "--N", "3",
+         "--checks", "orthogonality"],
+    ],
+)
+def test_exact_builds_need_no_float_c0(capsys, argv):
+    # the float formula for c_0 overflows or divides by zero here; no exact build reads c_0
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out)
+
+
+def test_moments_print_a_c0_outside_the_float_range_as_null(capsys):
+    code, out, _ = run(capsys, "moments", "--measure", "gamma:1:200", "--max-order", "2")
+    assert code == 0
+    assert json.loads(out) == {"c0": None, "c0_symbol": "Gamma(200)/1^200", "exact": True,
+                               "mu": ["1", "200", "40200"]}
+    # Gamma(200) / 200^200 overflows in its factors but not as a whole
+    code, out, _ = run(capsys, "moments", "--measure", "gamma:200:200", "--max-order", "1")
+    assert math.isclose(json.loads(out)["c0"], math.exp(math.lgamma(200) - 200 * math.log(200)))
+
+
+@pytest.mark.parametrize("spec", ["gamma:1:200", "gaussian:1e-400", "gaussian:1e400"])
+@pytest.mark.parametrize("command", ["table", "verify", "roots", "projector", "moments"])
+@pytest.mark.parametrize("backend", ["--exact", "--float"])
+def test_extreme_parameters_never_escape_as_tracebacks(capsys, spec, command, backend):
+    if command == "moments":
+        argv = [command, "--measure", spec, "--max-order", "4"]
+        if backend == "--float":
+            argv.append("--float")
+    else:
+        argv = [command, "--measure1", spec, "--measure2", spec.replace(":1", ":2", 1),
+                "--N", "3", backend]
+        if command == "projector":
+            argv += ["--i", "1"]
+    code, out, err = run(capsys, *argv)
+    if code == 1 and not err:
+        assert json.loads(out)["passed"] is False
+    elif code:
+        assert code in (1, 2)
+        assert "kind" in json.loads(err)
+    else:
+        assert json.loads(out)
+
+
 GOOD_SPECS = ("gaussian:1", "gaussian:2", "gamma:1:1", "gamma:2:1", "gamma:1/2:3/2")
-BAD_SPECS = ("gaussian:0", "gamma:1:-2", "beta:1")
-VALUES = ("0", "1", "2", "3", "-1", "1/2")
+BAD_SPECS = ("gaussian:0", "gamma:1:-2", "beta:1", "gaussian:1/0")
+VALUES = ("0", "1", "2", "3", "-1", "1/2", "1/0")
 BUILD_COMMANDS = ("table", "verify", "roots", "projector")
 
 

@@ -260,3 +260,34 @@ def test_integer_moment_entries_are_exact():
 def test_tables_mixing_ints_and_floats_are_refused(table):
     with pytest.raises(KindMismatch):
         build_standard(Measure.from_moments(table), 3)
+
+
+def test_zero_denominator_parameters_are_value_errors():
+    for make in (lambda: Measure.gaussian("1/0"), lambda: Measure.gamma_weight(1, "0/0")):
+        with pytest.raises(ValueError, match="zero denominator"):
+            make()
+
+
+@pytest.mark.parametrize(
+    "measure, c0",
+    [
+        # Gamma(200) and 200.0**200 overflow, their quotient does not
+        (Measure.gamma_weight(200, 200), math.exp(math.lgamma(200) - 200 * math.log(200))),
+        # float(1e-400) is 0.0, but sqrt(pi / 1e-400) is in range
+        (Measure.gaussian("1e-400"), math.sqrt(math.pi) * 1e200),
+        (Measure.gaussian("1e400"), math.sqrt(math.pi) * 1e-200),
+        # outside the float range
+        (Measure.gamma_weight(1, 200), None),
+        (Measure.gamma_weight("1e-400", 2), None),
+        # float(1e-400) is 0.0, where Gamma and its logarithm have a pole
+        (Measure.gamma_weight(1, "1e-400"), None),
+    ],
+)
+def test_closed_form_c0_at_extreme_parameters(measure, c0):
+    got = moments(measure, 2).c0
+    assert got is None if c0 is None else math.isclose(got, c0, rel_tol=1e-12)
+
+
+def test_float_moments_keep_a_c0_outside_the_float_range():
+    seq = moments(Measure.gamma_weight(1, 200), 2, backend="float")
+    assert (seq.c0, seq.mu) == (None, (1.0, 200.0, 40200.0))
