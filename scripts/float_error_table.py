@@ -9,7 +9,8 @@ checks on and records
   (ConditioningError, the conditioning gate's refusal), ``mismatch``
   (OracleMismatch) or ``indefinite`` (NotPositiveDefinite);
 * ``kappa_u``: the gate's measurement, the condition number of the
-  diagonally scaled gamma matrix times the unit roundoff;
+  weighted connection W = diag(sqrt h) T_i with unit columns times the unit
+  roundoff (``block.connection_condition``);
 * ``rel_err``: the largest coefficient error of the unchecked float build
   against the exact backend, relative to each polynomial's largest
   coefficient (null when the unchecked build fails too).
@@ -24,10 +25,13 @@ every i for the built-in pairs and the roots-float shapes for the deck
 pairs; the calibration covers every i of every pair.
 
 With ``--parent-src DIR`` (the ``src`` directory of another checkout) it also
-replays the 480 ``roots --float`` / ``table --float`` argvs of the float
-identity grid (gaussian:A/B and gamma:A:3/2/B:3/2, A in {1/2, 2/3, 1, 3/2},
-B in {3/2, 2, 5/2, 3}, A != B, N in {6, 10, 14, 18}, i in {N/2, 7N/8}) on
-both sides and records exit codes and coefficient errors before and after.
+builds the 4,032 shapes the roots-float benchmark workload can deal (every
+deck pair, N 6-20 step 2, i in {N/2, 7N/8}) on both sides and counts the
+refusals per (N, i) before and after, and it replays the 480
+``roots --float`` / ``table --float`` argvs of the float identity grid
+(gaussian:A/B and gamma:A:3/2/B:3/2, A in {1/2, 2/3, 1, 3/2}, B in
+{3/2, 2, 5/2, 3}, A != B, N in {6, 10, 14, 18}, i in {N/2, 7N/8}) on both
+sides and records exit codes and coefficient errors before and after.
 
 Run from the repository root (two worker processes, about three minutes):
 
@@ -53,21 +57,27 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from blockortho import BlockOrthoError, Measure, block, build_sbo, build_sbos  # noqa: E402
 from blockortho.analysis import zero_report  # noqa: E402
-from blockortho.block import GAMMA_CONDITION_LIMIT, gamma_condition, gamma_matrix  # noqa: E402
+from blockortho.block import (  # noqa: E402
+    CONNECTION_CONDITION_LIMIT,
+    QUADRATURE_RTOL,
+    _connection_and_norms,
+    connection_condition,
+)
 from blockortho.gso import ORACLE_RTOL  # noqa: E402
-from blockortho.standard import build_standard  # noqa: E402
+from blockortho.standard import build_standard, monic_recurrence  # noqa: E402
 
 ALPHAS = ("1/2", "2/3", "1", "3/2", "2", "5/2", "3")
 ZS = ("1/2", "1", "3/2", "2", "3")
 N_RANGE = range(4, 21)
 DESCRIPTION = (
     "Float backend against exact, per measure pair, N and i: exit (see exit_codes), "
-    "kappa_u (condition of the scaled gamma matrix times the unit roundoff, the gate's "
-    "measurement) and rel_err (largest coefficient error of the unchecked float build "
+    "kappa_u (condition of the weighted connection W = diag(sqrt h) T_i with unit columns "
+    "times the unit roundoff, the gate's measurement) and rel_err (largest coefficient error of the unchecked float build "
     "against exact, relative to each polynomial's largest coefficient). Built-in pairs "
     "keep every i, deck pairs the roots-float shapes i = N/2 and 7N/8; calibration bins "
     "every build of every pair at N 4-20 and every i by kappa_u, with the outcome it has "
-    "without the gate. See scripts/float_error_table.py."
+    "without the gate. roots_shape_refusals counts the refused roots-float shapes per "
+    "(N, i) before and after. See scripts/float_error_table.py."
 )
 ROW_KEYS = ("N", "i", "exit", "kappa_u", "rel_err")
 EXIT_CODES = {"ok": "ok", "ConditioningError": "gated", "OracleMismatch": "mismatch",
@@ -119,27 +129,29 @@ def _row(task):
     m1, m2 = _measure(spec1), _measure(spec2)
     exact = build_sbos(m1, m2, range(n_size), n_size, check=False)
     q_float = build_standard(m1, n_size, backend="float")
+    connection, norms = _connection_and_norms(q_float, monic_recurrence(m2, n_size))
     roots_shapes = {_quarter(n_size, 0.5), _quarter(n_size, 0.875)}
     out = []
     for i in range(n_size):
         try:
             fl = build_sbo(m1, m2, i, n_size, backend="float", check=False)
-            err, gamma = _rel_err({n: fl.monic_poly(n).coeffs for n in fl.degrees()}, exact[i]), fl.gamma
+            err = _rel_err({n: fl.monic_poly(n).coeffs for n in fl.degrees()}, exact[i])
         except BlockOrthoError:
-            fl, err, gamma = None, None, gamma_matrix(q_float, m2, i)
+            fl, err = None, None
         exit_kind = _outcome(m1, m2, i, n_size)
         ungated = exit_kind
         if exit_kind == "ConditioningError":
-            block.GAMMA_CONDITION_LIMIT = math.inf
+            block.CONNECTION_CONDITION_LIMIT = math.inf
             try:
                 ungated = _outcome(m1, m2, i, n_size)
             finally:
-                block.GAMMA_CONDITION_LIMIT = GAMMA_CONDITION_LIMIT
+                block.CONNECTION_CONDITION_LIMIT = CONNECTION_CONDITION_LIMIT
         zeros_equal = None
         if exit_kind == "ok" and i in roots_shapes:
             zeros_equal = all(zero_report(fl, n).count == zero_report(exact[i], n).count
                               for n in fl.degrees())
-        out.append((i, exit_kind, ungated, gamma_condition(gamma), err, zeros_equal))
+        out.append((i, exit_kind, ungated, connection_condition(connection[:, i:], norms), err,
+                    zeros_equal))
     return task, out
 
 
@@ -193,6 +205,48 @@ def _table_err(argv, rc, stdout):
     exact = build_sbo(m1, m2, i, n_size, check=False)
     payload = json.loads(stdout)
     return _rel_err({n: payload[f"P_{i}_{n}"]["coeffs"] for n in exact.degrees()}, exact)
+
+
+SHAPES_DRIVER = """
+import itertools, json, sys
+from blockortho import BlockOrthoError, Measure, build_sbo
+alphas, zs = json.load(sys.stdin)
+pairs = [(Measure.gaussian(a), Measure.gaussian(b)) for a, b in itertools.permutations(alphas, 2)]
+pairs += [(Measure.gamma_weight(a, z), Measure.gamma_weight(b, z))
+          for a, b in itertools.permutations(alphas, 2) for z in zs]
+out = []
+for pair in pairs:
+    for n_size in range(6, 21, 2):
+        for i in sorted({min(round(f * n_size), n_size - 1) for f in (0.5, 0.875)}):
+            try:
+                build_sbo(*pair, i, n_size, backend="float")
+                kind = "ok"
+            except BlockOrthoError as exc:
+                kind = type(exc).__name__
+            out.append([n_size, i, kind])
+json.dump(out, sys.stdout)
+"""
+
+
+def _shape_refusals(parent_src):
+    """Refusals (ConditioningError) among the roots-float shapes per (N, i),
+    before and after, with every other outcome counted by kind."""
+    sides = []
+    for src in (parent_src, ROOT / "src"):
+        proc = subprocess.run([sys.executable, "-c", SHAPES_DRIVER], input=json.dumps([ALPHAS, ZS]),
+                              capture_output=True, text=True, check=True,
+                              env=dict(os.environ, PYTHONPATH=str(src)))
+        sides.append(json.loads(proc.stdout))
+    rows, totals = {}, {"before": {}, "after": {}}
+    for (n_size, i, before), (_, _, after) in zip(*sides):
+        row = rows.setdefault((n_size, i), {"N": n_size, "i": i, "shapes": 0,
+                                            "refused_before": 0, "refused_after": 0})
+        row["shapes"] += 1
+        row["refused_before"] += before == "ConditioningError"
+        row["refused_after"] += after == "ConditioningError"
+        for side, kind in (("before", before), ("after", after)):
+            totals[side][kind] = totals[side].get(kind, 0) + 1
+    return {"totals": totals, "per_shape": list(rows.values())}
 
 
 def _grid(parent_src):
@@ -257,17 +311,19 @@ def main():
         "command": "python scripts/float_error_table.py" + (" --parent-src DIR" if args.parent_src else ""),
         "python": platform.python_version(),
         "machine": platform.machine(),
-        "gate": {"limit": GAMMA_CONDITION_LIMIT, "oracle_rtol": ORACLE_RTOL},
+        "gate": {"limit": CONNECTION_CONDITION_LIMIT, "oracle_rtol": ORACLE_RTOL,
+                 "quadrature_rtol": QUADRATURE_RTOL},
         "exit_codes": {code: kind for kind, code in EXIT_CODES.items()},
         "calibration": calibration,
         "roots_shape_zero_counts": zeros,
         "pairs": [{"pair": pair, **row} for pair, row in rows.items()],
     }
     if args.parent_src:
+        report["roots_shape_refusals"] = _shape_refusals(args.parent_src)
         report["argv_grid"] = _grid(args.parent_src)
     text = json.dumps(report, separators=(",", ":"))
-    # one pair row, calibration bin or argv per line keeps diffs readable
-    for key in ('{"pair"', '{"kappa_u_upto"', '{"argv"'):
+    # one pair row, calibration bin, shape or argv per line keeps diffs readable
+    for key in ('{"pair"', '{"kappa_u_upto"', '{"N"', '{"argv"'):
         text = text.replace(key, "\n" + key)
     args.out.write_text(text + "\n")
 

@@ -17,14 +17,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from . import linalg
 from ._numpy import np
-from .block import SboBasis
 from .errors import DimensionCap, InsufficientNodes, MomentError
 from .measures import Measure, truncated_support
 from .polynomials import sign_changes_batch
 from .standard import monic_recurrence
+
+if TYPE_CHECKING:  # block imports this module for its Gauss rules
+    from .block import SboBasis
 
 Z_DIMENSION_CAP = 3
 P_CONSTRAINT_CAP = 2
@@ -63,20 +66,23 @@ class QuadratureGrid:
         return index, points, weights
 
 
-def gauss_rule(measure: Measure, n_nodes: int):
+def gauss_rule(measure: Measure, n_nodes: int, recurrence=None):
     """Gauss nodes and weights for a measure, normalized to unit total mass.
 
     Built from the measure's own three-term recurrence
-    (:func:`standard.monic_recurrence`) through the Jacobi matrix
+    (:func:`standard.monic_recurrence`, or ``recurrence``, at least n_nodes
+    terms of it, when the caller holds it) through the Jacobi matrix
     eigenproblem; exact for polynomials of degree <= 2 n_nodes - 1 up to
     rounding.
     """
     if n_nodes < 1:
         raise InsufficientNodes("need at least one node")
+    if recurrence is None:
+        recurrence = monic_recurrence(measure, n_nodes)
     diag = []
     off = []
-    for m, (b_m, c_m) in enumerate(monic_recurrence(measure, n_nodes)):
-        diag.append(-float(-b_m))  # a zero b_m enters the diagonal as -0.0
+    for m, (b_m, c_m) in enumerate(recurrence[:n_nodes]):
+        diag.append(float(b_m) if b_m else -0.0)  # as -float(-b_m), with no Fraction made
         if m >= 1:
             off.append(math.sqrt(float(c_m)))
     jacobi = np.diag(diag)
@@ -91,7 +97,7 @@ def gauss_rule(measure: Measure, n_nodes: int):
     if abs(total - 1.0) > 1e-8:
         raise InsufficientNodes("quadrature weights failed normalization")
     weights = weights / total
-    return tuple(float(x) for x in nodes), tuple(float(w) for w in weights)
+    return tuple(nodes.tolist()), tuple(weights.tolist())
 
 
 def verify_z_integral(

@@ -9,11 +9,14 @@ mutually orthogonal under the second.
 
 Internally the basis always stores the monic data (polynomials, norms,
 connection matrices); normalization modes are exact rescalings of that core.
-The gamma matrix gamma[j][k] = (Q_j, Q_k)_2 of a gaussian or gamma second
-measure comes from that measure's recurrence in both backends
-(:func:`gamma_matrix`).  Every build is cross-checked against the
-bordered-determinant formulas over gamma unless ``check=False``, and exact
-builds also check gamma itself against the second measure's moments.
+The gamma matrix gamma[j][k] = (Q_j, Q_k)_2 comes from the second measure's
+recurrence (:func:`gamma_matrix`).  Exact builds factor gamma and are
+cross-checked against the bordered-determinant formulas over it and, gamma
+itself, against the second measure's moments.  Float builds never form gamma
+to factor it: their second stage is one QR factorization of the weighted
+connection W with gamma = W^T W (:func:`_qr_second_stage`), gated by the
+condition of W and checked by Gauss-rule residuals.  ``check=False`` turns
+the checks and the gate off.
 """
 
 from __future__ import annotations
@@ -21,15 +24,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import partial, reduce
-from operator import add, mul
+from functools import partial
+from itertools import accumulate
+from operator import mul
 
 from . import gso, linalg, scalars, standard
 from ._numpy import np
+from .analysis import gauss_rule
 from .errors import (
     ConditioningError,
     DependentConstraints,
     MeasureMismatch,
+    NotPositiveDefinite,
     NotSymmetric,
     OracleMismatch,
     stage,
@@ -53,14 +59,22 @@ from .standard import (  # the normalization names are re-exported here
 SECOND_STAGE = "second_stage"
 
 # A checked float second stage is refused when the 2-norm condition number
-# of its diagonally scaled gamma matrix times the unit roundoff exceeds this.
-# Measured over every benchmark-deck pair at N 4-20 and every i
-# (BENCH_float_error.json): below it every build passes its oracle and agrees
-# with the exact backend within 3.4e-10; the first build that disagrees with
-# exact by more than ORACLE_RTOL is at 2.7e-9, the first oracle mismatch at
-# 3.3e-9.
-GAMMA_CONDITION_LIMIT = 1e-9
+# of its weighted connection W with unit columns (:func:`connection_condition`)
+# times the unit roundoff exceeds this.  W is never squared, so this is the
+# square root of the condition of the scaled gamma = W^T W.  Measured over
+# every benchmark-deck pair at N 4-20 and every i (BENCH_float_error.json):
+# below it every build passes its checks and agrees with the exact backend
+# within 1.4e-10; the first residual-check failures are above it.
+CONNECTION_CONDITION_LIMIT = 1e-9
 UNIT_ROUNDOFF = 2.0**-53
+
+# A checked float second stage fails when a Gauss-rule residual of its
+# polynomials (:func:`_check_quadrature`) exceeds this.  Over every
+# benchmark-deck pair at N 4-20 and every i, the largest residual of a build
+# the gate admits is 6.7e-10; of 18,756 relative nudges of 1e-6 to single
+# entries of T in 250 admitted builds, each one that moved the output by more
+# than 2.7e-9 of its largest coefficient gave a residual above this.
+QUADRATURE_RTOL = 2e-9
 
 
 @dataclass(frozen=True)
@@ -133,28 +147,33 @@ class SboBasis:
 def gamma_matrix(q_basis: StandardBasis, measure2, i: int) -> GramMatrix:
     """Gram matrix of Q_i..Q_{N-1} under the second measure.
 
-    ``measure2`` is a measure or its moment sequence.  A second measure of
-    closed-form recurrence integrates by its N-node Gauss rule, in either
-    backend, which takes gamma[j][k] = e_0^T Q_j(J) Q_k(J) e_0 h_0 with J the
-    Jacobi matrix of that recurrence (Golub-Welsch) and needs no nodes: in
-    the monic form of J, the column T_j = Q_j(J) e_0 holds the coefficients
-    of Q_j on the second measure's monic orthogonal polynomials R_m, run by
-    the recurrence of Q, and gamma = T^T diag(h) T with the norms h_m of the
-    R_m.  The rule is exact for the degrees of gamma, so exact entries are
-    the inner products themselves; exact T is run in integers and comes as
-    lifted columns, each entry of gamma one integer sum and one Fraction.
-    No Hankel matrix is formed, every step is rational, and float sums run
-    over ascending m, so each trailing block is bit-identical to its own
-    assembly.  Otherwise gamma is the congruence
-    A^T H_2 A (``gram_of``), with A the columns i.. of ``q_in_x`` and H_2 the
-    second measure's Hankel matrix.  The lower triangle mirrors the upper
-    one, so float entries stay exactly symmetric.
+    ``measure2`` is a measure or its moment sequence.  The second measure's
+    N-node Gauss rule takes gamma[j][k] = e_0^T Q_j(J) Q_k(J) e_0 h_0 with J
+    the Jacobi matrix of its recurrence (Golub-Welsch) and needs no nodes:
+    in the monic form of J, the column T_j = Q_j(J) e_0 holds the
+    coefficients of Q_j on the second measure's monic orthogonal
+    polynomials R_m, run by the recurrence of Q, and gamma = T^T diag(h) T
+    with the norms h_m of the R_m.  The rule is exact for the degrees of
+    gamma.  Float bases take every measure this way, a tabulated or numeric
+    one through the recurrence of its Hankel build
+    (:func:`standard.monic_recurrence`), and gamma is W^T W by numpy with
+    W = diag(sqrt h) T[:, i:] (:func:`_float_gamma`).  Exact bases
+    take it for a second measure of closed-form recurrence: exact T is run
+    in integers and comes as lifted columns, each entry of gamma one integer
+    sum and one Fraction, so the entries are the inner products themselves.
+    Otherwise, and for moments with no measure, gamma is the congruence
+    A^T H_2 A (``gram_of``), with A the columns i.. of ``q_in_x`` and H_2
+    the second measure's Hankel matrix.  The lower triangle mirrors the
+    upper one, so float entries stay exactly symmetric.
     """
     n = q_basis.size
     if not 0 <= i <= n:
         raise ValueError(f"constraint index {i} outside 0..{n}")
     mu2 = measure2 if isinstance(measure2, MomentSequence) else None
     measure2 = mu2.measure if mu2 is not None else measure2
+    if measure2 is not None and q_basis.backend == FLOAT:
+        connection, norms = _connection_and_norms(q_basis, monic_recurrence(measure2, n))
+        return _float_gamma(connection[:, i:], norms, i, n)
     if measure2 is not None and has_closed_recurrence(measure2):
         full = _gram_by_connection(q_basis, monic_recurrence(measure2, n), i)
     else:
@@ -165,38 +184,45 @@ def gamma_matrix(q_basis: StandardBasis, measure2, i: int) -> GramMatrix:
     return GramMatrix(tuple(map(tuple, entries)), f"Q_{i}..Q_{n - 1}")
 
 
+def _float_gamma(connection, norms, i, n) -> GramMatrix:
+    """W^T W = T_i^T diag(h) T_i for the columns ``connection`` = T_i of T,
+    Q_i..Q_{n-1}, and the ``norms`` h, by numpy, with the lower triangle
+    mirroring the upper one.  No square root is taken, so rational data
+    whose products are floats give gamma exactly."""
+    upper = np.triu((norms[:, None] * connection).T @ connection)
+    full = upper + np.triu(upper, 1).T
+    return GramMatrix(tuple(map(tuple, full.tolist())), f"Q_{i}..Q_{n - 1}")
+
+
 def _gram_by_connection(q_basis: StandardBasis, rec2, i):
-    """The upper triangle of T^T diag(h) T over the columns i.. of T, entry
-    [j][k] summed over the support m <= j.  Exact columns of T come lifted
-    from :func:`_connection_to_second` and are taken as they are; with h
-    lifted once, each entry is one integer sum over m and one Fraction.
-    Float entries are summed in ascending m as sum_m (h_m T[m][j]) T[m][k],
-    zero terms skipped."""
-    n = q_basis.size
-    kind = q_basis.backend
+    """The upper triangle of T^T diag(h) T over the columns i.. of exact T,
+    entry [j][k] summed over the support m <= j.  The columns of T come
+    lifted from :func:`_connection_to_second` and are taken as they are;
+    with h lifted once, each entry is one integer sum over m and one
+    Fraction."""
     t = _connection_to_second(q_basis, rec2)
-    h = [one(kind)]
+    h = [one(EXACT)]
     for _, c_m in rec2[1:]:
-        h.append(h[-1] * as_kind(c_m, kind))
-    if kind == EXACT:
-        h_ints, h_scale = linalg.lift(h)
-        cols = t[i:]
-        full = []
-        for j, (col_j, s_j) in enumerate(cols):
-            weighted = list(map(mul, h_ints, col_j))
-            full.append([zero(kind)] * j + [
-                Fraction(sum(map(mul, weighted, col_k)), h_scale * s_j * s_k)
-                for col_k, s_k in cols[j:]
-            ])
-        return full
-    full = [[zero(kind)] * (n - i) for _ in range(n - i)]
-    for j in range(i, n):
-        scaled = [(m, h[m] * t[m][j]) for m in range(j + 1) if t[m][j]]
-        for k in range(j, n):
-            terms = [x * t[m][k] for m, x in scaled if t[m][k]]
-            if terms:
-                full[j - i][k - i] = reduce(add, terms)
+        h.append(h[-1] * as_kind(c_m, EXACT))
+    h_ints, h_scale = linalg.lift(h)
+    cols = t[i:]
+    full = []
+    for j, (col_j, s_j) in enumerate(cols):
+        weighted = list(map(mul, h_ints, col_j))
+        full.append([zero(EXACT)] * j + [
+            Fraction(sum(map(mul, weighted, col_k)), h_scale * s_j * s_k)
+            for col_k, s_k in cols[j:]
+        ])
     return full
+
+
+def _connection_and_norms(q_basis: StandardBasis, rec2):
+    """T and h of a float basis as arrays: T from :func:`_connection_to_second`
+    on the second measure's recurrence ``rec2``, and h_m = c_1 ... c_m the
+    norms of its monic R_m.  The Gram matrix of Q_i..Q_{N-1} is W^T W with
+    W = diag(sqrt h) T_i, T_i the columns i.. of T."""
+    h = np.cumprod([1.0] + [float(c_m) for _, c_m in rec2[1:]])
+    return np.array(_connection_to_second(q_basis, rec2), dtype=float), h
 
 
 def _connection_to_second(q_basis: StandardBasis, rec2):
@@ -219,27 +245,30 @@ def _connection_to_second(q_basis: StandardBasis, rec2):
         return standard._recurrence_columns(q_basis.recurrence, rec2, q_basis.leading[0])
     b = [as_kind(b_m, kind) for b_m, _ in rec2]
     c = [as_kind(c_m, kind) for _, c_m in rec2]
-    t = [[zero(kind)] * n for _ in range(n)]
-    t[0][0] = as_kind(q_basis.leading[0], kind)
+    # column by column, each sum formed left to right over its present terms
+    cols = [[zero(kind)] * n for _ in range(n)]
+    cols[0][0] = as_kind(q_basis.leading[0], kind)
     for k, coeffs in enumerate(q_basis.recurrence):
         a_k, b_k, c_k = (as_kind(x, kind) for x in coeffs)
+        u, w, out = cols[k], cols[k - 1], cols[k + 1]
         for m in range(k + 2):
-            x_terms = []
-            if b[m] and m <= k and t[m][k]:
-                x_terms.append(b[m] * t[m][k])
-            if m and t[m - 1][k]:
-                x_terms.append(t[m - 1][k])
-            if m < k and t[m + 1][k]:
-                x_terms.append(c[m + 1] * t[m + 1][k])
-            x_t = reduce(add, x_terms) if x_terms else None
-            terms = [] if x_t is None else [x_t if a_k == 1 else a_k * x_t]
-            if b_k and m <= k and t[m][k]:
-                terms.append(b_k * t[m][k])
-            if c_k and m < k and t[m][k - 1]:
-                terms.append(-(c_k * t[m][k - 1]))
-            if terms:
-                t[m][k + 1] = reduce(add, terms)
-    return t
+            u_m = u[m]  # zero at m = k + 1, outside the support
+            x_t = b[m] * u_m if b[m] and u_m else None
+            if m and u[m - 1]:
+                x_t = u[m - 1] if x_t is None else x_t + u[m - 1]
+            if m < k and u[m + 1]:
+                y = c[m + 1] * u[m + 1]
+                x_t = y if x_t is None else x_t + y
+            total = None if x_t is None else (x_t if a_k == 1 else a_k * x_t)
+            if b_k and u_m:
+                y = b_k * u_m
+                total = y if total is None else total + y
+            if c_k and m < k and w[m]:
+                y = -(c_k * w[m])
+                total = y if total is None else total + y
+            if total is not None:
+                out[m] = total
+    return [list(row) for row in zip(*cols)]
 
 
 def _check_gamma(gamma, mu2, q_cols, first_degree):
@@ -269,32 +298,148 @@ def _check_gamma(gamma, mu2, q_cols, first_degree):
             )
 
 
-def gamma_condition(gamma: GramMatrix) -> float:
-    """2-norm condition number of the diagonally scaled gamma matrix times
-    the unit roundoff: the relative accuracy to expect from a float second
-    stage.  Infinite when the scaled matrix is not numerically positive
-    definite or not finite."""
-    g = np.array(gamma.entries, dtype=float)
-    diag = np.diag(g)
-    if not (np.all(np.isfinite(g)) and np.all(diag > 0)):
+def connection_condition(connection, norms) -> float:
+    """2-norm condition number of W = diag(sqrt h) T_i with its columns
+    scaled to unit norm, times the unit roundoff, for the columns
+    ``connection`` = T_i of T and the ``norms`` h: the relative accuracy to
+    expect from the float second stage, which factors W and never W^T W.
+    Infinite when W is not finite or its scaled columns are numerically
+    dependent."""
+    w = np.sqrt(norms)[:, None] * connection
+    if not np.all(np.isfinite(w)):
         return math.inf
-    d = 1.0 / np.sqrt(diag)
-    eigenvalues = np.linalg.eigvalsh(g * d[:, None] * d[None, :])
-    if not eigenvalues[0] > 0:
+    scale = np.linalg.norm(w, axis=0)
+    if not np.all(scale > 0):
         return math.inf
-    return float(eigenvalues[-1] / eigenvalues[0]) * UNIT_ROUNDOFF
+    sigma = np.linalg.svd(w / scale, compute_uv=False)
+    if not sigma[-1] > 0:
+        return math.inf
+    return float(sigma[0] / sigma[-1]) * UNIT_ROUNDOFF
 
 
-def _gate(gamma, i):
-    """Refuse a float second stage whose scaled gamma is too ill-conditioned."""
-    condition = gamma_condition(gamma)
-    if not condition <= GAMMA_CONDITION_LIMIT:
+def _gate(connection, norms, i):
+    """Refuse a float second stage whose W is too ill-conditioned."""
+    condition = connection_condition(connection, norms)
+    if not condition <= CONNECTION_CONDITION_LIMIT:
         raise ConditioningError(
-            f"float second stage refused at i={i}: condition of the scaled gamma "
-            f"matrix times unit roundoff is {condition:.3g} > {GAMMA_CONDITION_LIMIT:g}",
+            f"float second stage refused at i={i}: condition of the unit-column weighted "
+            f"connection times unit roundoff is {condition:.3g} > {CONNECTION_CONDITION_LIMIT:g}",
             stage=SECOND_STAGE,
             condition=condition,
-            limit=GAMMA_CONDITION_LIMIT,
+            limit=CONNECTION_CONDITION_LIMIT,
+        )
+
+
+def _qr_second_stage(connection, norms, leading):
+    """The float second stage as one QR factorization of W = diag(sqrt h) T_i,
+    for the columns ``connection`` = T_i of T and the ``norms`` h.
+
+    gamma = W^T W = R^T R, so with d_k = R_kk^2 and B = diag(R)^-1 R the
+    LDL^T factors of gamma are B^T diag(d) B, read off the QR factors
+    without forming gamma: h_n = d_n / k_n^2, the leading determinants are
+    the prefix products of d, b = diag(k) B and a = B^-1 diag(1/k), for the
+    leading factors k.  The factorization is modified Gram-Schmidt on the
+    columns of T in the inner product <x, y> = sum_m h_m x_m y_m, which is
+    the dot product of the matching columns of W: column j is taken off
+    every later column k with B[j][k] = <v_j, v_k> / d_j, d_j = <v_j, v_j>.
+    Its R is as accurate as a Householder R (Bjorck, BIT 7 (1967)), and as
+    no square root is taken, data whose factors and partial results are
+    floats, such as the built-in pairs at small N, gives them exactly, as
+    the LDL^T pass over gamma did.  A d_k that is not positive and finite
+    raises NotPositiveDefinite at column k.
+    """
+    size = connection.shape[1]
+    v = np.array(connection)
+    unit = np.eye(size)
+    d = np.empty(size)
+    for j in range(size):
+        weighted = norms * v[:, j]
+        d[j] = weighted @ v[:, j]
+        if not (math.isfinite(d[j]) and d[j] > 0):
+            raise NotPositiveDefinite(f"float pivot h_{j} = {d[j]} is not positive", degree=j)
+        if j + 1 < size:
+            unit[j, j + 1 :] = (weighted @ v[:, j + 1 :]) / d[j]
+            v[:, j + 1 :] -= np.outer(v[:, j], unit[j, j + 1 :])
+    k = np.array(leading, dtype=float)
+    a = np.triu(np.linalg.solve(unit, np.diag(1.0 / k))) if size else unit
+    return gso.OrthogonalizationResult(
+        tuple(map(tuple, a.tolist())),
+        tuple(map(tuple, (k[:, None] * unit).tolist())),
+        tuple((d / (k * k)).tolist()),
+        tuple(leading),
+        (one(EXACT), *accumulate(d.tolist(), mul)),
+    )
+
+
+def _q_at_nodes(q_basis: StandardBasis, nodes):
+    """Q_0..Q_{N-1} at ``nodes`` by Q's own recurrence, one row per node.
+    Q's monomial coefficients are not read: summed at a node they cancel."""
+    values = np.empty((q_basis.size, len(nodes)))
+    values[0] = float(q_basis.leading[0])
+    for k, (a_k, b_k, c_k) in enumerate(q_basis.recurrence):
+        # (A_k x + B_k) Q_k - C_k Q_{k-1}, formed in place
+        row = values[k + 1]
+        np.multiply(nodes, float(a_k), out=row)
+        row += float(b_k)
+        row *= values[k]
+        if k:
+            row -= float(c_k) * values[k - 1]
+    return values.T
+
+
+def _quadrature_rules(q_basis: StandardBasis, measure2, rec2, first):
+    """What the Gauss-rule check of every i reads, made once per build, from
+    the N-node rules (:func:`analysis.gauss_rule`, exact for every degree
+    checked) of the second measure, of recurrence ``rec2``, and, when
+    ``first``, of the first: Q_0..Q_{N-1} at the second rule's nodes scaled
+    by the square roots of its weights, one row per node, and Q_0..Q_{N-1}
+    at the first rule's nodes with the powers x^j of those nodes scaled by
+    its weights, and their absolute values (None without ``first``)."""
+    size = q_basis.size
+    rules = [gauss_rule(measure2, size, rec2)]
+    if first:
+        rules.append(gauss_rule(q_basis.measure, size))
+    nodes = np.concatenate([rule_nodes for rule_nodes, _ in rules])
+    values = _q_at_nodes(q_basis, nodes)
+    second = np.sqrt(rules[0][1])[:, None] * values[:size]
+    if not first:
+        return second, None
+    powers = np.array(rules[1][1])[:, None] * nodes[size:, None] ** np.arange(size)
+    return second, (values[size:], powers, np.abs(powers))
+
+
+def _check_quadrature(rules, result, i):
+    """Gauss-rule residuals of the float P_{i;n} = sum_m a_{m,n} Q_m, which
+    read neither T nor gamma.
+
+    Degree by degree, each within QUADRATURE_RTOL: the second-measure inner
+    products (P_{i;j}, P_{i;n}), j < n, relative to the geometric mean of
+    the two norms, (P_{i;n}, P_{i;n}) relative to the returned h_n, and the
+    first-measure moments of x^j P_{i;n}, j < i, relative to the integral of
+    their absolute values.  The first degree that fails raises
+    OracleMismatch.
+    """
+    second, first = rules
+    a = np.array(result.coeffs)
+    h = np.array(result.norms)
+    p2 = second[:, i:] @ a
+    gram = p2.T @ p2
+    diag = np.diag(gram)
+    with np.errstate(all="ignore"):
+        residual = np.abs(gram) / np.sqrt(np.outer(diag, diag))
+        np.fill_diagonal(residual, np.abs(diag - h) / h)
+        worst = np.triu(residual).max(axis=0)
+        if i:
+            values, powers, abs_powers = first
+            p1 = values[:, i:] @ a
+            moments1 = np.abs(powers[:, :i].T @ p1) / (abs_powers[:, :i].T @ np.abs(p1))
+            worst = np.maximum(worst, moments1.max(axis=0))
+    bad = np.flatnonzero(~(worst <= QUADRATURE_RTOL))
+    if bad.size:
+        degree = i + int(bad[0])
+        raise OracleMismatch(
+            f"second-stage Gauss-rule residuals exceed {QUADRATURE_RTOL:g} at degree {degree}",
+            degree=degree,
         )
 
 
@@ -310,11 +455,18 @@ def _scale(normalization, q_basis, i, gamma_dets):
     return tuple(q_basis.leading[i + s] * f for s, f in enumerate(factors))
 
 
-def _sbo_bases(kernel, first_stage, measure2, i_values, n_polys, normalization, check):
+def _sbo_bases(first_stage, measure2, i_values, n_polys, normalization, check, kernel=None):
     """Q_0..Q_{N-1} from ``first_stage()``, then Q_i..Q_{N-1} orthogonalized
-    under the second measure with ``kernel`` for every i in ``i_values``, all
-    from one gamma matrix over Q_lo..Q_{N-1}, lo = min(i_values): gamma_i is
-    its trailing block from row i - lo on.
+    under the second measure for every i in ``i_values``.
+
+    Exact bases take every gamma_i from one gamma matrix over
+    Q_lo..Q_{N-1}, lo = min(i_values), as its trailing block from row
+    i - lo on, and factor it with ``kernel`` (:func:`gso.gram_schmidt` by
+    default).  Float bases take T and h once and, for each i, the columns
+    T_i of T from i on, with gamma_i = W^T W for W = diag(sqrt h) T_i;
+    without a ``kernel`` they factor W by one QR
+    (:func:`_qr_second_stage`), gated by :func:`connection_condition` and
+    checked by Gauss-rule residuals (:func:`_check_quadrature`).
     """
     # checked before the first stage, so a bad i is reported even where Q fails
     for i in i_values:
@@ -324,35 +476,53 @@ def _sbo_bases(kernel, first_stage, measure2, i_values, n_polys, normalization, 
     backend = q_basis.backend
     mu2 = moments(measure2, 2 * n_polys - 2, backend=backend)
     lo = min(i_values, default=n_polys)
-    gamma_lo = gamma_matrix(q_basis, mu2, lo).entries
-    if check and backend == EXACT:
-        with stage(SECOND_STAGE):
-            _check_gamma(gamma_lo, mu2, [row[lo:] for row in q_basis.q_in_x], lo)
-    # what every i shares is made once: Q's lifted rows and the identities' Q data
+    # what every i shares is made once: gamma over Q_lo.. or T and h, Q's
+    # lifted rows, and the Q data of the identities and the quadrature check
     if backend == EXACT:
+        gamma_lo = gamma_matrix(q_basis, mu2, lo).entries
+        if check:
+            with stage(SECOND_STAGE):
+                _check_gamma(gamma_lo, mu2, [row[lo:] for row in q_basis.q_in_x], lo)
         q_rows = [linalg._lifted_span(row) for row in q_basis.q_in_x]
+    else:
+        q_array = np.array(q_basis.q_in_x)
+        # in floats once, for T, h and the second measure's Gauss rule
+        rec2 = [(float(b_m), float(c_m)) for b_m, c_m in monic_recurrence(measure2, n_polys)]
+        connection, norms = _connection_and_norms(q_basis, rec2)
+        if check and kernel is None and lo < n_polys:
+            rules = _quadrature_rules(q_basis, measure2, rec2, max(i_values) > 0)
     lead = _leading_data(q_basis) if check else None
     bases = {}
     for i in i_values:
-        rows = tuple(row[i - lo :] for row in gamma_lo[i - lo :])
-        gamma = GramMatrix(rows, f"Q_{i}..Q_{n_polys - 1}")
         block = n_polys - i
-        q_cols = [row[i:] for row in q_basis.q_in_x]
         # second-stage leading factors k_n make the output monic: A_{i;n,n} = 1/k_n
         leading = list(q_basis.leading[i:])
         with stage(SECOND_STAGE, first_degree=i):
-            if backend == FLOAT:
-                result = _float_second_stage(kernel, gamma, leading, q_cols, i, check)
-            else:
-                result = kernel(gamma, leading)
+            if backend == EXACT:
+                rows = tuple(row[i - lo :] for row in gamma_lo[i - lo :])
+                gamma = GramMatrix(rows, f"Q_{i}..Q_{n_polys - 1}")
+                result = (kernel or gso.gram_schmidt)(gamma, leading)
                 if check and block:
+                    q_cols = [row[i:] for row in q_basis.q_in_x]
                     gso.check_against_oracle(
                         gamma, result, q_cols, "second-stage determinant oracle disagrees"
                     )
+            else:
+                t_i = connection[:, i:]
+                gamma = _float_gamma(t_i, norms, i, n_polys)
+                if kernel is not None:
+                    result = kernel(gamma, leading)
+                else:
+                    if check and block:
+                        _gate(t_i, norms, i)
+                    result = _qr_second_stage(t_i, norms, leading)
+                    if check and block:
+                        _check_quadrature(rules, result, i)
         if backend == EXACT:
             p_cols = linalg._lifted_mat_mul(q_rows, result.coeffs, i)
         else:
-            p_cols = linalg.mat_mul(q_cols, result.coeffs)
+            coeffs = np.array(result.coeffs).reshape(block, block)
+            p_cols = (q_array[:, i:] @ coeffs).tolist()
         p_in_q = [[scalars.zero(backend)] * n_polys for _ in range(n_polys)]
         q_in_p = [[scalars.zero(backend)] * n_polys for _ in range(n_polys)]
         for row in range(block):
@@ -381,60 +551,6 @@ def _sbo_bases(kernel, first_stage, measure2, i_values, n_polys, normalization, 
     return bases
 
 
-def _float_second_stage(kernel, gamma, leading, q_cols, i, check):
-    """A float second stage, run on the diagonally scaled gamma matrix.
-
-    With s_j the power of two nearest sqrt(gamma[j][j]), the matrix
-    G[j][k] = gamma[j][k] / (s_j s_k) is the Gram matrix of Q_j / s_j and
-    has its diagonal in [1/2, 2).  The gate, the kernel (with unit leading
-    factors) and the determinant oracle all see G, whose minors no longer
-    span the grading of gamma; the result is then carried back to Q and the
-    leading factors k.  Powers of two scale without rounding, so the kernel
-    rounds exactly as it would on gamma itself.  A diagonal entry that is
-    not positive is left unscaled.
-    """
-    block = len(leading)
-    s = [
-        math.ldexp(1.0, math.frexp(x)[1] // 2) if x > 0 and math.isfinite(x) else 1.0
-        for x in (gamma.entries[j][j] for j in range(block))
-    ]
-    unit = GramMatrix(
-        tuple(
-            tuple(x / (s_j * s_k) for x, s_k in zip(row, s))
-            for row, s_j in zip(gamma.entries, s)
-        )
-    )
-    if check and block:
-        _gate(unit, i)
-    result = kernel(unit, [1.0] * block)
-    if check and block:
-        scaled_cols = [[x / s_k for x, s_k in zip(row, s)] for row in q_cols]
-        gso.check_against_oracle(
-            unit, result, scaled_cols, "second-stage determinant oracle disagrees"
-        )
-    # the unit-leading E~_n over Q_m / s_m is (k_n / s_n) E_n, and
-    # Q_n = s_n sum_m E~_m b~_{m,n} = sum_m E_m (s_n k_m / s_m) b~_{m,n}
-    ratio = [s_n / k_n for s_n, k_n in zip(s, leading)]
-    dets = list(result.gram_dets[:1])
-    grading = 1.0
-    for det, s_j in zip(result.gram_dets[1:], s):
-        grading *= s_j * s_j
-        dets.append(det * grading)
-    return gso.OrthogonalizationResult(
-        tuple(
-            tuple(a * r_n / s_m for a, r_n in zip(row, ratio))
-            for row, s_m in zip(result.coeffs, s)
-        ),
-        tuple(
-            tuple(b * s_n * k_m / s_m for b, s_n in zip(row, s))
-            for row, s_m, k_m in zip(result.inverse_coeffs, s, leading)
-        ),
-        tuple(h * r * r for h, r in zip(result.norms, ratio)),
-        tuple(leading),
-        tuple(dets),
-    )
-
-
 def build_sbos(
     measure1: Measure,
     measure2: Measure,
@@ -454,7 +570,7 @@ def build_sbos(
     first_stage = partial(
         build_standard, measure1, n_polys, backend=backend, leading=q_leading, check=check
     )
-    return _sbo_bases(gso.gram_schmidt, first_stage, measure2, i_values, n_polys, normalization, check)
+    return _sbo_bases(first_stage, measure2, i_values, n_polys, normalization, check)
 
 
 def build_sbo(
@@ -631,7 +747,9 @@ def sbo_parity_build(
     if not (measure1.symmetric and measure2.symmetric):
         raise NotSymmetric("parity build needs both measures symmetric")
     first_stage = partial(parity_split_build, measure1, n_polys, backend=backend)
-    return _sbo_bases(gso.parity_gram_schmidt, first_stage, measure2, [i], n_polys, MONIC, False)[i]
+    return _sbo_bases(
+        first_stage, measure2, [i], n_polys, MONIC, False, gso.parity_gram_schmidt
+    )[i]
 
 
 def monomial_connection(basis: SboBasis):

@@ -17,10 +17,12 @@ is lifted by one common scale, its rows are freed of their contents, it is
 eliminated fraction-free, and each output entry is formed as one Fraction.  Float matrices run a float loop
 (:func:`_float_ldl`).
 
-The second stage of the block construction, and the Hankel first stage
-of measures without a closed-form recurrence, run through this module: the
-kernels :func:`gram_schmidt` and :func:`parity_gram_schmidt` build the
-vectors.  The bordered-determinant oracle, which never reads the kernel's
+The exact second stage of the block construction, the parity builds in
+both backends and the Hankel first stage of measures without a closed-form
+recurrence run through this module: the kernels :func:`gram_schmidt` and
+:func:`parity_gram_schmidt` build the vectors.  (The float second stage
+factors its weighted connection by QR in :mod:`block` instead.)  The
+bordered-determinant oracle, which never reads the kernel's
 factorization, has one entry point per quantity:
 
 * :func:`bordered_oracle` gives the column of E_n, h_n and Z_{n+1};

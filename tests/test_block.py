@@ -29,7 +29,7 @@ from blockortho import (
     sbo_determinant_oracle,
     sbo_parity_build,
 )
-from blockortho import gso
+from blockortho import block, gso
 from blockortho.block import DET_NORMALIZED, MONIC, ORTHONORMAL
 from blockortho.gso import ORACLE_RTOL
 from blockortho.measures import moments
@@ -580,8 +580,13 @@ def test_the_sign_flipped_kernel_is_caught(monkeypatch, request, pair):
 
 @pytest.mark.parametrize("pair", ["hermite_pair", "laguerre_pair"])
 def test_the_sign_flipped_float_kernel_is_caught(monkeypatch, request, pair):
-    # the float LDL^T update g - sum(...) turned into g + sum(...)
-    _sign_flipped(monkeypatch, "_float_ldl", "g[col][j] - sum(")
+    # the float second stage's Gram-Schmidt update v -= ... turned into v += ...
+    update = "v[:, j + 1 :] -= np.outer("
+    source = inspect.getsource(block._qr_second_stage)
+    assert source.count(update) == 1
+    namespace = dict(vars(block))
+    exec(source.replace(update, update.replace("-=", "+=")), namespace)
+    monkeypatch.setattr(block, "_qr_second_stage", namespace["_qr_second_stage"])
     with pytest.raises(OracleMismatch) as info:
         build_sbo(*request.getfixturevalue(pair), 2, 8, backend="float")
     assert info.value.stage == "second_stage"

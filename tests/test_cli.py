@@ -123,7 +123,7 @@ def _strict_json(text):
 
 
 def test_error_line_carries_the_gate_measurement(capsys):
-    code, out, err = run(capsys, "table", "--float", "--pair", "laguerre", "--N", "12", "--i", "0")
+    code, out, err = run(capsys, "table", "--float", "--pair", "laguerre", "--N", "20", "--i", "2")
     assert (code, out) == (1, "")
     error = _strict_json(err)
     assert set(error) == {"error", "kind", "stage", "condition", "limit"}
@@ -135,7 +135,7 @@ def test_error_line_carries_the_gate_measurement(capsys):
 
 
 def test_error_line_prints_an_infinite_condition_as_a_string(capsys, monkeypatch):
-    monkeypatch.setattr(block, "gamma_condition", lambda gamma: math.inf)
+    monkeypatch.setattr(block, "connection_condition", lambda connection, norms: math.inf)
     code, out, err = run(capsys, "table", "--float", "--pair", "hermite", "--N", "4", "--i", "0")
     assert (code, out) == (1, "")
     assert "Infinity" not in err
