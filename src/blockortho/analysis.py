@@ -66,27 +66,33 @@ class QuadratureGrid:
         return index, points, weights
 
 
-def gauss_rule(measure: Measure, n_nodes: int, recurrence=None):
+def gauss_rule(measure: Measure, n_nodes: int):
     """Gauss nodes and weights for a measure, normalized to unit total mass.
 
     Built from the measure's own three-term recurrence
-    (:func:`standard.monic_recurrence`, or ``recurrence``, at least n_nodes
-    terms of it, when the caller holds it) through the Jacobi matrix
+    (:func:`standard.monic_recurrence`) through the Jacobi matrix
     eigenproblem; exact for polynomials of degree <= 2 n_nodes - 1 up to
     rounding.
     """
     if n_nodes < 1:
         raise InsufficientNodes("need at least one node")
-    if recurrence is None:
-        recurrence = monic_recurrence(measure, n_nodes)
     diag = []
     off = []
-    for m, (b_m, c_m) in enumerate(recurrence[:n_nodes]):
-        diag.append(float(b_m) if b_m else -0.0)  # as -float(-b_m), with no Fraction made
+    for m, (b_m, c_m) in enumerate(monic_recurrence(measure, n_nodes)):
+        diag.append(-float(-b_m))  # a zero b_m enters the diagonal as -0.0
         if m >= 1:
             off.append(math.sqrt(float(c_m)))
+    nodes, weights = _jacobi_rule(diag, off)
+    return tuple(float(x) for x in nodes), tuple(float(w) for w in weights)
+
+
+def _jacobi_rule(diag, off):
+    """Nodes and unit-mass weights, as arrays in ascending node order, of the
+    symmetric tridiagonal Jacobi matrix with diagonal ``diag`` and
+    off-diagonal ``off``: its eigenvalues and the squared first components
+    of its eigenvectors."""
     jacobi = np.diag(diag)
-    if off:
+    if len(off):
         jacobi += np.diag(off, 1) + np.diag(off, -1)
     values, vectors = np.linalg.eigh(jacobi)
     weights = vectors[0, :] ** 2
@@ -96,8 +102,7 @@ def gauss_rule(measure: Measure, n_nodes: int, recurrence=None):
     total = weights.sum()
     if abs(total - 1.0) > 1e-8:
         raise InsufficientNodes("quadrature weights failed normalization")
-    weights = weights / total
-    return tuple(nodes.tolist()), tuple(weights.tolist())
+    return nodes, weights / total
 
 
 def verify_z_integral(

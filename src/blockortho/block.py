@@ -30,7 +30,7 @@ from operator import mul
 
 from . import gso, linalg, scalars, standard
 from ._numpy import np
-from .analysis import gauss_rule
+from .analysis import _jacobi_rule
 from .errors import (
     ConditioningError,
     DependentConstraints,
@@ -155,9 +155,9 @@ def gamma_matrix(q_basis: StandardBasis, measure2, i: int) -> GramMatrix:
     polynomials R_m, run by the recurrence of Q, and gamma = T^T diag(h) T
     with the norms h_m of the R_m.  The rule is exact for the degrees of
     gamma.  Float bases take every measure this way, a tabulated or numeric
-    one through the recurrence of its Hankel build
-    (:func:`standard.monic_recurrence`), and gamma is W^T W by numpy with
-    W = diag(sqrt h) T[:, i:] (:func:`_float_gamma`).  Exact bases
+    one through the recurrence of its Hankel build (:func:`_float_recurrence`),
+    and gamma is W^T W by numpy with W = diag(sqrt h) T[:, i:]
+    (:func:`_float_gamma`).  Exact bases
     take it for a second measure of closed-form recurrence: exact T is run
     in integers and comes as lifted columns, each entry of gamma one integer
     sum and one Fraction, so the entries are the inner products themselves.
@@ -172,7 +172,7 @@ def gamma_matrix(q_basis: StandardBasis, measure2, i: int) -> GramMatrix:
     mu2 = measure2 if isinstance(measure2, MomentSequence) else None
     measure2 = mu2.measure if mu2 is not None else measure2
     if measure2 is not None and q_basis.backend == FLOAT:
-        connection, norms = _connection_and_norms(q_basis, monic_recurrence(measure2, n))
+        connection, norms = _connection_and_norms(q_basis, _float_recurrence(measure2, n))
         return _float_gamma(connection[:, i:], norms, i, n)
     if measure2 is not None and has_closed_recurrence(measure2):
         full = _gram_by_connection(q_basis, monic_recurrence(measure2, n), i)
@@ -214,6 +214,38 @@ def _gram_by_connection(q_basis: StandardBasis, rec2, i):
             for col_k, s_k in cols[j:]
         ])
     return full
+
+
+def _float_recurrence(measure: Measure, n: int):
+    """The monic recurrence (b_m, c_m), m = 0..n-1, of a measure in floats.
+
+    A closed form gives the terms of :func:`standard.monic_recurrence`, a
+    zero b_m as -0.0, as :func:`analysis.gauss_rule` puts it on its
+    diagonal.  Any other measure takes the n - 1 terms of its unchecked
+    size-n Hankel build, which reads its moments through order 2n - 2 only,
+    as gamma does, and c_{n-1} = h_{n-1} / h_{n-2} from that build's norms;
+    b_{n-1}, which neither T nor any moment below order 2n - 1 reads,
+    repeats b_{n-2}.  The n-node rule of these terms (:func:`_float_rule`)
+    is then the Gauss rule of ``gauss_rule`` for a closed form and, for any
+    other measure, a rule still exact through degree 2n - 2, all the
+    quadrature check integrates.
+    """
+    if has_closed_recurrence(measure):
+        return [(float(b_m) or -0.0, float(c_m)) for b_m, c_m in monic_recurrence(measure, n)]
+    exact = moments(measure, 0).exact
+    basis = standard.hankel_build(measure, n, backend=EXACT if exact else FLOAT, check=False)
+    rec = [(-float(b_m), float(c_m)) for _, b_m, c_m in basis.recurrence]
+    if n > 1:
+        rec.append((rec[-1][0], float(basis.norms[-1] / basis.norms[-2])))
+    else:
+        rec.append((0.0, 0.0))
+    return rec
+
+
+def _float_rule(rec):
+    """Nodes and unit-mass weights, as arrays, of the len(rec)-node rule of
+    the Jacobi matrix of the float recurrence ``rec``."""
+    return _jacobi_rule([b_m for b_m, _ in rec], [math.sqrt(c_m) for _, c_m in rec[1:]])
 
 
 def _connection_and_norms(q_basis: StandardBasis, rec2):
@@ -387,24 +419,24 @@ def _q_at_nodes(q_basis: StandardBasis, nodes):
     return values.T
 
 
-def _quadrature_rules(q_basis: StandardBasis, measure2, rec2, first):
+def _quadrature_rules(q_basis: StandardBasis, rec2, first):
     """What the Gauss-rule check of every i reads, made once per build, from
-    the N-node rules (:func:`analysis.gauss_rule`, exact for every degree
-    checked) of the second measure, of recurrence ``rec2``, and, when
+    the N-node rules (:func:`_float_rule`, exact for every degree checked)
+    of the second measure, of float recurrence ``rec2``, and, when
     ``first``, of the first: Q_0..Q_{N-1} at the second rule's nodes scaled
     by the square roots of its weights, one row per node, and Q_0..Q_{N-1}
     at the first rule's nodes with the powers x^j of those nodes scaled by
     its weights, and their absolute values (None without ``first``)."""
     size = q_basis.size
-    rules = [gauss_rule(measure2, size, rec2)]
+    rules = [_float_rule(rec2)]
     if first:
-        rules.append(gauss_rule(q_basis.measure, size))
+        rules.append(_float_rule(_float_recurrence(q_basis.measure, size)))
     nodes = np.concatenate([rule_nodes for rule_nodes, _ in rules])
     values = _q_at_nodes(q_basis, nodes)
     second = np.sqrt(rules[0][1])[:, None] * values[:size]
     if not first:
         return second, None
-    powers = np.array(rules[1][1])[:, None] * nodes[size:, None] ** np.arange(size)
+    powers = rules[1][1][:, None] * nodes[size:, None] ** np.arange(size)
     return second, (values[size:], powers, np.abs(powers))
 
 
@@ -487,10 +519,10 @@ def _sbo_bases(first_stage, measure2, i_values, n_polys, normalization, check, k
     else:
         q_array = np.array(q_basis.q_in_x)
         # in floats once, for T, h and the second measure's Gauss rule
-        rec2 = [(float(b_m), float(c_m)) for b_m, c_m in monic_recurrence(measure2, n_polys)]
+        rec2 = _float_recurrence(measure2, n_polys)
         connection, norms = _connection_and_norms(q_basis, rec2)
         if check and kernel is None and lo < n_polys:
-            rules = _quadrature_rules(q_basis, measure2, rec2, max(i_values) > 0)
+            rules = _quadrature_rules(q_basis, rec2, max(i_values) > 0)
     lead = _leading_data(q_basis) if check else None
     bases = {}
     for i in i_values:

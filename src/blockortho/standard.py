@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import reduce
 from itertools import chain
 from math import gcd, lcm
 from operator import add, mul
@@ -462,16 +463,15 @@ def _jacobi_times(b, c, scale, v, top, nil):
     sums b_m v_m, c_m v_{m-1} and scale v_{m+1} in that order, zero terms
     skipped (``nil`` when none is left)."""
     out = []
-    size = len(v)
     for m in range(top):
-        total = b[m] * v[m] if m < size and b[m] and v[m] else None
-        if 0 < m <= size and v[m - 1]:
-            term = c[m] * v[m - 1]
-            total = term if total is None else total + term
-        if m + 1 < size and v[m + 1]:
-            term = v[m + 1] if scale == 1 else scale * v[m + 1]
-            total = term if total is None else total + term
-        out.append(nil if total is None else total)
+        terms = []
+        if m < len(v) and b[m] and v[m]:
+            terms.append(b[m] * v[m])
+        if 0 < m <= len(v) and v[m - 1]:
+            terms.append(c[m] * v[m - 1])
+        if m + 1 < len(v) and v[m + 1]:
+            terms.append(v[m + 1] if scale == 1 else scale * v[m + 1])
+        out.append(reduce(add, terms) if terms else nil)
     return out
 
 

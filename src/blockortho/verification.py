@@ -10,7 +10,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from . import analysis, gso
+from . import analysis, block, gso
+from ._numpy import np
 from .block import (
     build_sbo,
     build_sbos,
@@ -22,7 +23,7 @@ from .block import (
 from .errors import BlockOrthoError, ConditioningError, OracleMismatch
 from .linalg import identity
 from .measures import Measure, inner_product_mu, moments
-from .polynomials import combine, monomial
+from .polynomials import combine, from_columns, monomial
 from .projectors import inner0_with, projectors_from_q, projectors_from_second
 from .scalars import EXACT, FLOAT, zero
 from .standard import build_by_recurrence, build_standard, hankel_build
@@ -43,28 +44,70 @@ def _is_zero(value, backend, scale=1):
 
 
 def check_orthogonality(measure1, measure2, n_size, i_max, backend=EXACT):
-    """Constraint and mutual orthogonality of every built block basis."""
+    """Constraint and mutual orthogonality of every built block basis.
+
+    Exact bases integrate by the moments.  Float bases integrate by N-node
+    rules of both measures, exact for every degree read, with each P_{i;n}
+    evaluated through Q's recurrence from its connection ``p_in_q``
+    (:func:`_float_orthogonality`): summed over monomial moments in floats,
+    the inner products of a basis equal to the exact one rounded lose up to
+    1e7 times the rounding, more than FLOAT_RTOL at N 12-20.
+    """
     if i_max < 0:
         raise ValueError(f"i_max must be non-negative, got {i_max}")
-    worst = zero(backend)
-    mu1 = moments(measure1, 2 * (n_size - 1), backend=backend)
     bases = build_sbos(measure1, measure2, range(min(i_max, n_size) + 1), n_size, backend=backend)
+    if backend == FLOAT:
+        return _float_orthogonality(measure2, bases, n_size, i_max)
+    mu1 = moments(measure1, 2 * (n_size - 1), backend=backend)
     for i, basis in bases.items():
-        scale = max((abs(x) for x in basis.monic_norms), default=1)
         for n in basis.degrees():
             p = basis.monic_poly(n)
             for m in range(i):
-                val = inner_product_mu(mu1, monomial(m) if backend == EXACT else monomial(m).to_float(), p)
-                if not _is_zero(val, backend, scale):
+                val = inner_product_mu(mu1, monomial(m), p)
+                if val != 0:
                     return _entry("orthogonality", False, i=i, n=n, residual=float(val))
             for m in basis.degrees():
                 val = inner_product_mu(basis.mu2, basis.monic_poly(m), p)
-                expect = basis.monic_norm(n) if m == n else zero(backend)
-                if not _is_zero(val - expect, backend, scale):
+                expect = basis.monic_norm(n) if m == n else 0
+                if val != expect:
                     return _entry("orthogonality", False, i=i, n=n, m=m, residual=float(val - expect))
-                if backend == FLOAT:
-                    worst = max(worst, abs(float(val - expect)))
-    return _entry("orthogonality", True, n=n_size, i_max=i_max, worst_residual=float(worst))
+    return _entry("orthogonality", True, n=n_size, i_max=i_max, worst_residual=0.0)
+
+
+def _float_orthogonality(measure2, bases, n_size, i_max):
+    """The float orthogonality suite on the Gauss-rule data of the float
+    build's own check (:func:`block._quadrature_rules`).  A constraint
+    moment of x^m P_{i;n} fails above FLOAT_RTOL times the integral of its
+    absolute value, (P_{i;m}, P_{i;n})_2 - delta_{mn} h_n above FLOAT_RTOL
+    times max(h, 1), h the largest monic norm of the basis.  The monomial
+    coefficients of each P_{i;n} must be those of its connection."""
+    q_basis = bases[0].q_basis
+    rec2 = block._float_recurrence(measure2, n_size)
+    second, (values1, powers, abs_powers) = block._quadrature_rules(q_basis, rec2, True)
+    q_in_x = np.array(q_basis.q_in_x)
+    worst = 0.0
+    for i, basis in bases.items():
+        connection = np.array(basis.p_in_q)[:, i:]
+        in_x = from_columns((q_in_x @ connection).tolist())
+        for n, poly in zip(basis.degrees(), in_x):
+            if not _polys_match(poly, basis.monic_poly(n), FLOAT):
+                return _entry("orthogonality", False, i=i, n=n, which="monomial")
+        p1 = values1 @ connection
+        constraint = powers[:, :i].T @ p1
+        size = abs_powers[:, :i].T @ np.abs(p1)
+        p2 = second @ connection
+        gram = p2.T @ p2 - np.diag(basis.monic_norms)
+        scale = max(max(basis.monic_norms, default=1.0), 1.0)
+        for col, n in enumerate(basis.degrees()):
+            for m in range(i):
+                if not abs(constraint[m, col]) <= FLOAT_RTOL * size[m, col]:
+                    return _entry("orthogonality", False, i=i, n=n, residual=float(constraint[m, col]))
+            for row, m in enumerate(basis.degrees()):
+                residual = float(gram[row, col])
+                if not abs(residual) <= FLOAT_RTOL * scale:
+                    return _entry("orthogonality", False, i=i, n=n, m=m, residual=residual)
+                worst = max(worst, abs(residual))
+    return _entry("orthogonality", True, n=n_size, i_max=i_max, worst_residual=worst)
 
 
 def check_oracle_equivalence(measure1, measure2, n_size, backend=EXACT, seed=20240601, samples=50):

@@ -580,6 +580,18 @@ def test_the_sign_flipped_kernel_is_caught(monkeypatch, request, pair):
 
 @pytest.mark.parametrize("pair", ["hermite_pair", "laguerre_pair"])
 def test_the_sign_flipped_float_kernel_is_caught(monkeypatch, request, pair):
+    # the float LDL^T update g - sum(...) turned into g + sum(...), run by
+    # the float Hankel first stage of a tabulated first measure
+    _sign_flipped(monkeypatch, "_float_ldl", "g[col][j] - sum(")
+    measure1, measure2 = request.getfixturevalue(pair)
+    tabulated = Measure.from_moments(moments(measure1, 14).mu)
+    with pytest.raises(OracleMismatch) as info:
+        build_sbo(tabulated, measure2, 2, 8, backend="float")
+    assert info.value.stage == "first_stage"
+
+
+@pytest.mark.parametrize("pair", ["hermite_pair", "laguerre_pair"])
+def test_the_sign_flipped_float_qr_update_is_caught(monkeypatch, request, pair):
     # the float second stage's Gram-Schmidt update v -= ... turned into v += ...
     update = "v[:, j + 1 :] -= np.outer("
     source = inspect.getsource(block._qr_second_stage)

@@ -1,6 +1,7 @@
 """The recurrence-first float backend, its conditioning gate and its errors."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -67,6 +68,40 @@ def test_float_build_forms_no_hankel_matrix(monkeypatch):
         coeffs = [float(c) for c in exact.monic_poly(n).coeffs]
         assert max(abs(a - b) for a, b in zip(basis.monic_poly(n).coeffs, coeffs)) <= (
             ORACLE_RTOL * max(map(abs, coeffs))
+        )
+
+
+@pytest.mark.parametrize("check", [False, True])
+def test_a_float_build_reads_moments_only_through_order_2n_minus_2(check):
+    # tables that stop where the Hankel matrices of size N do: T, h and the
+    # check's rules come from size-N Hankel builds of the tabulated measures
+    hermite = (Measure.gaussian(1), Measure.gaussian(2))
+    n_size = 8
+    tables = [Measure.from_moments(moments_of.mu, symmetric=True) for moments_of in
+              (measures.moments(m, 2 * n_size - 2) for m in hermite)]
+    basis = build_sbo(*tables, 3, n_size, backend="float", check=check)
+    exact = build_sbo(*hermite, 3, n_size, check=False)
+    for n in exact.degrees():
+        coeffs = [float(c) for c in exact.monic_poly(n).coeffs]
+        assert max(abs(a - b) for a, b in zip(basis.monic_poly(n).coeffs, coeffs)) <= (
+            ORACLE_RTOL * max(map(abs, coeffs))
+        )
+
+
+def test_a_numeric_pair_builds_unchecked_at_the_float_size_limit():
+    # a numeric second measure's T comes from its size-N float Hankel build,
+    # so N = FLOAT_SIZE_LIMIT builds; a size-N + 1 build would be refused
+    numeric = (
+        Measure.numeric(lambda x: math.exp(-x * x), (-9.0, 9.0), nodes=80, symmetric=True),
+        Measure.numeric(lambda x: math.exp(-2 * x * x), (-7.0, 7.0), nodes=80, symmetric=True),
+    )
+    n_size = standard.FLOAT_SIZE_LIMIT
+    basis = build_sbo(*numeric, 2, n_size, backend="float", check=False)
+    exact = build_sbo(Measure.gaussian(1), Measure.gaussian(2), 2, n_size, check=False)
+    for n in range(2, 8):
+        coeffs = [float(c) for c in exact.monic_poly(n).coeffs]
+        assert max(abs(a - b) for a, b in zip(basis.monic_poly(n).coeffs, coeffs)) <= (
+            1e-13 * max(map(abs, coeffs))
         )
 
 

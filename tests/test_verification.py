@@ -132,6 +132,52 @@ def test_float_recurrence_compares_the_replay(monkeypatch, capsys, pair):
     assert payload["reports"][0]["which"] == "rebuild"
 
 
+@pytest.mark.parametrize("pair, n_size", [("laguerre", 12), ("hermite", 20)])
+def test_float_verify_certifies_orthogonality_at_large_n(capsys, pair, n_size):
+    # summed over monomial moments in floats these shapes read residuals of
+    # about 1e7 times the rounding, above FLOAT_RTOL; by Gauss rules they pass
+    assert main(["verify", "--float", "--pair", pair, "--N", str(n_size)]) == 0
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    (report,) = [r for r in reports if r["check"] == "orthogonality"]
+    assert report["passed"] is True and "skipped" not in report
+
+
+@pytest.mark.parametrize("m, n", [(3, 5), (2, 7)])
+def test_float_orthogonality_catches_a_nudged_connection(monkeypatch, m, n):
+    pair = (Measure.gaussian(1), Measure.gaussian(2))
+    assert check_orthogonality(*pair, 8, 4, backend="float")["passed"]
+    original = verification.build_sbos
+
+    def nudged(*args, **kwargs):
+        bases = original(*args, **kwargs)
+        rows = [list(row) for row in bases[2].p_in_q]
+        rows[m][n] += 1e-6 * max(abs(rows[k][n]) for k in range(n + 1))
+        bases[2] = dataclasses.replace(bases[2], p_in_q=tuple(map(tuple, rows)))
+        return bases
+
+    monkeypatch.setattr(verification, "build_sbos", nudged)
+    report = check_orthogonality(*pair, 8, 4, backend="float")
+    # the first pair reported is (m, n) of the Gram matrix or its mirror
+    assert (report["passed"], report["i"]) == (False, 2)
+    assert n in (report["n"], report.get("m"))
+
+
+def test_float_orthogonality_reads_the_monomial_coefficients(monkeypatch):
+    pair = (Measure.gaussian(1), Measure.gaussian(2))
+    original = verification.build_sbos
+
+    def nudged(*args, **kwargs):
+        bases = original(*args, **kwargs)
+        polys = list(bases[2].monic_polys)
+        polys[1] = _nudged(polys[1])
+        bases[2] = dataclasses.replace(bases[2], monic_polys=tuple(polys))
+        return bases
+
+    monkeypatch.setattr(verification, "build_sbos", nudged)
+    report = check_orthogonality(*pair, 8, 4, backend="float")
+    assert report == {"check": "orthogonality", "passed": False, "i": 2, "n": 3, "which": "monomial"}
+
+
 @pytest.mark.parametrize("pair", ["hermite", "laguerre"])
 def test_inner0_suite_builds_one_projector_pair(monkeypatch, capsys, pair):
     original = projectors.projectors_from_q
