@@ -1,7 +1,7 @@
 """Exact-backend scaling table: writes BENCH_exact_scaling.json at the repository root.
 
 For the built-in hermite (gaussian:1/gaussian:2) and laguerre
-(gamma:1:1/gamma:2:1) pairs at N 16, 32 and 48, it times, in a fresh
+(gamma:1:1/gamma:2:1) pairs at N 16, 32, 48, 64 and 80, it times, in a fresh
 interpreter per (pair, N, side), the exact ``build_sbo(m1, m2, i=2, N)``
 with checks on (``on_s``) and with ``check=False`` (``off_s``), and two of
 its layers: the gamma assembly ``gamma_matrix(q_basis, mu2, i)`` on the
@@ -18,14 +18,19 @@ a faster layer lowers off_s as much as on_s and can raise the ratio.
 
 ``targets`` reads the scaling goal off the rows of this checkout: checks on
 within twice checks off at N 48 for both pairs.  It is a ratio of two
-timings on one host, so it does not depend on the speed of the host.
+timings on one host, so it does not depend on the speed of the host.  The
+verdict on the median ratio (``ratio_N48_met``) comes with the quartiles
+beside it and with the verdict on the upper quartile
+(``ratio_N48_met_at_q3``), which holds only when at least three of four
+repetitions meet the goal: a median near the goal can pass or fail with
+the noise of one run, and the two verdicts then disagree.
 
 With ``--parent-src DIR`` (the ``src`` directory of another checkout) every
 row is also timed there, alternating which side runs first, and the rows
 carry a ``side`` of ``parent`` or ``change``.
 
-Run from the repository root (one process at a time, about two minutes, or
-four with ``--parent-src``):
+Run from the repository root (one process at a time, about five minutes,
+or ten with ``--parent-src``; the N 80 rows take most of it):
 
     python scripts/exact_scaling.py [--parent-src DIR]
 """
@@ -42,9 +47,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = {"hermite": ("gaussian:1", "gaussian:2"), "laguerre": ("gamma:1:1", "gamma:2:1")}
-SIZES = (16, 32, 48)
+SIZES = (16, 32, 48, 64, 80)
 RUNS = 5
 I = 2
+TARGET_N = 48
 RATIO_TARGET = 2.0  # checks on over checks off, N 48
 
 TIMING_DRIVER = """
@@ -119,7 +125,6 @@ def main():
             rows.append(_row(pair, n_size, side if args.parent_src else None, timed[side]))
 
     mine = {(r["pair"], r["N"]): r for r in rows if r.get("side", "change") == "change"}
-    top = max(SIZES)
     report = {
         "description": (
             f"Exact build_sbo(i={I}) wall time in seconds with checks on (on_s) and off "
@@ -134,12 +139,15 @@ def main():
         "python": platform.python_version(),
         "machine": f"{platform.machine()}, {os.cpu_count()} logical CPUs",
         "targets": {
-            f"ratio_N{top}": {pair: mine[(pair, top)]["ratio"] for pair in PAIRS},
-            f"ratio_N{top}_quartiles": {
-                pair: [mine[(pair, top)]["ratio_q1"], mine[(pair, top)]["ratio_q3"]] for pair in PAIRS
+            f"ratio_N{TARGET_N}": {pair: mine[(pair, TARGET_N)]["ratio"] for pair in PAIRS},
+            f"ratio_N{TARGET_N}_quartiles": {
+                pair: [mine[(pair, TARGET_N)]["ratio_q1"], mine[(pair, TARGET_N)]["ratio_q3"]] for pair in PAIRS
             },
-            f"ratio_N{top}_max": RATIO_TARGET,
-            f"ratio_N{top}_met": all(mine[(pair, top)]["ratio"] <= RATIO_TARGET for pair in PAIRS),
+            f"ratio_N{TARGET_N}_max": RATIO_TARGET,
+            f"ratio_N{TARGET_N}_met": all(mine[(pair, TARGET_N)]["ratio"] <= RATIO_TARGET for pair in PAIRS),
+            f"ratio_N{TARGET_N}_met_at_q3": all(
+                mine[(pair, TARGET_N)]["ratio_q3"] <= RATIO_TARGET for pair in PAIRS
+            ),
         },
         "rows": rows,
     }

@@ -33,6 +33,7 @@ from .block import (
 from .errors import (
     BadFactor,
     BlockOrthoError,
+    CollapsedRule,
     ConditioningError,
     DegreeError,
     DependentBasis,

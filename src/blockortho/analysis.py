@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 from . import linalg
 from ._numpy import np
-from .errors import DimensionCap, InsufficientNodes, MomentError
+from .errors import CollapsedRule, DimensionCap, InsufficientNodes, MomentError
 from .measures import Measure, truncated_support
 from .polynomials import sign_changes_batch
 from .standard import monic_recurrence
@@ -46,6 +46,8 @@ class QuadratureGrid:
     def __post_init__(self):
         for nodes, weights in self.axes:
             if any(w <= 0 for w in weights):
+                if all(w >= 0 for w in weights):
+                    raise CollapsedRule("quadrature weights must be positive; some underflow to 0")
                 raise InsufficientNodes("quadrature weights must be positive")
 
     def arrays(self):

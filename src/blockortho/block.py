@@ -10,19 +10,21 @@ mutually orthogonal under the second.
 Internally the basis always stores the monic data (polynomials, norms,
 connection matrices); normalization modes are exact rescalings of that core.
 The gamma matrix gamma[j][k] = (Q_j, Q_k)_2 comes from the second measure's
-recurrence (:func:`gamma_matrix`).  Exact builds factor gamma and are
-cross-checked against the bordered-determinant formulas over it and, gamma
-itself, against the second measure's moments.  Float builds never form gamma
-to factor it: their second stage is one QR factorization of the weighted
-connection W with gamma = W^T W (:func:`_qr_second_stage`), gated by the
-condition of W and checked by Gauss-rule residuals.  ``check=False`` turns
-the checks and the gate off.
+recurrence (:func:`gamma_matrix`).  Each backend has one second stage:
+exact builds factor gamma by :func:`gso.gram_schmidt`, cross-checked
+against the bordered-determinant formulas over it and, gamma itself,
+against the second measure's moments; float builds factor the weighted
+connection W, gamma = W^T W, by one QR (:func:`_qr_second_stage`), gated by
+the condition of W and checked by Gauss-rule residuals, and form gamma only
+when it is read.  The parity build (:func:`sbo_parity_build`) is the parity
+first stage, that second stage and a checkerboard check of gamma.
+``check=False`` turns the checks and the gate off.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate
@@ -95,7 +97,6 @@ class SboBasis:
     measure2: Measure
     q_basis: StandardBasis
     mu2: MomentSequence
-    gamma: GramMatrix
     gamma_dets: tuple
     monic_polys: tuple
     monic_norms: tuple
@@ -104,6 +105,15 @@ class SboBasis:
     scale: tuple
     normalization: str
     backend: str
+    _gamma: GramMatrix = field(default=None, repr=False, compare=False)
+
+    @property
+    def gamma(self) -> GramMatrix:
+        """Gram matrix of Q_i..Q_{N-1} under the second measure: stored by an
+        exact build, formed by :func:`gamma_matrix` on a float one's first read."""
+        if self._gamma is None:
+            object.__setattr__(self, "_gamma", gamma_matrix(self.q_basis, self.measure2, self.i))
+        return self._gamma
 
     def degrees(self):
         return range(self.i, self.size)
@@ -156,8 +166,9 @@ def gamma_matrix(q_basis: StandardBasis, measure2, i: int) -> GramMatrix:
     with the norms h_m of the R_m.  The rule is exact for the degrees of
     gamma.  Float bases take every measure this way, a tabulated or numeric
     one through the recurrence of its Hankel build (:func:`_float_recurrence`),
-    and gamma is W^T W by numpy with W = diag(sqrt h) T[:, i:]
-    (:func:`_float_gamma`).  Exact bases
+    and gamma is W^T W = T_i^T diag(h) T_i by numpy with W = diag(sqrt h) T_i,
+    T_i = T[:, i:]; no square root is taken, so rational data whose products
+    are floats give gamma exactly.  Exact bases
     take it for a second measure of closed-form recurrence: exact T is run
     in integers and comes as lifted columns, each entry of gamma one integer
     sum and one Fraction, so the entries are the inner products themselves.
@@ -173,8 +184,9 @@ def gamma_matrix(q_basis: StandardBasis, measure2, i: int) -> GramMatrix:
     measure2 = mu2.measure if mu2 is not None else measure2
     if measure2 is not None and q_basis.backend == FLOAT:
         connection, norms = _connection_and_norms(q_basis, _float_recurrence(measure2, n))
-        return _float_gamma(connection[:, i:], norms, i, n)
-    if measure2 is not None and has_closed_recurrence(measure2):
+        t_i = connection[:, i:]
+        full = (np.triu((norms[:, None] * t_i).T @ t_i) + 0.0).tolist()  # a -0.0 sum reads 0.0
+    elif measure2 is not None and has_closed_recurrence(measure2):
         full = _gram_by_connection(q_basis, monic_recurrence(measure2, n), i)
     else:
         if mu2 is None:
@@ -182,16 +194,6 @@ def gamma_matrix(q_basis: StandardBasis, measure2, i: int) -> GramMatrix:
         full = gram_of(mu2, [row[i:] for row in q_basis.q_in_x])
     entries = [[full[min(j, k)][max(j, k)] for k in range(n - i)] for j in range(n - i)]
     return GramMatrix(tuple(map(tuple, entries)), f"Q_{i}..Q_{n - 1}")
-
-
-def _float_gamma(connection, norms, i, n) -> GramMatrix:
-    """W^T W = T_i^T diag(h) T_i for the columns ``connection`` = T_i of T,
-    Q_i..Q_{n-1}, and the ``norms`` h, by numpy, with the lower triangle
-    mirroring the upper one.  No square root is taken, so rational data
-    whose products are floats give gamma exactly."""
-    upper = np.triu((norms[:, None] * connection).T @ connection)
-    full = upper + np.triu(upper, 1).T
-    return GramMatrix(tuple(map(tuple, full.tolist())), f"Q_{i}..Q_{n - 1}")
 
 
 def _gram_by_connection(q_basis: StandardBasis, rec2, i):
@@ -487,18 +489,16 @@ def _scale(normalization, q_basis, i, gamma_dets):
     return tuple(q_basis.leading[i + s] * f for s, f in enumerate(factors))
 
 
-def _sbo_bases(first_stage, measure2, i_values, n_polys, normalization, check, kernel=None):
+def _sbo_bases(first_stage, measure2, i_values, n_polys, normalization, check):
     """Q_0..Q_{N-1} from ``first_stage()``, then Q_i..Q_{N-1} orthogonalized
     under the second measure for every i in ``i_values``.
 
     Exact bases take every gamma_i from one gamma matrix over
     Q_lo..Q_{N-1}, lo = min(i_values), as its trailing block from row
-    i - lo on, and factor it with ``kernel`` (:func:`gso.gram_schmidt` by
-    default).  Float bases take T and h once and, for each i, the columns
-    T_i of T from i on, with gamma_i = W^T W for W = diag(sqrt h) T_i;
-    without a ``kernel`` they factor W by one QR
+    i - lo on, and factor it by :func:`gso.gram_schmidt`.  Float bases take
+    T and h once and, for each i, factor W = diag(sqrt h) T[:, i:] by one QR
     (:func:`_qr_second_stage`), gated by :func:`connection_condition` and
-    checked by Gauss-rule residuals (:func:`_check_quadrature`).
+    checked by :func:`_check_quadrature`; gamma_i is formed when read.
     """
     # checked before the first stage, so a bad i is reported even where Q fails
     for i in i_values:
@@ -521,7 +521,7 @@ def _sbo_bases(first_stage, measure2, i_values, n_polys, normalization, check, k
         # in floats once, for T, h and the second measure's Gauss rule
         rec2 = _float_recurrence(measure2, n_polys)
         connection, norms = _connection_and_norms(q_basis, rec2)
-        if check and kernel is None and lo < n_polys:
+        if check and lo < n_polys:
             rules = _quadrature_rules(q_basis, rec2, max(i_values) > 0)
     lead = _leading_data(q_basis) if check else None
     bases = {}
@@ -533,23 +533,20 @@ def _sbo_bases(first_stage, measure2, i_values, n_polys, normalization, check, k
             if backend == EXACT:
                 rows = tuple(row[i - lo :] for row in gamma_lo[i - lo :])
                 gamma = GramMatrix(rows, f"Q_{i}..Q_{n_polys - 1}")
-                result = (kernel or gso.gram_schmidt)(gamma, leading)
+                result = gso.gram_schmidt(gamma, leading)
                 if check and block:
                     q_cols = [row[i:] for row in q_basis.q_in_x]
                     gso.check_against_oracle(
                         gamma, result, q_cols, "second-stage determinant oracle disagrees"
                     )
             else:
+                gamma = None
                 t_i = connection[:, i:]
-                gamma = _float_gamma(t_i, norms, i, n_polys)
-                if kernel is not None:
-                    result = kernel(gamma, leading)
-                else:
-                    if check and block:
-                        _gate(t_i, norms, i)
-                    result = _qr_second_stage(t_i, norms, leading)
-                    if check and block:
-                        _check_quadrature(rules, result, i)
+                if check and block:
+                    _gate(t_i, norms, i)
+                result = _qr_second_stage(t_i, norms, leading)
+                if check and block:
+                    _check_quadrature(rules, result, i)
         if backend == EXACT:
             p_cols = linalg._lifted_mat_mul(q_rows, result.coeffs, i)
         else:
@@ -568,7 +565,6 @@ def _sbo_bases(first_stage, measure2, i_values, n_polys, normalization, check, k
             measure2=measure2,
             q_basis=q_basis,
             mu2=mu2,
-            gamma=gamma,
             gamma_dets=result.gram_dets,
             monic_polys=from_columns(p_cols),
             monic_norms=result.norms,
@@ -577,6 +573,7 @@ def _sbo_bases(first_stage, measure2, i_values, n_polys, normalization, check, k
             scale=_scale(normalization, q_basis, i, result.gram_dets),
             normalization=normalization,
             backend=backend,
+            _gamma=gamma,
         )
         if check and block:
             _check_leading_identities(bases[i], lead)
@@ -772,16 +769,17 @@ def sbo_parity_build(
 ) -> SboBasis:
     """Independent parity-split construction for a symmetric measure pair.
 
-    The gamma matrix is checkerboard, so even and odd degrees decouple into
-    two smaller orthogonalizations whose interleaving must reproduce
-    :func:`build_sbo` exactly.
+    The parity first stage (:func:`standard.parity_split_build`), the
+    backend's one second stage, unchecked, and a check that gamma_i vanishes
+    at every odd j + k (NotCheckerboard).  The even and odd degrees then
+    decouple on their own, and the result must reproduce :func:`build_sbo`.
     """
     if not (measure1.symmetric and measure2.symmetric):
         raise NotSymmetric("parity build needs both measures symmetric")
     first_stage = partial(parity_split_build, measure1, n_polys, backend=backend)
-    return _sbo_bases(
-        first_stage, measure2, [i], n_polys, MONIC, False, gso.parity_gram_schmidt
-    )[i]
+    basis = _sbo_bases(first_stage, measure2, [i], n_polys, MONIC, False)[i]
+    gso.require_checkerboard(basis.gamma.entries, f"second-stage gamma_{i}")
+    return basis
 
 
 def monomial_connection(basis: SboBasis):

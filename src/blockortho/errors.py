@@ -89,6 +89,10 @@ class InsufficientNodes(BlockOrthoError):
     """A quadrature grid cannot integrate the requested polynomial degree exactly."""
 
 
+class CollapsedRule(InsufficientNodes):
+    """A float quadrature rule whose weights underflow to zero: it has fewer nodes than its size."""
+
+
 class OracleMismatch(BlockOrthoError):
     """Cross-validation between a construction and its determinant oracle failed."""
 

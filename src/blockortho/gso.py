@@ -17,13 +17,13 @@ is lifted by one common scale, its rows are freed of their contents, it is
 eliminated fraction-free, and each output entry is formed as one Fraction.  Float matrices run a float loop
 (:func:`_float_ldl`).
 
-The exact second stage of the block construction, the parity builds in
-both backends and the Hankel first stage of measures without a closed-form
-recurrence run through this module: the kernels :func:`gram_schmidt` and
-:func:`parity_gram_schmidt` build the vectors.  (The float second stage
-factors its weighted connection by QR in :mod:`block` instead.)  The
-bordered-determinant oracle, which never reads the kernel's
-factorization, has one entry point per quantity:
+The exact second stage of the block construction, in both its builds, and
+the Hankel first stage of measures without a closed-form recurrence run
+:func:`gram_schmidt`; :func:`parity_gram_schmidt` is the kernel of the
+parity first stage (:func:`standard.parity_split_build`).  The float second
+stage, in both builds, factors its weighted connection by QR in
+:mod:`block` instead.  The bordered-determinant oracle, which never reads
+the kernel's factorization, has one entry point per quantity:
 
 * :func:`bordered_oracle` gives the column of E_n, h_n and Z_{n+1};
 * :func:`oracle_connection_column` gives b_{m,n} for every m <= n;
@@ -226,6 +226,15 @@ def _float_ldl(g, leading_factors):
     return a, [[f * x for x in r] for f, r in zip(leading_factors, unit)], norms, dets
 
 
+def require_checkerboard(g, what):
+    """Raise NotCheckerboard, naming ``what`` and the entry, at the first
+    g[j][k] != 0 with j + k odd."""
+    for j, row in enumerate(g):
+        for k in range(1 - j % 2, len(row), 2):
+            if row[k] != 0:
+                raise NotCheckerboard(f"{what}: entry ({j},{k}) breaks the parity structure")
+
+
 def parity_gram_schmidt(gram, leading_factors) -> OrthogonalizationResult:
     """:func:`gram_schmidt` for a checkerboard Gram matrix, one parity at a time.
 
@@ -238,8 +247,7 @@ def parity_gram_schmidt(gram, leading_factors) -> OrthogonalizationResult:
     n_dim = len(g)
     if len(leading_factors) != n_dim:
         raise BadFactor(f"need {n_dim} leading factors, got {len(leading_factors)}")
-    if any(g[j][k] != 0 for j in range(n_dim) for k in range(n_dim) if (j + k) % 2):
-        raise NotCheckerboard("parity split needs g[j][k] = 0 for odd j + k")
+    require_checkerboard(g, "parity split")
     kind = linalg.matrix_kind(g)
     a = [[zero(kind)] * n_dim for _ in range(n_dim)]
     b = [[zero(kind)] * n_dim for _ in range(n_dim)]
@@ -446,15 +454,6 @@ def _float_agrees(g, result, basis, n):
     ) <= ORACLE_RTOL * abs(h_oracle)
 
 
-def _checkerboard_blocks(matrix):
-    n = len(matrix)
-    even_idx = list(range(0, n, 2))
-    odd_idx = list(range(1, n, 2))
-    even = [[matrix[j][k] for k in even_idx] for j in even_idx]
-    odd = [[matrix[j][k] for k in odd_idx] for j in odd_idx]
-    return even, odd
-
-
 def checkerboard_det(matrix, last_row_exempt=False):
     """Factor the determinant of a checkerboard matrix into parity blocks.
 
@@ -464,12 +463,8 @@ def checkerboard_det(matrix, last_row_exempt=False):
     holds regardless of the exempt entries.
     """
     m = _entries(matrix)
-    n = len(m)
-    for j, row in enumerate(m):
-        if len(row) != n:
-            raise NotCheckerboard("matrix must be square")
-        for k, x in enumerate(row):
-            if (j + k) % 2 and x != 0 and not (last_row_exempt and j == n - 1):
-                raise NotCheckerboard(f"entry ({j},{k}) breaks the parity structure")
-    even, odd = _checkerboard_blocks(m)
+    if any(len(row) != len(m) for row in m):
+        raise NotCheckerboard("matrix must be square")
+    require_checkerboard(m[:-1] if last_row_exempt else m, "matrix")
+    even, odd = ([row[p::2] for row in m[p::2]] for p in (0, 1))
     return linalg.det(m), linalg.det(even), linalg.det(odd)

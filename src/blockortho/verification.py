@@ -1,8 +1,8 @@
 """Named check suites behind the ``verify`` command.
 
 Each check returns a dict with at least ``check`` and ``passed``; checks that
-a guard refuses (for example a float build beyond the conditioning limit)
-come back as skipped-with-reason entries rather than failures.
+a guard refuses (a float build past the conditioning limit, a collapsed
+float Gauss rule) come back as skipped-with-reason entries, not failures.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .block import (
     sbo_determinant_oracle,
     sbo_parity_build,
 )
-from .errors import BlockOrthoError, ConditioningError, OracleMismatch
+from .errors import BlockOrthoError, CollapsedRule, ConditioningError, OracleMismatch
 from .linalg import identity
 from .measures import Measure, inner_product_mu, moments
 from .polynomials import combine, from_columns, monomial
@@ -370,7 +370,7 @@ def run_checks(measure1: Measure, measure2: Measure, n_size=8, i_max=4, backend=
             raise ValueError(f"unknown check {name!r}")
         try:
             reports.append(_SUITES[name](measure1, measure2, n_size, i_max, backend))
-        except ConditioningError as exc:
+        except (ConditioningError, CollapsedRule) as exc:
             reports.append(_entry(name, True, skipped=str(exc)))
         except BlockOrthoError as exc:
             reports.append(_entry(name, False, error=f"{type(exc).__name__}: {exc}"))

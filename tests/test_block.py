@@ -13,6 +13,7 @@ from blockortho import (
     Measure,
     MeasureMismatch,
     DependentConstraints,
+    NotCheckerboard,
     NotSymmetric,
     Polynomial,
     build_general_bo,
@@ -32,7 +33,7 @@ from blockortho import (
 from blockortho import block, gso
 from blockortho.block import DET_NORMALIZED, MONIC, ORTHONORMAL
 from blockortho.gso import ORACLE_RTOL
-from blockortho.measures import moments
+from blockortho.measures import GramMatrix, moments
 from blockortho.polynomials import combine
 
 P24 = Polynomial((Fraction(1, 8), 0, Fraction(-7, 4), 0, 1))
@@ -221,6 +222,41 @@ def test_parity_build_equals_direct(hermite_pair):
             assert split.Z(n) == direct.Z(n)
         assert split.p_in_q == direct.p_in_q
         assert split.q_in_p == direct.q_in_p
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_parity_build_refuses_a_second_stage_that_is_not_checkerboard(
+    monkeypatch, hermite_pair, backend
+):
+    i, n_size = 2, 6
+    sbo_parity_build(*hermite_pair, i, n_size, backend=backend)
+    if backend == "exact":
+        original = block.gamma_matrix
+
+        def nudged(*args):
+            rows = original(*args).rows()
+            rows[0][1] = rows[1][0] = rows[0][1] + Fraction(1, 10**6)
+            return GramMatrix(rows)
+
+        monkeypatch.setattr(block, "gamma_matrix", nudged)
+    else:
+        original = block._connection_and_norms
+
+        def nudged(*args):
+            connection, norms = original(*args)
+            connection = connection.copy()
+            connection[1, i] += 1e-6  # R_1 in Q_2, zero for a symmetric pair
+            return connection, norms
+
+        monkeypatch.setattr(block, "_connection_and_norms", nudged)
+    qr_calls = []
+    qr = block._qr_second_stage
+    monkeypatch.setattr(
+        block, "_qr_second_stage", lambda *a: qr_calls.append(a) or qr(*a)
+    )
+    with pytest.raises(NotCheckerboard, match=f"gamma_{i}"):
+        sbo_parity_build(*hermite_pair, i, n_size, backend=backend)
+    assert len(qr_calls) == (backend == "float")
 
 
 def test_parity_build_rejects_asymmetric(laguerre_pair):

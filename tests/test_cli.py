@@ -115,6 +115,18 @@ def test_verify_float_conditioning_guard_skips(capsys):
     assert "skipped" in entry and "20" in entry["skipped"]
 
 
+def test_verify_skips_the_integrals_of_a_collapsed_gauss_rule(capsys):
+    # at z = 1e-400 the float 3-node Gauss rules have weights 1, 0, 0
+    code, out, _ = run(
+        capsys, "verify", "--measure1", "gamma:1:1e-400", "--measure2", "gamma:2:1e-400",
+        "--N", "3", "--checks", "integral_representations",
+    )
+    assert code == 0
+    (report,) = json.loads(out)["reports"]
+    assert report["passed"] is True
+    assert "quadrature weights must be positive" in report["skipped"]
+
+
 def _strict_json(text):
     def refuse(constant):
         raise AssertionError(f"{constant} is not strict JSON")

@@ -15,6 +15,7 @@ from blockortho import (
     OracleMismatch,
     block,
     build_sbo,
+    build_sbos,
     build_standard,
     errors,
     gso,
@@ -69,6 +70,22 @@ def test_float_build_forms_no_hankel_matrix(monkeypatch):
         assert max(abs(a - b) for a, b in zip(basis.monic_poly(n).coeffs, coeffs)) <= (
             ORACLE_RTOL * max(map(abs, coeffs))
         )
+
+
+def test_a_float_build_forms_gamma_only_when_read(monkeypatch):
+    calls = []
+    for name in ("gamma_matrix", "_float_gamma"):
+        original = getattr(block, name, None)
+        if original is not None:
+            monkeypatch.setattr(
+                block, name, lambda *a, _original=original: calls.append(a) or _original(*a)
+            )
+    pair = (Measure.gaussian(Fraction(2, 3)), Measure.gaussian(Fraction(5, 2)))
+    basis = build_sbos(*pair, [10], 20, backend="float")[10]
+    assert calls == []
+    gamma = basis.gamma
+    assert len(calls) == 1 and gamma.size == 10
+    assert basis.gamma is gamma and len(calls) == 1
 
 
 @pytest.mark.parametrize("check", [False, True])

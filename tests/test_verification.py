@@ -211,6 +211,25 @@ def test_integral_suite_fails_on_a_perturbed_gauss_weight(monkeypatch, capsys, p
     assert report["check"] == "integral_representations" and report["passed"] is False
 
 
+@pytest.mark.parametrize("pair", ["hermite", "laguerre"])
+def test_only_a_collapsed_gauss_rule_skips_the_integral_suite(monkeypatch, capsys, pair):
+    argv = ["verify", "--pair", pair, "--N", "6", "--checks", "integral_representations"]
+    assert main(argv) == 0
+    (report,) = json.loads(capsys.readouterr().out)["reports"]
+    assert report["passed"] is True and "skipped" not in report
+    original = analysis.gauss_rule
+
+    def negative(measure, n_nodes):
+        nodes, weights = original(measure, n_nodes)
+        return nodes, (-weights[0],) + weights[1:]
+
+    monkeypatch.setattr(analysis, "gauss_rule", negative)
+    assert main(argv) == 1
+    (report,) = json.loads(capsys.readouterr().out)["reports"]
+    assert report["passed"] is False
+    assert report["error"] == "InsufficientNodes: quadrature weights must be positive"
+
+
 def test_checkerboard_suite_fails_on_a_changed_even_block_entry(monkeypatch):
     original = gso.checkerboard_det
 
