@@ -10,6 +10,7 @@ is intended) with::
 
 import contextlib
 import io
+import os
 import pathlib
 import sys
 
@@ -18,6 +19,11 @@ import pytest
 from blockortho.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+ROOT = GOLDEN.parent.parent
+# a moment table no closed form covers: 1/2 gaussian:1 + 1/2 gamma:2:3/2
+# through order 14; paths, and the measure labels that carry them, are
+# relative to the repository root
+MIXTURE = "tests/golden/mixture-moments.csv"
 
 CASES = {}
 for _pair in ("hermite", "laguerre"):
@@ -48,12 +54,25 @@ CASES["table-gaussian-3_2-2_3-N8-det"] = [
 ]
 CASES["moments-gaussian-2_3"] = ["moments", "--measure", "gaussian:2/3", "--max-order", "12"]
 CASES["moments-gamma-3_2-5_2"] = ["moments", "--measure", "gamma:3/2:5/2", "--max-order", "12"]
+CASES["table-moments-file-mixture-N8-det"] = [
+    "table", "--moments-file", MIXTURE, "--measure2", "gaussian:2", "--N", "8",
+    "--normalization", "det",
+]
+CASES["table-moments-file-mixture-second-N8-det"] = [
+    "table", "--measure1", "gaussian:2", "--measure2", f"file:{MIXTURE}", "--N", "8",
+    "--normalization", "det",
+]
 
 
 def _run(argv):
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(list(argv))
+    cwd = os.getcwd()
+    os.chdir(ROOT)
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main(list(argv))
+    finally:
+        os.chdir(cwd)
     return code, out.getvalue()
 
 
