@@ -78,29 +78,21 @@ def gauss_rule(measure: Measure, n_nodes: int):
     """
     if n_nodes < 1:
         raise InsufficientNodes("need at least one node")
-    diag = []
-    off = []
-    for m, (b_m, c_m) in enumerate(monic_recurrence(measure, n_nodes)):
-        diag.append(-float(-b_m))  # a zero b_m enters the diagonal as -0.0
-        if m >= 1:
-            off.append(math.sqrt(float(c_m)))
-    nodes, weights = _jacobi_rule(diag, off)
+    nodes, weights = recurrence_rule(monic_recurrence(measure, n_nodes))
     return tuple(float(x) for x in nodes), tuple(float(w) for w in weights)
 
 
-def _jacobi_rule(diag, off):
-    """Nodes and unit-mass weights, as arrays in ascending node order, of the
-    symmetric tridiagonal Jacobi matrix with diagonal ``diag`` and
-    off-diagonal ``off``: its eigenvalues and the squared first components
-    of its eigenvectors."""
-    jacobi = np.diag(diag)
-    if len(off):
+def recurrence_rule(rec):
+    """Nodes, ascending, and unit-mass weights, as arrays, of the Gauss rule
+    of the monic recurrence ``rec``: the eigenvalues and squared first
+    eigenvector components of its Jacobi matrix, b_m as floats on the
+    diagonal (a zero as -0.0) and sqrt(c_m), m >= 1, beside it."""
+    jacobi = np.diag([float(b_m) or -0.0 for b_m, _ in rec])
+    if len(rec) > 1:
+        off = [math.sqrt(float(c_m)) for _, c_m in rec[1:]]
         jacobi += np.diag(off, 1) + np.diag(off, -1)
-    values, vectors = np.linalg.eigh(jacobi)
+    nodes, vectors = np.linalg.eigh(jacobi)  # eigenvalues in ascending order
     weights = vectors[0, :] ** 2
-    order = np.argsort(values)
-    nodes = values[order]
-    weights = weights[order]
     total = weights.sum()
     if abs(total - 1.0) > 1e-8:
         raise InsufficientNodes("quadrature weights failed normalization")

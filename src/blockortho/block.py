@@ -10,7 +10,8 @@ mutually orthogonal under the second.
 Internally the basis always stores the monic data (polynomials, norms,
 connection matrices); normalization modes are exact rescalings of that core.
 The gamma matrix gamma[j][k] = (Q_j, Q_k)_2 comes from the second measure's
-recurrence (:func:`gamma_matrix`).  Each backend has one second stage:
+recurrence (:func:`gamma_matrix`), which every measure has
+(:func:`standard.monic_recurrence`).  Each backend has one second stage:
 exact builds factor gamma by :func:`gso.gram_schmidt`, cross-checked
 against the bordered-determinant formulas over it and, gamma itself,
 against the second measure's moments; float builds factor the weighted
@@ -32,10 +33,11 @@ from operator import mul
 
 from . import gso, linalg, scalars, standard
 from ._numpy import np
-from .analysis import _jacobi_rule
+from .analysis import recurrence_rule
 from .errors import (
     ConditioningError,
     DependentConstraints,
+    KindMismatch,
     MeasureMismatch,
     NotPositiveDefinite,
     NotSymmetric,
@@ -52,7 +54,6 @@ from .standard import (  # the normalization names are re-exported here
     ORTHONORMAL,
     StandardBasis,
     build_standard,
-    has_closed_recurrence,
     monic_recurrence,
     normalization_factors,
     parity_split_build,
@@ -155,43 +156,35 @@ class SboBasis:
 
 
 def gamma_matrix(q_basis: StandardBasis, measure2, i: int) -> GramMatrix:
-    """Gram matrix of Q_i..Q_{N-1} under the second measure.
+    """Gram matrix of Q_i..Q_{N-1} under the second measure, given as a
+    measure or the moment sequence of one.
 
-    ``measure2`` is a measure or its moment sequence.  The second measure's
-    N-node Gauss rule takes gamma[j][k] = e_0^T Q_j(J) Q_k(J) e_0 h_0 with J
-    the Jacobi matrix of its recurrence (Golub-Welsch) and needs no nodes:
-    in the monic form of J, the column T_j = Q_j(J) e_0 holds the
-    coefficients of Q_j on the second measure's monic orthogonal
-    polynomials R_m, run by the recurrence of Q, and gamma = T^T diag(h) T
-    with the norms h_m of the R_m.  The rule is exact for the degrees of
-    gamma.  Float bases take every measure this way, a tabulated or numeric
-    one through the recurrence of its Hankel build (:func:`_float_recurrence`),
-    and gamma is W^T W = T_i^T diag(h) T_i by numpy with W = diag(sqrt h) T_i,
-    T_i = T[:, i:]; no square root is taken, so rational data whose products
-    are floats give gamma exactly.  Exact bases
-    take it for a second measure of closed-form recurrence: exact T is run
-    in integers and comes as lifted columns, each entry of gamma one integer
-    sum and one Fraction, so the entries are the inner products themselves.
-    Otherwise, and for moments with no measure, gamma is the congruence
-    A^T H_2 A (``gram_of``), with A the columns i.. of ``q_in_x`` and H_2
-    the second measure's Hankel matrix.  The lower triangle mirrors the
-    upper one, so float entries stay exactly symmetric.
+    The second measure's N-node Gauss rule takes gamma[j][k] =
+    e_0^T Q_j(J) Q_k(J) e_0 h_0, exactly for these degrees, with J the
+    Jacobi matrix of its recurrence (:func:`standard.monic_recurrence`,
+    Golub-Welsch) and needs no nodes: in the monic form of J, the column
+    T_j = Q_j(J) e_0 holds the coefficients of Q_j on the second measure's
+    monic orthogonal polynomials R_m, run by the recurrence of Q, and
+    gamma = T^T diag(h) T with the norms h_m of the R_m.  Exact bases run T
+    in integers, each entry of gamma one integer sum and one Fraction (a
+    float second measure raises KindMismatch); float ones form
+    W^T W = T_i^T diag(h) T_i by numpy, W = diag(sqrt h) T_i, T_i = T[:, i:],
+    with no square root taken.  The lower triangle mirrors the upper one.
     """
     n = q_basis.size
     if not 0 <= i <= n:
         raise ValueError(f"constraint index {i} outside 0..{n}")
-    mu2 = measure2 if isinstance(measure2, MomentSequence) else None
-    measure2 = mu2.measure if mu2 is not None else measure2
-    if measure2 is not None and q_basis.backend == FLOAT:
-        connection, norms = _connection_and_norms(q_basis, _float_recurrence(measure2, n))
+    if isinstance(measure2, MomentSequence):
+        measure2 = measure2.measure
+    if q_basis.backend == EXACT and not moments(measure2, 0).exact:
+        raise KindMismatch("exact basis and float moments of the second measure")
+    rec2 = monic_recurrence(measure2, n)
+    if q_basis.backend == FLOAT:
+        connection, norms = _connection_and_norms(q_basis, rec2)
         t_i = connection[:, i:]
         full = (np.triu((norms[:, None] * t_i).T @ t_i) + 0.0).tolist()  # a -0.0 sum reads 0.0
-    elif measure2 is not None and has_closed_recurrence(measure2):
-        full = _gram_by_connection(q_basis, monic_recurrence(measure2, n), i)
     else:
-        if mu2 is None:
-            mu2 = moments(measure2, max(2 * (n - 1), 0), backend=q_basis.backend)
-        full = gram_of(mu2, [row[i:] for row in q_basis.q_in_x])
+        full = _gram_by_connection(q_basis, rec2, i)
     entries = [[full[min(j, k)][max(j, k)] for k in range(n - i)] for j in range(n - i)]
     return GramMatrix(tuple(map(tuple, entries)), f"Q_{i}..Q_{n - 1}")
 
@@ -203,10 +196,8 @@ def _gram_by_connection(q_basis: StandardBasis, rec2, i):
     with h lifted once, each entry is one integer sum over m and one
     Fraction."""
     t = _connection_to_second(q_basis, rec2)
-    h = [one(EXACT)]
-    for _, c_m in rec2[1:]:
-        h.append(h[-1] * as_kind(c_m, EXACT))
-    h_ints, h_scale = linalg.lift(h)
+    h = accumulate((as_kind(c_m, EXACT) for _, c_m in rec2[1:]), mul, initial=one(EXACT))
+    h_ints, h_scale = linalg.lift(list(h))
     cols = t[i:]
     full = []
     for j, (col_j, s_j) in enumerate(cols):
@@ -218,41 +209,9 @@ def _gram_by_connection(q_basis: StandardBasis, rec2, i):
     return full
 
 
-def _float_recurrence(measure: Measure, n: int):
-    """The monic recurrence (b_m, c_m), m = 0..n-1, of a measure in floats.
-
-    A closed form gives the terms of :func:`standard.monic_recurrence`, a
-    zero b_m as -0.0, as :func:`analysis.gauss_rule` puts it on its
-    diagonal.  Any other measure takes the n - 1 terms of its unchecked
-    size-n Hankel build, which reads its moments through order 2n - 2 only,
-    as gamma does, and c_{n-1} = h_{n-1} / h_{n-2} from that build's norms;
-    b_{n-1}, which neither T nor any moment below order 2n - 1 reads,
-    repeats b_{n-2}.  The n-node rule of these terms (:func:`_float_rule`)
-    is then the Gauss rule of ``gauss_rule`` for a closed form and, for any
-    other measure, a rule still exact through degree 2n - 2, all the
-    quadrature check integrates.
-    """
-    if has_closed_recurrence(measure):
-        return [(float(b_m) or -0.0, float(c_m)) for b_m, c_m in monic_recurrence(measure, n)]
-    exact = moments(measure, 0).exact
-    basis = standard.hankel_build(measure, n, backend=EXACT if exact else FLOAT, check=False)
-    rec = [(-float(b_m), float(c_m)) for _, b_m, c_m in basis.recurrence]
-    if n > 1:
-        rec.append((rec[-1][0], float(basis.norms[-1] / basis.norms[-2])))
-    else:
-        rec.append((0.0, 0.0))
-    return rec
-
-
-def _float_rule(rec):
-    """Nodes and unit-mass weights, as arrays, of the len(rec)-node rule of
-    the Jacobi matrix of the float recurrence ``rec``."""
-    return _jacobi_rule([b_m for b_m, _ in rec], [math.sqrt(c_m) for _, c_m in rec[1:]])
-
-
 def _connection_and_norms(q_basis: StandardBasis, rec2):
     """T and h of a float basis as arrays: T from :func:`_connection_to_second`
-    on the second measure's recurrence ``rec2``, and h_m = c_1 ... c_m the
+    on the second measure's monic recurrence ``rec2``, and h_m = c_1 ... c_m the
     norms of its monic R_m.  The Gram matrix of Q_i..Q_{N-1} is W^T W with
     W = diag(sqrt h) T_i, T_i the columns i.. of T."""
     h = np.cumprod([1.0] + [float(c_m) for _, c_m in rec2[1:]])
@@ -423,16 +382,16 @@ def _q_at_nodes(q_basis: StandardBasis, nodes):
 
 def _quadrature_rules(q_basis: StandardBasis, rec2, first):
     """What the Gauss-rule check of every i reads, made once per build, from
-    the N-node rules (:func:`_float_rule`, exact for every degree checked)
-    of the second measure, of float recurrence ``rec2``, and, when
-    ``first``, of the first: Q_0..Q_{N-1} at the second rule's nodes scaled
+    the N-node rules (:func:`analysis.recurrence_rule`, exact for every
+    degree checked) of the second measure, of monic recurrence ``rec2``,
+    and, when ``first``, of the first: Q_0..Q_{N-1} at the second rule's nodes scaled
     by the square roots of its weights, one row per node, and Q_0..Q_{N-1}
     at the first rule's nodes with the powers x^j of those nodes scaled by
     its weights, and their absolute values (None without ``first``)."""
     size = q_basis.size
-    rules = [_float_rule(rec2)]
+    rules = [recurrence_rule(rec2)]
     if first:
-        rules.append(_float_rule(_float_recurrence(q_basis.measure, size)))
+        rules.append(recurrence_rule(monic_recurrence(q_basis.measure, size)))
     nodes = np.concatenate([rule_nodes for rule_nodes, _ in rules])
     values = _q_at_nodes(q_basis, nodes)
     second = np.sqrt(rules[0][1])[:, None] * values[:size]
@@ -518,8 +477,8 @@ def _sbo_bases(first_stage, measure2, i_values, n_polys, normalization, check):
         q_rows = [linalg._lifted_span(row) for row in q_basis.q_in_x]
     else:
         q_array = np.array(q_basis.q_in_x)
-        # in floats once, for T, h and the second measure's Gauss rule
-        rec2 = _float_recurrence(measure2, n_polys)
+        # once, for T, h and the second measure's Gauss rule
+        rec2 = monic_recurrence(measure2, n_polys)
         connection, norms = _connection_and_norms(q_basis, rec2)
         if check and lo < n_polys:
             rules = _quadrature_rules(q_basis, rec2, max(i_values) > 0)

@@ -18,11 +18,11 @@ eliminated fraction-free, and each output entry is formed as one Fraction.  Floa
 (:func:`_float_ldl`).
 
 The exact second stage of the block construction, in both its builds, and
-the Hankel first stage of measures without a closed-form recurrence run
+the Hankel first-stage oracle (:func:`standard.hankel_build`) run
 :func:`gram_schmidt`; :func:`parity_gram_schmidt` is the kernel of the
-parity first stage (:func:`standard.parity_split_build`).  The float second
-stage, in both builds, factors its weighted connection by QR in
-:mod:`block` instead.  The bordered-determinant oracle, which never reads
+parity first stage (:func:`standard.parity_split_build`), the only float
+caller besides that oracle.  The float second stage factors its weighted
+connection by QR in :mod:`block` instead.  The bordered-determinant oracle, which never reads
 the kernel's factorization, has one entry point per quantity:
 
 * :func:`bordered_oracle` gives the column of E_n, h_n and Z_{n+1};

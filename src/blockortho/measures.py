@@ -29,6 +29,7 @@ from .errors import (
     NonPositiveParameter,
     NotPositiveDefinite,
     NotSymmetric,
+    stage,
 )
 from . import linalg
 from ._numpy import np
@@ -122,18 +123,30 @@ class Measure:
             symmetric = all(m == 0 for m in mu[1::2])
         elif symmetric and any(m != 0 for m in mu[1::2]):
             raise NotSymmetric("symmetric flag set but odd moments are nonzero")
-        weight = TabulatedWeight(mu, c0)
-        _check_hankel_positivity(mu)
-        return cls(weight, domain, symmetric, label)
+        linalg.matrix_kind([mu])  # KindMismatch for a table that mixes ints and floats
+        with stage("moments"):  # every leading Hankel minor must be positive
+            chebyshev_recurrence(mu, (len(mu) + 1) // 2)
+        return cls(TabulatedWeight(mu, c0), domain, symmetric, label)
 
     @classmethod
-    def numeric(cls, evaluator, interval, nodes, symmetric=False, label="numeric"):
+    def numeric(cls, evaluator, interval, nodes, symmetric=None, label="numeric"):
+        """A weight integrated by its ``nodes``-point Gauss-Legendre rule.  It
+        is symmetric, with odd moments and b_n exactly zero, when ``interval``
+        is symmetric about 0 and the weight even at the rule's nodes:
+        ``symmetric=None`` infers that, and True where it fails NotSymmetric."""
         a, b = float(interval[0]), float(interval[1])
         if not (math.isfinite(a) and math.isfinite(b) and a < b):
             raise MomentError("numeric weights need a finite interval a < b")
         if nodes < 1:
             raise MomentError("numeric weights need at least one node")
-        return cls(NumericWeight(evaluator, (a, b), int(nodes)), (a, b), symmetric, label)
+        weight = NumericWeight(evaluator, (a, b), int(nodes))
+        if symmetric is not False:
+            values = numeric_rule(weight)[1] if a == -b else None
+            even = values is not None and all(values == values[::-1])
+            if symmetric and not even:
+                raise NotSymmetric("symmetric flag set but the weight is not even about 0")
+            symmetric = even
+        return cls(weight, (a, b), symmetric, label)
 
     def moments(self, max_order, backend=EXACT):
         return moments(self, max_order, backend=backend)
@@ -149,9 +162,8 @@ class Measure:
 @dataclass(frozen=True)
 class MomentSequence:
     """Normalized moments mu_0..mu_max_order; ``measure`` is the measure they
-    came from, when they came from one (a float gamma matrix integrates by
-    that measure's Gauss rule instead of the moments).  ``c0`` is the mass
-    c_0, None when a closed form lies outside the float range."""
+    came from, whose recurrence a gamma matrix over them runs.  ``c0`` is
+    the mass c_0, None when a closed form lies outside the float range."""
 
     mu: tuple
     max_order: int
@@ -178,24 +190,45 @@ class MomentSequence:
         )
 
 
-def _check_hankel_positivity(mu):
-    """Leading Hankel minors must be positive (Gram positivity)."""
-    n = (len(mu) - 1) // 2 + 1
-    matrix = [[mu[j + k] for k in range(n)] for j in range(n)]
-    for size, minor in enumerate(linalg.leading_minors(matrix)):
-        if size and minor <= 0:
-            raise NotPositiveDefinite(
-                f"Hankel minor of size {size} is {minor}; not a positive measure",
-                stage="moments",
-                degree=size - 1,
-            )
+def chebyshev_recurrence(mu, count):
+    """(b_k, c_k), k < count, of the moments mu_0..mu_M by the Chebyshev
+    algorithm (Gautschi, *Orthogonal Polynomials*, OUP 2004, section 2.1.7)
+    in exact rationals, a float moment taken as the dyadic rational it is:
+    with s_k[l] = (q_k, x^l), s_0 = mu and r_k = s_k[k+1] / s_k[k],
+    b_k = r_k - r_{k-1}, c_k = s_k[k] / s_{k-1}[k-1] and
+    s_{k+1}[l] = s_k[l+1] - b_k s_k[l] - c_k s_{k-1}[l].  For M = 2 count - 2
+    the last b, which no moment through order M reads, repeats the one
+    before (0 alone).  A norm s_k[k] <= 0 is NotPositiveDefinite at degree k.
+    """
+    top = len(mu) - 1
+    prev, cur = [Fraction(0)] * len(mu), [Fraction(m) for m in mu]
+    rec, ratio = [], Fraction(0)
+    for k in range(count):
+        h_k = cur[k]
+        if h_k <= 0:
+            raise NotPositiveDefinite(f"moment norm h_{k} = {h_k} is not positive", degree=k)
+        c_k = h_k / prev[k - 1] if k else Fraction(0)
+        if 2 * k < top:
+            b_k, ratio = cur[k + 1] / h_k - ratio, cur[k + 1] / h_k
+        else:
+            b_k = rec[-1][0] if rec else Fraction(0)
+        rec.append((b_k, c_k))
+        nxt = [Fraction(0)] * len(mu)
+        for l in range(k + 1, top - k):
+            nxt[l] = cur[l + 1] - b_k * cur[l] - c_k * prev[l]
+        prev, cur = cur, nxt
+    return tuple(rec)
 
 
-def _gauss_legendre(interval, nodes):
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    a, b = interval
+def numeric_rule(weight: NumericWeight):
+    """Nodes x_k of a numeric weight's Gauss-Legendre rule and the weights
+    w_k f(x_k) of the measure it defines, as arrays; on a symmetric interval
+    the nodes and rule weights are exactly mirrored."""
+    x, w = np.polynomial.legendre.leggauss(weight.nodes)
+    a, b = weight.interval
     mid, half = (a + b) / 2.0, (b - a) / 2.0
-    return mid + half * x, half * w
+    x = mid + half * x
+    return x, half * w * np.array([weight.evaluator(t) for t in x], dtype=float)
 
 
 def _log(q: Fraction) -> float:
@@ -226,7 +259,8 @@ def moments(measure: Measure, max_order: int, backend=EXACT) -> MomentSequence:
 
     Closed forms for the gaussian and gamma families, each moment one
     Fraction of running integer products of the parameters' numerators and
-    denominators; declared-rule quadrature for numeric weights.
+    denominators; declared-rule quadrature for numeric weights, whose odd
+    moments are exactly zero when the measure is symmetric.
     """
     if max_order < 0:
         raise ValueError("max_order must be nonnegative")
@@ -285,9 +319,11 @@ def moments(measure: Measure, max_order: int, backend=EXACT) -> MomentSequence:
             tuple(w.mu[: max_order + 1]), max_order, w.exact, w.c0, measure=measure
         )
     elif isinstance(w, NumericWeight):
-        x, wq = _gauss_legendre(w.interval, w.nodes)
-        vals = np.array([w.evaluator(t) for t in x], dtype=float)
-        raw = [float(np.sum(wq * vals * x**n)) for n in range(max_order + 1)]
+        x, wx = numeric_rule(w)
+        raw = [
+            0.0 if n % 2 and measure.symmetric else float(np.sum(wx * x**n))
+            for n in range(max_order + 1)
+        ]
         if not all(math.isfinite(c) for c in raw) or raw[0] <= 0:
             raise MomentError("numeric weight produced non-finite or nonpositive mass")
         seq = MomentSequence(
@@ -298,6 +334,15 @@ def moments(measure: Measure, max_order: int, backend=EXACT) -> MomentSequence:
     if backend == FLOAT:
         return seq.to_float()
     return seq
+
+
+def rule_moments(measure: Measure, n: int, backend=EXACT) -> MomentSequence:
+    """mu_0..mu_{2n-1}, all an n-node Gauss rule reproduces, or mu_0..mu_{2n-2}
+    from a table that stops there (InsufficientMoments before that)."""
+    order = 2 * n - 1
+    if isinstance(measure.weight, TabulatedWeight):
+        order = min(order, max(order - 1, len(measure.weight.mu) - 1))
+    return moments(measure, order, backend=backend)
 
 
 @dataclass(frozen=True)

@@ -1,19 +1,19 @@
 """Standard orthogonal polynomials of a single measure.
 
-The gaussian and gamma families run the closed-form three-term recurrence
-of :func:`monic_recurrence` in both backends and never form a Hankel
-matrix: one routine over the scalar kind gives the coefficients, the norms
-and the Hankel determinants.  The build is checked
-against the closed-form moments, which never pass through the recurrence:
-the N-node Gauss rule of the recurrence must reproduce mu_0..mu_{2N-1}
-(exactly, or within ORACLE_RTOL in float), and every exact coefficient
-column must meet three moment identities of its degree.  Tabulated and
-numeric measures run Gram-Schmidt on the monomial Hankel matrix
-(:func:`hankel_build`), cross-checked against the closed bordered-determinant
-formulas for the coefficients and norms, so a silent disagreement between
-the inductive and the determinant route cannot survive construction; the
-``oracle_equivalence`` verify suite runs that route on the closed-form
-families as well.
+Every measure runs one route in both backends: its monic three-term
+recurrence (:func:`monic_recurrence`: closed forms for the gaussian and
+gamma families, the Chebyshev algorithm in exact rationals for a moment
+table, discretized Stieltjes on the declared rule for a numeric weight),
+from which one routine over the scalar kind gives the coefficients, the
+norms and the Hankel determinants.  The build is checked against the
+measure's moments, which never pass through the recurrence: its N-node
+Gauss rule must reproduce mu_0..mu_{2N-1} (through 2N - 2 for a table that
+stops there), exactly or within ORACLE_RTOL in float, and every exact
+coefficient column must meet three moment identities of its degree.
+Gram-Schmidt on the monomial Hankel matrix with its bordered-determinant
+oracle (:func:`hankel_build`) is the independent first stage of the
+``oracle_equivalence`` verify suite; the parity first stage
+(:func:`parity_split_build`) runs the Hankel matrix split by parity.
 
 Normalization modes:
 
@@ -28,23 +28,35 @@ Normalization modes:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import chain
+from itertools import accumulate, chain
 from math import gcd, lcm
 from operator import add, mul
 
 from . import gso, linalg
-from .errors import ConditioningError, NotRepresentable, NotSymmetric, OracleMismatch, stage
+from ._numpy import np
+from .errors import (
+    ConditioningError,
+    NotPositiveDefinite,
+    NotRepresentable,
+    NotSymmetric,
+    OracleMismatch,
+    stage,
+)
 from .gso import ORACLE_RTOL, OrthogonalizationResult
 from .measures import (
     GammaFamilyWeight,
     GaussianWeight,
     Measure,
     MomentSequence,
+    NumericWeight,
+    chebyshev_recurrence,
     hankel_matrix,
     moments,
+    numeric_rule,
+    rule_moments,
 )
 from .polynomials import Polynomial, from_columns, monomial
 from .scalars import EXACT, FLOAT, as_kind, one, sqrt_exact, zero
@@ -133,7 +145,7 @@ def _check_size(n_polys, backend):
         raise ValueError("need at least one polynomial")
     if backend == FLOAT and n_polys > FLOAT_SIZE_LIMIT:
         raise ConditioningError(
-            f"float Hankel pipeline refused beyond size {FLOAT_SIZE_LIMIT}",
+            f"float build refused beyond size {FLOAT_SIZE_LIMIT}",
             stage=FIRST_STAGE,
         )
 
@@ -155,24 +167,25 @@ def _leading(normalization, dets, backend, leading):
 
 
 def _assemble(measure, seq, result, normalization, backend, leading=None, rec=None):
-    """The basis from an orthogonalization: of the Hankel matrix, whose monic
-    coefficients are scaled here by the leading coefficients k_n, or of the
-    monic recurrence ``rec`` (:func:`_recurrence_result`), whose
-    coefficients come scaled, with the k_n as ``result.factors``, and which
-    then gives the basis' recurrence directly instead of through its
-    coefficients."""
+    """The basis from the monic recurrence ``rec`` (:func:`_recurrence_result`,
+    scaled coefficients and the k_n as ``result.factors``) or, without it,
+    from the Hankel matrix: monic coefficients, scaled here by the k_n, with
+    b_n = s_n - s_{n+1} for the subleading s_n, and c_n = h_n / h_{n-1}."""
     n = result.size
     if rec is None:
-        ks = _leading(normalization, result.gram_dets, backend, leading)
+        ks = normalization_factors(normalization, result.gram_dets, backend)
         # only the upper triangles carry entries, and a unit k leaves them as they are
         nil = zero(backend)
         q_in_x = tuple(
             tuple(nil if m > d else x if ks[d] == 1 else x * ks[d] for d, x in enumerate(row))
             for m, row in enumerate(result.coeffs)
         )
+        # b_m negated twice, so B_m = -A_m b_m is A_m (s_{m+1} - s_m), zeros alike
+        s, h = [nil] + [result.coeffs[d - 1][d] for d in range(1, n)], result.norms
+        rec = [(-(s[m + 1] - s[m]), h[m] / h[m - 1] if m else nil) for m in range(n - 1)]
     else:
         ks, q_in_x = result.factors, result.coeffs
-    basis = StandardBasis(
+    return StandardBasis(
         measure=measure,
         moment_seq=seq,
         polys=from_columns(q_in_x),
@@ -180,13 +193,10 @@ def _assemble(measure, seq, result, normalization, backend, leading=None, rec=No
         norms=tuple(h if k == 1 else k**2 * h for k, h in zip(ks, result.norms)),
         q_in_x=q_in_x,
         gram_dets=result.gram_dets,
-        recurrence=(),
+        recurrence=_scaled_recurrence(rec[: n - 1], ks, backend),
         normalization=normalization if leading is None else "custom",
         backend=backend,
     )
-    if rec is None:
-        return replace(basis, recurrence=_recurrence_from(basis))
-    return replace(basis, recurrence=_scaled_recurrence(rec[: n - 1], ks, backend))
 
 
 def _scaled_recurrence(rec, ks, backend):
@@ -223,18 +233,15 @@ def build_standard(
     leading=None,
     check: bool = True,
 ) -> StandardBasis:
-    """Construct Q_0..Q_{N-1}, cross-checked unless ``check=False``.
-
-    The gaussian and gamma families run the closed-form recurrence, checked
-    against the closed-form moments; every other measure takes
-    :func:`hankel_build`.
-    """
-    if not has_closed_recurrence(measure):
-        return hankel_build(measure, n_polys, normalization, backend, leading, check)
+    """Q_0..Q_{N-1} from :func:`monic_recurrence`, checked against the
+    moments (:func:`_check_rule_moments`, and :func:`_check_coefficients`
+    when exact) unless ``check=False``."""
     _check_size(n_polys, backend)
-    seq = moments(measure, 2 * n_polys - 1, backend=backend)
-    rec = monic_recurrence(measure, n_polys)
+    seq = rule_moments(measure, n_polys, backend=backend)
+    if backend == EXACT and not seq.exact:
+        raise NotRepresentable("exact backend requires rational moments")
     with stage(FIRST_STAGE):
+        rec = monic_recurrence(measure, n_polys)
         if check:
             _check_rule_moments(rec, seq)
         result = _recurrence_result(rec, backend, normalization, leading)
@@ -248,14 +255,11 @@ def hankel_build(
     n_polys: int,
     normalization: str = MONIC,
     backend: str = EXACT,
-    leading=None,
     check: bool = True,
 ) -> StandardBasis:
     """Q_0..Q_{N-1} by Gram-Schmidt on the monomial Hankel matrix, checked
-    against the bordered determinants unless ``check=False``.
-
-    The route of measures without a closed-form recurrence, and the
-    independent first-stage oracle for those with one.
+    against the bordered determinants unless ``check=False``: the
+    independent first-stage oracle of ``verify``'s ``oracle_equivalence``.
     """
     seq, gram = _hankel(measure, n_polys, backend)
     with stage(FIRST_STAGE):
@@ -267,12 +271,7 @@ def hankel_build(
                 linalg.identity(n_polys, backend),
                 "inductive and determinant routes disagree",
             )
-    return _assemble(measure, seq, result, normalization, backend, leading)
-
-
-def has_closed_recurrence(measure: Measure) -> bool:
-    """Whether :func:`monic_recurrence` has closed forms for the measure."""
-    return isinstance(measure.weight, (GaussianWeight, GammaFamilyWeight))
+    return _assemble(measure, seq, result, normalization, backend)
 
 
 def monic_recurrence(measure: Measure, count: int):
@@ -280,11 +279,10 @@ def monic_recurrence(measure: Measure, count: int):
 
     The one source of recurrence coefficients (c_0 = 0).  With
     alpha = ap / aq and z = zp / zq, the gaussian family has b_n = 0 and
-    c_n = n aq / (2 ap), and the gamma family
-    b_n = (2n zq + zp) aq / (zq ap) and
-    c_n = n (n zq + zp - zq) aq^2 / (zq ap^2), each one Fraction of
-    integers.  Any other measure takes the recurrence of its unchecked
-    Hankel build, exact when its moments are rational and float otherwise.
+    c_n = n aq / (2 ap), and the gamma family b_n = (2n zq + zp) aq / (zq ap)
+    and c_n = n (n zq + zp - zq) aq^2 / (zq ap^2), each one Fraction of
+    integers.  A table runs :func:`measures.chebyshev_recurrence` on the
+    moments of :func:`measures.rule_moments`, a numeric weight :func:`_stieltjes`.
     """
     w = measure.weight
     if isinstance(w, GaussianWeight):
@@ -300,9 +298,36 @@ def monic_recurrence(measure: Measure, count: int):
             )
             for n in range(count)
         )
-    backend = EXACT if moments(measure, 0).exact else FLOAT
-    basis = build_standard(measure, count + 1, MONIC, backend=backend, check=False)
-    return tuple((-b_n, c_n) for _, b_n, c_n in basis.recurrence)
+    if isinstance(w, NumericWeight):
+        return _stieltjes(measure, count)
+    return chebyshev_recurrence(rule_moments(measure, count).mu, count)
+
+
+def _stieltjes(measure, count):
+    """A numeric weight's monic recurrence by discretized Stieltjes (Gautschi
+    2004, section 2.2.3) in floats on the K-point measure of its rule:
+    b_k = (x q_k, q_k) / (q_k, q_k), 0 when symmetric, and
+    c_k = (q_k, q_k) / (q_{k-1}, q_{k-1}); count > K is NotPositiveDefinite
+    at degree K."""
+    nodes = measure.weight.nodes
+    if count > nodes:
+        raise NotPositiveDefinite(
+            f"a {nodes}-node rule supports no polynomial of degree {nodes}", degree=nodes
+        )
+    x, w = numeric_rule(measure.weight)
+    w = w / w.sum()
+    q_prev, q = np.zeros_like(x), np.ones_like(x)
+    rec, h_prev = [], 1.0
+    for k in range(count):
+        wq = w * q
+        h_k = float(wq @ q)
+        if not h_k > 0:
+            raise NotPositiveDefinite(f"float norm h_{k} = {h_k} is not positive", degree=k)
+        b_k = 0.0 if measure.symmetric else float(wq @ (x * q)) / h_k
+        c_k = h_k / h_prev if k else 0.0
+        rec.append((b_k, c_k))
+        q_prev, q, h_prev = q, (x - b_k) * q - c_k * q_prev, h_k
+    return tuple(rec)
 
 
 def _recurrence_columns(steps, target, lead):
@@ -372,12 +397,8 @@ def _recurrence_result(rec, backend, normalization=MONIC, leading=None):
     """
     n = len(rec)
     c = [as_kind(c_n, backend) for _, c_n in rec]
-    norms = [one(backend)]
-    for c_n in c[1:]:
-        norms.append(norms[-1] * c_n)
-    dets = [one(backend)]
-    for h in norms:
-        dets.append(dets[-1] * h)
+    norms = list(accumulate(c[1:], mul, initial=one(backend)))
+    dets = list(accumulate(norms, mul, initial=one(backend)))
     ks = _leading(normalization, dets, backend, leading)
     nil = zero(backend)
     q = [[nil] * n for _ in range(n)]
@@ -414,11 +435,12 @@ def _recurrence_result(rec, backend, normalization=MONIC, leading=None):
 
 
 def _check_rule_moments(rec, seq):
-    """The Gauss rule of ``rec`` must reproduce mu_0..mu_{2N-1} of ``seq``.
+    """The Gauss rule of ``rec`` must reproduce the moments of ``seq``,
+    mu_0..mu_{2N-1} or as far as they go.
 
     The N-node rule integrates x^k to e_0^T J^k e_0, J the N x N Jacobi
     matrix of the recurrence (Golub-Welsch), and is exact to degree 2N - 1,
-    so a moment it misses convicts the recurrence; the closed-form moments
+    so a moment it misses convicts the recurrence; the measure's moments
     never pass through it.  J is taken in its monic form (ones below the
     diagonal, b_n on it, c_n above), so the powers stay rational, and for
     nonnegative b_n every term is nonnegative.  Exact moments must be met
@@ -476,7 +498,7 @@ def _jacobi_times(b, c, scale, v, top, nil):
 
 
 def _check_coefficients(result, seq):
-    """Exact coefficients against the closed-form moments.
+    """Exact coefficients against the measure's moments.
 
     Column n of the coefficients holds Q_n = k_n q_n (k_n in
     ``result.factors``, h_n the monic norm), so sum_m Q[m][n] mu_{m+j} is
@@ -504,25 +526,6 @@ def _check_coefficients(result, seq):
             )
 
 
-def _recurrence_from(basis: StandardBasis):
-    """Coefficients (A_n, B_n, C_n) with Q_{n+1} = (A_n x + B_n) Q_n - C_n Q_{n-1}.
-
-    C_0 multiplies the zero polynomial Q_{-1}; it is reported as 0 by
-    convention.
-    """
-    coeffs = []
-    for n in range(basis.size - 1):
-        a_n = basis.leading[n + 1] / basis.leading[n]
-        b_n = a_n * (basis.subleading(n + 1) - basis.subleading(n))
-        if n == 0:
-            c_n = zero(basis.backend)
-        else:
-            a_prev = basis.leading[n] / basis.leading[n - 1]
-            c_n = (a_n / a_prev) * (basis.norms[n] / basis.norms[n - 1])
-        coeffs.append((a_n, b_n, c_n))
-    return tuple(coeffs)
-
-
 def build_by_recurrence(measure: Measure, n_polys: int, backend: str = EXACT):
     """Monic polynomials replayed from the three-term recurrence.
 
@@ -532,8 +535,6 @@ def build_by_recurrence(measure: Measure, n_polys: int, backend: str = EXACT):
     """
     base = build_standard(measure, n_polys, MONIC, backend=backend)
     polys = [Polynomial((one(backend),))]
-    if n_polys == 1:
-        return polys
     x = monomial(1, one(backend))
     for n in range(n_polys - 1):
         a_n, b_n, c_n = base.recurrence[n]

@@ -26,7 +26,7 @@ from .measures import Measure, inner_product_mu, moments
 from .polynomials import combine, from_columns, monomial
 from .projectors import inner0_with, projectors_from_q, projectors_from_second
 from .scalars import EXACT, FLOAT, zero
-from .standard import build_by_recurrence, build_standard, hankel_build
+from .standard import build_by_recurrence, build_standard, hankel_build, monic_recurrence
 
 FLOAT_RTOL = 1e-10
 
@@ -82,7 +82,7 @@ def _float_orthogonality(measure2, bases, n_size, i_max):
     times max(h, 1), h the largest monic norm of the basis.  The monomial
     coefficients of each P_{i;n} must be those of its connection."""
     q_basis = bases[0].q_basis
-    rec2 = block._float_recurrence(measure2, n_size)
+    rec2 = monic_recurrence(measure2, n_size)
     second, (values1, powers, abs_powers) = block._quadrature_rules(q_basis, rec2, True)
     q_in_x = np.array(q_basis.q_in_x)
     worst = 0.0

@@ -30,7 +30,7 @@ from blockortho import (
     sbo_determinant_oracle,
     sbo_parity_build,
 )
-from blockortho import block, gso
+from blockortho import block, gso, standard
 from blockortho.block import DET_NORMALIZED, MONIC, ORTHONORMAL
 from blockortho.gso import ORACLE_RTOL
 from blockortho.measures import GramMatrix, moments
@@ -617,12 +617,11 @@ def test_the_sign_flipped_kernel_is_caught(monkeypatch, request, pair):
 @pytest.mark.parametrize("pair", ["hermite_pair", "laguerre_pair"])
 def test_the_sign_flipped_float_kernel_is_caught(monkeypatch, request, pair):
     # the float LDL^T update g - sum(...) turned into g + sum(...), run by
-    # the float Hankel first stage of a tabulated first measure
+    # the float Hankel first stage, the first-stage oracle of verify
     _sign_flipped(monkeypatch, "_float_ldl", "g[col][j] - sum(")
-    measure1, measure2 = request.getfixturevalue(pair)
-    tabulated = Measure.from_moments(moments(measure1, 14).mu)
+    measure1, _ = request.getfixturevalue(pair)
     with pytest.raises(OracleMismatch) as info:
-        build_sbo(tabulated, measure2, 2, 8, backend="float")
+        standard.hankel_build(measure1, 8, backend="float")
     assert info.value.stage == "first_stage"
 
 

@@ -51,10 +51,10 @@ def test_gauss_rule_of_a_closed_form_family_builds_no_basis(monkeypatch):
     monkeypatch.setattr(standard, "build_standard", lambda *a, **k: calls.append(a) or original(*a, **k))
     gauss_rule(Measure.gamma_weight(2, Fraction(3, 2)), 12)
     assert calls == []
-    # a tabulated measure still takes its recurrence from the Hankel build
+    # nor does a tabulated measure: its recurrence is the Chebyshev algorithm's
     table = [Fraction(1), Fraction(0), Fraction(1, 3), Fraction(0), Fraction(1, 5)]
     gauss_rule(Measure.from_moments(table, domain=(-1, 1)), 2)
-    assert len(calls) == 1
+    assert calls == []
 
 
 def test_float_build_forms_no_hankel_matrix(monkeypatch):
@@ -90,8 +90,8 @@ def test_a_float_build_forms_gamma_only_when_read(monkeypatch):
 
 @pytest.mark.parametrize("check", [False, True])
 def test_a_float_build_reads_moments_only_through_order_2n_minus_2(check):
-    # tables that stop where the Hankel matrices of size N do: T, h and the
-    # check's rules come from size-N Hankel builds of the tabulated measures
+    # tables that stop at order 2N - 2: T, h and the check's rules come from
+    # the Chebyshev algorithm on them, b_{N-1} repeated from b_{N-2}
     hermite = (Measure.gaussian(1), Measure.gaussian(2))
     n_size = 8
     tables = [Measure.from_moments(moments_of.mu, symmetric=True) for moments_of in
@@ -106,8 +106,8 @@ def test_a_float_build_reads_moments_only_through_order_2n_minus_2(check):
 
 
 def test_a_numeric_pair_builds_unchecked_at_the_float_size_limit():
-    # a numeric second measure's T comes from its size-N float Hankel build,
-    # so N = FLOAT_SIZE_LIMIT builds; a size-N + 1 build would be refused
+    # a numeric second measure's T comes from discretized Stieltjes on its
+    # rule, so N = FLOAT_SIZE_LIMIT builds
     numeric = (
         Measure.numeric(lambda x: math.exp(-x * x), (-9.0, 9.0), nodes=80, symmetric=True),
         Measure.numeric(lambda x: math.exp(-2 * x * x), (-7.0, 7.0), nodes=80, symmetric=True),

@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 
 from blockortho import Measure, OracleMismatch, block, build_sbo, build_standard, linalg, standard
 from blockortho.block import sbo_parity_build
-from blockortho.measures import moments
 from blockortho.scalars import EXACT, FLOAT, as_kind, one, zero
 from blockortho.standard import monic_recurrence
 
@@ -203,20 +202,21 @@ def test_the_float_recurrences_are_bit_identical_to_the_loops(case):
     assert _bits([result.norms, result.gram_dets]) == _bits([norms, dets])
 
 
-def _sign_flipped(monkeypatch, name, update):
-    """Replace ``standard.<name>`` by its own source with the minus sign of
+def _sign_flipped(name, update):
+    """``standard.<name>`` from its own source with the minus sign of
     ``update`` turned into a plus."""
     source = inspect.getsource(getattr(standard, name))
     assert source.count(update) == 1
     namespace = dict(vars(standard))
     exec(source.replace(update, update.replace(" - ", " + ")), namespace)
-    monkeypatch.setattr(standard, name, namespace[name])
+    return namespace[name]
 
 
 @pytest.mark.parametrize("pair", ["hermite_pair", "laguerre_pair"])
 def test_the_sign_flipped_recurrence_is_caught_at_the_first_stage(monkeypatch, request, pair):
     # the C_k term y - c_f * z turned into y + c_f * z
-    _sign_flipped(monkeypatch, "_recurrence_columns", "y - c_f * z")
+    flipped = _sign_flipped("_recurrence_columns", "y - c_f * z")
+    monkeypatch.setattr(standard, "_recurrence_columns", flipped)
     measure1, _ = request.getfixturevalue(pair)
     with pytest.raises(OracleMismatch, match="recurrence coefficients miss") as info:
         build_standard(measure1, 8)
@@ -225,10 +225,14 @@ def test_the_sign_flipped_recurrence_is_caught_at_the_first_stage(monkeypatch, r
 
 @pytest.mark.parametrize("pair", ["hermite_pair", "laguerre_pair"])
 def test_the_sign_flipped_recurrence_is_caught_at_the_second_stage(monkeypatch, request, pair):
-    measure1, measure2 = request.getfixturevalue(pair)
-    # a tabulated first measure takes the Hankel route, so only T runs the routine
-    tabulated = Measure.from_moments(moments(measure1, 16).mu)
-    _sign_flipped(monkeypatch, "_recurrence_columns", "y - c_f * z")
+    # only T's call runs the flipped routine: the first stage's call is the
+    # one over the monomials (an empty target)
+    original = standard._recurrence_columns
+    flipped = _sign_flipped("_recurrence_columns", "y - c_f * z")
+    monkeypatch.setattr(
+        standard, "_recurrence_columns",
+        lambda steps, target, lead: (flipped if target else original)(steps, target, lead),
+    )
     with pytest.raises(OracleMismatch, match="gamma matrix and second-measure moments") as info:
-        build_sbo(tabulated, measure2, 2, 8)
+        build_sbo(*request.getfixturevalue(pair), 2, 8)
     assert info.value.stage == "second_stage"
