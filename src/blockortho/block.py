@@ -196,8 +196,10 @@ def _gram_by_connection(q_basis: StandardBasis, rec2, i):
     with h lifted once, each entry is one integer sum over m and one
     Fraction."""
     t = _connection_to_second(q_basis, rec2)
-    h = accumulate((as_kind(c_m, EXACT) for _, c_m in rec2[1:]), mul, initial=one(EXACT))
-    h_ints, h_scale = linalg.lift(list(h))
+    h = [one(EXACT)]
+    for _, c_m in rec2[1:]:
+        h.append(h[-1] * as_kind(c_m, EXACT))
+    h_ints, h_scale = linalg.lift(h)
     cols = t[i:]
     full = []
     for j, (col_j, s_j) in enumerate(cols):
@@ -383,15 +385,16 @@ def _q_at_nodes(q_basis: StandardBasis, nodes):
 def _quadrature_rules(q_basis: StandardBasis, rec2, first):
     """What the Gauss-rule check of every i reads, made once per build, from
     the N-node rules (:func:`analysis.recurrence_rule`, exact for every
-    degree checked) of the second measure, of monic recurrence ``rec2``,
-    and, when ``first``, of the first: Q_0..Q_{N-1} at the second rule's nodes scaled
-    by the square roots of its weights, one row per node, and Q_0..Q_{N-1}
-    at the first rule's nodes with the powers x^j of those nodes scaled by
-    its weights, and their absolute values (None without ``first``)."""
+    degree checked) of the monic recurrences of the second measure, ``rec2``,
+    and, when ``first``, of the first, ``q_basis.monic_terms``: Q_0..Q_{N-1}
+    at the second rule's nodes scaled by the square roots of its weights,
+    one row per node, and Q_0..Q_{N-1} at the first rule's nodes with the
+    powers x^j of those nodes scaled by its weights, and their absolute
+    values (None without ``first``)."""
     size = q_basis.size
     rules = [recurrence_rule(rec2)]
     if first:
-        rules.append(recurrence_rule(monic_recurrence(q_basis.measure, size)))
+        rules.append(recurrence_rule(q_basis.monic_terms))
     nodes = np.concatenate([rule_nodes for rule_nodes, _ in rules])
     values = _q_at_nodes(q_basis, nodes)
     second = np.sqrt(rules[0][1])[:, None] * values[:size]
@@ -477,10 +480,12 @@ def _sbo_bases(first_stage, measure2, i_values, n_polys, normalization, check):
         q_rows = [linalg._lifted_span(row) for row in q_basis.q_in_x]
     else:
         q_array = np.array(q_basis.q_in_x)
-        # once, for T, h and the second measure's Gauss rule
+        # once, for T, h and the Gauss rule the quadrature check integrates by
         rec2 = monic_recurrence(measure2, n_polys)
         connection, norms = _connection_and_norms(q_basis, rec2)
         if check and lo < n_polys:
+            with stage(SECOND_STAGE):
+                standard._check_rule_moments(rec2, mu2)
             rules = _quadrature_rules(q_basis, rec2, max(i_values) > 0)
     lead = _leading_data(q_basis) if check else None
     bases = {}

@@ -129,24 +129,21 @@ class Measure:
         return cls(TabulatedWeight(mu, c0), domain, symmetric, label)
 
     @classmethod
-    def numeric(cls, evaluator, interval, nodes, symmetric=None, label="numeric"):
-        """A weight integrated by its ``nodes``-point Gauss-Legendre rule.  It
-        is symmetric, with odd moments and b_n exactly zero, when ``interval``
-        is symmetric about 0 and the weight even at the rule's nodes:
-        ``symmetric=None`` infers that, and True where it fails NotSymmetric."""
+    def numeric(cls, evaluator, interval, nodes, symmetric=False, label="numeric"):
+        """A weight integrated by its ``nodes``-point Gauss-Legendre rule, symmetric
+        (odd moments and b_n exactly zero) whenever ``interval`` is symmetric about 0
+        and the weight even at the rule's nodes; ``symmetric=True`` asserts that."""
         a, b = float(interval[0]), float(interval[1])
         if not (math.isfinite(a) and math.isfinite(b) and a < b):
             raise MomentError("numeric weights need a finite interval a < b")
         if nodes < 1:
             raise MomentError("numeric weights need at least one node")
         weight = NumericWeight(evaluator, (a, b), int(nodes))
-        if symmetric is not False:
-            values = numeric_rule(weight)[1] if a == -b else None
-            even = values is not None and all(values == values[::-1])
-            if symmetric and not even:
-                raise NotSymmetric("symmetric flag set but the weight is not even about 0")
-            symmetric = even
-        return cls(weight, (a, b), symmetric, label)
+        values = numeric_rule(weight)[1] if a == -b else None
+        even = values is not None and all(values == values[::-1])
+        if symmetric and not even:
+            raise NotSymmetric("symmetric flag set but the weight is not even about 0")
+        return cls(weight, (a, b), even, label)
 
     def moments(self, max_order, backend=EXACT):
         return moments(self, max_order, backend=backend)

@@ -28,10 +28,10 @@ Normalization modes:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, chain
+from itertools import chain
 from math import gcd, lcm
 from operator import add, mul
 
@@ -90,6 +90,8 @@ class StandardBasis:
     recurrence: tuple
     normalization: str
     backend: str
+    # the N monic terms (b_n, c_n) :func:`build_standard` ran, None from a Hankel build
+    monic_terms: tuple = field(default=None, repr=False, compare=False)
 
     @property
     def size(self):
@@ -158,14 +160,6 @@ def _hankel(measure, n_polys, backend):
     return seq, hankel_matrix(seq, n_polys)
 
 
-def _leading(normalization, dets, backend, leading):
-    """The leading coefficients k_n: ``leading`` when given, else the
-    factors of ``normalization`` over the monic Gram determinants ``dets``."""
-    if leading is None:
-        return normalization_factors(normalization, dets, backend)
-    return list(leading)
-
-
 def _assemble(measure, seq, result, normalization, backend, leading=None, rec=None):
     """The basis from the monic recurrence ``rec`` (:func:`_recurrence_result`,
     scaled coefficients and the k_n as ``result.factors``) or, without it,
@@ -182,9 +176,9 @@ def _assemble(measure, seq, result, normalization, backend, leading=None, rec=No
         )
         # b_m negated twice, so B_m = -A_m b_m is A_m (s_{m+1} - s_m), zeros alike
         s, h = [nil] + [result.coeffs[d - 1][d] for d in range(1, n)], result.norms
-        rec = [(-(s[m + 1] - s[m]), h[m] / h[m - 1] if m else nil) for m in range(n - 1)]
+        terms = [(-(s[m + 1] - s[m]), h[m] / h[m - 1] if m else nil) for m in range(n - 1)]
     else:
-        ks, q_in_x = result.factors, result.coeffs
+        ks, q_in_x, terms = result.factors, result.coeffs, rec
     return StandardBasis(
         measure=measure,
         moment_seq=seq,
@@ -193,9 +187,10 @@ def _assemble(measure, seq, result, normalization, backend, leading=None, rec=No
         norms=tuple(h if k == 1 else k**2 * h for k, h in zip(ks, result.norms)),
         q_in_x=q_in_x,
         gram_dets=result.gram_dets,
-        recurrence=_scaled_recurrence(rec[: n - 1], ks, backend),
+        recurrence=_scaled_recurrence(terms[: n - 1], ks, backend),
         normalization=normalization if leading is None else "custom",
         backend=backend,
+        monic_terms=rec,
     )
 
 
@@ -311,9 +306,7 @@ def _stieltjes(measure, count):
     at degree K."""
     nodes = measure.weight.nodes
     if count > nodes:
-        raise NotPositiveDefinite(
-            f"a {nodes}-node rule supports no polynomial of degree {nodes}", degree=nodes
-        )
+        raise NotPositiveDefinite(f"a {nodes}-node rule has no degree-{nodes} norm", degree=nodes)
     x, w = numeric_rule(measure.weight)
     w = w / w.sum()
     q_prev, q = np.zeros_like(x), np.ones_like(x)
@@ -397,9 +390,13 @@ def _recurrence_result(rec, backend, normalization=MONIC, leading=None):
     """
     n = len(rec)
     c = [as_kind(c_n, backend) for _, c_n in rec]
-    norms = list(accumulate(c[1:], mul, initial=one(backend)))
-    dets = list(accumulate(norms, mul, initial=one(backend)))
-    ks = _leading(normalization, dets, backend, leading)
+    norms = [one(backend)]
+    for c_n in c[1:]:
+        norms.append(norms[-1] * c_n)
+    dets = [one(backend)]
+    for h in norms:
+        dets.append(dets[-1] * h)
+    ks = normalization_factors(normalization, dets, backend) if leading is None else list(leading)
     nil = zero(backend)
     q = [[nil] * n for _ in range(n)]
     if backend == EXACT:
@@ -535,6 +532,8 @@ def build_by_recurrence(measure: Measure, n_polys: int, backend: str = EXACT):
     """
     base = build_standard(measure, n_polys, MONIC, backend=backend)
     polys = [Polynomial((one(backend),))]
+    if n_polys == 1:
+        return polys
     x = monomial(1, one(backend))
     for n in range(n_polys - 1):
         a_n, b_n, c_n = base.recurrence[n]

@@ -111,6 +111,23 @@ def test_a_sign_flipped_chebyshev_update_is_caught(monkeypatch, update, backend)
     assert info.value.stage == "first_stage"
 
 
+@pytest.mark.parametrize("update", [" - b_k * cur[l]", " - c_k * prev[l]"])
+def test_a_sign_flipped_chebyshev_update_is_caught_in_a_float_second_measure(monkeypatch, update):
+    # the float second stage integrates by the Gauss rule of this recurrence,
+    # so the rule is checked against the second measure's moments first
+    floats = Measure.from_moments([float(m) for m in load_moments_csv(MIXTURE_CSV).weight.mu])
+    flipped = _flipped(measures, "chebyshev_recurrence", update)
+    monkeypatch.setattr(standard, "chebyshev_recurrence", flipped)
+    with pytest.raises(OracleMismatch, match="recurrence and closed-form moments") as info:
+        build_sbo(Measure.gaussian(1), floats, 2, 8, backend="float")
+    assert info.value.stage == "second_stage"
+
+
+def test_a_float_table_is_a_checked_second_measure():
+    floats = Measure.from_moments([float(m) for m in load_moments_csv(MIXTURE_CSV).weight.mu])
+    build_sbos(Measure.gaussian(1), floats, range(9), 8, backend="float")
+
+
 @pytest.mark.parametrize(
     "measure",
     [_legendre(64), Measure.numeric(lambda x: math.exp(x), (0.0, 1.0), nodes=40)],
@@ -137,13 +154,21 @@ def test_a_symmetric_numeric_weight_is_checked_and_inferred():
         Measure.numeric(lambda x: math.exp(x), (-1.0, 1.0), nodes=16, symmetric=True)
     with pytest.raises(NotSymmetric):
         Measure.numeric(lambda x: 1.0, (-1.0, 2.0), nodes=16, symmetric=True)
-    assert _legendre(16, symmetric=None).symmetric
+    # a weight declared not symmetric is still inferred to be
+    assert _legendre(16, symmetric=False).symmetric
     assert not Measure.numeric(lambda x: math.exp(x), (-1.0, 1.0), nodes=16).symmetric
     assert not Measure.numeric(lambda x: 1.0, (0.0, 1.0), nodes=16).symmetric
     # its odd moments and b_n are exactly zero
     legendre = _legendre(16)
     assert all(m == 0.0 for m in moments(legendre, 11).mu[1::2])
     assert all(b_n == 0.0 for b_n, _ in standard.monic_recurrence(legendre, 16))
+
+
+def test_an_even_weight_declared_not_symmetric_builds():
+    # with its odd moments at rounding level the float rule check failed at degree 1
+    even = Measure.numeric(lambda x: math.exp(-x * x), (-9.0, 9.0), 60, symmetric=False)
+    assert even.symmetric
+    build_standard(even, 6, backend="float")
 
 
 def test_a_k_node_rule_refuses_degree_k():
