@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from itertools import accumulate
 from operator import mul
 
@@ -86,7 +86,8 @@ class SboBasis:
 
     ``p_in_q[m][n]`` is the monic connection (coefficient of Q_m in the monic
     P_{i;n}) and ``q_in_p[m][n]`` its inverse (coefficient of the monic
-    P_{i;m} in Q_n); both are degree-indexed N x N with support i <= m <= n.
+    P_{i;m} in Q_n), formed on first read; both are degree-indexed N x N
+    with support i <= m <= n.
     ``gamma_dets[s]`` is the leading s x s minor of the gamma matrix, so the
     degree-indexed determinant is ``Z(n) = gamma_dets[n - i + 1]``.
     ``scale[n - i]`` holds the normalization factor applied to the monic core.
@@ -102,7 +103,6 @@ class SboBasis:
     monic_polys: tuple
     monic_norms: tuple
     p_in_q: tuple
-    q_in_p: tuple
     scale: tuple
     normalization: str
     backend: str
@@ -115,6 +115,10 @@ class SboBasis:
         if self._gamma is None:
             object.__setattr__(self, "_gamma", gamma_matrix(self.q_basis, self.measure2, self.i))
         return self._gamma
+
+    @cached_property
+    def q_in_p(self):
+        return tuple(map(tuple, linalg.inverse_upper(self.p_in_q, self.i)))
 
     def degrees(self):
         return range(self.i, self.size)
@@ -332,11 +336,11 @@ def _qr_second_stage(connection, norms, leading):
     gamma = W^T W = R^T R, so with d_k = R_kk^2 and B = diag(R)^-1 R the
     LDL^T factors of gamma are B^T diag(d) B, read off the QR factors
     without forming gamma: h_n = d_n / k_n^2, the leading determinants are
-    the prefix products of d, b = diag(k) B and a = B^-1 diag(1/k), for the
-    leading factors k.  The factorization is modified Gram-Schmidt on the
-    columns of T in the inner product <x, y> = sum_m h_m x_m y_m, which is
-    the dot product of the matching columns of W: column j is taken off
-    every later column k with B[j][k] = <v_j, v_k> / d_j, d_j = <v_j, v_j>.
+    the prefix products of d and a = B^-1 diag(1/k), k the leading factors.
+    The factorization is modified Gram-Schmidt on the columns of T in the
+    inner product <x, y> = sum_m h_m x_m y_m, the dot product of the
+    matching columns of W: column j is taken off every later column k with
+    B[j][k] = <v_j, v_k> / d_j, d_j = <v_j, v_j>.
     Its R is as accurate as a Householder R (Bjorck, BIT 7 (1967)), and as
     no square root is taken, data whose factors and partial results are
     floats, such as the built-in pairs at small N, gives them exactly, as
@@ -359,7 +363,6 @@ def _qr_second_stage(connection, norms, leading):
     a = np.triu(np.linalg.solve(unit, np.diag(1.0 / k))) if size else unit
     return gso.OrthogonalizationResult(
         tuple(map(tuple, a.tolist())),
-        tuple(map(tuple, (k[:, None] * unit).tolist())),
         tuple((d / (k * k)).tolist()),
         tuple(leading),
         (one(EXACT), *accumulate(d.tolist(), mul)),
@@ -457,7 +460,8 @@ def _sbo_bases(first_stage, measure2, i_values, n_polys, normalization, check):
 
     Exact bases take every gamma_i from one gamma matrix over
     Q_lo..Q_{N-1}, lo = min(i_values), as its trailing block from row
-    i - lo on, and factor it by :func:`gso.gram_schmidt`.  Float bases take
+    i - lo on, and factor it by :func:`gso.gram_schmidt`; the columns of a
+    are lifted once for its check and for P.  Float bases take
     T and h once and, for each i, factor W = diag(sqrt h) T[:, i:] by one QR
     (:func:`_qr_second_stage`), gated by :func:`connection_condition` and
     checked by :func:`_check_quadrature`; gamma_i is formed when read.
@@ -512,16 +516,12 @@ def _sbo_bases(first_stage, measure2, i_values, n_polys, normalization, check):
                 if check and block:
                     _check_quadrature(rules, result, i)
         if backend == EXACT:
-            p_cols = linalg._lifted_mat_mul(q_rows, result.coeffs, i)
+            p_cols = linalg._lifted_mat_mul(q_rows, result._lifted_columns, i)
         else:
             coeffs = np.array(result.coeffs).reshape(block, block)
             p_cols = (q_array[:, i:] @ coeffs).tolist()
-        p_in_q = [[scalars.zero(backend)] * n_polys for _ in range(n_polys)]
-        q_in_p = [[scalars.zero(backend)] * n_polys for _ in range(n_polys)]
-        for row in range(block):
-            for col in range(row, block):
-                p_in_q[i + row][i + col] = result.coeffs[row][col]
-                q_in_p[i + row][i + col] = result.inverse_coeffs[row][col]
+        nil = (scalars.zero(backend),)
+        p_in_q = (nil * n_polys,) * i + tuple(nil * i + row for row in result.coeffs)
         bases[i] = SboBasis(
             i=i,
             size=n_polys,
@@ -532,8 +532,7 @@ def _sbo_bases(first_stage, measure2, i_values, n_polys, normalization, check):
             gamma_dets=result.gram_dets,
             monic_polys=from_columns(p_cols),
             monic_norms=result.norms,
-            p_in_q=tuple(map(tuple, p_in_q)),
-            q_in_p=tuple(map(tuple, q_in_p)),
+            p_in_q=p_in_q,
             scale=_scale(normalization, q_basis, i, result.gram_dets),
             normalization=normalization,
             backend=backend,

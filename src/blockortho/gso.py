@@ -7,29 +7,34 @@ factors b_{n,n}.  The output describes the unique orthogonal vectors
     E_n = (e_n - sum_{m<n} E_m b_{m,n}) / b_{n,n},   (E_j, E_k) = h_j d_{jk}
 
 through the triangular connection matrices a (E over e) and b (e over E),
-the squared norms h_n and the leading Gram determinants.
+the squared norms h_n and the leading Gram determinants.  A pass forms a,
+h and Z; b, the inverse of a, is formed from a only when it is read.
 
 Gram-Schmidt over a Gram matrix is its LDL^T factorization: the pivots
 are the ratios of consecutive leading Gram determinants, so one pass gives
 the vectors, their norms and the determinants, in either backend.  Exact
 matrices run the pass in integers (:func:`_exact_ldl`): the upper triangle
 is lifted by one common scale, its rows are freed of their contents, it is
-eliminated fraction-free, and each output entry is formed as one Fraction.  Float matrices run a float loop
-(:func:`_float_ldl`).
+eliminated fraction-free, and each output entry is formed as one Fraction.
+Float matrices run a float loop (:func:`_float_ldl`).
 
 The exact second stage of the block construction, in both its builds, and
 the Hankel first-stage oracle (:func:`standard.hankel_build`) run
 :func:`gram_schmidt`; :func:`parity_gram_schmidt` is the kernel of the
 parity first stage (:func:`standard.parity_split_build`), the only float
 caller besides that oracle.  The float second stage factors its weighted
-connection by QR in :mod:`block` instead.  The bordered-determinant oracle, which never reads
-the kernel's factorization, has one entry point per quantity:
+connection by QR in :mod:`block` instead.  The checks never read the
+kernel's factorization:
 
 * :func:`bordered_oracle` gives the column of E_n, h_n and Z_{n+1};
-* :func:`oracle_connection_column` gives b_{m,n} for every m <= n;
-* :func:`check_against_oracle` checks a whole result: exact ones against
-  one :class:`linalg.LiftedElimination` of the Gram matrix, compared in
-  integers, float ones degree by degree against :func:`bordered_oracle`.
+* :func:`oracle_connection_column` gives b_{m,n} for every m <= n, and
+  :func:`connection_mismatch` checks a whole exact b against the same
+  determinants, from one elimination;
+* :func:`check_against_oracle` checks a whole result: exact ones by an
+  LDL^T certificate (:func:`_exact_mismatch`), products of the Gram matrix
+  with the returned columns compared in integers, which reads g and the
+  values it checks and shares no code with the kernel; float ones degree by
+  degree against :func:`bordered_oracle`.
 
 Exact cofactors come from :mod:`linalg`'s fraction-free elimination, which
 lifts each full row by its own scale and eliminates all of every row; the
@@ -43,6 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 
 from . import linalg
@@ -72,15 +78,16 @@ class OrthogonalizationResult:
     """Connection data of one orthogonalization pass.
 
     ``coeffs[m][n]``         a_{m,n}: coefficient of e_m in E_n (upper triangular)
-    ``inverse_coeffs[m][n]`` b_{m,n}: coefficient of E_m in e_n (empty from
-                             the recurrence route, which does not form it)
+    ``inverse_coeffs[m][n]`` b_{m,n}: coefficient of E_m in e_n, the inverse
+                             of ``coeffs``, formed on first read (exact: from
+                             the lifted columns the check reads too); no
+                             pass forms it
     ``norms[n]``             h_n = (E_n, E_n)
     ``factors[n]``           the prescribed b_{n,n}
     ``gram_dets[k]``         determinant of the leading k x k block (index 0 is 1)
     """
 
     coeffs: tuple
-    inverse_coeffs: tuple
     norms: tuple
     factors: tuple
     gram_dets: tuple
@@ -88,6 +95,18 @@ class OrthogonalizationResult:
     @property
     def size(self):
         return len(self.norms)
+
+    @cached_property
+    def inverse_coeffs(self):
+        if linalg.matrix_kind(self.coeffs) == EXACT:
+            return tuple(map(tuple, linalg._lifted_inverse(self._lifted_columns)))
+        return tuple(map(tuple, linalg.inverse_upper(self.coeffs)))
+
+    @cached_property
+    def _lifted_columns(self):
+        """The columns of exact ``coeffs`` as :func:`linalg._lifted_span` gives
+        them, lifted once for the check and the products that read them."""
+        return [linalg._lifted_span(col) for col in zip(*self.coeffs)]
 
     def vector(self, n):
         """Coefficient column of E_n on the input basis."""
@@ -98,10 +117,10 @@ def gram_schmidt(gram, leading_factors) -> OrthogonalizationResult:
     """Orthogonalize against a Gram matrix with prescribed leading factors.
 
     One LDL^T pass g = B^T D B (B unit upper triangular) in the scalars of
-    the matrix: h_n = D_n / f_n^2, b = diag(f) B, a = B^{-1} diag(1/f), and
-    the leading Gram determinants are the prefix products of D.  Exact
-    matrices run it in integers (:func:`_exact_ldl`), float ones as a
-    float loop (:func:`_float_ldl`).
+    the matrix: h_n = D_n / f_n^2, a = B^{-1} diag(1/f), and the leading
+    Gram determinants are the prefix products of D; b = diag(f) B is formed
+    from a only when read.  Exact matrices run it in integers
+    (:func:`_exact_ldl`), float ones as a float loop (:func:`_float_ldl`).
     """
     g = _entries(gram)
     n_dim = len(g)
@@ -112,10 +131,9 @@ def gram_schmidt(gram, leading_factors) -> OrthogonalizationResult:
         if f == 0 or (isinstance(f, float) and not math.isfinite(f)):
             raise BadFactor("leading factors must be nonzero and finite")
     ldl = _exact_ldl if kind == EXACT else _float_ldl
-    a, b, norms, dets = ldl(g, leading_factors)
+    a, norms, dets = ldl(g, leading_factors)
     return OrthogonalizationResult(
-        tuple(map(tuple, a)), tuple(map(tuple, b)), tuple(norms), tuple(leading_factors),
-        tuple(dets),
+        tuple(map(tuple, a)), tuple(norms), tuple(leading_factors), tuple(dets)
     )
 
 
@@ -135,13 +153,13 @@ def _exact_ldl(g, leading_factors):
     (g_0 ... g_k).  With f_k = fp / fq,
 
         h_k = M_{k+1} g_k / (L M_k f_k^2),   Z_k = M_k g_0 ... g_{k-1} / L^k,
-        b_{k,j} = f_k S[k][j] / S[k][k],      a_{m,n} = c_m / (M_n f_n),
+        a_{m,n} = c_m / (M_n f_n),
 
     c the integers of the fraction-free back substitution of rows 0..n-1
     with c_n = M_n (the last-row cofactors of the leading (n+1)-column
     block of the scaled rows).  Every division inside is exact, and each
     output entry is one Fraction.  A pivot that is not positive raises
-    NotPositiveDefinite at its degree.  Returns (a, b, h, Z) as lists.
+    NotPositiveDefinite at its degree.  Returns (a, h, Z) as lists.
     """
     n_dim = len(g)
     flat, scale = linalg.lift([x for k, row in enumerate(g) for x in row[k:]])
@@ -154,8 +172,7 @@ def _exact_ldl(g, leading_factors):
         if g_k > 1:
             row[k:] = [y // g_k for y in row[k:]]
     ratios = [f.as_integer_ratio() for f in leading_factors]
-    empty = Fraction(0)
-    norms, dets, b = [], [Fraction(1)], []
+    norms, dets = [], [Fraction(1)]
     minors, spanned, power = [1], 1, 1  # M_0 .. M_k, g_0 ... g_k and L^k
     for k, ((fp, fq), g_k) in enumerate(zip(ratios, content)):
         top = s[k]
@@ -174,8 +191,7 @@ def _exact_ldl(g, leading_factors):
         spanned *= g_k
         power *= scale
         dets.append(Fraction(pivot * spanned, power))
-        b.append([empty] * k + [Fraction(fp * y, fq * pivot) for y in top[k:]])
-    a = [[empty] * n_dim for _ in range(n_dim)]
+    a = [[Fraction(0)] * n_dim for _ in range(n_dim)]
     for n, (fp, fq) in enumerate(ratios):
         c = [0] * n + [minors[n]]
         for m in range(n - 1, -1, -1):
@@ -183,15 +199,15 @@ def _exact_ldl(g, leading_factors):
         den = minors[n] * fp
         for m in range(n + 1):
             a[m][n] = Fraction(c[m] * fq, den)
-    return a, b, norms, dets
+    return a, norms, dets
 
 
 def _float_ldl(g, leading_factors):
     """The LDL^T pass over the float matrix ``g``, column by column.
 
     A pivot at or below PIVOT_FLOOR times the largest entry of its leading
-    block raises NotPositiveDefinite at its degree.  Returns (a, b, h, Z)
-    as lists.
+    block raises NotPositiveDefinite at its degree.  Returns (a, h, Z) as
+    lists.
     """
     kind = FLOAT
     n_dim = len(g)
@@ -223,7 +239,7 @@ def _float_ldl(g, leading_factors):
             a[m][n] = -sum(unit[m][j] * a[j][n] for j in range(m + 1, n + 1))
         for m in range(n + 1):
             a[m][n] /= leading_factors[n]
-    return a, [[f * x for x in r] for f, r in zip(leading_factors, unit)], norms, dets
+    return a, norms, dets
 
 
 def require_checkerboard(g, what):
@@ -250,7 +266,6 @@ def parity_gram_schmidt(gram, leading_factors) -> OrthogonalizationResult:
     require_checkerboard(g, "parity split")
     kind = linalg.matrix_kind(g)
     a = [[zero(kind)] * n_dim for _ in range(n_dim)]
-    b = [[zero(kind)] * n_dim for _ in range(n_dim)]
     norms = [zero(kind)] * n_dim
     sector_dets = []
     for idx in (range(0, n_dim, 2), range(1, n_dim, 2)):
@@ -265,12 +280,10 @@ def parity_gram_schmidt(gram, leading_factors) -> OrthogonalizationResult:
             norms[col] = res.norms[c]
             for r, row in enumerate(idx):
                 a[row][col] = res.coeffs[r][c]
-                b[row][col] = res.inverse_coeffs[r][c]
         sector_dets.append(res.gram_dets)
     even, odd = sector_dets
     return OrthogonalizationResult(
         tuple(map(tuple, a)),
-        tuple(map(tuple, b)),
         tuple(norms),
         tuple(leading_factors),
         tuple(even[(k + 1) // 2] * odd[k // 2] for k in range(n_dim + 1)),
@@ -356,21 +369,42 @@ def oracle_connection_column(gram, n, leading_factors):
     )
 
 
+def connection_mismatch(gram, inverse, leading_factors):
+    """The first (n, m), column by column, at which the exact ``inverse``
+    leaves b_{m,n} of :func:`oracle_connection_column`, or None, from one
+    :class:`linalg.LiftedElimination` of the whole matrix (by the prefix
+    property its cofactors serve every leading block), each stored p / q
+    compared with num / den as p den == num q."""
+    g = _entries(gram)
+    elim = linalg.LiftedElimination(g)
+    scales = [d.as_integer_ratio() for d in elim.scales]
+    ratios, cofactors = [], []  # f_m d_m / z as (num, den), and c, by m
+    for n, (f, row, (dp, dq)) in enumerate(zip(leading_factors, elim.rows, scales)):
+        fp, fq = f.as_integer_ratio()
+        ratios.append((fp * dp, fq * dq * elim.minor(n + 1)))
+        cofactors.append(elim.cofactors(n))
+        for m, ((num, den), c) in enumerate(zip(ratios, cofactors)):
+            p, q = inverse[m][n].as_integer_ratio()
+            if p * den * dp != num * sum(map(mul, row, c)) * dq * q:
+                return n, m
+    return None
+
+
 def check_against_oracle(gram, result: OrthogonalizationResult, basis, stage):
-    """Recompute every vector of ``result`` from bordered determinants.
+    """Check every vector of ``result`` against the Gram matrix alone.
 
     ``basis`` is the monomial coefficient matrix of the vectors the Gram
-    matrix is taken over (column k holds e_k).  Exact results must agree
-    exactly, column by column: the connection a, the norm h, the leading
-    Gram determinant Z and the inverse connection b
-    (:func:`_exact_mismatch`).  Comparing connection columns is the same test
-    as comparing monomial coefficients because the basis columns are
-    independent.  Float results are compared as monomial coefficients:
-    within ORACLE_RTOL times the largest oracle coefficient, and norms within
-    ORACLE_RTOL of the oracle norm.  The oracle reads the Gram matrix and the
-    prescribed leading factors only, never the coefficients it checks.  A
-    disagreement raises OracleMismatch naming ``stage`` and the degree of the
-    basis vector.
+    matrix is taken over (column k holds e_k).  Exact results must pass the
+    LDL^T certificate of :func:`_exact_mismatch` exactly, column by column:
+    the connection a, the norm h and the leading Gram determinant Z (the
+    inverse connection b is formed from a when read, so it is not checked).
+    Float results are compared with :func:`bordered_oracle` as monomial
+    coefficients (comparing connection columns is the same test because the
+    basis columns are independent): within ORACLE_RTOL times the largest
+    oracle coefficient, and norms within ORACLE_RTOL of the oracle norm.  Neither route reads the kernel's
+    factorization, only the Gram matrix, the prescribed leading factors and
+    the values it checks.  A failure raises OracleMismatch naming ``stage``
+    and the degree of the basis vector.
     """
     g = _entries(gram)
     if linalg.matrix_kind(g) == EXACT:
@@ -382,63 +416,44 @@ def check_against_oracle(gram, result: OrthogonalizationResult, basis, stage):
         raise OracleMismatch(f"{stage} at degree {degree}", degree=degree)
 
 
-def _equals(value, num, den):
-    """Whether the rational (or float) ``value`` equals num / den, for
-    integers num and den != 0, by cross-multiplication."""
-    p, q = value.as_integer_ratio()
-    return p * den == num * q
-
-
 def _exact_mismatch(g, result):
-    """The first index n whose column of ``result`` leaves the bordered
-    determinants of the exact Gram matrix ``g``, or None.
+    """The first index n whose column of ``result`` fails the LDL^T
+    certificate over the exact Gram matrix ``g``, or None.
 
-    One :class:`linalg.LiftedElimination` of ``g`` gives, for every n, the
-    lifted cofactors c of the leading (n+1)-column block and the lifted
-    minor z = Z_{n+1} s_0 ... s_n (s_r = dp / dq the rational scale of row
-    r, R the lifted rows).  With f_n = fp / fq the prescribed factor, the
-    oracle values are
-
-        a_{m,n} = c_m fq / (c_n fp),      h_n = z fq^2 / (s_n c_n fp^2),
-        Z_{n+1} = z / (s_0 ... s_n),      b_{m,n} = f_m (R[n] . c^(m)) s_m / (s_n z_m)
-
-    (z_m the lifted Z_{m+1}), and each stored value p / q is compared with
-    its ratio num / den of integers as p den == num q, without Fraction
-    arithmetic.  Entries below the diagonal of a and b must vanish.
+    Column n, f_n its prescribed factor (zero raises BadFactor), passes when
+    a_{m,n} = 0 for m > n, a_{n,n} = 1 / f_n, (g a)[j][n] = 0 for j < n,
+    (g a)[n][n] = f_n h_n with h_n > 0, and Z_{n+1} = Z_n h_n f_n^2
+    (Z_0 = 1).  This is complete: certified columns 0..n-1 give
+    a^T g a = diag(h) on the leading block, so that block is positive
+    definite and column n is the unique solution, the bordered
+    determinants' one.  With g[r] = R[r] / d_r and a[:, n] = u / s
+    (nonzero on lo..hi-1), each lifted once, (g a)[j][n] is one integer dot
+    product R[j] . u over d_j s, about N^3 / 3 in all, and each identity is
+    compared as p den == num q.  It reads g and the values it checks and
+    shares no code with the kernel.
     """
-    elim = linalg.LiftedElimination(g)
-    rows = elim.rows
-    size = result.size
-    cofactors, b_ratios = [], []  # c^(m), and f_m s_m / z_m as (num, den)
-    for n in range(size):
-        f = result.factors[n]
+    rows = [linalg.lift(row) for row in g]
+    columns = result._lifted_columns
+    z_prev = result.gram_dets[0].as_integer_ratio()
+    for n, (f, h, z) in enumerate(zip(result.factors, result.norms, result.gram_dets[1:])):
         if f == 0:
             raise BadFactor("leading factor must be nonzero")
-        c = elim.cofactors(n)
-        if c[n] == 0:
-            raise NotPositiveDefinite(f"leading minor of size {n} vanishes", degree=n)
-        z = elim.minor(n + 1)
-        fp, fq = f.as_integer_ratio()
-        dp, dq = elim.scales[n].as_integer_ratio()
-        zp, zq = elim.prefix[n + 1].as_integer_ratio()
-        cofactors.append(c)
-        b_ratios.append((fp * dp, fq * dq * z))
-        a_den = c[n] * fp
+        u, s, lo, hi = columns[n]
+        r_n, d_n = rows[n]
+        span = u[lo:hi]
+        (fp, fq), (hp, hq), (zp, zq) = f.as_integer_ratio(), h.as_integer_ratio(), z.as_integer_ratio()
         ok = (
-            all(_equals(result.coeffs[m][n], c[m] * fq, a_den) for m in range(n + 1))
-            and _equals(result.norms[n], z * fq * fq * dq, dp * a_den * fp)
-            and _equals(result.gram_dets[n + 1], z * zq, zp)
-            and all(
-                _equals(result.inverse_coeffs[m][n], bp * sum(map(mul, rows[n], c_m)) * dq, bq * dp)
-                for m, ((bp, bq), c_m) in enumerate(zip(b_ratios, cofactors))
-            )
-            and all(
-                result.coeffs[m][n] == 0 and result.inverse_coeffs[m][n] == 0
-                for m in range(n + 1, size)
-            )
+            hi <= n + 1
+            and u[n] * fp == s * fq
+            and not any(sum(map(mul, r[lo:hi], span)) for r, _ in rows[:n])
+            and hp > 0
+            and sum(map(mul, r_n[lo:hi], span)) * fq * hq == fp * hp * d_n * s
+            and (n or z_prev == (1, 1))
+            and zp * z_prev[1] * hq * fq * fq == z_prev[0] * hp * fp * fp * zq
         )
         if not ok:
             return n
+        z_prev = zp, zq
     return None
 
 

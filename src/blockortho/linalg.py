@@ -13,6 +13,7 @@ reports the singular-value gap it used.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate, chain
 from math import gcd, lcm, prod
 from operator import mul
@@ -51,8 +52,11 @@ def lift(values):
     ``scale`` is the lcm of the denominators, and each entry is taken as
     ``numerator * (scale // denominator)``, so no Fraction arithmetic is done.
     """
-    scale = lcm(*(x.denominator for x in values))
-    return [x.numerator * (scale // x.denominator) for x in values], scale
+    ratios = [x.as_integer_ratio() for x in values]
+    scale = lcm(*[q for _, q in ratios])
+    if scale == 1:
+        return [p for p, _ in ratios], 1
+    return [p * (scale // q) for p, q in ratios], scale
 
 
 def _lift_rows(rows):
@@ -168,10 +172,13 @@ class LiftedElimination:
 
     def __init__(self, matrix):
         self.rows, self.scales = _lift_rows(matrix)
-        self.prefix = list(accumulate(self.scales, mul, initial=1))
         self._reduced = [list(r) for r in self.rows]
         first_zero = _eliminate(self._reduced)[2]
         self._clean = len(self.rows) if first_zero is None else first_zero
+
+    @cached_property
+    def prefix(self):
+        return list(accumulate(self.scales, mul, initial=1))
 
     def minor(self, k):
         """Leading k x k minor of the lifted rows (1 for k = 0)."""
@@ -280,17 +287,16 @@ def _lifted_span(values):
 def _exact_mat_mul(a, b):
     """The product of two exact matrices, one integer dot product and one
     Fraction per entry."""
-    return _lifted_mat_mul(list(map(_lifted_span, a)), b)
+    return _lifted_mat_mul(list(map(_lifted_span, a)), list(map(_lifted_span, zip(*b))))
 
 
-def _lifted_mat_mul(a_rows, b, skip=0):
-    """The product of the exact matrix whose rows are ``a_rows``, each given
-    as :func:`_lifted_span` gives it, from column ``skip`` on, and the exact
-    matrix ``b``: each column of ``b`` is lifted once, and each entry is one
-    integer dot product over the index range where both factors have
-    nonzero entries, divided once by the two scales.  A left factor shared
-    by several products is lifted once for all of them."""
-    b_cols = [_lifted_span(col) for col in zip(*b)]
+def _lifted_mat_mul(a_rows, b_cols, skip=0):
+    """The product of the exact matrices whose rows are ``a_rows``, from
+    column ``skip`` on, and whose columns are ``b_cols``, each given as
+    :func:`_lifted_span` gives it: each entry is one integer dot product
+    over the index range where both factors have nonzero entries, divided
+    once by the two scales.  A factor shared by several products, or read by
+    a check, is lifted once for all of them."""
     empty = zero(EXACT)
     out = []
     for x, x_scale, x_lo, x_hi in a_rows:
@@ -303,6 +309,50 @@ def _lifted_mat_mul(a_rows, b, skip=0):
             else:
                 out_row.append(empty)
         out.append(out_row)
+    return out
+
+
+def inverse_upper(a, first=0):
+    """The inverse of the trailing block a[first:, first:] of the upper
+    triangular ``a`` (no zero on its diagonal), in place of that block in an
+    otherwise zero matrix of the size of ``a``: exact blocks by
+    :func:`_lifted_inverse`, float ones by one triangular solve."""
+    size = len(a)
+    block = [row[first:] for row in a[first:]]
+    if matrix_kind(a) == EXACT:
+        rows = _lifted_inverse([_lifted_span(col) for col in zip(*block)])
+        nil = zero(EXACT)
+        return [[nil] * size for _ in range(first)] + [[nil] * first + row for row in rows]
+    out = np.zeros((size, size))
+    if block:
+        inverse = np.linalg.solve(np.array(block, dtype=float), np.eye(size - first))
+        out[first:, first:] = np.triu(inverse)
+    return out.tolist()
+
+
+def _lifted_inverse(cols):
+    """The inverse x of the exact upper triangular matrix whose columns are
+    ``cols``, as :func:`_lifted_span` gives them, row by row in integers.
+
+    With column n = u_n / s_n, row m solves x a = e_m: x_{m,m} = s_m / u_m[m]
+    and x_{m,n} = -(sum_{j<n} x_{m,j} u_n[j]) / u_n[n], s_n cancelling.  Row
+    m is kept as coprime integers over one denominator, widened only by the
+    part of u_n[n] its new entry does not cancel, so each entry is one
+    integer dot product and, at the end, one Fraction.
+    """
+    out = []
+    for m, (u_m, s_m, _, _) in enumerate(cols):
+        g = gcd(s_m, u_m[m])
+        ints, den = [s_m // g], u_m[m] // g  # x_{m,m}, x_{m,m+1}, ...
+        for u, _, _, _ in cols[m + 1 :]:
+            t = -sum(map(mul, ints, u[m:]))
+            g = gcd(t, u[m + len(ints)])
+            t, e = t // g, u[m + len(ints)] // g
+            if e != 1:
+                ints = [y * e for y in ints]
+                den *= e
+            ints.append(t)
+        out.append([zero(EXACT)] * m + [Fraction(y, den) for y in ints])
     return out
 
 

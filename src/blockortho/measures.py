@@ -77,8 +77,12 @@ class GammaFamilyWeight:
 
 @dataclass(frozen=True)
 class TabulatedWeight:
+    """A moment table; ``recurrence`` holds (b_k, c_k) of the whole table by
+    :func:`chebyshev_recurrence`, run once when the measure is made."""
+
     mu: tuple
     c0: object
+    recurrence: tuple = field(default=(), compare=False, repr=False)
 
     @property
     def exact(self):
@@ -125,8 +129,8 @@ class Measure:
             raise NotSymmetric("symmetric flag set but odd moments are nonzero")
         linalg.matrix_kind([mu])  # KindMismatch for a table that mixes ints and floats
         with stage("moments"):  # every leading Hankel minor must be positive
-            chebyshev_recurrence(mu, (len(mu) + 1) // 2)
-        return cls(TabulatedWeight(mu, c0), domain, symmetric, label)
+            rec = chebyshev_recurrence(mu, (len(mu) + 1) // 2)
+        return cls(TabulatedWeight(mu, c0, rec), domain, symmetric, label)
 
     @classmethod
     def numeric(cls, evaluator, interval, nodes, symmetric=False, label="numeric"):

@@ -186,6 +186,13 @@ ONE = Polynomial((Fraction(1),))
 X = monomial(1)
 
 
+# rows of one in-place Horner pass over the scan grid: a pass makes this many
+# times fewer array calls than one polynomial at a time, and at 2 it holds no
+# more memory than the np.polyval scan with its temporaries (a whole batch of
+# 35 rows at once raised the peak by 1.5 MB)
+SCAN_ROWS = 2
+
+
 @dataclass(frozen=True)
 class SignChangeReport:
     count: int
@@ -212,11 +219,13 @@ def sign_changes_batch(polys, lo, hi, resolution: int = 2048):
     on the number of distinct odd-order real zeros in the interval.
 
     One array kernel serves both scalar kinds: float polynomials run on
-    float64 arrays, exact ones on object arrays of Fractions.  Each
-    polynomial's grid is evaluated in one ``np.polyval`` pass (the same
-    Horner recurrence as ``Polynomial.__call__``, operation for operation,
-    so every float value equals ``p(t)`` bit for bit).  Then one bisection
-    loop refines the brackets of every polynomial together.
+    float64 arrays, exact ones on object arrays of Fractions.  The grid is
+    evaluated by in-place Horner passes over SCAN_ROWS rows at a time of the
+    coefficient matrix, zero-padded to the largest degree, so a row stays 0
+    until its leading coefficient (the same recurrence as ``np.polyval`` and
+    ``Polynomial.__call__``, operation for operation, so every float value
+    equals ``p(t)`` bit for bit).  Then one bisection loop refines the
+    brackets of every polynomial together.
     """
     polys = list(polys)
     if any(p.is_zero for p in polys):
@@ -236,42 +245,46 @@ def sign_changes_batch(polys, lo, hi, resolution: int = 2048):
         lo, hi = float(lo), float(hi)
         width_goal = 1e-12
         dtype = np.float64
+    count = len(polys)
     degree = max(p.degree for p in polys)
     # row k: descending coefficients of polys[k], zero-padded to the largest degree
-    matrix = np.zeros((len(polys), degree + 1), dtype=dtype)
+    matrix = np.zeros((count, degree + 1), dtype=dtype)
     for row, p in zip(matrix, polys):
         row[degree - p.degree:] = p.coeffs[::-1]
     step = (hi - lo) / resolution
-    grid, cells_a, cells_b, cells_fa, owners = [], [], [], [], []
     # overflow gives inf and inf - inf gives nan, silently, as in Python floats
     with np.errstate(all="ignore"):
         base = lo + step * np.arange(resolution + 1, dtype=dtype)
         # reports of one batch share this array, so none may change it
         base.flags.writeable = False
-        for k, p in enumerate(polys):
-            coeffs = matrix[k, degree - p.degree:]
-            nodes = base
-            values = np.polyval(coeffs, nodes)
+        grids, found = [base] * count, []
+        for first in range(0, count, SCAN_ROWS):
+            rows = matrix[first : first + SCAN_ROWS]
+            values = np.zeros((len(rows), resolution + 1), dtype=dtype)
+            for column in rows.T:
+                values *= base
+                values += column[:, None]
             # nudge grid nodes off exact roots so sign changes stay visible
-            hit = np.flatnonzero(values == 0)
-            if hit.size:
-                nodes = base.copy()
+            nudged = np.flatnonzero((values == 0).any(axis=1)).tolist()
+            for j in nudged:
+                k, hit = first + j, np.flatnonzero(values[j] == 0)
+                grids[k] = nodes = base.copy()
                 nodes[hit] += np.where(hit < resolution, step / 7, -step / 7)
                 nodes.flags.writeable = False
-                values[hit] = np.polyval(coeffs, nodes[hit])
-            left, right = values[:-1], values[1:]
-            cells = np.flatnonzero((left != 0) & (right != 0) & ((left > 0) != (right > 0)))
-            grid.append(nodes)
-            cells_a.append(nodes[cells])
-            cells_b.append(nodes[cells + 1])
-            cells_fa.append(left[cells])
-            owners.append(np.full(cells.size, k))
-        a, b = _bisect(matrix, np.concatenate(owners), np.concatenate(cells_a),
-                       np.concatenate(cells_b), np.concatenate(cells_fa), width_goal)
+                values[j, hit] = np.polyval(matrix[k, degree - polys[k].degree:], nodes[hit])
+            left, right = values[:, :-1], values[:, 1:]
+            which, cells = np.nonzero((left != 0) & (right != 0) & ((left > 0) != (right > 0)))
+            a, b = base[cells], base[cells + 1]
+            for j in nudged:
+                mine, nodes = which == j, grids[first + j]
+                a[mine], b[mine] = nodes[cells[mine]], nodes[cells[mine] + 1]
+            found.append((first + which, a, b, left[which, cells] > 0))
+        owner, a, b, positive = map(np.concatenate, zip(*found))
+        a, b = _bisect(matrix, owner, a, b, positive, width_goal)
     a, b = a.tolist(), b.tolist()
     reports, start = [], 0
-    for nodes, cell in zip(grid, cells_a):
-        stop = start + cell.size
+    for nodes, size in zip(grids, np.bincount(owner, minlength=count).tolist()):
+        stop = start + size
         brackets = tuple(zip(a[start:stop], b[start:stop]))
         reports.append(SignChangeReport(len(brackets), brackets, nodes))
         start = stop
@@ -284,31 +297,33 @@ def _horner(rows, x):
     coefficient, so for finite x the result equals ``np.polyval`` bit for bit."""
     acc = np.zeros_like(x)
     for column in rows:
-        acc = acc * x + column
+        acc *= x
+        acc += column
     return acc
 
 
-def _bisect(matrix, owner, a, b, fa, width_goal):
+def _bisect(matrix, owner, a, b, positive, width_goal):
     """Bisect every bracket [a, b] of its owner's row of ``matrix`` at once.
 
-    An index array of live brackets shrinks each round; ``fa`` is the value
-    at ``a``.  Returns the final (a, b).
+    ``positive`` says whether the value at ``a`` is positive, all the loop
+    reads of it: a moving end keeps its sign, so it changes only where a
+    midpoint lands on a root.  Only the live brackets are carried from round
+    to round, with their coefficient columns; a bracket leaves once it is
+    narrow enough or stuck, and its ends are written back.  Returns the
+    final (a, b).
     """
-    columns = matrix.T
-    active = np.flatnonzero(b - a > width_goal)
-    while active.size:
-        a_k, b_k, fa_k = a[active], b[active], fa[active]
-        rows = columns[:, owner[active]]
+    live = np.flatnonzero(b - a > width_goal)
+    a_k, b_k, pos = a[live], b[live], positive[live]
+    rows = matrix.T[:, owner[live]]
+    while live.size:
         mid = (a_k + b_k) / 2
         fm = _horner(rows, mid)
         # mid replaces the end whose sign it shares
-        moves_a = (fm > 0) == (fa_k > 0)
+        moves_a = (fm > 0) == pos
         new_a = np.where(moves_a, mid, a_k)
         new_b = np.where(moves_a, b_k, mid)
-        new_fa = np.where(moves_a, fm, fa_k)
-        stuck = np.zeros(active.size, dtype=bool)
-        root = fm == 0
-        if root.any():
+        root = np.flatnonzero(fm == 0)
+        if root.size:
             # a midpoint on a root: recentre a half-width bracket on it,
             # and stop there unless its ends still differ in sign
             half = (b_k[root] - a_k[root]) / 4
@@ -316,10 +331,16 @@ def _bisect(matrix, owner, a, b, fa, width_goal):
             new_b[root] = mid[root] + half
             f_lo = _horner(rows[:, root], new_a[root])
             f_hi = _horner(rows[:, root], new_b[root])
-            new_fa[root] = f_lo
-            stuck[root] = (f_lo == 0) | (f_hi == 0) | ((f_lo > 0) == (f_hi > 0))
-        a[active], b[active], fa[active] = new_a, new_b, new_fa
-        active = active[~stuck & (new_b - new_a > width_goal)]
+            pos[root] = f_lo > 0
+        keep = new_b - new_a > width_goal
+        if root.size:
+            keep[root] &= (f_lo != 0) & (f_hi != 0) & ((f_lo > 0) != (f_hi > 0))
+        if keep.all():
+            a_k, b_k = new_a, new_b
+            continue
+        done = ~keep
+        a[live[done]], b[live[done]] = new_a[done], new_b[done]
+        live, a_k, b_k, pos, rows = live[keep], new_a[keep], new_b[keep], pos[keep], rows[:, keep]
     return a, b
 
 

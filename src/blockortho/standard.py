@@ -276,8 +276,12 @@ def monic_recurrence(measure: Measure, count: int):
     alpha = ap / aq and z = zp / zq, the gaussian family has b_n = 0 and
     c_n = n aq / (2 ap), and the gamma family b_n = (2n zq + zp) aq / (zq ap)
     and c_n = n (n zq + zp - zq) aq^2 / (zq ap^2), each one Fraction of
-    integers.  A table runs :func:`measures.chebyshev_recurrence` on the
-    moments of :func:`measures.rule_moments`, a numeric weight :func:`_stieltjes`.
+    integers.  A table slices the recurrence :func:`measures.Measure.from_moments`
+    ran on the whole table (the Chebyshev algorithm on a prefix of the table
+    gives a prefix of it), or runs :func:`measures.chebyshev_recurrence` on
+    the moments of :func:`measures.rule_moments` when it holds too few terms
+    (InsufficientMoments where the table is too short); a numeric weight
+    runs :func:`_stieltjes`.
     """
     w = measure.weight
     if isinstance(w, GaussianWeight):
@@ -295,6 +299,8 @@ def monic_recurrence(measure: Measure, count: int):
         )
     if isinstance(w, NumericWeight):
         return _stieltjes(measure, count)
+    if len(w.recurrence) >= count:
+        return w.recurrence[:count]
     return chebyshev_recurrence(rule_moments(measure, count).mu, count)
 
 
@@ -380,8 +386,8 @@ def _recurrence_result(rec, backend, normalization=MONIC, leading=None):
     ``norms`` and ``gram_dets`` are those of the monic q_n: the norms
     h_n = c_1 ... c_n (in units of mu_0) and their prefix products, the
     Hankel determinants.  Column k + 1 of the monic coefficients is
-    x q_k - b_k q_k - c_k q_{k-1}.  The inverse connection is not formed, so
-    ``inverse_coeffs`` is empty.  Exact columns run in integers
+    x q_k - b_k q_k - c_k q_{k-1}.  The inverse connection is not formed
+    unless it is read.  Exact columns run in integers
     (:func:`_recurrence_columns` with steps (1, -b_k, c_k) over the
     monomials), and each nonzero coefficient of Q_n is one Fraction, k_n
     folded into it.  Float columns touch only the triangular support and
@@ -422,13 +428,7 @@ def _recurrence_result(rec, backend, normalization=MONIC, leading=None):
             if k_d != 1:
                 for m in range(d + 1):
                     q[m][d] = q[m][d] * k_d
-    return OrthogonalizationResult(
-        tuple(map(tuple, q)),
-        (),
-        tuple(norms),
-        tuple(ks),
-        tuple(dets),
-    )
+    return OrthogonalizationResult(tuple(map(tuple, q)), tuple(norms), tuple(ks), tuple(dets))
 
 
 def _check_rule_moments(rec, seq):
@@ -466,7 +466,7 @@ def _check_rule_moments(rec, seq):
         if not ok:
             degree = (k + 1) // 2
             raise OracleMismatch(
-                f"recurrence and closed-form moments disagree at degree {degree}",
+                f"recurrence and the measure's moments disagree at degree {degree}",
                 degree=degree,
             )
         top = min(k + 2, len(rec), count - 1 - k)
@@ -518,7 +518,7 @@ def _check_coefficients(result, seq):
         )
         if not ok:
             raise OracleMismatch(
-                f"recurrence coefficients miss the closed-form moments at degree {n}",
+                f"recurrence coefficients miss the measure's moments at degree {n}",
                 degree=n,
             )
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from operator import mul
 
 from . import analysis, block, gso
 from ._numpy import np
@@ -111,17 +112,18 @@ def _float_orthogonality(measure2, bases, n_size, i_max):
 
 
 def check_oracle_equivalence(measure1, measure2, n_size, backend=EXACT, seed=20240601, samples=50):
-    """Inductive vs determinant routes on random Gram matrices and the pair:
-    the Hankel first stage of each measure with its bordered-determinant
+    """Inductive vs determinant routes on random Gram matrices, b included
+    in both backends (exact by :func:`gso.connection_mismatch`), and on the
+    pair: the Hankel first stage of each measure with its bordered-determinant
     oracle, and the second stage against the SBO determinant oracle."""
     rng = random.Random(seed)
     for trial in range(samples):
         size = rng.randint(2, 7)
         raw = [[rng.randint(-4, 4) for _ in range(size)] for _ in range(size)]
         cols = list(zip(*raw))
-        # raw^T raw + I, summed over integers
+        # raw^T raw + I, summed over integers and kept as exact ints
         gram = [
-            [Fraction(sum(a * b for a, b in zip(c_j, c_k)) + (j == k)) for k, c_k in enumerate(cols)]
+            [sum(map(mul, c_j, c_k)) + (j == k) for k, c_k in enumerate(cols)]
             for j, c_j in enumerate(cols)
         ]
         factors = [Fraction(rng.choice([1, 1, 2, -1, 3])) for _ in range(size)]
@@ -134,6 +136,11 @@ def check_oracle_equivalence(measure1, measure2, n_size, backend=EXACT, seed=202
                 gso.check_against_oracle(gram, result, identity(size), "random Gram trial")
             except OracleMismatch as exc:
                 return _entry("oracle_equivalence", False, trial=trial, n=exc.degree)
+            # b, formed from a when read, against its own bordered determinants
+            bad = gso.connection_mismatch(gram, result.inverse_coeffs, factors)
+            if bad is not None:
+                n, m = bad
+                return _entry("oracle_equivalence", False, trial=trial, n=n, m=m, which="b")
             continue
         for n in range(size):
             oracle = gso.bordered_oracle(gram, n, factors[n])[0]

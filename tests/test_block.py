@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from blockortho import (
     Polynomial,
     build_general_bo,
     build_sbo,
+    build_sbos,
     build_standard,
     cross_i_connection,
     expand_x_times_p,
@@ -30,7 +32,7 @@ from blockortho import (
     sbo_determinant_oracle,
     sbo_parity_build,
 )
-from blockortho import block, gso, standard
+from blockortho import block, gso, linalg, standard
 from blockortho.block import DET_NORMALIZED, MONIC, ORTHONORMAL
 from blockortho.gso import ORACLE_RTOL
 from blockortho.measures import GramMatrix, moments
@@ -465,6 +467,33 @@ def test_normalize_sbo_round_trips_through_det(pair, n_size, data):
         assert back.norm(n) == basis.norm(n)
 
 
+def _assert_inverse(basis):
+    """q_in_p times p_in_q, both ways, is the identity on the degrees i..N-1
+    and zero elsewhere: exactly for exact bases; for float ones within
+    1e-10 of |q_in_p| |p_in_q|, the bound a triangular inverse meets."""
+    i, size = basis.i, basis.size
+    ident = [[int(i <= j == k) for k in range(size)] for j in range(size)]
+    for x, y in ((basis.q_in_p, basis.p_in_q), (basis.p_in_q, basis.q_in_p)):
+        if basis.backend == "exact":
+            assert linalg.mat_mul(x, y) == ident
+            continue
+        prod = np.array(x) @ np.array(y)
+        bound = np.abs(np.array(x)) @ np.abs(np.array(y))
+        assert np.all(np.abs(prod - np.array(ident)) <= 1e-10 * bound)
+
+
+@given(measure_pairs(), st.integers(1, 9), st.sampled_from(["exact", "float"]))
+@settings(max_examples=60, deadline=None)
+def test_q_in_p_inverts_p_in_q(pair, n_size, backend):
+    # q_in_p is formed from p_in_q when read, for every i of a shared build
+    # and for the parity build
+    for basis in build_sbos(*pair, range(n_size + 1), n_size, backend=backend, check=False).values():
+        _assert_inverse(basis)
+    if pair[0].symmetric:
+        for i in range(n_size + 1):
+            _assert_inverse(sbo_parity_build(*pair, i, n_size, backend=backend))
+
+
 def test_preconditions(hermite_pair):
     with pytest.raises(ValueError):
         build_sbo(*hermite_pair, 6, 5)
@@ -564,16 +593,17 @@ def _nudged_kernel(field, index, nudge):
     return kernel
 
 
-# (field, index, degree of the basis vector it belongs to at i = 2):
-# a_{1,3}, h_2, Z_3 (gram_dets[3]), b_{0,2} and b_{1,3}
+# (field, index, degree of the basis vector it belongs to at i = 2): a_{1,3}
+# above the diagonal, h_2, Z_3 (gram_dets[3]), a_{3,3} on the diagonal and
+# a_{3,1} below it; each is caught by its own column of the certificate
 @pytest.mark.parametrize(
     "field, index, degree",
     [
         ("coeffs", (1, 3), 5),
         ("norms", (2,), 4),
         ("gram_dets", (3,), 4),
-        ("inverse_coeffs", (0, 2), 4),
-        ("inverse_coeffs", (1, 3), 5),
+        ("coeffs", (3, 3), 5),
+        ("coeffs", (3, 1), 3),
     ],
 )
 def test_a_nudged_second_stage_entry_is_caught_by_the_oracle(monkeypatch, hermite_pair, field, index, degree):
@@ -584,15 +614,23 @@ def test_a_nudged_second_stage_entry_is_caught_by_the_oracle(monkeypatch, hermit
 
 
 def test_a_wrong_inverse_connection_does_not_reach_q_in_p(monkeypatch, hermite_pair):
-    monkeypatch.setattr(gso, "gram_schmidt", _nudged_kernel("inverse_coeffs", (1, 3), 1e-6))
-    # unchecked, the wrong b_{1,3} is the coefficient of P_{2;3} in Q_5
-    wrong = build_sbo(*hermite_pair, 2, 6, check=False)
-    monkeypatch.undo()
+    # q_in_p is formed from p_in_q when read, never copied from the kernel's
+    # result, so not even a wrong b cached on that result reaches it
+    original = gso.gram_schmidt
+
+    def poisoned(gram, factors):
+        result = original(gram, factors)
+        b = [list(row) for row in result.inverse_coeffs]
+        b[1][3] += Fraction(1, 10**6)
+        result.__dict__["inverse_coeffs"] = tuple(map(tuple, b))
+        return result
+
     right = build_sbo(*hermite_pair, 2, 6)
-    assert wrong.q_in_p[3][5] == right.q_in_p[3][5] + 1e-6
-    monkeypatch.setattr(gso, "gram_schmidt", _nudged_kernel("inverse_coeffs", (1, 3), 1e-6))
-    with pytest.raises(OracleMismatch, match="second-stage determinant oracle disagrees at degree 5"):
-        build_sbo(*hermite_pair, 2, 6)
+    monkeypatch.setattr(gso, "gram_schmidt", poisoned)
+    for check in (True, False):
+        basis = build_sbo(*hermite_pair, 2, 6, check=check)
+        assert basis.q_in_p == right.q_in_p
+        assert basis.q_in_p[3][5] == linalg.inverse_upper(basis.p_in_q, 2)[3][5]
 
 
 def _sign_flipped(monkeypatch, name, update):

@@ -146,7 +146,10 @@ def exact_matrices(draw):
 def test_the_lifted_product_equals_mat_mul(case):
     a, b, skip = case
     a_rows = [linalg._lifted_span(row) for row in a]
-    assert linalg._lifted_mat_mul(a_rows, b, skip) == linalg.mat_mul([row[skip:] for row in a], b)
+    b_cols = [linalg._lifted_span(col) for col in zip(*b)]
+    assert linalg._lifted_mat_mul(a_rows, b_cols, skip) == linalg.mat_mul(
+        [row[skip:] for row in a], b
+    )
 
 
 def _assert_pre_lifted(basis):
@@ -155,7 +158,8 @@ def _assert_pre_lifted(basis):
     q_cols = [row[i:] for row in q_basis.q_in_x]
     expect = linalg.mat_mul(q_cols, coeffs)
     q_rows = [linalg._lifted_span(row) for row in q_basis.q_in_x]
-    assert linalg._lifted_mat_mul(q_rows, coeffs, i) == expect
+    a_cols = [linalg._lifted_span(col) for col in zip(*coeffs)]
+    assert linalg._lifted_mat_mul(q_rows, a_cols, i) == expect
     assert basis.monic_polys == from_columns(expect)
 
 

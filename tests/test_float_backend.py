@@ -1,5 +1,6 @@
 """The recurrence-first float backend, its conditioning gate and its errors."""
 
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -164,7 +165,7 @@ def test_first_stage_moment_check_names_stage_and_degree(monkeypatch):
         build_standard(Measure.gamma_weight(1, 1), 8, backend="float")
     # c_3 first enters mu_6, which fixes the norm of degree 3
     assert (info.value.stage, info.value.degree) == ("first_stage", 3)
-    assert str(info.value) == "recurrence and closed-form moments disagree at degree 3"
+    assert str(info.value) == "recurrence and the measure's moments disagree at degree 3"
 
 
 def test_second_stage_oracle_mismatch_names_stage_and_degree(monkeypatch):
@@ -174,10 +175,7 @@ def test_second_stage_oracle_mismatch_names_stage_and_degree(monkeypatch):
         result = original(connection, norms, leading)
         coeffs = [list(row) for row in result.coeffs]
         coeffs[0][-1] *= 1 + 1e-6
-        return gso.OrthogonalizationResult(
-            tuple(map(tuple, coeffs)), *(getattr(result, f) for f in
-                                         ("inverse_coeffs", "norms", "factors", "gram_dets"))
-        )
+        return dataclasses.replace(result, coeffs=tuple(map(tuple, coeffs)))
 
     monkeypatch.setattr(block, "_qr_second_stage", skewed)
     with pytest.raises(OracleMismatch) as info:

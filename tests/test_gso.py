@@ -15,10 +15,20 @@ from blockortho import (
     checkerboard_det,
     gram_schmidt,
 )
-from blockortho import OracleMismatch, build_sbo, linalg, sbo_determinant_oracle
+from blockortho import (
+    Measure,
+    OracleMismatch,
+    build_sbo,
+    gso,
+    linalg,
+    sbo_determinant_oracle,
+    standard,
+)
+from blockortho.cli import main
 from blockortho.gso import (
     bordered_oracle,
     check_against_oracle,
+    connection_mismatch,
     oracle_connection_column,
     parity_gram_schmidt,
 )
@@ -95,6 +105,13 @@ def test_oracle_equivalence_random_exact():
             assert oracle_connection_column(gram, n, factors[: n + 1]) == tuple(
                 res.inverse_coeffs[m][n] for m in range(n + 1)
             )
+        assert connection_mismatch(gram, res.inverse_coeffs, factors) is None
+        # a nudged b_{m,n} is named by its column, then its row
+        n = rng.randrange(size)
+        m = rng.randrange(n + 1)
+        nudged = [list(row) for row in res.inverse_coeffs]
+        nudged[m][n] += Fraction(1, 10**6)
+        assert connection_mismatch(gram, nudged, factors) == (n, m)
 
 
 def test_oracle_equivalence_random_float():
@@ -308,27 +325,90 @@ def test_oracle_check_catches_corruption(kind):
     check_against_oracle(gram, result, basis, "stage x disagrees")
     coeffs = [list(row) for row in result.coeffs]
     coeffs[1][2] += one / 1000
+    diagonal = [list(row) for row in result.coeffs]
+    diagonal[1][1] *= 1 + one / 1000
     norms = list(result.norms)
     norms[3] *= 1 + one / 1000
     corruptions = [
         (dataclasses.replace(result, coeffs=tuple(map(tuple, coeffs))), "degree 2"),
+        (dataclasses.replace(result, coeffs=tuple(map(tuple, diagonal))), "degree 1"),
         (dataclasses.replace(result, norms=tuple(norms)), "degree 3"),
     ]
     if kind == "exact":
         dets = list(result.gram_dets)
         dets[2] += 1
         corruptions.append((dataclasses.replace(result, gram_dets=tuple(dets)), "degree 1"))
-        inverse = [list(row) for row in result.inverse_coeffs]
-        inverse[0][2] += one / 1000
-        corruptions.append(
-            (dataclasses.replace(result, inverse_coeffs=tuple(map(tuple, inverse))), "degree 2")
-        )
     for bad, where in corruptions:
         with pytest.raises(OracleMismatch, match=f"stage x disagrees at {where}"):
             check_against_oracle(gram, bad, basis, "stage x disagrees")
 
 
-def test_exact_oracle_runs_one_elimination_per_matrix(monkeypatch, hermite_pair):
+@given(st.integers(0, 2**32), st.integers(1, 7), st.data())
+@settings(max_examples=200, deadline=None)
+def test_the_certificate_names_the_column_of_any_nudged_value(seed, size, data):
+    # a_{m,n} (on, above or below the diagonal) and h_n belong to column n,
+    # Z_k to column k - 1 (Z_0 to column 0): the first column it enters
+    rng = random.Random(seed)
+    gram = _random_pd(rng, size)
+    factors = [Fraction(rng.choice([1, -1, 2, 3]), rng.choice([1, 2])) for _ in range(size)]
+    result = gram_schmidt(gram, factors)
+    field = data.draw(st.sampled_from(["coeffs", "norms", "gram_dets"]), label="field")
+    nudge = data.draw(st.sampled_from([Fraction(1, 10**6), Fraction(-3, 7), Fraction(1)]), label="by")
+    if field == "coeffs":
+        m, n = (data.draw(st.integers(0, size - 1)) for _ in range(2))
+        values = [list(row) for row in result.coeffs]
+        values[m][n] += nudge
+        bad, column = dataclasses.replace(result, coeffs=tuple(map(tuple, values))), n
+    else:
+        values = list(getattr(result, field))
+        k = data.draw(st.integers(0, len(values) - 1))
+        values[k] += nudge
+        bad = dataclasses.replace(result, **{field: tuple(values)})
+        column = k if field == "norms" else max(k - 1, 0)
+    with pytest.raises(OracleMismatch, match=f"stage x disagrees at degree {column}$"):
+        check_against_oracle(gram, bad, identity(size), "stage x disagrees")
+
+
+# (field, index, degree) of a nudged Hankel-route result of size 6: a above,
+# on and below the diagonal, h and Z
+@pytest.mark.parametrize(
+    "field, index, degree",
+    [("coeffs", (1, 4), 4), ("coeffs", (2, 2), 2), ("coeffs", (5, 3), 3),
+     ("norms", (3,), 3), ("gram_dets", (5,), 4)],
+)
+def test_a_nudged_hankel_first_stage_is_caught_at_its_degree(monkeypatch, field, index, degree):
+    original = gram_schmidt
+
+    def nudged(gram, factors):
+        result = original(gram, factors)
+        values = [list(row) if isinstance(row, tuple) else row for row in getattr(result, field)]
+        if len(index) == 2:
+            values[index[0]][index[1]] += Fraction(1, 10**6)
+            values = [tuple(row) for row in values]
+        else:
+            values[index[0]] += Fraction(1, 10**6)
+        return dataclasses.replace(result, **{field: tuple(values)})
+
+    monkeypatch.setattr(gso, "gram_schmidt", nudged)
+    with pytest.raises(OracleMismatch, match="inductive and determinant routes disagree") as info:
+        standard.hankel_build(Measure.gamma_weight(1, 1), 6)
+    assert (info.value.stage, info.value.degree) == ("first_stage", degree)
+
+
+def test_a_checked_exact_table_runs_no_elimination(monkeypatch, capsys):
+    # the second-stage checks are the certificate and the moment identities
+    def refuse(*args, **kwargs):
+        raise AssertionError("a checked table ran an elimination")
+
+    for name in ("_eliminate", "_back_substitute", "LiftedElimination"):
+        monkeypatch.setattr(linalg, name, refuse)
+    for pair in ("hermite", "laguerre"):
+        assert main(["table", "--pair", pair, "--N", "10"]) == 0
+    capsys.readouterr()
+
+
+def test_exact_oracle_check_runs_no_elimination(monkeypatch, hermite_pair):
+    # the exact check is a certificate over g, with no second elimination
     rng = random.Random(21)
     gram = _random_pd(rng, 6)
     factors = [Fraction(f) for f in (2, -1, 1, 3, Fraction(1, 2), 1)]
@@ -337,7 +417,7 @@ def test_exact_oracle_runs_one_elimination_per_matrix(monkeypatch, hermite_pair)
     original = linalg._eliminate
     monkeypatch.setattr(linalg, "_eliminate", lambda m: sizes.append(len(m)) or original(m))
     check_against_oracle(gram, result, identity(6), "stage x disagrees")
-    assert sizes == [6]
+    assert sizes == []
     # every b_{m,n} of the column, from one elimination of the leading block
     basis = build_sbo(*hermite_pair, 2, 8, check=False)
     oracle = sbo_determinant_oracle(basis.q_basis, basis.mu2, 2, 6, gamma=basis.gamma)

@@ -171,7 +171,7 @@ def test_the_integer_first_stage_equals_the_fraction_loop(rec):
     assert [list(row) for row in result.coeffs] == q
     assert all(type(x) is Fraction for row in result.coeffs for x in row)
     assert (list(result.norms), list(result.gram_dets)) == (norms, dets)
-    assert result.inverse_coeffs == ()
+    assert "inverse_coeffs" not in vars(result)  # the recurrence route forms no b
     assert result.factors == (Fraction(1),) * len(rec)
 
 

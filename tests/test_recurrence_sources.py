@@ -103,10 +103,11 @@ def _flipped(module, name, update):
 @pytest.mark.parametrize("backend", ["exact", "float"])
 @pytest.mark.parametrize("update", [" - b_k * cur[l]", " - c_k * prev[l]"])
 def test_a_sign_flipped_chebyshev_update_is_caught(monkeypatch, update, backend):
-    table = load_moments_csv(MIXTURE_CSV)
+    # the table keeps the recurrence its measure ran when it was made
     flipped = _flipped(measures, "chebyshev_recurrence", update)
-    monkeypatch.setattr(standard, "chebyshev_recurrence", flipped)
-    with pytest.raises(OracleMismatch, match="recurrence and closed-form moments") as info:
+    monkeypatch.setattr(measures, "chebyshev_recurrence", flipped)
+    table = load_moments_csv(MIXTURE_CSV)
+    with pytest.raises(OracleMismatch, match="recurrence and the measure's moments") as info:
         build_standard(table, 8, backend=backend)
     assert info.value.stage == "first_stage"
 
@@ -115,12 +116,33 @@ def test_a_sign_flipped_chebyshev_update_is_caught(monkeypatch, update, backend)
 def test_a_sign_flipped_chebyshev_update_is_caught_in_a_float_second_measure(monkeypatch, update):
     # the float second stage integrates by the Gauss rule of this recurrence,
     # so the rule is checked against the second measure's moments first
-    floats = Measure.from_moments([float(m) for m in load_moments_csv(MIXTURE_CSV).weight.mu])
+    mu = [float(m) for m in load_moments_csv(MIXTURE_CSV).weight.mu]
     flipped = _flipped(measures, "chebyshev_recurrence", update)
-    monkeypatch.setattr(standard, "chebyshev_recurrence", flipped)
-    with pytest.raises(OracleMismatch, match="recurrence and closed-form moments") as info:
+    monkeypatch.setattr(measures, "chebyshev_recurrence", flipped)
+    floats = Measure.from_moments(mu)
+    with pytest.raises(OracleMismatch, match="recurrence and the measure's moments") as info:
         build_sbo(Measure.gaussian(1), floats, 2, 8, backend="float")
     assert info.value.stage == "second_stage"
+
+
+def test_a_table_runs_the_chebyshev_algorithm_once(monkeypatch):
+    # Measure.from_moments runs it over the whole table; builds slice that
+    calls = []
+    original = measures.chebyshev_recurrence
+
+    def counted(mu, count):
+        calls.append(len(mu))
+        return original(mu, count)
+
+    monkeypatch.setattr(measures, "chebyshev_recurrence", counted)
+    monkeypatch.setattr(standard, "chebyshev_recurrence", counted)
+    table = load_moments_csv(MIXTURE_CSV)
+    built = [build_sbo(table, Measure.gaussian(2), 2, 8), build_sbo(Measure.gaussian(1), table, 2, 8)]
+    assert calls == [len(table.weight.mu)]
+    # slicing gives what a run on the build's own moments gives
+    assert standard.monic_recurrence(table, 8) == original(moments(table, 14).mu, 8)
+    monkeypatch.undo()
+    assert built[0] == build_sbo(load_moments_csv(MIXTURE_CSV), Measure.gaussian(2), 2, 8)
 
 
 def test_a_float_table_is_a_checked_second_measure():
@@ -135,7 +157,7 @@ def test_a_float_table_is_a_checked_second_measure():
 )
 def test_a_sign_flipped_stieltjes_update_is_caught(monkeypatch, measure):
     monkeypatch.setattr(standard, "_stieltjes", _flipped(standard, "_stieltjes", " - c_k * q_prev"))
-    with pytest.raises(OracleMismatch, match="recurrence and closed-form moments") as info:
+    with pytest.raises(OracleMismatch, match="recurrence and the measure's moments") as info:
         build_standard(measure, 8, backend="float")
     assert info.value.stage == "first_stage"
 

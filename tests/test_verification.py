@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -66,13 +67,35 @@ def test_float_oracle_trial_catches_a_nudged_kernel(monkeypatch, field, expect):
         result = original(gram, factors)
         rows = [list(row) for row in getattr(result, field)]
         rows[0][1] += 1e-6
-        return dataclasses.replace(result, **{field: tuple(map(tuple, rows))})
+        if field == "coeffs":
+            return dataclasses.replace(result, coeffs=tuple(map(tuple, rows)))
+        # b is formed from a when read: a wrong b is one cached as read
+        result.__dict__["inverse_coeffs"] = tuple(map(tuple, rows))
+        return result
 
     pair = (Measure.gaussian(1), Measure.gaussian(2))
     assert verification.check_oracle_equivalence(*pair, 6, backend="float")["passed"]
     monkeypatch.setattr(gso, "gram_schmidt", nudged)
     report = verification.check_oracle_equivalence(*pair, 6, backend="float")
     assert report == {"check": "oracle_equivalence", "passed": False, **expect}
+
+
+def test_exact_oracle_trial_compares_b_with_its_oracle(monkeypatch):
+    # the exact trials certify a, h and Z, and check b by its bordered determinants
+    original = gso.gram_schmidt
+
+    def nudged(gram, factors):
+        result = original(gram, factors)
+        rows = [list(row) for row in result.inverse_coeffs]
+        rows[0][1] += Fraction(1, 10**6)
+        result.__dict__["inverse_coeffs"] = tuple(map(tuple, rows))
+        return result
+
+    monkeypatch.setattr(gso, "gram_schmidt", nudged)
+    report = verification.check_oracle_equivalence(Measure.gaussian(1), Measure.gaussian(2), 6)
+    assert report == {
+        "check": "oracle_equivalence", "passed": False, "trial": 0, "n": 1, "m": 0, "which": "b"
+    }
 
 
 def test_negative_i_max_is_refused():
