@@ -16,9 +16,9 @@ builds of a ratio alike, and the quartiles show how far single
 repetitions still move.  Both builds pay for gamma and the first stage, so
 a faster layer lowers off_s as much as on_s and can raise the ratio.
 
-``targets`` reads the scaling goals off the rows of this checkout, for
-each goal size that was timed: checks on within 1.5 times checks off at
-N 48 and within twice checks off at N 80, for both pairs.  Each is a ratio
+``targets`` reads the scaling goals off the rows of this checkout: checks
+on within 1.5 times checks off at N 48 and within twice checks off at
+N 80, for both pairs.  Each is a ratio
 of two timings on one host, so it does not depend on the speed of the
 host.  The verdict on the median ratio (``ratio_N48_met``) comes with the
 quartiles beside it and with the verdict on the upper quartile
@@ -28,13 +28,12 @@ the noise of one run, and the two verdicts then disagree.
 
 With ``--parent-src DIR`` (the ``src`` directory of another checkout) every
 row is also timed there, alternating which side runs first, and the rows
-carry a ``side`` of ``parent`` or ``change``.  ``--sizes`` times only the
-sizes it lists.
+carry a ``side`` of ``parent`` or ``change``.
 
 Run from the repository root (one process at a time, about five minutes,
 or ten with ``--parent-src``; the N 80 rows take most of it):
 
-    python scripts/exact_scaling.py [--parent-src DIR] [--sizes 48 64 80]
+    python scripts/exact_scaling.py [--parent-src DIR]
 """
 
 from __future__ import annotations
@@ -115,12 +114,11 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--parent-src", type=Path, help="src directory of the checkout to compare against")
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_exact_scaling.json")
-    parser.add_argument("--sizes", type=int, nargs="+", default=SIZES, help="sizes N to time")
     args = parser.parse_args()
 
     sides = ([("parent", args.parent_src)] if args.parent_src else []) + [("change", ROOT / "src")]
     rows = []
-    for k, (pair, n_size) in enumerate((p, n) for p in PAIRS for n in args.sizes):
+    for k, (pair, n_size) in enumerate((p, n) for p in PAIRS for n in SIZES):
         order = sides if k % 2 == 0 else sides[::-1]
         timed = {side: _time(src, *PAIRS[pair], n_size) for side, src in order}
         for side, _ in sides:
@@ -129,8 +127,6 @@ def main():
     mine = {(r["pair"], r["N"]): r for r in rows if r.get("side", "change") == "change"}
     targets = {}
     for n_size, goal in RATIO_TARGETS.items():
-        if n_size not in args.sizes:
-            continue
         at = {pair: mine[(pair, n_size)] for pair in PAIRS}
         targets.update({
             f"ratio_N{n_size}": {pair: row["ratio"] for pair, row in at.items()},
@@ -149,9 +145,7 @@ def main():
             "on / off, with its quartiles ratio_q1 and ratio_q3. Both builds pay for "
             "gamma and the first stage. See scripts/exact_scaling.py."
         ),
-        "command": "python scripts/exact_scaling.py"
-        + (" --parent-src DIR" if args.parent_src else "")
-        + ("" if tuple(args.sizes) == SIZES else " --sizes " + " ".join(map(str, args.sizes))),
+        "command": "python scripts/exact_scaling.py" + (" --parent-src DIR" if args.parent_src else ""),
         "python": platform.python_version(),
         "machine": f"{platform.machine()}, {os.cpu_count()} logical CPUs",
         "targets": targets,

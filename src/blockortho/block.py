@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import partial
 from itertools import accumulate
 from operator import mul
 
@@ -86,8 +86,7 @@ class SboBasis:
 
     ``p_in_q[m][n]`` is the monic connection (coefficient of Q_m in the monic
     P_{i;n}) and ``q_in_p[m][n]`` its inverse (coefficient of the monic
-    P_{i;m} in Q_n), formed on first read; both are degree-indexed N x N
-    with support i <= m <= n.
+    P_{i;m} in Q_n); both are degree-indexed N x N with support i <= m <= n.
     ``gamma_dets[s]`` is the leading s x s minor of the gamma matrix, so the
     degree-indexed determinant is ``Z(n) = gamma_dets[n - i + 1]``.
     ``scale[n - i]`` holds the normalization factor applied to the monic core.
@@ -107,6 +106,7 @@ class SboBasis:
     normalization: str
     backend: str
     _gamma: GramMatrix = field(default=None, repr=False, compare=False)
+    _q_in_p: tuple = field(default=None, repr=False, compare=False)
 
     @property
     def gamma(self) -> GramMatrix:
@@ -116,9 +116,13 @@ class SboBasis:
             object.__setattr__(self, "_gamma", gamma_matrix(self.q_basis, self.measure2, self.i))
         return self._gamma
 
-    @cached_property
+    @property
     def q_in_p(self):
-        return tuple(map(tuple, linalg.inverse_upper(self.p_in_q, self.i)))
+        """The inverse of ``p_in_q``: kept by a float build from its
+        factorization, formed from ``p_in_q`` on an exact one's first read."""
+        if self._q_in_p is None:
+            object.__setattr__(self, "_q_in_p", linalg.inverse_upper(self.p_in_q, self.i))
+        return self._q_in_p
 
     def degrees(self):
         return range(self.i, self.size)
@@ -336,11 +340,11 @@ def _qr_second_stage(connection, norms, leading):
     gamma = W^T W = R^T R, so with d_k = R_kk^2 and B = diag(R)^-1 R the
     LDL^T factors of gamma are B^T diag(d) B, read off the QR factors
     without forming gamma: h_n = d_n / k_n^2, the leading determinants are
-    the prefix products of d and a = B^-1 diag(1/k), k the leading factors.
-    The factorization is modified Gram-Schmidt on the columns of T in the
-    inner product <x, y> = sum_m h_m x_m y_m, the dot product of the
-    matching columns of W: column j is taken off every later column k with
-    B[j][k] = <v_j, v_k> / d_j, d_j = <v_j, v_j>.
+    the prefix products of d, b = diag(k) B and a = B^-1 diag(1/k), for the
+    leading factors k.  The factorization is modified Gram-Schmidt on the
+    columns of T in the inner product <x, y> = sum_m h_m x_m y_m, which is
+    the dot product of the matching columns of W: column j is taken off
+    every later column k with B[j][k] = <v_j, v_k> / d_j, d_j = <v_j, v_j>.
     Its R is as accurate as a Householder R (Bjorck, BIT 7 (1967)), and as
     no square root is taken, data whose factors and partial results are
     floats, such as the built-in pairs at small N, gives them exactly, as
@@ -366,6 +370,7 @@ def _qr_second_stage(connection, norms, leading):
         tuple((d / (k * k)).tolist()),
         tuple(leading),
         (one(EXACT), *accumulate(d.tolist(), mul)),
+        tuple(map(tuple, (k[:, None] * unit).tolist())),
     )
 
 
@@ -464,7 +469,8 @@ def _sbo_bases(first_stage, measure2, i_values, n_polys, normalization, check):
     are lifted once for its check and for P.  Float bases take
     T and h once and, for each i, factor W = diag(sqrt h) T[:, i:] by one QR
     (:func:`_qr_second_stage`), gated by :func:`connection_condition` and
-    checked by :func:`_check_quadrature`; gamma_i is formed when read.
+    checked by :func:`_check_quadrature`; gamma_i is formed when read and
+    q_in_p kept from the factorization.
     """
     # checked before the first stage, so a bad i is reported even where Q fails
     for i in i_values:
@@ -492,9 +498,11 @@ def _sbo_bases(first_stage, measure2, i_values, n_polys, normalization, check):
                 standard._check_rule_moments(rec2, mu2)
             rules = _quadrature_rules(q_basis, rec2, max(i_values) > 0)
     lead = _leading_data(q_basis) if check else None
+    nil = (zero(backend),)
     bases = {}
     for i in i_values:
         block = n_polys - i
+        pad = (nil * n_polys,) * i
         # second-stage leading factors k_n make the output monic: A_{i;n,n} = 1/k_n
         leading = list(q_basis.leading[i:])
         with stage(SECOND_STAGE, first_degree=i):
@@ -507,6 +515,8 @@ def _sbo_bases(first_stage, measure2, i_values, n_polys, normalization, check):
                     gso.check_against_oracle(
                         gamma, result, q_cols, "second-stage determinant oracle disagrees"
                     )
+                p_cols = linalg._lifted_mat_mul(q_rows, result._lifted_columns, i)
+                q_in_p = None  # formed from p_in_q when read
             else:
                 gamma = None
                 t_i = connection[:, i:]
@@ -515,13 +525,8 @@ def _sbo_bases(first_stage, measure2, i_values, n_polys, normalization, check):
                 result = _qr_second_stage(t_i, norms, leading)
                 if check and block:
                     _check_quadrature(rules, result, i)
-        if backend == EXACT:
-            p_cols = linalg._lifted_mat_mul(q_rows, result._lifted_columns, i)
-        else:
-            coeffs = np.array(result.coeffs).reshape(block, block)
-            p_cols = (q_array[:, i:] @ coeffs).tolist()
-        nil = (scalars.zero(backend),)
-        p_in_q = (nil * n_polys,) * i + tuple(nil * i + row for row in result.coeffs)
+                p_cols = (q_array[:, i:] @ np.array(result.coeffs).reshape(block, block)).tolist()
+                q_in_p = pad + tuple(nil * i + row for row in result.inverse_coeffs)
         bases[i] = SboBasis(
             i=i,
             size=n_polys,
@@ -532,11 +537,12 @@ def _sbo_bases(first_stage, measure2, i_values, n_polys, normalization, check):
             gamma_dets=result.gram_dets,
             monic_polys=from_columns(p_cols),
             monic_norms=result.norms,
-            p_in_q=p_in_q,
+            p_in_q=pad + tuple(nil * i + row for row in result.coeffs),
             scale=_scale(normalization, q_basis, i, result.gram_dets),
             normalization=normalization,
             backend=backend,
             _gamma=gamma,
+            _q_in_p=q_in_p,
         )
         if check and block:
             _check_leading_identities(bases[i], lead)

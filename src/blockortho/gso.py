@@ -7,8 +7,9 @@ factors b_{n,n}.  The output describes the unique orthogonal vectors
     E_n = (e_n - sum_{m<n} E_m b_{m,n}) / b_{n,n},   (E_j, E_k) = h_j d_{jk}
 
 through the triangular connection matrices a (E over e) and b (e over E),
-the squared norms h_n and the leading Gram determinants.  A pass forms a,
-h and Z; b, the inverse of a, is formed from a only when it is read.
+the squared norms h_n and the leading Gram determinants.  An exact pass
+forms a, h and Z, and b, the inverse of a, is formed from a when read; a
+float pass keeps the b its factorization gives.
 
 Gram-Schmidt over a Gram matrix is its LDL^T factorization: the pivots
 are the ratios of consecutive leading Gram determinants, so one pass gives
@@ -27,26 +28,21 @@ connection by QR in :mod:`block` instead.  The checks never read the
 kernel's factorization:
 
 * :func:`bordered_oracle` gives the column of E_n, h_n and Z_{n+1};
-* :func:`oracle_connection_column` gives b_{m,n} for every m <= n, and
-  :func:`connection_mismatch` checks a whole exact b against the same
-  determinants, from one elimination;
+* :func:`oracle_connection_column` gives b_{m,n} for every m <= n;
 * :func:`check_against_oracle` checks a whole result: exact ones by an
-  LDL^T certificate (:func:`_exact_mismatch`), products of the Gram matrix
-  with the returned columns compared in integers, which reads g and the
-  values it checks and shares no code with the kernel; float ones degree by
-  degree against :func:`bordered_oracle`.
+  LDL^T certificate (:func:`_exact_mismatch`), which reads g and the values
+  it checks and shares no code with the kernel; float ones degree by degree
+  against :func:`bordered_oracle`.
 
-Exact cofactors come from :mod:`linalg`'s fraction-free elimination, which
-lifts each full row by its own scale and eliminates all of every row; the
-kernel shares none of its code.
-Float cofactors have one route, an LU solve for the last column of the
-inverse of a leading block (:func:`_inverse_last_column`).
+Exact cofactors come from :mod:`linalg`'s fraction-free elimination; float
+ones from an LU solve for the last column of the inverse of a leading block
+(:func:`_inverse_last_column`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
@@ -79,9 +75,10 @@ class OrthogonalizationResult:
 
     ``coeffs[m][n]``         a_{m,n}: coefficient of e_m in E_n (upper triangular)
     ``inverse_coeffs[m][n]`` b_{m,n}: coefficient of E_m in e_n, the inverse
-                             of ``coeffs``, formed on first read (exact: from
-                             the lifted columns the check reads too); no
-                             pass forms it
+                             of ``coeffs``: a float pass gives diag(f) B from
+                             its factorization, as accurate as a (an inverse
+                             of the float a would add the condition of B to
+                             its error); otherwise formed from a on first read
     ``norms[n]``             h_n = (E_n, E_n)
     ``factors[n]``           the prescribed b_{n,n}
     ``gram_dets[k]``         determinant of the leading k x k block (index 0 is 1)
@@ -91,6 +88,7 @@ class OrthogonalizationResult:
     norms: tuple
     factors: tuple
     gram_dets: tuple
+    _inverse: tuple = field(default=None, repr=False, compare=False)
 
     @property
     def size(self):
@@ -98,14 +96,15 @@ class OrthogonalizationResult:
 
     @cached_property
     def inverse_coeffs(self):
-        if linalg.matrix_kind(self.coeffs) == EXACT:
-            return tuple(map(tuple, linalg._lifted_inverse(self._lifted_columns)))
-        return tuple(map(tuple, linalg.inverse_upper(self.coeffs)))
+        if self._inverse is not None:
+            return self._inverse
+        # exact columns the check or the P product has lifted are not lifted again
+        return linalg.inverse_upper(self.coeffs, columns=vars(self).get("_lifted_columns"))
 
     @cached_property
     def _lifted_columns(self):
         """The columns of exact ``coeffs`` as :func:`linalg._lifted_span` gives
-        them, lifted once for the check and the products that read them."""
+        them, lifted once for the check and for P."""
         return [linalg._lifted_span(col) for col in zip(*self.coeffs)]
 
     def vector(self, n):
@@ -117,10 +116,10 @@ def gram_schmidt(gram, leading_factors) -> OrthogonalizationResult:
     """Orthogonalize against a Gram matrix with prescribed leading factors.
 
     One LDL^T pass g = B^T D B (B unit upper triangular) in the scalars of
-    the matrix: h_n = D_n / f_n^2, a = B^{-1} diag(1/f), and the leading
-    Gram determinants are the prefix products of D; b = diag(f) B is formed
-    from a only when read.  Exact matrices run it in integers
-    (:func:`_exact_ldl`), float ones as a float loop (:func:`_float_ldl`).
+    the matrix: h_n = D_n / f_n^2, a = B^{-1} diag(1/f), b = diag(f) B, and
+    the leading Gram determinants are the prefix products of D.  Exact
+    matrices run it in integers (:func:`_exact_ldl`), with b formed from a
+    when read; float ones run a float loop (:func:`_float_ldl`).
     """
     g = _entries(gram)
     n_dim = len(g)
@@ -131,9 +130,9 @@ def gram_schmidt(gram, leading_factors) -> OrthogonalizationResult:
         if f == 0 or (isinstance(f, float) and not math.isfinite(f)):
             raise BadFactor("leading factors must be nonzero and finite")
     ldl = _exact_ldl if kind == EXACT else _float_ldl
-    a, norms, dets = ldl(g, leading_factors)
+    a, norms, dets, b = ldl(g, leading_factors)
     return OrthogonalizationResult(
-        tuple(map(tuple, a)), tuple(norms), tuple(leading_factors), tuple(dets)
+        tuple(map(tuple, a)), tuple(norms), tuple(leading_factors), tuple(dets), b
     )
 
 
@@ -159,7 +158,8 @@ def _exact_ldl(g, leading_factors):
     with c_n = M_n (the last-row cofactors of the leading (n+1)-column
     block of the scaled rows).  Every division inside is exact, and each
     output entry is one Fraction.  A pivot that is not positive raises
-    NotPositiveDefinite at its degree.  Returns (a, h, Z) as lists.
+    NotPositiveDefinite at its degree.  Returns (a, h, Z) as lists and None
+    for b.
     """
     n_dim = len(g)
     flat, scale = linalg.lift([x for k, row in enumerate(g) for x in row[k:]])
@@ -199,7 +199,7 @@ def _exact_ldl(g, leading_factors):
         den = minors[n] * fp
         for m in range(n + 1):
             a[m][n] = Fraction(c[m] * fq, den)
-    return a, norms, dets
+    return a, norms, dets, None
 
 
 def _float_ldl(g, leading_factors):
@@ -207,7 +207,7 @@ def _float_ldl(g, leading_factors):
 
     A pivot at or below PIVOT_FLOOR times the largest entry of its leading
     block raises NotPositiveDefinite at its degree.  Returns (a, h, Z) as
-    lists.
+    lists and b as row tuples.
     """
     kind = FLOAT
     n_dim = len(g)
@@ -239,7 +239,7 @@ def _float_ldl(g, leading_factors):
             a[m][n] = -sum(unit[m][j] * a[j][n] for j in range(m + 1, n + 1))
         for m in range(n + 1):
             a[m][n] /= leading_factors[n]
-    return a, norms, dets
+    return a, norms, dets, tuple(tuple(f * x for x in r) for f, r in zip(leading_factors, unit))
 
 
 def require_checkerboard(g, what):
@@ -336,58 +336,44 @@ def bordered_oracle(gram, n, leading_factor):
     z_prev = cofactors[n]
     if z_prev == 0:
         raise NotPositiveDefinite(f"leading minor of size {n} vanishes", degree=n)
-    column = tuple(c / z_prev / leading_factor for c in cofactors)
-    return column, z_here / z_prev / leading_factor**2, z_here
+    scale = z_prev * leading_factor
+    return tuple(c / scale for c in cofactors), z_here / (scale * leading_factor), z_here
 
 
-def oracle_connection_column(gram, n, leading_factors):
+def oracle_connection_column(gram, n, leading_factors, elimination=None):
     """b_{m,n}, m = 0..n: the coefficients of e_n on E_0..E_n.
 
     b_{m,n} = f_m (g[n] . c^(m)) / Z_{m+1}, the bordered determinant with
     Gram rows 0..m-1 and last row g[n] over the leading minor, where c^(m)
     are the last-row cofactors of the leading (m+1) x (m+1) block.  Exact
-    matrices take every m from one :class:`linalg.LiftedElimination` of the
-    leading (n+1) x (n+1) block: in its lifted rows R (row r scaled by the
-    rational d_r) b_{m,n} = f_m (R[n] . c) d_m / (d_n Z_{m+1}), with c and
-    Z_{m+1} the lifted cofactors and minor of degree m.  Float matrices take
+    matrices take every m from one :class:`linalg.LiftedElimination`, of
+    the leading (n+1) x (n+1) block or the ``elimination`` of any matrix
+    that has it as its leading block (by the prefix property its cofactors
+    serve every leading block, so one elimination serves every column): in
+    its lifted rows R (row r scaled by the rational d_r)
+    b_{m,n} = f_m (R[n] . c) d_m / (d_n Z_{m+1}), with c and Z_{m+1} the
+    lifted cofactors and minor of degree m.  Float matrices take
     c^(m) / Z_{m+1} as :func:`_inverse_last_column` of each leading block,
     one LU solve per m and no determinant.
     """
-    g = _entries(gram)
-    block = [row[: n + 1] for row in g[: n + 1]]
-    if linalg.matrix_kind(block) == FLOAT:
-        leading = ([row[: m + 1] for row in block[: m + 1]] for m in range(n + 1))
-        return tuple(
-            f * float(sum(map(mul, block[n], _inverse_last_column(b))))
-            for f, b in zip(leading_factors, leading)
-        )
-    elim = linalg.LiftedElimination(block)
-    last, d = elim.rows[n], elim.scales
-    return tuple(
-        f * Fraction(sum(map(mul, last, elim.cofactors(m))) * d[m], d[n] * elim.minor(m + 1))
-        for m, f in enumerate(leading_factors)
-    )
-
-
-def connection_mismatch(gram, inverse, leading_factors):
-    """The first (n, m), column by column, at which the exact ``inverse``
-    leaves b_{m,n} of :func:`oracle_connection_column`, or None, from one
-    :class:`linalg.LiftedElimination` of the whole matrix (by the prefix
-    property its cofactors serve every leading block), each stored p / q
-    compared with num / den as p den == num q."""
-    g = _entries(gram)
-    elim = linalg.LiftedElimination(g)
-    scales = [d.as_integer_ratio() for d in elim.scales]
-    ratios, cofactors = [], []  # f_m d_m / z as (num, den), and c, by m
-    for n, (f, row, (dp, dq)) in enumerate(zip(leading_factors, elim.rows, scales)):
-        fp, fq = f.as_integer_ratio()
-        ratios.append((fp * dp, fq * dq * elim.minor(n + 1)))
-        cofactors.append(elim.cofactors(n))
-        for m, ((num, den), c) in enumerate(zip(ratios, cofactors)):
-            p, q = inverse[m][n].as_integer_ratio()
-            if p * den * dp != num * sum(map(mul, row, c)) * dq * q:
-                return n, m
-    return None
+    elim = elimination
+    if elim is None:
+        g = _entries(gram)
+        block = [row[: n + 1] for row in g[: n + 1]]
+        if linalg.matrix_kind(block) == FLOAT:
+            leading = ([row[: m + 1] for row in block[: m + 1]] for m in range(n + 1))
+            return tuple(
+                f * float(sum(map(mul, block[n], _inverse_last_column(b))))
+                for f, b in zip(leading_factors, leading)
+            )
+        elim = linalg.LiftedElimination(block)
+    last, (np_, nq) = elim.rows[n], elim.scales[n].as_integer_ratio()
+    out = []
+    for m, (f, d_m) in enumerate(zip(leading_factors, elim.scales)):
+        (fp, fq), (dp, dq) = f.as_integer_ratio(), d_m.as_integer_ratio()
+        dot = sum(map(mul, last, elim.cofactors(m)))
+        out.append(Fraction(fp * dot * dp * nq, fq * dq * np_ * elim.minor(m + 1)))
+    return tuple(out)
 
 
 def check_against_oracle(gram, result: OrthogonalizationResult, basis, stage):
@@ -395,16 +381,15 @@ def check_against_oracle(gram, result: OrthogonalizationResult, basis, stage):
 
     ``basis`` is the monomial coefficient matrix of the vectors the Gram
     matrix is taken over (column k holds e_k).  Exact results must pass the
-    LDL^T certificate of :func:`_exact_mismatch` exactly, column by column:
-    the connection a, the norm h and the leading Gram determinant Z (the
-    inverse connection b is formed from a when read, so it is not checked).
-    Float results are compared with :func:`bordered_oracle` as monomial
-    coefficients (comparing connection columns is the same test because the
-    basis columns are independent): within ORACLE_RTOL times the largest
-    oracle coefficient, and norms within ORACLE_RTOL of the oracle norm.  Neither route reads the kernel's
-    factorization, only the Gram matrix, the prescribed leading factors and
-    the values it checks.  A failure raises OracleMismatch naming ``stage``
-    and the degree of the basis vector.
+    LDL^T certificate of :func:`_exact_mismatch`, column by column: the
+    connection a, the norm h and the leading Gram determinant Z (b, formed
+    from a when read, is not checked).  Float results are compared with
+    :func:`bordered_oracle` as monomial coefficients (the same test as
+    comparing connection columns, the basis columns being independent):
+    within ORACLE_RTOL times the largest oracle coefficient, and norms
+    within ORACLE_RTOL of the oracle norm.  Neither route reads the kernel's
+    factorization.  A failure raises OracleMismatch naming ``stage`` and the
+    degree of the basis vector.
     """
     g = _entries(gram)
     if linalg.matrix_kind(g) == EXACT:

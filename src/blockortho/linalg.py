@@ -175,6 +175,7 @@ class LiftedElimination:
         self._reduced = [list(r) for r in self.rows]
         first_zero = _eliminate(self._reduced)[2]
         self._clean = len(self.rows) if first_zero is None else first_zero
+        self._cofactors = {}
 
     @cached_property
     def prefix(self):
@@ -191,10 +192,13 @@ class LiftedElimination:
     def cofactors(self, n):
         """Signed cofactors c_k = (-1)^(n+k) det(lifted rows 0..n-1 without
         column k) of the leading (n+1)-column block, k = 0..n; c_n is the
-        leading minor of size n."""
-        if n <= self._clean:
-            return _back_substitute(self._reduced, n, self.minor(n))
-        return _cofactors_int([row[: n + 1] for row in self.rows[:n]])
+        leading minor of size n.  Each degree is solved once."""
+        if n not in self._cofactors:
+            if n <= self._clean:
+                self._cofactors[n] = _back_substitute(self._reduced, n, self.minor(n))
+            else:
+                self._cofactors[n] = _cofactors_int([row[: n + 1] for row in self.rows[:n]])
+        return self._cofactors[n]
 
 
 def det(matrix):
@@ -312,39 +316,33 @@ def _lifted_mat_mul(a_rows, b_cols, skip=0):
     return out
 
 
-def inverse_upper(a, first=0):
+def inverse_upper(a, first=0, columns=None):
     """The inverse of the trailing block a[first:, first:] of the upper
-    triangular ``a`` (no zero on its diagonal), in place of that block in an
-    otherwise zero matrix of the size of ``a``: exact blocks by
-    :func:`_lifted_inverse`, float ones by one triangular solve."""
+    triangular ``a``, in place of that block in an otherwise zero matrix,
+    as row tuples.  Exact blocks go row by row in integers: with column n
+    lifted to u_n / s_n (``columns``, as :func:`_lifted_span` gives them,
+    when the caller holds an exact block lifted), row m of x a = I is
+    x_{m,m} = s_m / u_m[m] and x_{m,n} = -(sum_{j<n} x_{m,j} u_n[j]) / u_n[n],
+    kept as coprime integers over one denominator, so each entry is one
+    integer dot product and one Fraction.  Float blocks take LAPACK's LU
+    solve, which on a triangular matrix swaps no rows and is back
+    substitution."""
     size = len(a)
-    block = [row[first:] for row in a[first:]]
-    if matrix_kind(a) == EXACT:
-        rows = _lifted_inverse([_lifted_span(col) for col in zip(*block)])
-        nil = zero(EXACT)
-        return [[nil] * size for _ in range(first)] + [[nil] * first + row for row in rows]
-    out = np.zeros((size, size))
-    if block:
-        inverse = np.linalg.solve(np.array(block, dtype=float), np.eye(size - first))
-        out[first:, first:] = np.triu(inverse)
-    return out.tolist()
-
-
-def _lifted_inverse(cols):
-    """The inverse x of the exact upper triangular matrix whose columns are
-    ``cols``, as :func:`_lifted_span` gives them, row by row in integers.
-
-    With column n = u_n / s_n, row m solves x a = e_m: x_{m,m} = s_m / u_m[m]
-    and x_{m,n} = -(sum_{j<n} x_{m,j} u_n[j]) / u_n[n], s_n cancelling.  Row
-    m is kept as coprime integers over one denominator, widened only by the
-    part of u_n[n] its new entry does not cancel, so each entry is one
-    integer dot product and, at the end, one Fraction.
-    """
-    out = []
-    for m, (u_m, s_m, _, _) in enumerate(cols):
+    if columns is None:
+        block = [row[first:] for row in a[first:]]
+        if matrix_kind(a) == FLOAT:
+            out = np.zeros((size, size))
+            if block:
+                inverse = np.linalg.solve(np.array(block), np.eye(size - first))
+                out[first:, first:] = np.triu(inverse)
+            return tuple(map(tuple, out.tolist()))
+        columns = [_lifted_span(col) for col in zip(*block)]
+    nil = zero(EXACT)
+    rows = [(nil,) * size] * first
+    for m, (u_m, s_m, _, _) in enumerate(columns):
         g = gcd(s_m, u_m[m])
         ints, den = [s_m // g], u_m[m] // g  # x_{m,m}, x_{m,m+1}, ...
-        for u, _, _, _ in cols[m + 1 :]:
+        for u, _, _, _ in columns[m + 1 :]:
             t = -sum(map(mul, ints, u[m:]))
             g = gcd(t, u[m + len(ints)])
             t, e = t // g, u[m + len(ints)] // g
@@ -352,8 +350,8 @@ def _lifted_inverse(cols):
                 ints = [y * e for y in ints]
                 den *= e
             ints.append(t)
-        out.append([zero(EXACT)] * m + [Fraction(y, den) for y in ints])
-    return out
+        rows.append((nil,) * (first + m) + tuple(Fraction(y, den) for y in ints))
+    return tuple(rows)
 
 
 def transpose(rows):

@@ -22,7 +22,7 @@ from .block import (
     sbo_parity_build,
 )
 from .errors import BlockOrthoError, CollapsedRule, ConditioningError, OracleMismatch
-from .linalg import identity
+from .linalg import LiftedElimination, identity
 from .measures import Measure, inner_product_mu, moments
 from .polynomials import combine, from_columns, monomial
 from .projectors import inner0_with, projectors_from_q, projectors_from_second
@@ -112,16 +112,16 @@ def _float_orthogonality(measure2, bases, n_size, i_max):
 
 
 def check_oracle_equivalence(measure1, measure2, n_size, backend=EXACT, seed=20240601, samples=50):
-    """Inductive vs determinant routes on random Gram matrices, b included
-    in both backends (exact by :func:`gso.connection_mismatch`), and on the
-    pair: the Hankel first stage of each measure with its bordered-determinant
-    oracle, and the second stage against the SBO determinant oracle."""
+    """Inductive vs determinant routes on random Gram matrices, b included,
+    and on the pair: the Hankel first stage of each measure with its
+    bordered-determinant oracle, and the second stage against the SBO
+    determinant oracle."""
     rng = random.Random(seed)
     for trial in range(samples):
         size = rng.randint(2, 7)
         raw = [[rng.randint(-4, 4) for _ in range(size)] for _ in range(size)]
         cols = list(zip(*raw))
-        # raw^T raw + I, summed over integers and kept as exact ints
+        # raw^T raw + I, summed over integers and kept as ints
         gram = [
             [sum(map(mul, c_j, c_k)) + (j == k) for k, c_k in enumerate(cols)]
             for j, c_j in enumerate(cols)
@@ -131,27 +131,25 @@ def check_oracle_equivalence(measure1, measure2, n_size, backend=EXACT, seed=202
             gram = [[float(x) for x in row] for row in gram]
             factors = [float(f) for f in factors]
         result = gso.gram_schmidt(gram, factors)
+        elimination, scale = None, 1
         if backend == EXACT:
             try:
                 gso.check_against_oracle(gram, result, identity(size), "random Gram trial")
             except OracleMismatch as exc:
                 return _entry("oracle_equivalence", False, trial=trial, n=exc.degree)
-            # b, formed from a when read, against its own bordered determinants
-            bad = gso.connection_mismatch(gram, result.inverse_coeffs, factors)
-            if bad is not None:
-                n, m = bad
-                return _entry("oracle_equivalence", False, trial=trial, n=n, m=m, which="b")
-            continue
+            elimination = LiftedElimination(gram)  # b's determinants for every column
         for n in range(size):
-            oracle = gso.bordered_oracle(gram, n, factors[n])[0]
-            column = [result.coeffs[m][n] for m in range(n + 1)]
-            scale = max(abs(x) for x in oracle) or 1
-            for a, b in zip(oracle, column):
-                if not _is_zero(a - b, backend, scale):
-                    return _entry("oracle_equivalence", False, trial=trial, n=n)
-            b_oracle = gso.oracle_connection_column(gram, n, factors[: n + 1])
-            for m, b in enumerate(b_oracle):
-                if not _is_zero(b - result.inverse_coeffs[m][n], backend, scale):
+            if backend == FLOAT:
+                oracle = gso.bordered_oracle(gram, n, factors[n])[0]
+                column = [result.coeffs[m][n] for m in range(n + 1)]
+                scale = max(abs(x) for x in oracle) or 1
+                for a, b in zip(oracle, column):
+                    if not _is_zero(a - b, backend, scale):
+                        return _entry("oracle_equivalence", False, trial=trial, n=n)
+            # b, exact formed from a when read, against its own bordered determinants
+            b_oracle = gso.oracle_connection_column(gram, n, factors[: n + 1], elimination)
+            for m, (b, x) in enumerate(zip(b_oracle, result.inverse_coeffs)):
+                if b != x[n] and not _is_zero(b - x[n], backend, scale):
                     return _entry("oracle_equivalence", False, trial=trial, n=n, m=m, which="b")
     bases = build_sbos(measure1, measure2, range(min(2, n_size) + 1), n_size, backend=backend)
     # the Hankel route and its bordered-determinant oracle, on each measure's

@@ -71,12 +71,13 @@ def reference_mat_mul(a, b):
     return out
 
 
-def _result_lists(res, inverse=True):
-    """(a, b, h, Z) of a kernel result as lists, or (a, h, Z) without ``inverse``."""
-    lists = [[list(r) for r in res.coeffs], list(res.norms), list(res.gram_dets)]
-    if inverse:
-        lists.insert(1, [list(r) for r in res.inverse_coeffs])
-    return lists
+def _result_lists(res):
+    return [
+        [list(r) for r in res.coeffs],
+        [list(r) for r in res.inverse_coeffs],
+        list(res.norms),
+        list(res.gram_dets),
+    ]
 
 
 def _bits(values):
@@ -273,6 +274,4 @@ def test_float_kernel_is_bit_identical_to_the_loop(case):
             gram_schmidt(gram, fs)
         assert (info.value.degree, str(info.value)) == (exc.degree, str(exc))
         return
-    # the pass forms a, h and Z; b is formed from a when read (one triangular solve)
-    a, _, h, z = expected
-    assert _bits(_result_lists(gram_schmidt(gram, fs), inverse=False)) == _bits([a, h, z])
+    assert _bits(_result_lists(gram_schmidt(gram, fs))) == _bits(list(expected))

@@ -67,11 +67,9 @@ def test_float_oracle_trial_catches_a_nudged_kernel(monkeypatch, field, expect):
         result = original(gram, factors)
         rows = [list(row) for row in getattr(result, field)]
         rows[0][1] += 1e-6
-        if field == "coeffs":
-            return dataclasses.replace(result, coeffs=tuple(map(tuple, rows)))
-        # b is formed from a when read: a wrong b is one cached as read
-        result.__dict__["inverse_coeffs"] = tuple(map(tuple, rows))
-        return result
+        # a float pass hands its b, diag(f) B, to the result beside a
+        name = "coeffs" if field == "coeffs" else "_inverse"
+        return dataclasses.replace(result, **{name: tuple(map(tuple, rows))})
 
     pair = (Measure.gaussian(1), Measure.gaussian(2))
     assert verification.check_oracle_equivalence(*pair, 6, backend="float")["passed"]
