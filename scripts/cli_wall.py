@@ -9,11 +9,17 @@ at N 8, 12, 16 and 20, on the exact and the ``--float`` backend:
 
 * ``table``: the whole table at N <= 12, the one-i table ``--i N/4`` above;
 * ``verify --checks orthogonality``;
-* ``roots --i N/2``.
+* ``roots --i N/2``;
 
-Every row is run ``RUNS`` times after one untimed warm-up (which also
-writes the bytecode caches) and reports the median wall time ``wall_s``
-with its quartiles, and the command's exit code (a float build the
+and one row each for the commands whose start-up differs from these:
+``moments``, ``three-subspace``, ``projector`` and a usage error (exit 2),
+which loads no library module at all.
+
+Every row is run ``--runs`` times (default 5) after one untimed warm-up,
+which also writes the bytecode caches unless ``PYTHONDONTWRITEBYTECODE`` is
+set (then every run compiles the modules it imports, and ``bytecode`` in
+the report says so).  A row reports the median wall time ``wall_s`` with
+its quartiles, and the command's exit code (a float build the
 conditioning gate refuses exits 1, which is part of the row).
 
 With ``--parent-src DIR`` (the ``src`` directory of another checkout)
@@ -27,7 +33,7 @@ kind, the median over its rows of the change / parent ratio of
 Run from the repository root (one process at a time, about two minutes,
 or three with ``--parent-src``):
 
-    python scripts/cli_wall.py [--parent-src DIR]
+    python scripts/cli_wall.py [--parent-src DIR] [--runs R]
 """
 
 from __future__ import annotations
@@ -48,6 +54,13 @@ SIZES = (8, 12, 16, 20)
 BACKENDS = ("exact", "float")
 RUNS = 5
 WHOLE_TABLE_MAX_N = 12
+# one row per command outside the table/verify/roots grid
+SINGLE_ROWS = (
+    ("moments", ["moments", "--measure", "gamma:1:2", "--max-order", "6"]),
+    ("three-subspace", ["three-subspace", "--z12", "1", "--z23", "2", "--z13", "3"]),
+    ("projector", ["projector", "--pair", "hermite", "--N", "6", "--i", "2"]),
+    ("usage error", ["table", "--pair", "nope", "--N", "4"]),
+)
 
 IMPORT = ["-c", "import blockortho, blockortho.cli"]
 CLI = ["-c", "import sys; from blockortho.cli import main; sys.exit(main(sys.argv[1:]))"]
@@ -72,6 +85,8 @@ def _rows():
                     row = {"command": command, "pair": pair, "N": n_size, "backend": backend,
                            "argv": " ".join(argv)}
                     yield row, CLI + argv
+    for command, argv in SINGLE_ROWS:
+        yield {"command": command, "argv": " ".join(argv)}, CLI + argv
 
 
 def _run(src, args):
@@ -86,6 +101,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--parent-src", type=Path, help="src directory of the checkout to compare against")
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_cli_wall.json")
+    parser.add_argument("--runs", type=int, default=RUNS, help="timed runs per row and side")
     args = parser.parse_args()
 
     sides = ([("parent", args.parent_src)] if args.parent_src else []) + [("change", ROOT / "src")]
@@ -96,7 +112,7 @@ def main():
             _run(src, interpreter_args)
         times = {side: [] for side, _ in sides}
         results = {}
-        for rep in range(RUNS):
+        for rep in range(args.runs):
             for side, src in (sides if rep % 2 == 0 else sides[::-1]):
                 seconds, code, out = _run(src, interpreter_args)
                 times[side].append(seconds)
@@ -112,24 +128,29 @@ def main():
                            q1_s=round(q1, 4), q3_s=round(q3, 4), rc=results[side][0])
             rows.append(out_row)
         if args.parent_src:
-            kind = row["command"] if row["command"] == "import" else f"{row['command']} {row['backend']}"
+            kind = " ".join(filter(None, (row["command"], row.get("backend"))))
             ratio = statistics.median(times["change"]) / statistics.median(times["parent"])
             ratios.setdefault(kind, []).append(ratio)
 
     report = {
         "description": (
             "Wall time in seconds of one fresh interpreter per run, median (wall_s) and "
-            f"quartiles (q1_s, q3_s) of {RUNS} runs after one untimed warm-up, and the exit "
-            "code rc: the bare package import, and table (whole at N <= 12, --i N/4 above), "
+            f"quartiles (q1_s, q3_s) of {args.runs} runs after one untimed warm-up, and the "
+            "exit code rc: the bare package import; table (whole at N <= 12, --i N/4 above), "
             "verify --checks orthogonality and roots --i N/2 on both built-in pairs at "
-            "N 8-20, exact and --float. With --parent-src both sides run back to back in "
-            "each repetition, the first side alternating, and printed the same stdout and "
-            "exit code; summary is the median over each row kind of change / parent "
+            "N 8-20, exact and --float; and one row each for moments, three-subspace, "
+            "projector and a usage error (exit 2). With --parent-src both sides run back to "
+            "back in each repetition, the first side alternating, and printed the same stdout "
+            "and exit code; summary is the median over each row kind of change / parent "
             "wall_s. See scripts/cli_wall.py."
         ),
-        "command": "python scripts/cli_wall.py" + (" --parent-src DIR" if args.parent_src else ""),
+        "command": "python scripts/cli_wall.py"
+        + (" --parent-src DIR" if args.parent_src else "")
+        + (f" --runs {args.runs}" if args.runs != RUNS else ""),
         "python": platform.python_version(),
         "machine": f"{platform.machine()}, {os.cpu_count()} logical CPUs",
+        "bytecode": "not written (PYTHONDONTWRITEBYTECODE set)"
+        if os.environ.get("PYTHONDONTWRITEBYTECODE") else "cached by the warm-up",
     }
     if args.parent_src:
         report["summary"] = {kind: round(statistics.median(values), 3) for kind, values in ratios.items()}

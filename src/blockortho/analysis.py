@@ -24,9 +24,9 @@ from ._numpy import np
 from .errors import CollapsedRule, DimensionCap, InsufficientNodes, MomentError
 from .measures import Measure, truncated_support
 from .polynomials import sign_changes_batch
-from .standard import monic_recurrence
+from .standard import monic_recurrence, recurrence_rule
 
-if TYPE_CHECKING:  # block imports this module for its Gauss rules
+if TYPE_CHECKING:  # annotations only: the zero scans need no block code
     from .block import SboBasis
 
 Z_DIMENSION_CAP = 3
@@ -80,23 +80,6 @@ def gauss_rule(measure: Measure, n_nodes: int):
         raise InsufficientNodes("need at least one node")
     nodes, weights = recurrence_rule(monic_recurrence(measure, n_nodes))
     return tuple(float(x) for x in nodes), tuple(float(w) for w in weights)
-
-
-def recurrence_rule(rec):
-    """Nodes, ascending, and unit-mass weights, as arrays, of the Gauss rule
-    of the monic recurrence ``rec``: the eigenvalues and squared first
-    eigenvector components of its Jacobi matrix, b_m as floats on the
-    diagonal (a zero as -0.0) and sqrt(c_m), m >= 1, beside it."""
-    jacobi = np.diag([float(b_m) or -0.0 for b_m, _ in rec])
-    if len(rec) > 1:
-        off = [math.sqrt(float(c_m)) for _, c_m in rec[1:]]
-        jacobi += np.diag(off, 1) + np.diag(off, -1)
-    nodes, vectors = np.linalg.eigh(jacobi)  # eigenvalues in ascending order
-    weights = vectors[0, :] ** 2
-    total = weights.sum()
-    if abs(total - 1.0) > 1e-8:
-        raise InsufficientNodes("quadrature weights failed normalization")
-    return nodes, weights / total
 
 
 def verify_z_integral(

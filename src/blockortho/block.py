@@ -33,7 +33,6 @@ from operator import mul
 
 from . import gso, linalg, scalars, standard
 from ._numpy import np
-from .analysis import recurrence_rule
 from .errors import (
     ConditioningError,
     DependentConstraints,
@@ -392,7 +391,7 @@ def _q_at_nodes(q_basis: StandardBasis, nodes):
 
 def _quadrature_rules(q_basis: StandardBasis, rec2, first):
     """What the Gauss-rule check of every i reads, made once per build, from
-    the N-node rules (:func:`analysis.recurrence_rule`, exact for every
+    the N-node rules (:func:`standard.recurrence_rule`, exact for every
     degree checked) of the monic recurrences of the second measure, ``rec2``,
     and, when ``first``, of the first, ``q_basis.monic_terms``: Q_0..Q_{N-1}
     at the second rule's nodes scaled by the square roots of its weights,
@@ -400,9 +399,9 @@ def _quadrature_rules(q_basis: StandardBasis, rec2, first):
     powers x^j of those nodes scaled by its weights, and their absolute
     values (None without ``first``)."""
     size = q_basis.size
-    rules = [recurrence_rule(rec2)]
+    rules = [standard.recurrence_rule(rec2)]
     if first:
-        rules.append(recurrence_rule(q_basis.monic_terms))
+        rules.append(standard.recurrence_rule(q_basis.monic_terms))
     nodes = np.concatenate([rule_nodes for rule_nodes, _ in rules])
     values = _q_at_nodes(q_basis, nodes)
     second = np.sqrt(rules[0][1])[:, None] * values[:size]
@@ -694,7 +693,7 @@ class SboOracleResult:
 
 
 def sbo_determinant_oracle(
-    q_basis: StandardBasis, measure2, i: int, n: int, gamma: GramMatrix = None
+    q_basis: StandardBasis, measure2, i: int, n: int, gamma: GramMatrix = None, elimination=None
 ) -> SboOracleResult:
     """Monic P_{i;n} and its data straight from the bordered determinants.
 
@@ -703,13 +702,15 @@ def sbo_determinant_oracle(
     1/k_n.  Returns the polynomial together with the degree-n determinant,
     the monic norm and the monic connection columns.  ``gamma`` is gamma_i
     when the caller holds it (a basis stores its own); otherwise it is
-    assembled from ``measure2``.
+    assembled from ``measure2``.  An exact caller that runs every degree of
+    one gamma_i passes its :class:`linalg.LiftedElimination` as
+    ``elimination``, so the degrees share it.
     """
     if not q_basis.size > n >= i >= 0:
         raise ValueError(f"need i <= n < N, got i={i}, n={n}, N={q_basis.size}")
     if gamma is None:
         gamma = gamma_matrix(q_basis, measure2, i)
-    a_col, norm, gram_det = gso.bordered_oracle(gamma, n - i, q_basis.leading[n])
+    a_col, norm, gram_det = gso.bordered_oracle(gamma, n - i, q_basis.leading[n], elimination)
     return SboOracleResult(
         poly=combine(a_col, q_basis.polys[i:]),
         gram_det=gram_det,

@@ -7,38 +7,29 @@ Exit codes: 0 success, 1 failed check, 2 usage error.
 
 Exact-backend output is deterministic byte for byte: keys are sorted and
 rationals are serialized as 'p/q' strings.
+
+Each command imports the library modules it runs when it runs, so start-up
+loads only ``errors`` and ``scalars`` and a command loads only what it
+reaches.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import math
 import sys
 from fractions import Fraction
 
-from . import verification
-from .analysis import zero_reports
-from .block import build_sbo, build_sbos
 from .errors import BlockOrthoError, NonPositiveParameter
-from .measures import (
-    Measure,
-    load_moments_csv,
-    load_moments_json,
-    measure_to_json,
-    moments,
-)
-from .multiblock import FAMILY, NO_SOLUTION, UNIQUE, appendix_b_laguerre
-from .projectors import projectors_from_q, projectors_from_second
 from .scalars import EXACT, FLOAT, scalar_to_json, to_fraction
-from .standard import MONIC, build_standard
 
 
-def parse_measure(spec: str) -> Measure:
+def parse_measure(spec: str):
     """Measure from a compact spec: 'gaussian:A', 'gamma:A:Z' or 'file:PATH'."""
+    from .measures import Measure
+
     parts = spec.split(":")
     if parts[0] == "gaussian" and len(parts) == 2:
         return Measure.gaussian(parts[1])
@@ -50,6 +41,8 @@ def parse_measure(spec: str) -> Measure:
 
 
 def _measure_pair(args):
+    from .measures import Measure
+
     if args.pair == "hermite":
         return Measure.gaussian(1), Measure.gaussian(2)
     if args.pair == "laguerre":
@@ -68,6 +61,8 @@ def _measure_pair(args):
 
 
 def _load_moments_file(path):
+    from .measures import load_moments_csv, load_moments_json
+
     if path.endswith(".json"):
         return load_moments_json(path)
     return load_moments_csv(path)
@@ -120,6 +115,9 @@ def _emit(args, payload):
 
 
 def _flatten_csv(payload):
+    import csv
+    import io
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["key", "value"])
@@ -133,6 +131,9 @@ def _flatten_csv(payload):
 
 
 def cmd_table(args):
+    from .block import build_sbos
+    from .measures import measure_to_json
+
     m1, m2 = _measure_pair(args)
     backend = FLOAT if args.float else EXACT
     i_values = [args.i] if args.i is not None else list(range(args.N))
@@ -156,6 +157,8 @@ def cmd_table(args):
 
 
 def cmd_verify(args):
+    from . import verification
+
     m1, m2 = _measure_pair(args)
     backend = FLOAT if args.float else EXACT
     names = args.checks.split(",") if args.checks else None
@@ -184,6 +187,9 @@ def _jsonable(obj):
 
 
 def cmd_roots(args):
+    from .analysis import zero_reports
+    from .block import build_sbos
+
     m1, m2 = _measure_pair(args)
     backend = FLOAT if args.float else EXACT
     i_values = [args.i] if args.i is not None else list(range(args.N))
@@ -203,6 +209,10 @@ def cmd_roots(args):
 
 
 def cmd_projector(args):
+    from .block import build_sbo
+    from .projectors import projectors_from_q, projectors_from_second
+    from .standard import build_standard
+
     m1, m2 = _measure_pair(args)
     backend = FLOAT if args.float else EXACT
     if args.route == "q":
@@ -221,6 +231,8 @@ def cmd_projector(args):
 
 
 def cmd_three_subspace(args):
+    from .multiblock import FAMILY, NO_SOLUTION, UNIQUE, appendix_b_laguerre
+
     if args.z12 is None and not args.symmetric12:
         raise SystemExit2("need --z12 unless --symmetric12 is given")
     solution = appendix_b_laguerre(
@@ -244,6 +256,8 @@ def cmd_three_subspace(args):
 
 
 def cmd_moments(args):
+    from .measures import moments
+
     if args.moments_file:
         measure = _load_moments_file(args.moments_file)
     elif args.measure:
@@ -288,7 +302,7 @@ def build_parser():
     _add_measure_flags(p_table)
     p_table.add_argument("--N", type=_positive_int, required=True)
     p_table.add_argument("--i", type=int, default=None)
-    p_table.add_argument("--normalization", choices=["monic", "orthonormal", "det"], default=MONIC)
+    p_table.add_argument("--normalization", choices=["monic", "orthonormal", "det"], default="monic")
     p_table.set_defaults(func=cmd_table)
 
     p_verify = sub.add_parser("verify", help="run the cross-validation suites")

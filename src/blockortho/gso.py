@@ -309,7 +309,7 @@ def _inverse_last_column(block):
     return x
 
 
-def bordered_oracle(gram, n, leading_factor):
+def bordered_oracle(gram, n, leading_factor, elimination=None):
     """E_n, h_n and Z_{n+1} from the bordered determinants of ``gram``.
 
     The determinant with Gram rows 0..n-1 and the symbolic basis row is
@@ -317,9 +317,10 @@ def bordered_oracle(gram, n, leading_factor):
     leading factor gives the column of E_n on e_0..e_n that gram_schmidt
     produces, and h_n = b_{n,n}^{-2} Z_{n+1} / Z_n.  Exact blocks take all
     of it from one :func:`linalg.bordered_minors` call on the leading
-    (n+1) x (n+1) block B.  Float blocks take the cofactors over Z_{n+1} as
-    x = :func:`_inverse_last_column` of B: the column is x / x_n and
-    h_n = 1 / x_n.  Nothing here reads the kernel's factorization.
+    (n+1) x (n+1) block B, read off ``elimination`` when the caller holds
+    one of ``gram`` (one elimination then serves every n).  Float blocks
+    take the cofactors over Z_{n+1} as x = :func:`_inverse_last_column` of
+    B: the column is x / x_n and h_n = 1 / x_n.  Nothing here reads the kernel's factorization.
     Returns (column, h_n, Z_{n+1}).
     """
     g = _entries(gram)
@@ -332,7 +333,7 @@ def bordered_oracle(gram, n, leading_factor):
         x = _inverse_last_column(block)
         column = tuple(float(v / x[n]) / leading_factor for v in x)
         return column, float(1.0 / x[n]) / leading_factor**2, float(np.linalg.det(block))
-    cofactors, z_here = linalg.bordered_minors(block)
+    cofactors, z_here = linalg.bordered_minors(block, elimination)
     z_prev = cofactors[n]
     if z_prev == 0:
         raise NotPositiveDefinite(f"leading minor of size {n} vanishes", degree=n)

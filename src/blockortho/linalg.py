@@ -219,7 +219,7 @@ def det(matrix):
     return Fraction(_det_int(int_rows), prod(scales))
 
 
-def bordered_minors(block):
+def bordered_minors(block, elimination=None):
     """Signed cofactors of the last row of a square exact block, and its
     determinant.
 
@@ -227,11 +227,13 @@ def bordered_minors(block):
     c_k = (-1)^(n+k) det(first n rows without column k), so c_n is the
     leading minor Z_n, det(block) = Z_{n+1} = sum_k block[n][k] c_k, and c
     spans the null space of the first n rows whenever Z_n != 0.  Both are
-    read off one :class:`LiftedElimination`.  Float blocks take their
-    cofactors from an LU solve instead (``gso._inverse_last_column``).
+    read off one :class:`LiftedElimination`: ``elimination``, that of any
+    matrix with ``block`` as its leading block (by the prefix property), or
+    else one of ``block``.  Float blocks take their cofactors from an LU
+    solve instead (``gso._inverse_last_column``).
     """
     n = len(block) - 1
-    elim = LiftedElimination(block)
+    elim = LiftedElimination(block) if elimination is None else elimination
     c = elim.cofactors(n)
     whole = Fraction(elim.minor(n + 1), elim.prefix[n + 1])
     return tuple(Fraction(x, elim.prefix[n]) for x in c), whole

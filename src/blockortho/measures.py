@@ -15,7 +15,6 @@ separately and only rescales reported norms.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -452,6 +451,8 @@ def measure_to_json(measure: Measure):
 
 def load_moments_csv(path, c0=1, symmetric=None, domain=(-INF, INF)) -> Measure:
     """Moment table from CSV rows ``n,mu_n`` (rationals as 'p/q', floats as decimals)."""
+    import csv
+
     table = {}
     with open(path, newline="") as fh:
         for row in csv.reader(fh):

@@ -39,6 +39,7 @@ from . import gso, linalg
 from ._numpy import np
 from .errors import (
     ConditioningError,
+    InsufficientNodes,
     NotPositiveDefinite,
     NotRepresentable,
     NotSymmetric,
@@ -304,6 +305,23 @@ def monic_recurrence(measure: Measure, count: int):
     return chebyshev_recurrence(rule_moments(measure, count).mu, count)
 
 
+def recurrence_rule(rec):
+    """Nodes, ascending, and unit-mass weights, as arrays, of the Gauss rule
+    of the monic recurrence ``rec``: the eigenvalues and squared first
+    eigenvector components of its Jacobi matrix, b_m as floats on the
+    diagonal (a zero as -0.0) and sqrt(c_m), m >= 1, beside it."""
+    jacobi = np.diag([float(b_m) or -0.0 for b_m, _ in rec])
+    if len(rec) > 1:
+        off = [math.sqrt(float(c_m)) for _, c_m in rec[1:]]
+        jacobi += np.diag(off, 1) + np.diag(off, -1)
+    nodes, vectors = np.linalg.eigh(jacobi)  # eigenvalues in ascending order
+    weights = vectors[0, :] ** 2
+    total = weights.sum()
+    if abs(total - 1.0) > 1e-8:
+        raise InsufficientNodes("quadrature weights failed normalization")
+    return nodes, weights / total
+
+
 def _stieltjes(measure, count):
     """A numeric weight's monic recurrence by discretized Stieltjes (Gautschi
     2004, section 2.2.3) in floats on the K-point measure of its rule:
@@ -442,38 +460,54 @@ def _check_rule_moments(rec, seq):
     diagonal, b_n on it, c_n above), so the powers stay rational, and for
     nonnegative b_n every term is nonnegative.  Exact moments must be met
     exactly, by the integer powers of D J with D the lcm of the
-    recurrence's denominators; float ones within ORACLE_RTOL times
-    e_0^T |J|^k e_0.  The vector J^k e_0 is kept only on its support 0..k
-    and on the entries that still reach e_0 by step 2N - 1.
+    recurrence's denominators.  Float ones must be met within ORACLE_RTOL
+    times s_k = e_0^T |J|^k e_0, or, at odd k, times sqrt(s_{k-1} s_{k+1}):
+    an odd moment whose terms cancel has a rounding error of the order of
+    sum w |x|^k, which that bound exceeds by Cauchy-Schwarz, while s_k
+    itself reads only about |b|.
     """
-    exact = seq.exact
-    if exact:
-        lifted, scale = linalg.lift([x for term in rec for x in term])
-        b, c = lifted[0::2], lifted[1::2]
-    else:
-        b, c, scale = [float(b_n) for b_n, _ in rec], [float(c_n) for _, c_n in rec], 1
-        # with no b_n negative the pass over |b| is the pass over b, so
-        # e_0^T |J|^k e_0 is the power itself and is not run twice
-        b_abs = [abs(b_m) for b_m in b] if any(b_m < 0 for b_m in b) else None
-    nil = 0 if exact else 0.0
     count = 2 * len(rec)
-    v, size, power = [1 if exact else 1.0], [1.0], 1
+    if seq.exact:
+        lifted, scale = linalg.lift([x for term in rec for x in term])
+        powers = _jacobi_powers(lifted[0::2], lifted[1::2], scale, count, 0)
+        power = 1
+        for k, (v_k, mu_k) in enumerate(zip(powers, seq.mu[:count])):
+            if v_k * mu_k.denominator != mu_k.numerator * power:
+                _rule_mismatch(k)
+            power *= scale
+        return
+    b, c = [float(b_n) for b_n, _ in rec], [float(c_n) for _, c_n in rec]
+    powers = _jacobi_powers(b, c, 1, count + 1, 0.0)
+    # with no b_n negative the powers of |J| are those of J, not run twice
+    sizes = powers
+    if any(b_m < 0 for b_m in b):
+        sizes = _jacobi_powers([abs(b_m) for b_m in b], c, 1, count + 1, 0.0)
     for k, mu_k in enumerate(seq.mu[:count]):
-        if exact:
-            ok = v[0] * mu_k.denominator == mu_k.numerator * power
-        else:
-            ok = abs(v[0] - mu_k) <= ORACLE_RTOL * (size if b_abs else v)[0]
-        if not ok:
-            degree = (k + 1) // 2
-            raise OracleMismatch(
-                f"recurrence and the measure's moments disagree at degree {degree}",
-                degree=degree,
-            )
-        top = min(k + 2, len(rec), count - 1 - k)
-        if not exact and b_abs:
-            size = _jacobi_times(b_abs, c, 1, size, top, nil)
+        size = sizes[k]
+        if k % 2:
+            size = max(size, math.sqrt(sizes[k - 1] * sizes[k + 1]))
+        if not abs(powers[k] - mu_k) <= ORACLE_RTOL * size:
+            _rule_mismatch(k)
+
+
+def _rule_mismatch(k):
+    degree = (k + 1) // 2
+    raise OracleMismatch(
+        f"recurrence and the measure's moments disagree at degree {degree}", degree=degree
+    )
+
+
+def _jacobi_powers(b, c, scale, count, nil):
+    """e_0^T (scale J)^k e_0, k = 0..count-1, for the monic Jacobi matrix J
+    of the recurrence (b, c) / scale.  The vector (scale J)^k e_0 is kept
+    only on its support 0..k and on the entries that still reach e_0 by
+    step count - 1."""
+    v, out = [nil + 1], []  # e_0 in the scalar kind of ``nil``
+    for k in range(count):
+        out.append(v[0])
+        top = min(k + 2, len(b), count - 1 - k)
         v = _jacobi_times(b, c, scale, v, top, nil)
-        power *= scale
+    return out
 
 
 def _jacobi_times(b, c, scale, v, top, nil):

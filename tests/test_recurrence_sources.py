@@ -193,6 +193,45 @@ def test_an_even_weight_declared_not_symmetric_builds():
     build_standard(even, 6, backend="float")
 
 
+# weights whose odd moments nearly cancel: e_0^T |J|^k e_0 reads about |b_n|
+# there, far below the rounding of the quadrature moments
+NEARLY_EVEN = {
+    "shifted": Measure.numeric(lambda x: math.exp(-((x - 1e-9) ** 2)), (-9, 9), 60),
+    "even-but-one-ulp": Measure.numeric(
+        lambda x: math.exp(-x * x) * (1 + 2.0**-52 if x > 0 else 1.0), (-9, 9), 60
+    ),
+}
+
+
+@pytest.mark.parametrize("name", NEARLY_EVEN)
+@pytest.mark.parametrize("n_size", [6, 12])
+def test_a_nearly_even_numeric_weight_passes_the_rule_check(name, n_size):
+    measure = NEARLY_EVEN[name]
+    assert not measure.symmetric
+    build_standard(measure, n_size, backend="float")
+    # the recurrence of the even weight on the same rule, to rounding
+    even = Measure.numeric(lambda x: math.exp(-x * x), (-9, 9), 60)
+    pairs = zip(standard.monic_recurrence(measure, n_size), standard.monic_recurrence(even, n_size))
+    for (b_n, c_n), (_, c_even) in pairs:
+        assert abs(b_n) <= 1e-8 and abs(c_n - c_even) <= 1e-12 * c_even
+
+
+@pytest.mark.parametrize("name", NEARLY_EVEN)
+@pytest.mark.parametrize("index, nudge, degree", [(0, 1e-6, 1), (2, 1e-7, 3)])
+def test_a_nudged_b_of_a_nearly_even_weight_is_caught(monkeypatch, name, index, nudge, degree):
+    original = standard.monic_recurrence
+
+    def nudged(measure, count):
+        rec = list(original(measure, count))
+        rec[index] = (rec[index][0] + nudge, rec[index][1])
+        return tuple(rec)
+
+    monkeypatch.setattr(standard, "monic_recurrence", nudged)
+    with pytest.raises(OracleMismatch) as info:
+        build_standard(NEARLY_EVEN[name], 12, backend="float")
+    assert (info.value.stage, info.value.degree) == ("first_stage", degree)
+
+
 def test_a_k_node_rule_refuses_degree_k():
     five = _legendre(5)
     build_standard(five, 5, backend="float")

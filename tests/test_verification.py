@@ -4,7 +4,18 @@ from fractions import Fraction
 
 import pytest
 
-from blockortho import Measure, Polynomial, analysis, block, gso, projectors, verification
+from blockortho import (
+    Measure,
+    Polynomial,
+    analysis,
+    block,
+    gso,
+    hermite_pair,
+    laguerre_pair,
+    linalg,
+    projectors,
+    verification,
+)
 from blockortho.cli import main
 from blockortho.verification import ALL_CHECKS, check_orthogonality, run_checks
 
@@ -94,6 +105,31 @@ def test_exact_oracle_trial_compares_b_with_its_oracle(monkeypatch):
     assert report == {
         "check": "oracle_equivalence", "passed": False, "trial": 0, "n": 1, "m": 0, "which": "b"
     }
+
+
+@pytest.mark.parametrize("measures", [hermite_pair, laguerre_pair()], ids=["hermite", "laguerre"])
+def test_exact_sbo_oracle_runs_one_elimination_per_gamma(monkeypatch, measures):
+    sizes = []
+    original = linalg.LiftedElimination.__init__
+
+    def counting(self, matrix):
+        sizes.append(len(matrix))
+        original(self, matrix)
+
+    monkeypatch.setattr(linalg.LiftedElimination, "__init__", counting)
+    report = verification.check_oracle_equivalence(*measures, 6, samples=0)
+    assert report["passed"] is True
+    # gamma_0, gamma_1 and gamma_2 of the N = 6 build, each eliminated once
+    assert sizes == [6, 5, 4]
+    monkeypatch.undo()
+    # and the shared elimination gives what one per degree gives
+    for i, basis in block.build_sbos(*measures, range(3), 6).items():
+        shared = linalg.LiftedElimination(basis.gamma.entries)
+        for n in basis.degrees():
+            args = basis.q_basis, basis.mu2, i, n
+            alone = block.sbo_determinant_oracle(*args, gamma=basis.gamma)
+            read_off = block.sbo_determinant_oracle(*args, gamma=basis.gamma, elimination=shared)
+            assert read_off == alone
 
 
 def test_negative_i_max_is_refused():
