@@ -15,7 +15,7 @@ and one row each for the commands whose start-up differs from these:
 ``moments``, ``three-subspace``, ``projector`` and a usage error (exit 2),
 which loads no library module at all.
 
-Every row is run ``--runs`` times (default 5) after one untimed warm-up,
+Every row is run ``RUNS`` (11) times after one untimed warm-up,
 which also writes the bytecode caches unless ``PYTHONDONTWRITEBYTECODE`` is
 set (then every run compiles the modules it imports, and ``bytecode`` in
 the report says so).  A row reports the median wall time ``wall_s`` with
@@ -30,10 +30,10 @@ exit code, or the script stops with an error.  ``summary`` gives, per row
 kind, the median over its rows of the change / parent ratio of
 ``wall_s``.
 
-Run from the repository root (one process at a time, about two minutes,
-or three with ``--parent-src``):
+Run from the repository root (one process at a time, about three minutes,
+or six with ``--parent-src``):
 
-    python scripts/cli_wall.py [--parent-src DIR] [--runs R]
+    python scripts/cli_wall.py [--parent-src DIR]
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PAIRS = ("hermite", "laguerre")
 SIZES = (8, 12, 16, 20)
 BACKENDS = ("exact", "float")
-RUNS = 5
+RUNS = 11
 WHOLE_TABLE_MAX_N = 12
 # one row per command outside the table/verify/roots grid
 SINGLE_ROWS = (
@@ -101,7 +101,6 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--parent-src", type=Path, help="src directory of the checkout to compare against")
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_cli_wall.json")
-    parser.add_argument("--runs", type=int, default=RUNS, help="timed runs per row and side")
     args = parser.parse_args()
 
     sides = ([("parent", args.parent_src)] if args.parent_src else []) + [("change", ROOT / "src")]
@@ -112,7 +111,7 @@ def main():
             _run(src, interpreter_args)
         times = {side: [] for side, _ in sides}
         results = {}
-        for rep in range(args.runs):
+        for rep in range(RUNS):
             for side, src in (sides if rep % 2 == 0 else sides[::-1]):
                 seconds, code, out = _run(src, interpreter_args)
                 times[side].append(seconds)
@@ -135,7 +134,7 @@ def main():
     report = {
         "description": (
             "Wall time in seconds of one fresh interpreter per run, median (wall_s) and "
-            f"quartiles (q1_s, q3_s) of {args.runs} runs after one untimed warm-up, and the "
+            f"quartiles (q1_s, q3_s) of {RUNS} runs after one untimed warm-up, and the "
             "exit code rc: the bare package import; table (whole at N <= 12, --i N/4 above), "
             "verify --checks orthogonality and roots --i N/2 on both built-in pairs at "
             "N 8-20, exact and --float; and one row each for moments, three-subspace, "
@@ -144,9 +143,7 @@ def main():
             "and exit code; summary is the median over each row kind of change / parent "
             "wall_s. See scripts/cli_wall.py."
         ),
-        "command": "python scripts/cli_wall.py"
-        + (" --parent-src DIR" if args.parent_src else "")
-        + (f" --runs {args.runs}" if args.runs != RUNS else ""),
+        "command": "python scripts/cli_wall.py" + (" --parent-src DIR" if args.parent_src else ""),
         "python": platform.python_version(),
         "machine": f"{platform.machine()}, {os.cpu_count()} logical CPUs",
         "bytecode": "not written (PYTHONDONTWRITEBYTECODE set)"

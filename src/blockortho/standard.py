@@ -464,7 +464,8 @@ def _check_rule_moments(rec, seq):
     times s_k = e_0^T |J|^k e_0, or, at odd k, times sqrt(s_{k-1} s_{k+1}):
     an odd moment whose terms cancel has a rounding error of the order of
     sum w |x|^k, which that bound exceeds by Cauchy-Schwarz, while s_k
-    itself reads only about |b|.
+    itself reads only about |b|.  The roots are taken before the product,
+    which would overflow where the moments pass about 1e154.
     """
     count = 2 * len(rec)
     if seq.exact:
@@ -485,7 +486,7 @@ def _check_rule_moments(rec, seq):
     for k, mu_k in enumerate(seq.mu[:count]):
         size = sizes[k]
         if k % 2:
-            size = max(size, math.sqrt(sizes[k - 1] * sizes[k + 1]))
+            size = max(size, math.sqrt(sizes[k - 1]) * math.sqrt(sizes[k + 1]))
         if not abs(powers[k] - mu_k) <= ORACLE_RTOL * size:
             _rule_mismatch(k)
 

@@ -232,6 +232,24 @@ def test_a_nudged_b_of_a_nearly_even_weight_is_caught(monkeypatch, name, index, 
     assert (info.value.stage, info.value.degree) == ("first_stage", degree)
 
 
+def test_the_odd_moment_bound_does_not_overflow(monkeypatch):
+    # gamma at rate 1/1000, N 20: s_38 * s_40 is about 4e326, past the float
+    # range, while each factor and its root are finite
+    measure = Measure.gamma_weight(Fraction(1, 1000), 1)
+    build_standard(measure, 20, backend="float")
+    original = standard.monic_recurrence
+
+    def nudged(measure, count):
+        rec = list(original(measure, count))
+        rec[19] = (rec[19][0] * 1000, rec[19][1])
+        return tuple(rec)
+
+    monkeypatch.setattr(standard, "monic_recurrence", nudged)
+    with pytest.raises(OracleMismatch) as info:
+        build_standard(measure, 20, backend="float")
+    assert (info.value.stage, info.value.degree) == ("first_stage", 20)
+
+
 def test_a_k_node_rule_refuses_degree_k():
     five = _legendre(5)
     build_standard(five, 5, backend="float")
