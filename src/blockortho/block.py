@@ -5,21 +5,19 @@
 first measure, then a second orthogonalization of {Q_i, ..., Q_{N-1}} under
 the second measure.  The resulting P_{i;n} have exact degree n, are
 orthogonal to every polynomial of degree < i under the first measure, and are
-mutually orthogonal under the second.
+mutually orthogonal under the second.  ``build_general_bo`` takes any
+constraint subspace E_i in place of pi_{i-1}.  Bases store the monic data.
 
-Internally the basis always stores the monic data (polynomials, norms,
-connection matrices); normalization modes are exact rescalings of that core.
-The gamma matrix gamma[j][k] = (Q_j, Q_k)_2 comes from the second measure's
-recurrence (:func:`gamma_matrix`), which every measure has
-(:func:`standard.monic_recurrence`).  Each backend has one second stage:
-exact builds factor gamma by :func:`gso.gram_schmidt`, cross-checked
-against the bordered-determinant formulas over it and, gamma itself,
-against the second measure's moments; float builds factor the weighted
-connection W, gamma = W^T W, by one QR (:func:`_qr_second_stage`), gated by
-the condition of W and checked by Gauss-rule residuals, and form gamma only
-when it is read.  The parity build (:func:`sbo_parity_build`) is the parity
-first stage, that second stage and a checkerboard check of gamma.
-``check=False`` turns the checks and the gate off.
+Every stage orthogonalizes weighted columns V, coordinates on a measure's
+monic orthogonal polynomials with norms h, Gram matrix V^T diag(h) V;
+gamma[j][k] = (Q_j, Q_k)_2 is that of Q's coordinates on the second
+measure's (:func:`gamma_matrix`).  Exact stages run :func:`gso.gram_schmidt`
+with a g.a certificate on Gram matrices checked against the moments
+(:func:`_exact_stage`); float stages run one QR of diag(sqrt h) V, gated by
+its condition and checked by Gauss-rule residuals (:func:`_float_stage`).
+The parity build (:func:`sbo_parity_build`) is the parity first stage, that
+second stage and a checkerboard check of gamma.  ``check=False`` turns the
+checks and the gate off.
 """
 
 from __future__ import annotations
@@ -44,11 +42,12 @@ from .errors import (
     stage,
 )
 from .gso import ORACLE_RTOL
-from .measures import GramMatrix, Measure, MomentSequence, gram_of, moments
-from .polynomials import Polynomial, columns_of, combine, from_columns, monomial
+from .measures import GramMatrix, Measure, MomentSequence, moments
+from .polynomials import Polynomial, columns_of, combine, from_columns
 from .scalars import EXACT, FLOAT, as_kind, one, zero
 from .standard import (  # the normalization names are re-exported here
     DET_NORMALIZED,
+    FIRST_STAGE,
     MONIC,
     ORTHONORMAL,
     StandardBasis,
@@ -60,24 +59,22 @@ from .standard import (  # the normalization names are re-exported here
 
 SECOND_STAGE = "second_stage"
 
-# A checked float second stage is refused when the 2-norm condition number
-# of its weighted connection W with unit columns (:func:`connection_condition`)
-# times the unit roundoff exceeds this.  W is never squared, so this is the
-# square root of the condition of the scaled gamma = W^T W.  Measured over
+# A checked float stage is refused when the condition of its weighted
+# columns W with unit columns (:func:`connection_condition`) times the unit
+# roundoff exceeds this: the square root of that of W^T W.  Measured over
 # every benchmark-deck pair at N 4-20 and every i (BENCH_float_error.json):
 # below it every build passes its checks and agrees with the exact backend
 # within 1.4e-10; the first residual-check failures are above it.
 CONNECTION_CONDITION_LIMIT = 1e-9
 UNIT_ROUNDOFF = 2.0**-53
 
-# A checked float second stage fails when a Gauss-rule residual of its
-# polynomials (:func:`_check_quadrature`) exceeds this.  Over every
+# A checked float stage fails when a Gauss-rule residual of its
+# polynomials (:func:`_float_stage`) exceeds this.  Over every
 # benchmark-deck pair at N 4-20 and every i, the largest residual of a build
 # the gate admits is 6.7e-10; of 18,756 relative nudges of 1e-6 to single
 # entries of T in 250 admitted builds, each one that moved the output by more
 # than 2.7e-9 of its largest coefficient gave a residual above this.
 QUADRATURE_RTOL = 2e-9
-
 
 @dataclass(frozen=True)
 class SboBasis:
@@ -164,19 +161,11 @@ class SboBasis:
 
 def gamma_matrix(q_basis: StandardBasis, measure2, i: int) -> GramMatrix:
     """Gram matrix of Q_i..Q_{N-1} under the second measure, given as a
-    measure or the moment sequence of one.
-
-    The second measure's N-node Gauss rule takes gamma[j][k] =
-    e_0^T Q_j(J) Q_k(J) e_0 h_0, exactly for these degrees, with J the
-    Jacobi matrix of its recurrence (:func:`standard.monic_recurrence`,
-    Golub-Welsch) and needs no nodes: in the monic form of J, the column
-    T_j = Q_j(J) e_0 holds the coefficients of Q_j on the second measure's
-    monic orthogonal polynomials R_m, run by the recurrence of Q, and
-    gamma = T^T diag(h) T with the norms h_m of the R_m.  Exact bases run T
-    in integers, each entry of gamma one integer sum and one Fraction (a
-    float second measure raises KindMismatch); float ones form
-    W^T W = T_i^T diag(h) T_i by numpy, W = diag(sqrt h) T_i, T_i = T[:, i:],
-    with no square root taken.  The lower triangle mirrors the upper one.
+    measure or the moment sequence of one: T_i^T diag(h) T_i, T_i = T[:, i:],
+    the second measure's N-node Gauss rule (Golub-Welsch) with no nodes, for
+    T of :func:`_connection_to_second` and h the norms of the R_m.  Exact
+    bases take it in integers (a float second measure raises KindMismatch),
+    float ones by numpy.
     """
     n = q_basis.size
     if not 0 <= i <= n:
@@ -190,56 +179,49 @@ def gamma_matrix(q_basis: StandardBasis, measure2, i: int) -> GramMatrix:
         connection, norms = _connection_and_norms(q_basis, rec2)
         t_i = connection[:, i:]
         full = (np.triu((norms[:, None] * t_i).T @ t_i) + 0.0).tolist()  # a -0.0 sum reads 0.0
+        entries = [[full[min(j, k)][max(j, k)] for k in range(n - i)] for j in range(n - i)]
     else:
-        full = _gram_by_connection(q_basis, rec2, i)
-    entries = [[full[min(j, k)][max(j, k)] for k in range(n - i)] for j in range(n - i)]
+        entries = _gram_by_connection(q_basis, rec2, i)
     return GramMatrix(tuple(map(tuple, entries)), f"Q_{i}..Q_{n - 1}")
 
 
 def _gram_by_connection(q_basis: StandardBasis, rec2, i):
-    """The upper triangle of T^T diag(h) T over the columns i.. of exact T,
-    entry [j][k] summed over the support m <= j.  The columns of T come
-    lifted from :func:`_connection_to_second` and are taken as they are;
-    with h lifted once, each entry is one integer sum over m and one
-    Fraction."""
-    t = _connection_to_second(q_basis, rec2)
+    """T^T diag(h) T over the columns i.. of exact T, h the norms of the
+    second measure's monic R_m, as rows: the columns of T come lifted from
+    :func:`_connection_to_second` and, with h lifted once, each entry of the
+    upper triangle is one integer sum and one Fraction; the lower triangle
+    mirrors it."""
     h = [one(EXACT)]
     for _, c_m in rec2[1:]:
         h.append(h[-1] * as_kind(c_m, EXACT))
     h_ints, h_scale = linalg.lift(h)
-    cols = t[i:]
-    full = []
-    for j, (col_j, s_j) in enumerate(cols):
+    cols = _connection_to_second(q_basis, rec2)[i:]
+    upper = []
+    for col_j, s_j in cols:
         weighted = list(map(mul, h_ints, col_j))
-        full.append([zero(EXACT)] * j + [
+        upper.append([
             Fraction(sum(map(mul, weighted, col_k)), h_scale * s_j * s_k)
-            for col_k, s_k in cols[j:]
+            for col_k, s_k in cols[len(upper) :]
         ])
-    return full
+    return [[upper[min(j, k)][abs(k - j)] for k in range(len(cols))] for j in range(len(cols))]
 
 
 def _connection_and_norms(q_basis: StandardBasis, rec2):
-    """T and h of a float basis as arrays: T from :func:`_connection_to_second`
-    on the second measure's monic recurrence ``rec2``, and h_m = c_1 ... c_m the
-    norms of its monic R_m.  The Gram matrix of Q_i..Q_{N-1} is W^T W with
-    W = diag(sqrt h) T_i, T_i the columns i.. of T."""
+    """T of :func:`_connection_to_second` on the monic recurrence ``rec2`` and
+    h_m = c_1 ... c_m, the norms of its R_m, as float arrays."""
     h = np.cumprod([1.0] + [float(c_m) for _, c_m in rec2[1:]])
     return np.array(_connection_to_second(q_basis, rec2), dtype=float), h
 
 
 def _connection_to_second(q_basis: StandardBasis, rec2):
     """T[m][j]: coefficient of R_m in Q_j, R the monic orthogonal polynomials
-    of the recurrence ``rec2``, in the scalars of the basis.
+    of the recurrence ``rec2``, in the scalars of the basis (upper triangular).
 
-    x R_m = R_{m+1} + b_m R_m + c_m R_{m-1}, so multiplying a column by x is
-    b_m t_m + t_{m-1} + c_{m+1} t_{m+1}; Q's own recurrence
-    Q_{n+1} = (A_n x + B_n) Q_n - C_n Q_{n-1} then builds column n + 1.
-    T is upper triangular.  Exact bases run this in integers
-    (:func:`standard._recurrence_columns`) and return T as its lifted
-    columns: column j is ``(ints, den)`` with T[m][j] = ints[m] / den,
-    m = 0..j.  Float bases return the matrix T, with only its support
-    touched and zero terms skipped, so a float entry equals the full sum in
-    the same order.
+    Column n + 1 is Q's recurrence applied to column n, x acting as the
+    Jacobi matrix: (x t)_m = t_{m-1} + b_m t_m + c_{m+1} t_{m+1}.  Exact
+    bases run it in integers (:func:`standard._recurrence_columns`) and
+    return the lifted columns ``(ints, den)``, m = 0..j; float bases return
+    T, each entry summed over its present terms in order.
     """
     n = q_basis.size
     kind = q_basis.backend
@@ -273,40 +255,32 @@ def _connection_to_second(q_basis: StandardBasis, rec2):
     return [list(row) for row in zip(*cols)]
 
 
-def _check_gamma(gamma, mu2, q_cols, first_degree):
-    """Exact gamma against the second measure's moments in O(N^2).
-
-    gamma is the congruence A^T H_2 A of the coefficient columns A, so its
-    row sums are A^T (H_2 (A u)), u all ones: three matrix-vector products,
-    run over integers with A and the moments each lifted by the lcm of its
-    denominators.  The check reads neither T nor the Gauss rule, and a
-    wrong entry of T moves the row sums of every row it enters.
+def _check_gram(gram, mu, cols, degrees, what="gamma matrix and second-measure moments"):
+    """An exact Gram matrix A^T H A, for the monomial coefficient columns A
+    (``cols``) and the Hankel matrix H of ``mu``, checked in O(N^2) by its
+    row sums A^T (H (A u)), u all ones, over integers.  It reads neither the
+    coordinates the matrix was formed in nor the Gauss rule; row j that
+    fails raises OracleMismatch at ``degrees[j]``.
     """
-    size = len(q_cols)
-    mu, mu_scale = linalg.lift(mu2.mu[: 2 * size - 1])
-    flat, a_scale = linalg.lift([x for row in q_cols for x in row])
-    width = len(gamma)
+    size = len(cols)
+    mu_ints, mu_scale = linalg.lift(mu.mu[: 2 * size - 1])
+    flat, a_scale = linalg.lift([x for row in cols for x in row])
+    width = len(gram)
     a = [flat[r * width : (r + 1) * width] for r in range(size)]
     sums = [sum(row) for row in a]
-    h_sums = [sum(mu[r + c] * s_c for c, s_c in enumerate(sums) if s_c) for r in range(size)]
-    for j, row in enumerate(gamma):
+    h_sums = [sum(mu_ints[r + c] * s_c for c, s_c in enumerate(sums) if s_c) for r in range(size)]
+    for j, row in enumerate(gram):
         expect = sum(a_r[j] * w_r for a_r, w_r in zip(a, h_sums) if a_r[j])
         ints, scale = linalg.lift(row)
         if sum(ints) * a_scale**2 * mu_scale != expect * scale:
-            degree = first_degree + j
-            raise OracleMismatch(
-                f"gamma matrix and second-measure moments disagree at degree {degree}",
-                degree=degree,
-            )
+            raise OracleMismatch(f"{what} disagree at degree {degrees[j]}", degree=degrees[j])
 
 
 def connection_condition(connection, norms) -> float:
-    """2-norm condition number of W = diag(sqrt h) T_i with its columns
-    scaled to unit norm, times the unit roundoff, for the columns
-    ``connection`` = T_i of T and the ``norms`` h: the relative accuracy to
-    expect from the float second stage, which factors W and never W^T W.
-    Infinite when W is not finite or its scaled columns are numerically
-    dependent."""
+    """2-norm condition number of W = diag(sqrt h) V with unit columns, for
+    the weighted columns ``connection`` = V and the ``norms`` h, times the
+    unit roundoff: the relative accuracy of a float stage, which factors W
+    and never W^T W.  Infinite when W is not finite or numerically singular."""
     w = np.sqrt(norms)[:, None] * connection
     if not np.all(np.isfinite(w)):
         return math.inf
@@ -319,35 +293,28 @@ def connection_condition(connection, norms) -> float:
     return float(sigma[0] / sigma[-1]) * UNIT_ROUNDOFF
 
 
-def _gate(connection, norms, i):
-    """Refuse a float second stage whose W is too ill-conditioned."""
-    condition = connection_condition(connection, norms)
-    if not condition <= CONNECTION_CONDITION_LIMIT:
-        raise ConditioningError(
-            f"float second stage refused at i={i}: condition of the unit-column weighted "
-            f"connection times unit roundoff is {condition:.3g} > {CONNECTION_CONDITION_LIMIT:g}",
-            stage=SECOND_STAGE,
-            condition=condition,
-            limit=CONNECTION_CONDITION_LIMIT,
-        )
+def _exact_stage(gram, basis, leading, check, name):
+    """One exact stage of weighted columns V: :func:`gso.gram_schmidt` of
+    ``gram`` = V^T diag(h) V, checked when ``check`` by the g.a certificate
+    of :func:`gso.check_against_oracle` (``basis``, the coefficients of V,
+    names a failing degree)."""
+    result = gso.gram_schmidt(gram, leading)
+    if check and leading:
+        what = f"{name.replace('_', '-')} determinant oracle disagrees"
+        gso.check_against_oracle(gram, result, basis, what)
+    return result
 
 
 def _qr_second_stage(connection, norms, leading):
-    """The float second stage as one QR factorization of W = diag(sqrt h) T_i,
-    for the columns ``connection`` = T_i of T and the ``norms`` h.
+    """One QR factorization of W = diag(sqrt h) V, the weighted columns
+    ``connection`` = V and the ``norms`` h: the kernel of every float stage.
 
-    gamma = W^T W = R^T R, so with d_k = R_kk^2 and B = diag(R)^-1 R the
-    LDL^T factors of gamma are B^T diag(d) B, read off the QR factors
-    without forming gamma: h_n = d_n / k_n^2, the leading determinants are
-    the prefix products of d, b = diag(k) B and a = B^-1 diag(1/k), for the
-    leading factors k.  The factorization is modified Gram-Schmidt on the
-    columns of T in the inner product <x, y> = sum_m h_m x_m y_m, which is
-    the dot product of the matching columns of W: column j is taken off
-    every later column k with B[j][k] = <v_j, v_k> / d_j, d_j = <v_j, v_j>.
-    Its R is as accurate as a Householder R (Bjorck, BIT 7 (1967)), and as
-    no square root is taken, data whose factors and partial results are
-    floats, such as the built-in pairs at small N, gives them exactly, as
-    the LDL^T pass over gamma did.  A d_k that is not positive and finite
+    Modified Gram-Schmidt on the columns of V in <x, y> = sum_m h_m x_m y_m:
+    column j is taken off each later column k with B[j][k] = <v_j, v_k> / d_j,
+    d_j = R_jj^2.  For the leading factors k, h_n = d_n / k_n^2, the leading
+    determinants are the prefix products of d, b = diag(k) B and
+    a = B^-1 diag(1/k).  R is as accurate as a Householder R (Bjorck, BIT 7
+    (1967)); no square root is taken.  A d_k that is not positive and finite
     raises NotPositiveDefinite at column k.
     """
     size = connection.shape[1]
@@ -389,61 +356,69 @@ def _q_at_nodes(q_basis: StandardBasis, nodes):
     return values.T
 
 
-def _quadrature_rules(q_basis: StandardBasis, rec2, first):
-    """What the Gauss-rule check of every i reads, made once per build, from
-    the N-node rules (:func:`standard.recurrence_rule`, exact for every
-    degree checked) of the monic recurrences of the second measure, ``rec2``,
-    and, when ``first``, of the first, ``q_basis.monic_terms``: Q_0..Q_{N-1}
-    at the second rule's nodes scaled by the square roots of its weights,
-    one row per node, and Q_0..Q_{N-1} at the first rule's nodes with the
-    powers x^j of those nodes scaled by its weights, and their absolute
-    values (None without ``first``)."""
+def _quadrature_rules(q_basis: StandardBasis, rec2):
+    """What the Gauss-rule checks read, made once per build, from the N-node
+    rules (:func:`standard.recurrence_rule`) of the second measure's monic
+    recurrence ``rec2`` and of the first's: Q_0..Q_{N-1} at the second
+    rule's nodes times the square roots of its weights, one row per node,
+    and Q_0..Q_{N-1} at the first rule's nodes with the powers x^j of those
+    nodes times its weights."""
     size = q_basis.size
-    rules = [standard.recurrence_rule(rec2)]
-    if first:
-        rules.append(standard.recurrence_rule(q_basis.monic_terms))
+    rules = [standard.recurrence_rule(rec2), standard.recurrence_rule(q_basis.monic_terms)]
     nodes = np.concatenate([rule_nodes for rule_nodes, _ in rules])
     values = _q_at_nodes(q_basis, nodes)
     second = np.sqrt(rules[0][1])[:, None] * values[:size]
-    if not first:
-        return second, None
-    powers = rules[1][1][:, None] * nodes[size:, None] ** np.arange(size)
-    return second, (values[size:], powers, np.abs(powers))
+    return second, (values[size:], rules[1][1][:, None] * nodes[size:, None] ** np.arange(size))
 
 
-def _check_quadrature(rules, result, i):
-    """Gauss-rule residuals of the float P_{i;n} = sum_m a_{m,n} Q_m, which
-    read neither T nor gamma.
+def _float_stage(columns, norms, leading, residual, name, i):
+    """One float stage of weighted columns V, ``columns``, with weights
+    ``norms`` h: one QR of W = diag(sqrt h) V (:func:`_qr_second_stage`).
 
-    Degree by degree, each within QUADRATURE_RTOL: the second-measure inner
-    products (P_{i;j}, P_{i;n}), j < n, relative to the geometric mean of
-    the two norms, (P_{i;n}, P_{i;n}) relative to the returned h_n, and the
-    first-measure moments of x^j P_{i;n}, j < i, relative to the integral of
-    their absolute values.  The first degree that fails raises
-    OracleMismatch.
+    With a ``residual`` (rule, constraint, degrees) it is refused above
+    CONNECTION_CONDITION_LIMIT (:func:`connection_condition`), and each
+    output P_n = sum_m a_{m,n} V_m must have, within QUADRATURE_RTOL,
+    (P_j, P_n) = 0 for j < n relative to the norms, (P_n, P_n) = h_n, and
+    no first-measure inner product with a constraint polynomial relative to
+    that of their absolute values.  ``rule`` holds V at the stage measure's
+    nodes times the roots of its weights, a constraint V and the constraint
+    polynomials times the weights at the first rule's nodes.  The first
+    failing column n raises OracleMismatch at ``degrees[n]``.
     """
-    second, first = rules
+    if residual is None or not leading:
+        return _qr_second_stage(columns, norms, leading)
+    condition = connection_condition(columns, norms)
+    if not condition <= CONNECTION_CONDITION_LIMIT:
+        raise ConditioningError(
+            f"float {name.replace('_', ' ')} refused at i={i}: condition of the unit-column weighted "
+            f"connection times unit roundoff is {condition:.3g} > {CONNECTION_CONDITION_LIMIT:g}",
+            stage=name, condition=condition, limit=CONNECTION_CONDITION_LIMIT,
+        )
+    result = _qr_second_stage(columns, norms, leading)
+    rule, constraint, degrees = residual
     a = np.array(result.coeffs)
     h = np.array(result.norms)
-    p2 = second[:, i:] @ a
+    p2 = rule @ a
     gram = p2.T @ p2
     diag = np.diag(gram)
     with np.errstate(all="ignore"):
-        residual = np.abs(gram) / np.sqrt(np.outer(diag, diag))
-        np.fill_diagonal(residual, np.abs(diag - h) / h)
-        worst = np.triu(residual).max(axis=0)
-        if i:
-            values, powers, abs_powers = first
-            p1 = values[:, i:] @ a
-            moments1 = np.abs(powers[:, :i].T @ p1) / (abs_powers[:, :i].T @ np.abs(p1))
+        worst = np.abs(gram) / np.sqrt(np.outer(diag, diag))
+        np.fill_diagonal(worst, np.abs(diag - h) / h)
+        worst = np.triu(worst).max(axis=0)
+        if constraint is not None:
+            values, weighted = constraint
+            p1 = values @ a
+            moments1 = np.abs(weighted.T @ p1) / (np.abs(weighted).T @ np.abs(p1))
             worst = np.maximum(worst, moments1.max(axis=0))
     bad = np.flatnonzero(~(worst <= QUADRATURE_RTOL))
     if bad.size:
-        degree = i + int(bad[0])
+        degree = degrees[int(bad[0])]
         raise OracleMismatch(
-            f"second-stage Gauss-rule residuals exceed {QUADRATURE_RTOL:g} at degree {degree}",
+            f"{name.replace('_', '-')} Gauss-rule residuals exceed {QUADRATURE_RTOL:g} "
+            f"at degree {degree}",
             degree=degree,
         )
+    return result
 
 
 def _scale(normalization, q_basis, i, gamma_dets):
@@ -460,16 +435,10 @@ def _scale(normalization, q_basis, i, gamma_dets):
 
 def _sbo_bases(first_stage, measure2, i_values, n_polys, normalization, check):
     """Q_0..Q_{N-1} from ``first_stage()``, then Q_i..Q_{N-1} orthogonalized
-    under the second measure for every i in ``i_values``.
-
-    Exact bases take every gamma_i from one gamma matrix over
-    Q_lo..Q_{N-1}, lo = min(i_values), as its trailing block from row
-    i - lo on, and factor it by :func:`gso.gram_schmidt`; the columns of a
-    are lifted once for its check and for P.  Float bases take
-    T and h once and, for each i, factor W = diag(sqrt h) T[:, i:] by one QR
-    (:func:`_qr_second_stage`), gated by :func:`connection_condition` and
-    checked by :func:`_check_quadrature`; gamma_i is formed when read and
-    q_in_p kept from the factorization.
+    under the second measure for every i in ``i_values``: the stage of the
+    weighted columns V = [0; I], constraints x^j, j < i.  Exact bases take
+    every gamma_i as a trailing block of one gamma over Q_lo..Q_{N-1}; float
+    ones take T and h once, and keep q_in_p from the factorization.
     """
     # checked before the first stage, so a bad i is reported even where Q fails
     for i in i_values:
@@ -479,23 +448,21 @@ def _sbo_bases(first_stage, measure2, i_values, n_polys, normalization, check):
     backend = q_basis.backend
     mu2 = moments(measure2, 2 * n_polys - 2, backend=backend)
     lo = min(i_values, default=n_polys)
-    # what every i shares is made once: gamma over Q_lo.. or T and h, Q's
-    # lifted rows, and the Q data of the identities and the quadrature check
+    # what every i shares is made once
     if backend == EXACT:
         gamma_lo = gamma_matrix(q_basis, mu2, lo).entries
         if check:
             with stage(SECOND_STAGE):
-                _check_gamma(gamma_lo, mu2, [row[lo:] for row in q_basis.q_in_x], lo)
+                _check_gram(gamma_lo, mu2, [row[lo:] for row in q_basis.q_in_x], range(lo, n_polys))
         q_rows = [linalg._lifted_span(row) for row in q_basis.q_in_x]
     else:
         q_array = np.array(q_basis.q_in_x)
-        # once, for T, h and the Gauss rule the quadrature check integrates by
         rec2 = monic_recurrence(measure2, n_polys)
         connection, norms = _connection_and_norms(q_basis, rec2)
         if check and lo < n_polys:
             with stage(SECOND_STAGE):
                 standard._check_rule_moments(rec2, mu2)
-            rules = _quadrature_rules(q_basis, rec2, max(i_values) > 0)
+            second, first = _quadrature_rules(q_basis, rec2)
     lead = _leading_data(q_basis) if check else None
     nil = (zero(backend),)
     bases = {}
@@ -508,22 +475,17 @@ def _sbo_bases(first_stage, measure2, i_values, n_polys, normalization, check):
             if backend == EXACT:
                 rows = tuple(row[i - lo :] for row in gamma_lo[i - lo :])
                 gamma = GramMatrix(rows, f"Q_{i}..Q_{n_polys - 1}")
-                result = gso.gram_schmidt(gamma, leading)
-                if check and block:
-                    q_cols = [row[i:] for row in q_basis.q_in_x]
-                    gso.check_against_oracle(
-                        gamma, result, q_cols, "second-stage determinant oracle disagrees"
-                    )
+                q_cols = [row[i:] for row in q_basis.q_in_x]
+                result = _exact_stage(gamma, q_cols, leading, check, SECOND_STAGE)
                 p_cols = linalg._lifted_mat_mul(q_rows, result._lifted_columns, i)
                 q_in_p = None  # formed from p_in_q when read
             else:
-                gamma = None
-                t_i = connection[:, i:]
+                gamma, residual = None, None
                 if check and block:
-                    _gate(t_i, norms, i)
-                result = _qr_second_stage(t_i, norms, leading)
-                if check and block:
-                    _check_quadrature(rules, result, i)
+                    # V = [0; I], and the constraints are x^j, j < i
+                    constraint = (first[0][:, i:], first[1][:, :i]) if i else None
+                    residual = (second[:, i:], constraint, range(i, n_polys))
+                result = _float_stage(connection[:, i:], norms, leading, residual, SECOND_STAGE, i)
                 p_cols = (q_array[:, i:] @ np.array(result.coeffs).reshape(block, block)).tolist()
                 q_in_p = pad + tuple(nil * i + row for row in result.inverse_coeffs)
         bases[i] = SboBasis(
@@ -859,6 +821,33 @@ class GeneralBoBasis:
     backend: str
 
 
+def _completion(subspace, n_dim):
+    """The degrees d, in order, of the monomials x^d that complete
+    ``subspace`` to a basis of pi_{N-1}, skipping each x^d in E + pi_{d-1}:
+    the top degrees of E's echelon form, reduced in exact rationals (a float
+    as its own value).  A constraint that reduces to zero raises
+    DependentConstraints naming its index."""
+    pivots = {}
+    for k, p in enumerate(subspace):
+        col = [Fraction(c) for c in p.coeffs]
+        while (top := max((d for d, x in enumerate(col) if x), default=None)) in pivots:
+            col = [x - col[top] / pivots[top][top] * y for x, y in zip(col, pivots[top])]
+        if top is None:
+            raise DependentConstraints(f"constraint {k} depends on the constraints before it")
+        pivots[top] = col
+    return tuple(d for d in range(n_dim) if d not in pivots)
+
+
+def _in_q(q_basis: StandardBasis, coeffs):
+    """Exact coordinates on the monic Q_m, m < len(coeffs), of the columns of
+    monomial coefficients ``coeffs``: x^j on the Q_m by the recurrence
+    (:func:`standard._recurrence_columns`, Q's monic terms as target)."""
+    size = len(coeffs)
+    cols = standard._recurrence_columns([(1, 0, 0)] * (size - 1), q_basis.monic_terms, 1)
+    in_q = [[Fraction(ints[m], den) if m < len(ints) else 0 for ints, den in cols] for m in range(size)]
+    return linalg.mat_mul(in_q, [[Fraction(x) for x in row] for row in coeffs])
+
+
 def build_general_bo(
     measure1: Measure,
     measure2: Measure,
@@ -866,13 +855,17 @@ def build_general_bo(
     n_dim: int,
     backend: str = EXACT,
 ) -> GeneralBoBasis:
-    """Block orthogonal basis for an arbitrary constraint subspace.
+    """Block orthogonal basis for an arbitrary constraint subspace E.
 
-    The supplied polynomials are completed to a basis of the full space by
-    appending monomials in degree order, skipping any that would make the
-    first measure's Gram determinant vanish.  Two orthogonalizations follow:
-    under the first measure to split off the complement, then under the
-    second measure inside it.
+    E is completed by monomials (:func:`_completion`); the first stage
+    orthogonalizes that basis under the first measure and keeps the
+    complement, the second orthogonalizes it under the second.  Both work on
+    coordinates V on the first measure's monic Q_m (:func:`_in_q`), where a
+    completing x^d may stand for Q_d, as the vectors before it span their
+    difference, and the Gram matrices are V^T diag(h_1) V and V^T gamma V;
+    :func:`build_sbo` is E = pi_{i-1}, V = [0; I].  A Q_d above E's degrees
+    is orthogonal to all before it, so the first stage runs on the leading
+    block only.  Both stages are checked.
     """
     subspace = tuple(subspace_polys)
     n1 = len(subspace)
@@ -880,40 +873,55 @@ def build_general_bo(
         raise ValueError("subspace dimension must be strictly between 0 and N")
     if any(p.degree >= n_dim for p in subspace):
         raise ValueError("subspace polynomials must live inside the space")
-    mu1 = moments(measure1, 2 * (n_dim - 1), backend=backend)
-    mu2 = moments(measure2, 2 * (n_dim - 1), backend=backend)
-
-    def independent(polys):
-        gram = gram_of(mu1, columns_of(polys, n_dim))
+    completion = _completion(subspace, n_dim)
+    q_basis = build_standard(measure1, n_dim, backend=backend)
+    top = 1 + max(p.degree for p in subspace)
+    inner = [d for d in completion if d < top]  # the completing Q_d of the leading block
+    e_coeffs = columns_of(subspace, top)
+    v = [e + [int(m == d) for d in inner] for m, e in enumerate(_in_q(q_basis, e_coeffs))]
+    degrees = [p.degree for p in subspace] + inner
+    with stage(FIRST_STAGE):
         if backend == EXACT:
-            return linalg.det(gram) != 0
-        return linalg.rank_float(gram)[0] == len(polys)
-
-    if not independent(subspace):
-        raise DependentConstraints("constraint polynomials are linearly dependent")
-
-    basis = list(subspace)
-    completion = []
-    degree = 0
-    while len(basis) < n_dim:
-        if degree >= n_dim:
-            raise DependentConstraints("could not complete the basis with monomials")
-        candidate = monomial(degree) if backend == EXACT else monomial(degree).to_float()
-        if independent(basis + [candidate]):
-            basis.append(candidate)
-            completion.append(degree)
-        degree += 1
-
-    one = scalars.one(backend)
-    basis_cols = columns_of(basis, n_dim)
-    res1 = gso.gram_schmidt(gram_of(mu1, basis_cols), [one] * n_dim)
-    first = linalg.mat_mul(basis_cols, [row[n1:] for row in res1.coeffs])
-    res2 = gso.gram_schmidt(gram_of(mu2, first), [one] * (n_dim - n1))
+            weighted = [[h * x for x in row] for h, row in zip(q_basis.norms, v)]
+            gram1 = linalg.mat_mul(linalg.transpose(v), weighted)
+            cols = [e + [q_basis.q_in_x[m][d] for d in inner] for m, e in enumerate(e_coeffs)]
+            _check_gram(gram1, q_basis.moment_seq, cols, degrees, "first-stage Gram matrix and moments")
+            res1 = _exact_stage(gram1, v, [one(backend)] * top, True, FIRST_STAGE)
+        else:
+            # the metric is diag(h1) here; the second stage checks E against the rule
+            v, h1 = np.array(v, dtype=float), np.array(q_basis.norms[:top])
+            residual = (np.sqrt(h1)[:, None] * v, None, degrees)
+            res1 = _float_stage(v, h1, [1.0] * top, residual, FIRST_STAGE, n1)
+            v = v.tolist()
+    # the complement on Q_0..Q_{N-1}: the leading block's vectors, then Q_top..
+    lead = linalg.mat_mul(v, [row[n1:] for row in res1.coeffs])
+    f = [
+        (lead[m] if m < top else [0] * len(inner)) + [int(m == d) for d in range(top, n_dim)]
+        for m in range(n_dim)
+    ]
+    first = linalg.mat_mul(q_basis.q_in_x, f)
+    mu2 = moments(measure2, 2 * n_dim - 2, backend=backend)
+    with stage(SECOND_STAGE):
+        if backend == EXACT:
+            lo = next(m for m, row in enumerate(f) if any(row))
+            gamma = gamma_matrix(q_basis, mu2, lo).entries
+            gram2 = linalg.mat_mul(linalg.mat_mul(linalg.transpose(f[lo:]), gamma), f[lo:])
+            _check_gram(gram2, mu2, first, completion, "second-stage Gram matrix and moments")
+            res2 = _exact_stage(gram2, first, [one(backend)] * (n_dim - n1), True, SECOND_STAGE)
+        else:
+            rec2 = monic_recurrence(measure2, n_dim)
+            standard._check_rule_moments(rec2, mu2)
+            rule2, (values1, powers) = _quadrature_rules(q_basis, rec2)
+            connection, h2 = _connection_and_norms(q_basis, rec2)
+            f = np.array(f, dtype=float)
+            constraint = (values1 @ f, powers[:, :top] @ np.array(e_coeffs, dtype=float))
+            residual = (rule2 @ f, constraint, completion)
+            res2 = _float_stage(connection @ f, h2, [1.0] * (n_dim - n1), residual, SECOND_STAGE, n1)
     return GeneralBoBasis(
         subspace=subspace,
-        completion_degrees=tuple(completion),
+        completion_degrees=completion,
         first_stage=from_columns(first),
-        first_norms=res1.norms[n1:],
+        first_norms=res1.norms[n1:] + q_basis.norms[top:],
         second_stage=from_columns(linalg.mat_mul(first, res2.coeffs)),
         second_norms=res2.norms,
         backend=backend,

@@ -19,12 +19,10 @@ is lifted by one common scale, its rows are freed of their contents, it is
 eliminated fraction-free, and each output entry is formed as one Fraction.
 Float matrices run a float loop (:func:`_float_ldl`).
 
-The exact second stage of the block construction, in both its builds, and
-the Hankel first-stage oracle (:func:`standard.hankel_build`) run
-:func:`gram_schmidt`; :func:`parity_gram_schmidt` is the kernel of the
-parity first stage (:func:`standard.parity_split_build`), the only float
-caller besides that oracle.  The float second stage factors its weighted
-connection by QR in :mod:`block` instead.  The checks never read the
+Every exact stage of :mod:`block` and the Hankel first-stage oracle
+(:func:`standard.hankel_build`) run :func:`gram_schmidt`, and
+:func:`parity_gram_schmidt` is the kernel of the parity first stage; float
+stages of :mod:`block` factor by QR instead.  The checks never read the
 kernel's factorization:
 
 * :func:`bordered_oracle` gives the column of E_n, h_n and Z_{n+1};

@@ -12,13 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import gso, linalg
+from . import linalg
 from ._numpy import np
 from .block import build_general_bo
 from .errors import DependentBasis, NonPositiveParameter
 from .measures import Measure, gram_of, moments
 from .polynomials import Polynomial, columns_of, from_columns, monomial
-from .scalars import EXACT, one, to_fraction
+from .scalars import EXACT, to_fraction
 
 UNIQUE = "unique"
 NO_SOLUTION = "no_solution"
@@ -207,23 +207,16 @@ def common_orthogonal_complement(
     n1 = len(subspace)
     bo_b = build_general_bo(measure_b, measure_b, subspace, n_dim, backend=backend)
     mu_a = moments(measure_a, 2 * (n_dim - 1), backend=backend)
-
-    # orthogonal basis E of the subspace under measure a, for projecting
-    sub_cols = columns_of(subspace, n_dim)
-    sub_res = gso.gram_schmidt(gram_of(mu_a, sub_cols), [one(backend)] * n1)
-    ortho = linalg.mat_mul(sub_cols, sub_res.coeffs)
-    # column j: the projection sum_e e (e, eps_j)_a / h_e of first-stage vector j
+    # (e_k, eps_j)_a: a combination of the first-stage vectors eps_j is
+    # orthogonal to the subspace under measure a where these sums vanish
     first = columns_of(bo_b.first_stage, n_dim)
-    overlaps = gram_of(mu_a, ortho, first)
-    weights = [[x / h for x in row] for row, h in zip(overlaps, sub_res.norms)]
-    by_column = linalg.mat_mul(ortho, weights)
-    coeff_rows = linalg.transpose(by_column)
+    overlaps = gram_of(mu_a, columns_of(subspace, n_dim), first)
     if backend == EXACT:
-        rank = linalg.rank_exact(coeff_rows)
-        kernel = linalg.nullspace_exact(by_column)
+        rank = linalg.rank_exact(overlaps)
+        kernel = linalg.nullspace_exact(overlaps)
     else:
-        rank, _ = linalg.rank_float(coeff_rows)
-        _, _, vt = np.linalg.svd(np.array(by_column, dtype=float))
+        rank, _ = linalg.rank_float(overlaps)
+        _, _, vt = np.linalg.svd(np.array(overlaps, dtype=float))
         kernel = [list(map(float, v)) for v in vt[rank:]]
     if rank > min(n1, n_dim - n1):
         raise DependentBasis("projection rank exceeds its structural bound")

@@ -84,7 +84,7 @@ def _float_orthogonality(measure2, bases, n_size, i_max):
     coefficients of each P_{i;n} must be those of its connection."""
     q_basis = bases[0].q_basis
     rec2 = monic_recurrence(measure2, n_size)
-    second, (values1, powers, abs_powers) = block._quadrature_rules(q_basis, rec2, True)
+    second, (values1, powers) = block._quadrature_rules(q_basis, rec2)
     q_in_x = np.array(q_basis.q_in_x)
     worst = 0.0
     for i, basis in bases.items():
@@ -95,7 +95,7 @@ def _float_orthogonality(measure2, bases, n_size, i_max):
                 return _entry("orthogonality", False, i=i, n=n, which="monomial")
         p1 = values1 @ connection
         constraint = powers[:, :i].T @ p1
-        size = abs_powers[:, :i].T @ np.abs(p1)
+        size = np.abs(powers[:, :i]).T @ np.abs(p1)
         p2 = second @ connection
         gram = p2.T @ p2 - np.diag(basis.monic_norms)
         scale = max(max(basis.monic_norms, default=1.0), 1.0)

@@ -51,12 +51,11 @@ def test_exact_recurrence_route_equals_the_hankel_route(name, normalization):
         assert [list(row) for row in block.gamma_matrix(q, mu2, i).entries] == congruence
 
 
-def test_exact_closed_form_build_forms_no_hankel_matrix(monkeypatch):
+def test_exact_closed_form_build_forms_no_hankel_matrix(monkeypatch, forbid_congruence):
     calls = []
     for module in (standard, measures):
         original = getattr(module, "hankel_matrix")
         monkeypatch.setattr(module, "hankel_matrix", lambda *a, _f=original: calls.append(a) or _f(*a))
-    monkeypatch.setattr(block, "gram_of", lambda *a: pytest.fail("gamma took the congruence"))
     build_sbos(*PAIRS["laguerre"], range(9), 8)
     assert calls == []
 

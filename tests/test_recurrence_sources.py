@@ -58,10 +58,9 @@ def test_the_golden_table_is_the_mixture():
     assert table.weight.mu == _mixture(14).weight.mu
 
 
-def test_a_table_pair_runs_no_hankel_route(monkeypatch):
+def test_a_table_pair_runs_no_hankel_route(monkeypatch, forbid_congruence):
     for name in ("hankel_build", "_hankel"):
         monkeypatch.setattr(standard, name, lambda *a, **k: pytest.fail("Hankel route"))
-    monkeypatch.setattr(block, "gram_of", lambda *a: pytest.fail("gamma took the congruence"))
     tables = _mixture(14), Measure.from_moments(moments(Measure.gaussian(2), 14).mu)
     for backend in ("exact", "float"):
         build_sbos(*tables, range(9), 8, backend=backend)
