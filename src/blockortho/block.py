@@ -899,13 +899,13 @@ def build_general_bo(
         (lead[m] if m < top else [0] * len(inner)) + [int(m == d) for d in range(top, n_dim)]
         for m in range(n_dim)
     ]
-    first = linalg.mat_mul(q_basis.q_in_x, f)
+    first = linalg.mat_mul(q_basis.q_in_x, f) if inner else [row[top:] for row in q_basis.q_in_x]
     mu2 = moments(measure2, 2 * n_dim - 2, backend=backend)
     with stage(SECOND_STAGE):
         if backend == EXACT:
-            lo = next(m for m, row in enumerate(f) if any(row))
+            lo = 0 if inner else top  # F = [0; I] where E spans pi_{top-1}
             gamma = gamma_matrix(q_basis, mu2, lo).entries
-            gram2 = linalg.mat_mul(linalg.mat_mul(linalg.transpose(f[lo:]), gamma), f[lo:])
+            gram2 = linalg.mat_mul(linalg.mat_mul(linalg.transpose(f), gamma), f) if inner else gamma
             _check_gram(gram2, mu2, first, completion, "second-stage Gram matrix and moments")
             res2 = _exact_stage(gram2, first, [one(backend)] * (n_dim - n1), True, SECOND_STAGE)
         else:
