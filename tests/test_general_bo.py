@@ -1,5 +1,7 @@
-"""General block orthogonal bases (``block.build_general_bo``): pinned exact
-outputs for arbitrary constraint subspaces.
+"""General block orthogonal bases (``block.build_general_bo``) for arbitrary
+constraint subspaces: pinned exact outputs, the monomial Hankel construction
+as a reference on random subspaces, float builds against exact ones, and the
+checks of both stages.
 
 ``tests/golden/general-bo.json`` holds, for each case, the completion
 degrees and both stages' polynomials and norms as ``p/q`` strings, so a
@@ -16,6 +18,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockortho import (
     ConditioningError,
@@ -27,8 +31,11 @@ from blockortho import (
     build_general_bo,
     build_sbo,
     gso,
+    linalg,
     monomial,
 )
+from blockortho.measures import gram_of, moments
+from blockortho.polynomials import columns_of, from_columns
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "general-bo.json"
 
@@ -74,15 +81,6 @@ def test_exact_general_bo_matches_its_pinned_output(name):
     assert _record(_build(name)) == expected
 
 
-def test_a_dependent_constraint_is_named_by_its_index():
-    with pytest.raises(DependentConstraints, match="constraint 1 depends") as info:
-        build_general_bo(*HERMITE, [monomial(1), monomial(1).scale(Fraction(2))], 5)
-    assert str(info.value) == "constraint 1 depends on the constraints before it"
-    sum_of_both = Polynomial((Fraction(1), Fraction(1)))
-    with pytest.raises(DependentConstraints, match="constraint 2 depends"):
-        build_general_bo(*LAGUERRE, [monomial(0), monomial(1), sum_of_both], 5, backend="float")
-
-
 def _within(fl, exact, rtol):
     for a, b in zip(exact.first_stage + exact.second_stage, fl.first_stage + fl.second_stage):
         coeffs = [float(c) for c in a.coeffs]
@@ -90,6 +88,67 @@ def _within(fl, exact, rtol):
         assert max(abs(x - y) for x, y in zip(b.coeffs, coeffs)) <= rtol * max(map(abs, coeffs))
     for a, b in zip(exact.first_norms + exact.second_norms, fl.first_norms + fl.second_norms):
         assert abs(b - float(a)) <= rtol * abs(float(a))
+
+
+def _monomial_route(measure1, measure2, subspace, n_dim):
+    """The general construction on monomial Hankel Gram matrices, as a
+    reference: completion by one Gram determinant per candidate monomial,
+    then Gram-Schmidt under each measure.  None when the subspace is
+    dependent."""
+    mu1, mu2 = (moments(m, 2 * n_dim - 2) for m in (measure1, measure2))
+    if linalg.det(gram_of(mu1, columns_of(subspace, n_dim))) == 0:
+        return None
+    basis, completion = list(subspace), []
+    for d in range(n_dim):
+        candidate = basis + [monomial(d)]
+        if len(basis) < n_dim and linalg.det(gram_of(mu1, columns_of(candidate, n_dim))) != 0:
+            basis, completion = candidate, completion + [d]
+    n1, cols = len(subspace), columns_of(basis, n_dim)
+    res1 = gso.gram_schmidt(gram_of(mu1, cols), [Fraction(1)] * n_dim)
+    first = linalg.mat_mul(cols, [row[n1:] for row in res1.coeffs])
+    res2 = gso.gram_schmidt(gram_of(mu2, first), [Fraction(1)] * (n_dim - n1))
+    second = from_columns(linalg.mat_mul(first, res2.coeffs))
+    return tuple(completion), from_columns(first), res1.norms[n1:], second, res2.norms
+
+
+@given(
+    st.sampled_from([HERMITE, LAGUERRE, GAMMA_GAUSSIAN]),
+    st.integers(2, 7).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.lists(st.integers(-2, 2), min_size=1, max_size=n), min_size=1, max_size=n - 1),
+        )
+    ),
+)
+@settings(max_examples=60, deadline=None)
+def test_the_general_build_is_the_monomial_route(pair, case):
+    n_dim, constraints = case
+    subspace = [Polynomial(tuple(Fraction(c) for c in coeffs)) for coeffs in constraints]
+    expected = _monomial_route(*pair, subspace, n_dim)
+    if expected is None:
+        with pytest.raises(DependentConstraints):
+            build_general_bo(*pair, subspace, n_dim)
+        return
+    basis = build_general_bo(*pair, subspace, n_dim)
+    got = (basis.completion_degrees, basis.first_stage, basis.first_norms)
+    assert got + (basis.second_stage, basis.second_norms) == expected
+    # the float build answers within 1e-9 of it or refuses at the gate
+    try:
+        fl = build_general_bo(*pair, [p.to_float() for p in subspace], n_dim, backend="float")
+    except ConditioningError as exc:
+        assert exc.condition > exc.limit
+        return
+    assert fl.completion_degrees == basis.completion_degrees
+    _within(fl, basis, 1e-9)
+
+
+def test_a_dependent_constraint_is_named_by_its_index():
+    with pytest.raises(DependentConstraints, match="constraint 1 depends") as info:
+        build_general_bo(*HERMITE, [monomial(1), monomial(1).scale(Fraction(2))], 5)
+    assert str(info.value) == "constraint 1 depends on the constraints before it"
+    sum_of_both = Polynomial((Fraction(1), Fraction(1)))
+    with pytest.raises(DependentConstraints, match="constraint 2 depends"):
+        build_general_bo(*LAGUERRE, [monomial(0), monomial(1), sum_of_both], 5, backend="float")
 
 
 @pytest.mark.parametrize("pair", [LAGUERRE, HERMITE], ids=["laguerre", "hermite"])
