@@ -17,7 +17,10 @@ runs on both sides back to back, ``REPEATS`` times, and the side that goes
 first alternates from op to op and from repetition to repetition; garbage
 is collected before every call, outside the timed region.  An op's time on
 a side is its minimum over the repetitions.  Exit code and stdout must be
-identical on both sides for every op, or the script stops with an error.
+identical on both sides for every op, or the script stops with an error;
+``--ignore-report-keys`` names keys of ``verify`` reports that a change of
+output adds or removes, which are dropped from both sides before the
+comparison.
 
 Per workload and seed the report gives, for each side, the median op time
 (``p50_s``), the op time at the workload's tail quantile (``tail_s``, at
@@ -26,7 +29,7 @@ Harrell-Davis estimate, and the summed op time (``sum_s``).
 
 Run from the repository root (one process, a few minutes):
 
-    python scripts/interleaved_ab.py --parent-src DIR
+    python scripts/interleaved_ab.py --parent-src DIR [--ignore-report-keys n,samples]
 """
 
 from __future__ import annotations
@@ -66,12 +69,22 @@ def _op(main, argv):
     return rc, out, time.perf_counter() - t0
 
 
+def _comparable(argv, rc, out, ignored):
+    """Exit code and stdout of an op, a verify op's reports without the
+    ``ignored`` keys."""
+    if argv[0] != "verify" or not ignored or rc != 0:
+        return rc, out
+    payload = json.loads(out)
+    payload["reports"] = [{k: v for k, v in r.items() if k not in ignored} for r in payload["reports"]]
+    return rc, payload
+
+
 def _ops(workload, seed):
     rounds = workloads.rounds(workload, seed)
     return [op for _ in range(workloads.MIN_ROUNDS[workload]) for op in next(rounds)]
 
 
-def _compare(mains, workload, seed):
+def _compare(mains, workload, seed, ignored):
     times = {side: [] for side in SIDES}
     for k, op in enumerate(_ops(workload, seed)):
         best = dict.fromkeys(SIDES, float("inf"))
@@ -80,7 +93,7 @@ def _compare(mains, workload, seed):
             results = {}
             for side in order:
                 rc, out, seconds = _op(mains[side], op["argv"])
-                results[side] = (rc, out)
+                results[side] = _comparable(op["argv"], rc, out, ignored)
                 best[side] = min(best[side], seconds)
             if results["parent"] != results["change"]:
                 sys.exit(f"{workload} seed {seed}: output differs on {op['argv']}")
@@ -104,7 +117,11 @@ def main():
     )
     parser.add_argument("--parent-src", type=Path, required=True,
                         help="src directory of the checkout to compare against")
+    parser.add_argument("--ignore-report-keys", default="",
+                        help="comma-separated keys of verify reports left out of the "
+                             "output comparison (an intended output change)")
     args = parser.parse_args()
+    ignored = sorted(filter(None, args.ignore_report_keys.split(",")))
 
     with tempfile.TemporaryDirectory() as tmp:
         shutil.copytree(args.parent_src / "blockortho", Path(tmp) / "blockortho_parent")
@@ -113,7 +130,7 @@ def main():
             "parent": importlib.import_module("blockortho_parent.cli").main,
             "change": importlib.import_module("blockortho.cli").main,
         }
-        rows = [_compare(mains, w, seed) for w in workloads.WORKLOADS for seed in SEEDS]
+        rows = [_compare(mains, w, seed, ignored) for w in workloads.WORKLOADS for seed in SEEDS]
 
     report = {
         "description": (
@@ -123,9 +140,12 @@ def main():
             f"side alternating, minimum of {REPEATS} repetitions per op. p50_s is the "
             "median op time, tail_s the op time at the workload's tail quantile (both "
             "Harrell-Davis, as benchmark/run.py takes them), sum_s the summed op time. "
-            "Exit code and stdout were identical on every op. See scripts/interleaved_ab.py."
+            "Exit code and stdout were identical on every op, but for the keys of verify "
+            "reports in ignored_report_keys. See scripts/interleaved_ab.py."
         ),
-        "command": "python scripts/interleaved_ab.py --parent-src DIR",
+        "command": "python scripts/interleaved_ab.py --parent-src DIR"
+        + (f" --ignore-report-keys {','.join(ignored)}" if ignored else ""),
+        "ignored_report_keys": ignored,
         "python": platform.python_version(),
         "machine": f"{platform.machine()}, {os.cpu_count()} logical CPUs",
         "tail_quantile": {w: round(workloads.tail_quantile(w), 4) for w in workloads.WORKLOADS},

@@ -647,11 +647,12 @@ class SboOracleResult:
     a_column: tuple
     gamma: GramMatrix
     leading: tuple
+    elimination: object = field(default=None, repr=False, compare=False)
 
     @property
     def b_column(self):
-        """Monic connection column b_{m,n}, m = i..n, computed when read."""
-        return gso.oracle_connection_column(self.gamma, len(self.a_column) - 1, self.leading)
+        """Monic connection column b_{m,n}, m = i..n, computed when read (off ``elimination``, if any)."""
+        return gso.oracle_connection_column(self.gamma, len(self.a_column) - 1, self.leading, self.elimination)
 
 
 def sbo_determinant_oracle(
@@ -666,7 +667,7 @@ def sbo_determinant_oracle(
     when the caller holds it (a basis stores its own); otherwise it is
     assembled from ``measure2``.  An exact caller that runs every degree of
     one gamma_i passes its :class:`linalg.LiftedElimination` as
-    ``elimination``, so the degrees share it.
+    ``elimination``, so the degrees and their b columns share it.
     """
     if not q_basis.size > n >= i >= 0:
         raise ValueError(f"need i <= n < N, got i={i}, n={n}, N={q_basis.size}")
@@ -680,6 +681,7 @@ def sbo_determinant_oracle(
         a_column=a_col,
         gamma=gamma,
         leading=tuple(q_basis.leading[i : n + 1]),
+        elimination=elimination,
     )
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import linalg, scalars
 from .block import SboBasis
-from .measures import Measure, gram_of, inner_product_mu, moments
+from .measures import Measure, hankel_matrix, inner_product_mu, moments
 from .polynomials import Polynomial, columns_of, from_columns
 from .standard import StandardBasis
 
@@ -48,29 +48,36 @@ def projectors_from_q(q_basis: StandardBasis, i: int):
     that is Q (D^-1 (Q^T H_1)) over the first i columns of Q, with the
     division by the norms straight after the inner products.
     """
-    n_size = q_basis.size
-    if not 0 <= i <= n_size:
-        raise ValueError(f"constraint index {i} outside 0..{n_size}")
-    zero = scalars.zero(q_basis.backend)
-    q_head = [row[:i] for row in q_basis.q_in_x]
-    weights = _scaled_overlaps(q_head, q_basis.norms, q_basis.moment_seq)
-    # Q_n with n >= i lies in the complement
-    weights += [[zero] * n_size for _ in range(n_size - i)]
-    entries = linalg.mat_mul(q_basis.q_in_x, weights)
-    onto = ProjectorMatrix(tuple(map(tuple, entries)), ONTO_CONSTRAINT)
+    onto = _q_route(q_basis, i)(i)
     return onto, _complement_of(onto, q_basis.backend)
 
 
-def _scaled_overlaps(columns, norms, moment_seq):
-    """D^-1 (B^T H): row n holds (b_n, x^k) / h_n for the columns b_n of B.
+def _q_route(q_basis: StandardBasis, width):
+    """The constraint projector of :func:`projectors_from_q` as a function of i <= ``width``:
+    the overlap rows D^-1 (Q^T H_1) of Q's first ``width`` columns are formed once."""
+    weights = _scaled_overlaps([row[:width] for row in q_basis.q_in_x], q_basis.norms, q_basis.moment_seq)
+    # Q_n with n >= i lies in the complement
+    return lambda i: _onto(linalg.mat_mul(q_basis.q_in_x, _head(weights, i, q_basis)))
 
-    B^T H is the Gram congruence of B against the monomials; the division
-    by the norms comes straight after the inner products.
+
+def _head(rows, i, basis):
+    """``rows[:i]`` padded with zero rows to the size N of ``basis``."""
+    if not 0 <= i <= basis.size:
+        raise ValueError(f"constraint index {i} outside 0..{basis.size}")
+    return list(rows[:i]) + [[scalars.zero(basis.backend)] * basis.size] * (basis.size - i)
+
+
+def _scaled_overlaps(columns, norms, moment_seq):
+    """D^-1 (B^T H): row n holds (b_n, x^k) / h_n for the columns b_n of B,
+    H the Hankel matrix of ``moment_seq``; the division by the norms comes
+    straight after the inner products.
     """
-    size = len(columns)
-    kind = scalars.EXACT if moment_seq.exact else scalars.FLOAT
-    overlaps = gram_of(moment_seq, columns, linalg.identity(size, kind))
+    overlaps = linalg.mat_mul(linalg.transpose(columns), hankel_matrix(moment_seq, len(columns)).rows())
     return [[x / h for x in row] for row, h in zip(overlaps, norms)]
+
+
+def _onto(entries):
+    return ProjectorMatrix(tuple(map(tuple, entries)), ONTO_CONSTRAINT)
 
 
 def _complement_of(onto: ProjectorMatrix, backend):
@@ -91,19 +98,23 @@ def projectors_from_second(sbo0: SboBasis, i: int):
     the inner products; must coincide with :func:`projectors_from_q`
     exactly in the rational backend.
     """
-    n_size = sbo0.size
     if sbo0.i != 0:
         raise ValueError(f"need the i = 0 basis, got one with i = {sbo0.i}")
-    if not 0 <= i <= n_size:
-        raise ValueError(f"constraint index {i} outside 0..{n_size}")
-    zero = scalars.zero(sbo0.backend)
-    p_monic = linalg.mat_mul(sbo0.q_basis.q_in_x, sbo0.p_in_q)
-    head = list(sbo0.p_in_q[:i]) + [[zero] * n_size for _ in range(n_size - i)]
-    kernel = linalg.mat_mul(sbo0.q_in_p, head)
-    weights = _scaled_overlaps(p_monic, sbo0.monic_norms, sbo0.mu2)
-    entries = linalg.mat_mul(p_monic, linalg.mat_mul(kernel, weights))
-    onto = ProjectorMatrix(tuple(map(tuple, entries)), ONTO_CONSTRAINT)
+    onto = _second_route(sbo0)(i)
     return onto, _complement_of(onto, sbo0.backend)
+
+
+def _second_route(sbo0: SboBasis):
+    """The constraint projector of :func:`projectors_from_second` as a
+    function of i: P's monomial columns and D^-1 (P^T H_2) are formed once."""
+    p_monic = linalg.mat_mul(sbo0.q_basis.q_in_x, sbo0.p_in_q)
+    weights = _scaled_overlaps(p_monic, sbo0.monic_norms, sbo0.mu2)
+
+    def onto(i):
+        kernel = linalg.mat_mul(sbo0.q_in_p, _head(sbo0.p_in_q, i, sbo0))
+        return _onto(linalg.mat_mul(p_monic, linalg.mat_mul(kernel, weights)))
+
+    return onto
 
 
 def inner0(p: Polynomial, q: Polynomial, sbo: SboBasis, measure_one: Measure = None):

@@ -7,11 +7,10 @@ float Gauss rule) come back as skipped-with-reason entries, not failures.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
-from operator import mul
+from functools import partial
 
-from . import analysis, block, gso
+from . import analysis, block, gso, projectors
 from ._numpy import np
 from .block import (
     build_sbo,
@@ -21,11 +20,11 @@ from .block import (
     sbo_determinant_oracle,
     sbo_parity_build,
 )
-from .errors import BlockOrthoError, CollapsedRule, ConditioningError, OracleMismatch
-from .linalg import LiftedElimination, identity
-from .measures import Measure, inner_product_mu, moments
+from .errors import BlockOrthoError, CollapsedRule, ConditioningError
+from .linalg import LiftedElimination
+from .measures import Measure, hankel_matrix, inner_product_mu, moments
 from .polynomials import combine, from_columns, monomial
-from .projectors import inner0_with, projectors_from_q, projectors_from_second
+from .projectors import inner0_with, projectors_from_q
 from .scalars import EXACT, FLOAT, zero
 from .standard import build_by_recurrence, build_standard, hankel_build, monic_recurrence
 
@@ -38,10 +37,11 @@ def _entry(name, passed, **detail):
     return out
 
 
-def _is_zero(value, backend, scale=1):
+def _agree(a, b, backend, scale=1):
+    """a == b, exact; within FLOAT_RTOL times max(|scale|, 1), float."""
     if backend == EXACT:
-        return value == 0
-    return abs(value) <= FLOAT_RTOL * max(abs(scale), 1.0)
+        return a == b
+    return abs(a - b) <= FLOAT_RTOL * max(abs(scale), 1.0)
 
 
 def check_orthogonality(measure1, measure2, n_size, i_max, backend=EXACT):
@@ -111,46 +111,11 @@ def _float_orthogonality(measure2, bases, n_size, i_max):
     return _entry("orthogonality", True, n=n_size, i_max=i_max, worst_residual=worst)
 
 
-def check_oracle_equivalence(measure1, measure2, n_size, backend=EXACT, seed=20240601, samples=50):
-    """Inductive vs determinant routes on random Gram matrices, b included,
-    and on the pair: the Hankel first stage of each measure with its
-    bordered-determinant oracle, and the second stage against the SBO
-    determinant oracle."""
-    rng = random.Random(seed)
-    for trial in range(samples):
-        size = rng.randint(2, 7)
-        raw = [[rng.randint(-4, 4) for _ in range(size)] for _ in range(size)]
-        cols = list(zip(*raw))
-        # raw^T raw + I, summed over integers and kept as ints
-        gram = [
-            [sum(map(mul, c_j, c_k)) + (j == k) for k, c_k in enumerate(cols)]
-            for j, c_j in enumerate(cols)
-        ]
-        factors = [Fraction(rng.choice([1, 1, 2, -1, 3])) for _ in range(size)]
-        if backend == FLOAT:
-            gram = [[float(x) for x in row] for row in gram]
-            factors = [float(f) for f in factors]
-        result = gso.gram_schmidt(gram, factors)
-        elimination, scale = None, 1
-        if backend == EXACT:
-            try:
-                gso.check_against_oracle(gram, result, identity(size), "random Gram trial")
-            except OracleMismatch as exc:
-                return _entry("oracle_equivalence", False, trial=trial, n=exc.degree)
-            elimination = LiftedElimination(gram)  # b's determinants for every column
-        for n in range(size):
-            if backend == FLOAT:
-                oracle = gso.bordered_oracle(gram, n, factors[n])[0]
-                column = [result.coeffs[m][n] for m in range(n + 1)]
-                scale = max(abs(x) for x in oracle) or 1
-                for a, b in zip(oracle, column):
-                    if not _is_zero(a - b, backend, scale):
-                        return _entry("oracle_equivalence", False, trial=trial, n=n)
-            # b, exact formed from a when read, against its own bordered determinants
-            b_oracle = gso.oracle_connection_column(gram, n, factors[: n + 1], elimination)
-            for m, (b, x) in enumerate(zip(b_oracle, result.inverse_coeffs)):
-                if b != x[n] and not _is_zero(b - x[n], backend, scale):
-                    return _entry("oracle_equivalence", False, trial=trial, n=n, m=m, which="b")
+def check_oracle_equivalence(measure1, measure2, n_size, backend=EXACT):
+    """The pair's builds against their determinant routes: each measure's
+    Hankel first stage, with its bordered-determinant oracle, against the
+    recurrence route, and each second-stage degree for i <= 2 against the
+    SBO determinant oracle, in its polynomial and in b, its q_in_p column."""
     bases = build_sbos(measure1, measure2, range(min(2, n_size) + 1), n_size, backend=backend)
     # the Hankel route and its bordered-determinant oracle, on each measure's
     # first stage, must land on the polynomials of the recurrence route
@@ -169,7 +134,12 @@ def check_oracle_equivalence(measure1, measure2, n_size, backend=EXACT, seed=202
             )
             if not _polys_match(oracle.poly, basis.monic_poly(n), backend):
                 return _entry("oracle_equivalence", False, i=i, n=n, which="sbo")
-    return _entry("oracle_equivalence", True, samples=samples)
+            b_column = oracle.b_column
+            scale = max(map(abs, b_column))
+            for m, b in enumerate(b_column, start=i):
+                if not _agree(b, basis.q_in_p[m][n], backend, scale):
+                    return _entry("oracle_equivalence", False, i=i, n=n, m=m, which="b")
+    return _entry("oracle_equivalence", True)
 
 
 def _polys_match(p, q, backend):
@@ -208,7 +178,8 @@ def check_boundary_identities(measure1, measure2, n_size, backend=EXACT):
 
 
 def check_parity(measure1, measure2, n_size, backend=EXACT):
-    """Parity build equivalence and checkerboard factorization."""
+    """Parity build equivalence for i <= 3; gamma_i's checkerboard
+    factorization is :func:`check_lemma_checkerboard`'s."""
     if not (measure1.symmetric and measure2.symmetric):
         return _entry("parity", True, skipped="measure pair is not symmetric")
     bases = build_sbos(measure1, measure2, range(min(3, n_size) + 1), n_size, backend=backend)
@@ -217,45 +188,44 @@ def check_parity(measure1, measure2, n_size, backend=EXACT):
         for n in direct.degrees():
             p = direct.monic_poly(n)
             for a, b in zip(p.coeffs, split.monic_poly(n).coeffs):
-                if not _is_zero(a - b, backend):
+                if not _agree(a, b, backend):
                     return _entry("parity", False, i=i, n=n)
             expected = "even" if n % 2 == 0 else "odd"
             if backend == EXACT and p.parity() != expected:
                 return _entry("parity", False, i=i, n=n, which="reflection")
-        g = direct.gamma.rows()
-        if g and backend == EXACT:
-            det, even, odd = gso.checkerboard_det(g)
-            if det != even * odd:
-                return _entry("parity", False, i=i, which="checkerboard")
     return _entry("parity", True)
 
 
 def check_projectors(measure1, measure2, n_size, backend=EXACT):
+    """For i <= 3, the projector pair by Q is idempotent and complementary and
+    equals the one by P; each route forms what does not depend on i once."""
     sbo0 = build_sbo(measure1, measure2, 0, n_size, backend=backend)
-    for i in range(min(3, n_size) + 1):
-        onto, comp = projectors_from_q(sbo0.q_basis, i)
-        scale = max((abs(x) for row in onto.entries for x in row), default=1)
+    top = min(3, n_size)
+    by_q, by_second = projectors._q_route(sbo0.q_basis, top), projectors._second_route(sbo0)
+    for i in range(top + 1):
+        onto = by_q(i)
+        comp = projectors._complement_of(onto, backend)
+        scale = max((abs(x) for row in onto.entries for x in row), default=1) if backend == FLOAT else 1
         prod = onto.compose(onto)
         for r in range(n_size):
             for c in range(n_size):
-                if not _is_zero(prod[r][c] - onto.entries[r][c], backend, scale):
+                if not _agree(prod[r][c], onto.entries[r][c], backend, scale):
                     return _entry("projectors", False, i=i, which="idempotence")
                 target = (1 if r == c else 0) - onto.entries[r][c]
-                if not _is_zero(comp.entries[r][c] - target, backend, scale):
+                if not _agree(comp.entries[r][c], target, backend, scale):
                     return _entry("projectors", False, i=i, which="complement")
-        onto2, _ = projectors_from_second(sbo0, i)
+        onto2 = by_second(i)
         for r in range(n_size):
             for c in range(n_size):
-                if not _is_zero(onto.entries[r][c] - onto2.entries[r][c], backend, scale):
+                if not _agree(onto.entries[r][c], onto2.entries[r][c], backend, scale):
                     return _entry("projectors", False, i=i, which="route_equivalence")
-    return _entry("projectors", True, n=n_size)
+    return _entry("projectors", True)
 
 
-def check_integrals(measure1, measure2, backend=EXACT):
+def check_integrals(measure1, measure2, n_size, backend=EXACT):
     pairs = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]
     worst = 0.0
-    # P_{i;n} and its determinant do not depend on N, so one N = 4 build serves every pair
-    bases = build_sbos(measure1, measure2, range(3), 4, backend=backend)
+    bases = build_sbos(measure1, measure2, range(3), n_size, backend=backend)
     for i, n in pairs:
         rz = analysis.verify_z_integral(bases[i], i, n)
         rp = analysis.verify_p_integral(bases[i], i, n)
@@ -286,7 +256,7 @@ def check_recurrence(measure1, measure2, n_size, backend=EXACT):
     s0, s2 = bases[0], bases[2]
     cross = cross_i_connection(s0, s2)
     for n in s2.degrees():
-        if not _is_zero(cross[n][n] - 1, backend):
+        if not _agree(cross[n][n], 1, backend):
             return _entry("recurrence", False, which="cross_diag", n=n)
     if n_size >= 6:
         expansion = expand_x_times_p(s2, 4)
@@ -313,31 +283,40 @@ def check_recurrence(measure1, measure2, n_size, backend=EXACT):
     return _entry("recurrence", True)
 
 
-def check_lemma_checkerboard(seed=20240602, samples=100):
-    rng = random.Random(seed)
-    for trial in range(samples):
-        size = rng.randint(1, 8)
-        m = [[0] * size for _ in range(size)]
-        for j in range(size):
-            for k in range(size):
-                if (j + k) % 2 == 0:
-                    m[j][k] = rng.randint(-5, 5)
-        exempt = rng.random() < 0.5
-        if exempt:
-            for k in range(size):
-                m[size - 1][k] = rng.randint(-5, 5)
-        det, even, odd = gso.checkerboard_det(m, last_row_exempt=exempt)
+def check_lemma_checkerboard(measure1, measure2, n_size, backend=EXACT):
+    """The checkerboard-determinant lemma on a symmetric pair's own matrices,
+    read as the exact rationals they hold: det = even * odd for each
+    measure's Hankel matrix and gamma_i, i <= 3, and for a bordered block of
+    gamma_i as the SBO oracle takes it, whose determinant must not move when
+    the off-parity entries of its last row, a later row of gamma_i, shift."""
+    if not (measure1.symmetric and measure2.symmetric):
+        return _entry("lemma_checkerboard", True, skipped="measure pair is not symmetric")
+    order = 2 * (n_size - 1)
+    matrices = [
+        (dict(which="hankel", measure=k), hankel_matrix(moments(measure, order, backend), n_size))
+        for k, measure in enumerate((measure1, measure2), start=1)
+    ]
+    q_basis = build_standard(measure1, n_size, backend=backend, check=False)
+    matrices += [
+        (dict(which="gamma", i=i), block.gamma_matrix(q_basis, measure2, i))
+        for i in range(min(3, n_size - 1) + 1)
+    ]
+    for where, gram in matrices:
+        m = [[Fraction(x) for x in row] for row in gram.entries]
+        det, even, odd = gso.checkerboard_det(m)
         if det != even * odd:
-            return _entry("lemma_checkerboard", False, trial=trial, size=size)
-        if exempt and size > 1:
-            perturbed = [list(row) for row in m]
-            for k in range(size):
-                if (size - 1 + k) % 2 == 1:
-                    perturbed[size - 1][k] += rng.randint(1, 3)
-            det2, _, _ = gso.checkerboard_det(perturbed, last_row_exempt=True)
-            if det2 != det:
-                return _entry("lemma_checkerboard", False, trial=trial, which="exempt_invariance")
-    return _entry("lemma_checkerboard", True, samples=samples)
+            return _entry("lemma_checkerboard", False, **where)
+        if where["which"] == "gamma" and len(m) > 2:
+            # the block b_{k,r} of the oracle: rows 0..k-1 and row r = k + 2
+            k = len(m) - 3
+            bordered = [row[: k + 1] for row in m[:k] + m[-1:]]
+            det, even, odd = gso.checkerboard_det(bordered, last_row_exempt=True)
+            if det != even * odd:
+                return _entry("lemma_checkerboard", False, row=k + 2, **where)
+            bordered[k] = [x + (k + c) % 2 for c, x in enumerate(bordered[k])]
+            if gso.checkerboard_det(bordered, last_row_exempt=True)[0] != det:
+                return _entry("lemma_checkerboard", False, which="exempt_invariance", i=where["i"])
+    return _entry("lemma_checkerboard", True)
 
 
 def check_inner0(measure1, measure2, n_size, backend=EXACT):
@@ -349,38 +328,46 @@ def check_inner0(measure1, measure2, n_size, backend=EXACT):
         for n in basis.degrees():
             val = inner0_with(pair, basis.monic_poly(m), basis.monic_poly(n), basis)
             expect = basis.monic_norm(m) if m == n else zero(backend)
-            if not _is_zero(val - expect, backend, max(map(abs, basis.monic_norms))):
+            if not _agree(val, expect, backend, max(map(abs, basis.monic_norms))):
                 return _entry("inner0", False, m=m, n=n)
     return _entry("inner0", True)
 
 
-# suite name -> call; the size caps keep every suite at desk scale
+# suite name -> (its size for a given N, call); the caps keep suites at desk scale
 _SUITES = {
-    "orthogonality": lambda m1, m2, n, i_max, b: check_orthogonality(m1, m2, n, i_max, b),
-    "oracle_equivalence": lambda m1, m2, n, i_max, b: check_oracle_equivalence(m1, m2, min(n, 6), b),
-    "boundary_identities": lambda m1, m2, n, i_max, b: check_boundary_identities(m1, m2, n, b),
-    "parity": lambda m1, m2, n, i_max, b: check_parity(m1, m2, min(n, 7), b),
-    "projectors": lambda m1, m2, n, i_max, b: check_projectors(m1, m2, min(n, 8), b),
-    "recurrence": lambda m1, m2, n, i_max, b: check_recurrence(m1, m2, max(n, 7), b),
-    "inner0": lambda m1, m2, n, i_max, b: check_inner0(m1, m2, min(n, 6), b),
-    "lemma_checkerboard": lambda m1, m2, n, i_max, b: check_lemma_checkerboard(),
-    "integral_representations": lambda m1, m2, n, i_max, b: check_integrals(m1, m2, b),
-    "zeros": lambda m1, m2, n, i_max, b: check_zeros(m1, m2, min(n, 8), b),
+    "orthogonality": (lambda n: n, lambda m1, m2, n, i_max, b: check_orthogonality(m1, m2, n, i_max, b)),
+    "oracle_equivalence": (partial(min, 6), lambda m1, m2, n, i_max, b: check_oracle_equivalence(m1, m2, n, b)),
+    "boundary_identities": (lambda n: n, lambda m1, m2, n, i_max, b: check_boundary_identities(m1, m2, n, b)),
+    "parity": (partial(min, 7), lambda m1, m2, n, i_max, b: check_parity(m1, m2, n, b)),
+    "projectors": (partial(min, 8), lambda m1, m2, n, i_max, b: check_projectors(m1, m2, n, b)),
+    "recurrence": (partial(max, 7), lambda m1, m2, n, i_max, b: check_recurrence(m1, m2, n, b)),
+    "inner0": (partial(min, 6), lambda m1, m2, n, i_max, b: check_inner0(m1, m2, n, b)),
+    "lemma_checkerboard": (partial(min, 7), lambda m1, m2, n, i_max, b: check_lemma_checkerboard(m1, m2, n, b)),
+    # P_{i;n} and its determinant do not depend on N, so N = 4 serves every (i, n) read
+    "integral_representations": (lambda n: 4, lambda m1, m2, n, i_max, b: check_integrals(m1, m2, n, b)),
+    "zeros": (partial(min, 8), lambda m1, m2, n, i_max, b: check_zeros(m1, m2, n, b)),
 }
 ALL_CHECKS = tuple(_SUITES)
 
 
 def run_checks(measure1: Measure, measure2: Measure, n_size=8, i_max=4, backend=EXACT, names=None):
-    """Run the named suites and collect one report entry per check."""
+    """Run the named suites and collect one report entry per check.  A passed
+    or skipped report carries the size its suite ran at as ``n``; a failed
+    one names where it failed (there ``n`` is a degree)."""
     names = list(names or ALL_CHECKS)
     reports = []
     for name in names:
         if name not in _SUITES:
             raise ValueError(f"unknown check {name!r}")
+        size, suite = _SUITES[name]
+        n = size(n_size)
         try:
-            reports.append(_SUITES[name](measure1, measure2, n_size, i_max, backend))
+            report = suite(measure1, measure2, n, i_max, backend)
         except (ConditioningError, CollapsedRule) as exc:
-            reports.append(_entry(name, True, skipped=str(exc)))
+            report = _entry(name, True, skipped=str(exc))
         except BlockOrthoError as exc:
-            reports.append(_entry(name, False, error=f"{type(exc).__name__}: {exc}"))
+            report = _entry(name, False, error=f"{type(exc).__name__}: {exc}")
+        if report["passed"]:
+            report["n"] = n
+        reports.append(report)
     return reports

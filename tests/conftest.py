@@ -30,4 +30,4 @@ def forbid_congruence(monkeypatch):
     patched = [module for module in modules if getattr(module, "gram_of", None) is original]
     for module in patched:
         monkeypatch.setattr(module, "gram_of", lambda *a: pytest.fail("took the congruence"))
-    assert {module.__name__ for module in patched} >= {"blockortho.measures", "blockortho.projectors"}
+    assert {module.__name__ for module in patched} >= {"blockortho.measures", "blockortho.multiblock"}

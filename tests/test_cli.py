@@ -88,7 +88,7 @@ def test_verify_recurrence_still_witnesses_distinct_measures(capsys):
         capsys, "verify", "--pair", "hermite", "--N", "8", "--checks", "recurrence",
     )
     assert code == 0
-    assert json.loads(out)["reports"] == [{"check": "recurrence", "passed": True}]
+    assert json.loads(out)["reports"] == [{"check": "recurrence", "n": 8, "passed": True}]
 
 
 def test_verify_corrupted_moment_table(tmp_path, capsys):

@@ -14,9 +14,9 @@ from blockortho import (
     projectors_from_q,
     projectors_from_second,
 )
-from blockortho import projectors
+from blockortho import projectors, verification
 from blockortho.linalg import identity, mat_mul, transpose
-from blockortho.measures import hankel_matrix, moments
+from blockortho.measures import gram_of, hankel_matrix, moments
 
 
 def _random_poly(rng, max_degree):
@@ -174,3 +174,27 @@ def test_scaled_overlaps_are_the_plain_product_bit_for_bit(laguerre_pair, backen
         expect = [[x / h for x in row] for row, h in zip(plain, q.norms)]
         got = projectors._scaled_overlaps(columns, q.norms, q.moment_seq)
         assert [[repr(x) for x in row] for row in got] == [[repr(x) for x in row] for row in expect]
+        # and the Gram congruence (B^T H) I, with its trailing identity factor
+        congruence = gram_of(q.moment_seq, columns, identity(7, backend))
+        assert got == [[x / h for x in row] for row, h in zip(congruence, q.norms)]
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_the_projector_suite_forms_the_overlaps_of_each_route_once(monkeypatch, laguerre_pair, backend):
+    calls = []
+    original = projectors._scaled_overlaps
+
+    def counting(columns, norms, moment_seq):
+        calls.append(len(columns[0]))
+        return original(columns, norms, moment_seq)
+
+    monkeypatch.setattr(projectors, "_scaled_overlaps", counting)
+    assert verification.check_projectors(*laguerre_pair, 8, backend=backend)["passed"]
+    # Q's first 3 columns for i = 0..3, and all 8 of P, for the four values of i
+    assert calls == [3, 8]
+    # each route gives, for every i, the constraint projector of its public function
+    sbo0 = build_sbo(*laguerre_pair, 0, 8, backend=backend)
+    by_q, by_second = projectors._q_route(sbo0.q_basis, 3), projectors._second_route(sbo0)
+    for i in range(4):
+        assert by_q(i) == projectors_from_q(sbo0.q_basis, i)[0]
+        assert by_second(i) == projectors_from_second(sbo0, i)[0]

@@ -14,6 +14,7 @@ from blockortho import (
     laguerre_pair,
     linalg,
     projectors,
+    standard,
     verification,
 )
 from blockortho.cli import main
@@ -50,60 +51,27 @@ def test_conditioning_guard_reports_skip():
     assert "skipped" in reports[0]
 
 
-def test_exact_oracle_trial_failure_names_trial_and_degree(monkeypatch):
-    original = gso.gram_schmidt
-
-    def nudged(gram, factors):
-        result = original(gram, factors)
-        norms = list(result.norms)
-        norms[1] += 1
-        return dataclasses.replace(result, norms=tuple(norms))
-
-    monkeypatch.setattr(gso, "gram_schmidt", nudged)
-    report = verification.check_oracle_equivalence(Measure.gaussian(1), Measure.gaussian(2), 6)
-    assert report == {"check": "oracle_equivalence", "passed": False, "trial": 0, "n": 1}
-
-
 @pytest.mark.parametrize(
-    "field, expect",
-    [
-        ("coeffs", {"trial": 0, "n": 1}),
-        ("inverse_coeffs", {"trial": 0, "n": 1, "m": 0, "which": "b"}),
-    ],
+    "backend, nudge", [("exact", Fraction(1, 10**6)), ("float", 1e-6)], ids=["exact", "float"]
 )
-def test_float_oracle_trial_catches_a_nudged_kernel(monkeypatch, field, expect):
-    original = gso.gram_schmidt
-
-    def nudged(gram, factors):
-        result = original(gram, factors)
-        rows = [list(row) for row in getattr(result, field)]
-        rows[0][1] += 1e-6
-        # a float pass hands its b, diag(f) B, to the result beside a
-        name = "coeffs" if field == "coeffs" else "_inverse"
-        return dataclasses.replace(result, **{name: tuple(map(tuple, rows))})
-
+def test_oracle_equivalence_compares_b_with_the_build(monkeypatch, backend, nudge):
+    # b of each degree, read off the determinants of gamma_i, must be the
+    # build's q_in_p column, entry by entry
     pair = (Measure.gaussian(1), Measure.gaussian(2))
-    assert verification.check_oracle_equivalence(*pair, 6, backend="float")["passed"]
-    monkeypatch.setattr(gso, "gram_schmidt", nudged)
-    report = verification.check_oracle_equivalence(*pair, 6, backend="float")
-    assert report == {"check": "oracle_equivalence", "passed": False, **expect}
+    assert verification.check_oracle_equivalence(*pair, 6, backend=backend)["passed"]
+    original = verification.build_sbos
 
+    def nudged(*args, **kwargs):
+        bases = original(*args, **kwargs)
+        rows = [list(row) for row in bases[1].q_in_p]
+        rows[2][4] += nudge
+        bases[1] = dataclasses.replace(bases[1], _q_in_p=tuple(map(tuple, rows)))
+        return bases
 
-def test_exact_oracle_trial_compares_b_with_its_oracle(monkeypatch):
-    # the exact trials certify a, h and Z, and check b by its bordered determinants
-    original = gso.gram_schmidt
-
-    def nudged(gram, factors):
-        result = original(gram, factors)
-        rows = [list(row) for row in result.inverse_coeffs]
-        rows[0][1] += Fraction(1, 10**6)
-        result.__dict__["inverse_coeffs"] = tuple(map(tuple, rows))
-        return result
-
-    monkeypatch.setattr(gso, "gram_schmidt", nudged)
-    report = verification.check_oracle_equivalence(Measure.gaussian(1), Measure.gaussian(2), 6)
+    monkeypatch.setattr(verification, "build_sbos", nudged)
+    report = verification.check_oracle_equivalence(*pair, 6, backend=backend)
     assert report == {
-        "check": "oracle_equivalence", "passed": False, "trial": 0, "n": 1, "m": 0, "which": "b"
+        "check": "oracle_equivalence", "passed": False, "i": 1, "n": 4, "m": 2, "which": "b"
     }
 
 
@@ -117,7 +85,7 @@ def test_exact_sbo_oracle_runs_one_elimination_per_gamma(monkeypatch, measures):
         original(self, matrix)
 
     monkeypatch.setattr(linalg.LiftedElimination, "__init__", counting)
-    report = verification.check_oracle_equivalence(*measures, 6, samples=0)
+    report = verification.check_oracle_equivalence(*measures, 6)
     assert report["passed"] is True
     # gamma_0, gamma_1 and gamma_2 of the N = 6 build, each eliminated once
     assert sizes == [6, 5, 4]
@@ -130,6 +98,9 @@ def test_exact_sbo_oracle_runs_one_elimination_per_gamma(monkeypatch, measures):
             alone = block.sbo_determinant_oracle(*args, gamma=basis.gamma)
             read_off = block.sbo_determinant_oracle(*args, gamma=basis.gamma, elimination=shared)
             assert read_off == alone
+            assert read_off.b_column == alone.b_column == tuple(
+                basis.q_in_p[m][n] for m in range(i, n + 1)
+            )
 
 
 def test_negative_i_max_is_refused():
@@ -288,17 +259,58 @@ def test_only_a_collapsed_gauss_rule_skips_the_integral_suite(monkeypatch, capsy
 
 
 def test_checkerboard_suite_fails_on_a_changed_even_block_entry(monkeypatch):
+    pair = (Measure.gaussian(1), Measure.gaussian(2))
+    assert verification.check_lemma_checkerboard(*pair, 7)["passed"]
+    q_basis = standard.build_standard(pair[0], 7)
+    original = gso.checkerboard_det
+    for i in range(4):
+        gamma = [[Fraction(x) for x in row] for row in block.gamma_matrix(q_basis, pair[1], i).entries]
+
+        def changed(matrix, last_row_exempt=False, gamma=gamma):
+            # gamma_i's determinant taken with its (0, 0) entry, in the even
+            # block, changed; its block determinants as they are
+            det, even, odd = original(matrix, last_row_exempt)
+            if matrix == gamma:
+                m = [list(row) for row in matrix]
+                m[0][0] += 1
+                det = original(m, last_row_exempt)[0]
+            return det, even, odd
+
+        monkeypatch.setattr(gso, "checkerboard_det", changed)
+        report = verification.check_lemma_checkerboard(*pair, 7)
+        assert report == {"check": "lemma_checkerboard", "passed": False, "which": "gamma", "i": i}
+
+
+def test_checkerboard_suite_shifts_the_off_parity_entries_of_a_bordered_row(monkeypatch):
+    pair = (Measure.gaussian(1), Measure.gaussian(2))
     original = gso.checkerboard_det
 
-    def changed(matrix, last_row_exempt=False):
-        # the determinant of a matrix whose (0, 0) entry, in the even
-        # block, differs from the one the block determinants are taken of
-        _, even, odd = original(matrix, last_row_exempt)
-        m = [list(row) for row in matrix]
-        m[0][0] += 1
-        return original(m, last_row_exempt)[0], even, odd
+    def reads_them(matrix, last_row_exempt=False):
+        # a determinant that, wrongly, moves with the exempt entries
+        det, even, odd = original(matrix, last_row_exempt)
+        if last_row_exempt:
+            last = len(matrix) - 1
+            det += sum(x for c, x in enumerate(matrix[last]) if (last + c) % 2)
+        return det, even, odd
 
-    assert verification.check_lemma_checkerboard()["passed"]
-    monkeypatch.setattr(gso, "checkerboard_det", changed)
-    report = verification.check_lemma_checkerboard()
-    assert report["passed"] is False and "trial" in report
+    monkeypatch.setattr(gso, "checkerboard_det", reads_them)
+    report = verification.check_lemma_checkerboard(*pair, 7)
+    assert report == {
+        "check": "lemma_checkerboard", "passed": False, "which": "exempt_invariance", "i": 0
+    }
+
+
+@pytest.mark.parametrize("pair", ["hermite", "laguerre"])
+def test_every_report_carries_the_size_its_suite_ran_at(capsys, pair):
+    # the size table of the README, read from the output at N = 12
+    sizes = {
+        "orthogonality": 12, "boundary_identities": 12, "recurrence": 12,
+        "oracle_equivalence": 6, "inner0": 6, "parity": 7, "lemma_checkerboard": 7,
+        "projectors": 8, "zeros": 8, "integral_representations": 4,
+    }
+    assert main(["verify", "--pair", pair, "--N", "12"]) == 0
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    assert {r["check"]: r["n"] for r in reports} == sizes
+    assert not any("samples" in r for r in reports)
+    (lemma,) = [r for r in reports if r["check"] == "lemma_checkerboard"]
+    assert ("skipped" in lemma) is (pair == "laguerre")
