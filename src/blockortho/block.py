@@ -380,10 +380,12 @@ def _float_stage(columns, norms, leading, residual, name, i):
     output P_n = sum_m a_{m,n} V_m must have, within QUADRATURE_RTOL,
     (P_j, P_n) = 0 for j < n relative to the norms, (P_n, P_n) = h_n, and
     no first-measure inner product with a constraint polynomial relative to
-    that of their absolute values.  ``rule`` holds V at the stage measure's
-    nodes times the roots of its weights, a constraint V and the constraint
-    polynomials times the weights at the first rule's nodes.  The first
-    failing column n raises OracleMismatch at ``degrees[n]``.
+    the bound of its rounding.  ``rule`` holds V at the stage measure's
+    nodes times the roots of its weights; ``constraint`` holds V and the
+    constraint polynomials times the weights at the first rule's nodes, and
+    the same products taken over absolute values, whose sum bounds the
+    rounding where the polynomials vanish at every node between them.  The
+    first failing column n raises OracleMismatch at ``degrees[n]``.
     """
     if residual is None or not leading:
         return _qr_second_stage(columns, norms, leading)
@@ -406,9 +408,9 @@ def _float_stage(columns, norms, leading, residual, name, i):
         np.fill_diagonal(worst, np.abs(diag - h) / h)
         worst = np.triu(worst).max(axis=0)
         if constraint is not None:
-            values, weighted = constraint
-            p1 = values @ a
-            moments1 = np.abs(weighted.T @ p1) / (np.abs(weighted).T @ np.abs(p1))
+            values, weighted, abs_values, abs_weighted = constraint
+            bound = abs_weighted.T @ (abs_values @ np.abs(a))
+            moments1 = np.abs(weighted.T @ (values @ a)) / bound
             worst = np.maximum(worst, moments1.max(axis=0))
     bad = np.flatnonzero(~(worst <= QUADRATURE_RTOL))
     if bad.size:
@@ -483,7 +485,8 @@ def _sbo_bases(first_stage, measure2, i_values, n_polys, normalization, check):
                 gamma, residual = None, None
                 if check and block:
                     # V = [0; I], and the constraints are x^j, j < i
-                    constraint = (first[0][:, i:], first[1][:, :i]) if i else None
+                    values, weighted = first[0][:, i:], first[1][:, :i]
+                    constraint = (values, weighted, np.abs(values), np.abs(weighted)) if i else None
                     residual = (second[:, i:], constraint, range(i, n_polys))
                 result = _float_stage(connection[:, i:], norms, leading, residual, SECOND_STAGE, i)
                 p_cols = (q_array[:, i:] @ np.array(result.coeffs).reshape(block, block)).tolist()
@@ -916,7 +919,9 @@ def build_general_bo(
             rule2, (values1, powers) = _quadrature_rules(q_basis, rec2)
             connection, h2 = _connection_and_norms(q_basis, rec2)
             f = np.array(f, dtype=float)
-            constraint = (values1 @ f, powers[:, :top] @ np.array(e_coeffs, dtype=float))
+            powers, e_coeffs = powers[:, :top], np.array(e_coeffs, dtype=float)
+            abs_products = (np.abs(values1) @ np.abs(f), np.abs(powers) @ np.abs(e_coeffs))
+            constraint = (values1 @ f, powers @ e_coeffs, *abs_products)
             residual = (rule2 @ f, constraint, completion)
             res2 = _float_stage(connection @ f, h2, [1.0] * (n_dim - n1), residual, SECOND_STAGE, n1)
     return GeneralBoBasis(
