@@ -224,8 +224,8 @@ def sign_changes_batch(polys, lo, hi, resolution: int = 2048):
     coefficient matrix, zero-padded to the largest degree, so a row stays 0
     until its leading coefficient (the same recurrence as ``np.polyval`` and
     ``Polynomial.__call__``, operation for operation, so every float value
-    equals ``p(t)`` bit for bit).  Then one bisection loop refines the
-    brackets of every polynomial together.
+    equals ``p(t)`` bit for bit, from the first column nonzero in either
+    row, as a zero one leaves +0.0).  :func:`_bisect` then refines them all.
     """
     polys = list(polys)
     if any(p.is_zero for p in polys):
@@ -261,7 +261,7 @@ def sign_changes_batch(polys, lo, hi, resolution: int = 2048):
         for first in range(0, count, SCAN_ROWS):
             rows = matrix[first : first + SCAN_ROWS]
             values = np.zeros((len(rows), resolution + 1), dtype=dtype)
-            for column in rows.T:
+            for column in rows.T[(rows != 0).any(axis=0).argmax() :]:
                 values *= base
                 values += column[:, None]
             # nudge grid nodes off exact roots so sign changes stay visible
@@ -278,9 +278,9 @@ def sign_changes_batch(polys, lo, hi, resolution: int = 2048):
             for j in nudged:
                 mine, nodes = which == j, grids[first + j]
                 a[mine], b[mine] = nodes[cells[mine]], nodes[cells[mine] + 1]
-            found.append((first + which, a, b, left[which, cells] > 0))
-        owner, a, b, positive = map(np.concatenate, zip(*found))
-        a, b = _bisect(matrix, owner, a, b, positive, width_goal)
+            found.append((first + which, a, b, left[which, cells], right[which, cells]))
+        owner, a, b, f_a, f_b = map(np.concatenate, zip(*found))
+        a, b = _bisect(matrix, owner, a, b, f_a, f_b, width_goal)
     a, b = a.tolist(), b.tolist()
     reports, start = [], 0
     for nodes, size in zip(grids, np.bincount(owner, minlength=count).tolist()):
@@ -293,8 +293,8 @@ def sign_changes_batch(polys, lo, hi, resolution: int = 2048):
 
 def _horner(rows, x):
     """``np.polyval`` per entry: rows[:, k] holds the descending coefficients
-    for x[k].  Leading zero padding keeps the value 0 until the first real
-    coefficient, so for finite x the result equals ``np.polyval`` bit for bit."""
+    for x[..., k].  Leading zero padding keeps the value 0 until the first
+    real coefficient, so for finite x it is ``np.polyval``'s bit for bit."""
     acc = np.zeros_like(x)
     for column in rows:
         acc *= x
@@ -302,18 +302,25 @@ def _horner(rows, x):
     return acc
 
 
-def _bisect(matrix, owner, a, b, positive, width_goal):
-    """Bisect every bracket [a, b] of its owner's row of ``matrix`` at once.
+def _bisect(matrix, owner, a, b, f_a, f_b, width_goal):
+    """Bisect every bracket [a, b] of its owner's row of ``matrix``, with
+    values f_a and f_b at its ends, at once.  Returns the final (a, b).
 
-    ``positive`` says whether the value at ``a`` is positive, all the loop
-    reads of it: a moving end keeps its sign, so it changes only where a
-    midpoint lands on a root.  Only the live brackets are carried from round
-    to round, with their coefficient columns; a bracket leaves once it is
-    narrow enough or stuck, and its ends are written back.  Returns the
-    final (a, b).
+    A round reads only the sign at ``a``: a moving end keeps its sign, so it
+    changes only where a midpoint lands on a root.  :func:`_walk` first runs
+    the rounds a root guess predicts; then the sequential round runs the
+    rest (the rounding-noise band near a root, and midpoints on a root,
+    whose later rounds :func:`_centred` replays) on the live brackets and
+    their coefficient columns.  A bracket leaves once it is narrow enough or
+    stuck, and its ends are written back.
     """
     live = np.flatnonzero(b - a > width_goal)
-    a_k, b_k, pos = a[live], b[live], positive[live]
+    if live.size:
+        rows = matrix.T[:, owner[live]]
+        guess = _root_guess(rows, a[live], b[live], f_a[live], f_b[live])
+        a[live], b[live] = _walk(rows, a[live], b[live], f_a[live] > 0, guess, width_goal)
+        live = live[b[live] - a[live] > width_goal]
+    a_k, b_k, pos = a[live], b[live], f_a[live] > 0
     rows = matrix.T[:, owner[live]]
     while live.size:
         mid = (a_k + b_k) / 2
@@ -322,19 +329,13 @@ def _bisect(matrix, owner, a, b, positive, width_goal):
         moves_a = (fm > 0) == pos
         new_a = np.where(moves_a, mid, a_k)
         new_b = np.where(moves_a, b_k, mid)
+        keep = np.ones(live.size, bool)
         root = np.flatnonzero(fm == 0)
         if root.size:
-            # a midpoint on a root: recentre a half-width bracket on it,
-            # and stop there unless its ends still differ in sign
-            half = (b_k[root] - a_k[root]) / 4
-            new_a[root] = mid[root] - half
-            new_b[root] = mid[root] + half
-            f_lo = _horner(rows[:, root], new_a[root])
-            f_hi = _horner(rows[:, root], new_b[root])
-            pos[root] = f_lo > 0
-        keep = new_b - new_a > width_goal
-        if root.size:
-            keep[root] &= (f_lo != 0) & (f_hi != 0) & ((f_lo > 0) != (f_hi > 0))
+            new_a[root], new_b[root], pos[root], keep[root] = _centred(
+                rows[:, root], mid[root], a_k[root], b_k[root], width_goal
+            )
+        keep &= new_b - new_a > width_goal
         if keep.all():
             a_k, b_k = new_a, new_b
             continue
@@ -342,6 +343,75 @@ def _bisect(matrix, owner, a, b, positive, width_goal):
         a[live[done]], b[live[done]] = new_a[done], new_b[done]
         live, a_k, b_k, pos, rows = live[keep], new_a[keep], new_b[keep], pos[keep], rows[:, keep]
     return a, b
+
+
+def _root_guess(rows, a, b, f_a, f_b):
+    """Float estimates of the root in each bracket [a, b] with end values
+    f_a and f_b: a secant step, then two Newton steps.  They only steer
+    :func:`_walk`, so a poor or non-finite one costs rounds, never a result."""
+    try:
+        rows, a, b, f_a, f_b = (np.asarray(v, dtype=np.float64) for v in (rows, a, b, f_a, f_b))
+    except OverflowError:  # exact values past the float range
+        return np.full(len(a), np.nan)
+    x = a - f_a * (b - a) / (f_b - f_a)
+    for _ in range(2):
+        value = slope = np.zeros_like(x)
+        for column in rows:
+            value, slope = value * x + column, slope * x + value
+        x = x - value / slope
+    return x
+
+
+def _rounds(width, width_goal):
+    """Rounds that halve the widest bracket to the goal, and one more."""
+    return int(min(float(width.max() / width_goal), 2.0**63)).bit_length() + 1
+
+
+def _verified(runs, *states):
+    """Column k of each of ``states`` at row j, j the number of leading true
+    rows in column k of ``runs``: a bracket's state after its rounds run."""
+    count = np.logical_and.accumulate(runs, axis=0).sum(axis=0)
+    return tuple(state[count, np.arange(runs.shape[1])] for state in states)
+
+
+def _walk(rows, a, b, pos, guess, width_goal):
+    """(a, b) after the sequential rounds ``guess`` predicts: each midpoint,
+    formed as the sequential round forms it, replaces the end on its side of
+    the guess, and one Horner call checks them all.  A bracket keeps its
+    rounds up to the first at the width goal, or with f(mid) 0 or on the
+    other side."""
+    count = _rounds(b - a, width_goal)
+    ends, mid = np.empty((count + 1, 2, len(a)), a.dtype), np.empty((count, len(a)), a.dtype)
+    moves_a = np.empty((count, len(a)), bool)
+    ends[0] = a, b
+    for r in range(count):
+        mid[r] = (a + b) / 2
+        moves_a[r] = mid[r] < guess
+        ends[r + 1] = a, b = np.where(moves_a[r], mid[r], a), np.where(moves_a[r], b, mid[r])
+    fm = _horner(rows, mid)
+    runs = (fm != 0) & (((fm > 0) == pos) == moves_a) & (ends[:-1, 1] - ends[:-1, 0] > width_goal)
+    return _verified(runs, ends[:, 0], ends[:, 1])
+
+
+def _centred(rows, root, a, b, width_goal):
+    """(a, b, pos, live) of brackets [a, b] with the root ``root`` at their
+    midpoint after the sequential rounds that recentre a half-width bracket
+    on it, checked by one Horner call: they run while the midpoint is the
+    root, the bracket is wider than the goal and f at the ends of the round
+    before is nonzero with opposite signs (``live``, of the last one)."""
+    ends, centred = [(a, b)], []
+    for _ in range(_rounds(b - a, width_goal)):
+        mid, half = (a + b) / 2, (b - a) / 4
+        centred.append((mid == root) & (b - a > width_goal))
+        a, b = mid - half, mid + half
+        ends.append((a, b))
+    ends, runs = np.array(ends), np.array(centred)
+    f_lo, f_hi = _horner(rows, ends[1:]).transpose(1, 0, 2)
+    live = (f_lo != 0) & (f_hi != 0) & ((f_lo > 0) != (f_hi > 0))
+    runs[1:] &= live[:-1]
+    # the first round always runs, so row 0 of pos and live is never read
+    pos, live = (np.concatenate([x[:1], x]) for x in (f_lo > 0, live))
+    return _verified(runs, ends[:, 0], ends[:, 1], pos, live)
 
 
 def alternant_det(points, polys):

@@ -32,9 +32,13 @@ class ProjectorMatrix:
 
     def apply(self, p: Polynomial) -> Polynomial:
         """Apply to a polynomial of degree < size."""
-        if p.degree >= self.size:
+        return self.apply_all([p])[0]
+
+    def apply_all(self, polys):
+        """Apply to polynomials of degree < size, all in one product."""
+        if any(p.degree >= self.size for p in polys):
             raise ValueError("polynomial does not fit the projector's space")
-        return from_columns(linalg.mat_mul(self.entries, columns_of([p], self.size)))[0]
+        return from_columns(linalg.mat_mul(self.entries, columns_of(polys, self.size)))
 
     def compose(self, other: "ProjectorMatrix"):
         return linalg.mat_mul(self.entries, other.entries)
@@ -124,26 +128,9 @@ def inner0(p: Polynomial, q: Polynomial, sbo: SboBasis, measure_one: Measure = N
     There is deliberately no single-integral path; the value is defined by
     splitting both arguments with the projectors.
     """
-    return inner0_with(projectors_from_q(sbo.q_basis, sbo.i), p, q, sbo, measure_one)
-
-
-def inner0_with(pair, p: Polynomial, q: Polynomial, sbo: SboBasis, measure_one: Measure = None):
-    """:func:`inner0` with the projector pair ``projectors_from_q(sbo.q_basis,
-    sbo.i)`` the caller already holds, so a run over many arguments builds
-    it once."""
-    n_size = sbo.size
-    if p.degree >= n_size or q.degree >= n_size:
+    if p.degree >= sbo.size or q.degree >= sbo.size:
         raise ValueError("arguments do not fit the basis' space")
-    onto, complement = pair
-    p1, p2 = onto.apply(p), complement.apply(p)
-    q1, q2 = onto.apply(q), complement.apply(q)
-    measure_one = measure_one or sbo.measure1
-    if p1.is_zero or q1.is_zero:
-        part1 = scalars.zero(sbo.backend)
-    else:
-        mu_one = moments(
-            measure_one, p1.degree + q1.degree, backend=sbo.backend
-        )
-        part1 = inner_product_mu(mu_one, p1, q1)
-    part2 = inner_product_mu(sbo.mu2, p2, q2) if not (p2.is_zero or q2.is_zero) else scalars.zero(sbo.backend)
-    return part1 + part2
+    (p1, q1), (p2, q2) = (half.apply_all([p, q]) for half in projectors_from_q(sbo.q_basis, sbo.i))
+    # a zero part reads no moment
+    mu_one = moments(measure_one or sbo.measure1, max(p1.degree + q1.degree, 0), backend=sbo.backend)
+    return inner_product_mu(mu_one, p1, q1) + inner_product_mu(sbo.mu2, p2, q2)

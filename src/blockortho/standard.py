@@ -478,11 +478,11 @@ def _check_rule_moments(rec, seq):
             power *= scale
         return
     b, c = [float(b_n) for b_n, _ in rec], [float(c_n) for _, c_n in rec]
-    powers = _jacobi_powers(b, c, 1, count + 1, 0.0)
+    powers = _float_jacobi_powers(b, c, count + 1)
     # with no b_n negative the powers of |J| are those of J, not run twice
     sizes = powers
     if any(b_m < 0 for b_m in b):
-        sizes = _jacobi_powers([abs(b_m) for b_m in b], c, 1, count + 1, 0.0)
+        sizes = _float_jacobi_powers([abs(b_m) for b_m in b], c, count + 1)
     for k, mu_k in enumerate(seq.mu[:count]):
         size = sizes[k]
         if k % 2:
@@ -509,6 +509,20 @@ def _jacobi_powers(b, c, scale, count, nil):
         top = min(k + 2, len(b), count - 1 - k)
         v = _jacobi_times(b, c, scale, v, top, nil)
     return out
+
+
+def _float_jacobi_powers(b, c, count):
+    """``_jacobi_powers(b, c, 1, count, 0.0)`` up to the order of the sums,
+    by one product (e_0^T J^k) J per power with the dense monic Jacobi matrix
+    J, or by that loop where a power is not finite, as the product reads
+    0 * inf as NaN where the loop skips the zero term."""
+    jacobi = np.diag(b) + np.diag(np.ones(len(b) - 1), -1) + np.diag(c[1:], 1)
+    row, out = np.eye(1, len(b))[0], np.empty(count)
+    with np.errstate(all="ignore"):  # overflow gives inf, as in Python floats
+        for k in range(count):
+            out[k] = row[0]
+            row = row @ jacobi
+    return out.tolist() if np.isfinite(out).all() else _jacobi_powers(b, c, 1, count, 0.0)
 
 
 def _jacobi_times(b, c, scale, v, top, nil):

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial
 
-from . import analysis, block, gso, projectors
+from . import analysis, block, gso, linalg, projectors
 from ._numpy import np
 from .block import (
     build_sbo,
@@ -24,7 +24,7 @@ from .errors import BlockOrthoError, CollapsedRule, ConditioningError
 from .linalg import LiftedElimination
 from .measures import Measure, hankel_matrix, inner_product_mu, moments
 from .polynomials import combine, from_columns, monomial
-from .projectors import inner0_with, projectors_from_q
+from .projectors import projectors_from_q
 from .scalars import EXACT, FLOAT, zero
 from .standard import build_by_recurrence, build_standard, hankel_build, monic_recurrence
 
@@ -197,28 +197,32 @@ def check_parity(measure1, measure2, n_size, backend=EXACT):
 
 
 def check_projectors(measure1, measure2, n_size, backend=EXACT):
-    """For i <= 3, the projector pair by Q is idempotent and complementary and
-    equals the one by P; each route forms what does not depend on i once."""
+    """For i <= 3, the projector pair by Q is idempotent, its complement is
+    orthogonal to pi_{i-1} under the first measure, and it equals the pair
+    by P; each route forms what does not depend on i once."""
     sbo0 = build_sbo(measure1, measure2, 0, n_size, backend=backend)
     top = min(3, n_size)
     by_q, by_second = projectors._q_route(sbo0.q_basis, top), projectors._second_route(sbo0)
+    hankel1 = hankel_matrix(sbo0.q_basis.moment_seq, n_size).rows()
     for i in range(top + 1):
         onto = by_q(i)
         comp = projectors._complement_of(onto, backend)
         scale = max((abs(x) for row in onto.entries for x in row), default=1) if backend == FLOAT else 1
-        prod = onto.compose(onto)
-        for r in range(n_size):
-            for c in range(n_size):
-                if not _agree(prod[r][c], onto.entries[r][c], backend, scale):
-                    return _entry("projectors", False, i=i, which="idempotence")
-                target = (1 if r == c else 0) - onto.entries[r][c]
-                if not _agree(comp.entries[r][c], target, backend, scale):
-                    return _entry("projectors", False, i=i, which="complement")
-        onto2 = by_second(i)
-        for r in range(n_size):
-            for c in range(n_size):
-                if not _agree(onto.entries[r][c], onto2.entries[r][c], backend, scale):
-                    return _entry("projectors", False, i=i, which="route_equivalence")
+        pairs = zip(onto.compose(onto), onto.entries)
+        if not all(_agree(x, y, backend, scale) for rows in pairs for x, y in zip(*rows)):
+            return _entry("projectors", False, i=i, which="idempotence")
+        # (x^j, C p)_1 = 0 for j < i: rows j < i of H_1 C vanish, in floats
+        # within FLOAT_RTOL of |H_1| (I + |onto|), which bounds C's rounding
+        bound = [[0] * n_size] * i if backend == EXACT else linalg.mat_mul(
+            [list(map(abs, row)) for row in hankel1[:i]],
+            [[(r == c) + abs(x) for c, x in enumerate(row)] for r, row in enumerate(onto.entries)],
+        )
+        pairs = zip(linalg.mat_mul(hankel1[:i], comp.entries), bound)
+        if not all(abs(x) <= FLOAT_RTOL * s for rows in pairs for x, s in zip(*rows)):
+            return _entry("projectors", False, i=i, which="complement")
+        pairs = zip(onto.entries, by_second(i).entries)
+        if not all(_agree(x, y, backend, scale) for rows in pairs for x, y in zip(*rows)):
+            return _entry("projectors", False, i=i, which="route_equivalence")
     return _entry("projectors", True)
 
 
@@ -323,10 +327,13 @@ def check_inner0(measure1, measure2, n_size, backend=EXACT):
     if n_size <= 2:
         return _entry("inner0", True, skipped=f"no degree n >= i = 2 below N = {n_size}")
     basis = build_sbo(measure1, measure2, 2, n_size, backend=backend)
-    pair = projectors_from_q(basis.q_basis, basis.i)
-    for m in basis.degrees():
-        for n in basis.degrees():
-            val = inner0_with(pair, basis.monic_poly(m), basis.monic_poly(n), basis)
+    polys = [basis.monic_poly(n) for n in basis.degrees()]
+    # each P_{2;n} is split once, and the first measure's moments taken once
+    parts = list(zip(*(half.apply_all(polys) for half in projectors_from_q(basis.q_basis, basis.i))))
+    mu1 = moments(measure1, 2 * (n_size - 1), backend=backend)
+    for m, (m1, m2) in zip(basis.degrees(), parts):
+        for n, (n1, n2) in zip(basis.degrees(), parts):
+            val = inner_product_mu(mu1, m1, n1) + inner_product_mu(basis.mu2, m2, n2)
             expect = basis.monic_norm(m) if m == n else zero(backend)
             if not _agree(val, expect, backend, max(map(abs, basis.monic_norms))):
                 return _entry("inner0", False, m=m, n=n)

@@ -1,3 +1,4 @@
+import contextlib
 import random
 from fractions import Fraction
 
@@ -15,9 +16,12 @@ from blockortho import (
     monomial,
 )
 from blockortho import linalg, polynomials
-from blockortho.analysis import _scan_interval
-from blockortho.cli import main
+from blockortho._numpy import np
+from blockortho.analysis import SCAN_CELLS, _scan_interval
+from blockortho.block import build_sbos
+from blockortho.cli import main, parse_measure
 from blockortho.polynomials import sign_changes_batch
+from blockortho.verification import check_zeros
 
 X = monomial(1)
 ONE = monomial(0)
@@ -422,6 +426,148 @@ def test_batched_reports_are_immutable_and_compare_their_grids():
         assert hash(nudged) == hash(scan_one(batch[0], -1, 1, 4))
         # same count and brackets, another grid: not equal
         assert plain != scan_one(batch[1], -1, 1, 8)
+
+
+def reference_bisect(matrix, owner, a, b, positive, width_goal):
+    """The sequential bisection the verified pass runs ahead of, kept as its
+    reference: one Horner round over every live bracket at a time."""
+    live = np.flatnonzero(b - a > width_goal)
+    a_k, b_k, pos = a[live], b[live], positive[live]
+    rows = matrix.T[:, owner[live]]
+    while live.size:
+        mid = (a_k + b_k) / 2
+        fm = polynomials._horner(rows, mid)
+        moves_a = (fm > 0) == pos
+        new_a = np.where(moves_a, mid, a_k)
+        new_b = np.where(moves_a, b_k, mid)
+        root = np.flatnonzero(fm == 0)
+        if root.size:
+            half = (b_k[root] - a_k[root]) / 4
+            new_a[root] = mid[root] - half
+            new_b[root] = mid[root] + half
+            f_lo = polynomials._horner(rows[:, root], new_a[root])
+            f_hi = polynomials._horner(rows[:, root], new_b[root])
+            pos[root] = f_lo > 0
+        keep = new_b - new_a > width_goal
+        if root.size:
+            keep[root] &= (f_lo != 0) & (f_hi != 0) & ((f_lo > 0) != (f_hi > 0))
+        done = ~keep
+        a[live[done]], b[live[done]] = new_a[done], new_b[done]
+        live, a_k, b_k, pos, rows = live[keep], new_a[keep], new_b[keep], pos[keep], rows[:, keep]
+    return a, b
+
+
+def _as_floats(x):
+    return np.asarray(x, dtype=np.float64)
+
+
+# root guesses for the verified pass, good and bad: it may follow any of them
+GUESSES = {
+    "secant-newton": None,
+    "nudged": lambda g, a, b, rng: g * (1 + rng.integers(-64, 65, g.shape) * 2.0**-52),
+    "random": lambda g, a, b, rng: a + (b - a) * rng.uniform(-0.5, 1.5, g.shape),
+    "wrong side": lambda g, a, b, rng: (a + b) - g,
+    "nan": lambda g, a, b, rng: np.full(g.shape, np.nan),
+    "inf": lambda g, a, b, rng: np.full(g.shape, np.inf),
+    "-inf": lambda g, a, b, rng: np.full(g.shape, -np.inf),
+}
+
+
+@contextlib.contextmanager
+def bisection_against_the_reference(guess="secant-newton", seed=0):
+    """Within the block, every ``_bisect`` call also runs ``reference_bisect``
+    on copies of its input and must return its ends repr for repr, with
+    ``_root_guess`` replaced by ``GUESSES[guess]``.  Yields the list of
+    bracket counts bisected."""
+    bisect, root_guess, calls = polynomials._bisect, polynomials._root_guess, []
+    rng = np.random.default_rng(seed)
+
+    def guessing(rows, a, b, f_a, f_b):
+        g = root_guess(rows, a, b, f_a, f_b)
+        return g if GUESSES[guess] is None else GUESSES[guess](g, _as_floats(a), _as_floats(b), rng)
+
+    def checked(matrix, owner, a, b, f_a, f_b, width_goal):
+        want = reference_bisect(matrix, owner, a.copy(), b.copy(), f_a > 0, width_goal)
+        got = bisect(matrix, owner, a, b, f_a, f_b, width_goal)
+        for ends, expect in zip(got, want):
+            assert [repr(x) for x in ends.tolist()] == [repr(x) for x in expect.tolist()]
+        calls.append(len(a))
+        return got
+
+    polynomials._bisect, polynomials._root_guess = checked, guessing
+    try:
+        yield calls
+    finally:
+        polynomials._bisect, polynomials._root_guess = bisect, root_guess
+
+
+@given(batch_cases(), st.sampled_from(sorted(GUESSES)), st.integers(0, 2**16))
+@settings(max_examples=100, deadline=None)
+def test_the_verified_pass_keeps_the_sequential_brackets_for_any_guess(case, guess, seed):
+    with bisection_against_the_reference(guess, seed):
+        sign_changes_batch(*case)
+
+
+@pytest.mark.parametrize("guess", sorted(GUESSES))
+@pytest.mark.parametrize(
+    "m1, m2, n_size",
+    [
+        ("gaussian:1", "gaussian:2", 20),
+        ("gamma:1:1", "gamma:2:1", 16),
+        # rounding noise near the roots keeps brackets in the sequential round
+        ("gamma:3:3", "gamma:1:3", 20),
+    ],
+)
+def test_the_verified_pass_on_float_bases(m1, m2, n_size, guess):
+    m1, m2 = parse_measure(m1), parse_measure(m2)
+    bases = build_sbos(m1, m2, (2, n_size // 2, n_size - 1), n_size, backend="float", check=False)
+    polys = [basis.monic_poly(n).to_float() for basis in bases.values() for n in basis.degrees() if n]
+    with bisection_against_the_reference(guess) as calls:
+        sign_changes_batch(polys, *_scan_interval(bases[2]), SCAN_CELLS)
+    assert calls and calls[0] > n_size
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_brackets_centred_on_a_root_are_replayed_in_one_pass(monkeypatch, backend):
+    # gamma:1:3/2 -> gamma:2:3/2 at N 8: the roots 3/4 and 3/2 of some P_{i;n}
+    # are midpoints of bisection round 2, and every later round stays on them
+    replayed, centred = [], polynomials._centred
+
+    def counted(rows, root, *args):
+        out = centred(rows, root, *args)
+        replayed.extend(zip(root.tolist(), (out[1] - out[0]).tolist()))
+        return out
+
+    monkeypatch.setattr(polynomials, "_centred", counted)
+    m1, m2 = parse_measure("gamma:1:3/2"), parse_measure("gamma:2:3/2")
+    with bisection_against_the_reference():
+        check = check_zeros(m1, m2, 8, backend=backend)
+    assert check["passed"]
+    assert {root for root, _ in replayed} == {0.75, 1.5}
+    assert all(width <= 1e-12 for _, width in replayed)
+
+
+@pytest.mark.parametrize(
+    "root, a, b, rounds",
+    [
+        (2.0**-30, -0.007418127174295459, 0.007418129036940608, 19),
+        (3 * 2.0**-40, -0.001499824205890994, 0.0014998242113479622, 28),
+    ],
+)
+def test_a_replayed_root_round_stops_where_the_midpoint_leaves_the_root(root, a, b, rounds):
+    # (a + b) / 2 is the root of x - root, and so is the midpoint of each
+    # bracket recentred on it until the given round, where rounding moves it
+    matrix, owner = np.array([[1.0, -root]]), np.array([0])
+    lo, hi = (a + b) / 2 - (b - a) / 4, (a + b) / 2 + (b - a) / 4
+    for _ in range(rounds - 1):
+        assert (lo + hi) / 2 == root
+        lo, hi = root - (hi - lo) / 4, root + (hi - lo) / 4
+    assert (lo + hi) / 2 != root
+    want = reference_bisect(matrix, owner, np.array([a]), np.array([b]), np.array([False]), 1e-12)
+    got = polynomials._bisect(
+        matrix, owner, np.array([a]), np.array([b]), np.array([a - root]), np.array([b - root]), 1e-12
+    )
+    assert repr(got) == repr(want)
 
 
 @pytest.mark.parametrize(

@@ -7,9 +7,13 @@ first-stage oracle of ``verify``."""
 import inspect
 import math
 import pathlib
+import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockortho import (
     InsufficientMoments,
@@ -25,7 +29,7 @@ from blockortho import (
     measures,
     standard,
 )
-from blockortho.measures import load_moments_csv, moments
+from blockortho.measures import MomentSequence, load_moments_csv, moments
 from blockortho.standard import DET_NORMALIZED, MONIC
 
 FIELDS = ("polys", "leading", "norms", "q_in_x", "gram_dets", "recurrence")
@@ -247,6 +251,57 @@ def test_the_odd_moment_bound_does_not_overflow(monkeypatch):
     with pytest.raises(OracleMismatch) as info:
         build_standard(measure, 20, backend="float")
     assert (info.value.stage, info.value.degree) == ("first_stage", 20)
+
+
+@st.composite
+def float_recurrences(draw):
+    """(b, c) of 1-20 terms: b of both signs, zeros among them, c > 0, both
+    spread over six decades."""
+    size = draw(st.integers(1, 20))
+    scale = st.floats(-3, 3).map(lambda e: 10.0**e)
+    b = [draw(st.sampled_from([-1.0, 0.0, 1.0])) * draw(scale) for _ in range(size)]
+    return b, [0.0] + [draw(scale) for _ in range(size - 1)]
+
+
+def _rule_verdict(rec, seq):
+    try:
+        standard._check_rule_moments(rec, seq)
+    except OracleMismatch as exc:
+        return exc.degree
+    return None
+
+
+@given(float_recurrences(), st.sampled_from([0.0, 1e-13, 1e-6]), st.integers(0, 2**16))
+@settings(max_examples=150, deadline=None)
+def test_float_rule_moments_by_matvec_match_the_loop(rec, nudge, seed):
+    b, c = rec
+    count = 2 * len(b) + 1
+    loop = standard._jacobi_powers(b, c, 1, count, 0.0)
+    sizes = standard._jacobi_powers([abs(b_m) for b_m in b], c, 1, count, 0.0)
+    got = standard._float_jacobi_powers(b, c, count)
+    for x, y, size in zip(got, loop, sizes):
+        assert abs(x - y) <= 8 * 2.0**-52 * size
+    # the moments of the loop, one of them nudged: the verdict is the loop's
+    rng = random.Random(seed)
+    mu = loop[: count - 1]
+    k = rng.randrange(len(mu))
+    mu[k] += rng.choice([-1, 1]) * nudge * sizes[k]
+    seq = MomentSequence(tuple(mu), len(mu) - 1, False)
+    terms = tuple(zip(b, c))
+    with mock.patch.object(
+        standard, "_float_jacobi_powers", lambda b, c, count: standard._jacobi_powers(b, c, 1, count, 0.0)
+    ):
+        want = _rule_verdict(terms, seq)
+    assert _rule_verdict(terms, seq) == want
+
+
+def test_float_rule_moments_take_the_loop_past_the_float_range():
+    # the dense product reads 0 * inf as NaN at the fifth power, where the
+    # loop, skipping the zero b_1, reads inf: an inf power passes against an
+    # inf bound, a NaN one would fail
+    b, c = [1e200, 0.0], [0.0, 1e200]
+    expect = [1.0, 1e200, math.inf, math.inf, math.inf]
+    assert standard._float_jacobi_powers(b, c, 5) == standard._jacobi_powers(b, c, 1, 5, 0.0) == expect
 
 
 def test_a_k_node_rule_refuses_degree_k():

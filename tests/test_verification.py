@@ -21,6 +21,12 @@ from blockortho.cli import main
 from blockortho.verification import ALL_CHECKS, check_orthogonality, run_checks
 
 
+PAIRS = {
+    "hermite": (Measure.gaussian(1), Measure.gaussian(2)),
+    "laguerre": (Measure.gamma_weight(1, 1), Measure.gamma_weight(2, 1)),
+}
+
+
 def test_full_suite_passes_on_builtin_pair():
     reports = run_checks(Measure.gamma_weight(1, 1), Measure.gamma_weight(2, 1), n_size=6)
     assert {r["check"] for r in reports} == set(ALL_CHECKS)
@@ -220,6 +226,42 @@ def test_inner0_suite_builds_one_projector_pair(monkeypatch, capsys, pair):
     assert main(["verify", "--pair", pair, "--N", "6", "--checks", "inner0"]) == 0
     capsys.readouterr()
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("pair", ["hermite", "laguerre"])
+def test_inner0_suite_projects_each_polynomial_once(monkeypatch, pair):
+    # one product per projector for all P_{2;n}, and no projection per pair
+    calls = []
+    original = projectors.ProjectorMatrix.apply_all
+
+    def counting(self, polys):
+        calls.append((self.label, len(polys)))
+        return original(self, polys)
+
+    monkeypatch.setattr(projectors.ProjectorMatrix, "apply_all", counting)
+    measures = PAIRS[pair]
+    assert verification.check_inner0(*measures, 6)["passed"]
+    assert calls == [("constraint", 4), ("complement", 4)]
+
+
+@pytest.mark.parametrize("backend, nudge", [("exact", Fraction(1, 10**12)), ("float", 1e-6)])
+@pytest.mark.parametrize("pair", ["hermite", "laguerre"])
+@pytest.mark.parametrize("row, col", [(0, 3), (2, 5)])
+def test_projector_suite_fails_on_a_nudged_complement_entry(monkeypatch, pair, backend, nudge, row, col):
+    measures = PAIRS[pair]
+    assert verification.check_projectors(*measures, 6, backend)["passed"]
+    original = projectors._complement_of
+
+    def nudged(onto, backend):
+        comp = original(onto, backend)
+        entries = [list(r) for r in comp.entries]
+        entries[row][col] += nudge * max(1, abs(entries[row][col]))
+        return projectors.ProjectorMatrix(tuple(map(tuple, entries)), comp.label)
+
+    monkeypatch.setattr(projectors, "_complement_of", nudged)
+    report = verification.check_projectors(*measures, 6, backend)
+    # from i = 1 on, row 0 of H_1 C reads rows 0 and 2 of C through mu_0 and mu_2
+    assert report == {"check": "projectors", "passed": False, "i": 1, "which": "complement"}
 
 
 @pytest.mark.parametrize("pair", ["hermite", "laguerre"])
