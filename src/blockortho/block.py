@@ -176,7 +176,7 @@ def gamma_matrix(q_basis: StandardBasis, measure2, i: int) -> GramMatrix:
         raise KindMismatch("exact basis and float moments of the second measure")
     rec2 = monic_recurrence(measure2, n)
     if q_basis.backend == FLOAT:
-        connection, norms = _connection_and_norms(q_basis, rec2)
+        connection, norms = _connection_and_norms(q_basis, standard._float_terms(rec2))
         t_i = connection[:, i:]
         full = (np.triu((norms[:, None] * t_i).T @ t_i) + 0.0).tolist()  # a -0.0 sum reads 0.0
         entries = [[full[min(j, k)][max(j, k)] for k in range(n - i)] for j in range(n - i)]
@@ -359,12 +359,12 @@ def _q_at_nodes(q_basis: StandardBasis, nodes):
 def _quadrature_rules(q_basis: StandardBasis, rec2):
     """What the Gauss-rule checks read, made once per build, from the N-node
     rules (:func:`standard.recurrence_rule`) of the second measure's monic
-    recurrence ``rec2`` and of the first's: Q_0..Q_{N-1} at the second
-    rule's nodes times the square roots of its weights, one row per node,
-    and Q_0..Q_{N-1} at the first rule's nodes with the powers x^j of those
-    nodes times its weights."""
+    recurrence ``rec2`` and of the first's float terms: Q_0..Q_{N-1} at the
+    second rule's nodes times the square roots of its weights, one row per
+    node, and Q_0..Q_{N-1} at the first rule's nodes with the powers x^j of
+    those nodes times its weights."""
     size = q_basis.size
-    rules = [standard.recurrence_rule(rec2), standard.recurrence_rule(q_basis.monic_terms)]
+    rules = [standard.recurrence_rule(rec2), standard.recurrence_rule(q_basis.float_terms)]
     nodes = np.concatenate([rule_nodes for rule_nodes, _ in rules])
     values = _q_at_nodes(q_basis, nodes)
     second = np.sqrt(rules[0][1])[:, None] * values[:size]
@@ -459,7 +459,7 @@ def _sbo_bases(first_stage, measure2, i_values, n_polys, normalization, check):
         q_rows = [linalg._lifted_span(row) for row in q_basis.q_in_x]
     else:
         q_array = np.array(q_basis.q_in_x)
-        rec2 = monic_recurrence(measure2, n_polys)
+        rec2 = standard._float_terms(monic_recurrence(measure2, n_polys))
         connection, norms = _connection_and_norms(q_basis, rec2)
         if check and lo < n_polys:
             with stage(SECOND_STAGE):
@@ -654,8 +654,11 @@ class SboOracleResult:
 
     @property
     def b_column(self):
-        """Monic connection column b_{m,n}, m = i..n, computed when read (off ``elimination``, if any)."""
-        return gso.oracle_connection_column(self.gamma, len(self.a_column) - 1, self.leading, self.elimination)
+        """Monic connection column b_{m,n}, m = i..n, computed when read (off
+        ``elimination``, if any), exactly, and rounded once for a float gamma."""
+        n = len(self.a_column) - 1
+        column = gso.oracle_connection_column(self.gamma, n, self.leading, self.elimination)
+        return column if scalars.kind_of(self.norm) == EXACT else tuple(map(scalars.rounded, column))
 
 
 def sbo_determinant_oracle(
@@ -668,17 +671,28 @@ def sbo_determinant_oracle(
     1/k_n.  Returns the polynomial together with the degree-n determinant,
     the monic norm and the monic connection columns.  ``gamma`` is gamma_i
     when the caller holds it (a basis stores its own); otherwise it is
-    assembled from ``measure2``.  An exact caller that runs every degree of
-    one gamma_i passes its :class:`linalg.LiftedElimination` as
-    ``elimination``, so the degrees and their b columns share it.
+    assembled from ``measure2``.  A caller that runs every degree of one
+    gamma_i passes its :class:`linalg.LiftedElimination` as
+    ``elimination``, so the degrees and their b columns share it.  A float
+    basis runs the same exact route on its gamma_i and Q as the dyadic
+    rationals they hold, and each output is rounded once.
     """
     if not q_basis.size > n >= i >= 0:
         raise ValueError(f"need i <= n < N, got i={i}, n={n}, N={q_basis.size}")
     if gamma is None:
         gamma = gamma_matrix(q_basis, measure2, i)
     a_col, norm, gram_det = gso.bordered_oracle(gamma, n - i, q_basis.leading[n], elimination)
+    if q_basis.backend == EXACT:
+        poly = combine(a_col, q_basis.polys[i:])
+    else:
+        # Q's coefficients read as the dyadic rationals they hold, as gamma_i is
+        rows = [row[i : n + 1] for row in q_basis.q_in_x[: n + 1]]
+        column = linalg._exact_mat_mul(rows, [[c] for c in a_col])
+        poly = Polynomial(tuple(scalars.rounded(x) for x, in column))
+        a_col = tuple(map(scalars.rounded, a_col))
+        norm, gram_det = scalars.rounded(norm), scalars.rounded(gram_det)
     return SboOracleResult(
-        poly=combine(a_col, q_basis.polys[i:]),
+        poly=poly,
         gram_det=gram_det,
         norm=norm,
         a_column=a_col,
@@ -914,7 +928,7 @@ def build_general_bo(
             _check_gram(gram2, mu2, first, completion, "second-stage Gram matrix and moments")
             res2 = _exact_stage(gram2, first, [one(backend)] * (n_dim - n1), True, SECOND_STAGE)
         else:
-            rec2 = monic_recurrence(measure2, n_dim)
+            rec2 = standard._float_terms(monic_recurrence(measure2, n_dim))
             standard._check_rule_moments(rec2, mu2)
             rule2, (values1, powers) = _quadrature_rules(q_basis, rec2)
             connection, h2 = _connection_and_norms(q_basis, rec2)

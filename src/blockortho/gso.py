@@ -7,34 +7,31 @@ factors b_{n,n}.  The output describes the unique orthogonal vectors
     E_n = (e_n - sum_{m<n} E_m b_{m,n}) / b_{n,n},   (E_j, E_k) = h_j d_{jk}
 
 through the triangular connection matrices a (E over e) and b (e over E),
-the squared norms h_n and the leading Gram determinants.  An exact pass
-forms a, h and Z, and b, the inverse of a, is formed from a when read; a
-float pass keeps the b its factorization gives.
+the squared norms h_n and the leading Gram determinants; b, the inverse
+of a, is formed from a when read.
 
 Gram-Schmidt over a Gram matrix is its LDL^T factorization: the pivots
 are the ratios of consecutive leading Gram determinants, so one pass gives
-the vectors, their norms and the determinants, in either backend.  Exact
-matrices run the pass in integers (:func:`_exact_ldl`): the upper triangle
-is lifted by one common scale, its rows are freed of their contents, it is
-eliminated fraction-free, and each output entry is formed as one Fraction.
-Float matrices run a float loop (:func:`_float_ldl`).
+the vectors, their norms and the determinants.  It runs in integers
+(:func:`_exact_ldl`): the upper triangle is lifted by one common scale,
+its rows are freed of their contents, it is eliminated fraction-free, and
+each output entry is formed as one Fraction.  Everything here is exact: a
+float entry or factor is read as the dyadic rational it holds (as
+:func:`linalg.lift` reads it), and a float caller rounds the results once.
 
-Every exact stage of :mod:`block` and the Hankel first-stage oracle
-(:func:`standard.hankel_build`) run :func:`gram_schmidt`, and
-:func:`parity_gram_schmidt` is the kernel of the parity first stage; float
+Every exact stage of :mod:`block`, and in both backends the Hankel
+first-stage oracle (:func:`standard.hankel_build`) and the parity first
+stage (:func:`parity_gram_schmidt`), run :func:`gram_schmidt`; float
 stages of :mod:`block` factor by QR instead.  The checks never read the
 kernel's factorization:
 
 * :func:`bordered_oracle` gives the column of E_n, h_n and Z_{n+1};
 * :func:`oracle_connection_column` gives b_{m,n} for every m <= n;
-* :func:`check_against_oracle` checks a whole result: exact ones by an
-  LDL^T certificate (:func:`_exact_mismatch`), which reads g and the values
-  it checks and shares no code with the kernel; float ones degree by degree
-  against :func:`bordered_oracle`.
+* :func:`check_against_oracle` checks a whole result by an LDL^T
+  certificate (:func:`_exact_mismatch`), which reads g and the values it
+  checks and shares no code with the kernel.
 
-Exact cofactors come from :mod:`linalg`'s fraction-free elimination; float
-ones from an LU solve for the last column of the inverse of a leading block
-(:func:`_inverse_last_column`).
+The cofactors come from :mod:`linalg`'s fraction-free elimination.
 """
 
 from __future__ import annotations
@@ -46,18 +43,11 @@ from functools import cached_property
 from operator import mul
 
 from . import linalg
-from ._numpy import np
 from .errors import BadFactor, NotCheckerboard, NotPositiveDefinite, OracleMismatch
 from .measures import GramMatrix
-from .scalars import EXACT, FLOAT, one, zero
+from .scalars import EXACT, as_kind, zero
 
-# float pivots at or below this times the magnitude of the leading block that
-# produced them mean the matrix is numerically indefinite; stopping beats
-# returning garbage (Hankel blocks are graded, so the scale must follow the
-# block, not the whole matrix)
-PIVOT_FLOOR = 1e-13
-
-# relative agreement a float build must reach with its determinant oracle
+# relative agreement a float build must reach with its checks
 ORACLE_RTOL = 1e-9
 
 
@@ -73,10 +63,10 @@ class OrthogonalizationResult:
 
     ``coeffs[m][n]``         a_{m,n}: coefficient of e_m in E_n (upper triangular)
     ``inverse_coeffs[m][n]`` b_{m,n}: coefficient of E_m in e_n, the inverse
-                             of ``coeffs``: a float pass gives diag(f) B from
-                             its factorization, as accurate as a (an inverse
-                             of the float a would add the condition of B to
-                             its error); otherwise formed from a on first read
+                             of ``coeffs``: a float QR stage gives diag(f) B,
+                             as accurate as a (an inverse of the float a
+                             would add the condition of B to its error);
+                             otherwise formed from a on first read
     ``norms[n]``             h_n = (E_n, E_n)
     ``factors[n]``           the prescribed b_{n,n}
     ``gram_dets[k]``         determinant of the leading k x k block (index 0 is 1)
@@ -113,29 +103,27 @@ class OrthogonalizationResult:
 def gram_schmidt(gram, leading_factors) -> OrthogonalizationResult:
     """Orthogonalize against a Gram matrix with prescribed leading factors.
 
-    One LDL^T pass g = B^T D B (B unit upper triangular) in the scalars of
-    the matrix: h_n = D_n / f_n^2, a = B^{-1} diag(1/f), b = diag(f) B, and
-    the leading Gram determinants are the prefix products of D.  Exact
-    matrices run it in integers (:func:`_exact_ldl`), with b formed from a
-    when read; float ones run a float loop (:func:`_float_ldl`).
+    One LDL^T pass g = B^T D B (B unit upper triangular) in integers
+    (:func:`_exact_ldl`): h_n = D_n / f_n^2, a = B^{-1} diag(1/f),
+    b = diag(f) B, formed from a when read, and the leading Gram
+    determinants are the prefix products of D.  Float entries and factors
+    are read as the dyadic rationals they hold; every output is a Fraction.
     """
     g = _entries(gram)
     n_dim = len(g)
     if len(leading_factors) != n_dim:
         raise BadFactor(f"need {n_dim} leading factors, got {len(leading_factors)}")
-    kind = linalg.matrix_kind(g) if n_dim else EXACT
     for f in leading_factors:
         if f == 0 or (isinstance(f, float) and not math.isfinite(f)):
             raise BadFactor("leading factors must be nonzero and finite")
-    ldl = _exact_ldl if kind == EXACT else _float_ldl
-    a, norms, dets, b = ldl(g, leading_factors)
+    a, norms, dets = _exact_ldl(g, leading_factors)
     return OrthogonalizationResult(
-        tuple(map(tuple, a)), tuple(norms), tuple(leading_factors), tuple(dets), b
+        tuple(map(tuple, a)), tuple(norms), tuple(leading_factors), tuple(dets)
     )
 
 
 def _exact_ldl(g, leading_factors):
-    """The LDL^T pass over the exact matrix ``g`` as a symmetric
+    """The LDL^T pass over the rational matrix ``g`` as a symmetric
     fraction-free elimination of its upper triangle.
 
     The triangle is lifted to integers by one common scale L, so the lifted
@@ -156,8 +144,7 @@ def _exact_ldl(g, leading_factors):
     with c_n = M_n (the last-row cofactors of the leading (n+1)-column
     block of the scaled rows).  Every division inside is exact, and each
     output entry is one Fraction.  A pivot that is not positive raises
-    NotPositiveDefinite at its degree.  Returns (a, h, Z) as lists and None
-    for b.
+    NotPositiveDefinite at its degree.  Returns (a, h, Z) as lists.
     """
     n_dim = len(g)
     flat, scale = linalg.lift([x for k, row in enumerate(g) for x in row[k:]])
@@ -197,47 +184,7 @@ def _exact_ldl(g, leading_factors):
         den = minors[n] * fp
         for m in range(n + 1):
             a[m][n] = Fraction(c[m] * fq, den)
-    return a, norms, dets, None
-
-
-def _float_ldl(g, leading_factors):
-    """The LDL^T pass over the float matrix ``g``, column by column.
-
-    A pivot at or below PIVOT_FLOOR times the largest entry of its leading
-    block raises NotPositiveDefinite at its degree.  Returns (a, h, Z) as
-    lists and b as row tuples.
-    """
-    kind = FLOAT
-    n_dim = len(g)
-    unit = [[zero(kind)] * n_dim for _ in range(n_dim)]  # B
-    scaled = [[zero(kind)] * n_dim for _ in range(n_dim)]  # D B
-    norms = []
-    dets = [one(EXACT)]
-    block_max = zero(kind)
-    for col in range(n_dim):
-        block_max = max(block_max, max(abs(g[col][k]) for k in range(col + 1)))
-        scaled[col][col:] = [
-            g[col][j] - sum(unit[m][col] * scaled[m][j] for m in range(col))
-            for j in range(col, n_dim)
-        ]
-        pivot = scaled[col][col]
-        h = pivot / leading_factors[col] ** 2
-        if h <= PIVOT_FLOOR * float(block_max):
-            raise NotPositiveDefinite(
-                f"float pivot h_{col} = {h} below conditioning floor", degree=col
-            )
-        unit[col][col:] = [x / pivot for x in scaled[col][col:]]
-        norms.append(h)
-        dets.append(dets[-1] * pivot)
-    # a = B^{-1} by back-substitution, column n scaled by 1/f_n
-    a = [[zero(kind)] * n_dim for _ in range(n_dim)]
-    for n in range(n_dim):
-        a[n][n] = one(kind)
-        for m in range(n - 1, -1, -1):
-            a[m][n] = -sum(unit[m][j] * a[j][n] for j in range(m + 1, n + 1))
-        for m in range(n + 1):
-            a[m][n] /= leading_factors[n]
-    return a, norms, dets, tuple(tuple(f * x for x in r) for f, r in zip(leading_factors, unit))
+    return a, norms, dets
 
 
 def require_checkerboard(g, what):
@@ -262,9 +209,8 @@ def parity_gram_schmidt(gram, leading_factors) -> OrthogonalizationResult:
     if len(leading_factors) != n_dim:
         raise BadFactor(f"need {n_dim} leading factors, got {len(leading_factors)}")
     require_checkerboard(g, "parity split")
-    kind = linalg.matrix_kind(g)
-    a = [[zero(kind)] * n_dim for _ in range(n_dim)]
-    norms = [zero(kind)] * n_dim
+    a = [[zero(EXACT)] * n_dim for _ in range(n_dim)]
+    norms = [zero(EXACT)] * n_dim
     sector_dets = []
     for idx in (range(0, n_dim, 2), range(1, n_dim, 2)):
         try:
@@ -288,38 +234,17 @@ def parity_gram_schmidt(gram, leading_factors) -> OrthogonalizationResult:
     )
 
 
-def _inverse_last_column(block):
-    """x = B^-1 e_n, the last column of B^-1, for a float (n+1) x (n+1) block B.
-
-    By Cramer's rule x holds the last-row cofactors of B divided by det(B),
-    so x_n = Z_n / Z_{n+1}; one LU solve gives all of them, with errors that
-    follow the condition of B rather than that of each bordered minor.  A
-    vanishing Z_{n+1} (a singular LU) or Z_n (x_n = 0) raises
-    NotPositiveDefinite at degree n.
-    """
-    n = len(block) - 1
-    try:
-        x = np.linalg.solve(np.array(block, dtype=float), np.eye(n + 1)[:, n])
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefinite(f"leading minor of size {n + 1} vanishes", degree=n) from None
-    if x[n] == 0:
-        raise NotPositiveDefinite(f"leading minor of size {n} vanishes", degree=n)
-    return x
-
-
 def bordered_oracle(gram, n, leading_factor, elimination=None):
     """E_n, h_n and Z_{n+1} from the bordered determinants of ``gram``.
 
     The determinant with Gram rows 0..n-1 and the symbolic basis row is
     expanded along its last row; dividing its cofactors by Z_n and by the
     leading factor gives the column of E_n on e_0..e_n that gram_schmidt
-    produces, and h_n = b_{n,n}^{-2} Z_{n+1} / Z_n.  Exact blocks take all
-    of it from one :func:`linalg.bordered_minors` call on the leading
-    (n+1) x (n+1) block B, read off ``elimination`` when the caller holds
-    one of ``gram`` (one elimination then serves every n).  Float blocks
-    take the cofactors over Z_{n+1} as x = :func:`_inverse_last_column` of
-    B: the column is x / x_n and h_n = 1 / x_n.  Nothing here reads the kernel's factorization.
-    Returns (column, h_n, Z_{n+1}).
+    produces, and h_n = b_{n,n}^{-2} Z_{n+1} / Z_n.  All of it comes from
+    one :func:`linalg.bordered_minors` call on the leading (n+1) x (n+1)
+    block, read off ``elimination`` when the caller holds one of ``gram``
+    (one elimination then serves every n).  Nothing here reads the kernel's
+    factorization.  Returns (column, h_n, Z_{n+1}) as Fractions.
     """
     g = _entries(gram)
     if not 0 <= n < len(g):
@@ -327,16 +252,13 @@ def bordered_oracle(gram, n, leading_factor, elimination=None):
     if leading_factor == 0:
         raise BadFactor("leading factor must be nonzero")
     block = [row[: n + 1] for row in g[: n + 1]]
-    if linalg.matrix_kind(block) == FLOAT:
-        x = _inverse_last_column(block)
-        column = tuple(float(v / x[n]) / leading_factor for v in x)
-        return column, float(1.0 / x[n]) / leading_factor**2, float(np.linalg.det(block))
     cofactors, z_here = linalg.bordered_minors(block, elimination)
     z_prev = cofactors[n]
     if z_prev == 0:
         raise NotPositiveDefinite(f"leading minor of size {n} vanishes", degree=n)
-    scale = z_prev * leading_factor
-    return tuple(c / scale for c in cofactors), z_here / (scale * leading_factor), z_here
+    f = as_kind(leading_factor, EXACT)
+    scale = z_prev * f
+    return tuple(c / scale for c in cofactors), z_here / (scale * f), z_here
 
 
 def oracle_connection_column(gram, n, leading_factors, elimination=None):
@@ -344,34 +266,28 @@ def oracle_connection_column(gram, n, leading_factors, elimination=None):
 
     b_{m,n} = f_m (g[n] . c^(m)) / Z_{m+1}, the bordered determinant with
     Gram rows 0..m-1 and last row g[n] over the leading minor, where c^(m)
-    are the last-row cofactors of the leading (m+1) x (m+1) block.  Exact
-    matrices take every m from one :class:`linalg.LiftedElimination`, of
-    the leading (n+1) x (n+1) block or the ``elimination`` of any matrix
-    that has it as its leading block (by the prefix property its cofactors
-    serve every leading block, so one elimination serves every column): in
-    its lifted rows R (row r scaled by the rational d_r)
+    are the last-row cofactors of the leading (m+1) x (m+1) block.  Every m
+    comes from one :class:`linalg.LiftedElimination`, of the leading
+    (n+1) x (n+1) block or the ``elimination`` of any matrix that has it as
+    its leading block (by the prefix property its cofactors serve every
+    leading block, so one elimination serves every column): in its lifted
+    rows R (row r scaled by the rational d_r)
     b_{m,n} = f_m (R[n] . c) d_m / (d_n Z_{m+1}), with c and Z_{m+1} the
-    lifted cofactors and minor of degree m.  Float matrices take
-    c^(m) / Z_{m+1} as :func:`_inverse_last_column` of each leading block,
-    one LU solve per m and no determinant.
+    lifted cofactors and minor of degree m.  A vanishing Z_{m+1} raises
+    NotPositiveDefinite at degree m.
     """
     elim = elimination
     if elim is None:
-        g = _entries(gram)
-        block = [row[: n + 1] for row in g[: n + 1]]
-        if linalg.matrix_kind(block) == FLOAT:
-            leading = ([row[: m + 1] for row in block[: m + 1]] for m in range(n + 1))
-            return tuple(
-                f * float(sum(map(mul, block[n], _inverse_last_column(b))))
-                for f, b in zip(leading_factors, leading)
-            )
-        elim = linalg.LiftedElimination(block)
+        elim = linalg.LiftedElimination([row[: n + 1] for row in _entries(gram)[: n + 1]])
     last, (np_, nq) = elim.rows[n], elim.scales[n].as_integer_ratio()
     out = []
     for m, (f, d_m) in enumerate(zip(leading_factors, elim.scales)):
+        minor = elim.minor(m + 1)
+        if not minor:
+            raise NotPositiveDefinite(f"leading minor of size {m + 1} vanishes", degree=m)
         (fp, fq), (dp, dq) = f.as_integer_ratio(), d_m.as_integer_ratio()
         dot = sum(map(mul, last, elim.cofactors(m)))
-        out.append(Fraction(fp * dot * dp * nq, fq * dq * np_ * elim.minor(m + 1)))
+        out.append(Fraction(fp * dot * dp * nq, fq * dq * np_ * minor))
     return tuple(out)
 
 
@@ -379,22 +295,14 @@ def check_against_oracle(gram, result: OrthogonalizationResult, basis, stage):
     """Check every vector of ``result`` against the Gram matrix alone.
 
     ``basis`` is the monomial coefficient matrix of the vectors the Gram
-    matrix is taken over (column k holds e_k).  Exact results must pass the
+    matrix is taken over (column k holds e_k).  The result must pass the
     LDL^T certificate of :func:`_exact_mismatch`, column by column: the
     connection a, the norm h and the leading Gram determinant Z (b, formed
-    from a when read, is not checked).  Float results are compared with
-    :func:`bordered_oracle` as monomial coefficients (the same test as
-    comparing connection columns, the basis columns being independent):
-    within ORACLE_RTOL times the largest oracle coefficient, and norms
-    within ORACLE_RTOL of the oracle norm.  Neither route reads the kernel's
+    from a when read, is not checked).  It does not read the kernel's
     factorization.  A failure raises OracleMismatch naming ``stage`` and the
     degree of the basis vector.
     """
-    g = _entries(gram)
-    if linalg.matrix_kind(g) == EXACT:
-        bad = _exact_mismatch(g, result)
-    else:
-        bad = next((n for n in range(result.size) if not _float_agrees(g, result, basis, n)), None)
+    bad = _exact_mismatch(_entries(gram), result)
     if bad is not None:
         degree = max(k for k, row in enumerate(basis) if row[bad] != 0)
         raise OracleMismatch(f"{stage} at degree {degree}", degree=degree)
@@ -402,7 +310,7 @@ def check_against_oracle(gram, result: OrthogonalizationResult, basis, stage):
 
 def _exact_mismatch(g, result):
     """The first index n whose column of ``result`` fails the LDL^T
-    certificate over the exact Gram matrix ``g``, or None.
+    certificate over the rational Gram matrix ``g``, or None.
 
     Column n, f_n its prescribed factor (zero raises BadFactor), passes when
     a_{m,n} = 0 for m > n, a_{n,n} = 1 / f_n, (g a)[j][n] = 0 for j < n,
@@ -439,18 +347,6 @@ def _exact_mismatch(g, result):
             return n
         z_prev = zp, zq
     return None
-
-
-def _float_agrees(g, result, basis, n):
-    """Whether float column n of ``result`` matches :func:`bordered_oracle`
-    as monomial coefficients, and its norm the oracle norm, to ORACLE_RTOL."""
-    oracle, h_oracle, _ = bordered_oracle(g, n, result.factors[n])
-    oracle += (0.0,) * (result.size - n - 1)
-    pairs = linalg.mat_mul(basis, list(zip(oracle, result.vector(n))))
-    scale = max(abs(o) for o, _ in pairs)
-    return all(abs(o - s) <= ORACLE_RTOL * scale for o, s in pairs) and abs(
-        h_oracle - result.norms[n]
-    ) <= ORACLE_RTOL * abs(h_oracle)
 
 
 def checkerboard_det(matrix, last_row_exempt=False):

@@ -229,8 +229,8 @@ def bordered_minors(block, elimination=None):
     spans the null space of the first n rows whenever Z_n != 0.  Both are
     read off one :class:`LiftedElimination`: ``elimination``, that of any
     matrix with ``block`` as its leading block (by the prefix property), or
-    else one of ``block``.  Float blocks take their cofactors from an LU
-    solve instead (``gso._inverse_last_column``).
+    else one of ``block``.  A float entry is read as the dyadic rational it
+    holds (:func:`lift`), so float blocks get the same exact minors.
     """
     n = len(block) - 1
     elim = LiftedElimination(block) if elimination is None else elimination
@@ -240,16 +240,11 @@ def bordered_minors(block, elimination=None):
 
 
 def leading_minors(matrix):
-    """Determinants of the leading k x k blocks, k = 0..n (index 0 is 1).
-
-    Exact matrices read all of them off one :class:`LiftedElimination`;
-    float ones take one numpy determinant per block.
-    """
-    n = len(matrix)
-    if matrix_kind(matrix) == EXACT:
-        elim = LiftedElimination(matrix)
-        return [Fraction(elim.minor(k), elim.prefix[k]) for k in range(n + 1)]
-    return [det([row[:k] for row in matrix[:k]]) for k in range(n + 1)]
+    """Determinants of the leading k x k blocks, k = 0..n (index 0 is 1),
+    all read off one :class:`LiftedElimination` (a float entry as the
+    dyadic rational it holds)."""
+    elim = LiftedElimination(matrix)
+    return [Fraction(elim.minor(k), elim.prefix[k]) for k in range(len(matrix) + 1)]
 
 
 def mat_mul(a, b):

@@ -47,6 +47,15 @@ def as_kind(value, kind):
     return float(value)
 
 
+def rounded(value):
+    """The float nearest the rational ``value``, or an infinity of its sign
+    where ``value`` passes the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def to_fraction(value) -> Fraction:
     """Parse an exact scalar: int, Fraction or a 'p/q' / 'p' string.
 

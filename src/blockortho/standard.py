@@ -10,10 +10,12 @@ measure's moments, which never pass through the recurrence: its N-node
 Gauss rule must reproduce mu_0..mu_{2N-1} (through 2N - 2 for a table that
 stops there), exactly or within ORACLE_RTOL in float, and every exact
 coefficient column must meet three moment identities of its degree.
-Gram-Schmidt on the monomial Hankel matrix with its bordered-determinant
-oracle (:func:`hankel_build`) is the independent first stage of the
+Gram-Schmidt on the monomial Hankel matrix with its LDL^T certificate
+(:func:`hankel_build`) is the independent first stage of the
 ``oracle_equivalence`` verify suite; the parity first stage
-(:func:`parity_split_build`) runs the Hankel matrix split by parity.
+(:func:`parity_split_build`) runs the Hankel matrix split by parity.  Both
+run exactly in both backends: float moments are read as the dyadic
+rationals they hold, and a float basis is rounded once, when assembled.
 
 Normalization modes:
 
@@ -60,7 +62,7 @@ from .measures import (
     rule_moments,
 )
 from .polynomials import Polynomial, from_columns, monomial
-from .scalars import EXACT, FLOAT, as_kind, one, sqrt_exact, zero
+from .scalars import EXACT, FLOAT, as_kind, one, rounded, sqrt_exact, zero
 
 MONIC = "monic"
 ORTHONORMAL = "orthonormal"
@@ -93,6 +95,8 @@ class StandardBasis:
     backend: str
     # the N monic terms (b_n, c_n) :func:`build_standard` ran, None from a Hankel build
     monic_terms: tuple = field(default=None, repr=False, compare=False)
+    # a float build's monic terms as floats, converted once (:func:`_float_terms`)
+    float_terms: tuple = field(default=None, repr=False, compare=False)
 
     @property
     def size(self):
@@ -161,13 +165,25 @@ def _hankel(measure, n_polys, backend):
     return seq, hankel_matrix(seq, n_polys)
 
 
-def _assemble(measure, seq, result, normalization, backend, leading=None, rec=None):
-    """The basis from the monic recurrence ``rec`` (:func:`_recurrence_result`,
-    scaled coefficients and the k_n as ``result.factors``) or, without it,
-    from the Hankel matrix: monic coefficients, scaled here by the k_n, with
-    b_n = s_n - s_{n+1} for the subleading s_n, and c_n = h_n / h_{n-1}."""
+def _float_terms(rec):
+    """The monic terms ``rec`` as floats: a float build converts them once."""
+    return tuple((float(b_n), float(c_n)) for b_n, c_n in rec)
+
+
+def _assemble(measure, seq, result, normalization, backend, leading=None, rec=None, terms=None):
+    """The basis from the monic recurrence ``rec``, run as ``terms`` in the
+    scalars of ``backend`` (:func:`_recurrence_result`, scaled coefficients
+    and the k_n as ``result.factors``) or, without it, from the Hankel
+    matrix: monic coefficients, scaled here by the k_n, with
+    b_n = s_n - s_{n+1} for the subleading s_n, and c_n = h_n / h_{n-1}.
+    The exact Hankel ``result`` of a float basis is rounded first, each
+    entry once (:func:`scalars.rounded`)."""
     n = result.size
     if rec is None:
+        if backend == FLOAT:
+            coeffs = tuple(tuple(map(rounded, row)) for row in result.coeffs)
+            rest = (result.norms, result.factors, result.gram_dets)
+            result = OrthogonalizationResult(coeffs, *(tuple(map(rounded, v)) for v in rest))
         ks = normalization_factors(normalization, result.gram_dets, backend)
         # only the upper triangles carry entries, and a unit k leaves them as they are
         nil = zero(backend)
@@ -179,7 +195,7 @@ def _assemble(measure, seq, result, normalization, backend, leading=None, rec=No
         s, h = [nil] + [result.coeffs[d - 1][d] for d in range(1, n)], result.norms
         terms = [(-(s[m + 1] - s[m]), h[m] / h[m - 1] if m else nil) for m in range(n - 1)]
     else:
-        ks, q_in_x, terms = result.factors, result.coeffs, rec
+        ks, q_in_x = result.factors, result.coeffs
     return StandardBasis(
         measure=measure,
         moment_seq=seq,
@@ -192,14 +208,15 @@ def _assemble(measure, seq, result, normalization, backend, leading=None, rec=No
         normalization=normalization if leading is None else "custom",
         backend=backend,
         monic_terms=rec,
+        float_terms=terms if rec is not None and backend == FLOAT else None,
     )
 
 
 def _scaled_recurrence(rec, ks, backend):
-    """(A_m, B_m, C_m) of Q_m = k_m q_m from the monic terms ``rec``:
-    A_m = k_{m+1} / k_m, B_m = -A_m b_m and C_m = k_{m+1} c_m / k_{m-1}
-    (C_0 = 0).  Exact terms are each one Fraction of integers; float ones
-    are taken in that order of operations."""
+    """(A_m, B_m, C_m) of Q_m = k_m q_m from the monic terms ``rec``, in the
+    scalars of ``backend``: A_m = k_{m+1} / k_m, B_m = -A_m b_m and
+    C_m = k_{m+1} c_m / k_{m-1} (C_0 = 0).  Exact terms are each one
+    Fraction of integers; float ones are taken in that order of operations."""
     nil = zero(backend)
     if backend == EXACT:
         num = [k.numerator for k in ks]
@@ -216,8 +233,8 @@ def _scaled_recurrence(rec, ks, backend):
     scaled = []
     for m, (b_m, c_m) in enumerate(rec):
         a_m = ks[m + 1] / ks[m]
-        c_m = ks[m + 1] * as_kind(c_m, backend) / ks[m - 1] if m else nil
-        scaled.append((a_m, -a_m * as_kind(b_m, backend), c_m))
+        c_m = ks[m + 1] * c_m / ks[m - 1] if m else nil
+        scaled.append((a_m, -a_m * b_m, c_m))
     return tuple(scaled)
 
 
@@ -238,12 +255,13 @@ def build_standard(
         raise NotRepresentable("exact backend requires rational moments")
     with stage(FIRST_STAGE):
         rec = monic_recurrence(measure, n_polys)
+        terms = rec if backend == EXACT else _float_terms(rec)
         if check:
-            _check_rule_moments(rec, seq)
-        result = _recurrence_result(rec, backend, normalization, leading)
+            _check_rule_moments(terms, seq)
+        result = _recurrence_result(terms, backend, normalization, leading)
         if check and backend == EXACT:
             _check_coefficients(result, seq)
-    return _assemble(measure, seq, result, normalization, backend, leading, rec)
+    return _assemble(measure, seq, result, normalization, backend, leading, rec, terms)
 
 
 def hankel_build(
@@ -254,17 +272,19 @@ def hankel_build(
     check: bool = True,
 ) -> StandardBasis:
     """Q_0..Q_{N-1} by Gram-Schmidt on the monomial Hankel matrix, checked
-    against the bordered determinants unless ``check=False``: the
-    independent first-stage oracle of ``verify``'s ``oracle_equivalence``.
+    by its LDL^T certificate unless ``check=False``: the independent
+    first-stage oracle of ``verify``'s ``oracle_equivalence``.  The kernel
+    and the check run exactly in both backends, on float moments as the
+    dyadic rationals they hold; a float basis is rounded once.
     """
     seq, gram = _hankel(measure, n_polys, backend)
     with stage(FIRST_STAGE):
-        result = gso.gram_schmidt(gram, [one(backend)] * n_polys)
+        result = gso.gram_schmidt(gram, [one(EXACT)] * n_polys)
         if check:
             gso.check_against_oracle(
                 gram,
                 result,
-                linalg.identity(n_polys, backend),
+                linalg.identity(n_polys),
                 "inductive and determinant routes disagree",
             )
     return _assemble(measure, seq, result, normalization, backend)
@@ -604,10 +624,11 @@ def parity_split_build(
     Even and odd degrees decouple: the even polynomials come from the Gram
     matrix of even monomials, the odd ones from the odd block.  The output is
     identical to :func:`build_standard`, including the full Hankel
-    determinants, which factor into the parity blocks.
+    determinants, which factor into the parity blocks.  Float moments run
+    the exact kernel, as in :func:`hankel_build`.
     """
     if not measure.symmetric:
         raise NotSymmetric("parity split requires a symmetric measure")
     seq, gram = _hankel(measure, n_polys, backend)
-    result = gso.parity_gram_schmidt(gram, [one(backend)] * n_polys)
+    result = gso.parity_gram_schmidt(gram, [one(EXACT)] * n_polys)
     return _assemble(measure, seq, result, normalization, backend)

@@ -113,9 +113,11 @@ def _float_orthogonality(measure2, bases, n_size, i_max):
 
 def check_oracle_equivalence(measure1, measure2, n_size, backend=EXACT):
     """The pair's builds against their determinant routes: each measure's
-    Hankel first stage, with its bordered-determinant oracle, against the
-    recurrence route, and each second-stage degree for i <= 2 against the
-    SBO determinant oracle, in its polynomial and in b, its q_in_p column."""
+    Hankel first stage, with its LDL^T certificate, against the recurrence
+    route, and each second-stage degree for i <= 2 against the SBO
+    determinant oracle, in its polynomial and in b, its q_in_p column.  The
+    determinant routes run exactly in both backends, a float build's moments
+    and gamma_i read as the dyadic rationals they hold and rounded once."""
     bases = build_sbos(measure1, measure2, range(min(2, n_size) + 1), n_size, backend=backend)
     # the Hankel route and its bordered-determinant oracle, on each measure's
     # first stage, must land on the polynomials of the recurrence route
@@ -127,7 +129,8 @@ def check_oracle_equivalence(measure1, measure2, n_size, backend=EXACT):
                 return _entry("oracle_equivalence", False, n=n, which="first_stage")
     for i, basis in bases.items():
         # by the prefix property one elimination of gamma_i serves every degree
-        elimination = LiftedElimination(basis.gamma.entries) if backend == EXACT else None
+        # (a float gamma_i read as the dyadic rationals it holds)
+        elimination = LiftedElimination(basis.gamma.entries)
         for n in basis.degrees():
             oracle = sbo_determinant_oracle(
                 basis.q_basis, basis.mu2, i, n, gamma=basis.gamma, elimination=elimination

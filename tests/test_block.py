@@ -665,9 +665,9 @@ def test_the_sign_flipped_kernel_is_caught(monkeypatch, request, pair):
 
 @pytest.mark.parametrize("pair", ["hermite_pair", "laguerre_pair"])
 def test_the_sign_flipped_float_kernel_is_caught(monkeypatch, request, pair):
-    # the float LDL^T update g - sum(...) turned into g + sum(...), run by
-    # the float Hankel first stage, the first-stage oracle of verify
-    _sign_flipped(monkeypatch, "_float_ldl", "g[col][j] - sum(")
+    # the kernel the float Hankel first stage (the first-stage oracle of
+    # verify) runs on its dyadic moments, its fraction-free update flipped
+    _sign_flipped(monkeypatch, "_exact_ldl", "pivot * y - x * t")
     measure1, _ = request.getfixturevalue(pair)
     with pytest.raises(OracleMismatch) as info:
         standard.hankel_build(measure1, 8, backend="float")

@@ -1,10 +1,11 @@
 """The integer kernels against Fraction loop references.
 
-``reference_ldl`` is the LDL^T loop of ``gso.gram_schmidt`` in the scalars
-of its input, and ``reference_mat_mul`` the term-by-term product loop of
+``reference_ldl`` is the LDL^T loop of ``gso.gram_schmidt`` in Fractions,
+and ``reference_mat_mul`` the term-by-term product loop of
 ``linalg.mat_mul``; both are kept here as they were before the exact
 branches moved to integers.  Exact results must equal them entry by entry
-(every entry a Fraction), float results bit for bit.
+(every entry a Fraction), float products bit for bit; a float Gram matrix
+runs the integer kernel on the dyadic rationals its entries hold.
 """
 
 from fractions import Fraction
@@ -14,40 +15,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockortho import NotPositiveDefinite, gram_schmidt, linalg
-from blockortho.gso import PIVOT_FLOOR
 from blockortho.linalg import mat_mul, matrix_kind
-from blockortho.scalars import EXACT, FLOAT, one, zero
+from blockortho.scalars import EXACT, one, zero
 
 
-def reference_ldl(g, leading_factors, kind):
-    """(a, b, h, Z) of the LDL^T loop g = B^T D B over ``kind`` scalars."""
+def reference_ldl(g, leading_factors):
+    """(a, b, h, Z) of the LDL^T loop g = B^T D B over Fractions."""
     n_dim = len(g)
-    unit = [[zero(kind)] * n_dim for _ in range(n_dim)]
-    scaled = [[zero(kind)] * n_dim for _ in range(n_dim)]
+    unit = [[zero(EXACT)] * n_dim for _ in range(n_dim)]
+    scaled = [[zero(EXACT)] * n_dim for _ in range(n_dim)]
     norms = []
     dets = [one(EXACT)]
-    block_max = zero(kind)
     for col in range(n_dim):
-        block_max = max(block_max, max(abs(g[col][k]) for k in range(col + 1)))
         scaled[col][col:] = [
             g[col][j] - sum(unit[m][col] * scaled[m][j] for m in range(col))
             for j in range(col, n_dim)
         ]
         pivot = scaled[col][col]
         h = pivot / leading_factors[col] ** 2
-        if kind == EXACT:
-            if h <= 0:
-                raise NotPositiveDefinite(f"pivot h_{col} = {h} is not positive", degree=col)
-        elif h <= PIVOT_FLOOR * float(block_max):
-            raise NotPositiveDefinite(
-                f"float pivot h_{col} = {h} below conditioning floor", degree=col
-            )
+        if h <= 0:
+            raise NotPositiveDefinite(f"pivot h_{col} = {h} is not positive", degree=col)
         unit[col][col:] = [x / pivot for x in scaled[col][col:]]
         norms.append(h)
         dets.append(dets[-1] * pivot)
-    a = [[zero(kind)] * n_dim for _ in range(n_dim)]
+    a = [[zero(EXACT)] * n_dim for _ in range(n_dim)]
     for n in range(n_dim):
-        a[n][n] = one(kind)
+        a[n][n] = one(EXACT)
         for m in range(n - 1, -1, -1):
             a[m][n] = -sum(unit[m][j] * a[j][n] for j in range(m + 1, n + 1))
         for m in range(n + 1):
@@ -149,7 +142,7 @@ def _as_fractions(gram):
 def test_the_integer_kernel_equals_the_fraction_loop(case):
     gram, fs = case
     got = _result_lists(gram_schmidt(gram, fs))
-    assert got == list(reference_ldl(_as_fractions(gram), fs, EXACT))
+    assert got == list(reference_ldl(_as_fractions(gram), fs))
     assert all(type(x) is Fraction for x in _flat(got))
 
 
@@ -158,7 +151,7 @@ def test_the_integer_kernel_at_sizes_zero_and_one(size):
     gram = [[Fraction(7, 3)]][:size]
     fs = [Fraction(-2, 5)][:size]
     res = gram_schmidt(gram, fs)
-    assert _result_lists(res) == list(reference_ldl(gram, fs, EXACT))
+    assert _result_lists(res) == list(reference_ldl(gram, fs))
     assert res.gram_dets[0] == 1 and type(res.gram_dets[0]) is Fraction
     assert res.factors == tuple(fs)
 
@@ -168,7 +161,7 @@ def test_the_integer_kernel_at_sizes_zero_and_one(size):
 def test_the_integer_kernel_refuses_as_the_fraction_loop(case):
     gram, fs = case
     with pytest.raises(NotPositiveDefinite) as expected:
-        reference_ldl(_as_fractions(gram), fs, EXACT)
+        reference_ldl(_as_fractions(gram), fs)
     with pytest.raises(NotPositiveDefinite) as info:
         gram_schmidt(gram, fs)
     assert info.value.degree == expected.value.degree
@@ -184,7 +177,7 @@ def test_the_integer_kernel_runs_its_own_elimination(monkeypatch):
         monkeypatch.setattr(linalg, name, refuse)
     gram = [[Fraction(4), Fraction(1, 2), 1], [Fraction(1, 2), 3, Fraction(2, 3)], [1, Fraction(2, 3), 5]]
     assert _result_lists(gram_schmidt(gram, [1, -2, Fraction(3, 4)])) == list(
-        reference_ldl(_as_fractions(gram), [1, -2, Fraction(3, 4)], EXACT)
+        reference_ldl(_as_fractions(gram), [1, -2, Fraction(3, 4)])
     )
 
 
@@ -265,13 +258,17 @@ def float_grams(draw):
 
 @given(float_grams())
 @settings(max_examples=200, deadline=None)
-def test_float_kernel_is_bit_identical_to_the_loop(case):
+def test_a_float_gram_runs_the_integer_kernel_on_its_dyadic_values(case):
+    # floats are read as the rationals they hold: the result is the loop's on
+    # Fraction(x), every entry a Fraction, and a refusal is the loop's
     gram, fs = case
     try:
-        expected = reference_ldl(gram, fs, FLOAT)
+        expected = reference_ldl(_as_fractions(gram), [Fraction(f) for f in fs])
     except NotPositiveDefinite as exc:
         with pytest.raises(NotPositiveDefinite) as info:
             gram_schmidt(gram, fs)
         assert (info.value.degree, str(info.value)) == (exc.degree, str(exc))
         return
-    assert _bits(_result_lists(gram_schmidt(gram, fs))) == _bits(list(expected))
+    got = _result_lists(gram_schmidt(gram, fs))
+    assert got == list(expected)
+    assert all(type(x) is Fraction for x in _flat(got))

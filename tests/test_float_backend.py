@@ -15,6 +15,8 @@ from blockortho import (
     NotPositiveDefinite,
     OracleMismatch,
     block,
+    Polynomial,
+    build_general_bo,
     build_sbo,
     build_sbos,
     build_standard,
@@ -27,6 +29,7 @@ from blockortho.analysis import gauss_rule, zero_report
 from blockortho.block import CONNECTION_CONDITION_LIMIT, connection_condition
 from blockortho.cli import main
 from blockortho.gso import ORACLE_RTOL
+from blockortho.verification import FLOAT_RTOL
 from test_block import ALPHAS, ZS, measure_pairs
 
 LAGUERRE = (Measure.gamma_weight(1, 1), Measure.gamma_weight(2, 1))
@@ -44,6 +47,65 @@ def _quarter(n, fraction):
 def test_closed_form_recurrence_equals_the_hankel_build(measure):
     hankel = standard.hankel_build(measure, 9, check=False).recurrence
     assert standard.monic_recurrence(measure, 8) == tuple((-b, c) for _, b, c in hankel)
+
+
+def test_the_float_hankel_build_answers_at_n_12():
+    # the Hankel route runs exactly on the float moments and rounds once, so
+    # it lands on the recurrence route where a float LDL^T pass did not
+    hankel = standard.hankel_build(LAGUERRE[0], 12, backend="float")
+    direct = build_standard(LAGUERRE[0], 12, backend="float")
+    assert hankel.backend == "float" and all(type(h) is float for h in hankel.norms)
+    for p, q in zip(hankel.polys, direct.polys):
+        scale = max(map(abs, q.coeffs))
+        assert all(abs(a - b) <= FLOAT_RTOL * scale for a, b in zip(p.coeffs, q.coeffs))
+
+
+def test_the_float_sbo_oracle_is_the_exact_route_rounded_once():
+    # gamma_i and the leading factors read as the rationals they hold
+    basis = build_sbo(*LAGUERRE, 2, 8, backend="float")
+    gamma = [[Fraction(x) for x in row] for row in basis.gamma.entries]
+    leading = [Fraction(k) for k in basis.q_basis.leading]
+    for n in basis.degrees():
+        oracle = block.sbo_determinant_oracle(basis.q_basis, basis.mu2, 2, n, gamma=basis.gamma)
+        column, h, z = gso.bordered_oracle(gamma, n - 2, leading[n])
+        assert (oracle.a_column, oracle.norm, oracle.gram_det) == (tuple(map(float, column)), float(h), float(z))
+        b_column = gso.oracle_connection_column(gamma, n - 2, leading[2 : n + 1])
+        assert oracle.b_column == tuple(map(float, b_column))
+        assert all(type(x) is float for x in oracle.poly.coeffs + oracle.a_column + oracle.b_column)
+
+
+def test_a_float_hankel_determinant_past_the_float_range_reads_inf():
+    # rounded once from the exact route, as the recurrence route's products overflow
+    measure = Measure.gaussian(Fraction(1, 10**6))
+    for build in (standard.hankel_build, standard.parity_split_build, build_standard):
+        assert build(measure, 14, backend="float").gram_dets[-1] == math.inf
+
+
+def test_a_float_build_converts_the_monic_terms_once(monkeypatch):
+    # every float consumer of a measure's monic terms reads them as floats,
+    # converted once per build by standard._float_terms
+    conversions = []
+    original = standard._float_terms
+    monkeypatch.setattr(standard, "_float_terms", lambda rec: conversions.append(1) or original(rec))
+
+    def floats_only(module, name, arg):
+        wrapped = getattr(module, name)
+
+        def spy(*args, **kwargs):
+            assert all(type(x) is float for term in args[arg] for x in term), name
+            return wrapped(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+
+    for name in ("_check_rule_moments", "_recurrence_result", "_scaled_recurrence", "recurrence_rule"):
+        floats_only(standard, name, 0)
+    for name in ("_connection_and_norms", "_connection_to_second"):
+        floats_only(block, name, 1)
+    build_sbos(*LAGUERRE, range(4), 8, backend="float")
+    assert len(conversions) == 2  # one per measure
+    conversions.clear()
+    build_general_bo(*LAGUERRE, [Polynomial((1.0,)), Polynomial((0.0, 1.0))], 8, backend="float")
+    assert len(conversions) == 2
 
 
 def test_gauss_rule_of_a_closed_form_family_builds_no_basis(monkeypatch):

@@ -108,18 +108,30 @@ def test_oracle_equivalence_random_exact():
             assert oracle_connection_column(gram, n, factors[: n + 1], elimination) == b_column
 
 
+def _dyadic(gram):
+    """A float Gram matrix whose entries are rounded (thirds), and the
+    Fractions they hold."""
+    floats = [[x / 3 for x in row] for row in gram]
+    return floats, [[Fraction(x) for x in row] for row in floats]
+
+
 def test_oracle_equivalence_random_float():
+    # float entries and factors are read as the dyadic rationals they hold:
+    # the kernel and both oracles give the exact route's Fractions on them
     rng = random.Random(12)
     for _ in range(50):
         size = rng.randint(2, 7)
-        gram = _random_pd(rng, size, kind="float")
-        factors = [float(rng.choice([1, -1, 2])) for _ in range(size)]
+        gram, exact = _dyadic(_random_pd(rng, size, kind="float"))
+        factors = [rng.choice([1.0, -1.0, 2.0, 0.1]) for _ in range(size)]
+        exact_factors = list(map(Fraction, factors))
         res = gram_schmidt(gram, factors)
+        assert res == gram_schmidt(exact, exact_factors)
         for n in range(size):
-            oracle = bordered_oracle(gram, n, factors[n])[0]
-            scale = max(abs(x) for x in oracle) or 1.0
-            for a, b in zip(oracle, (res.coeffs[m][n] for m in range(n + 1))):
-                assert abs(a - b) <= 1e-9 * scale
+            oracle = bordered_oracle(gram, n, factors[n])
+            assert oracle == bordered_oracle(exact, n, exact_factors[n])
+            assert oracle[0] == res.vector(n)[: n + 1]
+            b_column = oracle_connection_column(gram, n, factors[: n + 1])
+            assert b_column == tuple(res.inverse_coeffs[m][n] for m in range(n + 1))
 
 
 _FACTORS = [Fraction(2), Fraction(-1), Fraction(1), Fraction(3), Fraction(1, 2)]
@@ -154,15 +166,17 @@ def test_float_connection_column_takes_no_determinant(monkeypatch):
             assert abs(got[m] - expect) <= 1e-9 * max(abs(expect), 1.0)
 
 
-def test_float_singular_leading_minor_is_refused_with_its_degree():
+@pytest.mark.parametrize("kind", [Fraction, float])
+def test_float_singular_leading_minor_is_refused_with_its_degree(kind):
     # Z_2 = det [[1, 2], [2, 4]] = 0: E_2 has no bordered form, nor has b_{1,n}
-    block = [[1.0, 2.0, 3.0], [2.0, 4.0, 5.0], [7.0, 8.0, 9.0]]
+    block = [[kind(x) for x in row] for row in ([1, 2, 3], [2, 4, 5], [7, 8, 9])]
     with pytest.raises(NotPositiveDefinite, match="size 2 vanishes") as exc:
-        bordered_oracle(block, 2, 1.0)
+        bordered_oracle(block, 2, kind(1))
     assert exc.value.degree == 2
-    with pytest.raises(NotPositiveDefinite, match="size 2 vanishes") as exc:
-        oracle_connection_column(block, 2, [1.0, 1.0, 1.0])
-    assert exc.value.degree == 1
+    for elimination in (None, LiftedElimination(block)):
+        with pytest.raises(NotPositiveDefinite, match="size 2 vanishes") as exc:
+            oracle_connection_column(block, 2, [kind(1)] * 3, elimination)
+        assert exc.value.degree == 1
 
 
 @given(st.integers(0, 2**32), st.integers(1, 7))
@@ -172,16 +186,14 @@ def test_float_connection_column_matches_kernel_and_exact_route(seed, size):
     gram = _random_pd(rng, size)
     factors = [rng.choice([Fraction(1), Fraction(-1), Fraction(2), Fraction(3), Fraction(1, 2)])
                for _ in range(size)]
-    gram_f = [[float(x) for x in row] for row in gram]
+    # a float matrix is read as the dyadic rationals it holds
+    gram_f, exact = _dyadic(gram)
     factors_f = [float(f) for f in factors]
     kernel = gram_schmidt(gram_f, factors_f)
     for n in range(size):
         got = oracle_connection_column(gram_f, n, factors_f[: n + 1])
-        exact = [float(b) for b in oracle_connection_column(gram, n, factors[: n + 1])]
-        scale = max(map(abs, exact))
-        for m, b in enumerate(got):
-            assert abs(b - kernel.inverse_coeffs[m][n]) <= 1e-12 * scale
-            assert abs(b - exact[m]) <= 1e-12 * scale
+        assert got == oracle_connection_column(exact, n, factors[: n + 1])
+        assert got == tuple(kernel.inverse_coeffs[m][n] for m in range(n + 1))
 
 
 def test_connection_matrices_are_mutually_inverse():
@@ -251,10 +263,15 @@ def test_not_positive_definite_detected():
         gram_schmidt(gram, [Fraction(1), Fraction(1)])
 
 
-def test_float_pivot_floor():
-    gram = [[1.0, 1.0], [1.0, 1.0 + 1e-16]]
-    with pytest.raises(NotPositiveDefinite):
-        gram_schmidt(gram, [1.0, 1.0])
+def test_a_float_gram_is_refused_where_its_value_is_singular():
+    # 1 + 1e-16 rounds to 1.0, so this float matrix is singular
+    with pytest.raises(NotPositiveDefinite) as info:
+        gram_schmidt([[1.0, 1.0], [1.0, 1.0 + 1e-16]], [1.0, 1.0])
+    assert info.value.degree == 1
+    # 1 + 2^-52 is a float: positive definite, with h_1 = 2^-52
+    assert gram_schmidt([[1.0, 1.0], [1.0, 1.0 + 2.0**-52]], [1.0, 1.0]).norms == (
+        1, Fraction(1, 2**52)
+    )
 
 
 def test_checkerboard_scalar_and_diagonal():

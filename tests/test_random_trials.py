@@ -6,7 +6,8 @@ gives.
 ``gso.gram_schmidt``: each exact trial must pass the ``check_against_oracle``
 certificate (a, h and Z) and its b, formed from a when read, must equal
 ``oracle_connection_column`` from one elimination of the trial matrix; each
-float trial must match ``bordered_oracle`` (a) and ``oracle_connection_column``
+float trial, which the kernel and the oracles read as the dyadic rationals
+it holds, must match ``bordered_oracle`` (a) and ``oracle_connection_column``
 (b) within FLOAT_RTOL of the column's scale.  ``_checkerboard_trial_failure``
 runs 100 checkerboard matrices, half with a free last row, through
 ``gso.checkerboard_det``: det = even * odd, and the determinant does not move
@@ -124,12 +125,15 @@ def test_float_oracle_trial_catches_a_nudged_kernel(monkeypatch, field, expect):
     original = gso.gram_schmidt
 
     def nudged(gram, factors):
+        # a float Gram matrix runs the kernel on its dyadic values: a nudge
+        # is a Fraction, and b, formed from a when read, is nudged where cached
         result = original(gram, factors)
         rows = [list(row) for row in getattr(result, field)]
-        rows[0][1] += 1e-6
-        # a float pass hands its b, diag(f) B, to the result beside a
-        name = "coeffs" if field == "coeffs" else "_inverse"
-        return dataclasses.replace(result, **{name: tuple(map(tuple, rows))})
+        rows[0][1] += Fraction(1, 10**6)
+        if field == "coeffs":
+            return dataclasses.replace(result, coeffs=tuple(map(tuple, rows)))
+        result.__dict__["inverse_coeffs"] = tuple(map(tuple, rows))
+        return result
 
     monkeypatch.setattr(gso, "gram_schmidt", nudged)
     assert _gram_trial_failure("float") == expect

@@ -154,6 +154,17 @@ def test_float_oracle_equivalence_compares_the_sbo_oracle(monkeypatch, capsys, p
     assert payload["reports"][0]["which"] == "sbo"
 
 
+def test_float_oracle_equivalence_passes_on_a_float_build_equal_to_exact_rounded(capsys):
+    # the gamma:1:50 pair's float build is its exact build rounded; the
+    # determinant routes run exactly on its rounded moments and gamma_i
+    argv = ["verify", "--measure1", "gamma:1:50", "--measure2", "gamma:2:50", "--N", "6",
+            "--float", "--checks", "oracle_equivalence"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["reports"] == [
+        {"check": "oracle_equivalence", "n": 6, "passed": True}
+    ]
+
+
 @pytest.mark.parametrize("pair", ["hermite", "laguerre"])
 def test_float_recurrence_compares_the_replay(monkeypatch, capsys, pair):
     assert _float_verify(capsys, pair, "recurrence")[1]["passed"] is True
