@@ -52,6 +52,22 @@ CASES["table-gaussian-3_2-2_3-N8-det"] = [
     "table", "--measure1", "gaussian:3/2", "--measure2", "gaussian:2/3", "--N", "8",
     "--normalization", "det",
 ]
+# benchmark sizes: the one-i tables reach N 16 and the whole tables N 10
+CASES["table-gaussian-2_3-5_2-N16-i4"] = [
+    "table", "--measure1", "gaussian:2/3", "--measure2", "gaussian:5/2", "--N", "16", "--i", "4",
+]
+CASES["table-gamma-3_2-1_2-z3_2-N16-i12-det"] = [
+    "table", "--measure1", "gamma:3/2:3/2", "--measure2", "gamma:1/2:3/2", "--N", "16",
+    "--i", "12", "--normalization", "det",
+]
+CASES["table-gamma-2_3-5_2-z3_2-N10-det"] = [
+    "table", "--measure1", "gamma:2/3:3/2", "--measure2", "gamma:5/2:3/2", "--N", "10",
+    "--normalization", "det",
+]
+CASES["verify-gamma-1-5_2-z3_2-N8-orthogonality"] = [
+    "verify", "--measure1", "gamma:1:3/2", "--measure2", "gamma:5/2:3/2", "--N", "8",
+    "--checks", "orthogonality",
+]
 CASES["moments-gaussian-2_3"] = ["moments", "--measure", "gaussian:2/3", "--max-order", "12"]
 CASES["moments-gamma-3_2-5_2"] = ["moments", "--measure", "gamma:3/2:5/2", "--max-order", "12"]
 CASES["table-moments-file-mixture-N8-det"] = [
