@@ -26,7 +26,8 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate
+from itertools import accumulate, chain
+from math import gcd, lcm
 from operator import mul
 
 from . import gso, linalg, scalars, standard
@@ -43,7 +44,7 @@ from .errors import (
 )
 from .gso import ORACLE_RTOL
 from .measures import GramMatrix, Measure, MomentSequence, moments
-from .polynomials import Polynomial, columns_of, combine, from_columns
+from .polynomials import Polynomial, columns_of, combine, from_columns, from_lifted
 from .scalars import EXACT, FLOAT, as_kind, one, zero
 from .standard import (  # the normalization names are re-exported here
     DET_NORMALIZED,
@@ -86,6 +87,9 @@ class SboBasis:
     ``gamma_dets[s]`` is the leading s x s minor of the gamma matrix, so the
     degree-indexed determinant is ``Z(n) = gamma_dets[n - i + 1]``.
     ``scale[n - i]`` holds the normalization factor applied to the monic core.
+    An exact build keeps ``p_in_q``, ``monic_polys`` and gamma lifted
+    (:class:`linalg.LiftedField`, :class:`gso.LiftedGram`) and forms their
+    Fractions when read.
     """
 
     i: int
@@ -95,9 +99,9 @@ class SboBasis:
     q_basis: StandardBasis
     mu2: MomentSequence
     gamma_dets: tuple
-    monic_polys: tuple
+    monic_polys: tuple = linalg.LiftedField(from_lifted)
     monic_norms: tuple
-    p_in_q: tuple
+    p_in_q: tuple = linalg.LiftedField(linalg.LiftedColumns.rows)
     scale: tuple
     normalization: str
     backend: str
@@ -106,10 +110,14 @@ class SboBasis:
 
     @property
     def gamma(self) -> GramMatrix:
-        """Gram matrix of Q_i..Q_{N-1} under the second measure: stored by an
-        exact build, formed by :func:`gamma_matrix` on a float one's first read."""
+        """Gram matrix of Q_i..Q_{N-1} under the second measure: stored lifted
+        by an exact build and formed from it, or formed by :func:`gamma_matrix`,
+        on first read."""
         if self._gamma is None:
             object.__setattr__(self, "_gamma", gamma_matrix(self.q_basis, self.measure2, self.i))
+        elif isinstance(self._gamma, gso.LiftedGram):
+            rows = tuple(map(tuple, self._gamma.rows()))
+            object.__setattr__(self, "_gamma", GramMatrix(rows, f"Q_{self.i}..Q_{self.size - 1}"))
         return self._gamma
 
     @property
@@ -117,7 +125,9 @@ class SboBasis:
         """The inverse of ``p_in_q``: kept by a float build from its
         factorization, formed from ``p_in_q`` on an exact one's first read."""
         if self._q_in_p is None:
-            object.__setattr__(self, "_q_in_p", linalg.inverse_upper(self.p_in_q, self.i))
+            data = linalg.lifted(self, "p_in_q")
+            inverse = linalg.inverse_upper(self.p_in_q if data is None else None, self.i, data and data.cols)
+            object.__setattr__(self, "_q_in_p", inverse)
         return self._q_in_p
 
     def degrees(self):
@@ -129,6 +139,15 @@ class SboBasis:
         factor = self.scale[n - self.i]
         monic = self.monic_polys[n - self.i]
         return monic if factor == 1 else monic.scale(factor)
+
+    def lifted_poly(self, n):
+        """The coefficients of an exact P_{i;n} in the basis' normalization
+        as integers over one positive denominator, read off its lifted
+        column without a Fraction."""
+        data = linalg.lifted(self, "monic_polys")
+        ints, den = data.cols[n - self.i] if data else linalg.lift(self.monic_poly(n).coeffs)
+        kp, kq = self.scale[n - self.i].as_integer_ratio()
+        return ([x * kp for x in ints] if kp != 1 else ints), den * kq
 
     def monic_poly(self, n) -> Polynomial:
         return self.monic_polys[n - self.i]
@@ -167,6 +186,14 @@ def gamma_matrix(q_basis: StandardBasis, measure2, i: int) -> GramMatrix:
     bases take it in integers (a float second measure raises KindMismatch),
     float ones by numpy.
     """
+    gram = _gamma(q_basis, measure2, i)
+    entries = gram.rows() if isinstance(gram, gso.LiftedGram) else gram
+    return GramMatrix(tuple(map(tuple, entries)), f"Q_{i}..Q_{q_basis.size - 1}")
+
+
+def _gamma(q_basis: StandardBasis, measure2, i):
+    """gamma_i of :func:`gamma_matrix`: a :class:`gso.LiftedGram` for an
+    exact basis (:func:`_gram_by_connection`), float rows for a float one."""
     n = q_basis.size
     if not 0 <= i <= n:
         raise ValueError(f"constraint index {i} outside 0..{n}")
@@ -179,31 +206,33 @@ def gamma_matrix(q_basis: StandardBasis, measure2, i: int) -> GramMatrix:
         connection, norms = _connection_and_norms(q_basis, standard._float_terms(rec2))
         t_i = connection[:, i:]
         full = (np.triu((norms[:, None] * t_i).T @ t_i) + 0.0).tolist()  # a -0.0 sum reads 0.0
-        entries = [[full[min(j, k)][max(j, k)] for k in range(n - i)] for j in range(n - i)]
-    else:
-        entries = _gram_by_connection(q_basis, rec2, i)
-    return GramMatrix(tuple(map(tuple, entries)), f"Q_{i}..Q_{n - 1}")
+        return [[full[min(j, k)][max(j, k)] for k in range(n - i)] for j in range(n - i)]
+    return _gram_by_connection(q_basis, rec2, i)
 
 
 def _gram_by_connection(q_basis: StandardBasis, rec2, i):
     """T^T diag(h) T over the columns i.. of exact T, h the norms of the
-    second measure's monic R_m, as rows: the columns of T come lifted from
-    :func:`_connection_to_second` and, with h lifted once, each entry of the
-    upper triangle is one integer sum and one Fraction; the lower triangle
-    mirrors it."""
+    second measure's monic R_m, as a :class:`gso.LiftedGram`: the columns
+    of T come lifted from :func:`_connection_to_second` and are put over
+    their lcm S, h is lifted once, each entry of the upper triangle is one
+    integer sum over h_scale S^2, and the whole is divided by the gcd of
+    its integers and that scale."""
     h = [one(EXACT)]
     for _, c_m in rec2[1:]:
         h.append(h[-1] * as_kind(c_m, EXACT))
     h_ints, h_scale = linalg.lift(h)
     cols = _connection_to_second(q_basis, rec2)[i:]
+    common = lcm(*(s for _, s in cols))
+    cols = [col if s == common else [x * (common // s) for x in col] for col, s in cols]
     upper = []
-    for col_j, s_j in cols:
+    for j, col_j in enumerate(cols):
         weighted = list(map(mul, h_ints, col_j))
-        upper.append([
-            Fraction(sum(map(mul, weighted, col_k)), h_scale * s_j * s_k)
-            for col_k, s_k in cols[len(upper) :]
-        ])
-    return [[upper[min(j, k)][abs(k - j)] for k in range(len(cols))] for j in range(len(cols))]
+        upper.append([sum(map(mul, weighted, col_k)) for col_k in cols[j:]])
+    scale = h_scale * common * common
+    g = gcd(scale, *chain.from_iterable(upper))
+    if g > 1:
+        upper, scale = [[x // g for x in row] for row in upper], scale // g
+    return gso.LiftedGram(upper, scale)
 
 
 def _connection_and_norms(q_basis: StandardBasis, rec2):
@@ -219,14 +248,18 @@ def _connection_to_second(q_basis: StandardBasis, rec2):
 
     Column n + 1 is Q's recurrence applied to column n, x acting as the
     Jacobi matrix: (x t)_m = t_{m-1} + b_m t_m + c_{m+1} t_{m+1}.  Exact
-    bases run it in integers (:func:`standard._recurrence_columns`) and
-    return the lifted columns ``(ints, den)``, m = 0..j; float bases return
-    T, each entry summed over its present terms in order.
+    bases run it in integers (:func:`standard._recurrence_columns`, on the
+    integer ratios a basis keeps of its recurrence) and return the lifted
+    columns ``(ints, den)``, m = 0..j; float bases return T, each entry
+    summed over its present terms in order.
     """
     n = q_basis.size
     kind = q_basis.backend
     if kind == EXACT:
-        return standard._recurrence_columns(q_basis.recurrence, rec2, q_basis.leading[0])
+        steps = linalg.lifted(q_basis, "recurrence")
+        if steps is None:
+            steps = [tuple(x.as_integer_ratio() for x in step) for step in q_basis.recurrence]
+        return standard._recurrence_columns(steps, rec2, q_basis.leading[0].as_integer_ratio())
     b = [as_kind(b_m, kind) for b_m, _ in rec2]
     c = [as_kind(c_m, kind) for _, c_m in rec2]
     # column by column, each sum formed left to right over its present terms
@@ -256,23 +289,21 @@ def _connection_to_second(q_basis: StandardBasis, rec2):
 
 
 def _check_gram(gram, mu, cols, degrees, what="gamma matrix and second-measure moments"):
-    """An exact Gram matrix A^T H A, for the monomial coefficient columns A
-    (``cols``) and the Hankel matrix H of ``mu``, checked in O(N^2) by its
-    row sums A^T (H (A u)), u all ones, over integers.  It reads neither the
-    coordinates the matrix was formed in nor the Gauss rule; row j that
-    fails raises OracleMismatch at ``degrees[j]``.
+    """An exact Gram matrix A^T H A, the :class:`gso.LiftedGram` ``gram``,
+    for the monomial coefficient columns A (``cols``, lifted) and the Hankel
+    matrix H of ``mu``, checked in O(N^2) by its row sums A^T (H (A u)), u
+    all ones, over integers.  It reads neither the coordinates the matrix
+    was formed in nor the Gauss rule; row j that fails raises OracleMismatch
+    at ``degrees[j]``.
     """
-    size = len(cols)
+    size = max((len(ints) for ints, _ in cols), default=0)
+    a, a_scale = linalg.common_rows(cols, size)
     mu_ints, mu_scale = linalg.lift(mu.mu[: 2 * size - 1])
-    flat, a_scale = linalg.lift([x for row in cols for x in row])
-    width = len(gram)
-    a = [flat[r * width : (r + 1) * width] for r in range(size)]
     sums = [sum(row) for row in a]
     h_sums = [sum(mu_ints[r + c] * s_c for c, s_c in enumerate(sums) if s_c) for r in range(size)]
-    for j, row in enumerate(gram):
+    for j, row in enumerate(gram.int_rows()):
         expect = sum(a_r[j] * w_r for a_r, w_r in zip(a, h_sums) if a_r[j])
-        ints, scale = linalg.lift(row)
-        if sum(ints) * a_scale**2 * mu_scale != expect * scale:
+        if sum(row) * a_scale**2 * mu_scale != expect * gram.scale:
             raise OracleMismatch(f"{what} disagree at degree {degrees[j]}", degree=degrees[j])
 
 
@@ -439,8 +470,10 @@ def _sbo_bases(first_stage, measure2, i_values, n_polys, normalization, check):
     """Q_0..Q_{N-1} from ``first_stage()``, then Q_i..Q_{N-1} orthogonalized
     under the second measure for every i in ``i_values``: the stage of the
     weighted columns V = [0; I], constraints x^j, j < i.  Exact bases take
-    every gamma_i as a trailing block of one gamma over Q_lo..Q_{N-1}; float
-    ones take T and h once, and keep q_in_p from the factorization.
+    every gamma_i as a trailing block of one lifted gamma over
+    Q_lo..Q_{N-1} and Q's rows over one scale once, and keep a and
+    P = Q[:, i:] a lifted (:func:`linalg.lifted_product`); float ones take T
+    and h once, and keep q_in_p from the factorization.
     """
     # checked before the first stage, so a bad i is reported even where Q fails
     for i in i_values:
@@ -452,11 +485,12 @@ def _sbo_bases(first_stage, measure2, i_values, n_polys, normalization, check):
     lo = min(i_values, default=n_polys)
     # what every i shares is made once
     if backend == EXACT:
-        gamma_lo = gamma_matrix(q_basis, mu2, lo).entries
+        gamma_lo = _gamma(q_basis, mu2, lo)
+        q_cols = linalg.columns(q_basis, "q_in_x").cols
         if check:
             with stage(SECOND_STAGE):
-                _check_gram(gamma_lo, mu2, [row[lo:] for row in q_basis.q_in_x], range(lo, n_polys))
-        q_rows = [linalg._lifted_span(row) for row in q_basis.q_in_x]
+                _check_gram(gamma_lo, mu2, q_cols[lo:], range(lo, n_polys))
+        q_rows, q_scale = linalg.common_rows(q_cols, n_polys)
     else:
         q_array = np.array(q_basis.q_in_x)
         rec2 = standard._float_terms(monic_recurrence(measure2, n_polys))
@@ -465,7 +499,7 @@ def _sbo_bases(first_stage, measure2, i_values, n_polys, normalization, check):
             with stage(SECOND_STAGE):
                 standard._check_rule_moments(rec2, mu2)
             second, first = _quadrature_rules(q_basis, rec2)
-    lead = _leading_data(q_basis) if check else None
+    lead = (q_cols if backend == EXACT else _leading_data(q_basis)) if check else None
     nil = (zero(backend),)
     bases = {}
     for i in i_values:
@@ -475,11 +509,14 @@ def _sbo_bases(first_stage, measure2, i_values, n_polys, normalization, check):
         leading = list(q_basis.leading[i:])
         with stage(SECOND_STAGE, first_degree=i):
             if backend == EXACT:
-                rows = tuple(row[i - lo :] for row in gamma_lo[i - lo :])
-                gamma = GramMatrix(rows, f"Q_{i}..Q_{n_polys - 1}")
-                q_cols = [row[i:] for row in q_basis.q_in_x]
-                result = _exact_stage(gamma, q_cols, leading, check, SECOND_STAGE)
-                p_cols = linalg._lifted_mat_mul(q_rows, result._lifted_columns, i)
+                gamma = gso.LiftedGram(gamma_lo.upper[i - lo :], gamma_lo.scale)
+                # Q_{i+k} has degree i + k: the rows that name a failing degree
+                degrees = [(zero(EXACT),) * block] * i + linalg.identity(block)
+                result = _exact_stage(gamma, degrees, leading, check, SECOND_STAGE)
+                a_cols = linalg.columns(result, "coeffs").cols
+                p_cols = linalg.lifted_product(q_rows, q_scale, a_cols, i)
+                p_in_q = linalg.Lifted(linalg.LiftedColumns(a_cols, n_polys, i))
+                monic_polys = linalg.Lifted(linalg.LiftedColumns(p_cols, n_polys))
                 q_in_p = None  # formed from p_in_q when read
             else:
                 gamma, residual = None, None
@@ -490,6 +527,8 @@ def _sbo_bases(first_stage, measure2, i_values, n_polys, normalization, check):
                     residual = (second[:, i:], constraint, range(i, n_polys))
                 result = _float_stage(connection[:, i:], norms, leading, residual, SECOND_STAGE, i)
                 p_cols = (q_array[:, i:] @ np.array(result.coeffs).reshape(block, block)).tolist()
+                p_in_q = pad + tuple(nil * i + row for row in result.coeffs)
+                monic_polys = from_columns(p_cols)
                 q_in_p = pad + tuple(nil * i + row for row in result.inverse_coeffs)
         bases[i] = SboBasis(
             i=i,
@@ -499,9 +538,9 @@ def _sbo_bases(first_stage, measure2, i_values, n_polys, normalization, check):
             q_basis=q_basis,
             mu2=mu2,
             gamma_dets=result.gram_dets,
-            monic_polys=from_columns(p_cols),
+            monic_polys=monic_polys,
             monic_norms=result.norms,
-            p_in_q=pad + tuple(nil * i + row for row in result.coeffs),
+            p_in_q=p_in_q,
             scale=_scale(normalization, q_basis, i, result.gram_dets),
             normalization=normalization,
             backend=backend,
@@ -554,45 +593,18 @@ def _close(a, b, scale):
 
 
 def _leading_data(q_basis: StandardBasis):
-    """What the subleading identities of every i read from Q, made once per
-    build: for each n, the monic subleading and subsubleading coefficients
+    """What the float subleading identities of every i read from Q, made
+    once per build: for each n, the monic subleading and subsubleading coefficients
     r_n and s_n of Q_n, and the ratios u_n = k_{n-1} / k_n and
     v_n = k_{n-2} / k_n of its leading coefficients (zero where the index
-    falls below 0).  Exact values are each one Fraction of integers; float
-    ones are taken as ``StandardBasis.subleading`` and ``subsubleading``
-    take them, so they round alike."""
-    size, ks, kind = q_basis.size, q_basis.leading, q_basis.backend
-    nil = zero(kind)
-    if kind == EXACT:
-        def over_k(x, n):
-            k = ks[n]
-            return Fraction(x.numerator * k.denominator, x.denominator * k.numerator)
-
-        q = q_basis.q_in_x
-        r = [over_k(q[n - 1][n], n) if n else nil for n in range(size)]
-        s = [over_k(q[n - 2][n], n) if n > 1 else nil for n in range(size)]
-        u = [over_k(ks[n - 1], n) if n else nil for n in range(size)]
-        v = [over_k(ks[n - 2], n) if n > 1 else nil for n in range(size)]
-    else:
-        r = [q_basis.subleading(n) for n in range(size)]
-        s = [q_basis.subsubleading(n) for n in range(size)]
-        u = [ks[n - 1] / ks[n] if n else nil for n in range(size)]
-        v = [ks[n - 2] / ks[n] if n > 1 else nil for n in range(size)]
+    falls below 0), taken as ``StandardBasis.subleading`` and
+    ``subsubleading`` take them, so they round alike."""
+    size, ks, nil = q_basis.size, q_basis.leading, 0.0
+    r = [q_basis.subleading(n) for n in range(size)]
+    s = [q_basis.subsubleading(n) for n in range(size)]
+    u = [ks[n - 1] / ks[n] if n else nil for n in range(size)]
+    v = [ks[n - 2] / ks[n] if n > 1 else nil for n in range(size)]
     return r, s, u, v
-
-
-def _vanishes(terms):
-    """Whether the sum over ``terms`` of the product of each term's rationals
-    is zero, summed over integers with no Fraction made."""
-    num, den = 0, 1
-    for term in terms:
-        t_num, t_den = 1, 1
-        for x in term:
-            t_num *= x.numerator
-            t_den *= x.denominator
-        num = num * t_den + den * t_num
-        den *= t_den
-    return num == 0
 
 
 def _check_leading_identities(basis: SboBasis, lead):
@@ -601,40 +613,43 @@ def _check_leading_identities(basis: SboBasis, lead):
     The monic P_{i;n} is sum_m a_{m,n} Q_m, so its coefficients of x^(n-1)
     and x^(n-2) are r_n + rho u_n and s_n + rho u_n r_{n-1} + sigma v_n, with
     rho = a_{n-1,n} / a_{n,n} and sigma = a_{n-2,n} / a_{n,n} (terms with
-    an index below i left out) and ``lead`` = (r, s, u, v), the per-build Q
-    data of :func:`_leading_data`.  Exact identities are checked multiplied
-    by a_{n,n}, as one integer sum each; float ones within ORACLE_RTOL.
+    an index below i left out), for ``lead`` = (r, s, u, v), the per-build
+    Q data of :func:`_leading_data`, within ORACLE_RTOL.  Exact bases check
+    the same two coefficients as sum_m a_{m,n} Q_m[t] = P_{i;n}[t],
+    t = n - 1, n - 2, m from max(i, t) on, one integer sum each over the
+    lifted columns of a, P and Q (``lead`` holds Q's).
     """
+    i = basis.i
+    if basis.backend == EXACT:
+        a_cols, p_cols = linalg.lifted(basis, "p_in_q").cols, linalg.lifted(basis, "monic_polys").cols
+        for n, (a, e), (p_n, f) in zip(basis.degrees(), a_cols, p_cols):
+            for t in range(max(n - 2, 0), n):
+                terms = [(a[m - i], lead[m]) for m in range(max(i, t), n + 1)]
+                den = lcm(*(d for _, (_, d) in terms))
+                if p_n[t] * e * den != f * sum(x * q[t] * (den // d) for x, (q, d) in terms):
+                    _leading_mismatch(n)
+        return
     r, s, u, v = lead
     p = basis.p_in_q
     for n in basis.degrees():
         a_nn = p[n][n]
-        if basis.backend == EXACT:
-            r_terms = [(a_nn, basis.subleading(n)), (-1, a_nn, r[n])]
-            s_terms = [(a_nn, basis.subsubleading(n)), (-1, a_nn, s[n])]
-            if n - 1 >= basis.i:
-                r_terms.append((-1, p[n - 1][n], u[n]))
-                s_terms.append((-1, p[n - 1][n], u[n], r[n - 1]))
-            if n - 2 >= basis.i:
-                s_terms.append((-1, p[n - 2][n], v[n]))
-            ok_r = _vanishes(r_terms)
-            ok_s = n < 2 or _vanishes(s_terms)
-        else:
-            r_expect, s_expect = r[n], s[n]
-            if n - 1 >= basis.i:
-                ratio = u[n] * (p[n - 1][n] / a_nn)
-                r_expect = r_expect + ratio
-                s_expect = s_expect + ratio * r[n - 1]
-            if n - 2 >= basis.i:
-                s_expect = s_expect + v[n] * (p[n - 2][n] / a_nn)
-            ok_r = _close(r_expect, basis.subleading(n), r_expect)
-            ok_s = n < 2 or _close(s_expect, basis.subsubleading(n), s_expect)
+        r_expect, s_expect = r[n], s[n]
+        if n - 1 >= basis.i:
+            ratio = u[n] * (p[n - 1][n] / a_nn)
+            r_expect = r_expect + ratio
+            s_expect = s_expect + ratio * r[n - 1]
+        if n - 2 >= basis.i:
+            s_expect = s_expect + v[n] * (p[n - 2][n] / a_nn)
+        ok_r = _close(r_expect, basis.subleading(n), r_expect)
+        ok_s = n < 2 or _close(s_expect, basis.subsubleading(n), s_expect)
         if not (ok_r and ok_s):
-            raise OracleMismatch(
-                f"subleading-coefficient identities fail at degree {n}",
-                stage=SECOND_STAGE,
-                degree=n,
-            )
+            _leading_mismatch(n)
+
+
+def _leading_mismatch(n):
+    raise OracleMismatch(
+        f"subleading-coefficient identities fail at degree {n}", stage=SECOND_STAGE, degree=n
+    )
 
 
 @dataclass(frozen=True)
@@ -862,7 +877,8 @@ def _in_q(q_basis: StandardBasis, coeffs):
     monomial coefficients ``coeffs``: x^j on the Q_m by the recurrence
     (:func:`standard._recurrence_columns`, Q's monic terms as target)."""
     size = len(coeffs)
-    cols = standard._recurrence_columns([(1, 0, 0)] * (size - 1), q_basis.monic_terms, 1)
+    steps = [((1, 1), (0, 1), (0, 1))] * (size - 1)
+    cols = standard._recurrence_columns(steps, q_basis.monic_terms, (1, 1))
     in_q = [[Fraction(ints[m], den) if m < len(ints) else 0 for ints, den in cols] for m in range(size)]
     return linalg.mat_mul(in_q, [[Fraction(x) for x in row] for row in coeffs])
 
@@ -902,8 +918,9 @@ def build_general_bo(
     with stage(FIRST_STAGE):
         if backend == EXACT:
             weighted = [[h * x for x in row] for h, row in zip(q_basis.norms, v)]
-            gram1 = linalg.mat_mul(linalg.transpose(v), weighted)
+            gram1 = gso.LiftedGram.of(linalg.mat_mul(linalg.transpose(v), weighted))
             cols = [e + [q_basis.q_in_x[m][d] for d in inner] for m, e in enumerate(e_coeffs)]
+            cols = [linalg.lift(col) for col in zip(*cols)]
             _check_gram(gram1, q_basis.moment_seq, cols, degrees, "first-stage Gram matrix and moments")
             res1 = _exact_stage(gram1, v, [one(backend)] * top, True, FIRST_STAGE)
         else:
@@ -923,10 +940,12 @@ def build_general_bo(
     with stage(SECOND_STAGE):
         if backend == EXACT:
             lo = 0 if inner else top  # F = [0; I] where E spans pi_{top-1}
-            gamma = gamma_matrix(q_basis, mu2, lo).entries
-            gram2 = linalg.mat_mul(linalg.mat_mul(linalg.transpose(f), gamma), f) if inner else gamma
-            _check_gram(gram2, mu2, first, completion, "second-stage Gram matrix and moments")
-            res2 = _exact_stage(gram2, first, [one(backend)] * (n_dim - n1), True, SECOND_STAGE)
+            gamma = _gamma(q_basis, mu2, lo)
+            if inner:
+                gamma = gso.LiftedGram.of(linalg.mat_mul(linalg.mat_mul(linalg.transpose(f), gamma.rows()), f))
+            cols = [linalg.lift(col) for col in zip(*first)]
+            _check_gram(gamma, mu2, cols, completion, "second-stage Gram matrix and moments")
+            res2 = _exact_stage(gamma, first, [one(backend)] * (n_dim - n1), True, SECOND_STAGE)
         else:
             rec2 = standard._float_terms(monic_recurrence(measure2, n_dim))
             standard._check_rule_moments(rec2, mu2)

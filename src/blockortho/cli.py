@@ -23,7 +23,7 @@ import sys
 from fractions import Fraction
 
 from .errors import BlockOrthoError, NonPositiveParameter
-from .scalars import EXACT, FLOAT, scalar_to_json, to_fraction
+from .scalars import EXACT, FLOAT, ratio_to_json, scalar_to_json, to_fraction
 
 
 def parse_measure(spec: str):
@@ -146,11 +146,17 @@ def cmd_table(args):
     bases = build_sbos(m1, m2, i_values, args.N, normalization=args.normalization, backend=backend)
     for i, basis in bases.items():
         for n in basis.degrees():
-            key = f"P_{i}_{n}"
-            payload[key] = {
-                "coeffs": [scalar_to_json(c) for c in basis.poly(n).coeffs]
-            }
-            payload[f"H_{i}_{n}"] = scalar_to_json(basis.norm(n))
+            if backend == EXACT:
+                # written from the lifted columns, one gcd per rational
+                ints, den = basis.lifted_poly(n)
+                coeffs = [ratio_to_json(x, den) for x in ints]
+                (kp, kq), (hp, hq) = basis.scale[n - i].as_integer_ratio(), basis.monic_norm(n).as_integer_ratio()
+                norm = ratio_to_json(kp * kp * hp, kq * kq * hq)
+            else:
+                coeffs = [scalar_to_json(c) for c in basis.poly(n).coeffs]
+                norm = scalar_to_json(basis.norm(n))
+            payload[f"P_{i}_{n}"] = {"coeffs": coeffs}
+            payload[f"H_{i}_{n}"] = norm
             payload[f"Z_{i}_{n}"] = scalar_to_json(basis.Z(n))
     _emit(args, payload)
     return 0

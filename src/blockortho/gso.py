@@ -13,9 +13,10 @@ of a, is formed from a when read.
 Gram-Schmidt over a Gram matrix is its LDL^T factorization: the pivots
 are the ratios of consecutive leading Gram determinants, so one pass gives
 the vectors, their norms and the determinants.  It runs in integers
-(:func:`_exact_ldl`): the upper triangle is lifted by one common scale,
-its rows are freed of their contents, it is eliminated fraction-free, and
-each output entry is formed as one Fraction.  Everything here is exact: a
+(:func:`_exact_ldl`): the upper triangle is lifted by one common scale
+(or comes lifted, :class:`LiftedGram`), its rows are freed of their
+contents, it is eliminated fraction-free, and the connection a stays lifted
+until it is read.  Everything here is exact: a
 float entry or factor is read as the dyadic rational it holds (as
 :func:`linalg.lift` reads it), and a float caller rounds the results once.
 
@@ -45,23 +46,56 @@ from operator import mul
 from . import linalg
 from .errors import BadFactor, NotCheckerboard, NotPositiveDefinite, OracleMismatch
 from .measures import GramMatrix
-from .scalars import EXACT, as_kind, zero
+from .scalars import EXACT, as_kind, one, zero
 
 # relative agreement a float build must reach with its checks
 ORACLE_RTOL = 1e-9
 
 
 def _entries(gram):
-    if isinstance(gram, GramMatrix):
+    if isinstance(gram, (GramMatrix, LiftedGram)):
         return gram.rows()
     return [list(row) for row in gram]
+
+
+@dataclass(frozen=True)
+class LiftedGram:
+    """A symmetric exact matrix as integers over one positive ``scale``:
+    ``upper[j]`` holds the entries j, j+1, ... of row j times ``scale``, so
+    the trailing block from row t on is ``upper[t:]``."""
+
+    upper: list
+    scale: int
+
+    @classmethod
+    def of(cls, gram):
+        """The upper triangle of ``gram`` :func:`linalg.lift`-ed by one scale."""
+        g = _entries(gram)
+        flat, scale = linalg.lift([x for k, row in enumerate(g) for x in row[k:]])
+        upper, start = [], 0
+        for k in range(len(g)):
+            upper.append(flat[start : start + len(g) - k])
+            start += len(g) - k
+        return cls(upper, scale)
+
+    def int_rows(self):
+        """The whole rows, as integers over ``scale``."""
+        n = len(self.upper)
+        return [[self.upper[min(j, k)][abs(k - j)] for k in range(n)] for j in range(n)]
+
+    def rows(self):
+        """The whole rows as Fractions, one per entry of the upper triangle."""
+        upper = [[Fraction(x, self.scale) for x in row] for row in self.upper]
+        return [[upper[min(j, k)][abs(k - j)] for k in range(len(upper))] for j in range(len(upper))]
 
 
 @dataclass(frozen=True)
 class OrthogonalizationResult:
     """Connection data of one orthogonalization pass.
 
-    ``coeffs[m][n]``         a_{m,n}: coefficient of e_m in E_n (upper triangular)
+    ``coeffs[m][n]``         a_{m,n}: coefficient of e_m in E_n (upper triangular);
+                             exact kernels give it as lifted columns
+                             (:class:`linalg.LiftedColumns`), formed on read
     ``inverse_coeffs[m][n]`` b_{m,n}: coefficient of E_m in e_n, the inverse
                              of ``coeffs``: a float QR stage gives diag(f) B,
                              as accurate as a (an inverse of the float a
@@ -72,7 +106,7 @@ class OrthogonalizationResult:
     ``gram_dets[k]``         determinant of the leading k x k block (index 0 is 1)
     """
 
-    coeffs: tuple
+    coeffs: tuple = linalg.LiftedField(linalg.LiftedColumns.rows)
     norms: tuple
     factors: tuple
     gram_dets: tuple
@@ -86,14 +120,9 @@ class OrthogonalizationResult:
     def inverse_coeffs(self):
         if self._inverse is not None:
             return self._inverse
-        # exact columns the check or the P product has lifted are not lifted again
-        return linalg.inverse_upper(self.coeffs, columns=vars(self).get("_lifted_columns"))
-
-    @cached_property
-    def _lifted_columns(self):
-        """The columns of exact ``coeffs`` as :func:`linalg._lifted_span` gives
-        them, lifted once for the check and for P."""
-        return [linalg._lifted_span(col) for col in zip(*self.coeffs)]
+        # an exact kernel's lifted columns are read as they are
+        data = linalg.lifted(self, "coeffs")
+        return linalg.inverse_upper(self.coeffs if data is None else None, columns=data and data.cols)
 
     def vector(self, n):
         """Coefficient column of E_n on the input basis."""
@@ -106,11 +135,13 @@ def gram_schmidt(gram, leading_factors) -> OrthogonalizationResult:
     One LDL^T pass g = B^T D B (B unit upper triangular) in integers
     (:func:`_exact_ldl`): h_n = D_n / f_n^2, a = B^{-1} diag(1/f),
     b = diag(f) B, formed from a when read, and the leading Gram
-    determinants are the prefix products of D.  Float entries and factors
-    are read as the dyadic rationals they hold; every output is a Fraction.
+    determinants are the prefix products of D.  ``gram`` may come lifted
+    (:class:`LiftedGram`); otherwise its upper triangle is lifted here, a
+    float entry or factor read as the dyadic rational it holds.  a comes
+    as lifted columns, h and Z as Fractions.
     """
-    g = _entries(gram)
-    n_dim = len(g)
+    g = gram if isinstance(gram, LiftedGram) else LiftedGram.of(gram)
+    n_dim = len(g.upper)
     if len(leading_factors) != n_dim:
         raise BadFactor(f"need {n_dim} leading factors, got {len(leading_factors)}")
     for f in leading_factors:
@@ -118,16 +149,16 @@ def gram_schmidt(gram, leading_factors) -> OrthogonalizationResult:
             raise BadFactor("leading factors must be nonzero and finite")
     a, norms, dets = _exact_ldl(g, leading_factors)
     return OrthogonalizationResult(
-        tuple(map(tuple, a)), tuple(norms), tuple(leading_factors), tuple(dets)
+        linalg.Lifted(a), tuple(norms), tuple(leading_factors), tuple(dets)
     )
 
 
 def _exact_ldl(g, leading_factors):
-    """The LDL^T pass over the rational matrix ``g`` as a symmetric
+    """The LDL^T pass over the :class:`LiftedGram` ``g`` as a symmetric
     fraction-free elimination of its upper triangle.
 
-    The triangle is lifted to integers by one common scale L, so the lifted
-    matrix A stays symmetric, and row r of A is divided by its content
+    The triangle is integers over one common scale L, so the lifted
+    matrix A is symmetric, and row r of A is divided by its content
     (the gcd of the row, read off the triangle) g_r; the lifted minors of a
     Gram matrix share large per-row factors, so this keeps every integer
     below far smaller.  The rows are eliminated in place without swaps.
@@ -142,22 +173,20 @@ def _exact_ldl(g, leading_factors):
 
     c the integers of the fraction-free back substitution of rows 0..n-1
     with c_n = M_n (the last-row cofactors of the leading (n+1)-column
-    block of the scaled rows).  Every division inside is exact, and each
-    output entry is one Fraction.  A pivot that is not positive raises
-    NotPositiveDefinite at its degree.  Returns (a, h, Z) as lists.
+    block of the scaled rows).  Every division inside is exact.  Column n
+    of a is kept as the integers c_m fq over M_n fp, reduced
+    (:func:`linalg.reduced`), and h and Z are one Fraction each.  A pivot
+    that is not positive raises NotPositiveDefinite at its degree.  Returns
+    (a, h, Z): a as :class:`linalg.LiftedColumns`, h and Z as lists.
     """
-    n_dim = len(g)
-    flat, scale = linalg.lift([x for k, row in enumerate(g) for x in row[k:]])
-    s, start = [], 0
-    for k in range(n_dim):
-        s.append([0] * k + flat[start : start + n_dim - k])
-        start += n_dim - k
+    n_dim, scale = len(g.upper), g.scale
+    s = [[0] * k + row for k, row in enumerate(g.upper)]
     content = [math.gcd(*(row[k] for row in s[:k]), *s[k][k:]) or 1 for k in range(n_dim)]
     for k, (row, g_k) in enumerate(zip(s, content)):
         if g_k > 1:
             row[k:] = [y // g_k for y in row[k:]]
     ratios = [f.as_integer_ratio() for f in leading_factors]
-    norms, dets = [], [Fraction(1)]
+    norms, dets = [], [one(EXACT)]
     minors, spanned, power = [1], 1, 1  # M_0 .. M_k, g_0 ... g_k and L^k
     for k, ((fp, fq), g_k) in enumerate(zip(ratios, content)):
         top = s[k]
@@ -176,15 +205,13 @@ def _exact_ldl(g, leading_factors):
         spanned *= g_k
         power *= scale
         dets.append(Fraction(pivot * spanned, power))
-    a = [[Fraction(0)] * n_dim for _ in range(n_dim)]
+    a = []
     for n, (fp, fq) in enumerate(ratios):
         c = [0] * n + [minors[n]]
         for m in range(n - 1, -1, -1):
             c[m] = -sum(map(mul, s[m][m + 1 : n + 1], c[m + 1 :])) // s[m][m]
-        den = minors[n] * fp
-        for m in range(n + 1):
-            a[m][n] = Fraction(c[m] * fq, den)
-    return a, norms, dets
+        a.append(linalg.reduced([x * fq for x in c] if fq != 1 else c, minors[n] * fp))
+    return linalg.LiftedColumns(a, n_dim), norms, dets
 
 
 def require_checkerboard(g, what):
@@ -302,15 +329,20 @@ def check_against_oracle(gram, result: OrthogonalizationResult, basis, stage):
     factorization.  A failure raises OracleMismatch naming ``stage`` and the
     degree of the basis vector.
     """
-    bad = _exact_mismatch(_entries(gram), result)
+    if isinstance(gram, LiftedGram):
+        rows = [(row, gram.scale) for row in gram.int_rows()]
+    else:
+        rows = [linalg.lift(row) for row in _entries(gram)]
+    bad = _exact_mismatch(rows, result)
     if bad is not None:
         degree = max(k for k, row in enumerate(basis) if row[bad] != 0)
         raise OracleMismatch(f"{stage} at degree {degree}", degree=degree)
 
 
-def _exact_mismatch(g, result):
+def _exact_mismatch(rows, result):
     """The first index n whose column of ``result`` fails the LDL^T
-    certificate over the rational Gram matrix ``g``, or None.
+    certificate over the rational Gram matrix whose rows r are
+    ``rows[r]`` = (R[r], d_r), or None.
 
     Column n, f_n its prescribed factor (zero raises BadFactor), passes when
     a_{m,n} = 0 for m > n, a_{n,n} = 1 / f_n, (g a)[j][n] = 0 for j < n,
@@ -318,28 +350,27 @@ def _exact_mismatch(g, result):
     (Z_0 = 1).  This is complete: certified columns 0..n-1 give
     a^T g a = diag(h) on the leading block, so that block is positive
     definite and column n is the unique solution, the bordered
-    determinants' one.  With g[r] = R[r] / d_r and a[:, n] = u / s
-    (nonzero on lo..hi-1), each lifted once, (g a)[j][n] is one integer dot
-    product R[j] . u over d_j s, about N^3 / 3 in all, and each identity is
-    compared as p den == num q.  It reads g and the values it checks and
-    shares no code with the kernel.
+    determinants' one.  With g[r] = R[r] / d_r and a[:, n] = u / s, the
+    kernel's lifted column or else the column lifted here, (g a)[j][n] is
+    one integer dot product R[j] . u over d_j s, about N^3 / 3 in all, and
+    each identity is compared as p den == num q.  It reads g and the values
+    it checks and shares no code with the kernel.
     """
-    rows = [linalg.lift(row) for row in g]
-    columns = result._lifted_columns
+    columns = linalg.columns(result, "coeffs").cols
     z_prev = result.gram_dets[0].as_integer_ratio()
     for n, (f, h, z) in enumerate(zip(result.factors, result.norms, result.gram_dets[1:])):
         if f == 0:
             raise BadFactor("leading factor must be nonzero")
-        u, s, lo, hi = columns[n]
+        u, s = columns[n]
         r_n, d_n = rows[n]
-        span = u[lo:hi]
         (fp, fq), (hp, hq), (zp, zq) = f.as_integer_ratio(), h.as_integer_ratio(), z.as_integer_ratio()
         ok = (
-            hi <= n + 1
+            len(u) > n
+            and not any(u[n + 1 :])
             and u[n] * fp == s * fq
-            and not any(sum(map(mul, r[lo:hi], span)) for r, _ in rows[:n])
+            and not any(sum(map(mul, r, u)) for r, _ in rows[:n])
             and hp > 0
-            and sum(map(mul, r_n[lo:hi], span)) * fq * hq == fp * hp * d_n * s
+            and sum(map(mul, r_n, u)) * fq * hq == fp * hp * d_n * s
             and (n or z_prev == (1, 1))
             and zp * z_prev[1] * hq * fq * fq == z_prev[0] * hp * fp * fp * zq
         )

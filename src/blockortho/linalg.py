@@ -17,6 +17,7 @@ from functools import cached_property
 from itertools import accumulate, chain
 from math import gcd, lcm, prod
 from operator import mul
+from typing import NamedTuple
 
 from ._numpy import np
 from .scalars import EXACT, FLOAT, kind_of, one, zero
@@ -277,39 +278,136 @@ def mat_mul(a, b):
     return out
 
 
-def _lifted_span(values):
-    """(ints, scale, lo, hi): ``values`` :func:`lift`-ed, and the range
-    lo..hi-1 outside which every entry vanishes (lo = hi when all do)."""
-    ints, scale = lift(values)
+def _exact_mat_mul(a, b):
+    """The product of two exact matrices: each row of ``a`` and column of
+    ``b`` lifted once, each entry one integer dot product over the index
+    range where both are nonzero and one Fraction."""
+    empty = zero(EXACT)
+    rows = [_support(*lift(row)) for row in a]
+    cols = [_support(*lift(col)) for col in zip(*b)]
+    out = []
+    for x, x_scale, x_lo, x_hi in rows:
+        out_row = []
+        for y, y_scale, y_lo, y_hi in cols:
+            lo, hi = max(x_lo, y_lo), min(x_hi, y_hi)
+            dot = sum(map(mul, x[lo:hi], y[lo:hi])) if lo < hi else 0
+            out_row.append(Fraction(dot, x_scale * y_scale) if dot else empty)
+        out.append(out_row)
+    return out
+
+
+def _support(ints, scale):
+    """(ints, scale, lo, hi), lo..hi-1 the range outside which ``ints`` vanish."""
     nonzero = [k for k, x in enumerate(ints) if x]
     return ints, scale, nonzero[0] if nonzero else 0, nonzero[-1] + 1 if nonzero else 0
 
 
-def _exact_mat_mul(a, b):
-    """The product of two exact matrices, one integer dot product and one
-    Fraction per entry."""
-    return _lifted_mat_mul(list(map(_lifted_span, a)), list(map(_lifted_span, zip(*b))))
+def reduced(ints, den):
+    """The column ``ints`` / ``den`` over its least positive denominator:
+    both divided by their gcd, the sign carried by the integers."""
+    g = gcd(den, *ints)
+    if den < 0:
+        g = -g
+    return ([x // g for x in ints], den // g) if g != 1 else (ints, den)
 
 
-def _lifted_mat_mul(a_rows, b_cols, skip=0):
-    """The product of the exact matrices whose rows are ``a_rows``, from
-    column ``skip`` on, and whose columns are ``b_cols``, each given as
-    :func:`_lifted_span` gives it: each entry is one integer dot product
-    over the index range where both factors have nonzero entries, divided
-    once by the two scales.  A factor shared by several products, or read by
-    a check, is lifted once for all of them."""
-    empty = zero(EXACT)
+class Lifted:
+    """Exact values held as integers, ``data``, until they are read: a
+    :class:`LiftedField` set to one forms its value on first read."""
+
+    __slots__ = ("data",)
+
+    def __init__(self, data):
+        self.data = data
+
+
+class LiftedField:
+    """A field of a frozen dataclass that may be given its exact value
+    lifted.  Set to a :class:`Lifted`, the value is ``form(data)``, made on
+    first read and kept, and :func:`lifted` gives the data to readers that
+    work in integers; set to the value itself (as ``dataclasses.replace``
+    does), it holds that value and no data.  Equality, hashing and ``repr``
+    read the value, so they are those of the formed value."""
+
+    def __init__(self, form):
+        self.form = form
+
+    def __set_name__(self, owner, name):
+        self.name, self.key = name, "_lifted_" + name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.name)  # no default: a required field
+        value = obj.__dict__[self.name]
+        if type(value) is Lifted:
+            value = obj.__dict__[self.name] = self.form(value.data)
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.name] = value
+        obj.__dict__[self.key] = value.data if type(value) is Lifted else None
+
+
+def lifted(obj, name):
+    """The data the :class:`LiftedField` ``name`` of ``obj`` was given, or
+    None where it was given its value (or ``obj`` has no such field)."""
+    return vars(obj).get("_lifted_" + name)
+
+
+class LiftedColumns(NamedTuple):
+    """A ``size`` x ``size`` exact matrix by its columns, each integers over
+    one positive denominator: ``cols[k]`` = (ints, den) is column
+    ``first + k``, its entry in row ``first + m`` ints[m] / den (zero past
+    the ints); rows and columns before ``first`` are zero."""
+
+    cols: list
+    size: int
+    first: int = 0
+
+    @classmethod
+    def of(cls, matrix, first=0):
+        """The columns of ``matrix`` from ``first`` on, each :func:`lift`-ed."""
+        return cls([lift(col[first:]) for col in list(zip(*matrix))[first:]], len(matrix), first)
+
+    def rows(self):
+        """The matrix as row tuples of Fractions, one per nonzero entry."""
+        nil, first = zero(EXACT), self.first
+        out = [[nil] * self.size for _ in range(self.size)]
+        for k, (ints, den) in enumerate(self.cols, first):
+            for m, x in enumerate(ints, first):
+                if x:
+                    out[m][k] = Fraction(x, den)
+        return tuple(map(tuple, out))
+
+
+def columns(obj, name):
+    """The :class:`LiftedColumns` of the exact matrix field ``name`` of
+    ``obj``: its lifted data, or else the matrix lifted column by column."""
+    return lifted(obj, name) or LiftedColumns.of(getattr(obj, name))
+
+
+def common_rows(cols, size):
+    """The first ``size`` rows of the matrix whose columns are the lifted
+    ``cols``, as integers over one scale: (rows, scale)."""
+    scale = lcm(*(den for _, den in cols))
+    rows = [[0] * len(cols) for _ in range(size)]
+    for k, (ints, den) in enumerate(cols):
+        factor = scale // den
+        for m, x in enumerate(ints[:size]):
+            rows[m][k] = x * factor
+    return rows, scale
+
+
+def lifted_product(rows, scale, cols, skip=0):
+    """The columns of R C, lifted, for the upper triangular integer rows R
+    over ``scale`` and the lifted columns C, whose entry m is the
+    coefficient of column ``skip + m`` of R: each entry one integer dot
+    product, each column reduced once (:func:`reduced`) and as long as its
+    last row that can be nonzero."""
     out = []
-    for x, x_scale, x_lo, x_hi in a_rows:
-        out_row = []
-        for y, y_scale, y_lo, y_hi in b_cols:
-            lo, hi = max(x_lo, y_lo + skip), min(x_hi, y_hi + skip)
-            if lo < hi:
-                dot = sum(map(mul, x[lo:hi], y[lo - skip : hi - skip]))
-                out_row.append(Fraction(dot, x_scale * y_scale))
-            else:
-                out_row.append(empty)
-        out.append(out_row)
+    for ints, den in cols:
+        hi = skip + len(ints)  # R upper triangular: rows past hi - 1 give zeros
+        out.append(reduced([sum(map(mul, row[skip:hi], ints)) for row in rows[:hi]], den * scale))
     return out
 
 
@@ -317,15 +415,15 @@ def inverse_upper(a, first=0, columns=None):
     """The inverse of the trailing block a[first:, first:] of the upper
     triangular ``a``, in place of that block in an otherwise zero matrix,
     as row tuples.  Exact blocks go row by row in integers: with column n
-    lifted to u_n / s_n (``columns``, as :func:`_lifted_span` gives them,
-    when the caller holds an exact block lifted), row m of x a = I is
+    lifted to u_n / s_n (``columns``, the block's columns as
+    :class:`LiftedColumns` holds them, when the caller has them), row m of x a = I is
     x_{m,m} = s_m / u_m[m] and x_{m,n} = -(sum_{j<n} x_{m,j} u_n[j]) / u_n[n],
     kept as coprime integers over one denominator, so each entry is one
     integer dot product and one Fraction.  Float blocks take LAPACK's LU
     solve, which on a triangular matrix swaps no rows and is back
     substitution."""
-    size = len(a)
     if columns is None:
+        size = len(a)
         block = [row[first:] for row in a[first:]]
         if matrix_kind(a) == FLOAT:
             out = np.zeros((size, size))
@@ -333,13 +431,14 @@ def inverse_upper(a, first=0, columns=None):
                 inverse = np.linalg.solve(np.array(block), np.eye(size - first))
                 out[first:, first:] = np.triu(inverse)
             return tuple(map(tuple, out.tolist()))
-        columns = [_lifted_span(col) for col in zip(*block)]
+        columns = [lift(col) for col in zip(*block)]
+    size = first + len(columns)
     nil = zero(EXACT)
     rows = [(nil,) * size] * first
-    for m, (u_m, s_m, _, _) in enumerate(columns):
+    for m, (u_m, s_m) in enumerate(columns):
         g = gcd(s_m, u_m[m])
         ints, den = [s_m // g], u_m[m] // g  # x_{m,m}, x_{m,m+1}, ...
-        for u, _, _, _ in columns[m + 1 :]:
+        for u, _ in columns[m + 1 :]:
             t = -sum(map(mul, ints, u[m:]))
             g = gcd(t, u[m + len(ints)])
             t, e = t // g, u[m + len(ints)] // g

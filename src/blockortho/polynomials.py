@@ -171,6 +171,15 @@ def from_columns(matrix):
     return tuple(Polynomial(col) for col in zip(*matrix))
 
 
+def from_lifted(data):
+    """The polynomials whose ascending coefficients are the columns of the
+    :class:`linalg.LiftedColumns` ``data``, one Fraction per nonzero one."""
+    nil = zero(EXACT)
+    return tuple(
+        Polynomial(tuple(Fraction(x, den) if x else nil for x in ints)) for ints, den in data.cols
+    )
+
+
 def combine(coefficients, polys):
     """sum_k coefficients[k] * polys[k]: ``from_columns`` of the one-column
     product of the nonzero polys' ``columns_of`` with their coefficients."""

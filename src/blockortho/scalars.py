@@ -85,6 +85,15 @@ def scalar_to_json(value):
     return float(value)
 
 
+def ratio_to_json(num, den):
+    """The rational num / den (den > 0) as :func:`scalar_to_json` writes its
+    Fraction, reduced by one gcd and with no Fraction made."""
+    g = math.gcd(num, den)
+    if g != 1:
+        num, den = num // g, den // g
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
 def scalar_from_json(value):
     """Inverse of :func:`scalar_to_json`: strings are rationals, numbers floats."""
     if isinstance(value, str):

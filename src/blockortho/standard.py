@@ -61,7 +61,7 @@ from .measures import (
     numeric_rule,
     rule_moments,
 )
-from .polynomials import Polynomial, from_columns, monomial
+from .polynomials import Polynomial, from_columns, from_lifted, monomial
 from .scalars import EXACT, FLOAT, as_kind, one, rounded, sqrt_exact, zero
 
 MONIC = "monic"
@@ -75,22 +75,32 @@ FLOAT_SIZE_LIMIT = 20
 FIRST_STAGE = "first_stage"
 
 
+def _step_fractions(steps):
+    """The scaled recurrence terms (A_m, B_m, C_m) as Fractions, from the
+    integer ratios :func:`_scaled_recurrence` keeps of an exact basis."""
+    nil = zero(EXACT)
+    return tuple(tuple(Fraction(p, q) if p else nil for p, q in step) for step in steps)
+
+
 @dataclass(frozen=True)
 class StandardBasis:
     """Orthogonal polynomials Q_0..Q_{N-1} of one measure.
 
     ``q_in_x[m][n]`` is the coefficient of x^m in Q_n.  ``gram_dets[k]`` is the k x k leading
     Hankel determinant.  Norms are in units of the measure's zeroth moment.
+    An exact build from the recurrence keeps ``q_in_x`` (and so ``polys``)
+    as lifted columns and ``recurrence`` as integer ratios
+    (:class:`linalg.LiftedField`): their Fractions are formed when read.
     """
 
     measure: Measure
     moment_seq: MomentSequence
-    polys: tuple
+    polys: tuple = linalg.LiftedField(from_lifted)
     leading: tuple
     norms: tuple
-    q_in_x: tuple
+    q_in_x: tuple = linalg.LiftedField(linalg.LiftedColumns.rows)
     gram_dets: tuple
-    recurrence: tuple
+    recurrence: tuple = linalg.LiftedField(_step_fractions)
     normalization: str
     backend: str
     # the N monic terms (b_n, c_n) :func:`build_standard` ran, None from a Hankel build
@@ -100,7 +110,7 @@ class StandardBasis:
 
     @property
     def size(self):
-        return len(self.polys)
+        return len(self.leading)
 
     def Z(self, n):
         """Degree-indexed Gram determinant (Z(-1) = 1)."""
@@ -195,16 +205,18 @@ def _assemble(measure, seq, result, normalization, backend, leading=None, rec=No
         s, h = [nil] + [result.coeffs[d - 1][d] for d in range(1, n)], result.norms
         terms = [(-(s[m + 1] - s[m]), h[m] / h[m - 1] if m else nil) for m in range(n - 1)]
     else:
-        ks, q_in_x = result.factors, result.coeffs
+        ks, data = result.factors, linalg.lifted(result, "coeffs")
+        q_in_x = result.coeffs if data is None else linalg.Lifted(data)
+    recurrence = _scaled_recurrence(terms[: n - 1], ks, backend)
     return StandardBasis(
         measure=measure,
         moment_seq=seq,
-        polys=from_columns(q_in_x),
+        polys=q_in_x if type(q_in_x) is linalg.Lifted else from_columns(q_in_x),
         leading=tuple(ks),
         norms=tuple(h if k == 1 else k**2 * h for k, h in zip(ks, result.norms)),
         q_in_x=q_in_x,
         gram_dets=result.gram_dets,
-        recurrence=_scaled_recurrence(terms[: n - 1], ks, backend),
+        recurrence=linalg.Lifted(recurrence) if backend == EXACT else recurrence,
         normalization=normalization if leading is None else "custom",
         backend=backend,
         monic_terms=rec,
@@ -215,8 +227,10 @@ def _assemble(measure, seq, result, normalization, backend, leading=None, rec=No
 def _scaled_recurrence(rec, ks, backend):
     """(A_m, B_m, C_m) of Q_m = k_m q_m from the monic terms ``rec``, in the
     scalars of ``backend``: A_m = k_{m+1} / k_m, B_m = -A_m b_m and
-    C_m = k_{m+1} c_m / k_{m-1} (C_0 = 0).  Exact terms are each one
-    Fraction of integers; float ones are taken in that order of operations."""
+    C_m = k_{m+1} c_m / k_{m-1} (C_0 = 0).  Exact terms are kept as integer
+    ratios (p, q), each formed without a Fraction (:func:`_step_fractions`
+    reads them as Fractions); float ones are taken in that order of
+    operations."""
     nil = zero(backend)
     if backend == EXACT:
         num = [k.numerator for k in ks]
@@ -224,11 +238,10 @@ def _scaled_recurrence(rec, ks, backend):
         scaled = []
         for m, (b_m, c_m) in enumerate(rec):
             a_num, a_den = num[m + 1] * den[m], den[m + 1] * num[m]
-            c_m = nil if not m else Fraction(
+            c_m = (0, 1) if not m else (
                 num[m + 1] * c_m.numerator * den[m - 1], den[m + 1] * c_m.denominator * num[m - 1]
             )
-            b_m = Fraction(-a_num * b_m.numerator, a_den * b_m.denominator)
-            scaled.append((Fraction(a_num, a_den), b_m, c_m))
+            scaled.append(((a_num, a_den), (-a_num * b_m.numerator, a_den * b_m.denominator), c_m))
         return tuple(scaled)
     scaled = []
     for m, (b_m, c_m) in enumerate(rec):
@@ -371,10 +384,11 @@ def _recurrence_columns(steps, target, lead):
     """Q_0..Q_K on the monic basis R of ``target``, run in integers.
 
     Q_0 = ``lead`` and Q_{k+1} = (A_k x + B_k) Q_k - C_k Q_{k-1} for
-    ``steps[k]`` = (A_k, B_k, C_k), k = 0..K-1, with C_0 unused; R runs
+    ``steps[k]`` = (A_k, B_k, C_k), k = 0..K-1, with C_0 unused, each given
+    as an integer ratio (p, q), q nonzero, as is ``lead``; R runs
     x R_m = R_{m+1} + b_m R_m + c_m R_{m-1} for ``target[m]`` = (b_m, c_m),
-    m = 0..K-1 at least, and an empty target means R_m = x^m.  Every input
-    is rational (int or Fraction).  Column k comes back as
+    m = 0..K-1 at least, and an empty target means R_m = x^m; its terms are
+    rational (int or Fraction).  Column k comes back as
     ``(ints, den)``, Q_k = sum_m ints[m] / den R_m over m = 0..k, exactly as
     :func:`linalg.lift` gives that column.
 
@@ -391,24 +405,24 @@ def _recurrence_columns(steps, target, lead):
         b, c_next = lifted[0::2], lifted[3::2]
     else:
         big_l = 1
-    cols = [([lead.numerator], lead.denominator)]
-    for k, (a_k, b_k, c_k) in enumerate(steps):
+    cols = [([lead[0]], lead[1])]
+    for k, ((ap, aq), (bp, bq), (cp, cq)) in enumerate(steps):
         u, d = cols[k]
         x_u = [0, *u] if big_l == 1 else [0, *(big_l * y for y in u)]
         if target:
             x_u = list(map(add, x_u, chain(map(mul, b, u), (0,))))
             x_u = list(map(add, x_u, chain(map(mul, c_next, u[1:]), (0, 0))))
-        a_scale = a_k.denominator * big_l * d
-        b_scale = b_k.denominator * d if b_k else 1
-        c_scale = c_k.denominator * cols[k - 1][1] if c_k and k else 1
+        a_scale = aq * big_l * d
+        b_scale = bq * d if bp else 1
+        c_scale = cq * cols[k - 1][1] if cp and k else 1
         scale = lcm(a_scale, b_scale, c_scale)
-        a_f = a_k.numerator * (scale // a_scale)
+        a_f = ap * (scale // a_scale)
         col = x_u if a_f == 1 else [a_f * y for y in x_u]
-        if b_k:
-            b_f = b_k.numerator * (scale // b_scale)
+        if bp:
+            b_f = bp * (scale // b_scale)
             col[: k + 1] = [y + b_f * z for y, z in zip(col, u)]
-        if c_k and k:
-            c_f = c_k.numerator * (scale // c_scale)
+        if cp and k:
+            c_f = cp * (scale // c_scale)
             col[:k] = [y - c_f * z for y, z in zip(col, cols[k - 1][0])]
         g = gcd(scale, *col)
         cols.append(([y // g for y in col], scale // g) if g > 1 else (col, scale))
@@ -427,10 +441,11 @@ def _recurrence_result(rec, backend, normalization=MONIC, leading=None):
     x q_k - b_k q_k - c_k q_{k-1}.  The inverse connection is not formed
     unless it is read.  Exact columns run in integers
     (:func:`_recurrence_columns` with steps (1, -b_k, c_k) over the
-    monomials), and each nonzero coefficient of Q_n is one Fraction, k_n
-    folded into it.  Float columns touch only the triangular support and
-    skip zero terms, so a float entry equals the full sum in the same order
-    bit for bit, and are then multiplied by k_n where it is not one.
+    monomials) and stay lifted, k_n folded into each
+    (:class:`linalg.LiftedColumns`, formed as Fractions when read).  Float
+    columns touch only the triangular support and skip zero terms, so a
+    float entry equals the full sum in the same order bit for bit, and are
+    then multiplied by k_n where it is not one.
     """
     n = len(rec)
     c = [as_kind(c_n, backend) for _, c_n in rec]
@@ -442,30 +457,33 @@ def _recurrence_result(rec, backend, normalization=MONIC, leading=None):
         dets.append(dets[-1] * h)
     ks = normalization_factors(normalization, dets, backend) if leading is None else list(leading)
     nil = zero(backend)
-    q = [[nil] * n for _ in range(n)]
     if backend == EXACT:
-        steps = [(1, -as_kind(b_k, EXACT), c_k) for (b_k, _), c_k in zip(rec[: n - 1], c)]
-        for k, (ints, den) in enumerate(_recurrence_columns(steps, (), one(EXACT))):
-            k_num, k_den = ks[k].numerator, den * ks[k].denominator
-            for m, x in enumerate(ints):
-                if x:
-                    q[m][k] = Fraction(x * k_num, k_den)
-    else:
-        b = [as_kind(b_n, backend) for b_n, _ in rec]
-        q[0][0] = one(backend)
-        for k in range(n - 1):
-            b_k, c_k = b[k], c[k]
-            for m in range(k + 2):
-                v = q[m - 1][k] if m else nil
-                if b_k and m <= k and q[m][k]:
-                    v -= b_k * q[m][k]
-                if k and m < k and q[m][k - 1]:
-                    v -= c_k * q[m][k - 1]
-                q[m][k + 1] = v
-        for d, k_d in enumerate(ks):
-            if k_d != 1:
-                for m in range(d + 1):
-                    q[m][d] = q[m][d] * k_d
+        steps = []
+        for (b_k, _), c_k in zip(rec[: n - 1], c):
+            bp, bq = as_kind(b_k, EXACT).as_integer_ratio()
+            steps.append(((1, 1), (-bp, bq), c_k.as_integer_ratio()))
+        cols = []
+        for (ints, den), k in zip(_recurrence_columns(steps, (), (1, 1)), ks):
+            kp, kq = k.as_integer_ratio()
+            cols.append((ints, den) if kp == kq else linalg.reduced([x * kp for x in ints], den * kq))
+        q = linalg.Lifted(linalg.LiftedColumns(cols, n))
+        return OrthogonalizationResult(q, tuple(norms), tuple(ks), tuple(dets))
+    q = [[nil] * n for _ in range(n)]
+    b = [as_kind(b_n, backend) for b_n, _ in rec]
+    q[0][0] = one(backend)
+    for k in range(n - 1):
+        b_k, c_k = b[k], c[k]
+        for m in range(k + 2):
+            v = q[m - 1][k] if m else nil
+            if b_k and m <= k and q[m][k]:
+                v -= b_k * q[m][k]
+            if k and m < k and q[m][k - 1]:
+                v -= c_k * q[m][k - 1]
+            q[m][k + 1] = v
+    for d, k_d in enumerate(ks):
+        if k_d != 1:
+            for m in range(d + 1):
+                q[m][d] = q[m][d] * k_d
     return OrthogonalizationResult(tuple(map(tuple, q)), tuple(norms), tuple(ks), tuple(dets))
 
 
@@ -570,14 +588,14 @@ def _check_coefficients(result, seq):
     ``result.factors``, h_n the monic norm), so sum_m Q[m][n] mu_{m+j} is
     (Q_n, x^j): k_n h_n for j = n, and zero for j = 0 from n = 1 on and for
     j = 1 from n = 2 on.  A single wrong coefficient moves one of the three,
-    also where the odd moments vanish.  The sums run over integers, the
-    column and the moments each lifted by the lcm of its denominators.
+    also where the odd moments vanish.  The sums run over integers: the
+    columns as the kernel keeps them lifted (or lifted here where the result
+    holds Fractions), the moments lifted by the lcm of their denominators.
     """
-    q, norms, ks = result.coeffs, result.norms, result.factors
+    norms, ks = result.norms, result.factors
     mu, mu_scale = linalg.lift(seq.mu)
-    for n in range(result.size):
-        ints, scale = linalg.lift([q[m][n] for m in range(n + 1)])
-        col = [(m, x) for m, x in enumerate(ints) if x]
+    for n, (ints, scale) in enumerate(linalg.columns(result, "coeffs").cols):
+        col = [(m, x) for m, x in enumerate(ints[: n + 1]) if x]
         h_n, k_n = norms[n], ks[n]
         ok = (
             (n < 1 or sum(x * mu[m] for m, x in col) == 0)

@@ -8,9 +8,9 @@ loop that scaled the first stage's recurrence by its leading coefficients
 (``standard._scaled_recurrence``).  Exact values must equal them, float
 ones bit for bit.  The first stage folds its leading coefficients into its
 exact coefficients, the second stage takes P = Q[:, i:] a through Q's rows
-lifted once per build (``linalg._lifted_mat_mul``), and the subleading
-identities read per-build Q data; the properties and mutants below guard
-all three.
+over one scale, made once per build (``linalg.lifted_product``), and the
+subleading identities read the lifted columns of Q, a and P; the
+properties and mutants below guard all three.
 """
 
 from fractions import Fraction
@@ -112,7 +112,8 @@ def test_the_folded_first_stage_equals_the_scaled_monic_one(measure, size, data)
     assert (folded.norms, folded.gram_dets, list(folded.factors)) == (
         monic.norms, monic.gram_dets, ks
     )
-    scaled = standard._scaled_recurrence(rec[: size - 1], ks, EXACT)
+    # exact terms are kept as integer ratios and read as Fractions
+    scaled = standard._step_fractions(standard._scaled_recurrence(rec[: size - 1], ks, EXACT))
     assert scaled == reference_scaled_recurrence(rec[: size - 1], ks, EXACT)
     assert all(type(x) is Fraction for term in scaled for x in term)
     # float coefficients are the monic ones times k, as the assembly took them
@@ -136,20 +137,27 @@ def exact_matrices(draw):
     entry = st.one_of(st.just(Fraction(0)), SIGNED, st.integers(-5, 5))
     a = draw(st.lists(st.lists(entry, min_size=skip + inner, max_size=skip + inner),
                       min_size=rows, max_size=rows))
+    # the product takes the triangular rows of Q: nothing below the diagonal
+    a = [[x if r <= c else 0 for c, x in enumerate(row)] for r, row in enumerate(a)]
     b = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
                       min_size=inner, max_size=inner))
     return a, b, skip
+
+
+def _as_matrix(cols, size):
+    """The size-row matrix whose columns are the lifted ``cols``, as Fractions."""
+    return [[Fraction(ints[r], den) if r < len(ints) else 0 for ints, den in cols] for r in range(size)]
 
 
 @given(exact_matrices())
 @settings(max_examples=300, deadline=None)
 def test_the_lifted_product_equals_mat_mul(case):
     a, b, skip = case
-    a_rows = [linalg._lifted_span(row) for row in a]
-    b_cols = [linalg._lifted_span(col) for col in zip(*b)]
-    assert linalg._lifted_mat_mul(a_rows, b_cols, skip) == linalg.mat_mul(
-        [row[skip:] for row in a], b
-    )
+    rows, scale = linalg.common_rows(linalg.LiftedColumns.of(a).cols, len(a))
+    b_cols = [linalg.lift(col) for col in zip(*b)]
+    product = linalg.lifted_product(rows, scale, b_cols, skip)
+    assert all(den > 0 and linalg.reduced(ints, den) == (ints, den) for ints, den in product)
+    assert _as_matrix(product, len(a)) == linalg.mat_mul([row[skip:] for row in a], b)
 
 
 def _assert_pre_lifted(basis):
@@ -157,9 +165,7 @@ def _assert_pre_lifted(basis):
     coeffs = [row[i:] for row in basis.p_in_q[i:]]
     q_cols = [row[i:] for row in q_basis.q_in_x]
     expect = linalg.mat_mul(q_cols, coeffs)
-    q_rows = [linalg._lifted_span(row) for row in q_basis.q_in_x]
-    a_cols = [linalg._lifted_span(col) for col in zip(*coeffs)]
-    assert linalg._lifted_mat_mul(q_rows, a_cols, i) == expect
+    assert _as_matrix(linalg.lifted(basis, "monic_polys").cols, basis.size) == expect
     assert basis.monic_polys == from_columns(expect)
 
 
@@ -188,16 +194,19 @@ PAIRS = {
 @pytest.mark.parametrize("i, n", [(0, 2), (0, 5), (2, 3), (2, 4), (3, 5), (5, 5)])
 def test_a_nudged_subleading_coefficient_fails_the_identities(monkeypatch, name, drop, i, n):
     size = 6
-    original = block.from_columns
+    original = linalg.lifted_product
 
-    def perturbed(matrix):
-        # the monic P_{i;n} of a basis with size - i columns; nudge its x^(n - drop)
-        if matrix and len(matrix[0]) == size - i:
-            matrix = [list(row) for row in matrix]
-            matrix[n - drop][n - i] += Fraction(1, 10**6)
-        return original(matrix)
+    def perturbed(rows, scale, cols, skip):
+        # the lifted monic P_{i;n} of a basis with size - i columns; nudge its
+        # x^(n - drop) by 1/10^6: (10^6 ints + den at that row) over 10^6 den
+        product = original(rows, scale, cols, skip)
+        if len(product) == size - i:
+            ints, den = product[n - i]
+            ints = [x * 10**6 + (den if r == n - drop else 0) for r, x in enumerate(ints)]
+            product[n - i] = (ints, den * 10**6)
+        return product
 
-    monkeypatch.setattr(block, "from_columns", perturbed)
+    monkeypatch.setattr(linalg, "lifted_product", perturbed)
     with pytest.raises(OracleMismatch) as info:
         build_sbos(*PAIRS[name], range(size + 1), size)
     assert str(info.value) == f"subleading-coefficient identities fail at degree {n}"
