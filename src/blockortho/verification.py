@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
+from operator import mul
 
 from . import analysis, block, gso, linalg, projectors
 from ._numpy import np
@@ -45,33 +46,42 @@ def _agree(a, b, backend, scale=1):
 
 
 def check_orthogonality(measure1, measure2, n_size, i_max, backend=EXACT):
-    """Constraint and mutual orthogonality of every built block basis.
+    """Constraint and mutual orthogonality of every built block basis, for
+    i up to min(i_max, N), which the report names as ``i_max``.
 
-    Exact bases integrate by the moments.  Float bases integrate by N-node
-    rules of both measures, exact for every degree read, with each P_{i;n}
-    evaluated through Q's recurrence from its connection ``p_in_q``
-    (:func:`_float_orthogonality`): summed over monomial moments in floats,
-    the inner products of a basis equal to the exact one rounded lose up to
-    1e7 times the rounding, more than FLOAT_RTOL at N 12-20.
+    Exact bases integrate by the moments in integers: each moment table and
+    each monic P_{i;n} lifted once per basis, the constraint moments of
+    H_1 P and each entry of P^T H_2 P - diag(h) one integer dot product.
+    Float bases integrate by N-node rules of both measures, exact for every
+    degree read, with each P_{i;n} evaluated through Q's recurrence from its
+    connection ``p_in_q`` (:func:`_float_orthogonality`): summed over
+    monomial moments in floats, the inner products of a basis equal to the
+    exact one rounded lose up to 1e7 times the rounding, more than
+    FLOAT_RTOL at N 12-20.  Neither reads gamma or T.
     """
     if i_max < 0:
         raise ValueError(f"i_max must be non-negative, got {i_max}")
-    bases = build_sbos(measure1, measure2, range(min(i_max, n_size) + 1), n_size, backend=backend)
+    i_max = min(i_max, n_size)
+    bases = build_sbos(measure1, measure2, range(i_max + 1), n_size, backend=backend)
     if backend == FLOAT:
         return _float_orthogonality(measure2, bases, n_size, i_max)
-    mu1 = moments(measure1, 2 * (n_size - 1), backend=backend)
+    mu1, s1 = linalg.lift(moments(measure1, 2 * (n_size - 1), backend=backend).mu)
+    mu2, s2 = linalg.lift(bases[0].mu2.mu)
     for i, basis in bases.items():
-        for n in basis.degrees():
-            p = basis.monic_poly(n)
+        data = linalg.lifted(basis, "monic_polys")
+        cols = data.cols if data else [linalg.lift(p.coeffs) for p in basis.monic_polys]
+        for n, (p, d) in zip(basis.degrees(), cols):
             for m in range(i):
-                val = inner_product_mu(mu1, monomial(m), p)
-                if val != 0:
-                    return _entry("orthogonality", False, i=i, n=n, residual=float(val))
-            for m in basis.degrees():
-                val = inner_product_mu(basis.mu2, basis.monic_poly(m), p)
-                expect = basis.monic_norm(n) if m == n else 0
-                if val != expect:
-                    return _entry("orthogonality", False, i=i, n=n, m=m, residual=float(val - expect))
+                dot = sum(map(mul, p, mu1[m:]))
+                if dot:
+                    return _entry("orthogonality", False, i=i, n=n, residual=float(Fraction(dot, d * s1)))
+            h2_p = [sum(map(mul, p, mu2[j:])) for j in range(n_size)]
+            hp, hq = basis.monic_norm(n).as_integer_ratio()
+            for m, (q, e) in zip(basis.degrees(), cols):
+                residual = sum(map(mul, q, h2_p)) * hq - (hp * e * d * s2 if m == n else 0)
+                if residual:
+                    residual = float(Fraction(residual, e * d * s2 * hq))
+                    return _entry("orthogonality", False, i=i, n=n, m=m, residual=residual)
     return _entry("orthogonality", True, n=n_size, i_max=i_max, worst_residual=0.0)
 
 
