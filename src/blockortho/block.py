@@ -88,8 +88,7 @@ class SboBasis:
     degree-indexed determinant is ``Z(n) = gamma_dets[n - i + 1]``.
     ``scale[n - i]`` holds the normalization factor applied to the monic core.
     An exact build keeps ``p_in_q``, ``monic_polys`` and gamma lifted
-    (:class:`linalg.LiftedField`, :class:`gso.LiftedGram`) and forms their
-    Fractions when read.
+    (:class:`linalg.LiftedField`) and forms their Fractions when read.
     """
 
     i: int
@@ -110,14 +109,10 @@ class SboBasis:
 
     @property
     def gamma(self) -> GramMatrix:
-        """Gram matrix of Q_i..Q_{N-1} under the second measure: stored lifted
-        by an exact build and formed from it, or formed by :func:`gamma_matrix`,
-        on first read."""
+        """Gram matrix of Q_i..Q_{N-1} under the second measure: stored by an
+        exact build, formed by :func:`gamma_matrix` on a float one's first read."""
         if self._gamma is None:
             object.__setattr__(self, "_gamma", gamma_matrix(self.q_basis, self.measure2, self.i))
-        elif isinstance(self._gamma, gso.LiftedGram):
-            rows = tuple(map(tuple, self._gamma.rows()))
-            object.__setattr__(self, "_gamma", GramMatrix(rows, f"Q_{self.i}..Q_{self.size - 1}"))
         return self._gamma
 
     @property
@@ -125,8 +120,7 @@ class SboBasis:
         """The inverse of ``p_in_q``: kept by a float build from its
         factorization, formed from ``p_in_q`` on an exact one's first read."""
         if self._q_in_p is None:
-            data = linalg.lifted(self, "p_in_q")
-            inverse = linalg.inverse_upper(self.p_in_q if data is None else None, self.i, data and data.cols)
+            inverse = linalg.inverse_upper(linalg.lifted(self, "p_in_q") or self.p_in_q, self.i)
             object.__setattr__(self, "_q_in_p", inverse)
         return self._q_in_p
 
@@ -183,17 +177,9 @@ def gamma_matrix(q_basis: StandardBasis, measure2, i: int) -> GramMatrix:
     measure or the moment sequence of one: T_i^T diag(h) T_i, T_i = T[:, i:],
     the second measure's N-node Gauss rule (Golub-Welsch) with no nodes, for
     T of :func:`_connection_to_second` and h the norms of the R_m.  Exact
-    bases take it in integers (a float second measure raises KindMismatch),
-    float ones by numpy.
+    bases take it in integers and keep it lifted (a float second measure
+    raises KindMismatch), float ones by numpy.
     """
-    gram = _gamma(q_basis, measure2, i)
-    entries = gram.rows() if isinstance(gram, gso.LiftedGram) else gram
-    return GramMatrix(tuple(map(tuple, entries)), f"Q_{i}..Q_{q_basis.size - 1}")
-
-
-def _gamma(q_basis: StandardBasis, measure2, i):
-    """gamma_i of :func:`gamma_matrix`: a :class:`gso.LiftedGram` for an
-    exact basis (:func:`_gram_by_connection`), float rows for a float one."""
     n = q_basis.size
     if not 0 <= i <= n:
         raise ValueError(f"constraint index {i} outside 0..{n}")
@@ -206,13 +192,15 @@ def _gamma(q_basis: StandardBasis, measure2, i):
         connection, norms = _connection_and_norms(q_basis, standard._float_terms(rec2))
         t_i = connection[:, i:]
         full = (np.triu((norms[:, None] * t_i).T @ t_i) + 0.0).tolist()  # a -0.0 sum reads 0.0
-        return [[full[min(j, k)][max(j, k)] for k in range(n - i)] for j in range(n - i)]
-    return _gram_by_connection(q_basis, rec2, i)
+        entries = tuple(tuple(full[min(j, k)][max(j, k)] for k in range(n - i)) for j in range(n - i))
+    else:
+        entries = linalg.Lifted(_gram_by_connection(q_basis, rec2, i))
+    return GramMatrix(entries, f"Q_{i}..Q_{n - 1}")
 
 
 def _gram_by_connection(q_basis: StandardBasis, rec2, i):
     """T^T diag(h) T over the columns i.. of exact T, h the norms of the
-    second measure's monic R_m, as a :class:`gso.LiftedGram`: the columns
+    second measure's monic R_m, as a :class:`linalg.LiftedGram`: the columns
     of T come lifted from :func:`_connection_to_second` and are put over
     their lcm S, h is lifted once, each entry of the upper triangle is one
     integer sum over h_scale S^2, and the whole is divided by the gcd of
@@ -232,7 +220,7 @@ def _gram_by_connection(q_basis: StandardBasis, rec2, i):
     g = gcd(scale, *chain.from_iterable(upper))
     if g > 1:
         upper, scale = [[x // g for x in row] for row in upper], scale // g
-    return gso.LiftedGram(upper, scale)
+    return linalg.LiftedGram(upper, scale)
 
 
 def _connection_and_norms(q_basis: StandardBasis, rec2):
@@ -289,7 +277,7 @@ def _connection_to_second(q_basis: StandardBasis, rec2):
 
 
 def _check_gram(gram, mu, cols, degrees, what="gamma matrix and second-measure moments"):
-    """An exact Gram matrix A^T H A, the :class:`gso.LiftedGram` ``gram``,
+    """An exact Gram matrix A^T H A, the :class:`linalg.LiftedGram` ``gram``,
     for the monomial coefficient columns A (``cols``, lifted) and the Hankel
     matrix H of ``mu``, checked in O(N^2) by its row sums A^T (H (A u)), u
     all ones, over integers.  It reads neither the coordinates the matrix
@@ -485,7 +473,7 @@ def _sbo_bases(first_stage, measure2, i_values, n_polys, normalization, check):
     lo = min(i_values, default=n_polys)
     # what every i shares is made once
     if backend == EXACT:
-        gamma_lo = _gamma(q_basis, mu2, lo)
+        gamma_lo = gso._lifted(gamma_matrix(q_basis, mu2, lo))
         q_cols = linalg.columns(q_basis, "q_in_x").cols
         if check:
             with stage(SECOND_STAGE):
@@ -509,7 +497,8 @@ def _sbo_bases(first_stage, measure2, i_values, n_polys, normalization, check):
         leading = list(q_basis.leading[i:])
         with stage(SECOND_STAGE, first_degree=i):
             if backend == EXACT:
-                gamma = gso.LiftedGram(gamma_lo.upper[i - lo :], gamma_lo.scale)
+                lifted = linalg.LiftedGram(gamma_lo.upper[i - lo :], gamma_lo.scale)
+                gamma = GramMatrix(linalg.Lifted(lifted), f"Q_{i}..Q_{n_polys - 1}")
                 # Q_{i+k} has degree i + k: the rows that name a failing degree
                 degrees = [(zero(EXACT),) * block] * i + linalg.identity(block)
                 result = _exact_stage(gamma, degrees, leading, check, SECOND_STAGE)
@@ -918,7 +907,7 @@ def build_general_bo(
     with stage(FIRST_STAGE):
         if backend == EXACT:
             weighted = [[h * x for x in row] for h, row in zip(q_basis.norms, v)]
-            gram1 = gso.LiftedGram.of(linalg.mat_mul(linalg.transpose(v), weighted))
+            gram1 = linalg.LiftedGram.of(linalg.mat_mul(linalg.transpose(v), weighted))
             cols = [e + [q_basis.q_in_x[m][d] for d in inner] for m, e in enumerate(e_coeffs)]
             cols = [linalg.lift(col) for col in zip(*cols)]
             _check_gram(gram1, q_basis.moment_seq, cols, degrees, "first-stage Gram matrix and moments")
@@ -940,9 +929,9 @@ def build_general_bo(
     with stage(SECOND_STAGE):
         if backend == EXACT:
             lo = 0 if inner else top  # F = [0; I] where E spans pi_{top-1}
-            gamma = _gamma(q_basis, mu2, lo)
+            gamma = gso._lifted(gamma_matrix(q_basis, mu2, lo))
             if inner:
-                gamma = gso.LiftedGram.of(linalg.mat_mul(linalg.mat_mul(linalg.transpose(f), gamma.rows()), f))
+                gamma = linalg.LiftedGram.of(linalg.mat_mul(linalg.mat_mul(linalg.transpose(f), gamma.rows()), f))
             cols = [linalg.lift(col) for col in zip(*first)]
             _check_gram(gamma, mu2, cols, completion, "second-stage Gram matrix and moments")
             res2 = _exact_stage(gamma, first, [one(backend)] * (n_dim - n1), True, SECOND_STAGE)

@@ -14,7 +14,7 @@ Gram-Schmidt over a Gram matrix is its LDL^T factorization: the pivots
 are the ratios of consecutive leading Gram determinants, so one pass gives
 the vectors, their norms and the determinants.  It runs in integers
 (:func:`_exact_ldl`): the upper triangle is lifted by one common scale
-(or comes lifted, :class:`LiftedGram`), its rows are freed of their
+(or comes lifted, :class:`linalg.LiftedGram`), its rows are freed of their
 contents, it is eliminated fraction-free, and the connection a stays lifted
 until it is read.  Everything here is exact: a
 float entry or factor is read as the dyadic rational it holds (as
@@ -53,40 +53,17 @@ ORACLE_RTOL = 1e-9
 
 
 def _entries(gram):
-    if isinstance(gram, (GramMatrix, LiftedGram)):
+    if isinstance(gram, GramMatrix):
         return gram.rows()
     return [list(row) for row in gram]
 
 
-@dataclass(frozen=True)
-class LiftedGram:
-    """A symmetric exact matrix as integers over one positive ``scale``:
-    ``upper[j]`` holds the entries j, j+1, ... of row j times ``scale``, so
-    the trailing block from row t on is ``upper[t:]``."""
-
-    upper: list
-    scale: int
-
-    @classmethod
-    def of(cls, gram):
-        """The upper triangle of ``gram`` :func:`linalg.lift`-ed by one scale."""
-        g = _entries(gram)
-        flat, scale = linalg.lift([x for k, row in enumerate(g) for x in row[k:]])
-        upper, start = [], 0
-        for k in range(len(g)):
-            upper.append(flat[start : start + len(g) - k])
-            start += len(g) - k
-        return cls(upper, scale)
-
-    def int_rows(self):
-        """The whole rows, as integers over ``scale``."""
-        n = len(self.upper)
-        return [[self.upper[min(j, k)][abs(k - j)] for k in range(n)] for j in range(n)]
-
-    def rows(self):
-        """The whole rows as Fractions, one per entry of the upper triangle."""
-        upper = [[Fraction(x, self.scale) for x in row] for row in self.upper]
-        return [[upper[min(j, k)][abs(k - j)] for k in range(len(upper))] for j in range(len(upper))]
+def _lifted(gram):
+    """``gram`` as a :class:`linalg.LiftedGram`: itself, the one a
+    GramMatrix holds, or else its upper triangle lifted by one scale."""
+    if isinstance(gram, linalg.LiftedGram):
+        return gram
+    return linalg.lifted(gram, "entries") or linalg.LiftedGram.of(_entries(gram))
 
 
 @dataclass(frozen=True)
@@ -121,8 +98,7 @@ class OrthogonalizationResult:
         if self._inverse is not None:
             return self._inverse
         # an exact kernel's lifted columns are read as they are
-        data = linalg.lifted(self, "coeffs")
-        return linalg.inverse_upper(self.coeffs if data is None else None, columns=data and data.cols)
+        return linalg.inverse_upper(linalg.lifted(self, "coeffs") or self.coeffs)
 
     def vector(self, n):
         """Coefficient column of E_n on the input basis."""
@@ -135,12 +111,12 @@ def gram_schmidt(gram, leading_factors) -> OrthogonalizationResult:
     One LDL^T pass g = B^T D B (B unit upper triangular) in integers
     (:func:`_exact_ldl`): h_n = D_n / f_n^2, a = B^{-1} diag(1/f),
     b = diag(f) B, formed from a when read, and the leading Gram
-    determinants are the prefix products of D.  ``gram`` may come lifted
-    (:class:`LiftedGram`); otherwise its upper triangle is lifted here, a
-    float entry or factor read as the dyadic rational it holds.  a comes
-    as lifted columns, h and Z as Fractions.
+    determinants are the prefix products of D.  A GramMatrix may hold its
+    entries lifted; otherwise the upper triangle is lifted here, a float
+    entry or factor read as the dyadic rational it holds.  a comes as
+    lifted columns, h and Z as Fractions.
     """
-    g = gram if isinstance(gram, LiftedGram) else LiftedGram.of(gram)
+    g = _lifted(gram)
     n_dim = len(g.upper)
     if len(leading_factors) != n_dim:
         raise BadFactor(f"need {n_dim} leading factors, got {len(leading_factors)}")
@@ -148,13 +124,11 @@ def gram_schmidt(gram, leading_factors) -> OrthogonalizationResult:
         if f == 0 or (isinstance(f, float) and not math.isfinite(f)):
             raise BadFactor("leading factors must be nonzero and finite")
     a, norms, dets = _exact_ldl(g, leading_factors)
-    return OrthogonalizationResult(
-        linalg.Lifted(a), tuple(norms), tuple(leading_factors), tuple(dets)
-    )
+    return OrthogonalizationResult(linalg.Lifted(a), tuple(norms), tuple(leading_factors), tuple(dets))
 
 
 def _exact_ldl(g, leading_factors):
-    """The LDL^T pass over the :class:`LiftedGram` ``g`` as a symmetric
+    """The LDL^T pass over the :class:`linalg.LiftedGram` ``g`` as a symmetric
     fraction-free elimination of its upper triangle.
 
     The triangle is integers over one common scale L, so the lifted
@@ -329,20 +303,16 @@ def check_against_oracle(gram, result: OrthogonalizationResult, basis, stage):
     factorization.  A failure raises OracleMismatch naming ``stage`` and the
     degree of the basis vector.
     """
-    if isinstance(gram, LiftedGram):
-        rows = [(row, gram.scale) for row in gram.int_rows()]
-    else:
-        rows = [linalg.lift(row) for row in _entries(gram)]
-    bad = _exact_mismatch(rows, result)
+    bad = _exact_mismatch(_lifted(gram), result)
     if bad is not None:
         degree = max(k for k, row in enumerate(basis) if row[bad] != 0)
         raise OracleMismatch(f"{stage} at degree {degree}", degree=degree)
 
 
-def _exact_mismatch(rows, result):
+def _exact_mismatch(g, result):
     """The first index n whose column of ``result`` fails the LDL^T
-    certificate over the rational Gram matrix whose rows r are
-    ``rows[r]`` = (R[r], d_r), or None.
+    certificate over the Gram matrix of the :class:`linalg.LiftedGram`
+    ``g``, or None.
 
     Column n, f_n its prescribed factor (zero raises BadFactor), passes when
     a_{m,n} = 0 for m > n, a_{n,n} = 1 / f_n, (g a)[j][n] = 0 for j < n,
@@ -350,27 +320,27 @@ def _exact_mismatch(rows, result):
     (Z_0 = 1).  This is complete: certified columns 0..n-1 give
     a^T g a = diag(h) on the leading block, so that block is positive
     definite and column n is the unique solution, the bordered
-    determinants' one.  With g[r] = R[r] / d_r and a[:, n] = u / s, the
-    kernel's lifted column or else the column lifted here, (g a)[j][n] is
-    one integer dot product R[j] . u over d_j s, about N^3 / 3 in all, and
-    each identity is compared as p den == num q.  It reads g and the values
-    it checks and shares no code with the kernel.
+    determinants' one.  With g = R / d and a[:, n] = u / s, the kernel's
+    lifted column or else the column lifted here, (g a)[j][n] is one integer
+    dot product R[j] . u over d s, about N^3 / 3 in all, and each identity
+    is compared as p den == num q.  It reads g and the values it checks and
+    shares no code with the kernel.
     """
+    rows, d = g.int_rows(), g.scale
     columns = linalg.columns(result, "coeffs").cols
     z_prev = result.gram_dets[0].as_integer_ratio()
     for n, (f, h, z) in enumerate(zip(result.factors, result.norms, result.gram_dets[1:])):
         if f == 0:
             raise BadFactor("leading factor must be nonzero")
         u, s = columns[n]
-        r_n, d_n = rows[n]
         (fp, fq), (hp, hq), (zp, zq) = f.as_integer_ratio(), h.as_integer_ratio(), z.as_integer_ratio()
         ok = (
             len(u) > n
             and not any(u[n + 1 :])
             and u[n] * fp == s * fq
-            and not any(sum(map(mul, r, u)) for r, _ in rows[:n])
+            and not any(sum(map(mul, r, u)) for r in rows[:n])
             and hp > 0
-            and sum(map(mul, r_n, u)) * fq * hq == fp * hp * d_n * s
+            and sum(map(mul, rows[n], u)) * fq * hq == fp * hp * d * s
             and (n or z_prev == (1, 1))
             and zp * z_prev[1] * hq * fq * fq == z_prev[0] * hp * fp * fp * zq
         )

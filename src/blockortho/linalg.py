@@ -12,6 +12,7 @@ reports the singular-value gap it used.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain
@@ -311,14 +312,11 @@ def reduced(ints, den):
     return ([x // g for x in ints], den // g) if g != 1 else (ints, den)
 
 
-class Lifted:
+class Lifted(NamedTuple):
     """Exact values held as integers, ``data``, until they are read: a
     :class:`LiftedField` set to one forms its value on first read."""
 
-    __slots__ = ("data",)
-
-    def __init__(self, data):
-        self.data = data
+    data: object
 
 
 class LiftedField:
@@ -351,7 +349,7 @@ class LiftedField:
 def lifted(obj, name):
     """The data the :class:`LiftedField` ``name`` of ``obj`` was given, or
     None where it was given its value (or ``obj`` has no such field)."""
-    return vars(obj).get("_lifted_" + name)
+    return getattr(obj, "__dict__", {}).get("_lifted_" + name)
 
 
 class LiftedColumns(NamedTuple):
@@ -378,6 +376,32 @@ class LiftedColumns(NamedTuple):
                 if x:
                     out[m][k] = Fraction(x, den)
         return tuple(map(tuple, out))
+
+
+@dataclass(frozen=True)
+class LiftedGram:
+    """A symmetric exact matrix as integers over one positive ``scale``:
+    ``upper[j]`` holds the entries j, j+1, ... of row j times ``scale``, so
+    the trailing block from row t on is ``upper[t:]``."""
+
+    upper: list
+    scale: int
+
+    @classmethod
+    def of(cls, rows):
+        """The upper triangle of the matrix ``rows`` :func:`lift`-ed by one scale."""
+        flat, scale = lift([x for k, row in enumerate(rows) for x in row[k:]])
+        starts = list(accumulate(range(len(rows), 0, -1), initial=0))
+        return cls([flat[a:b] for a, b in zip(starts, starts[1:])], scale)
+
+    def int_rows(self):
+        """The whole rows, as integers over ``scale``."""
+        n = len(self.upper)
+        return [[self.upper[min(j, k)][abs(k - j)] for k in range(n)] for j in range(n)]
+
+    def rows(self):
+        """The whole rows as tuples of Fractions."""
+        return tuple(tuple(Fraction(x, self.scale) for x in row) for row in self.int_rows())
 
 
 def columns(obj, name):
@@ -411,28 +435,27 @@ def lifted_product(rows, scale, cols, skip=0):
     return out
 
 
-def inverse_upper(a, first=0, columns=None):
+def inverse_upper(a, first=0):
     """The inverse of the trailing block a[first:, first:] of the upper
     triangular ``a``, in place of that block in an otherwise zero matrix,
     as row tuples.  Exact blocks go row by row in integers: with column n
-    lifted to u_n / s_n (``columns``, the block's columns as
-    :class:`LiftedColumns` holds them, when the caller has them), row m of x a = I is
+    lifted to u_n / s_n (``a`` may come as the :class:`LiftedColumns` of
+    that block, which then give ``first``), row m of x a = I is
     x_{m,m} = s_m / u_m[m] and x_{m,n} = -(sum_{j<n} x_{m,j} u_n[j]) / u_n[n],
     kept as coprime integers over one denominator, so each entry is one
     integer dot product and one Fraction.  Float blocks take LAPACK's LU
     solve, which on a triangular matrix swaps no rows and is back
     substitution."""
-    if columns is None:
-        size = len(a)
-        block = [row[first:] for row in a[first:]]
+    if not isinstance(a, LiftedColumns):
         if matrix_kind(a) == FLOAT:
+            size, block = len(a), [row[first:] for row in a[first:]]
             out = np.zeros((size, size))
             if block:
                 inverse = np.linalg.solve(np.array(block), np.eye(size - first))
                 out[first:, first:] = np.triu(inverse)
             return tuple(map(tuple, out.tolist()))
-        columns = [lift(col) for col in zip(*block)]
-    size = first + len(columns)
+        a = LiftedColumns.of(a, first)
+    size, first, columns = a.size, a.first, a.cols
     nil = zero(EXACT)
     rows = [(nil,) * size] * first
     for m, (u_m, s_m) in enumerate(columns):

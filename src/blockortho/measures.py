@@ -347,10 +347,15 @@ def rule_moments(measure: Measure, n: int, backend=EXACT) -> MomentSequence:
 
 @dataclass(frozen=True)
 class GramMatrix:
-    entries: tuple
+    """A symmetric matrix of inner products; ``entries`` may be given as a
+    :class:`linalg.LiftedGram` (in :class:`linalg.Lifted`), formed on read."""
+
+    entries: tuple = linalg.LiftedField(linalg.LiftedGram.rows)
     basis_label: str = ""
 
     def __post_init__(self):
+        if linalg.lifted(self, "entries"):
+            return  # symmetric by construction
         rows = tuple(tuple(r) for r in self.entries)
         object.__setattr__(self, "entries", rows)
         n = len(rows)

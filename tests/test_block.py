@@ -233,16 +233,14 @@ def test_parity_build_refuses_a_second_stage_that_is_not_checkerboard(
     i, n_size = 2, 6
     sbo_parity_build(*hermite_pair, i, n_size, backend=backend)
     if backend == "exact":
-        original = block._gamma
+        original = block.gamma_matrix
 
         def nudged(*args):
-            # gamma[0][1] + 1/10^6 in the lifted triangle: entries times 10^6 over 10^6 scale
-            gram = original(*args)
-            upper = [[x * 10**6 for x in row] for row in gram.upper]
-            upper[0][1] += gram.scale
-            return gso.LiftedGram(upper, gram.scale * 10**6)
+            rows = original(*args).rows()
+            rows[0][1] = rows[1][0] = rows[0][1] + Fraction(1, 10**6)
+            return GramMatrix(rows)
 
-        monkeypatch.setattr(block, "_gamma", nudged)
+        monkeypatch.setattr(block, "gamma_matrix", nudged)
     else:
         original = block._connection_and_norms
 

@@ -152,7 +152,7 @@ def test_the_integer_connection_and_gamma_equal_the_fraction_loops(case):
     for j, (ints, den) in enumerate(cols):
         assert (ints, den) == linalg.lift([expect[m][j] for m in range(j + 1)])
     full = block._gram_by_connection(q_basis, rec2, i).rows()
-    assert [row[j:] for j, row in enumerate(full)] == reference_gamma(expect, rec2, i)
+    assert [list(row[j:]) for j, row in enumerate(full)] == reference_gamma(expect, rec2, i)
 
 
 @st.composite

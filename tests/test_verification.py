@@ -117,9 +117,9 @@ def test_negative_i_max_is_refused():
 
 def test_oracle_equivalence_reads_the_stored_gamma(monkeypatch, capsys):
     # one shared build assembles gamma once; the oracle reads it from the bases
-    original = block._gamma
+    original = block.gamma_matrix
     calls = []
-    monkeypatch.setattr(block, "_gamma", lambda *a: calls.append(a) or original(*a))
+    monkeypatch.setattr(block, "gamma_matrix", lambda *a: calls.append(a) or original(*a))
     argv = ["verify", "--pair", "laguerre", "--N", "8", "--checks", "oracle_equivalence"]
     assert main(argv) == 0
     capsys.readouterr()
