@@ -236,18 +236,16 @@ def _connection_to_second(q_basis: StandardBasis, rec2):
 
     Column n + 1 is Q's recurrence applied to column n, x acting as the
     Jacobi matrix: (x t)_m = t_{m-1} + b_m t_m + c_{m+1} t_{m+1}.  Exact
-    bases run it in integers (:func:`standard._recurrence_columns`, on the
-    integer ratios a basis keeps of its recurrence) and return the lifted
-    columns ``(ints, den)``, m = 0..j; float bases return T, each entry
-    summed over its present terms in order.
+    bases run the monic q_j in integers (:func:`standard._recurrence_columns`
+    on the basis' monic terms) and return the lifted columns ``(ints, den)``
+    of Q_j = k_j q_j, m = 0..j; float bases return T, each entry summed
+    over its present terms in order.
     """
     n = q_basis.size
     kind = q_basis.backend
     if kind == EXACT:
-        steps = linalg.lifted(q_basis, "recurrence")
-        if steps is None:
-            steps = [tuple(x.as_integer_ratio() for x in step) for step in q_basis.recurrence]
-        return standard._recurrence_columns(steps, rec2, q_basis.leading[0].as_integer_ratio())
+        cols = standard._recurrence_columns(q_basis.monic_terms[: n - 1], rec2)
+        return standard._folded(cols, q_basis.leading)
     b = [as_kind(b_m, kind) for b_m, _ in rec2]
     c = [as_kind(c_m, kind) for _, c_m in rec2]
     # column by column, each sum formed left to right over its present terms
@@ -866,8 +864,7 @@ def _in_q(q_basis: StandardBasis, coeffs):
     monomial coefficients ``coeffs``: x^j on the Q_m by the recurrence
     (:func:`standard._recurrence_columns`, Q's monic terms as target)."""
     size = len(coeffs)
-    steps = [((1, 1), (0, 1), (0, 1))] * (size - 1)
-    cols = standard._recurrence_columns(steps, q_basis.monic_terms, (1, 1))
+    cols = standard._recurrence_columns([(0, 0)] * (size - 1), q_basis.monic_terms)
     in_q = [[Fraction(ints[m], den) if m < len(ints) else 0 for ints, den in cols] for m in range(size)]
     return linalg.mat_mul(in_q, [[Fraction(x) for x in row] for row in coeffs])
 
@@ -931,7 +928,8 @@ def build_general_bo(
             lo = 0 if inner else top  # F = [0; I] where E spans pi_{top-1}
             gamma = gso._lifted(gamma_matrix(q_basis, mu2, lo))
             if inner:
-                gamma = linalg.LiftedGram.of(linalg.mat_mul(linalg.mat_mul(linalg.transpose(f), gamma.rows()), f))
+                gram2 = linalg.mat_mul(linalg.mat_mul(linalg.transpose(f), gamma.rows()), f)
+                gamma = linalg.LiftedGram.of(gram2)
             cols = [linalg.lift(col) for col in zip(*first)]
             _check_gram(gamma, mu2, cols, completion, "second-stage Gram matrix and moments")
             res2 = _exact_stage(gamma, first, [one(backend)] * (n_dim - n1), True, SECOND_STAGE)

@@ -150,7 +150,8 @@ def cmd_table(args):
                 # written from the lifted columns, one gcd per rational
                 ints, den = basis.lifted_poly(n)
                 coeffs = [ratio_to_json(x, den) for x in ints]
-                (kp, kq), (hp, hq) = basis.scale[n - i].as_integer_ratio(), basis.monic_norm(n).as_integer_ratio()
+                kp, kq = basis.scale[n - i].as_integer_ratio()
+                hp, hq = basis.monic_norm(n).as_integer_ratio()
                 norm = ratio_to_json(kp * kp * hp, kq * kq * hq)
             else:
                 coeffs = [scalar_to_json(c) for c in basis.poly(n).coeffs]

@@ -284,12 +284,12 @@ def _exact_mat_mul(a, b):
     ``b`` lifted once, each entry one integer dot product over the index
     range where both are nonzero and one Fraction."""
     empty = zero(EXACT)
-    rows = [_support(*lift(row)) for row in a]
-    cols = [_support(*lift(col)) for col in zip(*b)]
+    rows = [(*lift(row), _support(row)) for row in a]
+    cols = [(*lift(col), _support(col)) for col in zip(*b)]
     out = []
-    for x, x_scale, x_lo, x_hi in rows:
+    for x, x_scale, (x_lo, x_hi) in rows:
         out_row = []
-        for y, y_scale, y_lo, y_hi in cols:
+        for y, y_scale, (y_lo, y_hi) in cols:
             lo, hi = max(x_lo, y_lo), min(x_hi, y_hi)
             dot = sum(map(mul, x[lo:hi], y[lo:hi])) if lo < hi else 0
             out_row.append(Fraction(dot, x_scale * y_scale) if dot else empty)
@@ -297,10 +297,10 @@ def _exact_mat_mul(a, b):
     return out
 
 
-def _support(ints, scale):
-    """(ints, scale, lo, hi), lo..hi-1 the range outside which ``ints`` vanish."""
-    nonzero = [k for k, x in enumerate(ints) if x]
-    return ints, scale, nonzero[0] if nonzero else 0, nonzero[-1] + 1 if nonzero else 0
+def _support(values):
+    """(lo, hi), lo..hi-1 the range outside which ``values`` vanish."""
+    nonzero = [k for k, x in enumerate(values) if x]
+    return (nonzero[0], nonzero[-1] + 1) if nonzero else (0, 0)
 
 
 def reduced(ints, den):
@@ -313,8 +313,7 @@ def reduced(ints, den):
 
 
 class Lifted(NamedTuple):
-    """Exact values held as integers, ``data``, until they are read: a
-    :class:`LiftedField` set to one forms its value on first read."""
+    """Exact values held as integers until read (:class:`LiftedField`)."""
 
     data: object
 
@@ -396,8 +395,8 @@ class LiftedGram:
 
     def int_rows(self):
         """The whole rows, as integers over ``scale``."""
-        n = len(self.upper)
-        return [[self.upper[min(j, k)][abs(k - j)] for k in range(n)] for j in range(n)]
+        u = self.upper
+        return [[u[min(j, k)][abs(k - j)] for k in range(len(u))] for j in range(len(u))]
 
     def rows(self):
         """The whole rows as tuples of Fractions."""
@@ -423,14 +422,13 @@ def common_rows(cols, size):
 
 
 def lifted_product(rows, scale, cols, skip=0):
-    """The columns of R C, lifted, for the upper triangular integer rows R
-    over ``scale`` and the lifted columns C, whose entry m is the
-    coefficient of column ``skip + m`` of R: each entry one integer dot
-    product, each column reduced once (:func:`reduced`) and as long as its
-    last row that can be nonzero."""
+    """The lifted columns of R C for the upper triangular integer rows R
+    over ``scale`` and the lifted columns C, entry m the coefficient of
+    column ``skip + m`` of R: one integer dot product per entry, rows past
+    the last that can be nonzero left out, one gcd per column."""
     out = []
     for ints, den in cols:
-        hi = skip + len(ints)  # R upper triangular: rows past hi - 1 give zeros
+        hi = skip + len(ints)
         out.append(reduced([sum(map(mul, row[skip:hi], ints)) for row in rows[:hi]], den * scale))
     return out
 

@@ -75,21 +75,14 @@ FLOAT_SIZE_LIMIT = 20
 FIRST_STAGE = "first_stage"
 
 
-def _step_fractions(steps):
-    """The scaled recurrence terms (A_m, B_m, C_m) as Fractions, from the
-    integer ratios :func:`_scaled_recurrence` keeps of an exact basis."""
-    nil = zero(EXACT)
-    return tuple(tuple(Fraction(p, q) if p else nil for p, q in step) for step in steps)
-
-
 @dataclass(frozen=True)
 class StandardBasis:
     """Orthogonal polynomials Q_0..Q_{N-1} of one measure.
 
     ``q_in_x[m][n]`` is the coefficient of x^m in Q_n.  ``gram_dets[k]`` is the k x k leading
     Hankel determinant.  Norms are in units of the measure's zeroth moment.
-    An exact build from the recurrence keeps ``q_in_x`` (and so ``polys``)
-    as lifted columns and ``recurrence`` as integer ratios
+    An exact build keeps ``q_in_x`` (and so ``polys``) as lifted columns and
+    ``recurrence`` as its monic terms and the k_n
     (:class:`linalg.LiftedField`): their Fractions are formed when read.
     """
 
@@ -100,10 +93,11 @@ class StandardBasis:
     norms: tuple
     q_in_x: tuple = linalg.LiftedField(linalg.LiftedColumns.rows)
     gram_dets: tuple
-    recurrence: tuple = linalg.LiftedField(_step_fractions)
+    recurrence: tuple = linalg.LiftedField(lambda data: _scaled_recurrence(*data, EXACT))
     normalization: str
     backend: str
-    # the N monic terms (b_n, c_n) :func:`build_standard` ran, None from a Hankel build
+    # the monic terms (b_n, c_n) :func:`build_standard` ran, or those a Hankel
+    # build read off its coefficients
     monic_terms: tuple = field(default=None, repr=False, compare=False)
     # a float build's monic terms as floats, converted once (:func:`_float_terms`)
     float_terms: tuple = field(default=None, repr=False, compare=False)
@@ -207,7 +201,7 @@ def _assemble(measure, seq, result, normalization, backend, leading=None, rec=No
     else:
         ks, data = result.factors, linalg.lifted(result, "coeffs")
         q_in_x = result.coeffs if data is None else linalg.Lifted(data)
-    recurrence = _scaled_recurrence(terms[: n - 1], ks, backend)
+    recurrence = (terms[: n - 1], ks)
     return StandardBasis(
         measure=measure,
         moment_seq=seq,
@@ -216,10 +210,10 @@ def _assemble(measure, seq, result, normalization, backend, leading=None, rec=No
         norms=tuple(h if k == 1 else k**2 * h for k, h in zip(ks, result.norms)),
         q_in_x=q_in_x,
         gram_dets=result.gram_dets,
-        recurrence=linalg.Lifted(recurrence) if backend == EXACT else recurrence,
+        recurrence=linalg.Lifted(recurrence) if backend == EXACT else _scaled_recurrence(*recurrence, FLOAT),
         normalization=normalization if leading is None else "custom",
         backend=backend,
-        monic_terms=rec,
+        monic_terms=terms if rec is None else rec,
         float_terms=terms if rec is not None and backend == FLOAT else None,
     )
 
@@ -227,10 +221,8 @@ def _assemble(measure, seq, result, normalization, backend, leading=None, rec=No
 def _scaled_recurrence(rec, ks, backend):
     """(A_m, B_m, C_m) of Q_m = k_m q_m from the monic terms ``rec``, in the
     scalars of ``backend``: A_m = k_{m+1} / k_m, B_m = -A_m b_m and
-    C_m = k_{m+1} c_m / k_{m-1} (C_0 = 0).  Exact terms are kept as integer
-    ratios (p, q), each formed without a Fraction (:func:`_step_fractions`
-    reads them as Fractions); float ones are taken in that order of
-    operations."""
+    C_m = k_{m+1} c_m / k_{m-1} (C_0 = 0).  Exact terms are each one
+    Fraction of integers; float ones are taken in that order of operations."""
     nil = zero(backend)
     if backend == EXACT:
         num = [k.numerator for k in ks]
@@ -238,10 +230,11 @@ def _scaled_recurrence(rec, ks, backend):
         scaled = []
         for m, (b_m, c_m) in enumerate(rec):
             a_num, a_den = num[m + 1] * den[m], den[m + 1] * num[m]
-            c_m = (0, 1) if not m else (
+            c_m = nil if not m else Fraction(
                 num[m + 1] * c_m.numerator * den[m - 1], den[m + 1] * c_m.denominator * num[m - 1]
             )
-            scaled.append(((a_num, a_den), (-a_num * b_m.numerator, a_den * b_m.denominator), c_m))
+            b_m = Fraction(-a_num * b_m.numerator, a_den * b_m.denominator)
+            scaled.append((Fraction(a_num, a_den), b_m, c_m))
         return tuple(scaled)
     scaled = []
     for m, (b_m, c_m) in enumerate(rec):
@@ -380,53 +373,60 @@ def _stieltjes(measure, count):
     return tuple(rec)
 
 
-def _recurrence_columns(steps, target, lead):
-    """Q_0..Q_K on the monic basis R of ``target``, run in integers.
+def _recurrence_columns(rec, target):
+    """Monic q_0..q_K on the monic basis R of ``target``, run in integers.
 
-    Q_0 = ``lead`` and Q_{k+1} = (A_k x + B_k) Q_k - C_k Q_{k-1} for
-    ``steps[k]`` = (A_k, B_k, C_k), k = 0..K-1, with C_0 unused, each given
-    as an integer ratio (p, q), q nonzero, as is ``lead``; R runs
+    q_0 = 1 and q_{k+1} = (x - b_k) q_k - c_k q_{k-1} for ``rec[k]`` =
+    (b_k, c_k), k = 0..K-1, with c_0 unused; R runs
     x R_m = R_{m+1} + b_m R_m + c_m R_{m-1} for ``target[m]`` = (b_m, c_m),
-    m = 0..K-1 at least, and an empty target means R_m = x^m; its terms are
-    rational (int or Fraction).  Column k comes back as
-    ``(ints, den)``, Q_k = sum_m ints[m] / den R_m over m = 0..k, exactly as
-    :func:`linalg.lift` gives that column.
+    m = 0..K-1 at least, and an empty target means R_m = x^m.  Every term
+    is rational (int or Fraction).  Column k comes back as ``(ints, den)``,
+    q_k = sum_m ints[m] / den R_m over m = 0..k, exactly as
+    :func:`linalg.lift` gives that column; :func:`_folded` scales the
+    columns to Q_k = k_k q_k.
 
-    The target is lifted once by a common L, so x Q_k over the scale d_k of
+    The target is lifted once by a common L, so x q_k over the scale d_k of
     its column is the integer vector L u_{m-1} + b_m u_m + c_{m+1} u_{m+1}
-    over L d_k.  Column k + 1 is formed over
-    lcm(aq L d_k, bq d_k, cq d_{k-1}), aq, bq and cq the denominators of
-    A_k, B_k and C_k (a zero coefficient leaves its term out), and divided
-    by the gcd of its integers and that scale.  No Fraction arithmetic is
-    done.
+    over L d_k.  Column k + 1 is formed over lcm(L d_k, bq d_k, cq d_{k-1}),
+    bq and cq the denominators of b_k and c_k (a zero term is left out), and
+    divided by the gcd of its integers and that scale.  No Fraction
+    arithmetic is done.
     """
     if target:
         lifted, big_l = linalg.lift([x for term in target for x in term])
         b, c_next = lifted[0::2], lifted[3::2]
     else:
         big_l = 1
-    cols = [([lead[0]], lead[1])]
-    for k, ((ap, aq), (bp, bq), (cp, cq)) in enumerate(steps):
+    cols = [([1], 1)]
+    for k, (b_k, c_k) in enumerate(rec):
         u, d = cols[k]
         x_u = [0, *u] if big_l == 1 else [0, *(big_l * y for y in u)]
         if target:
             x_u = list(map(add, x_u, chain(map(mul, b, u), (0,))))
             x_u = list(map(add, x_u, chain(map(mul, c_next, u[1:]), (0, 0))))
-        a_scale = aq * big_l * d
-        b_scale = bq * d if bp else 1
-        c_scale = cq * cols[k - 1][1] if cp and k else 1
-        scale = lcm(a_scale, b_scale, c_scale)
-        a_f = ap * (scale // a_scale)
+        b_scale = b_k.denominator * d if b_k else 1
+        c_scale = c_k.denominator * cols[k - 1][1] if c_k and k else 1
+        scale = lcm(big_l * d, b_scale, c_scale)
+        a_f = scale // (big_l * d)
         col = x_u if a_f == 1 else [a_f * y for y in x_u]
-        if bp:
-            b_f = bp * (scale // b_scale)
-            col[: k + 1] = [y + b_f * z for y, z in zip(col, u)]
-        if cp and k:
-            c_f = cp * (scale // c_scale)
+        if b_k:
+            b_f = b_k.numerator * (scale // b_scale)
+            col[: k + 1] = [y - b_f * z for y, z in zip(col, u)]
+        if c_k and k:
+            c_f = c_k.numerator * (scale // c_scale)
             col[:k] = [y - c_f * z for y, z in zip(col, cols[k - 1][0])]
         g = gcd(scale, *col)
         cols.append(([y // g for y in col], scale // g) if g > 1 else (col, scale))
     return cols
+
+
+def _folded(cols, ks):
+    """The lifted columns ``cols`` of monic q_n as those of Q_n = k_n q_n."""
+    out = []
+    for (ints, den), k in zip(cols, ks):
+        kp, kq = k.as_integer_ratio()
+        out.append((ints, den) if kp == kq else linalg.reduced([x * kp for x in ints], den * kq))
+    return out
 
 
 def _recurrence_result(rec, backend, normalization=MONIC, leading=None):
@@ -440,8 +440,8 @@ def _recurrence_result(rec, backend, normalization=MONIC, leading=None):
     Hankel determinants.  Column k + 1 of the monic coefficients is
     x q_k - b_k q_k - c_k q_{k-1}.  The inverse connection is not formed
     unless it is read.  Exact columns run in integers
-    (:func:`_recurrence_columns` with steps (1, -b_k, c_k) over the
-    monomials) and stay lifted, k_n folded into each
+    (:func:`_recurrence_columns` over the monomials) and stay lifted, k_n
+    folded into each
     (:class:`linalg.LiftedColumns`, formed as Fractions when read).  Float
     columns touch only the triangular support and skip zero terms, so a
     float entry equals the full sum in the same order bit for bit, and are
@@ -458,14 +458,7 @@ def _recurrence_result(rec, backend, normalization=MONIC, leading=None):
     ks = normalization_factors(normalization, dets, backend) if leading is None else list(leading)
     nil = zero(backend)
     if backend == EXACT:
-        steps = []
-        for (b_k, _), c_k in zip(rec[: n - 1], c):
-            bp, bq = as_kind(b_k, EXACT).as_integer_ratio()
-            steps.append(((1, 1), (-bp, bq), c_k.as_integer_ratio()))
-        cols = []
-        for (ints, den), k in zip(_recurrence_columns(steps, (), (1, 1)), ks):
-            kp, kq = k.as_integer_ratio()
-            cols.append((ints, den) if kp == kq else linalg.reduced([x * kp for x in ints], den * kq))
+        cols = _folded(_recurrence_columns(rec[: n - 1], ()), ks)
         q = linalg.Lifted(linalg.LiftedColumns(cols, n))
         return OrthogonalizationResult(q, tuple(norms), tuple(ks), tuple(dets))
     q = [[nil] * n for _ in range(n)]

@@ -112,8 +112,7 @@ def test_the_folded_first_stage_equals_the_scaled_monic_one(measure, size, data)
     assert (folded.norms, folded.gram_dets, list(folded.factors)) == (
         monic.norms, monic.gram_dets, ks
     )
-    # exact terms are kept as integer ratios and read as Fractions
-    scaled = standard._step_fractions(standard._scaled_recurrence(rec[: size - 1], ks, EXACT))
+    scaled = standard._scaled_recurrence(rec[: size - 1], ks, EXACT)
     assert scaled == reference_scaled_recurrence(rec[: size - 1], ks, EXACT)
     assert all(type(x) is Fraction for term in scaled for x in term)
     # float coefficients are the monic ones times k, as the assembly took them

@@ -121,8 +121,9 @@ def _targets(n):
 
 @st.composite
 def connections(draw):
-    """(q_basis, rec2, i): Q from a random rational recurrence with non-unit
-    A_k, a custom-leading first stage or a parity build, on a random or a
+    """(q_basis, rec2, i): Q from random monic terms and random nonzero
+    leading coefficients (every rational recurrence with nonzero A_k is
+    one), a custom-leading first stage or a parity build, on a random or a
     closed-form target recurrence."""
     source = draw(st.sampled_from(["random", "leading", "parity"]))
     if source == "parity":
@@ -135,9 +136,14 @@ def connections(draw):
         q_basis = build_standard(draw(CLOSED), n, leading=leading)
     else:
         n = draw(st.integers(1, 24))
-        steps = draw(st.lists(st.tuples(NONZERO, RATIONALS, RATIONALS), min_size=n - 1, max_size=n - 1))
-        lead = draw(NONZERO)
-        q_basis = SimpleNamespace(size=n, backend=EXACT, recurrence=tuple(steps), leading=(lead,))
+        terms = draw(st.lists(st.tuples(RATIONALS, RATIONALS), min_size=n - 1, max_size=n - 1))
+        ks = draw(st.lists(NONZERO, min_size=n, max_size=n))
+        steps = tuple(
+            (ks[m + 1] / ks[m], -ks[m + 1] / ks[m] * b_m, ks[m + 1] * c_m / ks[m - 1] if m else 0)
+            for m, (b_m, c_m) in enumerate(terms)
+        )
+        q_basis = SimpleNamespace(size=n, backend=EXACT, monic_terms=tuple(terms), recurrence=steps,
+                                  leading=tuple(ks))
     return q_basis, draw(_targets(n)), draw(st.integers(0, n))
 
 
@@ -231,7 +237,7 @@ def test_the_sign_flipped_recurrence_is_caught_at_the_second_stage(monkeypatch, 
     flipped = _sign_flipped("_recurrence_columns", "y - c_f * z")
     monkeypatch.setattr(
         standard, "_recurrence_columns",
-        lambda steps, target, lead: (flipped if target else original)(steps, target, lead),
+        lambda rec, target: (flipped if target else original)(rec, target),
     )
     with pytest.raises(OracleMismatch, match="gamma matrix and second-measure moments") as info:
         build_sbo(*request.getfixturevalue(pair), 2, 8)
