@@ -495,11 +495,11 @@ def _sbo_bases(first_stage, measure2, i_values, n_polys, normalization, check):
         leading = list(q_basis.leading[i:])
         with stage(SECOND_STAGE, first_degree=i):
             if backend == EXACT:
-                lifted = linalg.LiftedGram(gamma_lo.upper[i - lo :], gamma_lo.scale)
-                gamma = GramMatrix(linalg.Lifted(lifted), f"Q_{i}..Q_{n_polys - 1}")
-                # Q_{i+k} has degree i + k: the rows that name a failing degree
-                degrees = [(zero(EXACT),) * block] * i + linalg.identity(block)
-                result = _exact_stage(gamma, degrees, leading, check, SECOND_STAGE)
+                gamma_i = linalg.LiftedGram(gamma_lo.upper[i - lo :], gamma_lo.scale)
+                gamma = GramMatrix(linalg.Lifted(gamma_i), f"Q_{i}..Q_{n_polys - 1}")
+                # V = [0; I] on Q names the degrees Q[:, i:] names, Q_m of degree m
+                v = [(zero(EXACT),) * block] * i + linalg.identity(block)
+                result = _exact_stage(gamma, v, leading, check, SECOND_STAGE)
                 a_cols = linalg.columns(result, "coeffs").cols
                 p_cols = linalg.lifted_product(q_rows, q_scale, a_cols, i)
                 p_in_q = linalg.Lifted(linalg.LiftedColumns(a_cols, n_polys, i))

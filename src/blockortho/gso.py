@@ -15,10 +15,10 @@ are the ratios of consecutive leading Gram determinants, so one pass gives
 the vectors, their norms and the determinants.  It runs in integers
 (:func:`_exact_ldl`): the upper triangle is lifted by one common scale
 (or comes lifted, :class:`linalg.LiftedGram`), its rows are freed of their
-contents, it is eliminated fraction-free, and the connection a stays lifted
-until it is read.  Everything here is exact: a
-float entry or factor is read as the dyadic rational it holds (as
-:func:`linalg.lift` reads it), and a float caller rounds the results once.
+contents, it is eliminated fraction-free, and the connection a stays
+lifted until it is read.  Everything here is exact: a float entry or
+factor is read as the dyadic rational it holds (as :func:`linalg.lift`
+reads it), and a float caller rounds the results once.
 
 Every exact stage of :mod:`block`, and in both backends the Hankel
 first-stage oracle (:func:`standard.hankel_build`) and the parity first

@@ -201,7 +201,7 @@ def _assemble(measure, seq, result, normalization, backend, leading=None, rec=No
     else:
         ks, data = result.factors, linalg.lifted(result, "coeffs")
         q_in_x = result.coeffs if data is None else linalg.Lifted(data)
-    recurrence = (terms[: n - 1], ks)
+    scaled = (terms[: n - 1], ks)  # an exact basis forms its recurrence when read
     return StandardBasis(
         measure=measure,
         moment_seq=seq,
@@ -210,7 +210,7 @@ def _assemble(measure, seq, result, normalization, backend, leading=None, rec=No
         norms=tuple(h if k == 1 else k**2 * h for k, h in zip(ks, result.norms)),
         q_in_x=q_in_x,
         gram_dets=result.gram_dets,
-        recurrence=linalg.Lifted(recurrence) if backend == EXACT else _scaled_recurrence(*recurrence, FLOAT),
+        recurrence=linalg.Lifted(scaled) if backend == EXACT else _scaled_recurrence(*scaled, FLOAT),
         normalization=normalization if leading is None else "custom",
         backend=backend,
         monic_terms=terms if rec is None else rec,
@@ -441,11 +441,10 @@ def _recurrence_result(rec, backend, normalization=MONIC, leading=None):
     x q_k - b_k q_k - c_k q_{k-1}.  The inverse connection is not formed
     unless it is read.  Exact columns run in integers
     (:func:`_recurrence_columns` over the monomials) and stay lifted, k_n
-    folded into each
-    (:class:`linalg.LiftedColumns`, formed as Fractions when read).  Float
-    columns touch only the triangular support and skip zero terms, so a
-    float entry equals the full sum in the same order bit for bit, and are
-    then multiplied by k_n where it is not one.
+    folded into each (:class:`linalg.LiftedColumns`, formed as Fractions
+    when read).  Float columns touch only the triangular support and skip
+    zero terms, so a float entry equals the full sum in the same order bit
+    for bit, and are then multiplied by k_n where it is not one.
     """
     n = len(rec)
     c = [as_kind(c_n, backend) for _, c_n in rec]
