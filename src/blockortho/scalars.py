@@ -77,17 +77,15 @@ def to_fraction(value) -> Fraction:
 def scalar_to_json(value):
     """Fractions serialize as 'p/q' (or 'p' for integers); floats pass through."""
     if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return str(value.numerator)
-        return f"{value.numerator}/{value.denominator}"
+        return ratio_to_json(value.numerator, value.denominator)
     if isinstance(value, int):
         return str(value)
     return float(value)
 
 
 def ratio_to_json(num, den):
-    """The rational num / den (den > 0) as :func:`scalar_to_json` writes its
-    Fraction, reduced by one gcd and with no Fraction made."""
+    """The rational num / den (den > 0), reduced by one gcd, as 'p/q' (or
+    'p' for an integer), with no Fraction made."""
     g = math.gcd(num, den)
     if g != 1:
         num, den = num // g, den // g

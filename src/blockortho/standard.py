@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from itertools import chain
-from math import gcd, lcm
+from math import lcm
 from operator import add, mul
 
 from . import gso, linalg
@@ -415,8 +415,7 @@ def _recurrence_columns(rec, target):
         if c_k and k:
             c_f = c_k.numerator * (scale // c_scale)
             col[:k] = [y - c_f * z for y, z in zip(col, cols[k - 1][0])]
-        g = gcd(scale, *col)
-        cols.append(([y // g for y in col], scale // g) if g > 1 else (col, scale))
+        cols.append(linalg.reduced(col, scale))
     return cols
 
 
